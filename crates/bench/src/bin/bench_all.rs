@@ -13,7 +13,6 @@
 //! `--out DIR` (default: current directory — this bin always writes its
 //! report).
 
-use std::time::Instant;
 use tangram_bench::{ExpOpts, TextTable};
 use tangram_harness::presets::{
     motivation_scenes, paper_mark_timeouts_s, smoke_grid, E2E_POLICIES,
@@ -57,9 +56,7 @@ fn main() {
         grid.cell_count(),
         workers
     );
-    let started = Instant::now();
     let report = run_grid(&grid, workers);
-    let elapsed = started.elapsed();
     opts.maybe_write(&report);
 
     let mut table = TextTable::new([
@@ -80,12 +77,4 @@ fn main() {
         ]);
     }
     table.print();
-    // Wall-clock stays out of the JSON (it would break the byte-identical
-    // parallel-vs-sequential guarantee); report it on stderr instead.
-    eprintln!(
-        "\n{} cells in {:.2}s wall-clock on {} workers",
-        report.cells.len(),
-        elapsed.as_secs_f64(),
-        workers
-    );
 }

@@ -10,16 +10,13 @@
 //!
 //! Determinism is asserted, not assumed: every scenario must reproduce
 //! the single-shard [`tangram_core::report::RunSummary`] (plus the raw
-//! frame/mute/event counts) at every other shard count, or the bench
+//! frame/mute/event counts) at every other shard count, or the bin
 //! exits with code 2 before writing anything.
 //!
-//! The emitted JSON splits into two kinds of fields:
-//!
-//! * **counts** (per-scenario frames, muted frames, patches, batches,
-//!   violations, dropped arrivals, events, makespan) — deterministic,
-//!   byte stable, gated by CI against `baselines/BENCH_scenarios.json`;
-//! * **timings** (per-scenario `wall_ms`) — machine-dependent, recorded
-//!   for humans, **never** gated.
+//! The emitted JSON carries only deterministic `counts` (per-scenario
+//! frames, muted frames, patches, batches, violations, dropped arrivals,
+//! events, makespan), byte stable and gated by CI against
+//! `baselines/BENCH_scenarios.json`. Nothing here reads the wall clock.
 //!
 //! Flags: the usual [`ExpOpts`] set plus `--smoke` (shard counts 1 and 2
 //! instead of 1 and 8), `--dir PATH` (scenario directory override) and
@@ -27,29 +24,16 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
-use tangram_bench::{ExpOpts, TextTable};
+use tangram_bench::{finish_count_gate, ExpOpts, TextTable};
 use tangram_core::report::RunReport;
 use tangram_harness::json::Json;
 use tangram_harness::ScenarioFile;
-
-/// One scenario's oracle run plus its wall time.
-struct Row {
-    name: String,
-    report: RunReport,
-    wall_s: f64,
-}
 
 fn main() -> ExitCode {
     let opts = ExpOpts::from_args();
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let gate_path = args
-        .iter()
-        .position(|a| a == "--gate")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
     let dir = args
         .iter()
         .position(|a| a == "--dir")
@@ -74,13 +58,12 @@ fn main() -> ExitCode {
     );
     println!("  shard counts {shard_counts:?} (byte-compared against the single-shard oracle)");
 
-    let mut rows: Vec<Row> = Vec::new();
+    // One oracle run per scenario, in library order.
+    let mut rows: Vec<(String, RunReport)> = Vec::new();
     for (path, file) in &library {
-        let start = Instant::now();
         let (oracle, _) = file.run(false, shard_counts[0]);
-        let wall_s = start.elapsed().as_secs_f64();
         // Re-run at every other shard count; any divergence is a
-        // correctness bug in the sharded runtime, not a perf result.
+        // correctness bug in the sharded runtime.
         for &shards in &shard_counts[1..] {
             let (report, _) = file.run(false, shards);
             if report.summarize() != oracle.summarize()
@@ -96,11 +79,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-        rows.push(Row {
-            name: file.name.clone(),
-            report: oracle,
-            wall_s,
-        });
+        rows.push((file.name.clone(), oracle));
     }
 
     let mut table = TextTable::new([
@@ -111,118 +90,59 @@ fn main() -> ExitCode {
         "dropped",
         "viol",
         "makespan_s",
-        "wall_ms",
     ]);
-    for row in &rows {
-        let summary = row.report.summarize();
+    for (name, report) in &rows {
+        let summary = report.summarize();
         table.row([
-            row.name.clone(),
+            name.clone(),
             summary.frames.to_string(),
-            row.report.frames_muted.to_string(),
+            report.frames_muted.to_string(),
             summary.patches.to_string(),
             summary.dropped_arrivals.to_string(),
             summary.violations.to_string(),
             format!("{:.3}", summary.makespan_s),
-            format!("{:.1}", row.wall_s * 1e3),
         ]);
     }
     table.print();
-    println!("(counts identical at every shard count; timings informational, never gated)");
+    println!("(counts identical at every shard count)");
 
-    let doc = render_report(mode, &rows);
-
-    if let Some(out) = &opts.out {
-        let path = out.join("BENCH_scenarios.json");
-        match std::fs::create_dir_all(out).and_then(|()| std::fs::write(&path, doc.render() + "\n"))
-        {
-            Ok(()) => println!("(wrote {})", path.display()),
-            Err(err) => {
-                eprintln!("failed to write {}: {err}", path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    if let Some(path) = gate_path {
-        return gate_counts(&doc, &path);
-    }
-    ExitCode::SUCCESS
+    finish_count_gate(
+        &render_report(mode, &rows),
+        "scenarios",
+        opts.out.as_deref(),
+    )
 }
 
-/// Builds `BENCH_scenarios.json`: a gated per-scenario `counts` array
-/// plus ungated per-scenario timings. `mode` stays outside `counts` on
-/// purpose — runs are deterministic in the scenario files alone, so
-/// smoke and full produce the same gated bytes.
-fn render_report(mode: &str, rows: &[Row]) -> Json {
+/// Builds `BENCH_scenarios.json`: the gated per-scenario `counts` array.
+/// `mode` stays outside `counts` on purpose — runs are deterministic in
+/// the scenario files alone, so smoke and full produce the same gated
+/// bytes.
+fn render_report(mode: &str, rows: &[(String, RunReport)]) -> Json {
     let counts = Json::object(vec![(
         "scenarios",
         Json::Array(
             rows.iter()
-                .map(|row| {
-                    let summary = row.report.summarize();
+                .map(|(name, report)| {
+                    let summary = report.summarize();
                     Json::object(vec![
-                        ("name", Json::Str(row.name.clone())),
+                        ("name", Json::Str(name.clone())),
                         ("frames", Json::U64(summary.frames)),
-                        ("frames_muted", Json::U64(row.report.frames_muted)),
+                        ("frames_muted", Json::U64(report.frames_muted)),
                         ("patches", Json::U64(summary.patches)),
                         ("batches", Json::U64(summary.batches)),
                         ("violations", Json::U64(summary.violations)),
                         ("dropped_arrivals", Json::U64(summary.dropped_arrivals)),
-                        ("events", Json::U64(row.report.events_processed)),
+                        ("events", Json::U64(report.events_processed)),
                         ("makespan_s", Json::F64(summary.makespan_s)),
                     ])
                 })
                 .collect(),
         ),
     )]);
-    let timings = Json::Array(
-        rows.iter()
-            .map(|row| {
-                Json::object(vec![
-                    ("name", Json::Str(row.name.clone())),
-                    ("wall_ms", Json::F64(row.wall_s * 1e3)),
-                ])
-            })
-            .collect(),
-    );
     Json::object(vec![
-        ("schema_version", Json::U64(1)),
+        ("schema_version", Json::U64(2)),
         ("name", Json::Str("scenarios".to_string())),
         ("mode", Json::Str(mode.to_string())),
         ("counts", counts),
-        ("timings", timings),
     ])
-}
-
-/// Compares this run's `counts` object against a committed baseline.
-/// Timing fields are ignored by construction — only `counts` is read.
-fn gate_counts(candidate: &Json, baseline_path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("gate: cannot read baseline {baseline_path}: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline = match Json::parse(&text) {
-        Ok(doc) => doc,
-        Err(err) => {
-            eprintln!("gate: cannot parse baseline {baseline_path}: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (Some(ours), Some(theirs)) = (candidate.get("counts"), baseline.get("counts")) else {
-        eprintln!("gate: missing `counts` object (schema mismatch)");
-        return ExitCode::FAILURE;
-    };
-    if ours == theirs {
-        println!("gate: counts match {baseline_path}");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("gate: counts DIVERGED from {baseline_path}");
-        eprintln!("--- baseline\n{}", theirs.render());
-        eprintln!("--- candidate\n{}", ours.render());
-        eprintln!("If the change is intentional, refresh the baseline per docs/PERFORMANCE.md.");
-        ExitCode::FAILURE
-    }
 }

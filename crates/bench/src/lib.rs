@@ -2,9 +2,11 @@
 //!
 //! Every table and figure of the paper has a binary in `src/bin/` that
 //! regenerates it. The sweep/parallelism/reporting machinery lives in
-//! [`tangram_harness`] (re-exported here); this library keeps only the
+//! [`tangram_harness`] (re-exported here); this library keeps the
 //! accuracy-pipeline helpers that turn extractor output into
-//! [`tangram_infer::accuracy::PresentedObject`]s.
+//! [`tangram_infer::accuracy::PresentedObject`]s, and the write-and-gate
+//! tail the count-gate bins (`bench_throughput`, `bench_scenarios`)
+//! share.
 //!
 //! # Example
 //!
@@ -20,9 +22,63 @@
 
 pub use tangram_harness::{ExpOpts, TextTable};
 
+use std::path::Path;
+use std::process::ExitCode;
+use tangram_harness::json::Json;
 use tangram_infer::accuracy::PresentedObject;
 use tangram_types::geometry::Rect;
 use tangram_video::generator::FrameTruth;
+
+/// The shared tail of a count-gate bin: writes `doc` to
+/// `<out>/BENCH_<name>.json` when `--out` was given, then, when the
+/// command line carries `--gate <baseline.json>`, compares `doc`'s
+/// deterministic `counts` object against the committed baseline's.
+#[must_use]
+pub fn finish_count_gate(doc: &Json, name: &str, out: Option<&Path>) -> ExitCode {
+    if let Some(dir) = out {
+        let path = dir.join(format!("BENCH_{name}.json"));
+        match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, doc.render() + "\n"))
+        {
+            Ok(()) => println!("(wrote {})", path.display()),
+            Err(err) => {
+                eprintln!("failed to write {}: {err}", path.display());
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    let args: Vec<String> = std::env::args().collect();
+    let Some(baseline_path) = args
+        .iter()
+        .position(|a| a == "--gate")
+        .and_then(|i| args.get(i + 1))
+    else {
+        return ExitCode::SUCCESS;
+    };
+    let baseline = match std::fs::read_to_string(baseline_path)
+        .map_err(|err| err.to_string())
+        .and_then(|text| Json::parse(&text))
+    {
+        Ok(doc) => doc,
+        Err(err) => {
+            eprintln!("gate: cannot read baseline {baseline_path}: {err}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let (Some(ours), Some(theirs)) = (doc.get("counts"), baseline.get("counts")) else {
+        eprintln!("gate: missing `counts` object (schema mismatch)");
+        return ExitCode::FAILURE;
+    };
+    if ours == theirs {
+        println!("gate: counts match {baseline_path}");
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("gate: counts DIVERGED from {baseline_path}");
+        eprintln!("--- baseline\n{}", theirs.render());
+        eprintln!("--- candidate\n{}", ours.render());
+        eprintln!("If the change is intentional, refresh the baseline per docs/PERFORMANCE.md.");
+        ExitCode::FAILURE
+    }
+}
 
 /// Fraction of `object` covered by the union of `regions`, computed
 /// exactly via inclusion-exclusion on the clipped pieces (regions rarely

@@ -18,9 +18,7 @@
 //!   arriving patch can still meet its tenant deadline given current
 //!   queue and in-flight state, sheds *doomed* work outright, and under
 //!   sustained pressure sheds lower-class tenants (laxer SLOs) first so
-//!   the tightest class keeps its attainment;
-//! * [`ClosureAdmission`] — adapter keeping the PR-3 closure hook
-//!   (`FnMut(SimTime, &Arrival) -> Admission`) working unchanged.
+//!   the tightest class keeps its attainment.
 //!
 //! Every drop is counted per tenant class in
 //! [`crate::report::RunReport::dropped_by_slo`] and surfaces in the
@@ -41,11 +39,6 @@ pub enum Admission {
     /// [`crate::report::RunReport::dropped_by_slo`]).
     Drop,
 }
-
-/// Legacy admission-control hook (PR 3), consulted for every work item
-/// that reaches the cloud scheduler. Kept as the closure face of
-/// [`AdmissionPolicy`] via [`ClosureAdmission`].
-pub type AdmissionFn = dyn FnMut(SimTime, &Arrival) -> Admission;
 
 /// The load signals an admission policy reads before deciding. A fresh
 /// snapshot is taken per arrival; building it never mutates the engine.
@@ -226,30 +219,6 @@ impl AdmissionPolicy for SloShedder {
             return Admission::Drop;
         }
         Admission::Accept
-    }
-}
-
-/// Adapts the legacy closure hook to [`AdmissionPolicy`] — signals are
-/// ignored, exactly as the PR-3 hook behaved.
-pub struct ClosureAdmission {
-    hook: Box<AdmissionFn>,
-}
-
-impl ClosureAdmission {
-    /// Wraps a closure hook.
-    #[must_use]
-    pub fn new(hook: Box<AdmissionFn>) -> Self {
-        Self { hook }
-    }
-}
-
-impl AdmissionPolicy for ClosureAdmission {
-    fn name(&self) -> &'static str {
-        "closure"
-    }
-
-    fn admit(&mut self, now: SimTime, arrival: &Arrival, _: &AdmissionSignals) -> Admission {
-        (self.hook)(now, arrival)
     }
 }
 
@@ -434,17 +403,28 @@ mod tests {
         );
     }
 
-    #[test]
-    fn closure_adapter_preserves_hook_behaviour() {
-        let mut policy = ClosureAdmission::new(Box::new(|now, _| {
-            if now >= SimTime::from_secs_f64(1.0) {
+    /// A caller-written policy deciding on the clock alone.
+    struct Curfew(SimTime);
+
+    impl AdmissionPolicy for Curfew {
+        fn name(&self) -> &'static str {
+            "curfew"
+        }
+
+        fn admit(&mut self, now: SimTime, _: &Arrival, _: &AdmissionSignals) -> Admission {
+            if now >= self.0 {
                 Admission::Drop
             } else {
                 Admission::Accept
             }
-        }));
+        }
+    }
+
+    #[test]
+    fn caller_written_policy_may_ignore_the_signals() {
+        let mut policy: Box<dyn AdmissionPolicy> = Box::new(Curfew(SimTime::from_secs_f64(1.0)));
         let s = signals(0, 0, Some(1));
-        assert_eq!(policy.name(), "closure");
+        assert_eq!(policy.name(), "curfew");
         assert_eq!(
             policy.admit(SimTime::ZERO, &arrival(0, 1000), &s),
             Admission::Accept

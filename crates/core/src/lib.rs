@@ -76,8 +76,7 @@ mod shard;
 pub mod workload;
 
 pub use admission::{
-    Admission, AdmissionPolicy, AdmissionSignals, AlwaysAdmit, ClosureAdmission,
-    QueueDepthThreshold, SloShedder,
+    Admission, AdmissionPolicy, AdmissionSignals, AlwaysAdmit, QueueDepthThreshold, SloShedder,
 };
 pub use engine::{EngineConfig, PolicyKind};
 pub use fairness::{DrrConfig, DrrIngress};

@@ -27,7 +27,7 @@
 //! [`TraceReplaySource`] per trace and runs the same loop, so the 424
 //! pre-existing tests and every figure baseline hold bit-for-bit.
 
-use crate::admission::{AdmissionPolicy, AdmissionSignals, ClosureAdmission};
+use crate::admission::{Admission, AdmissionPolicy, AdmissionSignals};
 use crate::engine::EngineConfig;
 use crate::fairness::DrrIngress;
 use crate::faults::{FaultKind, FaultPlane, FaultSpec};
@@ -94,10 +94,6 @@ pub enum StreamEvent {
         fault: usize,
     },
 }
-
-// Admission control grew into its own subsystem (`crate::admission`);
-// the original names stay importable from here.
-pub use crate::admission::{Admission, AdmissionFn};
 
 /// A per-tenant service class: the SLO stamped on every patch the
 /// tenant's cameras produce.
@@ -617,12 +613,6 @@ impl OnlineEngine {
     /// is admitted (equivalent to [`crate::admission::AlwaysAdmit`]).
     pub fn set_admission_policy(&mut self, policy: Box<dyn AdmissionPolicy>) {
         self.admission = Some(policy);
-    }
-
-    /// Installs the legacy closure hook (PR-3 API): wraps it in
-    /// [`ClosureAdmission`], which ignores the load signals.
-    pub fn set_admission(&mut self, hook: Box<AdmissionFn>) {
-        self.admission = Some(Box::new(ClosureAdmission::new(hook)));
     }
 
     /// Installs a weighted-DRR fair-ingress stage between admission and
@@ -1263,12 +1253,25 @@ mod tests {
         assert!(churned_report.frames > 0);
     }
 
+    /// A caller-written policy: sheds everything, reads no signal.
+    struct DropAll;
+
+    impl AdmissionPolicy for DropAll {
+        fn name(&self) -> &'static str {
+            "drop-all"
+        }
+
+        fn admit(&mut self, _: SimTime, _: &Arrival, _: &AdmissionSignals) -> Admission {
+            Admission::Drop
+        }
+    }
+
     #[test]
     fn admission_hook_sheds_load() {
         let cfg = config(PolicyKind::Tangram);
         let mut engine = OnlineEngine::new(&cfg);
         engine.add_camera_at(SimTime::ZERO, Box::new(poisson_source(1, 10, 10.0, 11)));
-        engine.set_admission(Box::new(|_, _| Admission::Drop));
+        engine.set_admission_policy(Box::new(DropAll));
         let report = engine.run();
         assert_eq!(report.patches_completed(), 0);
         assert!(report.dropped_arrivals > 0);

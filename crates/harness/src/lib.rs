@@ -25,8 +25,9 @@
 //! * [`presets`] — the shared experiment setup (paper sweep constants,
 //!   trace and engine constructors, warmed extractor rigs) the bins used
 //!   to copy-paste;
-//! * [`json`] — the deterministic JSON document model backing it all
-//!   (the vendored `serde` is a compile-only stub);
+//! * [`json`] — re-export of [`tangram_types::json`], the workspace's
+//!   one deterministic JSON codec (it lives at layer 0 so `tangram-trace`
+//!   reads TRACE lines through the same parser);
 //! * [`toml`] / [`scenario_file`] — the line-tracking TOML reader and
 //!   the declarative scenario library it loads
 //!   ([`scenario_file::ScenarioFile`]): `config/scenarios/*.toml` files
@@ -59,7 +60,6 @@
 
 pub mod cli;
 pub mod grid;
-pub mod json;
 pub mod pool;
 pub mod presets;
 pub mod report;
@@ -81,4 +81,5 @@ pub use runner::{
 };
 pub use scenario_file::{RunSpec, ScenarioFile};
 pub use table::TextTable;
+pub use tangram_types::json;
 pub use toml::{TomlDocument, TomlError, TomlValue};

@@ -3,9 +3,9 @@
 //! Sweep cells are embarrassingly parallel: every cell is seeded
 //! independently, so execution order cannot leak into results. The pool
 //! therefore needs no scheduling cleverness — a shared MPMC job channel,
-//! N workers pulling until it drains, and results reassembled by index so
-//! the output order matches the input order regardless of which worker
-//! finished first.
+//! N workers (the calling thread among them) pulling until it drains, and
+//! results reassembled by index so the output order matches the input
+//! order regardless of which worker finished first.
 
 use crossbeam::channel::unbounded;
 
@@ -22,7 +22,8 @@ pub fn resolve_workers(requested: Option<usize>) -> usize {
 /// Maps `f` over `items` on `workers` threads, preserving input order in
 /// the output.
 ///
-/// `f` receives `(index, item)`. With `workers == 1` the items still flow
+/// `f` receives `(index, item)`. The calling thread is one of the
+/// `workers`, so `workers == 1` spawns nothing; the items still flow
 /// through the same channel plumbing, so the only difference between a
 /// sequential and a parallel run is which thread computes each cell —
 /// and, because cells are independently seeded, the results are
@@ -44,37 +45,34 @@ where
     }
     let workers = workers.clamp(1, total);
     let (job_tx, job_rx) = unbounded();
-    let (result_tx, result_rx) = unbounded();
     for job in items.into_iter().enumerate() {
         assert!(job_tx.send(job).is_ok(), "job receiver alive");
     }
     drop(job_tx);
 
+    // Each worker drains the shared queue into a list of its own, and the
+    // calling thread is one of them: a request for N workers on N cores
+    // runs N threads, with no cross-thread wake-up per result.
+    let drain = || {
+        let mut done = Vec::new();
+        while let Ok((index, item)) = job_rx.recv() {
+            done.push((index, f(index, item)));
+        }
+        done
+    };
     let mut slots: Vec<Option<T>> = Vec::with_capacity(total);
     slots.resize_with(total, || None);
-    let f = &f;
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let result_tx = result_tx.clone();
-            handles.push(scope.spawn(move || {
-                while let Ok((index, item)) = job_rx.recv() {
-                    let value = f(index, item);
-                    if result_tx.send((index, value)).is_err() {
-                        break;
-                    }
-                }
-            }));
-        }
-        drop(result_tx);
-        while let Ok((index, value)) = result_rx.recv() {
-            slots[index] = Some(value);
-        }
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
+        let mut lists = vec![drain()];
         for handle in handles {
-            if let Err(panic) = handle.join() {
-                std::panic::resume_unwind(panic);
+            match handle.join() {
+                Ok(list) => lists.push(list),
+                Err(panic) => std::panic::resume_unwind(panic),
             }
+        }
+        for (index, value) in lists.into_iter().flatten() {
+            slots[index] = Some(value);
         }
     });
     slots
@@ -118,6 +116,25 @@ mod tests {
         });
         assert_eq!(out.len(), 257);
         assert_eq!(counter.load(Ordering::SeqCst), 257);
+    }
+
+    #[test]
+    fn calling_thread_is_one_of_the_workers() {
+        let me = std::thread::current().id();
+        let alone = parallel_map((0..16).collect::<Vec<u32>>(), 1, |_, _| {
+            std::thread::current().id()
+        });
+        assert!(
+            alone.iter().all(|id| *id == me),
+            "one worker spawns nothing"
+        );
+        let mut ids = parallel_map((0..64).collect::<Vec<u32>>(), 3, |_, _| {
+            std::thread::sleep(std::time::Duration::from_micros(200));
+            std::thread::current().id()
+        });
+        ids.sort_by_key(|id| format!("{id:?}"));
+        ids.dedup();
+        assert!(ids.len() <= 3, "no thread beyond the requested workers");
     }
 
     #[test]

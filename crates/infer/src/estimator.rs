@@ -74,12 +74,6 @@ impl LatencyEstimator {
         self.canvas
     }
 
-    /// Largest profiled batch size.
-    #[must_use]
-    pub fn max_profiled_batch(&self) -> usize {
-        self.profile.len()
-    }
-
     /// The σ multiplier in use.
     #[must_use]
     pub fn sigma_multiplier(&self) -> f64 {

@@ -115,7 +115,7 @@ pub const LATTICE: [LatticeEntry; 15] = [
     LatticeEntry {
         name: "bench",
         layer: 7,
-        externals: &["criterion"],
+        externals: &[],
     },
 ];
 

@@ -37,7 +37,7 @@ pub const DET_CRATES: [&str; 7] = [
 /// canonical scenario TOML), scanned by `det-float-format`. A path
 /// ending in `/` is a directory prefix.
 pub const WRITER_PATHS: [&str; 4] = [
-    "crates/harness/src/json.rs",
+    "crates/types/src/json.rs",
     "crates/harness/src/report.rs",
     "crates/harness/src/scenario_file.rs",
     "crates/trace/src/",
@@ -175,7 +175,8 @@ mod tests {
             })
         };
         assert!(is_writer("crates/trace/src/event.rs"));
-        assert!(is_writer("crates/harness/src/json.rs"));
+        assert!(is_writer("crates/types/src/json.rs"));
+        assert!(!is_writer("crates/types/src/time.rs"));
         assert!(!is_writer("crates/harness/src/pool.rs"));
     }
 }

@@ -1,55 +1,25 @@
 //! Load balancing across warm instances.
 //!
 //! The paper fronts its functions with NGINX in its default (round-robin)
-//! mode; a least-used balancer is included for comparison.
+//! mode, so that is the one balancer the platform runs.
 
 use tangram_types::ids::InstanceId;
 
-/// Chooses one instance from the currently idle warm set.
-pub trait LoadBalancer: Send {
-    /// Picks from `idle` (sorted by id, possibly empty). `loads[i]` is the
-    /// lifetime invocation count of `idle[i]`.
-    fn pick(&mut self, idle: &[InstanceId], loads: &[u64]) -> Option<InstanceId>;
-
-    /// Balancer name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// NGINX's default strategy: rotate through instances.
+/// NGINX's default strategy: rotate through the idle warm instances.
 #[derive(Debug, Default)]
 pub struct RoundRobin {
     cursor: usize,
 }
 
-impl LoadBalancer for RoundRobin {
-    fn pick(&mut self, idle: &[InstanceId], _loads: &[u64]) -> Option<InstanceId> {
+impl RoundRobin {
+    /// Picks from `idle` (sorted by id, possibly empty).
+    pub fn pick(&mut self, idle: &[InstanceId]) -> Option<InstanceId> {
         if idle.is_empty() {
             return None;
         }
         let choice = idle[self.cursor % idle.len()];
         self.cursor = self.cursor.wrapping_add(1);
         Some(choice)
-    }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-}
-
-/// Picks the instance with the fewest lifetime invocations.
-#[derive(Debug, Default)]
-pub struct LeastUsed;
-
-impl LoadBalancer for LeastUsed {
-    fn pick(&mut self, idle: &[InstanceId], loads: &[u64]) -> Option<InstanceId> {
-        idle.iter()
-            .zip(loads)
-            .min_by_key(|&(id, load)| (*load, *id))
-            .map(|(id, _)| *id)
-    }
-
-    fn name(&self) -> &'static str {
-        "least-used"
     }
 }
 
@@ -65,31 +35,15 @@ mod tests {
     fn round_robin_rotates() {
         let mut rr = RoundRobin::default();
         let idle = ids(&[0, 1, 2]);
-        let loads = [0, 0, 0];
-        assert_eq!(rr.pick(&idle, &loads), Some(InstanceId::new(0)));
-        assert_eq!(rr.pick(&idle, &loads), Some(InstanceId::new(1)));
-        assert_eq!(rr.pick(&idle, &loads), Some(InstanceId::new(2)));
-        assert_eq!(rr.pick(&idle, &loads), Some(InstanceId::new(0)));
+        assert_eq!(rr.pick(&idle), Some(InstanceId::new(0)));
+        assert_eq!(rr.pick(&idle), Some(InstanceId::new(1)));
+        assert_eq!(rr.pick(&idle), Some(InstanceId::new(2)));
+        assert_eq!(rr.pick(&idle), Some(InstanceId::new(0)));
     }
 
     #[test]
     fn round_robin_empty_is_none() {
         let mut rr = RoundRobin::default();
-        assert_eq!(rr.pick(&[], &[]), None);
-    }
-
-    #[test]
-    fn least_used_prefers_cold_spots() {
-        let mut lu = LeastUsed;
-        let idle = ids(&[0, 1, 2]);
-        assert_eq!(lu.pick(&idle, &[5, 2, 9]), Some(InstanceId::new(1)));
-        // Ties break to the lowest id.
-        assert_eq!(lu.pick(&idle, &[3, 3, 9]), Some(InstanceId::new(0)));
-    }
-
-    #[test]
-    fn names_are_stable() {
-        assert_eq!(RoundRobin::default().name(), "round-robin");
-        assert_eq!(LeastUsed.name(), "least-used");
+        assert_eq!(rr.pick(&[]), None);
     }
 }

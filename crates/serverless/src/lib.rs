@@ -9,7 +9,7 @@
 //! * [`pricing`] — `C = T_f·(n_C·P_C + m_M·P_M + m_G·P_G) + P_req`;
 //! * [`function`] — function specs (2 vCPU / 4 GB / 6 GB GPU in the
 //!   paper's evaluation) and the GPU-memory batch bound of constraint (5);
-//! * [`lb`] — round-robin (NGINX default) and least-used balancers;
+//! * [`lb`] — the round-robin (NGINX default) balancer;
 //! * [`platform`] — the event-driven instance pool.
 //!
 //! # Example
@@ -38,7 +38,7 @@ pub mod platform;
 pub mod pricing;
 
 pub use function::FunctionSpec;
-pub use lb::{LeastUsed, LoadBalancer, RoundRobin};
+pub use lb::RoundRobin;
 pub use platform::{
     BackendSnapshot, InvocationOutcome, InvocationRequest, PlatformError, ServerlessPlatform,
 };

@@ -8,7 +8,7 @@
 //! Eqn. (1).
 
 use crate::function::FunctionSpec;
-use crate::lb::{LoadBalancer, RoundRobin};
+use crate::lb::RoundRobin;
 use crate::pricing::ResourcePrices;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
@@ -83,7 +83,6 @@ struct Instance {
     id: InstanceId,
     busy_until: SimTime,
     expires_at: SimTime,
-    invocations: u64,
 }
 
 /// A point-in-time reading of backend pressure — the signals an
@@ -130,7 +129,7 @@ pub struct ServerlessPlatform {
     spec: FunctionSpec,
     prices: ResourcePrices,
     model: InferenceLatencyModel,
-    balancer: Box<dyn LoadBalancer>,
+    balancer: RoundRobin,
     /// Keep-alive window before an idle instance is reclaimed.
     pub keep_alive: SimDuration,
     /// Mean cold-start delay (lognormal-sampled; §I: "tens of
@@ -165,7 +164,7 @@ impl ServerlessPlatform {
             spec,
             prices: ResourcePrices::alibaba_fc(),
             model,
-            balancer: Box::new(RoundRobin::default()),
+            balancer: RoundRobin::default(),
             keep_alive: SimDuration::from_secs(60),
             cold_start_mean: SimDuration::from_millis(60),
             max_instances: Some(8),
@@ -177,13 +176,6 @@ impl ServerlessPlatform {
             rng: DetRng::new(seed).fork("serverless"),
             in_flight: Vec::new(),
         }
-    }
-
-    /// Replaces the load balancer.
-    #[must_use]
-    pub fn with_balancer(mut self, balancer: Box<dyn LoadBalancer>) -> Self {
-        self.balancer = balancer;
-        self
     }
 
     /// Replaces the price table.
@@ -290,17 +282,8 @@ impl ServerlessPlatform {
             .filter(|i| i.busy_until <= now && i.expires_at > now)
             .map(|i| i.id)
             .collect();
-        let loads: Vec<u64> = idle
-            .iter()
-            .map(|id| {
-                self.instances
-                    .iter()
-                    .find(|i| i.id == *id)
-                    .map_or(0, |i| i.invocations)
-            })
-            .collect();
 
-        let (instance_idx, cold, started) = match self.balancer.pick(&idle, &loads) {
+        let (instance_idx, cold, started) = match self.balancer.pick(&idle) {
             Some(chosen) => {
                 let idx = self
                     .instances
@@ -320,7 +303,6 @@ impl ServerlessPlatform {
                     id,
                     busy_until: now,
                     expires_at: now + self.keep_alive,
-                    invocations: 0,
                 });
                 (self.instances.len() - 1, true, now + delay)
             }
@@ -353,7 +335,6 @@ impl ServerlessPlatform {
         let inst = &mut self.instances[instance_idx];
         inst.busy_until = finished;
         inst.expires_at = finished + self.keep_alive;
-        inst.invocations += 1;
 
         self.stats.invocations += 1;
         if cold {

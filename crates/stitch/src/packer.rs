@@ -55,12 +55,6 @@ impl GuillotinePacker {
             used: 0,
         }
     }
-
-    /// The current free rectangles (diagnostics).
-    #[must_use]
-    pub fn free_rects(&self) -> &[Rect] {
-        &self.free
-    }
 }
 
 impl Packer for GuillotinePacker {

@@ -1,6 +1,7 @@
 //! The trace event alphabet and its canonical field rendering.
 
 use std::fmt::Write as _;
+use tangram_types::json::{write_string, Json};
 
 /// One runtime event, as the engine saw it.
 ///
@@ -140,7 +141,7 @@ impl TraceEvent {
                 cameras,
             } => {
                 out.push_str(",\"policy\":");
-                render_string(policy, out);
+                write_string(out, policy);
                 let _ = write!(out, ",\"seed\":{seed},\"cameras\":{cameras}");
             }
             TraceEvent::CameraJoin { camera } | TraceEvent::CameraLeave { camera } => {
@@ -188,7 +189,7 @@ impl TraceEvent {
             }
             TraceEvent::FaultWindow { kind, until_us } => {
                 out.push_str(",\"fault\":");
-                render_string(kind, out);
+                write_string(out, kind);
                 let _ = write!(out, ",\"until_us\":{until_us}");
             }
             TraceEvent::SessionEnd {
@@ -207,116 +208,85 @@ impl TraceEvent {
         }
     }
 
-    /// Rebuilds an event from its kind tag and parsed fields.
-    pub(crate) fn from_fields(kind: &str, fields: &Fields) -> Result<TraceEvent, String> {
+    /// Rebuilds an event from its kind tag and the parsed record object.
+    pub(crate) fn from_fields(kind: &str, fields: &Json) -> Result<TraceEvent, String> {
         Ok(match kind {
             "session.start" => TraceEvent::SessionStart {
-                policy: fields.string("policy")?,
-                seed: fields.integer("seed")?,
-                cameras: fields.integer("cameras")?,
+                policy: string(fields, "policy")?.to_string(),
+                seed: integer(fields, "seed")?,
+                cameras: integer(fields, "cameras")?,
             },
             "camera.join" => TraceEvent::CameraJoin {
-                camera: fields.integer("camera")?,
+                camera: integer(fields, "camera")?,
             },
             "camera.leave" => TraceEvent::CameraLeave {
-                camera: fields.integer("camera")?,
+                camera: integer(fields, "camera")?,
             },
             "admission.verdict" => TraceEvent::AdmissionVerdict {
-                patch: fields.integer("patch")?,
-                slo_us: fields.integer("slo_us")?,
-                admitted: fields.boolean("admitted")?,
-                queued: fields.integer("queued")?,
-                in_flight: fields.integer("in_flight")?,
-                earliest_start_us: fields.integer("earliest_start_us")?,
+                patch: integer(fields, "patch")?,
+                slo_us: integer(fields, "slo_us")?,
+                admitted: boolean(fields, "admitted")?,
+                queued: integer(fields, "queued")?,
+                in_flight: integer(fields, "in_flight")?,
+                earliest_start_us: integer(fields, "earliest_start_us")?,
             },
             "drr.round" => TraceEvent::DrrRound {
-                released: fields.integer("released")?,
-                backlog: fields.integer("backlog")?,
+                released: integer(fields, "released")?,
+                backlog: integer(fields, "backlog")?,
             },
             "batch.dispatch" => TraceEvent::BatchDispatch {
-                batch: fields.integer("batch")?,
-                patches: fields.integer("patches")?,
-                inputs: fields.integer("inputs")?,
-                megapixels_e6: fields.integer("megapixels_e6")?,
+                batch: integer(fields, "batch")?,
+                patches: integer(fields, "patches")?,
+                inputs: integer(fields, "inputs")?,
+                megapixels_e6: integer(fields, "megapixels_e6")?,
             },
             "function.complete" => TraceEvent::FunctionComplete {
-                invocation: fields.integer("invocation")?,
-                inputs: fields.integer("inputs")?,
-                violations: fields.integer("violations")?,
+                invocation: integer(fields, "invocation")?,
+                inputs: integer(fields, "inputs")?,
+                violations: integer(fields, "violations")?,
             },
             "fault.window" => TraceEvent::FaultWindow {
-                kind: fields.string("fault")?,
-                until_us: fields.integer("until_us")?,
+                kind: string(fields, "fault")?.to_string(),
+                until_us: integer(fields, "until_us")?,
             },
             "session.end" => TraceEvent::SessionEnd {
-                frames: fields.integer("frames")?,
-                batches: fields.integer("batches")?,
-                completions: fields.integer("completions")?,
-                dropped: fields.integer("dropped")?,
-                makespan_us: fields.integer("makespan_us")?,
+                frames: integer(fields, "frames")?,
+                batches: integer(fields, "batches")?,
+                completions: integer(fields, "completions")?,
+                dropped: integer(fields, "dropped")?,
+                makespan_us: integer(fields, "makespan_us")?,
             },
             other => return Err(format!("unknown event kind {other:?}")),
         })
     }
 }
 
-/// Renders a JSON string literal (the only escapes trace strings need).
-pub(crate) fn render_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// Field `key` of a parsed record object, read through `get`; `want`
+/// names the expected type in the error.
+fn typed<'a, T>(
+    fields: &'a Json,
+    key: &str,
+    want: &str,
+    get: fn(&'a Json) -> Option<T>,
+) -> Result<T, String> {
+    let value = fields.get(key);
+    let value = value.ok_or_else(|| format!("missing field {key:?}"))?;
+    get(value).ok_or_else(|| format!("field {key:?}: expected {want}, got {value:?}"))
 }
 
-/// A parsed flat-JSON value (the trace alphabet needs no nesting).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum FieldValue {
-    String(String),
-    Integer(u64),
-    Boolean(bool),
+/// The string field `key`.
+pub(crate) fn string<'a>(fields: &'a Json, key: &str) -> Result<&'a str, String> {
+    typed(fields, key, "string", Json::as_str)
 }
 
-/// The key/value pairs of one parsed record line.
-#[derive(Debug, Default)]
-pub(crate) struct Fields {
-    pub(crate) pairs: Vec<(String, FieldValue)>,
+/// The integer field `key`; floats and negatives are not integers.
+pub(crate) fn integer(fields: &Json, key: &str) -> Result<u64, String> {
+    typed(fields, key, "integer", Json::as_u64)
 }
 
-impl Fields {
-    fn get(&self, key: &str) -> Result<&FieldValue, String> {
-        self.pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field {key:?}"))
-    }
-
-    pub(crate) fn string(&self, key: &str) -> Result<String, String> {
-        match self.get(key)? {
-            FieldValue::String(s) => Ok(s.clone()),
-            other => Err(format!("field {key:?}: expected string, got {other:?}")),
-        }
-    }
-
-    pub(crate) fn integer(&self, key: &str) -> Result<u64, String> {
-        match self.get(key)? {
-            FieldValue::Integer(n) => Ok(*n),
-            other => Err(format!("field {key:?}: expected integer, got {other:?}")),
-        }
-    }
-
-    pub(crate) fn boolean(&self, key: &str) -> Result<bool, String> {
-        match self.get(key)? {
-            FieldValue::Boolean(b) => Ok(*b),
-            other => Err(format!("field {key:?}: expected bool, got {other:?}")),
-        }
-    }
+/// The boolean field `key`.
+pub(crate) fn boolean(fields: &Json, key: &str) -> Result<bool, String> {
+    typed(fields, key, "bool", Json::as_bool)
 }
 
 #[cfg(test)]
@@ -373,12 +343,5 @@ mod tests {
         let mut expected = TraceEvent::KINDS.to_vec();
         expected.sort_unstable();
         assert_eq!(kinds, expected);
-    }
-
-    #[test]
-    fn string_rendering_escapes() {
-        let mut out = String::new();
-        render_string("a\"b\\c", &mut out);
-        assert_eq!(out, r#""a\"b\\c""#);
     }
 }

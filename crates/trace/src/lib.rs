@@ -26,8 +26,10 @@
 //! `cmp` golden traces.
 //!
 //! The crate sits below `sim` on the DAG and depends only on
-//! `tangram-types`; it hand-rolls its own minimal JSONL rendering and
-//! strict parser rather than pulling in a serializer.
+//! `tangram-types`: it writes the compact canonical line itself (the
+//! hash covers those bytes) and reads lines back through the workspace's
+//! one JSON codec, [`tangram_types::json`], rejecting anything that is
+//! not a flat object of strings, integers and booleans.
 //!
 //! ```
 //! use tangram_trace::{TraceEvent, TraceLog, TraceSink};

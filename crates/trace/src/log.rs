@@ -1,7 +1,8 @@
 //! Records, the rolling hash chain, JSONL rendering/parsing and diffs.
 
-use crate::event::{render_string, FieldValue, Fields, TraceEvent};
+use crate::event::{integer, string, TraceEvent};
 use std::fmt::Write as _;
+use tangram_types::json::{write_string, Json};
 use tangram_types::time::SimTime;
 
 /// FNV-1a 64-bit offset basis.
@@ -44,7 +45,7 @@ impl TraceRecord {
     fn body(seq: u64, at_us: u64, event: &TraceEvent) -> String {
         let mut body = String::new();
         let _ = write!(body, "\"seq\":{seq},\"at_us\":{at_us},\"kind\":");
-        render_string(event.kind(), &mut body);
+        write_string(&mut body, event.kind());
         event.render_fields(&mut body);
         body
     }
@@ -69,18 +70,29 @@ impl TraceRecord {
         line
     }
 
-    /// Parses one JSONL line.
+    /// Parses one JSONL line: a flat object of string, integer and
+    /// boolean values — exactly the shape [`TraceRecord::to_line`] emits.
     pub fn from_line(line: &str) -> Result<TraceRecord, String> {
-        let fields = parse_flat_object(line)?;
-        let kind = fields.string("kind")?;
-        let record = TraceRecord {
-            seq: fields.integer("seq")?,
-            at_us: fields.integer("at_us")?,
-            prev: parse_hex(&fields.string("prev")?)?,
-            hash: parse_hex(&fields.string("hash")?)?,
-            event: TraceEvent::from_fields(&kind, &fields)?,
+        let fields = Json::parse(line)?;
+        let Json::Object(pairs) = &fields else {
+            return Err("expected a JSON object".into());
         };
-        Ok(record)
+        // The trace alphabet has no nesting, floats or nulls; a line
+        // carrying one anywhere is not a record, known key or not.
+        if let Some((key, value)) = pairs
+            .iter()
+            .find(|(_, v)| !matches!(v, Json::Str(_) | Json::U64(_) | Json::Bool(_)))
+        {
+            return Err(format!("field {key:?}: unexpected {value:?}"));
+        }
+        let kind = string(&fields, "kind")?;
+        Ok(TraceRecord {
+            seq: integer(&fields, "seq")?,
+            at_us: integer(&fields, "at_us")?,
+            prev: parse_hex(string(&fields, "prev")?)?,
+            hash: parse_hex(string(&fields, "hash")?)?,
+            event: TraceEvent::from_fields(kind, &fields)?,
+        })
     }
 
     /// A compact human label: `seq 12: batch.dispatch @ 118000us`.
@@ -92,81 +104,6 @@ impl TraceRecord {
 
 fn parse_hex(s: &str) -> Result<u64, String> {
     u64::from_str_radix(s, 16).map_err(|e| format!("bad hash {s:?}: {e}"))
-}
-
-/// Parses one flat JSON object (string / integer / bool values only) —
-/// exactly the shape [`TraceRecord::to_line`] emits.
-fn parse_flat_object(line: &str) -> Result<Fields, String> {
-    let mut chars = line.trim().chars().peekable();
-    let mut fields = Fields::default();
-    if chars.next() != Some('{') {
-        return Err("expected '{'".into());
-    }
-    if chars.peek() == Some(&'}') {
-        chars.next();
-        return Ok(fields);
-    }
-    loop {
-        let key = parse_string(&mut chars)?;
-        if chars.next() != Some(':') {
-            return Err(format!("field {key:?}: expected ':'"));
-        }
-        let value = match chars.peek() {
-            Some('"') => FieldValue::String(parse_string(&mut chars)?),
-            Some('t') | Some('f') => {
-                let word: String = chars
-                    .clone()
-                    .take_while(|c| c.is_ascii_alphabetic())
-                    .collect();
-                for _ in 0..word.len() {
-                    chars.next();
-                }
-                match word.as_str() {
-                    "true" => FieldValue::Boolean(true),
-                    "false" => FieldValue::Boolean(false),
-                    other => return Err(format!("field {key:?}: bad literal {other:?}")),
-                }
-            }
-            Some(c) if c.is_ascii_digit() => {
-                let mut digits = String::new();
-                while chars.peek().is_some_and(char::is_ascii_digit) {
-                    digits.push(chars.next().expect("peeked"));
-                }
-                FieldValue::Integer(digits.parse().map_err(|e| format!("field {key:?}: {e}"))?)
-            }
-            other => return Err(format!("field {key:?}: unexpected {other:?}")),
-        };
-        fields.pairs.push((key, value));
-        match chars.next() {
-            Some(',') => {}
-            Some('}') => break,
-            other => return Err(format!("expected ',' or '}}', got {other:?}")),
-        }
-    }
-    if chars.next().is_some() {
-        return Err("trailing bytes after '}'".into());
-    }
-    Ok(fields)
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars>) -> Result<String, String> {
-    if chars.next() != Some('"') {
-        return Err("expected '\"'".into());
-    }
-    let mut s = String::new();
-    loop {
-        match chars.next() {
-            Some('"') => return Ok(s),
-            Some('\\') => match chars.next() {
-                Some('"') => s.push('"'),
-                Some('\\') => s.push('\\'),
-                Some('n') => s.push('\n'),
-                other => return Err(format!("bad escape {other:?}")),
-            },
-            Some(c) => s.push(c),
-            None => return Err("unterminated string".into()),
-        }
-    }
 }
 
 /// The recorder the engine writes into: appends records, maintaining the
@@ -502,6 +439,25 @@ mod tests {
     }
 
     #[test]
+    fn strings_needing_escapes_round_trip_and_stay_on_one_line() {
+        let mut sink = TraceSink::new();
+        sink.emit(
+            SimTime::ZERO,
+            TraceEvent::SessionStart {
+                policy: "a\"b\\c\nd\te\u{1}é".into(),
+                seed: 1,
+                cameras: 0,
+            },
+        );
+        let log = sink.finish();
+        let text = log.to_jsonl();
+        assert_eq!(text.lines().count(), 1, "{text}");
+        let parsed = TraceLog::from_jsonl(&text).expect("parses");
+        assert_eq!(parsed, log);
+        parsed.verify().expect("chain covers the escaped bytes");
+    }
+
+    #[test]
     fn tampering_breaks_the_chain() {
         let mut log = sample();
         // Flip one field of record 3; its own hash no longer matches.
@@ -567,11 +523,80 @@ mod tests {
 
     #[test]
     fn parser_rejects_malformed_lines() {
-        assert!(TraceRecord::from_line("{\"seq\":1").is_err());
-        assert!(TraceRecord::from_line("not json").is_err());
-        assert!(TraceRecord::from_line(
-            "{\"seq\":1,\"at_us\":0,\"kind\":\"bogus.kind\",\"prev\":\"0\",\"hash\":\"0\"}"
-        )
-        .is_err());
+        let good = sample().records[2].to_line();
+        TraceRecord::from_line(&good).expect("the unedited line parses");
+        let cases: [(&str, String, &str); 14] = [
+            ("truncated", "{\"seq\":1".into(), "expected"),
+            ("not json", "not json".into(), "invalid"),
+            ("not an object", "[1,2]".into(), "expected a JSON object"),
+            (
+                "nested value",
+                good.replace("\"queued\":6", "\"queued\":[6]"),
+                "\"queued\": unexpected",
+            ),
+            (
+                "float value",
+                good.replace("\"queued\":6", "\"queued\":6.0"),
+                "\"queued\": unexpected",
+            ),
+            (
+                "negative value",
+                good.replace("\"queued\":6", "\"queued\":-6"),
+                "\"queued\": unexpected",
+            ),
+            (
+                "null value",
+                good.replace("\"queued\":6", "\"queued\":null"),
+                "\"queued\": unexpected",
+            ),
+            (
+                "null under an unknown key",
+                good.replace("{\"seq\"", "{\"extra\":null,\"seq\""),
+                "\"extra\": unexpected",
+            ),
+            (
+                "wrong field type",
+                good.replace("\"queued\":6", "\"queued\":\"6\""),
+                "\"queued\": expected integer",
+            ),
+            (
+                "bool where integer",
+                good.replace("\"admitted\":false", "\"admitted\":0"),
+                "\"admitted\": expected bool",
+            ),
+            (
+                "missing field",
+                good.replace("\"queued\":6,", ""),
+                "missing field \"queued\"",
+            ),
+            (
+                "unknown kind",
+                good.replace("admission.verdict", "bogus.kind"),
+                "unknown event kind",
+            ),
+            ("trailing bytes", format!("{good} x"), "trailing input"),
+            (
+                "bad hex hash",
+                good.replace("\"hash\":\"", "\"hash\":\"zz"),
+                "bad hash",
+            ),
+        ];
+        for (what, line, want) in &cases {
+            assert_ne!(line, &good, "{what}: the edit must change the line");
+            let err = TraceRecord::from_line(line).expect_err(what);
+            assert!(err.contains(want), "{what}: {err}");
+        }
+    }
+
+    #[test]
+    fn golden_traces_reparse_to_their_own_bytes() {
+        for name in ["TRACE_smoke.jsonl", "TRACE_overload.jsonl"] {
+            let path = format!("{}/../../baselines/{name}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).expect("golden trace is committed");
+            let log = TraceLog::from_jsonl(&text).expect("golden trace parses");
+            assert!(!log.records.is_empty(), "{name}");
+            log.verify().expect("golden chain verifies");
+            assert_eq!(log.to_jsonl(), text, "{name}: render(parse(x)) == x");
+        }
     }
 }

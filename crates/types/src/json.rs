@@ -1,8 +1,13 @@
-//! A minimal, deterministic JSON document model.
+//! The workspace's one JSON codec: a minimal, deterministic document
+//! model with its writer and parser.
 //!
 //! The vendored `serde` is a compile-only marker stub (no data model, no
-//! `serde_json`), so the harness carries its own value type plus writer
-//! and parser. Two properties matter more here than generality:
+//! `serde_json`), so the workspace carries its own value type. It lives
+//! at layer 0 so that both the BENCH reports (`tangram-harness`, which
+//! re-exports this module as `tangram_harness::json`) and the TRACE
+//! lines (`tangram-trace`) read through the same parser and escape
+//! strings the same way. Two properties matter more here than
+//! generality:
 //!
 //! * **Determinism** — objects keep insertion order and floats print via
 //!   Rust's shortest-round-trip formatting, so the same `BenchReport`
@@ -12,7 +17,8 @@
 //!   relies on when it re-reads a checked-in baseline.
 //!
 //! Integers and floats are kept as distinct variants (`U64` vs `F64`) so
-//! counters survive a round trip exactly even beyond 2^53.
+//! counters survive a round trip exactly even beyond 2^53. Parsing is
+//! linear in the input length.
 
 use std::fmt::Write as _;
 
@@ -165,7 +171,7 @@ impl Json {
     pub fn parse(input: &str) -> Result<Json, String> {
         let bytes = input.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing input at byte {pos}"));
@@ -192,7 +198,9 @@ fn write_f64(out: &mut String, v: f64) {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal — the one escaper every writer
+/// in the workspace shares.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -225,12 +233,19 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Deepest array/object nesting [`Json::parse`] accepts; the parser
+/// recurses per level, so hostile input must not choose the stack depth.
+const MAX_DEPTH: usize = 128;
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth > MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{') => parse_object(bytes, pos, depth),
+        Some(b'[') => parse_array(bytes, pos, depth),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
@@ -313,17 +328,22 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one full UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "bad utf8")?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash. Both
+                // are ASCII, so they never fall inside a multi-byte
+                // scalar; validating the run alone keeps the parse
+                // linear in the input.
+                let start = *pos;
+                while bytes.get(*pos).is_some_and(|b| !matches!(b, b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "bad utf8")?;
+                out.push_str(run);
             }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -332,7 +352,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth + 1)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -345,7 +365,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -358,7 +378,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth + 1)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -445,6 +465,36 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("'single'").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_bad_strings() {
+        // Bad and truncated escapes, unterminated strings.
+        for text in [r#""\x""#, r#""\u12""#, r#""\uzzzz""#, "\"abc", r#""abc\"#] {
+            assert!(Json::parse(text).is_err(), "{text}");
+        }
+        // A `\u` escape may not swallow part of a multi-byte scalar.
+        assert!(Json::parse("\"\\u00é\"").is_err());
+    }
+
+    #[test]
+    fn strings_round_trip_every_escape_and_multibyte_scalars() {
+        let v = Json::Str("q\" b\\ n\n r\r t\t \u{1} \u{1f} é ✓ 🎥 /".to_string());
+        let text = v.render();
+        assert_eq!(Json::parse(&text).unwrap(), v, "{text}");
+        assert_eq!(
+            Json::parse(r#""\/\b\f\u00e9""#).unwrap(),
+            Json::Str("/\u{8}\u{c}é".to_string())
+        );
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_stack_limited() {
+        let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(Json::parse(&ok).is_ok());
+        let hostile = "[".repeat(1_000_000);
+        let err = Json::parse(&hostile).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
     }
 
     #[test]

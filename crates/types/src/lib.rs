@@ -4,8 +4,9 @@
 //! their arithmetic: pixel-space [`geometry`], id newtypes ([`ids`]),
 //! simulated [`time`], measurement [`units`], the patch/canvas/batch
 //! [`patch`] model that flows from edge cameras to the cloud scheduler,
-//! and the shard [`credit`] protocol's shared constants (one vocabulary
-//! for the runtime and its model checker).
+//! the shard [`credit`] protocol's shared constants (one vocabulary
+//! for the runtime and its model checker), and the workspace's one
+//! [`json`] codec (BENCH reports and TRACE lines share it).
 //!
 //! # Example
 //!
@@ -26,6 +27,7 @@ pub mod credit;
 pub mod error;
 pub mod geometry;
 pub mod ids;
+pub mod json;
 pub mod patch;
 pub mod time;
 pub mod units;

@@ -63,12 +63,6 @@ impl SimDuration {
         }
     }
 
-    /// Creates a duration from fractional milliseconds (clamped at zero).
-    #[must_use]
-    pub fn from_millis_f64(millis: f64) -> Self {
-        Self::from_secs_f64(millis / 1.0e3)
-    }
-
     /// Whole microseconds.
     #[must_use]
     pub const fn as_micros(&self) -> u64 {

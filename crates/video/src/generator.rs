@@ -96,8 +96,6 @@ pub struct SceneSimulation {
     /// Extra modulation that decays after a burst event.
     burst: f64,
     spawned_tracks: u64,
-    /// Diagnostics: (sum of stored spawn areas, count) since last reset.
-    spawn_probe: (f64, u64),
     /// Multiplicative width correction: seeded by a one-shot fit after
     /// burn-in and then trimmed by a slow feedback controller so the
     /// *long-run* mean RoI proportion matches the Table I calibration.
@@ -138,7 +136,6 @@ impl SceneSimulation {
             drift: 0.0,
             burst: 0.0,
             spawned_tracks: 0,
-            spawn_probe: (0.0, 0),
             size_correction: 1.0,
             proportion_ema: profile.roi_proportion,
         };
@@ -194,28 +191,6 @@ impl SceneSimulation {
         &self.config
     }
 
-    /// The post-burn-in size correction (diagnostics).
-    #[must_use]
-    pub fn debug_size_correction(&self) -> f64 {
-        self.size_correction
-    }
-
-    /// Mean stored (unclipped) box area of the current population
-    /// (diagnostics).
-    #[must_use]
-    pub fn debug_mean_stored_area(&self) -> f64 {
-        if self.walkers.is_empty() {
-            return 0.0;
-        }
-        self.walkers.iter().map(Walker::stored_area).sum::<f64>() / self.walkers.len() as f64
-    }
-
-    /// Current cluster-centre y coordinates (diagnostics).
-    #[must_use]
-    pub fn debug_cluster_ys(&self) -> Vec<f64> {
-        self.centers.iter().map(|c| c.y).collect()
-    }
-
     /// Number of distinct tracks spawned so far (compare Table I).
     #[must_use]
     pub fn tracks_spawned(&self) -> u64 {
@@ -227,7 +202,7 @@ impl SceneSimulation {
         let track = self.next_track;
         self.next_track += 1;
         self.spawned_tracks += 1;
-        let w = Walker::spawn(
+        self.walkers.push(Walker::spawn(
             track,
             cluster,
             &self.centers,
@@ -236,17 +211,7 @@ impl SceneSimulation {
             self.profile.cluster_spread,
             self.profile.mean_lifetime_frames(),
             &mut self.rng,
-        );
-        self.spawn_probe.0 += w.stored_area();
-        self.spawn_probe.1 += 1;
-        self.walkers.push(w);
-    }
-
-    /// Diagnostics: mean stored area of spawns since the last call.
-    pub fn debug_take_spawn_probe(&mut self) -> (f64, u64) {
-        let (sum, n) = self.spawn_probe;
-        self.spawn_probe = (0.0, 0);
-        (if n > 0 { sum / n as f64 } else { 0.0 }, n)
+        ));
     }
 
     /// Target population for the current frame, following the fluctuation

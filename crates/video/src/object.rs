@@ -131,11 +131,6 @@ impl Walker {
         }
     }
 
-    /// Stored (unclipped) box area (diagnostics).
-    pub(crate) fn stored_area(&self) -> f64 {
-        self.width * self.height
-    }
-
     /// Applies a multiplicative size correction (run-time calibration).
     pub(crate) fn scale_width(&mut self, factor: f64) {
         self.width *= factor;

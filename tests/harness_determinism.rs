@@ -38,13 +38,8 @@ fn report_json_round_trips() {
 
     let text = report.to_json();
     let parsed = BenchReport::from_json(&text).expect("valid BENCH json");
-    // Cells (metrics included) survive exactly.
-    assert_eq!(parsed.cells, report.cells);
-    assert_eq!(parsed.name, report.name);
-    // The grid echo keeps every axis.
-    assert_eq!(parsed.grid.policies, report.grid.policies);
-    assert_eq!(parsed.grid.bandwidths_mbps, report.grid.bandwidths_mbps);
-    assert_eq!(parsed.grid.workloads, report.grid.workloads);
+    // Lossless: name, grid echo (every axis) and cells, metrics included.
+    assert_eq!(parsed, report);
     // Serialisation is a fixed point: render(parse(x)) == x.
     assert_eq!(parsed.to_json(), text);
 }
@@ -73,7 +68,7 @@ fn churn_scenario_grid_is_parallel_deterministic() {
     assert_eq!(sequential.to_json(), parallel.to_json());
 
     let parsed = BenchReport::from_json(&sequential.to_json()).expect("valid BENCH json");
-    assert_eq!(parsed.grid.scenarios, grid.scenarios);
+    assert_eq!(parsed, sequential);
     assert_eq!(parsed.to_json(), sequential.to_json());
     // Churn truncates: every camera leaves before reaching its budget,
     // so strictly fewer frames complete than cameras × budget.
@@ -106,8 +101,7 @@ fn overload_grid_is_parallel_deterministic_and_sheds_under_slo_shedder() {
     assert_eq!(sequential.to_json(), parallel.to_json());
 
     let parsed = BenchReport::from_json(&sequential.to_json()).expect("valid BENCH json");
-    assert_eq!(parsed.grid.scenarios, grid.scenarios);
-    assert_eq!(parsed.grid.admission, grid.admission);
+    assert_eq!(parsed, sequential);
     assert_eq!(parsed.to_json(), sequential.to_json());
 
     for cell in &parsed.cells {
@@ -153,7 +147,7 @@ fn fairness_grid_is_parallel_deterministic_and_holds_weighted_shares() {
     assert_eq!(sequential.to_json(), parallel.to_json());
 
     let parsed = BenchReport::from_json(&sequential.to_json()).expect("valid BENCH json");
-    assert_eq!(parsed.grid.fairness, grid.fairness);
+    assert_eq!(parsed, sequential);
     assert_eq!(parsed.to_json(), sequential.to_json());
 
     for cell in &parsed.cells {
@@ -299,5 +293,36 @@ fn legacy_grid_emission_is_byte_stable_under_the_new_axes() {
     for cell in &parsed.cells {
         assert_eq!(cell.scenario, None);
         assert_eq!(cell.admission, None);
+    }
+}
+
+#[test]
+fn city_scale_smoke_counts_are_pinned() {
+    // The counts `bench_throughput --smoke --gate` holds against
+    // `baselines/BENCH_throughput.json`, pinned here so plain
+    // `cargo test` catches drift without the bin: 12 cameras × 24 frames
+    // over 24-frame pools at seed 42, identical at 1 and 2 shards.
+    use tangram_harness::presets::{
+        city_scale_engine, city_scale_scenario, city_scale_traces, CITY_SCALE_SMOKE_CAMERAS,
+    };
+    let config = city_scale_engine(42);
+    let traces = city_scale_traces(CITY_SCALE_SMOKE_CAMERAS, 24, 42);
+    let scenario = city_scale_scenario(24);
+    for shards in [1, 2] {
+        let (report, _) = tangram_harness::run_scenario_sharded(
+            &config, &traces, &scenario, None, None, false, shards, None,
+        );
+        let summary = report.summarize();
+        assert_eq!(
+            (
+                summary.frames,
+                summary.patches,
+                summary.batches,
+                summary.dropped_arrivals,
+                report.events_processed,
+            ),
+            (288, 2376, 122, 0, 3036),
+            "{shards} shard(s): (frames, patches, batches, dropped, events)"
+        );
     }
 }

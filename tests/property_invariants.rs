@@ -14,8 +14,10 @@ use tangram_partition::algorithm::{partition_detailed, PartitionConfig};
 use tangram_sim::rng::DetRng;
 use tangram_stitch::canvas::PlacedPatch;
 use tangram_stitch::solver::{split_to_fit, PatchStitchingSolver};
+use tangram_trace::TraceRecord;
 use tangram_types::geometry::{Rect, Size};
 use tangram_types::ids::{CameraId, FrameId, PatchId};
+use tangram_types::json::Json;
 use tangram_types::patch::PatchInfo;
 use tangram_types::time::{SimDuration, SimTime};
 
@@ -250,4 +252,127 @@ fn deadlines_never_regress_under_waiting() {
         let b2 = info.remaining_budget(SimTime::from_micros(generated + 2));
         assert!(b2 <= b1, "case {case}");
     }
+}
+
+/// Mutated inputs per codec fuzz property.
+const FUZZ_CASES: u64 = 2_000;
+
+/// A committed baseline file, as text.
+fn baseline(name: &str) -> String {
+    let path = format!("{}/baselines/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// Applies one to four byte-level edits — overwrite, insert, delete,
+/// duplicate a slice, truncate — drawing inserted bytes half from JSON's
+/// own structural alphabet (so edits land on grammar, not only inside
+/// strings) and half from the full byte range (so invalid and multi-byte
+/// UTF-8 appear). Invalid sequences become U+FFFD: the parsers take
+/// `&str`.
+fn mutate(text: &str, rng: &mut DetRng) -> String {
+    const GRAMMAR: &[u8] = b"{}[]\",:\\ \n-+.eEu0123456789tfn";
+    let mut bytes = text.as_bytes().to_vec();
+    for _ in 0..=rng.index(4) {
+        if bytes.is_empty() {
+            break;
+        }
+        let at = rng.index(bytes.len());
+        let byte = if rng.chance(0.5) {
+            GRAMMAR[rng.index(GRAMMAR.len())]
+        } else {
+            rng.index(256) as u8
+        };
+        match rng.index(5) {
+            0 => bytes[at] = byte,
+            1 => bytes.insert(at, byte),
+            2 => {
+                bytes.remove(at);
+            }
+            3 => {
+                let end = (at + 1 + rng.index(64)).min(bytes.len());
+                let slice = bytes[at..end].to_vec();
+                bytes.splice(at..at, slice);
+            }
+            _ => bytes.truncate(at),
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+#[test]
+fn json_parse_survives_mutated_bench_documents() {
+    let seed_doc = baseline("BENCH_smoke.json");
+    let mut accepted = 0u64;
+    for case in 0..FUZZ_CASES {
+        let mut rng = case_rng("json-fuzz", case);
+        let input = mutate(&seed_doc, &mut rng);
+        // Must return, never panic; whatever it accepts must render to
+        // a fixed point of parse-then-render.
+        if let Ok(value) = Json::parse(&input) {
+            accepted += 1;
+            let text = value.render();
+            let back = Json::parse(&text)
+                .unwrap_or_else(|e| panic!("case {case}: rendering does not reparse: {e}"));
+            assert_eq!(back.render(), text, "case {case}");
+        }
+    }
+    // Some edits fall inside strings and numbers and leave valid JSON:
+    // the fixed-point arm must actually run.
+    assert!(accepted > 0 && accepted < FUZZ_CASES, "{accepted} accepted");
+}
+
+#[test]
+fn trace_from_line_survives_mutated_golden_lines() {
+    let golden = baseline("TRACE_smoke.jsonl");
+    let lines: Vec<&str> = golden.lines().collect();
+    let mut accepted = 0u64;
+    for case in 0..FUZZ_CASES {
+        let mut rng = case_rng("trace-fuzz", case);
+        let input = mutate(lines[rng.index(lines.len())], &mut rng);
+        if let Ok(record) = TraceRecord::from_line(&input) {
+            accepted += 1;
+            let line = record.to_line();
+            let back = TraceRecord::from_line(&line)
+                .unwrap_or_else(|e| panic!("case {case}: to_line does not reparse: {e}"));
+            assert_eq!(back, record, "case {case}");
+            assert_eq!(back.to_line(), line, "case {case}");
+        }
+    }
+    assert!(accepted > 0 && accepted < FUZZ_CASES, "{accepted} accepted");
+}
+
+#[test]
+fn json_round_trips_a_two_megabyte_document() {
+    // BENCH-shaped and large: a parser that re-validates the rest of
+    // the input per string character takes over 20 s here, a linear one
+    // milliseconds. No timing is asserted — the suite's own time limit
+    // is the only clock.
+    let mut rng = case_rng("json-large", 0);
+    let cells: Vec<Json> = (0..9_000u64)
+        .map(|index| {
+            Json::object(vec![
+                ("index", Json::U64(index)),
+                ("seed", Json::U64(rng.derive_seed("cell", index))),
+                ("policy", Json::Str("Tangram \"é✓🎥\" \\ \n\t".to_string())),
+                ("bandwidth_mbps", Json::F64(rng.uniform_in(1.0, 200.0))),
+                ("slo_attainment", Json::F64(rng.uniform())),
+                ("cost_usd", Json::F64(rng.lognormal(-4.0, 1.0))),
+                ("violations", Json::U64(rng.index(1_000) as u64)),
+                (
+                    "tenants",
+                    Json::Array(vec![Json::Null, Json::Bool(true), Json::object(vec![])]),
+                ),
+            ])
+        })
+        .collect();
+    let doc = Json::object(vec![
+        ("schema_version", Json::U64(4)),
+        ("name", Json::Str("large".to_string())),
+        ("cells", Json::Array(cells)),
+    ]);
+    let text = doc.render();
+    assert!(text.len() >= 2 << 20, "{} bytes", text.len());
+    let back = Json::parse(&text).expect("large document parses");
+    assert_eq!(back, doc);
+    assert_eq!(back.render(), text);
 }
