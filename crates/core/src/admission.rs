@@ -25,8 +25,10 @@
 //! [`crate::report::RunSummary`] digest, so shedding is visible to BENCH
 //! reports and the CI gate rather than masquerading as throughput.
 
+use crate::online::Outbox;
 use crate::policy::Arrival;
 use tangram_serverless::platform::BackendSnapshot;
+use tangram_trace::TraceEvent;
 use tangram_types::time::{SimDuration, SimTime};
 
 /// Verdict of admission control.
@@ -222,6 +224,64 @@ impl AdmissionPolicy for SloShedder {
     }
 }
 
+/// The engine's admit stage: the optional [`AdmissionPolicy`] (none
+/// admits everything, like [`AlwaysAdmit`] minus the trace records) plus
+/// the one ledger of ingress drops — admission verdicts and fair-ingress
+/// overflow alike — per tenant class.
+#[derive(Default)]
+pub(crate) struct Admit {
+    pub(crate) policy: Option<Box<dyn AdmissionPolicy>>,
+    pub(crate) dropped_arrivals: u64,
+    /// Drops per tenant class, keyed by SLO, ascending.
+    pub(crate) dropped_by_slo: Vec<(SimDuration, u64)>,
+}
+
+impl Admit {
+    /// Whether `arrival` is admitted at `now`: the verdict is recorded in
+    /// the trace before a drop is counted against the arrival's class.
+    pub(crate) fn on_arrival(
+        &mut self,
+        now: SimTime,
+        arrival: &Arrival,
+        signals: &AdmissionSignals,
+        out: &mut Outbox,
+    ) -> bool {
+        let Some(policy) = self.policy.as_mut() else {
+            return true;
+        };
+        let admitted = policy.admit(now, arrival, signals) != Admission::Drop;
+        let info = arrival.info();
+        out.emit(
+            now,
+            TraceEvent::AdmissionVerdict {
+                patch: info.id.raw(),
+                slo_us: info.slo.as_micros(),
+                admitted,
+                queued: signals.queued as u64,
+                in_flight: signals.backend.in_flight as u64,
+                earliest_start_us: signals
+                    .backend
+                    .earliest_start
+                    .since(SimTime::ZERO)
+                    .as_micros(),
+            },
+        );
+        if !admitted {
+            self.count_drop(info.slo);
+        }
+        admitted
+    }
+
+    /// Counts one ingress drop against the tenant class `slo`.
+    pub(crate) fn count_drop(&mut self, slo: SimDuration) {
+        self.dropped_arrivals += 1;
+        match self.dropped_by_slo.binary_search_by_key(&slo, |&(s, _)| s) {
+            Ok(at) => self.dropped_by_slo[at].1 += 1,
+            Err(at) => self.dropped_by_slo.insert(at, (slo, 1)),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,6 +461,46 @@ mod tests {
             policy.admit(SimTime::ZERO, &arrival(0, 1500), &pressured),
             Admission::Drop
         );
+    }
+
+    #[test]
+    fn drop_ledger_stays_sorted_and_sums_to_the_total() {
+        let mut admit = Admit {
+            policy: Some(Box::new(QueueDepthThreshold::new(1))),
+            ..Admit::default()
+        };
+        let open = signals(0, 0, Some(1));
+        let full = signals(1, 0, Some(1));
+        let mut out = Outbox::new(true);
+        // Verdict drops, fed out of SLO order…
+        for slo_ms in [1500, 800, 3000, 800] {
+            assert!(!admit.on_arrival(SimTime::ZERO, &arrival(0, slo_ms), &full, &mut out));
+        }
+        // …an admitted arrival, which the ledger ignores…
+        assert!(admit.on_arrival(SimTime::ZERO, &arrival(0, 800), &open, &mut out));
+        // …and a fair-ingress overflow charged to a class of its own.
+        admit.count_drop(SimDuration::from_millis(1000));
+        assert_eq!(out.trace.map(|sink| sink.len()), Some(5), "one per verdict");
+        let ms = SimDuration::from_millis;
+        assert_eq!(
+            admit.dropped_by_slo,
+            vec![(ms(800), 2), (ms(1000), 1), (ms(1500), 1), (ms(3000), 1)]
+        );
+        assert_eq!(admit.dropped_arrivals, 5);
+        assert_eq!(
+            admit.dropped_by_slo.iter().map(|&(_, n)| n).sum::<u64>(),
+            admit.dropped_arrivals
+        );
+    }
+
+    #[test]
+    fn an_unpoliced_stage_admits_silently() {
+        let mut admit = Admit::default();
+        let mut out = Outbox::new(true);
+        let flooded = signals(9_999, 0, Some(1));
+        assert!(admit.on_arrival(SimTime::ZERO, &arrival(0, 800), &flooded, &mut out));
+        assert_eq!(out.trace.map(|sink| sink.len()), Some(0));
+        assert_eq!(admit.dropped_arrivals, 0);
     }
 
     /// A caller-written policy deciding on the clock alone.

@@ -7,17 +7,16 @@
 //! platform executes, and every patch's end-to-end latency is checked
 //! against its SLO.
 //!
-//! Since the streaming refactor the loop itself lives in
-//! [`crate::online::OnlineEngine`]; [`EngineConfig::run`] is a thin
-//! wrapper that mounts one [`crate::online::TraceReplaySource`] per trace
-//! on that event loop, so batch replay and live streaming share one code
-//! path (and the replay output is byte-identical to the pre-refactor
-//! engine).
+//! The loop itself lives in [`crate::online::OnlineEngine`]:
+//! [`EngineConfig::replay`] mounts one
+//! [`crate::online::TraceReplaySource`] per trace on it, so batch replay
+//! and live streaming share one code path, and [`EngineConfig::run`] is
+//! that replay under the default [`Plan`].
 //!
 //! The engine is identical for every policy — Fig. 12's differences come
 //! exclusively from batching decisions.
 
-use crate::online::{OnlineEngine, TraceReplaySource};
+use crate::online::{OnlineEngine, Plan, TraceReplaySource};
 use crate::policy::baselines::{ClipperPolicy, ElfPolicy, FramePerRequestPolicy, MarkPolicy};
 use crate::policy::BatchingPolicy;
 use crate::report::RunReport;
@@ -27,6 +26,7 @@ use tangram_infer::estimator::LatencyEstimator;
 use tangram_infer::latency::InferenceLatencyModel;
 use tangram_serverless::function::FunctionSpec;
 use tangram_serverless::pricing::ResourcePrices;
+use tangram_trace::TraceLog;
 use tangram_types::geometry::Size;
 use tangram_types::time::{SimDuration, SimTime};
 
@@ -165,19 +165,27 @@ impl EngineConfig {
         }
     }
 
-    /// Runs the engine over the given camera traces.
-    ///
-    /// Trace replay is one event source of the streaming runtime: every
-    /// trace is mounted as a [`TraceReplaySource`] on an [`OnlineEngine`]
-    /// and the shared event loop does the rest.
+    /// Runs the engine over the given camera traces: the plan-less
+    /// [`EngineConfig::replay`].
     ///
     /// # Panics
     ///
     /// Panics if `traces` is empty.
     #[must_use]
     pub fn run(&self, traces: &[CameraTrace]) -> RunReport {
+        self.replay(traces, Plan::default()).0
+    }
+
+    /// Replays `traces` under `plan`: one [`TraceReplaySource`] per trace
+    /// on an [`OnlineEngine`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `traces` is empty.
+    #[must_use]
+    pub fn replay(&self, traces: &[CameraTrace], plan: Plan) -> (RunReport, Option<TraceLog>) {
         assert!(!traces.is_empty(), "need at least one camera trace");
-        let mut engine = OnlineEngine::new(self);
+        let mut engine = OnlineEngine::new(self, plan);
         // Stagger camera starts slightly so multi-camera runs do not
         // synchronise artificially.
         for (cam, trace) in traces.iter().enumerate() {

@@ -29,9 +29,11 @@
 //! engines that mount it keep the workspace's bit-for-bit
 //! reproducibility guarantees.
 
+use crate::online::Outbox;
 use crate::policy::Arrival;
 use std::collections::VecDeque;
-use tangram_types::time::SimDuration;
+use tangram_trace::TraceEvent;
+use tangram_types::time::{SimDuration, SimTime};
 
 /// One tenant class's DRR state.
 #[derive(Debug)]
@@ -48,8 +50,6 @@ struct DrrClass {
     peak_depth: u64,
     /// Arrivals accepted into the queue (the class's admitted traffic).
     admitted: u64,
-    /// Arrivals shed on overflow — charged to this class alone.
-    shed: u64,
 }
 
 /// Static configuration of a [`DrrIngress`].
@@ -82,6 +82,12 @@ pub struct DrrIngress {
     queue_capacity: usize,
     quantum: f64,
     tick: SimDuration,
+    /// Whether a [`crate::online::StreamEvent::DrrTick`] is pending.
+    drr_armed: bool,
+    /// When the last service round ran — rounds keep the configured
+    /// cadence even across idle gaps, so the tick interval is a genuine
+    /// service-rate bound rather than a best case.
+    drr_last_round: Option<SimTime>,
 }
 
 impl DrrIngress {
@@ -101,18 +107,15 @@ impl DrrIngress {
             queue_capacity: config.queue_capacity,
             quantum: config.quantum,
             tick: config.tick,
+            drr_armed: false,
+            drr_last_round: None,
         };
         for &(slo, weight) in &config.classes {
             assert!(weight > 0.0, "DRR weights must be positive");
-            ingress.class_at(slo).weight = weight;
+            let at = ingress.class_index(slo);
+            ingress.classes[at].weight = weight;
         }
         ingress
-    }
-
-    /// The configured tick interval.
-    #[must_use]
-    pub fn tick(&self) -> SimDuration {
-        self.tick
     }
 
     /// Items currently queued across all classes.
@@ -121,22 +124,10 @@ impl DrrIngress {
         self.classes.iter().map(|c| c.queue.len()).sum()
     }
 
-    /// Whether no work is queued.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.classes.iter().all(|c| c.queue.is_empty())
-    }
-
     /// Peak queue depth per class, keyed by SLO ascending.
     #[must_use]
     pub fn peak_depths(&self) -> Vec<(SimDuration, u64)> {
         self.classes.iter().map(|c| (c.slo, c.peak_depth)).collect()
-    }
-
-    /// Overflow sheds per class, keyed by SLO ascending.
-    #[must_use]
-    pub fn shed_by_class(&self) -> Vec<(SimDuration, u64)> {
-        self.classes.iter().map(|c| (c.slo, c.shed)).collect()
     }
 
     /// Admitted arrivals per class, keyed by SLO ascending — the admitted
@@ -162,17 +153,11 @@ impl DrrIngress {
                         queue: VecDeque::new(),
                         peak_depth: 0,
                         admitted: 0,
-                        shed: 0,
                     },
                 );
                 at
             }
         }
-    }
-
-    fn class_at(&mut self, slo: SimDuration) -> &mut DrrClass {
-        let at = self.class_index(slo);
-        &mut self.classes[at]
     }
 
     /// This class's slice of the shared buffer: weight-proportional
@@ -188,10 +173,9 @@ impl DrrIngress {
     }
 
     /// Queues an arrival on its class, or sheds it when the class's slice
-    /// of the buffer is full — the shed is charged to the overflowing
-    /// class alone (its own `shed` counter; other classes' queues and
-    /// deficits are untouched) and the arrival is handed back for drop
-    /// accounting.
+    /// of the buffer is full — only the overflowing class is affected
+    /// (other classes' queues and deficits are untouched) and the arrival
+    /// is handed back for drop accounting.
     ///
     /// # Errors
     ///
@@ -201,7 +185,6 @@ impl DrrIngress {
         let capacity = self.capacity_of(at);
         let class = &mut self.classes[at];
         if class.queue.len() >= capacity {
-            class.shed += 1;
             return Err(arrival);
         }
         class.queue.push_back(arrival);
@@ -256,6 +239,51 @@ impl DrrIngress {
         }
         released
     }
+
+    /// Engine entry point for an admitted arrival at `now`:
+    /// [`DrrIngress::enqueue`], plus — when no tick is pending — the
+    /// instant the engine must schedule one. The very first round fires
+    /// immediately; afterwards rounds hold the tick cadence even across
+    /// idle gaps, so the ingress service rate stays bounded. An arrival
+    /// whose class queue is full comes back as the error.
+    pub(crate) fn on_arrival(
+        &mut self,
+        now: SimTime,
+        arrival: Arrival,
+    ) -> Result<Option<SimTime>, Arrival> {
+        self.enqueue(arrival)?;
+        if self.drr_armed {
+            return Ok(None);
+        }
+        self.drr_armed = true;
+        Ok(Some(
+            self.drr_last_round
+                .map_or(now, |last| (last + self.tick).max(now)),
+        ))
+    }
+
+    /// Engine entry point for a dequeue tick at `now`: one
+    /// [`DrrIngress::service_round`], recorded in the trace, plus the
+    /// instant of the next tick — `None` disarms the stage until the
+    /// next arrival, once nothing is left queued.
+    pub(crate) fn on_tick(
+        &mut self,
+        now: SimTime,
+        out: &mut Outbox,
+    ) -> (Vec<Arrival>, Option<SimTime>) {
+        self.drr_last_round = Some(now);
+        let released = self.service_round();
+        let backlog = self.backlog();
+        out.emit(
+            now,
+            TraceEvent::DrrRound {
+                released: released.len() as u64,
+                backlog: backlog as u64,
+            },
+        );
+        self.drr_armed = backlog > 0;
+        (released, self.drr_armed.then(|| now + self.tick))
+    }
 }
 
 #[cfg(test)]
@@ -264,7 +292,6 @@ mod tests {
     use tangram_types::geometry::Rect;
     use tangram_types::ids::{CameraId, FrameId, PatchId};
     use tangram_types::patch::{Patch, PatchInfo};
-    use tangram_types::time::SimTime;
     use tangram_types::units::Bytes;
 
     fn slo(ms: u64) -> SimDuration {
@@ -323,11 +350,11 @@ mod tests {
     fn overflow_sheds_only_the_full_class() {
         // Total buffer 8 splits 6:2 across the 3:1 weights.
         let mut drr = ingress(&[(800, 3.0), (1500, 1.0)], 8, 1.0);
-        for i in 0..5 {
-            let _ = drr.enqueue(arrival(i, 1500));
-        }
+        let shed = (0..5)
+            .filter(|&i| drr.enqueue(arrival(i, 1500)).is_err())
+            .count();
         // Best-effort overflowed; gold is untouched and still admits.
-        assert_eq!(drr.shed_by_class(), vec![(slo(800), 0), (slo(1500), 3)]);
+        assert_eq!(shed, 3);
         drr.enqueue(arrival(10, 800)).unwrap();
         assert_eq!(drr.backlog(), 3);
         assert_eq!(drr.peak_depths(), vec![(slo(800), 1), (slo(1500), 2)]);
@@ -404,6 +431,53 @@ mod tests {
         // Classes serve tightest-first.
         assert_eq!(round[0].info().slo, slo(800));
         assert_eq!(round[1].info().slo, slo(2500));
+    }
+
+    #[test]
+    fn tick_arming_needs_no_engine() {
+        let at = |ms: u64| SimTime::from_micros(ms * 1_000);
+        // One item per round: quantum 1 on a single unit-weight class.
+        let mut drr = ingress(&[(800, 1.0)], 100, 1.0);
+        let arrive = |drr: &mut DrrIngress, ms: u64| {
+            drr.on_arrival(at(ms), arrival(ms, 800))
+                .expect("room to queue")
+        };
+        let mut out = Outbox::new(true);
+        // The first round fires at `now`; while that tick is pending,
+        // further arrivals arm nothing.
+        assert_eq!(arrive(&mut drr, 5), Some(at(5)));
+        assert_eq!(arrive(&mut drr, 6), None);
+        // Backlogged rounds re-arm one tick (20 ms) ahead…
+        let (released, next) = drr.on_tick(at(5), &mut out);
+        assert_eq!((released.len(), next), (1, Some(at(25))));
+        // …and the round that empties the queues disarms the stage.
+        let (released, next) = drr.on_tick(at(25), &mut out);
+        assert_eq!((released.len(), next), (1, None));
+        // After an idle gap shorter than a tick the next round still
+        // holds `last + tick`; after a longer one it fires at once.
+        assert_eq!(arrive(&mut drr, 30), Some(at(45)));
+        assert_eq!(drr.on_tick(at(45), &mut out).1, None);
+        assert_eq!(arrive(&mut drr, 500), Some(at(500)));
+        // Every round was recorded, in order, with what it left behind.
+        let log = out.trace.expect("capturing").finish();
+        let rounds: Vec<TraceEvent> = log.records.into_iter().map(|r| r.event).collect();
+        let round = |released, backlog| TraceEvent::DrrRound { released, backlog };
+        assert_eq!(rounds, [round(1, 1), round(1, 0), round(1, 0)]);
+    }
+
+    #[test]
+    fn an_overflowing_arrival_arms_nothing() {
+        // Capacity 1: the second arrival sheds without claiming a tick;
+        // the one the first armed stays the only one pending.
+        let mut drr = ingress(&[(800, 1.0)], 1, 1.0);
+        let armed = drr.on_arrival(SimTime::ZERO, arrival(0, 800));
+        assert_eq!(armed.ok(), Some(Some(SimTime::ZERO)));
+        let shed = drr
+            .on_arrival(SimTime::ZERO, arrival(1, 800))
+            .expect_err("queue full");
+        assert_eq!(shed.info().id, PatchId::new(1));
+        let (released, next) = drr.on_tick(SimTime::ZERO, &mut Outbox::new(false));
+        assert_eq!((released.len(), next), (1, None));
     }
 
     #[test]

@@ -1,14 +1,11 @@
 //! First-class fault injection for the streaming engine.
 //!
-//! `tests/failure_injection.rs` used to hand-wire each failure mode
-//! (zeroed keep-alive, inflated latency models, starved links) per test.
-//! This module turns those ad-hoc setups into a declarative axis: a
-//! [`FaultSpec`] names a fault kind and a time window, the engine
-//! schedules the window's start edge through its
-//! [`tangram_sim::driver::EventLoop`] like any other
+//! Failure modes are a declarative axis: a [`FaultSpec`] names a fault
+//! kind and a time window, the engine schedules the window's start edge
+//! through its event loop like any other
 //! [`crate::online::StreamEvent`], and the actuation happens at the
-//! existing choke points of the run — the shared uplink, the dispatch →
-//! submit boundary, and the capture → deliver boundary.
+//! choke points of the run — the shared uplink, the execute stage's
+//! submit boundary, and the ingest stage's capture → deliver boundary.
 //!
 //! Determinism is preserved by construction:
 //!
@@ -17,7 +14,7 @@
 //!   [`DetRng::derive_seed`] from the engine seed — never from a stream
 //!   another subsystem consumes — so injecting a fault leaves every other
 //!   draw sequence untouched;
-//! * all actuation happens on the coordinator (link, platform, dispatch,
+//! * all actuation happens on the coordinator (link, platform, submit,
 //!   deliver). Shard threads replay camera generation only, so a faulted
 //!   run is byte-identical at any shard count — CI asserts this for a
 //!   brownout scenario in `tests/harness_determinism.rs`;
@@ -121,80 +118,67 @@ impl FaultSpec {
     }
 }
 
-/// The installed fault plane of one engine run: the specs plus the
-/// pre-derived per-fault RNG state and per-camera mute windows.
-///
-/// Built once at the start of [`crate::online::OnlineEngine::run`] (so
-/// it sees the final camera count) from the engine seed alone — the same
-/// `(seed, faults, cameras)` triple always yields the same plane.
-#[derive(Debug, Default)]
+/// Camera `cam`'s sorted `[start, end)` mute windows under every
+/// camera-flap window of `faults`. A pure function of the engine seed,
+/// the fault's position in the list and the camera index — each camera
+/// flaps on its own RNG fork — so the ingest stage derives a camera's
+/// windows when it is mounted, whatever the final fleet size.
+pub(crate) fn mute_windows(seed: u64, faults: &[FaultSpec], cam: usize) -> Vec<(SimTime, SimTime)> {
+    let root = DetRng::new(seed);
+    let mut windows = Vec::new();
+    for (index, fault) in faults.iter().enumerate() {
+        let FaultKind::CameraFlap {
+            mean_up_s,
+            mean_down_s,
+        } = fault.kind
+        else {
+            continue;
+        };
+        let fault_seed = root.derive_seed("fault", index as u64);
+        let mut rng = DetRng::new(fault_seed).fork_indexed("camera", cam as u64);
+        let mut t = fault.start();
+        let end = fault.end();
+        loop {
+            t += SimDuration::from_secs_f64(rng.exponential(1.0 / mean_up_s.max(1e-9)));
+            if t >= end {
+                break;
+            }
+            let dark = SimDuration::from_secs_f64(rng.exponential(1.0 / mean_down_s.max(1e-9)));
+            let dark_end = (t + dark).min(end);
+            windows.push((t, dark_end));
+            t = dark_end;
+        }
+    }
+    windows.sort_unstable();
+    windows
+}
+
+/// The execute stage's half of a fault list: the specs plus the
+/// pre-derived per-fault RNG state of the latency tails. The same
+/// `(seed, faults)` pair always yields the same plane; an empty list is
+/// byte-invisible.
+#[derive(Debug)]
 pub(crate) struct FaultPlane {
     pub(crate) faults: Vec<FaultSpec>,
     /// Per-fault RNG for latency-tail draws (`None` for kinds that do
     /// not sample).
     tail_rngs: Vec<Option<DetRng>>,
-    /// Per-camera sorted `[start, end)` mute windows from every
-    /// camera-flap fault.
-    muted: Vec<Vec<(SimTime, SimTime)>>,
 }
 
 impl FaultPlane {
-    /// Derives the plane for `faults` under `seed` over `cameras` camera
-    /// slots.
-    pub(crate) fn install(seed: u64, faults: Vec<FaultSpec>, cameras: usize) -> Self {
+    /// Derives the plane for `faults` under `seed`.
+    pub(crate) fn install(seed: u64, faults: Vec<FaultSpec>) -> Self {
         let root = DetRng::new(seed);
-        let mut tail_rngs = Vec::with_capacity(faults.len());
-        let mut muted: Vec<Vec<(SimTime, SimTime)>> = vec![Vec::new(); cameras];
-        for (index, fault) in faults.iter().enumerate() {
-            let fault_seed = root.derive_seed("fault", index as u64);
-            match fault.kind {
-                FaultKind::LatencyTail { .. } => {
-                    tail_rngs.push(Some(DetRng::new(fault_seed).fork("latency-tail")));
-                }
-                FaultKind::CameraFlap {
-                    mean_up_s,
-                    mean_down_s,
-                } => {
-                    tail_rngs.push(None);
-                    let flap = DetRng::new(fault_seed);
-                    for (cam, windows) in muted.iter_mut().enumerate() {
-                        let mut rng = flap.fork_indexed("camera", cam as u64);
-                        let mut t = fault.start();
-                        let end = fault.end();
-                        loop {
-                            t += SimDuration::from_secs_f64(
-                                rng.exponential(1.0 / mean_up_s.max(1e-9)),
-                            );
-                            if t >= end {
-                                break;
-                            }
-                            let dark = SimDuration::from_secs_f64(
-                                rng.exponential(1.0 / mean_down_s.max(1e-9)),
-                            );
-                            let dark_end = (t + dark).min(end);
-                            windows.push((t, dark_end));
-                            t = dark_end;
-                        }
-                    }
-                }
-                _ => tail_rngs.push(None),
-            }
-        }
-        for windows in &mut muted {
-            windows.sort_unstable();
-        }
-        Self {
-            faults,
-            tail_rngs,
-            muted,
-        }
-    }
-
-    /// Whether camera `cam` is dark at `now` under some flap window.
-    pub(crate) fn is_muted(&self, cam: usize, now: SimTime) -> bool {
-        self.muted
-            .get(cam)
-            .is_some_and(|ws| ws.iter().any(|&(s, e)| s <= now && now < e))
+        let tail_rngs = faults
+            .iter()
+            .enumerate()
+            .map(|(index, fault)| {
+                matches!(fault.kind, FaultKind::LatencyTail { .. }).then(|| {
+                    DetRng::new(root.derive_seed("fault", index as u64)).fork("latency-tail")
+                })
+            })
+            .collect();
+        Self { faults, tail_rngs }
     }
 
     /// The combined brownout execution multiplier at `now` (1.0 when no
@@ -293,10 +277,9 @@ mod tests {
 
     #[test]
     fn flap_windows_stay_inside_the_fault_window() {
-        let plane = FaultPlane::install(7, vec![flap(1.0, 4.0)], 3);
         let mut saw_any = false;
-        for windows in &plane.muted {
-            for &(s, e) in windows {
+        for cam in 0..3 {
+            for (s, e) in mute_windows(7, &[flap(1.0, 4.0)], cam) {
                 saw_any = true;
                 assert!(s >= SimTime::from_secs_f64(1.0));
                 assert!(e <= SimTime::from_secs_f64(5.0));
@@ -308,10 +291,9 @@ mod tests {
 
     #[test]
     fn flap_windows_are_deterministic_and_per_camera() {
-        let a = FaultPlane::install(7, vec![flap(0.0, 10.0)], 4);
-        let b = FaultPlane::install(7, vec![flap(0.0, 10.0)], 4);
-        assert_eq!(a.muted, b.muted, "same seed, same mute plan");
-        assert_ne!(a.muted[0], a.muted[1], "cameras flap on independent forks");
+        let plan = |cam| mute_windows(7, &[flap(0.0, 10.0)], cam);
+        assert_eq!(plan(0), plan(0), "same seed, same mute plan");
+        assert_ne!(plan(0), plan(1), "cameras flap on independent forks");
     }
 
     #[test]
@@ -330,7 +312,6 @@ mod tests {
                     duration_s: 2.0,
                 },
             ],
-            0,
         );
         assert_eq!(plane.brownout_factor(SimTime::from_secs_f64(0.5)), 1.0);
         assert_eq!(plane.brownout_factor(SimTime::from_secs_f64(1.5)), 2.0);
@@ -345,7 +326,7 @@ mod tests {
             at_s: 1.0,
             duration_s: 1.0,
         };
-        let mut plane = FaultPlane::install(9, vec![spec], 0);
+        let mut plane = FaultPlane::install(9, vec![spec]);
         let exec = SimDuration::from_millis(100);
         assert_eq!(
             plane.tail_delay(SimTime::ZERO, exec),

@@ -10,35 +10,30 @@
 //!   waiting longer would risk the SLO (or the GPU-memory bound of
 //!   constraint (5) is hit);
 //! * [`policy`] — the [`policy::BatchingPolicy`] trait plus the paper's
-//!   comparison systems: Full Frame, Masked Frame, ELF, Clipper (AIMD
-//!   batch sizing) and MArk (batch size + timeout);
+//!   comparison systems: Full Frame, Masked Frame, ELF, Clipper and MArk;
 //! * [`workload`] — per-camera traces built from the synthetic scenes and
 //!   an RoI extractor, replayed identically across policies;
-//! * [`online`] — the event-driven streaming runtime: camera sources are
-//!   generators ([`online::ArrivalProcess`]: Poisson / bursty / diurnal)
-//!   rather than fixed trace slices, cameras join and leave mid-run, and
-//!   tenants carry per-class SLOs;
-//! * [`admission`] — pluggable ingress admission control
-//!   ([`admission::AdmissionPolicy`]): always-admit, queue-depth
-//!   thresholds, and the SLO-aware [`admission::SloShedder`] that sheds
-//!   doomed work and lower-class tenants first under overload, with
-//!   per-tenant drop accounting in the run report;
-//! * [`fairness`] — the weighted deficit-round-robin fair ingress
-//!   ([`fairness::DrrIngress`]): per-tenant-class bounded queues sitting
-//!   between admission and the scheduler, served by dequeue ticks in the
-//!   configured weight ratio so the admitted mix under overload tracks
-//!   the weights instead of collapsing to the tightest class;
-//! * [`faults`] — declarative fault injection ([`faults::FaultSpec`]):
-//!   link outage windows, latency-tail inflation, cold-start storms,
-//!   camera flap/rejoin storms and backend brownouts, scheduled through
-//!   the engine's event loop from dedicated RNG forks so a faulted run
-//!   stays bit-for-bit reproducible at any shard count;
-//! * [`engine`] — the batch entry point ([`engine::EngineConfig::run`]):
-//!   cameras → edge partitioning → uplink → scheduler → serverless
-//!   platform, producing a [`report::RunReport`] with per-patch
-//!   latencies, per-batch records, cost, bandwidth, and SLO-violation
-//!   accounting. Trace replay is just one event source of the [`online`]
-//!   loop;
+//! * [`online`] — the engine: an event loop over the paper's cloud
+//!   pipeline, ingest → admit → fair-queue → batch → execute → account,
+//!   configured once by an [`online::Plan`]. Cameras are generators
+//!   ([`online::ArrivalProcess`]: Poisson / bursty / diurnal, or trace
+//!   replay), join and leave mid-run, and carry per-tenant SLOs;
+//! * [`admission`] — the admit stage: pluggable ingress admission control
+//!   ([`admission::AdmissionPolicy`], up to the SLO-aware
+//!   [`admission::SloShedder`]) and the per-tenant drop ledger;
+//! * [`fairness`] — the fair-queue stage: weighted deficit-round-robin
+//!   ([`fairness::DrrIngress`]) between admission and the scheduler, so
+//!   the admitted mix under overload tracks the configured weights;
+//! * [`faults`] — declarative fault windows ([`faults::FaultSpec`]: link
+//!   outages, latency tails, cold-start storms, camera flaps, brownouts)
+//!   drawn from dedicated RNG forks, so a faulted run stays bit-for-bit
+//!   reproducible at any shard count;
+//! * [`report`] — the account stage and its [`report::RunReport`]:
+//!   per-patch latencies, per-batch records, cost, bandwidth and
+//!   SLO-violation accounting;
+//! * [`engine`] — [`engine::EngineConfig`] and the batch entry point
+//!   ([`engine::EngineConfig::run`]): trace replay is one event source
+//!   of the [`online`] loop;
 //! * [`runtime`] — a live, threaded runtime exposing the paper's
 //!   `receive_patch` / `invoke` API for real-time (non-simulated) use.
 //!
@@ -82,7 +77,7 @@ pub use engine::{EngineConfig, PolicyKind};
 pub use fairness::{DrrConfig, DrrIngress};
 pub use faults::{FaultKind, FaultSpec};
 pub use online::{
-    ArrivalProcess, CameraSource, GeneratedSource, OnlineEngine, StreamEvent, TenantClass,
+    ArrivalProcess, CameraSource, GeneratedSource, OnlineEngine, Plan, StreamEvent, TenantClass,
     TraceReplaySource,
 };
 pub use policy::{Arrival, BatchSpec, BatchingPolicy, PolicyOutput};

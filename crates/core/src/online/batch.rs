@@ -1,0 +1,115 @@
+//! The batch stage: the policy under test, the standing-work counter its
+//! admission signal reads, and the one live wake-up timer.
+
+use crate::engine::EngineConfig;
+use crate::policy::{Arrival, BatchingPolicy, PolicyOutput};
+use tangram_types::time::SimTime;
+
+/// The boxed [`BatchingPolicy`] plus what the engine tracks on its
+/// behalf.
+pub(crate) struct Batch {
+    pub(super) policy: Box<dyn BatchingPolicy>,
+    /// Whether the policy reads ingress load signals (admission-aware
+    /// scheduling): a fresh snapshot then precedes its arrivals even if
+    /// no admission policy is installed.
+    pub(super) reads_signals: bool,
+    /// Work items admitted but not yet dispatched (the queue-depth
+    /// admission signal), in the post-normalize unit batches drain in:
+    /// an oversized patch tiled 4-ways contributes 4.
+    pub(super) queued: usize,
+    /// Earliest outstanding wake-up instant, if one is scheduled.
+    timer_armed: Option<SimTime>,
+}
+
+impl Batch {
+    pub(crate) fn new(config: &EngineConfig) -> Self {
+        Self {
+            policy: config.build_policy(),
+            reads_signals: config.scheduler_admission_aware,
+            queued: 0,
+            timer_armed: None,
+        }
+    }
+
+    /// An admitted work item reaches the policy. What it actually
+    /// enqueued is counted *before* the engine applies the output, so
+    /// same-instant dispatches see a consistent counter.
+    pub(crate) fn on_arrival(&mut self, now: SimTime, arrival: Arrival) -> PolicyOutput {
+        let output = self.policy.on_arrival(now, arrival);
+        self.queued += output.accepted;
+        output
+    }
+
+    /// The armed wake-up fired: its slot is free again, and the policy
+    /// re-arms via `next_wake` if it still wants one (possibly at this
+    /// same instant).
+    pub(crate) fn on_timer(&mut self, now: SimTime) -> PolicyOutput {
+        if self.timer_armed == Some(now) {
+            self.timer_armed = None;
+        }
+        self.policy.on_tick(now)
+    }
+
+    /// A batch of `patches` items left for the platform. Arrivals were
+    /// counted post-normalize ([`PolicyOutput::accepted`]), the unit
+    /// batches drain in, so an underflow here is an accounting bug, not
+    /// a condition to mask.
+    pub(crate) fn on_dispatch(&mut self, patches: usize) {
+        debug_assert!(
+            self.queued >= patches,
+            "queue-depth underflow: dispatching {patches} patches with {} queued",
+            self.queued
+        );
+        self.queued -= patches;
+    }
+
+    /// The instant the engine must schedule a timer for, or `None` when
+    /// one at or before the requested wake-up is already outstanding: it
+    /// fires first and the policy re-arms, so a duplicate would only
+    /// flood the queue with O(arrivals) dead timers.
+    pub(crate) fn arm(&mut self, now: SimTime, next_wake: Option<SimTime>) -> Option<SimTime> {
+        let wake = next_wake?.max(now);
+        if self.timer_armed.is_some_and(|armed| wake >= armed) {
+            return None;
+        }
+        self.timer_armed = Some(wake);
+        Some(wake)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn at(ms: u64) -> SimTime {
+        SimTime::from_micros(ms * 1_000)
+    }
+
+    #[test]
+    fn same_or_later_wakes_share_one_timer_and_an_earlier_one_re_arms() {
+        let mut batch = Batch::new(&EngineConfig::default());
+        assert_eq!(batch.arm(at(0), None), None, "no request, no timer");
+        assert_eq!(batch.arm(at(0), Some(at(50))), Some(at(50)));
+        // N arrivals asking for the same or a later wake-up arm nothing.
+        for later in [50, 50, 60, 75, 900] {
+            assert_eq!(batch.arm(at(1), Some(at(later))), None);
+        }
+        // An earlier request takes the slot over.
+        assert_eq!(batch.arm(at(2), Some(at(20))), Some(at(20)));
+        assert_eq!(batch.arm(at(2), Some(at(20))), None);
+        // A wake-up in the past fires now, never before.
+        assert_eq!(batch.arm(at(10), Some(at(5))), Some(at(10)));
+    }
+
+    #[test]
+    fn a_fired_timer_frees_its_slot_only_at_its_own_instant() {
+        let mut batch = Batch::new(&EngineConfig::default());
+        assert_eq!(batch.arm(at(0), Some(at(30))), Some(at(30)));
+        let _ = batch.on_timer(at(30));
+        assert_eq!(batch.arm(at(30), Some(at(50))), Some(at(50)));
+        // A superseded timer firing at another instant leaves the slot
+        // taken.
+        let _ = batch.on_timer(at(40));
+        assert_eq!(batch.arm(at(40), Some(at(50))), None, "50 ms still armed");
+    }
+}

@@ -1,0 +1,97 @@
+//! The execute stage: the serverless platform, and the fault windows
+//! actuated at its submit boundary.
+
+use super::Outbox;
+use crate::engine::EngineConfig;
+use crate::faults::{FaultPlane, FaultSpec};
+use crate::policy::{BatchSpec, CompletionFeedback};
+use tangram_serverless::platform::{InvocationOutcome, InvocationRequest, ServerlessPlatform};
+use tangram_trace::TraceEvent;
+use tangram_types::ids::InvocationId;
+use tangram_types::time::SimTime;
+
+/// The [`ServerlessPlatform`] under the run's [`FaultPlane`].
+pub(crate) struct Execute {
+    pub(super) platform: ServerlessPlatform,
+    pub(super) faults: FaultPlane,
+    pub(super) completions: u64,
+}
+
+impl Execute {
+    /// The platform `config` describes, under the fault windows `faults`
+    /// (randomized ones draw from dedicated forks of the engine seed).
+    pub(crate) fn new(config: &EngineConfig, faults: Vec<FaultSpec>) -> Self {
+        let mut platform = ServerlessPlatform::new(
+            config.function_spec.clone(),
+            config.latency_model.clone(),
+            config.seed,
+        )
+        .with_prices(config.prices);
+        platform.max_instances = config.max_instances;
+        Self {
+            platform,
+            faults: FaultPlane::install(config.seed, faults),
+            completions: 0,
+        }
+    }
+
+    /// Submits `spec` at `now` as the run's `batch`-th dispatch, recorded
+    /// first. Faults actuate here: brownouts inflate the sampled
+    /// execution (factor 1.0 is the byte-identical no-op), a cold-start
+    /// storm keeps the warm pool dead, and latency tails delay result
+    /// delivery — folded into `finished` — without occupying the instance.
+    pub(crate) fn on_dispatch(
+        &mut self,
+        now: SimTime,
+        batch: usize,
+        spec: &BatchSpec,
+        out: &mut Outbox,
+    ) -> InvocationOutcome {
+        out.emit(
+            now,
+            TraceEvent::BatchDispatch {
+                batch: batch as u64,
+                patches: spec.patches.len() as u64,
+                inputs: spec.inputs as u64,
+                megapixels_e6: (spec.megapixels * 1e6).round() as u64,
+            },
+        );
+        let max = self.platform.spec().max_canvases().max(1);
+        let request = InvocationRequest {
+            canvases: spec.inputs.min(max),
+            megapixels: spec.megapixels,
+            submitted: now,
+        };
+        self.platform
+            .set_compute_factor(self.faults.brownout_factor(now));
+        if self.faults.cold_storm_active(now) {
+            let _ = self.platform.evict_idle(now);
+        }
+        let mut outcome = self
+            .platform
+            .submit(request)
+            .expect("batch sized within the GPU bound");
+        outcome.finished += self.faults.tail_delay(now, outcome.execution);
+        outcome
+    }
+
+    /// Invocation `id` finished: acknowledged and recorded.
+    pub(crate) fn on_complete(
+        &mut self,
+        now: SimTime,
+        id: InvocationId,
+        feedback: &CompletionFeedback,
+        out: &mut Outbox,
+    ) {
+        self.platform.complete(id);
+        self.completions += 1;
+        out.emit(
+            now,
+            TraceEvent::FunctionComplete {
+                invocation: id.raw(),
+                inputs: feedback.inputs as u64,
+                violations: feedback.violations as u64,
+            },
+        );
+    }
+}

@@ -1,8 +1,9 @@
 //! Run reports: everything an experiment needs to print its table/figure.
 
+use crate::policy::{BatchSpec, CompletionFeedback};
 use serde::{Deserialize, Serialize};
 use tangram_net::LinkStats;
-use tangram_serverless::platform::PlatformStats;
+use tangram_serverless::platform::{InvocationOutcome, PlatformStats};
 use tangram_sim::stats::EmpiricalCdf;
 use tangram_types::ids::{CameraId, FrameId, PatchId};
 use tangram_types::time::{SimDuration, SimTime};
@@ -60,6 +61,56 @@ pub struct BatchRecord {
     pub efficiencies: Vec<f64>,
 }
 
+/// The engine's account stage: every dispatched batch is booked here —
+/// one [`BatchRecord`], one [`PatchRecord`] per patch — and the records
+/// become the [`RunReport`] when the run ends.
+#[derive(Default)]
+pub(crate) struct Account {
+    pub(crate) patch_records: Vec<PatchRecord>,
+    pub(crate) batch_records: Vec<BatchRecord>,
+}
+
+impl Account {
+    /// Books `spec`, dispatched at `now` and executed as `outcome`;
+    /// returns the feedback its completion event will carry.
+    pub(crate) fn on_dispatch(
+        &mut self,
+        now: SimTime,
+        spec: BatchSpec,
+        outcome: &InvocationOutcome,
+    ) -> CompletionFeedback {
+        let mut violations = 0usize;
+        for p in &spec.patches {
+            let record = PatchRecord {
+                patch: p.id,
+                camera: p.camera,
+                frame: p.frame,
+                generated_at: p.generated_at,
+                dispatched_at: now,
+                finished_at: outcome.finished,
+                slo: p.slo,
+            };
+            violations += usize::from(record.violated());
+            self.patch_records.push(record);
+        }
+        self.batch_records.push(BatchRecord {
+            dispatched_at: now,
+            inputs: spec.inputs,
+            patch_count: spec.patches.len(),
+            execution: outcome.execution,
+            cold: outcome.cold,
+            cost: outcome.cost,
+            efficiencies: spec.canvas_efficiencies,
+        });
+        CompletionFeedback {
+            finished: outcome.finished,
+            execution: outcome.execution,
+            violations,
+            inputs: spec.inputs,
+        }
+    }
+}
+
 /// The full outcome of one end-to-end run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunReport {
@@ -99,11 +150,10 @@ pub struct RunReport {
     pub transmission_busy: SimDuration,
     /// Simulated makespan of the run.
     pub makespan: SimDuration,
-    /// Events popped off the engine's coordinator loop — the wall-clock
-    /// perf denominator `bench_throughput` reports events/sec over.
-    /// Deterministic (a pure function of the workload, identical at any
-    /// shard count) but *not* part of [`RunSummary`]: it measures the
-    /// runtime, not the policy.
+    /// Events popped off the engine's coordinator loop (the benchmark's
+    /// per-event denominator). Deterministic — a pure function of the
+    /// workload, identical at any shard count — but *not* part of
+    /// [`RunSummary`]: it measures the runtime, not the policy.
     pub events_processed: u64,
 }
 
@@ -181,67 +231,6 @@ impl RunReport {
         self.batches.iter().map(|b| b.execution).sum()
     }
 
-    /// Amortised mean latency per patch within batches (Fig. 14's
-    /// amortisation insight: execution time divided by patches served).
-    #[must_use]
-    pub fn amortized_latency_per_patch(&self) -> SimDuration {
-        let patches: usize = self.batches.iter().map(|b| b.patch_count).sum();
-        if patches == 0 {
-            return SimDuration::ZERO;
-        }
-        SimDuration::from_secs_f64(self.total_execution().as_secs_f64() / patches as f64)
-    }
-
-    /// Per-patch records as CSV (header + one row per patch), for
-    /// downstream analysis/plotting.
-    #[must_use]
-    pub fn patches_csv(&self) -> String {
-        let mut out = String::from(
-            "patch,camera,frame,generated_us,dispatched_us,finished_us,latency_us,slo_us,violated\n",
-        );
-        for p in &self.patches {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{}\n",
-                p.patch.raw(),
-                p.camera.raw(),
-                p.frame.raw(),
-                p.generated_at.as_micros(),
-                p.dispatched_at.as_micros(),
-                p.finished_at.as_micros(),
-                p.latency().as_micros(),
-                p.slo.as_micros(),
-                p.violated()
-            ));
-        }
-        out
-    }
-
-    /// Per-batch records as CSV.
-    #[must_use]
-    pub fn batches_csv(&self) -> String {
-        let mut out = String::from(
-            "dispatched_us,inputs,patches,execution_us,cold,cost_usd,mean_efficiency\n",
-        );
-        for b in &self.batches {
-            let mean_eff = if b.efficiencies.is_empty() {
-                0.0
-            } else {
-                b.efficiencies.iter().sum::<f64>() / b.efficiencies.len() as f64
-            };
-            out.push_str(&format!(
-                "{},{},{},{},{},{:.9},{:.4}\n",
-                b.dispatched_at.as_micros(),
-                b.inputs,
-                b.patch_count,
-                b.execution.as_micros(),
-                b.cold,
-                b.cost.get(),
-                mean_eff
-            ));
-        }
-        out
-    }
-
     /// Per-tenant-class accounting: one row per distinct SLO observed in
     /// completed patches or admission drops, ascending by SLO. A run with
     /// one tenant class yields one row; shedding under a mixed-SLO
@@ -253,17 +242,11 @@ impl RunReport {
             match rows.binary_search_by(|r| r.slo_s.partial_cmp(&slo_s).expect("finite SLO")) {
                 Ok(at) => at,
                 Err(at) => {
-                    rows.insert(
-                        at,
-                        TenantSummary {
-                            slo_s,
-                            patches: 0,
-                            violations: 0,
-                            dropped: 0,
-                            admitted: 0,
-                            peak_queued: 0,
-                        },
-                    );
+                    let fresh = TenantSummary {
+                        slo_s,
+                        ..TenantSummary::default()
+                    };
+                    rows.insert(at, fresh);
                     at
                 }
             }
@@ -330,23 +313,6 @@ impl RunReport {
                 0.0
             },
         }
-    }
-
-    /// One-line human summary.
-    #[must_use]
-    pub fn summary(&self) -> String {
-        format!(
-            "{:<12} frames={:<4} patches={:<5} batches={:<5} cost={} viol={:.2}% mean_lat={} p99={} bytes={}",
-            self.policy,
-            self.frames,
-            self.patches_completed(),
-            self.batches.len(),
-            self.total_cost(),
-            self.slo_violation_rate() * 100.0,
-            self.mean_latency(),
-            self.latency_quantile(0.99),
-            self.total_bytes(),
-        )
     }
 }
 
@@ -486,28 +452,6 @@ mod tests {
         let r = report(vec![]);
         assert_eq!(r.slo_violation_rate(), 0.0);
         assert_eq!(r.mean_latency(), SimDuration::ZERO);
-        assert_eq!(r.amortized_latency_per_patch(), SimDuration::ZERO);
-        assert!(r.summary().contains("test"));
-    }
-
-    #[test]
-    fn csv_exports_are_well_formed() {
-        let mut r = report(vec![record(0, 500_000, 1000)]);
-        r.batches = vec![BatchRecord {
-            dispatched_at: SimTime::ZERO,
-            inputs: 2,
-            patch_count: 3,
-            execution: SimDuration::from_millis(80),
-            cold: false,
-            cost: Dollars::new(0.0001),
-            efficiencies: vec![0.5, 0.7],
-        }];
-        let pc = r.patches_csv();
-        assert_eq!(pc.lines().count(), 2);
-        assert!(pc.lines().nth(1).unwrap().ends_with("false"));
-        let bc = r.batches_csv();
-        assert_eq!(bc.lines().count(), 2);
-        assert!(bc.contains("0.6000"), "mean efficiency column: {bc}");
     }
 
     #[test]
@@ -573,9 +517,5 @@ mod tests {
         assert_eq!(r.canvas_efficiencies(), vec![0.7, 0.8, 0.6]);
         assert!((r.mean_patches_per_batch() - 7.5).abs() < 1e-12);
         assert_eq!(r.total_execution(), SimDuration::from_millis(150));
-        assert_eq!(
-            r.amortized_latency_per_patch(),
-            SimDuration::from_millis(10)
-        );
     }
 }

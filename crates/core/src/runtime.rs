@@ -18,8 +18,6 @@
 use crate::policy::BatchSpec;
 use crate::scheduler::{SchedulerConfig, TangramScheduler};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tangram_infer::estimator::LatencyEstimator;
@@ -40,7 +38,6 @@ struct Worker {
     scheduler: TangramScheduler,
     receiver: Receiver<Command>,
     invoke: Box<InvokeFn>,
-    dispatched: Arc<Mutex<u64>>,
     epoch: Instant,
 }
 
@@ -52,7 +49,6 @@ impl Worker {
     fn fire_all(&mut self, specs: Vec<BatchSpec>) {
         for spec in specs {
             if !spec.patches.is_empty() {
-                *self.dispatched.lock() += 1;
                 (self.invoke)(spec);
             }
         }
@@ -118,7 +114,6 @@ impl Worker {
 pub struct LiveTangram {
     sender: Sender<Command>,
     worker: Option<JoinHandle<()>>,
-    dispatched: Arc<Mutex<u64>>,
 }
 
 impl LiveTangram {
@@ -131,19 +126,16 @@ impl LiveTangram {
         invoke: Box<InvokeFn>,
     ) -> Self {
         let (sender, receiver) = unbounded();
-        let dispatched = Arc::new(Mutex::new(0u64));
         let worker_state = Worker {
             scheduler: TangramScheduler::new(config, estimator),
             receiver,
             invoke,
-            dispatched: Arc::clone(&dispatched),
             epoch: Instant::now(),
         };
         let worker = std::thread::spawn(move || worker_state.run());
         Self {
             sender,
             worker: Some(worker),
-            dispatched,
         }
     }
 
@@ -158,12 +150,6 @@ impl LiveTangram {
     /// Forces everything queued to dispatch now.
     pub fn flush(&self) {
         let _ = self.sender.send(Command::Flush);
-    }
-
-    /// Number of batches dispatched so far.
-    #[must_use]
-    pub fn batches_dispatched(&self) -> u64 {
-        *self.dispatched.lock()
     }
 
     /// Stops the runtime, flushing pending patches.
@@ -188,7 +174,9 @@ impl Drop for LiveTangram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
     use tangram_infer::latency::InferenceLatencyModel;
     use tangram_types::geometry::{Rect, Size};
     use tangram_types::ids::{CameraId, FrameId, PatchId};
@@ -270,7 +258,6 @@ mod tests {
         runtime.flush();
         std::thread::sleep(Duration::from_millis(100));
         assert_eq!(fired.load(Ordering::SeqCst), 1);
-        assert_eq!(runtime.batches_dispatched(), 1);
         runtime.shutdown();
     }
 

@@ -134,13 +134,6 @@ impl TraceConfig {
         }
     }
 
-    /// Overrides the partition grid.
-    #[must_use]
-    pub fn with_partition(mut self, partition: PartitionConfig) -> Self {
-        self.partition = partition;
-        self
-    }
-
     /// Builds the trace.
     #[must_use]
     pub fn build(&self) -> CameraTrace {
@@ -254,12 +247,12 @@ mod tests {
 
     #[test]
     fn partition_knob_changes_patches() {
-        let coarse = TraceConfig::proxy_extractor(SceneId::new(2), 8, 5)
-            .with_partition(PartitionConfig::new(2, 2))
-            .build();
-        let fine = TraceConfig::proxy_extractor(SceneId::new(2), 8, 5)
-            .with_partition(PartitionConfig::new(6, 6))
-            .build();
+        let with_grid = |partition| TraceConfig {
+            partition,
+            ..TraceConfig::proxy_extractor(SceneId::new(2), 8, 5)
+        };
+        let coarse = with_grid(PartitionConfig::new(2, 2)).build();
+        let fine = with_grid(PartitionConfig::new(6, 6)).build();
         assert!(fine.patch_count() >= coarse.patch_count());
         let coarse_bytes: u64 = coarse
             .frames

@@ -23,60 +23,48 @@ pub struct ExpOpts {
 }
 
 impl ExpOpts {
-    /// Parses `std::env::args`. Unknown flags are ignored so wrappers can
-    /// pass extra context.
+    /// Parses `std::env::args`, exiting with status 2 and the offending
+    /// flag named when a known flag's value is missing or malformed.
+    /// Unknown flags are ignored so wrappers can pass extra context.
     #[must_use]
     pub fn from_args() -> Self {
-        Self::parse(std::env::args().skip(1))
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|err| {
+            eprintln!("error: {err}");
+            std::process::exit(2);
+        })
     }
 
     /// Parses the given arguments (first element is the first flag, not
     /// the program name).
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
-        let args: Vec<String> = args.into_iter().collect();
+    ///
+    /// # Errors
+    ///
+    /// Names the flag whose value is missing or does not parse — running
+    /// the defaults instead would write a legitimate-looking report for
+    /// an experiment nobody asked for.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
+        fn value<T: std::str::FromStr>(flag: &str, raw: Option<String>) -> Result<T, String> {
+            let raw = raw.ok_or_else(|| format!("{flag} needs a value"))?;
+            raw.parse()
+                .map_err(|_| format!("{flag}: cannot parse `{raw}`"))
+        }
         let mut opts = Self {
             seed: 42,
             ..Self::default()
         };
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--seed" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        opts.seed = v;
-                        i += 1;
-                    }
-                }
-                "--frames" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        opts.frames = Some(v);
-                        i += 1;
-                    }
-                }
-                "--workers" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        opts.workers = Some(v);
-                        i += 1;
-                    }
-                }
-                "--shards" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        opts.shards = Some(v);
-                        i += 1;
-                    }
-                }
-                "--out" => {
-                    if let Some(v) = args.get(i + 1) {
-                        opts.out = Some(PathBuf::from(v));
-                        i += 1;
-                    }
-                }
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            match flag.as_str() {
+                "--seed" => opts.seed = value(&flag, args.next())?,
+                "--frames" => opts.frames = Some(value(&flag, args.next())?),
+                "--workers" => opts.workers = Some(value(&flag, args.next())?),
+                "--shards" => opts.shards = Some(value(&flag, args.next())?),
+                "--out" => opts.out = Some(value(&flag, args.next())?),
                 "--quick" => opts.quick = true,
                 _ => {}
             }
-            i += 1;
         }
-        opts
+        Ok(opts)
     }
 
     /// Frame budget: explicit `--frames`, else `quick_default` in quick
@@ -102,12 +90,34 @@ impl ExpOpts {
         self.shards.unwrap_or(1).max(1)
     }
 
-    /// Writes the report into `--out` (if given), printing the path.
+    /// Writes the report into `--out` (if given), returning the path.
+    ///
+    /// # Errors
+    ///
+    /// Names `--out` and the file that could not be written.
+    pub fn try_write(&self, report: &BenchReport) -> Result<Option<PathBuf>, String> {
+        let Some(dir) = &self.out else {
+            return Ok(None);
+        };
+        report.write_to_dir(dir).map(Some).map_err(|err| {
+            format!(
+                "--out {}: failed to write {}: {err}",
+                dir.display(),
+                report.file_name()
+            )
+        })
+    }
+
+    /// [`ExpOpts::try_write`] for a bin's `main`: prints the path, or
+    /// exits with status 1 — a baseline refresh must not "succeed"
+    /// without refreshing.
     pub fn maybe_write(&self, report: &BenchReport) {
-        if let Some(dir) = &self.out {
-            match report.write_to_dir(dir) {
-                Ok(path) => println!("(wrote {})", path.display()),
-                Err(err) => eprintln!("failed to write {}: {err}", report.file_name()),
+        match self.try_write(report) {
+            Ok(Some(path)) => println!("(wrote {})", path.display()),
+            Ok(None) => {}
+            Err(err) => {
+                eprintln!("error: {err}");
+                std::process::exit(1);
             }
         }
     }
@@ -117,8 +127,12 @@ impl ExpOpts {
 mod tests {
     use super::*;
 
-    fn opts(args: &[&str]) -> ExpOpts {
+    fn parse(args: &[&str]) -> Result<ExpOpts, String> {
         ExpOpts::parse(args.iter().map(ToString::to_string))
+    }
+
+    fn opts(args: &[&str]) -> ExpOpts {
+        parse(args).expect("well-formed flags")
     }
 
     #[test]
@@ -157,6 +171,47 @@ mod tests {
     fn ignores_unknown_flags() {
         let o = opts(&["--smoke", "--seed", "9"]);
         assert_eq!(o.seed, 9);
+    }
+
+    #[test]
+    fn malformed_values_name_their_flag() {
+        for (args, flag) in [
+            (&["--seed", "4x2"][..], "--seed"),
+            (&["--frames", "ten"], "--frames"),
+            (&["--workers", "-1"], "--workers"),
+            (&["--shards", "two"], "--shards"),
+            // A flag where a value belongs is not a value.
+            (&["--seed", "--quick"], "--seed"),
+        ] {
+            let err = parse(args).expect_err("malformed value");
+            assert!(err.starts_with(flag), "{args:?}: {err}");
+            assert!(err.contains("cannot parse"), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_trailing_flag_without_its_value_is_an_error() {
+        for flag in ["--out", "--seed", "--frames", "--workers", "--shards"] {
+            let err = parse(&["--quick", flag]).expect_err("missing value");
+            assert_eq!(err, format!("{flag} needs a value"));
+        }
+    }
+
+    #[test]
+    fn an_unwritable_out_dir_is_an_error() {
+        let report = BenchReport {
+            name: "cli".to_string(),
+            grid: crate::json::Json::Null,
+            cells: Vec::new(),
+        };
+        assert_eq!(opts(&[]).try_write(&report), Ok(None));
+        // A file where the directory should be: nothing can be created.
+        let file = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
+        let err = opts(&["--out", file])
+            .try_write(&report)
+            .expect_err("cannot create a directory over a file");
+        assert!(err.starts_with("--out "), "{err}");
+        assert!(err.contains("BENCH_cli.json"), "{err}");
     }
 
     #[test]

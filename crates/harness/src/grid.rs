@@ -44,16 +44,6 @@ impl TraceKind {
             TraceKind::Gmm => "gmm",
         }
     }
-
-    /// Parses the stable name back.
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<TraceKind> {
-        match name {
-            "proxy" => Some(TraceKind::Proxy),
-            "gmm" => Some(TraceKind::Gmm),
-            _ => None,
-        }
-    }
 }
 
 /// One workload axis entry: which cameras exist and what they observe.
@@ -286,6 +276,13 @@ impl FairnessSpec {
         "drr"
     }
 
+    /// What mounting this stage changes in the cell's engine
+    /// configuration: the Tangram scheduler runs admission-aware exactly
+    /// when the stage says so.
+    pub fn configure(&self, config: &mut EngineConfig) {
+        config.scheduler_admission_aware = self.admission_aware;
+    }
+
     /// Builds the engine-side ingress. `tenant_slos_s` is the cell's
     /// tenant mix (the scenario axis); a cell without one runs a single
     /// class at `default_slo_s`.
@@ -363,13 +360,13 @@ pub struct SweepGrid {
     /// so `from_json` always reconstructs it as `false`.
     pub capture_traces: bool,
     /// Engine shard count for streaming-scenario cells (see
-    /// [`tangram_core::online::OnlineEngine::set_shards`]). Execution-only
+    /// [`tangram_core::online::Plan::shards`]). Execution-only
     /// like `capture_traces`: sharding is byte-invisible in every report,
     /// so the field is *not* serialized and `from_json` reconstructs it
     /// as 1.
     pub shards: usize,
     /// Per-shard credit window override for streaming-scenario cells
-    /// (see [`tangram_core::online::OnlineEngine::set_credit_window`]).
+    /// (see [`tangram_core::online::Plan::credit_window`]).
     /// Execution-only like `shards`: the window bounds shard run-ahead,
     /// never ordering, so `None` (the production window) and any
     /// explicit value produce byte-identical reports — pinned by the
@@ -552,22 +549,6 @@ impl SweepCell {
     }
 }
 
-/// Parses a [`PolicyKind`] from its display name (the inverse of
-/// [`PolicyKind::name`]), for reading grids back out of `BENCH_*.json`.
-#[must_use]
-pub fn policy_from_name(name: &str) -> Option<PolicyKind> {
-    [
-        PolicyKind::Tangram,
-        PolicyKind::Clipper,
-        PolicyKind::Elf,
-        PolicyKind::Mark,
-        PolicyKind::FullFrame,
-        PolicyKind::MaskedFrame,
-    ]
-    .into_iter()
-    .find(|p| p.name() == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -640,21 +621,6 @@ mod tests {
         assert!((config.max_fps - 5.0).abs() < 1e-12);
         assert_eq!(config.max_instances, None);
         assert!((config.slo.as_secs_f64() - cell.slo_s).abs() < 1e-12);
-    }
-
-    #[test]
-    fn policy_names_round_trip() {
-        for p in [
-            PolicyKind::Tangram,
-            PolicyKind::Clipper,
-            PolicyKind::Elf,
-            PolicyKind::Mark,
-            PolicyKind::FullFrame,
-            PolicyKind::MaskedFrame,
-        ] {
-            assert_eq!(policy_from_name(p.name()), Some(p));
-        }
-        assert_eq!(policy_from_name("nope"), None);
     }
 
     #[test]
@@ -781,18 +747,5 @@ mod tests {
         // Policies build without panicking, classes primed or not.
         let _ = AdmissionSpec::Always.build(&[]);
         let _ = spec.build(&[0.8, 1.5]);
-    }
-
-    #[test]
-    fn trace_kind_names_round_trip() {
-        assert_eq!(
-            TraceKind::from_name(TraceKind::Proxy.name()),
-            Some(TraceKind::Proxy)
-        );
-        assert_eq!(
-            TraceKind::from_name(TraceKind::Gmm.name()),
-            Some(TraceKind::Gmm)
-        );
-        assert_eq!(TraceKind::from_name("x"), None);
     }
 }

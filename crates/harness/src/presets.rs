@@ -86,29 +86,6 @@ pub fn build_workload(spec: &WorkloadSpec, trace_seed: u64) -> Vec<CameraTrace> 
         .collect()
 }
 
-/// The paper-default engine configuration (Alibaba FC prices, RTX 4090
-/// latency profile, 4-instance testbed cap) for one policy.
-#[must_use]
-pub fn paper_engine(policy: PolicyKind) -> EngineConfig {
-    EngineConfig {
-        policy,
-        ..EngineConfig::default()
-    }
-}
-
-/// The stress variant: unlimited scale-out and a doubled camera rate —
-/// the "how far does it scale" configuration rather than the testbed
-/// reproduction.
-#[must_use]
-pub fn stress_engine(policy: PolicyKind) -> EngineConfig {
-    EngineConfig {
-        policy,
-        max_fps: 20.0,
-        max_instances: None,
-        ..EngineConfig::default()
-    }
-}
-
 /// The Fig. 12-shaped grid at one bandwidth: four systems × the paper's
 /// five SLOs for that link, one single-camera workload per scene.
 #[must_use]
@@ -545,15 +522,6 @@ mod tests {
         let grid = e2e_grid("fig12_bw20", 20.0, &scenes, 40, TraceKind::Proxy, 1);
         assert_eq!(grid.cell_count(), 4 * 5 * 5);
         assert_eq!(grid.mark_timeout_for(20.0), Some(0.55));
-    }
-
-    #[test]
-    fn engine_presets_differ_where_advertised() {
-        let paper = paper_engine(PolicyKind::Tangram);
-        let stress = stress_engine(PolicyKind::Tangram);
-        assert_eq!(paper.max_instances, Some(4));
-        assert_eq!(stress.max_instances, None);
-        assert!(stress.max_fps > paper.max_fps);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Versioned, machine-readable bench reports.
 //!
 //! A [`BenchReport`] is what one [`crate::grid::SweepGrid`] run leaves
-//! behind: a schema version, the grid that was swept (so the file is
-//! self-describing), and one [`CellReport`] per cell carrying the
+//! behind: a schema version, an echo of the grid that was swept (so the
+//! file is self-describing), and one [`CellReport`] per cell carrying the
 //! engine's [`RunSummary`] digest. Serialisation goes through the
 //! deterministic JSON writer in [`crate::json`], so the same run always
 //! produces the same bytes — which is what lets CI compare a candidate
@@ -14,8 +14,7 @@
 //! host machine's speed cannot.
 
 use crate::grid::{
-    policy_from_name, AdmissionSpec, ArrivalSpec, FairnessSpec, ScenarioSpec, SweepGrid, TraceKind,
-    WorkloadSpec,
+    AdmissionSpec, ArrivalSpec, FairnessSpec, ScenarioSpec, SweepGrid, WorkloadSpec,
 };
 use crate::json::Json;
 use serde::{Deserialize, Serialize};
@@ -66,8 +65,10 @@ pub struct CellReport {
 pub struct BenchReport {
     /// Experiment name (`BENCH_<name>.json`).
     pub name: String,
-    /// The grid that was swept.
-    pub grid: SweepGrid,
+    /// The grid that was swept, as its rendered echo ([`grid_to_value`]):
+    /// nothing reads a parsed report's grid back into a typed
+    /// [`SweepGrid`], so the report carries what the file carries.
+    pub grid: Json,
     /// Per-cell outcomes, in grid enumeration order.
     pub cells: Vec<CellReport>,
 }
@@ -110,9 +111,11 @@ impl BenchReport {
             .and_then(Json::as_str)
             .ok_or("missing name")?
             .to_string();
-        let mut grid = grid_from_value(value.get("grid").ok_or("missing grid")?)?;
-        // The echo omits the grid's name: the report's own carries it.
-        grid.name.clone_from(&name);
+        let grid = match value.get("grid") {
+            Some(grid @ Json::Object(_)) => grid.clone(),
+            Some(_) => return Err("grid is not an object".to_string()),
+            None => return Err("missing grid".to_string()),
+        };
         let cells = value
             .get("cells")
             .and_then(Json::as_array)
@@ -129,7 +132,7 @@ impl BenchReport {
         Json::object(vec![
             ("schema_version", Json::U64(SCHEMA_VERSION)),
             ("name", Json::Str(self.name.clone())),
-            ("grid", grid_to_value(&self.grid)),
+            ("grid", self.grid.clone()),
             (
                 "cells",
                 Json::Array(self.cells.iter().map(cell_to_value).collect()),
@@ -150,7 +153,12 @@ impl BenchReport {
     }
 }
 
-fn grid_to_value(grid: &SweepGrid) -> Json {
+/// The grid echo a report carries: every swept axis, in a fixed key
+/// order. The grid's name is omitted (the report's own carries it), as
+/// are the execution-only fields (`capture_traces`, `shards`,
+/// `credit_window`), which never change report bytes.
+#[must_use]
+pub fn grid_to_value(grid: &SweepGrid) -> Json {
     let mut fields = vec![
         (
             "policies",
@@ -246,38 +254,6 @@ fn fairness_to_value(spec: &FairnessSpec) -> Json {
     ])
 }
 
-fn fairness_from_value(value: &Json) -> Result<FairnessSpec, String> {
-    match value.get("kind").and_then(Json::as_str) {
-        Some("drr") => {}
-        other => return Err(format!("unknown fairness.kind {other:?}")),
-    }
-    let f = |key: &str| -> Result<f64, String> {
-        value
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing fairness.{key}"))
-    };
-    Ok(FairnessSpec {
-        weights: value
-            .get("weights")
-            .and_then(Json::as_array)
-            .ok_or("missing fairness.weights")?
-            .iter()
-            .map(|v| v.as_f64().ok_or("bad fairness.weights"))
-            .collect::<Result<Vec<_>, _>>()?,
-        queue_capacity: value
-            .get("queue_capacity")
-            .and_then(Json::as_u64)
-            .ok_or("missing fairness.queue_capacity")? as usize,
-        tick_s: f("tick_s")?,
-        quantum: f("quantum")?,
-        admission_aware: value
-            .get("admission_aware")
-            .and_then(Json::as_bool)
-            .ok_or("missing fairness.admission_aware")?,
-    })
-}
-
 fn admission_to_value(spec: &AdmissionSpec) -> Json {
     let mut fields = vec![("kind", Json::Str(spec.kind().to_string()))];
     match *spec {
@@ -294,29 +270,6 @@ fn admission_to_value(spec: &AdmissionSpec) -> Json {
         }
     }
     Json::object(fields)
-}
-
-fn admission_from_value(value: &Json) -> Result<AdmissionSpec, String> {
-    let f = |key: &str| -> Result<f64, String> {
-        value
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing admission.{key}"))
-    };
-    match value.get("kind").and_then(Json::as_str) {
-        Some("always") => Ok(AdmissionSpec::Always),
-        Some("queue-depth") => Ok(AdmissionSpec::QueueDepth {
-            max_queued: value
-                .get("max_queued")
-                .and_then(Json::as_u64)
-                .ok_or("missing admission.max_queued")? as usize,
-        }),
-        Some("slo-shedder") => Ok(AdmissionSpec::SloShedder {
-            per_item_s: f("per_item_s")?,
-            pressure: f("pressure")?,
-        }),
-        other => Err(format!("unknown admission.kind {other:?}")),
-    }
 }
 
 fn arrival_to_value(spec: &ArrivalSpec) -> Json {
@@ -347,30 +300,6 @@ fn arrival_to_value(spec: &ArrivalSpec) -> Json {
     Json::object(fields)
 }
 
-fn arrival_from_value(value: &Json) -> Result<ArrivalSpec, String> {
-    let f = |key: &str| -> Result<f64, String> {
-        value
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing scenario.arrival.{key}"))
-    };
-    match value.get("kind").and_then(Json::as_str) {
-        Some("poisson") => Ok(ArrivalSpec::Poisson { fps: f("fps")? }),
-        Some("bursty") => Ok(ArrivalSpec::Bursty {
-            calm_fps: f("calm_fps")?,
-            burst_fps: f("burst_fps")?,
-            mean_calm_s: f("mean_calm_s")?,
-            mean_burst_s: f("mean_burst_s")?,
-        }),
-        Some("diurnal") => Ok(ArrivalSpec::Diurnal {
-            min_fps: f("min_fps")?,
-            max_fps: f("max_fps")?,
-            period_s: f("period_s")?,
-        }),
-        other => Err(format!("unknown scenario.arrival.kind {other:?}")),
-    }
-}
-
 fn fault_to_value(spec: &FaultSpec) -> Json {
     let mut fields = vec![("kind", Json::Str(spec.kind.name().to_string()))];
     match spec.kind {
@@ -389,35 +318,6 @@ fn fault_to_value(spec: &FaultSpec) -> Json {
     fields.push(("at_s", Json::F64(spec.at_s)));
     fields.push(("duration_s", Json::F64(spec.duration_s)));
     Json::object(fields)
-}
-
-fn fault_from_value(value: &Json) -> Result<FaultSpec, String> {
-    let f = |key: &str| -> Result<f64, String> {
-        value
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing fault.{key}"))
-    };
-    let kind = match value.get("kind").and_then(Json::as_str) {
-        Some("link_outage") => FaultKind::LinkOutage,
-        Some("latency_tail") => FaultKind::LatencyTail {
-            factor: f("factor")?,
-        },
-        Some("cold_start_storm") => FaultKind::ColdStartStorm,
-        Some("camera_flap") => FaultKind::CameraFlap {
-            mean_up_s: f("mean_up_s")?,
-            mean_down_s: f("mean_down_s")?,
-        },
-        Some("brownout") => FaultKind::Brownout {
-            factor: f("factor")?,
-        },
-        other => return Err(format!("unknown fault.kind {other:?}")),
-    };
-    Ok(FaultSpec {
-        kind,
-        at_s: f("at_s")?,
-        duration_s: f("duration_s")?,
-    })
 }
 
 fn scenario_to_value(spec: &ScenarioSpec) -> Json {
@@ -445,158 +345,6 @@ fn scenario_to_value(spec: &ScenarioSpec) -> Json {
     Json::object(fields)
 }
 
-fn scenario_from_value(value: &Json) -> Result<ScenarioSpec, String> {
-    let arrival = arrival_from_value(value.get("arrival").ok_or("missing scenario.arrival")?)?;
-    let frames_per_camera = value
-        .get("frames_per_camera")
-        .and_then(Json::as_u64)
-        .ok_or("missing scenario.frames_per_camera")? as usize;
-    let join_stagger_s = value
-        .get("join_stagger_s")
-        .and_then(Json::as_f64)
-        .ok_or("missing scenario.join_stagger_s")?;
-    let session_s = match value.get("session_s") {
-        Some(Json::Null) | None => None,
-        Some(v) => Some(v.as_f64().ok_or("bad scenario.session_s")?),
-    };
-    let tenant_slos_s = value
-        .get("tenant_slos_s")
-        .and_then(Json::as_array)
-        .ok_or("missing scenario.tenant_slos_s")?
-        .iter()
-        .map(|v| v.as_f64().ok_or("bad scenario.tenant_slos_s"))
-        .collect::<Result<Vec<_>, _>>()?;
-    let faults = match value.get("faults") {
-        Some(Json::Null) | None => Vec::new(),
-        Some(v) => v
-            .as_array()
-            .ok_or("bad scenario.faults")?
-            .iter()
-            .map(fault_from_value)
-            .collect::<Result<Vec<_>, _>>()?,
-    };
-    Ok(ScenarioSpec {
-        arrival,
-        frames_per_camera,
-        join_stagger_s,
-        session_s,
-        tenant_slos_s,
-        faults,
-    })
-}
-
-fn grid_from_value(value: &Json) -> Result<SweepGrid, String> {
-    let str_list = |key: &str| -> Result<Vec<String>, String> {
-        Ok(value
-            .get(key)
-            .and_then(Json::as_array)
-            .ok_or_else(|| format!("missing grid.{key}"))?
-            .iter()
-            .filter_map(|v| v.as_str().map(str::to_string))
-            .collect())
-    };
-    let f64_list = |key: &str| -> Result<Vec<f64>, String> {
-        value
-            .get(key)
-            .and_then(Json::as_array)
-            .ok_or_else(|| format!("missing grid.{key}"))?
-            .iter()
-            .map(|v| v.as_f64().ok_or_else(|| format!("bad grid.{key}")))
-            .collect()
-    };
-    let policies = str_list("policies")?
-        .iter()
-        .map(|name| policy_from_name(name).ok_or_else(|| format!("unknown policy '{name}'")))
-        .collect::<Result<Vec<_>, _>>()?;
-    let seeds = value
-        .get("seeds")
-        .and_then(Json::as_array)
-        .ok_or("missing grid.seeds")?
-        .iter()
-        .map(|v| v.as_u64().ok_or("bad grid.seeds"))
-        .collect::<Result<Vec<_>, _>>()?;
-    let workloads = value
-        .get("workloads")
-        .and_then(Json::as_array)
-        .ok_or("missing grid.workloads")?
-        .iter()
-        .map(workload_from_value)
-        .collect::<Result<Vec<_>, _>>()?;
-    let mark_timeouts_s = value
-        .get("mark_timeouts_s")
-        .and_then(Json::as_array)
-        .ok_or("missing grid.mark_timeouts_s")?
-        .iter()
-        .map(|pair| {
-            let items = pair.as_array().ok_or("bad mark_timeouts_s entry")?;
-            match items {
-                [bw, t] => Ok((
-                    bw.as_f64().ok_or("bad mark_timeouts_s bandwidth")?,
-                    t.as_f64().ok_or("bad mark_timeouts_s timeout")?,
-                )),
-                _ => Err("bad mark_timeouts_s entry".to_string()),
-            }
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let max_fps = match value.get("max_fps") {
-        Some(Json::Null) | None => None,
-        Some(v) => Some(v.as_f64().ok_or("bad grid.max_fps")?),
-    };
-    let max_instances = match value.get("max_instances") {
-        Some(Json::Null) | None => None,
-        Some(Json::Str(s)) if s == "unlimited" => Some(None),
-        Some(v) => Some(Some(v.as_u64().ok_or("bad grid.max_instances")? as usize)),
-    };
-    let scenarios = match (value.get("scenario"), value.get("scenarios")) {
-        (Some(Json::Null) | None, None) => Vec::new(),
-        (Some(v), None) => vec![scenario_from_value(v)?],
-        (None, Some(v)) => v
-            .as_array()
-            .ok_or("bad grid.scenarios")?
-            .iter()
-            .map(scenario_from_value)
-            .collect::<Result<Vec<_>, _>>()?,
-        (Some(_), Some(_)) => return Err("grid has both scenario and scenarios".to_string()),
-    };
-    let admission = match value.get("admission") {
-        Some(Json::Null) | None => Vec::new(),
-        Some(v) => v
-            .as_array()
-            .ok_or("bad grid.admission")?
-            .iter()
-            .map(admission_from_value)
-            .collect::<Result<Vec<_>, _>>()?,
-    };
-    let fairness = match value.get("fairness") {
-        Some(Json::Null) | None => Vec::new(),
-        Some(v) => v
-            .as_array()
-            .ok_or("bad grid.fairness")?
-            .iter()
-            .map(fairness_from_value)
-            .collect::<Result<Vec<_>, _>>()?,
-    };
-    Ok(SweepGrid {
-        name: String::new(), // restored by `from_json` from the report's name
-        policies,
-        seeds,
-        slos_s: f64_list("slos_s")?,
-        bandwidths_mbps: f64_list("bandwidths_mbps")?,
-        sigma_multipliers: f64_list("sigma_multipliers")?,
-        workloads,
-        mark_timeouts_s,
-        max_fps,
-        max_instances,
-        scenarios,
-        admission,
-        fairness,
-        // Execution-only fields, never serialized into BENCH json.
-        capture_traces: false,
-        shards: 1,
-        credit_window: None,
-    })
-}
-
 fn workload_to_value(spec: &WorkloadSpec) -> Json {
     Json::object(vec![
         (
@@ -611,34 +359,6 @@ fn workload_to_value(spec: &WorkloadSpec) -> Json {
         ("frames", Json::U64(spec.frames as u64)),
         ("trace", Json::Str(spec.trace.name().to_string())),
     ])
-}
-
-fn workload_from_value(value: &Json) -> Result<WorkloadSpec, String> {
-    let scenes = value
-        .get("scenes")
-        .and_then(Json::as_array)
-        .ok_or("missing workload.scenes")?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .and_then(|n| u8::try_from(n).ok())
-                .ok_or("bad workload scene index")
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let frames = value
-        .get("frames")
-        .and_then(Json::as_u64)
-        .ok_or("missing workload.frames")? as usize;
-    let trace = value
-        .get("trace")
-        .and_then(Json::as_str)
-        .and_then(TraceKind::from_name)
-        .ok_or("bad workload.trace")?;
-    Ok(WorkloadSpec {
-        scenes,
-        frames,
-        trace,
-    })
 }
 
 fn tenant_to_value(t: &TenantSummary) -> Json {
@@ -856,6 +576,26 @@ fn rel_diff(a: f64, b: f64) -> f64 {
 #[must_use]
 pub fn gate(baseline: &BenchReport, candidate: &BenchReport, config: &GateConfig) -> Vec<String> {
     let mut violations = Vec::new();
+    // Cells are compared positionally, which only means something when
+    // both reports swept the same grid — same axes, same values.
+    if baseline.grid != candidate.grid {
+        let mut axes: Vec<&str> = Vec::new();
+        for grid in [&baseline.grid, &candidate.grid] {
+            let Json::Object(pairs) = grid else { continue };
+            for (key, _) in pairs {
+                if baseline.grid.get(key) != candidate.grid.get(key)
+                    && !axes.contains(&key.as_str())
+                {
+                    axes.push(key);
+                }
+            }
+        }
+        let axes = axes.join(", ");
+        violations.push(format!(
+            "swept grid changed ({axes}): cells are not comparable (grid shape drift)"
+        ));
+        return violations;
+    }
     if baseline.cells.len() != candidate.cells.len() {
         violations.push(format!(
             "cell count changed: baseline {} vs candidate {} (grid shape drift)",
@@ -1009,7 +749,7 @@ mod tests {
         }
     }
 
-    fn sample_report() -> BenchReport {
+    fn sample_grid() -> SweepGrid {
         let mut grid = SweepGrid::named("smoke");
         grid.policies = vec![PolicyKind::Tangram, PolicyKind::Elf];
         grid.seeds = vec![42];
@@ -1018,9 +758,17 @@ mod tests {
         grid.workloads = vec![WorkloadSpec::single(SceneId::new(1), 12, TraceKind::Proxy)];
         grid.mark_timeouts_s = vec![(20.0, 0.55)];
         grid.max_instances = Some(Some(4));
+        grid
+    }
+
+    fn sample_report() -> BenchReport {
+        report_of(&sample_grid())
+    }
+
+    fn report_of(grid: &SweepGrid) -> BenchReport {
         BenchReport {
             name: "smoke".to_string(),
-            grid,
+            grid: grid_to_value(grid),
             cells: vec![CellReport {
                 index: 0,
                 seed: 42,
@@ -1057,14 +805,15 @@ mod tests {
 
     #[test]
     fn fairness_grids_round_trip() {
-        let mut report = sample_report();
-        report.grid.fairness = vec![FairnessSpec {
+        let mut grid = sample_grid();
+        grid.fairness = vec![FairnessSpec {
             weights: vec![3.0, 1.0],
             queue_capacity: 16,
             tick_s: 0.02,
             quantum: 1.5,
             admission_aware: true,
         }];
+        let mut report = report_of(&grid);
         report.cells[0].fairness = Some("drr".to_string());
         report.cells[0].metrics.tenants[0].peak_queued = 16;
         let text = report.to_json();
@@ -1072,8 +821,7 @@ mod tests {
         assert!(text.contains("\"admission_aware\": true"));
         assert!(text.contains("\"peak_queued\": 16"));
         let back = BenchReport::from_json(&text).unwrap();
-        assert_eq!(back.grid.fairness, report.grid.fairness);
-        assert_eq!(back.cells, report.cells);
+        assert_eq!(back, report);
         assert_eq!(back.to_json(), text, "render(parse(x)) == x");
     }
 
@@ -1105,8 +853,8 @@ mod tests {
                 period_s: 60.0,
             },
         ] {
-            let mut report = sample_report();
-            report.grid.scenarios = vec![ScenarioSpec {
+            let mut grid = sample_grid();
+            grid.scenarios = vec![ScenarioSpec {
                 arrival,
                 frames_per_camera: 40,
                 join_stagger_s: 2.0,
@@ -1118,20 +866,21 @@ mod tests {
                 tenant_slos_s: vec![0.8, 1.5],
                 faults: Vec::new(),
             }];
+            let report = report_of(&grid);
             let text = report.to_json();
             // One scenario keeps the legacy singular form.
             assert!(text.contains("\"scenario\""));
             assert!(!text.contains("\"scenarios\""));
             let back = BenchReport::from_json(&text).unwrap();
-            assert_eq!(back.grid.scenarios, report.grid.scenarios);
+            assert_eq!(back, report);
             assert_eq!(back.to_json(), text, "render(parse(x)) == x");
         }
     }
 
     #[test]
     fn faulted_scenarios_round_trip_and_fault_free_ones_omit_the_key() {
-        let mut report = sample_report();
-        report.grid.scenarios = vec![ScenarioSpec {
+        let mut grid = sample_grid();
+        grid.scenarios = vec![ScenarioSpec {
             arrival: ArrivalSpec::Poisson { fps: 6.0 },
             frames_per_camera: 40,
             join_stagger_s: 0.0,
@@ -1168,16 +917,17 @@ mod tests {
                 },
             ],
         }];
+        let report = report_of(&grid);
         let text = report.to_json();
         assert!(text.contains("\"faults\""));
         assert!(text.contains("\"link_outage\""));
         let back = BenchReport::from_json(&text).unwrap();
-        assert_eq!(back.grid.scenarios, report.grid.scenarios);
+        assert_eq!(back, report);
         assert_eq!(back.to_json(), text, "render(parse(x)) == x");
 
         // Fault-free scenarios keep their legacy bytes.
-        report.grid.scenarios[0].faults.clear();
-        assert!(!report.to_json().contains("\"faults\""));
+        grid.scenarios[0].faults.clear();
+        assert!(!report_of(&grid).to_json().contains("\"faults\""));
     }
 
     #[test]
@@ -1190,9 +940,9 @@ mod tests {
             tenant_slos_s: vec![0.8, 1.5],
             faults: Vec::new(),
         };
-        let mut report = sample_report();
-        report.grid.scenarios = vec![scenario(4.0), scenario(16.0)];
-        report.grid.admission = vec![
+        let mut grid = sample_grid();
+        grid.scenarios = vec![scenario(4.0), scenario(16.0)];
+        grid.admission = vec![
             AdmissionSpec::Always,
             AdmissionSpec::QueueDepth { max_queued: 64 },
             AdmissionSpec::SloShedder {
@@ -1200,6 +950,7 @@ mod tests {
                 pressure: 0.5,
             },
         ];
+        let mut report = report_of(&grid);
         report.cells[0].scenario = Some(1);
         report.cells[0].admission = Some("slo-shedder".to_string());
         let text = report.to_json();
@@ -1211,9 +962,7 @@ mod tests {
         assert!(text.contains("\"scenario\": 1"));
         assert!(text.contains("\"admission\""));
         let back = BenchReport::from_json(&text).unwrap();
-        assert_eq!(back.grid.scenarios, report.grid.scenarios);
-        assert_eq!(back.grid.admission, report.grid.admission);
-        assert_eq!(back.cells, report.cells);
+        assert_eq!(back, report);
         assert_eq!(back.to_json(), text, "render(parse(x)) == x");
     }
 
@@ -1288,6 +1037,35 @@ mod tests {
         candidate.cells[0].metrics.throughput_pps *= 0.9; // within 20%
         candidate.cells[0].metrics.p99_latency_s *= 1.1; // within 20%
         assert!(gate(&baseline, &candidate, &GateConfig::default()).is_empty());
+    }
+
+    #[test]
+    fn gate_rejects_a_different_grid_with_the_same_cell_count() {
+        let baseline = sample_report();
+        // Same shape, other seeds: every cell would line up positionally.
+        let mut grid = sample_grid();
+        grid.seeds = vec![43];
+        let candidate = report_of(&grid);
+        assert_eq!(baseline.cells.len(), candidate.cells.len());
+        let violations = gate(&baseline, &candidate, &GateConfig::default());
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("swept grid changed (seeds)"));
+
+        // An axis only one side has is named too.
+        grid.seeds = vec![42];
+        grid.admission = vec![AdmissionSpec::Always];
+        let violations = gate(&baseline, &report_of(&grid), &GateConfig::default());
+        assert!(violations[0].contains("(admission)"), "{violations:?}");
+    }
+
+    #[test]
+    fn a_grid_that_is_not_an_object_is_rejected() {
+        let text = sample_report().to_json();
+        let start = text.find("\"grid\": {").expect("grid echo");
+        let end = text.find("\"cells\"").expect("cells follow the grid");
+        let broken = format!("{}\"grid\": 7,\n  {}", &text[..start], &text[end..]);
+        let err = BenchReport::from_json(&broken).unwrap_err();
+        assert!(err.contains("grid is not an object"), "{err}");
     }
 
     #[test]

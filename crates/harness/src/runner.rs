@@ -3,15 +3,15 @@
 use crate::grid::{AdmissionSpec, FairnessSpec, ScenarioSpec, SweepCell, SweepGrid};
 use crate::pool::parallel_map;
 use crate::presets::build_workload;
-use crate::report::{BenchReport, CellReport};
+use crate::report::{grid_to_value, BenchReport, CellReport};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use tangram_core::engine::EngineConfig;
-use tangram_core::online::{GeneratedSource, OnlineEngine, TenantClass, TraceReplaySource};
+use tangram_core::online::{GeneratedSource, OnlineEngine, Plan, TenantClass};
 use tangram_core::report::RunReport;
 use tangram_core::workload::CameraTrace;
 use tangram_sim::rng::DetRng;
-use tangram_trace::{TraceLog, TraceSink};
+use tangram_trace::TraceLog;
 use tangram_types::time::{SimDuration, SimTime};
 
 /// One cell's full outcome: the resolved cell plus the engine's complete
@@ -70,20 +70,21 @@ pub fn run_grid_full(grid: &SweepGrid, workers: usize) -> Vec<CellOutcome> {
         let fairness = cell.fairness_index.map(|i| &fairness[i]);
         let mut config = cell.engine_config();
         if let Some(spec) = fairness {
-            config.scheduler_admission_aware = spec.admission_aware;
+            spec.configure(&mut config);
         }
         let (report, trace) = match cell.scenario_index.map(|i| &scenarios[i]) {
-            None => match (admission, fairness) {
-                // No ingress stage at all: the legacy batch entry point.
-                // Trace capture routes through the streaming engine,
-                // whose replay mount is byte-identical to it.
-                (None, None) if !capture => (config.run(&traces), None),
-                // Trace replay under admission control and/or a fair
-                // ingress: mount the same replay sources on the streaming
-                // engine (byte-identical to the batch path when nothing
-                // is shed or queued).
-                _ => run_replay(&config, &traces, cell.slo_s, admission, fairness, capture),
-            },
+            // Trace replay, with the cell's ingress stages (if any)
+            // installed. Replay cells carry no tenant mix, so the fair
+            // ingress runs a single class at the cell SLO.
+            None => config.replay(
+                &traces,
+                Plan {
+                    admission: admission.map(|spec| spec.build(&[])),
+                    fair_ingress: fairness.map(|spec| spec.build(&[], cell.slo_s)),
+                    trace: capture,
+                    ..Plan::default()
+                },
+            ),
             Some(scenario) => run_scenario_sharded(
                 &config,
                 &traces,
@@ -103,38 +104,6 @@ pub fn run_grid_full(grid: &SweepGrid, workers: usize) -> Vec<CellOutcome> {
     })
 }
 
-/// Replays `traces` through the streaming engine exactly as
-/// [`EngineConfig::run`] mounts them (1 ms join stagger per camera),
-/// with the cell's ingress stages (admission policy and/or weighted-DRR
-/// fair ingress) installed. Replay cells carry no tenant mix, so the
-/// fair ingress runs a single class at the cell SLO.
-fn run_replay(
-    config: &EngineConfig,
-    traces: &[CameraTrace],
-    slo_s: f64,
-    admission: Option<&AdmissionSpec>,
-    fairness: Option<&FairnessSpec>,
-    capture: bool,
-) -> (RunReport, Option<TraceLog>) {
-    let mut engine = OnlineEngine::new(config);
-    for (cam, trace) in traces.iter().enumerate() {
-        engine.add_camera_at(
-            SimTime::from_micros(cam as u64 * 1_000),
-            Box::new(TraceReplaySource::new(trace.clone())),
-        );
-    }
-    if let Some(spec) = admission {
-        engine.set_admission_policy(spec.build(&[]));
-    }
-    if let Some(spec) = fairness {
-        engine.set_fair_ingress(spec.build(&[], slo_s));
-    }
-    if capture {
-        engine.set_trace_sink(TraceSink::new());
-    }
-    engine.run_traced()
-}
-
 /// Runs one streaming-scenario cell: the cell's traces become per-camera
 /// content pools on an [`OnlineEngine`], cameras join staggered (and
 /// leave after their session, when churn is configured), arrival timing
@@ -146,41 +115,15 @@ fn run_replay(
 /// Everything is derived from `config.seed` (the cell's engine seed) via
 /// labelled forks, so the outcome is independent of which worker thread
 /// runs the cell — the same guarantee trace-replay cells have.
-#[must_use]
-pub fn run_scenario(
-    config: &EngineConfig,
-    traces: &[CameraTrace],
-    scenario: &ScenarioSpec,
-    admission: Option<&AdmissionSpec>,
-    fairness: Option<&FairnessSpec>,
-) -> RunReport {
-    run_scenario_traced(config, traces, scenario, admission, fairness, false).0
-}
-
-/// [`run_scenario`], optionally recording the runtime event trace.
-#[must_use]
-pub fn run_scenario_traced(
-    config: &EngineConfig,
-    traces: &[CameraTrace],
-    scenario: &ScenarioSpec,
-    admission: Option<&AdmissionSpec>,
-    fairness: Option<&FairnessSpec>,
-    capture: bool,
-) -> (RunReport, Option<TraceLog>) {
-    run_scenario_sharded(
-        config, traces, scenario, admission, fairness, capture, 1, None,
-    )
-}
-
-/// [`run_scenario_traced`] on a sharded engine: link-independent camera
-/// sources are partitioned across `shards` worker threads (see
-/// [`OnlineEngine::set_shards`]). Sharding is a pure execution strategy
-/// — the report and trace are byte-identical at any shard count, which
-/// is exactly what `bench_throughput` exploits to measure wall-clock
-/// scaling against an unchanged workload. `credit_window` narrows the
-/// per-shard credit window (`None` = the production
-/// [`tangram_types::credit::CREDIT_WINDOW`]); like the shard
-/// count it is byte-invisible, pinned by the `CREDIT_WINDOW=1` case in
+///
+/// Link-independent camera sources are partitioned across `shards`
+/// worker threads (see [`Plan::shards`]). Sharding is a pure execution
+/// strategy — the report and trace are byte-identical at any shard
+/// count, which is exactly what `bench_throughput` exploits to measure
+/// wall-clock scaling against an unchanged workload. `credit_window`
+/// narrows the per-shard credit window (`None` = the production
+/// [`tangram_types::credit::CREDIT_WINDOW`]); like the shard count it is
+/// byte-invisible, pinned by the `CREDIT_WINDOW=1` case in
 /// `tests/harness_determinism.rs`.
 #[must_use]
 #[allow(clippy::too_many_arguments)]
@@ -194,18 +137,16 @@ pub fn run_scenario_sharded(
     shards: usize,
     credit_window: Option<usize>,
 ) -> (RunReport, Option<TraceLog>) {
-    let mut engine = OnlineEngine::new(config);
-    engine.set_shards(shards);
-    if let Some(window) = credit_window {
-        engine.set_credit_window(window);
-    }
-    engine.set_faults(scenario.faults.clone());
-    if let Some(spec) = admission {
-        engine.set_admission_policy(spec.build(&scenario.tenant_slos_s));
-    }
-    if let Some(spec) = fairness {
-        engine.set_fair_ingress(spec.build(&scenario.tenant_slos_s, config.slo.as_secs_f64()));
-    }
+    let plan = Plan {
+        admission: admission.map(|spec| spec.build(&scenario.tenant_slos_s)),
+        fair_ingress: fairness
+            .map(|spec| spec.build(&scenario.tenant_slos_s, config.slo.as_secs_f64())),
+        faults: scenario.faults.clone(),
+        trace: capture,
+        shards,
+        credit_window,
+    };
+    let mut engine = OnlineEngine::new(config, plan);
     let root = DetRng::new(config.seed);
     for (cam, trace) in traces.iter().enumerate() {
         let rng = root.fork_indexed("scenario-arrival", cam as u64);
@@ -229,10 +170,7 @@ pub fn run_scenario_sharded(
             engine.remove_camera_at(join + SimDuration::from_secs_f64(session_s), index);
         }
     }
-    if capture {
-        engine.set_trace_sink(TraceSink::new());
-    }
-    engine.run_traced()
+    engine.run()
 }
 
 /// Collapses full outcomes into the serialisable [`BenchReport`].
@@ -240,7 +178,7 @@ pub fn run_scenario_sharded(
 pub fn bench_report(grid: &SweepGrid, outcomes: &[CellOutcome]) -> BenchReport {
     BenchReport {
         name: grid.name.clone(),
-        grid: grid.clone(),
+        grid: grid_to_value(grid),
         cells: outcomes
             .iter()
             .map(|o| CellReport {

@@ -302,8 +302,8 @@ impl ScenarioFile {
     }
 
     /// The engine configuration of the scenario's single cell (Tangram,
-    /// the file's link/SLO/seed, the fairness stage's admission-aware
-    /// flag mirrored exactly as the grid runner does).
+    /// the file's link/SLO/seed, configured by the fairness stage exactly
+    /// as the grid runner's cells are).
     #[must_use]
     pub fn engine_config(&self) -> EngineConfig {
         let mut config = EngineConfig {
@@ -317,7 +317,7 @@ impl ScenarioFile {
             config.max_instances = cap;
         }
         if let Some(fairness) = &self.fairness {
-            config.scheduler_admission_aware = fairness.admission_aware;
+            fairness.configure(&mut config);
         }
         config
     }

@@ -4,8 +4,8 @@
 //! over a Wi-Fi router, throttled to 20/40/80 Mbps for the end-to-end
 //! experiments (Fig. 12). [`Link`] models that uplink as a FIFO
 //! store-and-forward queue: messages serialise onto the wire in arrival
-//! order at the configured bandwidth, plus propagation delay and optional
-//! jitter, and the link can be taken down for failure injection.
+//! order at the configured bandwidth, plus propagation delay, and the
+//! link can be taken down for failure injection.
 //!
 //! # Example
 //!
@@ -22,7 +22,6 @@
 //! ```
 
 use serde::{Deserialize, Serialize};
-use tangram_sim::rng::DetRng;
 use tangram_types::time::{SimDuration, SimTime};
 use tangram_types::units::{Bandwidth, Bytes};
 
@@ -33,27 +32,17 @@ pub struct LinkConfig {
     pub bandwidth: Bandwidth,
     /// One-way propagation delay added after serialisation.
     pub propagation: SimDuration,
-    /// Mean of an exponential per-message jitter (zero disables it).
-    pub jitter_mean: SimDuration,
 }
 
 impl LinkConfig {
     /// A link at the given Mbps with the testbed's ~2 ms Wi-Fi propagation
-    /// delay and no jitter.
+    /// delay.
     #[must_use]
     pub fn mbps(mbps: f64) -> Self {
         Self {
             bandwidth: Bandwidth::from_mbps(mbps),
             propagation: SimDuration::from_millis(2),
-            jitter_mean: SimDuration::ZERO,
         }
-    }
-
-    /// Adds exponential jitter with the given mean.
-    #[must_use]
-    pub fn with_jitter(mut self, mean: SimDuration) -> Self {
-        self.jitter_mean = mean;
-        self
     }
 }
 
@@ -72,7 +61,6 @@ pub struct Link {
     config: LinkConfig,
     busy_until: SimTime,
     stats: LinkStats,
-    jitter_rng: Option<DetRng>,
 }
 
 impl Link {
@@ -83,16 +71,7 @@ impl Link {
             config,
             busy_until: SimTime::ZERO,
             stats: LinkStats::default(),
-            jitter_rng: None,
         }
-    }
-
-    /// Enables jitter sampling with a dedicated random stream. Without
-    /// this, `jitter_mean` is ignored.
-    #[must_use]
-    pub fn with_jitter_rng(mut self, rng: DetRng) -> Self {
-        self.jitter_rng = Some(rng);
-        self
     }
 
     /// The link configuration.
@@ -123,14 +102,7 @@ impl Link {
         self.busy_until = end;
         self.stats.bytes += size;
         self.stats.messages += 1;
-        let mut delivery = end + self.config.propagation;
-        if !self.config.jitter_mean.is_zero() {
-            if let Some(rng) = &mut self.jitter_rng {
-                let mean = self.config.jitter_mean.as_secs_f64();
-                delivery += SimDuration::from_secs_f64(rng.exponential(1.0 / mean));
-            }
-        }
-        delivery
+        end + self.config.propagation
     }
 
     /// Failure injection: the wire carries nothing until `until` (an
@@ -205,22 +177,5 @@ mod tests {
         link.outage_until(t(1_000_000));
         let delivery = link.enqueue(SimTime::ZERO, Bytes::new(100_000));
         assert_eq!(delivery, t(1_012_000));
-    }
-
-    #[test]
-    fn jitter_adds_positive_delay() {
-        let config = LinkConfig::mbps(80.0).with_jitter(SimDuration::from_millis(5));
-        let base = Link::new(LinkConfig::mbps(80.0)).enqueue(SimTime::ZERO, Bytes::new(100_000));
-        let mut jittered = Link::new(config).with_jitter_rng(DetRng::new(1).fork("jitter"));
-        let d = jittered.enqueue(SimTime::ZERO, Bytes::new(100_000));
-        assert!(d > base);
-    }
-
-    #[test]
-    fn jitter_without_rng_is_ignored() {
-        let config = LinkConfig::mbps(80.0).with_jitter(SimDuration::from_millis(5));
-        let mut link = Link::new(config);
-        let d = link.enqueue(SimTime::ZERO, Bytes::new(100_000));
-        assert_eq!(d, t(10_000 + 2_000));
     }
 }

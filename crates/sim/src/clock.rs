@@ -32,14 +32,6 @@ impl ManualClock {
         Self::default()
     }
 
-    /// Creates a clock already positioned at `at`.
-    #[must_use]
-    pub fn starting_at(at: SimTime) -> Self {
-        let clock = Self::new();
-        clock.advance_to(at);
-        clock
-    }
-
     /// Moves the clock to `at`.
     ///
     /// # Panics
@@ -85,13 +77,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "clock moved backwards")]
     fn rejects_backwards_motion() {
-        let c = ManualClock::starting_at(SimTime::from_micros(100));
+        let c = ManualClock::new();
+        c.advance_to(SimTime::from_micros(100));
         c.advance_to(SimTime::from_micros(99));
     }
 
     #[test]
     fn trait_object_usable() {
-        let c = ManualClock::starting_at(SimTime::from_micros(9));
+        let c = ManualClock::new();
+        c.advance_to(SimTime::from_micros(9));
         let dyn_clock: &dyn Clock = &c;
         assert_eq!(dyn_clock.now(), SimTime::from_micros(9));
     }

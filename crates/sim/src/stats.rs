@@ -233,7 +233,6 @@ pub struct Histogram {
     hi: f64,
     counts: Vec<u64>,
     total: u64,
-    nan: u64,
 }
 
 impl Histogram {
@@ -251,17 +250,15 @@ impl Histogram {
             hi,
             counts: vec![0; bins],
             total: 0,
-            nan: 0,
         }
     }
 
     /// Adds an observation; values outside the range land in the edge
     /// bins. `NaN` has no position on the axis: it is counted in
-    /// [`Histogram::total`] (and [`Histogram::nan_count`]) but binned
-    /// nowhere, instead of silently landing in bin 0 via a float cast.
+    /// [`Histogram::total`] but binned nowhere, instead of silently
+    /// landing in bin 0 via a float cast.
     pub fn push(&mut self, x: f64) {
         if x.is_nan() {
-            self.nan += 1;
             self.total += 1;
             return;
         }
@@ -287,31 +284,6 @@ impl Histogram {
     #[must_use]
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// Number of `NaN` observations (counted in the total, in no bin).
-    #[must_use]
-    pub fn nan_count(&self) -> u64 {
-        self.nan
-    }
-
-    /// `(bin_center, fraction)` pairs — the normalised distribution.
-    #[must_use]
-    pub fn normalized(&self) -> Vec<(f64, f64)> {
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let center = self.lo + (i as f64 + 0.5) * width;
-                let frac = if self.total == 0 {
-                    0.0
-                } else {
-                    c as f64 / self.total as f64
-                };
-                (center, frac)
-            })
-            .collect()
     }
 }
 
@@ -510,29 +482,16 @@ mod tests {
     }
 
     #[test]
-    fn histogram_normalized_sums_to_one() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        for i in 0..100 {
-            h.push(f64::from(i) / 100.0);
-        }
-        let total: f64 = h.normalized().iter().map(|&(_, f)| f).sum();
-        assert!((total - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn histogram_counts_nan_without_binning() {
         let mut h = Histogram::new(0.0, 1.0, 4);
         h.push(f64::NAN);
         h.push(0.1);
         h.push(f64::NAN);
         assert_eq!(h.total(), 3);
-        assert_eq!(h.nan_count(), 2);
-        // NaN lands in no bin — in particular not bin 0 via the cast.
+        // NaN lands in no bin — in particular not bin 0 via the cast —
+        // so the bins cover only the binned third of the mass.
         assert_eq!(h.counts()[0], 1);
         assert_eq!(h.counts().iter().sum::<u64>(), 1);
-        // Normalised fractions cover only the binned mass.
-        let binned: f64 = h.normalized().iter().map(|&(_, f)| f).sum();
-        assert!((binned - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -59,17 +59,6 @@ impl CreditConfig {
             window: CREDIT_WINDOW,
         }
     }
-
-    /// The same shard count with the minimum legal window — the
-    /// tightest flow control the protocol supports, exercised by the
-    /// `CREDIT_WINDOW=1` regression suite.
-    #[must_use]
-    pub fn minimum_window(self) -> CreditConfig {
-        CreditConfig {
-            shards: self.shards,
-            window: 1,
-        }
-    }
 }
 
 impl Default for CreditConfig {
@@ -88,12 +77,5 @@ mod tests {
         for w in MODEL_WINDOWS {
             assert!((1..=CREDIT_WINDOW).contains(&w));
         }
-    }
-
-    #[test]
-    fn minimum_window_keeps_the_shard_count() {
-        let cfg = CreditConfig::production(8).minimum_window();
-        assert_eq!(cfg.shards, 8);
-        assert_eq!(cfg.window, 1);
     }
 }

@@ -160,17 +160,6 @@ impl Rect {
         Self::new(0, 0, size.width, size.height)
     }
 
-    /// Builds the rectangle spanning the two corner points
-    /// `(x0, y0)`..`(x1, y1)`; the corners may be given in any order.
-    #[must_use]
-    pub fn from_corners(a: Point, b: Point) -> Self {
-        let x0 = a.x.min(b.x);
-        let y0 = a.y.min(b.y);
-        let x1 = a.x.max(b.x);
-        let y1 = a.y.max(b.y);
-        Rect::new(x0, y0, x1 - x0, y1 - y0)
-    }
-
     /// The exclusive right edge (`x + width`).
     #[must_use]
     pub const fn right(&self) -> u32 {
@@ -404,15 +393,6 @@ mod tests {
         assert_eq!(r.bottom(), 14);
         assert_eq!(r.center(), Point::new(8, 10));
         assert_eq!(r.area(), 56);
-    }
-
-    #[test]
-    fn rect_from_corners_any_order() {
-        let a = Point::new(10, 2);
-        let b = Point::new(4, 9);
-        let r = Rect::from_corners(a, b);
-        assert_eq!(r, Rect::new(4, 2, 6, 7));
-        assert_eq!(Rect::from_corners(b, a), r);
     }
 
     #[test]

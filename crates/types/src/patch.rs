@@ -78,23 +78,10 @@ impl PatchInfo {
         self.generated_at + self.slo
     }
 
-    /// How long the patch has been waiting at `now` (`T_{i,wait}` in
-    /// constraint (6) of the batching problem).
-    #[must_use]
-    pub fn waiting_time(&self, now: SimTime) -> SimDuration {
-        now.since(self.generated_at)
-    }
-
     /// Remaining budget before the deadline; zero if already violated.
     #[must_use]
     pub fn remaining_budget(&self, now: SimTime) -> SimDuration {
         self.deadline().since(now)
-    }
-
-    /// Whether completing at `finish` would violate the SLO.
-    #[must_use]
-    pub fn violates_slo(&self, finish: SimTime) -> bool {
-        finish > self.deadline()
     }
 }
 
@@ -172,10 +159,9 @@ mod tests {
     }
 
     #[test]
-    fn waiting_and_budget() {
+    fn budget_counts_down_to_the_deadline() {
         let p = patch_at(0, 1000);
         let now = SimTime::from_micros(400_000);
-        assert_eq!(p.waiting_time(now), SimDuration::from_millis(400));
         assert_eq!(p.remaining_budget(now), SimDuration::from_millis(600));
     }
 
@@ -184,8 +170,6 @@ mod tests {
         let p = patch_at(0, 100);
         let late = SimTime::from_micros(500_000);
         assert_eq!(p.remaining_budget(late), SimDuration::ZERO);
-        assert!(p.violates_slo(late));
-        assert!(!p.violates_slo(SimTime::from_micros(100_000)));
     }
 
     #[test]

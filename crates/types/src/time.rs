@@ -239,15 +239,6 @@ impl SimTime {
         SimDuration::from_micros(self.micros.saturating_sub(earlier.micros))
     }
 
-    /// Exact difference; `None` when `earlier` is after `self`.
-    #[must_use]
-    pub const fn checked_since(&self, earlier: SimTime) -> Option<SimDuration> {
-        match self.micros.checked_sub(earlier.micros) {
-            Some(m) => Some(SimDuration::from_micros(m)),
-            None => None,
-        }
-    }
-
     /// The later of two instants.
     #[must_use]
     pub fn max(self, other: SimTime) -> SimTime {
@@ -374,7 +365,6 @@ mod tests {
         t += SimDuration::from_millis(250);
         assert_eq!(t.as_micros(), 250_000);
         assert_eq!(t.since(SimTime::ZERO), SimDuration::from_millis(250));
-        assert_eq!(t.checked_since(SimTime::from_micros(300_000)), None);
     }
 
     #[test]

@@ -32,12 +32,6 @@ impl Bytes {
         Bytes(kib * 1024)
     }
 
-    /// From mebibytes.
-    #[must_use]
-    pub const fn from_mib(mib: u64) -> Self {
-        Bytes(mib * 1024 * 1024)
-    }
-
     /// Raw byte count.
     #[must_use]
     pub const fn get(self) -> u64 {
@@ -273,14 +267,13 @@ mod tests {
     #[test]
     fn bytes_constructors() {
         assert_eq!(Bytes::from_kib(2).get(), 2048);
-        assert_eq!(Bytes::from_mib(1).get(), 1_048_576);
     }
 
     #[test]
     fn bytes_display_scales() {
         assert_eq!(Bytes::new(512).to_string(), "512B");
         assert_eq!(Bytes::from_kib(4).to_string(), "4.00KiB");
-        assert_eq!(Bytes::from_mib(3).to_string(), "3.00MiB");
+        assert_eq!(Bytes::from_kib(3 * 1024).to_string(), "3.00MiB");
     }
 
     #[test]

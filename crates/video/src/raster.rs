@@ -98,12 +98,6 @@ impl Raster {
     pub fn pixels(&self) -> &[u8] {
         &self.data
     }
-
-    /// Mean pixel intensity.
-    #[must_use]
-    pub fn mean_intensity(&self) -> f64 {
-        self.data.iter().map(|&p| f64::from(p)).sum::<f64>() / self.data.len() as f64
-    }
 }
 
 /// Renders frames of one scene: a fixed background plus per-frame objects.
@@ -249,6 +243,10 @@ mod tests {
         FrameRenderer::new(9, Size::UHD_4K, 0.1)
     }
 
+    fn mean_intensity(img: &Raster) -> f64 {
+        img.pixels().iter().map(|&p| f64::from(p)).sum::<f64>() / img.pixels().len() as f64
+    }
+
     #[test]
     fn raster_dimensions_follow_scale() {
         let r = renderer();
@@ -270,7 +268,7 @@ mod tests {
         let b = r.render(2, &[]);
         assert_ne!(a, b, "sensor noise must vary per frame");
         // But the mean intensity stays close to the background.
-        assert!((a.mean_intensity() - b.mean_intensity()).abs() < 1.0);
+        assert!((mean_intensity(&a) - mean_intensity(&b)).abs() < 1.0);
     }
 
     #[test]
@@ -308,7 +306,7 @@ mod tests {
     fn background_texture_has_structure() {
         let r = renderer();
         let img = r.render(0, &[]);
-        let mean = img.mean_intensity();
+        let mean = mean_intensity(&img);
         assert!((90.0..150.0).contains(&mean), "mean {mean}");
         // Not a flat image: some pixels deviate noticeably.
         let spread = img

@@ -73,12 +73,6 @@ impl BitMask {
         self.bits.iter().filter(|&&b| b).count()
     }
 
-    /// Fraction of set bits.
-    #[must_use]
-    pub fn fill_fraction(&self) -> f64 {
-        self.count_set() as f64 / self.bits.len() as f64
-    }
-
     /// Morphological erosion with a 3×3 box kernel: a bit survives only if
     /// its entire 3×3 neighbourhood (clamped at edges) is set.
     #[must_use]
@@ -153,10 +147,9 @@ mod tests {
     }
 
     #[test]
-    fn count_and_fraction() {
+    fn count_set_counts_the_block() {
         let m = mask_with_block(10, 10, 2, 2, 4, 4);
         assert_eq!(m.count_set(), 16);
-        assert!((m.fill_fraction() - 0.16).abs() < 1e-12);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use tangram_core::engine::{EngineConfig, PolicyKind};
 use tangram_core::fairness::{DrrConfig, DrrIngress};
-use tangram_core::online::{ArrivalProcess, GeneratedSource, OnlineEngine, TenantClass};
+use tangram_core::online::{ArrivalProcess, GeneratedSource, OnlineEngine, Plan, TenantClass};
 use tangram_core::workload::TraceConfig;
 use tangram_sim::rng::DetRng;
 use tangram_types::ids::SceneId;
@@ -26,7 +26,16 @@ fn overloaded_run(root_seed: u64) -> (u64, u64) {
         ..EngineConfig::default()
     };
     let root = DetRng::new(root_seed);
-    let mut engine = OnlineEngine::new(&config);
+    let plan = Plan {
+        fair_ingress: Some(DrrIngress::new(&DrrConfig {
+            classes: vec![(GOLD_SLO, 3.0), (BE_SLO, 1.0)],
+            queue_capacity: 32,
+            quantum: 1.0,
+            tick: SimDuration::from_millis(20),
+        })),
+        ..Plan::default()
+    };
+    let mut engine = OnlineEngine::new(&config, plan);
     for cam in 0..4u8 {
         let tenant = if cam % 2 == 0 {
             TenantClass::new("gold", GOLD_SLO)
@@ -46,13 +55,7 @@ fn overloaded_run(root_seed: u64) -> (u64, u64) {
         .with_tenant(&tenant);
         engine.add_camera_at(SimTime::ZERO, Box::new(source));
     }
-    engine.set_fair_ingress(DrrIngress::new(&DrrConfig {
-        classes: vec![(GOLD_SLO, 3.0), (BE_SLO, 1.0)],
-        queue_capacity: 32,
-        quantum: 1.0,
-        tick: SimDuration::from_millis(20),
-    }));
-    let report = engine.run();
+    let (report, _) = engine.run();
     let tenants = report.tenant_breakdown();
     assert_eq!(tenants.len(), 2, "gold and best-effort accounted");
     assert_eq!(
@@ -82,7 +85,16 @@ fn idle_class_credit_is_work_conserved_end_to_end() {
             ..EngineConfig::default()
         };
         let root = DetRng::new(11);
-        let mut engine = OnlineEngine::new(&config);
+        let plan = Plan {
+            fair_ingress: Some(DrrIngress::new(&DrrConfig {
+                classes,
+                queue_capacity: 32,
+                quantum: 1.0,
+                tick: SimDuration::from_millis(20),
+            })),
+            ..Plan::default()
+        };
+        let mut engine = OnlineEngine::new(&config, plan);
         // Every camera is gold: the best-effort class (when configured)
         // stays idle for the whole run.
         for cam in 0..4u8 {
@@ -96,13 +108,7 @@ fn idle_class_credit_is_work_conserved_end_to_end() {
             .with_tenant(&TenantClass::new("gold", GOLD_SLO));
             engine.add_camera_at(SimTime::ZERO, Box::new(source));
         }
-        engine.set_fair_ingress(DrrIngress::new(&DrrConfig {
-            classes,
-            queue_capacity: 32,
-            quantum: 1.0,
-            tick: SimDuration::from_millis(20),
-        }));
-        let report = engine.run();
+        let (report, _) = engine.run();
         let tenants = report.tenant_breakdown();
         tenants
             .iter()

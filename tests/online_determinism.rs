@@ -5,11 +5,13 @@
 //! themselves are bit-for-bit reproducible.
 
 use tangram_core::engine::{EngineConfig, PolicyKind};
-use tangram_core::online::{ArrivalProcess, GeneratedSource, OnlineEngine, TraceReplaySource};
+use tangram_core::online::{
+    ArrivalProcess, GeneratedSource, OnlineEngine, Plan, TraceReplaySource,
+};
 use tangram_core::workload::{CameraTrace, TraceConfig};
 use tangram_sim::rng::DetRng;
 use tangram_types::ids::SceneId;
-use tangram_types::time::SimTime;
+use tangram_types::time::{SimDuration, SimTime};
 
 const ALL_POLICIES: [PolicyKind; 6] = [
     PolicyKind::Tangram,
@@ -38,14 +40,14 @@ fn config(policy: PolicyKind) -> EngineConfig {
 /// Mounts `traces` on an [`OnlineEngine`] exactly as the batch entry
 /// point does: one replay source per trace, staggered 1 ms apart.
 fn run_streamed(cfg: &EngineConfig, traces: &[CameraTrace]) -> tangram_core::RunReport {
-    let mut engine = OnlineEngine::new(cfg);
+    let mut engine = OnlineEngine::new(cfg, Plan::default());
     for (cam, trace) in traces.iter().enumerate() {
         engine.add_camera_at(
-            SimTime::from_micros(cam as u64 * 1_000),
+            SimTime::ZERO + SimDuration::from_millis(cam as u64),
             Box::new(TraceReplaySource::new(trace.clone())),
         );
     }
-    engine.run()
+    engine.run().0
 }
 
 #[test]
@@ -74,10 +76,10 @@ fn streaming_runs_are_reproducible_per_seed() {
                 seed,
                 ..EngineConfig::default()
             };
-            let mut engine = OnlineEngine::new(&cfg);
+            let mut engine = OnlineEngine::new(&cfg, Plan::default());
             for cam in 0..2u64 {
                 engine.add_camera_at(
-                    SimTime::from_micros(cam * 1_000),
+                    SimTime::ZERO + SimDuration::from_millis(cam),
                     Box::new(GeneratedSource::new(
                         &trace,
                         15,
@@ -86,7 +88,7 @@ fn streaming_runs_are_reproducible_per_seed() {
                     )),
                 );
             }
-            engine.run().summarize()
+            engine.run().0.summarize()
         };
         assert_eq!(run(7), run(7), "{}: same seed, same digest", policy.name());
     }

@@ -7,6 +7,7 @@
 //! suite replays the identical inputs on every platform.
 
 use tangram_core::scheduler::{SchedulerConfig, TangramScheduler};
+use tangram_harness::{ScenarioFile, TomlDocument};
 use tangram_infer::ap::{ap50, Detection, FrameEval};
 use tangram_infer::estimator::LatencyEstimator;
 use tangram_infer::latency::InferenceLatencyModel;
@@ -263,14 +264,19 @@ fn baseline(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
+/// JSON's structural alphabet.
+const JSON_GRAMMAR: &[u8] = b"{}[]\",:\\ \n-+.eEu0123456789tfn";
+
+/// The structural alphabet of the scenario files' TOML subset.
+const TOML_GRAMMAR: &[u8] = b"[]\"=#,_\\ \n-+.e0123456789tf";
+
 /// Applies one to four byte-level edits — overwrite, insert, delete,
-/// duplicate a slice, truncate — drawing inserted bytes half from JSON's
-/// own structural alphabet (so edits land on grammar, not only inside
-/// strings) and half from the full byte range (so invalid and multi-byte
-/// UTF-8 appear). Invalid sequences become U+FFFD: the parsers take
-/// `&str`.
-fn mutate(text: &str, rng: &mut DetRng) -> String {
-    const GRAMMAR: &[u8] = b"{}[]\",:\\ \n-+.eEu0123456789tfn";
+/// duplicate a slice, truncate — drawing inserted bytes half from the
+/// format's own structural alphabet `grammar` (so edits land on grammar,
+/// not only inside strings) and half from the full byte range (so
+/// invalid and multi-byte UTF-8 appear). Invalid sequences become
+/// U+FFFD: the parsers take `&str`.
+fn mutate(text: &str, grammar: &[u8], rng: &mut DetRng) -> String {
     let mut bytes = text.as_bytes().to_vec();
     for _ in 0..=rng.index(4) {
         if bytes.is_empty() {
@@ -278,7 +284,7 @@ fn mutate(text: &str, rng: &mut DetRng) -> String {
         }
         let at = rng.index(bytes.len());
         let byte = if rng.chance(0.5) {
-            GRAMMAR[rng.index(GRAMMAR.len())]
+            grammar[rng.index(grammar.len())]
         } else {
             rng.index(256) as u8
         };
@@ -305,7 +311,7 @@ fn json_parse_survives_mutated_bench_documents() {
     let mut accepted = 0u64;
     for case in 0..FUZZ_CASES {
         let mut rng = case_rng("json-fuzz", case);
-        let input = mutate(&seed_doc, &mut rng);
+        let input = mutate(&seed_doc, JSON_GRAMMAR, &mut rng);
         // Must return, never panic; whatever it accepts must render to
         // a fixed point of parse-then-render.
         if let Ok(value) = Json::parse(&input) {
@@ -328,7 +334,7 @@ fn trace_from_line_survives_mutated_golden_lines() {
     let mut accepted = 0u64;
     for case in 0..FUZZ_CASES {
         let mut rng = case_rng("trace-fuzz", case);
-        let input = mutate(lines[rng.index(lines.len())], &mut rng);
+        let input = mutate(lines[rng.index(lines.len())], JSON_GRAMMAR, &mut rng);
         if let Ok(record) = TraceRecord::from_line(&input) {
             accepted += 1;
             let line = record.to_line();
@@ -339,6 +345,34 @@ fn trace_from_line_survives_mutated_golden_lines() {
         }
     }
     assert!(accepted > 0 && accepted < FUZZ_CASES, "{accepted} accepted");
+}
+
+#[test]
+fn toml_readers_survive_mutated_scenario_files() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/config/scenarios");
+    let library = ScenarioFile::load_dir(std::path::Path::new(dir)).expect("library loads");
+    for (path, _) in &library {
+        let seed_doc = std::fs::read_to_string(path).expect("just loaded");
+        let name = path.file_name().and_then(|n| n.to_str()).expect("utf-8");
+        let mut accepted = 0u64;
+        for case in 0..FUZZ_CASES {
+            let mut rng = case_rng(name, case);
+            let input = mutate(&seed_doc, TOML_GRAMMAR, &mut rng);
+            // Both layers must return, never panic; whatever validates
+            // must survive its own canonical form unchanged.
+            let _ = TomlDocument::parse(&input);
+            if let Ok(parsed) = ScenarioFile::parse_str(&input) {
+                accepted += 1;
+                let back = ScenarioFile::parse_str(&parsed.to_toml()).unwrap_or_else(|e| {
+                    panic!("{name} case {case}: to_toml does not reparse: {e}")
+                });
+                assert_eq!(back, parsed, "{name} case {case}");
+            }
+        }
+        // Edits inside comments, strings and numbers often stay valid:
+        // the round-trip arm must actually run.
+        assert!(accepted > 0 && accepted < FUZZ_CASES, "{name}: {accepted}");
+    }
 }
 
 #[test]

@@ -11,7 +11,7 @@
 
 use tangram_core::admission::QueueDepthThreshold;
 use tangram_core::engine::{EngineConfig, PolicyKind};
-use tangram_core::online::{OnlineEngine, TraceReplaySource};
+use tangram_core::online::{OnlineEngine, Plan, TraceReplaySource};
 use tangram_core::workload::{CameraTrace, TraceFrame};
 use tangram_types::geometry::Rect;
 use tangram_types::ids::{CameraId, FrameId, PatchId, SceneId};
@@ -64,13 +64,16 @@ fn queue_depth_signal_counts_tiles_not_arrivals() {
         seed: 11,
         ..EngineConfig::default()
     };
-    let mut engine = OnlineEngine::new(&config);
+    let plan = Plan {
+        admission: Some(Box::new(QueueDepthThreshold::new(5))),
+        ..Plan::default()
+    };
+    let mut engine = OnlineEngine::new(&config, plan);
     engine.add_camera_at(
         SimTime::ZERO,
         Box::new(TraceReplaySource::new(oversized_trace(3))),
     );
-    engine.set_admission_policy(Box::new(QueueDepthThreshold::new(5)));
-    let report = engine.run();
+    let (report, _) = engine.run();
 
     assert_eq!(
         report.dropped_arrivals, 1,
@@ -94,13 +97,16 @@ fn queue_depth_bound_is_exact_in_tile_units() {
         seed: 11,
         ..EngineConfig::default()
     };
-    let mut engine = OnlineEngine::new(&config);
+    let plan = Plan {
+        admission: Some(Box::new(QueueDepthThreshold::new(9))),
+        ..Plan::default()
+    };
+    let mut engine = OnlineEngine::new(&config, plan);
     engine.add_camera_at(
         SimTime::ZERO,
         Box::new(TraceReplaySource::new(oversized_trace(3))),
     );
-    engine.set_admission_policy(Box::new(QueueDepthThreshold::new(9)));
-    let report = engine.run();
+    let (report, _) = engine.run();
 
     assert_eq!(
         report.dropped_arrivals, 0,
