@@ -13,20 +13,19 @@
 //! `--out DIR` (default: current directory — this bin always writes its
 //! report).
 
-use tangram_bench::{ExpOpts, TextTable};
+use tangram_bench::ExpOpts;
 use tangram_harness::presets::{
     motivation_scenes, paper_mark_timeouts_s, smoke_grid, E2E_POLICIES,
 };
-use tangram_harness::{run_grid, SweepGrid, TraceKind, WorkloadSpec};
+use tangram_harness::{run_grid, table, SweepGrid, TraceKind, WorkloadSpec};
 
 fn main() {
     let mut opts = ExpOpts::from_args();
-    let smoke = std::env::args().any(|a| a == "--smoke");
     if opts.out.is_none() {
         opts.out = Some(std::path::PathBuf::from("."));
     }
 
-    let grid = if smoke {
+    let grid = if opts.smoke {
         let mut grid = smoke_grid(opts.seed);
         if let Some(frames) = opts.frames {
             for w in &mut grid.workloads {
@@ -57,24 +56,24 @@ fn main() {
         workers
     );
     let report = run_grid(&grid, workers);
-    opts.maybe_write(&report);
+    let out = &mut std::io::stdout();
+    opts.maybe_write(&report, out);
 
-    let mut table = TextTable::new([
-        "cell", "policy", "bw", "SLO", "patches", "viol %", "cost $", "p99 (s)", "pps",
-    ]);
-    for cell in &report.cells {
+    let rows = report.cells.iter().map(|cell| {
         let m = &cell.metrics;
-        table.row([
-            cell.index.to_string(),
-            m.policy.clone(),
-            format!("{:.0}", cell.bandwidth_mbps),
-            format!("{:.1}", cell.slo_s),
-            m.patches.to_string(),
-            format!("{:.1}", (1.0 - m.slo_attainment) * 100.0),
-            format!("{:.4}", m.cost_usd),
-            format!("{:.3}", m.p99_latency_s),
-            format!("{:.1}", m.throughput_pps),
-        ]);
-    }
-    table.print();
+        format!(
+            "{} | {} | {:.0} | {:.1} | {} | {:.1} | {:.4} | {:.3} | {:.1}",
+            cell.index,
+            m.policy,
+            cell.bandwidth_mbps,
+            cell.slo_s,
+            m.patches,
+            (1.0 - m.slo_attainment) * 100.0,
+            m.cost_usd,
+            m.p99_latency_s,
+            m.throughput_pps
+        )
+    });
+    let headers = "cell | policy | bw | SLO | patches | viol % | cost $ | p99 (s) | pps";
+    table::write(out, headers, rows);
 }

@@ -13,9 +13,9 @@
 //! byte-identical for any worker count), `--seed`, `--frames N` (frame
 //! budget per camera), `--out DIR`.
 
-use tangram_bench::{ExpOpts, TextTable};
+use tangram_bench::ExpOpts;
 use tangram_harness::presets::churn_grid;
-use tangram_harness::run_grid;
+use tangram_harness::{run_grid, table};
 
 fn main() {
     let opts = ExpOpts::from_args();
@@ -33,26 +33,26 @@ fn main() {
     );
 
     let report = run_grid(&grid, workers);
-    opts.maybe_write(&report);
+    let out = &mut std::io::stdout();
+    opts.maybe_write(&report, out);
 
-    let mut table = TextTable::new([
-        "cell", "policy", "bw", "frames", "patches", "viol %", "cost $", "p99 (s)", "pps",
-    ]);
-    for cell in &report.cells {
+    let rows = report.cells.iter().map(|cell| {
         let m = &cell.metrics;
-        table.row([
-            cell.index.to_string(),
-            m.policy.clone(),
-            format!("{:.0}", cell.bandwidth_mbps),
-            m.frames.to_string(),
-            m.patches.to_string(),
-            format!("{:.1}", (1.0 - m.slo_attainment) * 100.0),
-            format!("{:.4}", m.cost_usd),
-            format!("{:.3}", m.p99_latency_s),
-            format!("{:.1}", m.throughput_pps),
-        ]);
-    }
-    table.print();
+        format!(
+            "{} | {} | {:.0} | {} | {} | {:.1} | {:.4} | {:.3} | {:.1}",
+            cell.index,
+            m.policy,
+            cell.bandwidth_mbps,
+            m.frames,
+            m.patches,
+            (1.0 - m.slo_attainment) * 100.0,
+            m.cost_usd,
+            m.p99_latency_s,
+            m.throughput_pps
+        )
+    });
+    let headers = "cell | policy | bw | frames | patches | viol % | cost $ | p99 (s) | pps";
+    table::write(out, headers, rows);
     let cameras = grid.workloads[0].scenes.len() as u64;
     let full_budget = cameras * scenario.frames_per_camera as u64;
     if report.cells.iter().any(|c| c.metrics.frames < full_budget) {

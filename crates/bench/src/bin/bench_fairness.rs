@@ -19,88 +19,55 @@
 //! `--out DIR`; `--smoke` keeps the 2× and 4× ramp points for CI (grid
 //! name `fairness`, gated against `baselines/BENCH_fairness.json`).
 
-use tangram_bench::{ExpOpts, TextTable};
+use tangram_bench::{ramp_fps, ramp_frames, tenant_class, ExpOpts};
 use tangram_harness::presets::{fairness_grid, FAIRNESS_WEIGHTS, TENANT_MIX_SLOS_S};
-use tangram_harness::run_grid;
+use tangram_harness::{run_grid, table};
 
 fn main() {
     let opts = ExpOpts::from_args();
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    // Smoke mode pins the CI-gated grid shape: only an explicit
-    // `--frames` may move it.
-    let frames = if smoke {
-        opts.frames.unwrap_or(48)
-    } else {
-        opts.frame_budget(24, 48)
-    };
-    let grid = fairness_grid(opts.seed, frames, smoke);
+    let grid = fairness_grid(opts.seed, ramp_frames(&opts), opts.smoke);
     let cameras = grid.workloads[0].scenes.len();
     let workers = opts.workers();
+    let ramp = ramp_fps(&grid);
     println!(
         "== bench_fairness: {} cells on {} workers — {} cameras, offered-load ramp {:?} fps/cam, DRR weights {:?} ==\n",
         grid.cell_count(),
         workers,
         cameras,
-        grid.scenarios
-            .iter()
-            .map(|s| match s.arrival {
-                tangram_harness::ArrivalSpec::Poisson { fps } => fps,
-                _ => f64::NAN,
-            })
-            .collect::<Vec<_>>(),
+        ramp,
         FAIRNESS_WEIGHTS,
     );
 
     let report = run_grid(&grid, workers);
-    opts.maybe_write(&report);
+    let out = &mut std::io::stdout();
+    opts.maybe_write(&report, out);
 
     // The weighted-share-vs-offered-load table: one row per ramp point,
     // gold and best-effort admitted shares against the weight targets.
     let [gold_w, be_w] = FAIRNESS_WEIGHTS;
     let gold_target = gold_w / (gold_w + be_w);
-    let mut table = TextTable::new([
-        "offered (fps)",
-        "arrivals",
-        "admitted",
-        "dropped",
-        "gold adm %",
-        "target %",
-        "be adm %",
-        "gold peak q",
-        "attain %",
-        "p99 (s)",
-    ]);
-    for cell in &report.cells {
+    let rows = report.cells.iter().map(|cell| {
         let m = &cell.metrics;
-        let scenario = &grid.scenarios[cell.scenario.unwrap_or(0) as usize];
-        let offered = match scenario.arrival {
-            tangram_harness::ArrivalSpec::Poisson { fps } => fps * cameras as f64,
-            _ => f64::NAN,
-        };
-        let class = |slo_s: f64| {
-            m.tenants
-                .iter()
-                .find(|t| (t.slo_s - slo_s).abs() < 1e-9)
-                .cloned()
-                .unwrap_or_default()
-        };
-        let [gold_slo, be_slo] = TENANT_MIX_SLOS_S;
-        let (gold, be) = (class(gold_slo), class(be_slo));
-        let admitted_total = (gold.admitted + be.admitted).max(1) as f64;
-        table.row([
-            format!("{offered:.0}"),
-            (m.patches + m.dropped_arrivals).to_string(),
-            (gold.admitted + be.admitted).to_string(),
-            m.dropped_arrivals.to_string(),
-            format!("{:.1}", gold.admitted as f64 / admitted_total * 100.0),
-            format!("{:.1}", gold_target * 100.0),
-            format!("{:.1}", be.admitted as f64 / admitted_total * 100.0),
-            gold.peak_queued.to_string(),
-            format!("{:.1}", m.slo_attainment * 100.0),
-            format!("{:.3}", m.p99_latency_s),
-        ]);
-    }
-    table.print();
+        let offered = ramp[cell.scenario.unwrap_or(0) as usize] * cameras as f64;
+        let [gold, be] =
+            TENANT_MIX_SLOS_S.map(|slo_s| tenant_class(m, slo_s).cloned().unwrap_or_default());
+        let admitted = gold.admitted + be.admitted;
+        let share = |class_admitted: u64| class_admitted as f64 / admitted.max(1) as f64 * 100.0;
+        format!(
+            "{offered:.0} | {} | {admitted} | {} | {:.1} | {:.1} | {:.1} | {} | {:.1} | {:.3}",
+            m.patches + m.dropped_arrivals,
+            m.dropped_arrivals,
+            share(gold.admitted),
+            gold_target * 100.0,
+            share(be.admitted),
+            gold.peak_queued,
+            m.slo_attainment * 100.0,
+            m.p99_latency_s
+        )
+    });
+    let headers = "offered (fps) | arrivals | admitted | dropped | gold adm % | target % \
+                   | be adm % | gold peak q | attain % | p99 (s)";
+    table::write(out, headers, rows);
     println!(
         "\nPast the ingress knee the weighted DRR keeps the admitted mix at the configured weights — \
          compare bench_overload, where the SLO shedder's admitted residue collapses toward one class. \

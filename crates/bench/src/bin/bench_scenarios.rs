@@ -25,23 +25,20 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use tangram_bench::{finish_count_gate, ExpOpts, TextTable};
+use tangram_bench::{finish_count_gate, shard_oracle, ExpOpts};
 use tangram_core::report::RunReport;
 use tangram_harness::json::Json;
-use tangram_harness::ScenarioFile;
+use tangram_harness::{table, ScenarioFile};
 
 fn main() -> ExitCode {
     let opts = ExpOpts::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let dir = args
-        .iter()
-        .position(|a| a == "--dir")
-        .and_then(|i| args.get(i + 1))
-        .map_or_else(|| PathBuf::from("config/scenarios"), PathBuf::from);
+    let dir = opts
+        .dir
+        .clone()
+        .unwrap_or_else(|| PathBuf::from("config/scenarios"));
 
-    let shard_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 8] };
-    let mode = if smoke { "smoke" } else { "full" };
+    let shard_counts: &[usize] = if opts.smoke { &[1, 2] } else { &[1, 8] };
+    let mode = if opts.smoke { "smoke" } else { "full" };
 
     let library = match ScenarioFile::load_dir(&dir) {
         Ok(library) => library,
@@ -61,56 +58,33 @@ fn main() -> ExitCode {
     // One oracle run per scenario, in library order.
     let mut rows: Vec<(String, RunReport)> = Vec::new();
     for (path, file) in &library {
-        let (oracle, _) = file.run(false, shard_counts[0]);
-        // Re-run at every other shard count; any divergence is a
-        // correctness bug in the sharded runtime.
-        for &shards in &shard_counts[1..] {
-            let (report, _) = file.run(false, shards);
-            if report.summarize() != oracle.summarize()
-                || report.events_processed != oracle.events_processed
-                || report.frames != oracle.frames
-                || report.frames_muted != oracle.frames_muted
-            {
-                eprintln!(
-                    "DETERMINISM VIOLATION: {} ({}) diverged at {shards} shards",
-                    file.name,
-                    path.display()
-                );
+        match shard_oracle(shard_counts, |shards| file.run(false, shards).0) {
+            Ok(oracle) => rows.push((file.name.clone(), oracle)),
+            Err(shards) => {
+                let (name, path) = (&file.name, path.display());
+                eprintln!("DETERMINISM VIOLATION: {name} ({path}) diverged at {shards} shards");
                 return ExitCode::from(2);
             }
         }
-        rows.push((file.name.clone(), oracle));
     }
 
-    let mut table = TextTable::new([
-        "scenario",
-        "frames",
-        "muted",
-        "patches",
-        "dropped",
-        "viol",
-        "makespan_s",
-    ]);
-    for (name, report) in &rows {
-        let summary = report.summarize();
-        table.row([
-            name.clone(),
-            summary.frames.to_string(),
-            report.frames_muted.to_string(),
-            summary.patches.to_string(),
-            summary.dropped_arrivals.to_string(),
-            summary.violations.to_string(),
-            format!("{:.3}", summary.makespan_s),
-        ]);
-    }
-    table.print();
+    let lines = rows.iter().map(|(name, report)| {
+        let s = report.summarize();
+        format!(
+            "{name} | {} | {} | {} | {} | {} | {:.3}",
+            s.frames,
+            report.frames_muted,
+            s.patches,
+            s.dropped_arrivals,
+            s.violations,
+            s.makespan_s
+        )
+    });
+    let headers = "scenario | frames | muted | patches | dropped | viol | makespan_s";
+    table::write(&mut std::io::stdout(), headers, lines);
     println!("(counts identical at every shard count)");
 
-    finish_count_gate(
-        &render_report(mode, &rows),
-        "scenarios",
-        opts.out.as_deref(),
-    )
+    finish_count_gate(&render_report(mode, &rows), "scenarios", &opts)
 }
 
 /// Builds `BENCH_scenarios.json`: the gated per-scenario `counts` array.

@@ -24,7 +24,7 @@
 
 use std::process::ExitCode;
 
-use tangram_bench::{finish_count_gate, ExpOpts};
+use tangram_bench::{finish_count_gate, shard_oracle, ExpOpts};
 use tangram_harness::json::Json;
 use tangram_harness::presets::{
     city_scale_engine, city_scale_scenario, city_scale_traces, CITY_SCALE_CAMERAS,
@@ -38,7 +38,7 @@ const POOL_FRAMES: usize = 24;
 
 fn main() -> ExitCode {
     let opts = ExpOpts::from_args();
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = opts.smoke;
 
     let mode = if smoke { "smoke" } else { "full" };
     let cameras = if smoke {
@@ -62,23 +62,16 @@ fn main() -> ExitCode {
         run_scenario_sharded(&config, &traces, &scenario, None, None, false, shards, None).0
     };
 
-    // Byte-compare oracle: every shard count must reproduce the
-    // single-shard run exactly. A divergence is a correctness bug in the
-    // sharded runtime.
-    let oracle = run(shard_counts[0]);
-    let summary = oracle.summarize();
-    for &shards in &shard_counts[1..] {
-        let report = run(shards);
-        if report.summarize() != summary
-            || report.events_processed != oracle.events_processed
-            || report.frames != oracle.frames
-        {
+    let oracle = match shard_oracle(shard_counts, run) {
+        Ok(oracle) => oracle,
+        Err(shards) => {
             eprintln!(
                 "DETERMINISM VIOLATION: {shards} shards diverged from the single-shard oracle"
             );
             return ExitCode::from(2);
         }
-    }
+    };
+    let summary = oracle.summarize();
 
     println!(
         "counts: {} frames, {} patches, {} batches, {} dropped, {} events, makespan {:.3}s (identical at every shard count)",
@@ -111,5 +104,5 @@ fn main() -> ExitCode {
         ("name", Json::Str("throughput".to_string())),
         ("counts", counts),
     ]);
-    finish_count_gate(&doc, "throughput", opts.out.as_deref())
+    finish_count_gate(&doc, "throughput", &opts)
 }

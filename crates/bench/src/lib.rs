@@ -1,41 +1,145 @@
-//! Shared experiment utilities for the figure/table binaries.
+//! The paper's reproduction as one table, and the count-gate tail.
 //!
-//! Every table and figure of the paper has a binary in `src/bin/` that
-//! regenerates it. The sweep/parallelism/reporting machinery lives in
-//! [`tangram_harness`] (re-exported here); this library keeps the
-//! accuracy-pipeline helpers that turn extractor output into
-//! [`tangram_infer::accuracy::PresentedObject`]s, and the write-and-gate
-//! tail the count-gate bins (`bench_throughput`, `bench_scenarios`)
-//! share.
+//! Every figure, table and ablation of the paper is a row of
+//! [`repro::ROWS`] — its id, what it reproduces, what it sweeps, the
+//! function that prints it and the claims it must show — driven by the
+//! one `repro` binary (`repro list`, `repro <id> --quick`, `repro all`).
+//! The row bodies live in four modules named after the substrate they
+//! exercise: edge/trace statistics (`edge`), the accuracy pipeline
+//! (`accuracy`), stitching (`stitching`) and the end-to-end grids
+//! (`e2e`). The sweep/parallelism/reporting machinery lives in
+//! [`tangram_harness`]; this library adds only the write-and-gate tail
+//! the count-gate bins (`bench_throughput`, `bench_scenarios`) share.
 //!
 //! # Example
 //!
 //! ```
-//! use tangram_bench::covered_fraction;
-//! use tangram_types::geometry::Rect;
+//! use tangram_bench::repro::ROWS;
 //!
-//! // Half of a 100×100 object lies inside the served region.
-//! let object = Rect::new(0, 0, 100, 100);
-//! let covered = covered_fraction(&object, &[Rect::new(0, 0, 50, 100)]);
-//! assert!((covered - 0.5).abs() < 1e-9);
+//! assert_eq!(ROWS.len(), 17);
+//! assert!(ROWS.iter().any(|row| row.id == "fig12_e2e" && row.paper == "Fig. 12 (§V)"));
 //! ```
 
-pub use tangram_harness::{ExpOpts, TextTable};
+mod accuracy;
+mod e2e;
+mod edge;
+pub mod repro;
+mod stitching;
 
-use std::path::Path;
+pub use tangram_harness::ExpOpts;
+
+use std::io::Write;
 use std::process::ExitCode;
+use tangram_core::report::{RunReport, RunSummary};
+use tangram_core::TenantSummary;
 use tangram_harness::json::Json;
-use tangram_infer::accuracy::PresentedObject;
-use tangram_types::geometry::Rect;
-use tangram_video::generator::FrameTruth;
+use tangram_harness::{parallel_map, ArrivalSpec, ScenarioSpec, SweepGrid};
+use tangram_types::ids::SceneId;
+
+/// `writeln!` onto a row's output; a closed pipe ends the run the way
+/// `println!` would.
+macro_rules! say {
+    ($out:expr, $($arg:tt)*) => {
+        writeln!($out, $($arg)*).expect("experiment output is writable")
+    };
+}
+pub(crate) use say;
+
+/// A section heading, followed by a blank line.
+pub(crate) fn heading(out: &mut dyn Write, title: &str) {
+    say!(out, "== {title} ==\n");
+}
+
+/// Runs `f` once per scene on the harness pool; results come back in
+/// scene order, so output never depends on the worker count.
+pub(crate) fn per_scene<T: Send>(
+    scenes: impl Iterator<Item = SceneId>,
+    opts: &ExpOpts,
+    f: impl Fn(SceneId) -> T + Sync,
+) -> Vec<T> {
+    parallel_map(scenes.collect(), opts.workers(), |_, scene| f(scene))
+}
+
+/// The "ours (paper)" cell: a measured value beside the paper's digitised
+/// one, which is printed for reference and never asserted.
+pub(crate) fn vs_paper(ours: f64, paper: f64, decimals: usize) -> String {
+    format!("{ours:.decimals$} ({paper:.decimals$})")
+}
+
+/// [`vs_paper`] over a row of values, joined as table cells.
+pub(crate) fn paper_cells(ours: &[f64], paper: &[f64], decimals: usize) -> String {
+    let cells = ours
+        .iter()
+        .zip(paper)
+        .map(|(o, p)| vs_paper(*o, *p, decimals));
+    cells.collect::<Vec<_>>().join(" | ")
+}
+
+/// The frame budget of the ramp bins (`bench_overload`,
+/// `bench_fairness`). `--smoke` pins the CI-gated grid shape: only an
+/// explicit `--frames` may move it (`--quick` must not silently desync
+/// the written report from the committed baseline).
+#[must_use]
+pub fn ramp_frames(opts: &ExpOpts) -> usize {
+    if opts.smoke {
+        opts.frames.unwrap_or(48)
+    } else {
+        opts.frame_budget(24, 48)
+    }
+}
+
+/// Mean frames per second per camera of each scenario on a ramp grid.
+#[must_use]
+pub fn ramp_fps(grid: &SweepGrid) -> Vec<f64> {
+    let fps = |s: &ScenarioSpec| match s.arrival {
+        ArrivalSpec::Poisson { fps } => fps,
+        _ => f64::NAN,
+    };
+    grid.scenarios.iter().map(fps).collect()
+}
+
+/// Whether two axis values (SLO, bandwidth, σ multiplier) are the same
+/// grid point.
+pub(crate) fn same(a: f64, b: f64) -> bool {
+    (a - b).abs() < 1e-9
+}
+
+/// One tenant class's digest in a cell, by its SLO.
+#[must_use]
+pub fn tenant_class(metrics: &RunSummary, slo_s: f64) -> Option<&TenantSummary> {
+    metrics.tenants.iter().find(|t| same(t.slo_s, slo_s))
+}
+
+/// Runs once per shard count. Every count must reproduce the first
+/// (single-shard) run exactly — summary, events, frames, muted frames —
+/// or the diverging count is returned: a divergence is a correctness bug
+/// in the sharded runtime.
+///
+/// # Errors
+///
+/// The first shard count whose run differs from the oracle's.
+pub fn shard_oracle(
+    shard_counts: &[usize],
+    run: impl Fn(usize) -> RunReport,
+) -> Result<RunReport, usize> {
+    let oracle = run(shard_counts[0]);
+    for &shards in &shard_counts[1..] {
+        let report = run(shards);
+        let counts = |r: &RunReport| (r.events_processed, r.frames, r.frames_muted);
+        if report.summarize() != oracle.summarize() || counts(&report) != counts(&oracle) {
+            return Err(shards);
+        }
+    }
+    Ok(oracle)
+}
 
 /// The shared tail of a count-gate bin: writes `doc` to
-/// `<out>/BENCH_<name>.json` when `--out` was given, then, when the
-/// command line carries `--gate <baseline.json>`, compares `doc`'s
-/// deterministic `counts` object against the committed baseline's.
+/// `<out>/BENCH_<name>.json` when `--out` was given, then, when
+/// `--gate <baseline.json>` was, compares `doc`'s deterministic `counts`
+/// object against the committed baseline's.
 #[must_use]
-pub fn finish_count_gate(doc: &Json, name: &str, out: Option<&Path>) -> ExitCode {
-    if let Some(dir) = out {
+pub fn finish_count_gate(doc: &Json, name: &str, opts: &ExpOpts) -> ExitCode {
+    if let Some(dir) = &opts.out {
         let path = dir.join(format!("BENCH_{name}.json"));
         match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, doc.render() + "\n"))
         {
@@ -46,15 +150,11 @@ pub fn finish_count_gate(doc: &Json, name: &str, out: Option<&Path>) -> ExitCode
             }
         }
     }
-    let args: Vec<String> = std::env::args().collect();
-    let Some(baseline_path) = args
-        .iter()
-        .position(|a| a == "--gate")
-        .and_then(|i| args.get(i + 1))
-    else {
+    let Some(gate) = &opts.gate else {
         return ExitCode::SUCCESS;
     };
-    let baseline = match std::fs::read_to_string(baseline_path)
+    let baseline_path = gate.display();
+    let baseline = match std::fs::read_to_string(gate)
         .map_err(|err| err.to_string())
         .and_then(|text| Json::parse(&text))
     {
@@ -77,117 +177,5 @@ pub fn finish_count_gate(doc: &Json, name: &str, out: Option<&Path>) -> ExitCode
         eprintln!("--- candidate\n{}", ours.render());
         eprintln!("If the change is intentional, refresh the baseline per docs/PERFORMANCE.md.");
         ExitCode::FAILURE
-    }
-}
-
-/// Fraction of `object` covered by the union of `regions`, computed
-/// exactly via inclusion-exclusion on the clipped pieces (regions rarely
-/// overlap after merging, so the quadratic term is cheap).
-#[must_use]
-pub fn covered_fraction(object: &Rect, regions: &[Rect]) -> f64 {
-    let pieces: Vec<Rect> = regions.iter().filter_map(|r| r.intersect(object)).collect();
-    if pieces.is_empty() {
-        return 0.0;
-    }
-    let mut covered: i64 = pieces.iter().map(|p| p.area() as i64).sum();
-    // Subtract pairwise overlaps (regions overlapping inside the object).
-    for (i, a) in pieces.iter().enumerate() {
-        for b in &pieces[i + 1..] {
-            covered -= a.overlap_area(b) as i64;
-        }
-    }
-    (covered.max(0) as f64 / object.area() as f64).min(1.0)
-}
-
-/// Builds the presented objects for a frame whose pixels reach the model
-/// only inside `regions` (RoIs, patches or mask), presented at native
-/// scale. Objects completely outside the regions are absent.
-#[must_use]
-pub fn present_through_regions(frame: &FrameTruth, regions: &[Rect]) -> Vec<PresentedObject> {
-    frame
-        .objects
-        .iter()
-        .filter_map(|o| {
-            let coverage = covered_fraction(&o.rect, regions);
-            if coverage <= 0.0 {
-                return None;
-            }
-            Some(PresentedObject {
-                track: o.track,
-                true_rect: o.rect,
-                presented_area: o.rect.area() as f64 * coverage,
-                visible_fraction: coverage,
-            })
-        })
-        .collect()
-}
-
-/// Builds the presented objects for a whole frame uniformly rescaled by
-/// `scale` (full-frame and masked-frame baselines; downsizing baselines).
-#[must_use]
-pub fn present_scaled(frame: &FrameTruth, scale: f64) -> Vec<PresentedObject> {
-    frame
-        .objects
-        .iter()
-        .map(|o| PresentedObject::scaled(o.track, o.rect, scale))
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tangram_types::geometry::Size;
-    use tangram_types::ids::{FrameId, SceneId};
-    use tangram_types::time::SimTime;
-    use tangram_video::object::GtObject;
-
-    #[test]
-    fn covered_fraction_full_and_none() {
-        let obj = Rect::new(10, 10, 100, 100);
-        assert_eq!(covered_fraction(&obj, &[Rect::new(0, 0, 200, 200)]), 1.0);
-        assert_eq!(covered_fraction(&obj, &[Rect::new(500, 500, 10, 10)]), 0.0);
-    }
-
-    #[test]
-    fn covered_fraction_partial_union() {
-        let obj = Rect::new(0, 0, 100, 100);
-        // Two disjoint halves cover everything.
-        let halves = [Rect::new(0, 0, 50, 100), Rect::new(50, 0, 50, 100)];
-        assert!((covered_fraction(&obj, &halves) - 1.0).abs() < 1e-12);
-        // Two identical halves cover only half (double counting removed).
-        let dup = [Rect::new(0, 0, 50, 100), Rect::new(0, 0, 50, 100)];
-        assert!((covered_fraction(&obj, &dup) - 0.5).abs() < 1e-12);
-    }
-
-    fn mini_frame() -> FrameTruth {
-        FrameTruth {
-            scene: SceneId::new(1),
-            frame: FrameId::new(0),
-            timestamp: SimTime::ZERO,
-            frame_size: Size::UHD_4K,
-            objects: vec![
-                GtObject::new(1, Rect::new(0, 0, 100, 200)),
-                GtObject::new(2, Rect::new(2000, 1000, 80, 160)),
-            ],
-            raster: None,
-        }
-    }
-
-    #[test]
-    fn present_through_regions_drops_uncovered() {
-        let frame = mini_frame();
-        let regions = [Rect::new(0, 0, 500, 500)];
-        let presented = present_through_regions(&frame, &regions);
-        assert_eq!(presented.len(), 1);
-        assert_eq!(presented[0].track, 1);
-        assert!((presented[0].visible_fraction - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn present_scaled_shrinks_areas() {
-        let frame = mini_frame();
-        let presented = present_scaled(&frame, 0.5);
-        assert_eq!(presented.len(), 2);
-        assert!((presented[0].presented_area - 100.0 * 200.0 * 0.25).abs() < 1e-9);
     }
 }

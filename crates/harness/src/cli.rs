@@ -1,6 +1,7 @@
 //! Options common to all experiment binaries.
 
 use crate::report::BenchReport;
+use std::io::Write;
 use std::path::PathBuf;
 
 /// Options every experiment binary accepts.
@@ -17,15 +18,20 @@ pub struct ExpOpts {
     /// Directory to write `BENCH_<name>.json` reports into (`--out DIR`);
     /// default: don't write.
     pub out: Option<PathBuf>,
-    /// Engine shard-count override (`--shards N`) for streaming-scenario
-    /// runs; default: single-shard (the byte-compare oracle).
-    pub shards: Option<usize>,
+    /// CI-sized mode of the gate bins (`--smoke`).
+    pub smoke: bool,
+    /// Baseline whose `counts` the count-gate bins compare against
+    /// (`--gate FILE`); default: don't gate.
+    pub gate: Option<PathBuf>,
+    /// Scenario directory of `bench_scenarios` (`--dir DIR`); default:
+    /// `config/scenarios`.
+    pub dir: Option<PathBuf>,
 }
 
 impl ExpOpts {
     /// Parses `std::env::args`, exiting with status 2 and the offending
-    /// flag named when a known flag's value is missing or malformed.
-    /// Unknown flags are ignored so wrappers can pass extra context.
+    /// flag named when it is unknown or its value is missing or
+    /// malformed.
     #[must_use]
     pub fn from_args() -> Self {
         Self::parse(std::env::args().skip(1)).unwrap_or_else(|err| {
@@ -39,9 +45,10 @@ impl ExpOpts {
     ///
     /// # Errors
     ///
-    /// Names the flag whose value is missing or does not parse — running
-    /// the defaults instead would write a legitimate-looking report for
-    /// an experiment nobody asked for.
+    /// Names the flag that is unknown or whose value is missing or does
+    /// not parse — running the defaults instead would write a
+    /// legitimate-looking report for an experiment nobody asked for
+    /// (`--quik` must not start the multi-minute full run).
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         fn value<T: std::str::FromStr>(flag: &str, raw: Option<String>) -> Result<T, String> {
             let raw = raw.ok_or_else(|| format!("{flag} needs a value"))?;
@@ -58,10 +65,12 @@ impl ExpOpts {
                 "--seed" => opts.seed = value(&flag, args.next())?,
                 "--frames" => opts.frames = Some(value(&flag, args.next())?),
                 "--workers" => opts.workers = Some(value(&flag, args.next())?),
-                "--shards" => opts.shards = Some(value(&flag, args.next())?),
                 "--out" => opts.out = Some(value(&flag, args.next())?),
+                "--gate" => opts.gate = Some(value(&flag, args.next())?),
+                "--dir" => opts.dir = Some(value(&flag, args.next())?),
                 "--quick" => opts.quick = true,
-                _ => {}
+                "--smoke" => opts.smoke = true,
+                _ => return Err(format!("unknown flag `{flag}`")),
             }
         }
         Ok(opts)
@@ -71,23 +80,18 @@ impl ExpOpts {
     /// mode, else `full_default`.
     #[must_use]
     pub fn frame_budget(&self, quick_default: usize, full_default: usize) -> usize {
-        self.frames.unwrap_or(if self.quick {
+        let default = if self.quick {
             quick_default
         } else {
             full_default
-        })
+        };
+        self.frames.unwrap_or(default)
     }
 
     /// The resolved worker count.
     #[must_use]
     pub fn workers(&self) -> usize {
         crate::pool::resolve_workers(self.workers)
-    }
-
-    /// The resolved engine shard count (default 1).
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards.unwrap_or(1).max(1)
     }
 
     /// Writes the report into `--out` (if given), returning the path.
@@ -108,12 +112,14 @@ impl ExpOpts {
         })
     }
 
-    /// [`ExpOpts::try_write`] for a bin's `main`: prints the path, or
-    /// exits with status 1 — a baseline refresh must not "succeed"
-    /// without refreshing.
-    pub fn maybe_write(&self, report: &BenchReport) {
+    /// [`ExpOpts::try_write`] for a bin's `main`: reports the path on
+    /// `out`, or exits with status 1 — a baseline refresh must not
+    /// "succeed" without refreshing.
+    pub fn maybe_write(&self, report: &BenchReport, out: &mut dyn Write) {
         match self.try_write(report) {
-            Ok(Some(path)) => println!("(wrote {})", path.display()),
+            Ok(Some(path)) => {
+                writeln!(out, "(wrote {})", path.display()).expect("experiment output is writable");
+            }
             Ok(None) => {}
             Err(err) => {
                 eprintln!("error: {err}");
@@ -168,9 +174,22 @@ mod tests {
     }
 
     #[test]
-    fn ignores_unknown_flags() {
-        let o = opts(&["--smoke", "--seed", "9"]);
+    fn unknown_flags_are_errors_naming_the_flag() {
+        for flag in ["--quik", "--shards"] {
+            let err = parse(&["--quick", flag, "2"]).expect_err("unknown flag");
+            assert_eq!(err, format!("unknown flag `{flag}`"));
+        }
+    }
+
+    #[test]
+    fn parses_the_gate_bin_flags() {
+        let o = opts(&["--smoke", "--gate", "f", "--dir", "d", "--seed", "9"]);
+        assert!(o.smoke);
+        assert_eq!(o.gate.as_deref(), Some(std::path::Path::new("f")));
+        assert_eq!(o.dir.as_deref(), Some(std::path::Path::new("d")));
         assert_eq!(o.seed, 9);
+        let o = opts(&[]);
+        assert!(!o.smoke && o.gate.is_none() && o.dir.is_none());
     }
 
     #[test]
@@ -179,7 +198,6 @@ mod tests {
             (&["--seed", "4x2"][..], "--seed"),
             (&["--frames", "ten"], "--frames"),
             (&["--workers", "-1"], "--workers"),
-            (&["--shards", "two"], "--shards"),
             // A flag where a value belongs is not a value.
             (&["--seed", "--quick"], "--seed"),
         ] {
@@ -191,7 +209,14 @@ mod tests {
 
     #[test]
     fn a_trailing_flag_without_its_value_is_an_error() {
-        for flag in ["--out", "--seed", "--frames", "--workers", "--shards"] {
+        for flag in [
+            "--out",
+            "--seed",
+            "--frames",
+            "--workers",
+            "--gate",
+            "--dir",
+        ] {
             let err = parse(&["--quick", flag]).expect_err("missing value");
             assert_eq!(err, format!("{flag} needs a value"));
         }
@@ -212,16 +237,6 @@ mod tests {
             .expect_err("cannot create a directory over a file");
         assert!(err.starts_with("--out "), "{err}");
         assert!(err.contains("BENCH_cli.json"), "{err}");
-    }
-
-    #[test]
-    fn parses_shards() {
-        assert_eq!(opts(&[]).shards(), 1);
-        let o = opts(&["--shards", "8"]);
-        assert_eq!(o.shards, Some(8));
-        assert_eq!(o.shards(), 8);
-        // Zero clamps to the inline oracle.
-        assert_eq!(opts(&["--shards", "0"]).shards(), 1);
     }
 
     #[test]

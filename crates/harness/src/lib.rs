@@ -34,6 +34,9 @@
 //!   describing hard streaming runs — fleet, arrivals, tenants, ingress
 //!   stages and first-class fault windows — validated at load time with
 //!   errors naming the offending line;
+//! * [`present`] — what the cloud model gets to see of a frame
+//!   (presented objects through regions or a rescale), the accuracy
+//!   experiments' one implementation;
 //! * [`cli`] / [`table`] — the experiment binaries' shared flags and
 //!   text-table rendering.
 //!
@@ -61,6 +64,7 @@
 pub mod cli;
 pub mod grid;
 pub mod pool;
+pub mod present;
 pub mod presets;
 pub mod report;
 pub mod runner;
@@ -77,6 +81,5 @@ pub use pool::parallel_map;
 pub use report::{gate, BenchReport, CellReport, GateConfig, SCHEMA_VERSION};
 pub use runner::{bench_report, run_grid, run_grid_full, run_scenario_sharded, CellOutcome};
 pub use scenario_file::{RunSpec, ScenarioFile};
-pub use table::TextTable;
 pub use tangram_types::json;
 pub use toml::{TomlDocument, TomlError, TomlValue};

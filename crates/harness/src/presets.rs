@@ -13,7 +13,6 @@ use tangram_core::engine::{EngineConfig, PolicyKind};
 use tangram_core::workload::{CameraTrace, TraceConfig};
 use tangram_sim::rng::DetRng;
 use tangram_types::ids::{CameraId, SceneId};
-use tangram_types::time::SimDuration;
 use tangram_video::generator::{SceneSimulation, VideoConfig};
 use tangram_vision::detector::DetectorProxy;
 use tangram_vision::extractor::{FlowExtractor, GmmExtractor, ProxyExtractor, RoiExtractor};
@@ -471,29 +470,6 @@ impl SceneRig {
             extractor: boxed,
         }
     }
-}
-
-/// The per-scene frame budget the bandwidth/cost tables use: an explicit
-/// `--frames` override, a small fixed budget in quick mode, else the
-/// scene's evaluation split.
-#[must_use]
-pub fn scene_eval_frames(
-    frames_override: Option<usize>,
-    quick: bool,
-    quick_default: usize,
-    eval_frames: u32,
-) -> usize {
-    frames_override.unwrap_or(if quick {
-        quick_default
-    } else {
-        eval_frames as usize
-    })
-}
-
-/// Convenience: `SimDuration` from a float SLO axis value.
-#[must_use]
-pub fn slo(seconds: f64) -> SimDuration {
-    SimDuration::from_secs_f64(seconds)
 }
 
 #[cfg(test)]

@@ -1,63 +1,55 @@
 //! Aligned text-table rendering for the experiment binaries.
+//!
+//! A table is written the way it prints: the header line and each row
+//! are one string with cells separated by `|`.
 
-/// A fixed-width text table.
-#[derive(Debug, Default)]
-pub struct TextTable {
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
+use std::io::Write;
+
+/// Renders `rows` under `headers` with aligned columns.
+///
+/// ```
+/// let rows = ["scene_01 | 1.0", "s2 | 22.5"].map(String::from);
+/// let text = tangram_harness::table::render("scene | value", rows);
+/// assert_eq!(text, "scene     value\n---------------\nscene_01  1.0\ns2        22.5\n");
+/// ```
+#[must_use]
+pub fn render(headers: &str, rows: impl IntoIterator<Item = String>) -> String {
+    let cells = |line: &str| -> Vec<String> {
+        line.split('|')
+            .map(|cell| cell.trim().to_string())
+            .collect()
+    };
+    let headers = cells(headers);
+    let rows: Vec<Vec<String>> = rows.into_iter().map(|row| cells(&row)).collect();
+    let mut widths: Vec<usize> = headers.iter().map(String::len).collect();
+    for row in &rows {
+        assert!(row.len() <= widths.len(), "a row wider than its header");
+        for (width, cell) in widths.iter_mut().zip(row) {
+            *width = (*width).max(cell.len());
+        }
+    }
+    let line = |cells: &[String]| -> String {
+        let padded: Vec<String> = cells
+            .iter()
+            .zip(&widths)
+            .map(|(cell, &width)| format!("{cell:<width$}"))
+            .collect();
+        padded.join("  ").trim_end().to_string() + "\n"
+    };
+    let rule = "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1));
+    let body: String = rows.iter().map(|row| line(row)).collect();
+    line(&headers) + &rule + "\n" + &body
 }
 
-impl TextTable {
-    /// Creates a table with the given column headers.
-    #[must_use]
-    pub fn new<S: Into<String>, I: IntoIterator<Item = S>>(headers: I) -> Self {
-        Self {
-            headers: headers.into_iter().map(Into::into).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Adds a row (cells are stringified by the caller).
-    pub fn row<S: Into<String>, I: IntoIterator<Item = S>>(&mut self, cells: I) {
-        self.rows.push(cells.into_iter().map(Into::into).collect());
-    }
-
-    /// Renders the table with aligned columns.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let columns = self.headers.len();
-        let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
-        for row in &self.rows {
-            for (i, cell) in row.iter().enumerate().take(columns) {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            let mut line = String::new();
-            for (i, cell) in cells.iter().enumerate() {
-                if i > 0 {
-                    line.push_str("  ");
-                }
-                line.push_str(&format!("{cell:<width$}", width = widths[i]));
-            }
-            line.trim_end().to_string()
-        };
-        out.push_str(&fmt_row(&self.headers, &widths));
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (columns - 1)));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Prints the table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
+/// [`render`]s a table onto `out`.
+///
+/// # Panics
+///
+/// When `out` cannot be written, the way `println!` would.
+pub fn write(out: &mut dyn Write, headers: &str, rows: impl IntoIterator<Item = String>) {
+    let text = render(headers, rows);
+    out.write_all(text.as_bytes())
+        .expect("experiment output is writable");
 }
 
 #[cfg(test)]
@@ -66,10 +58,8 @@ mod tests {
 
     #[test]
     fn table_renders_aligned() {
-        let mut t = TextTable::new(["scene", "value"]);
-        t.row(["scene_01", "1.0"]);
-        t.row(["s2", "22.5"]);
-        let r = t.render();
+        let rows = ["scene_01 | 1.0", "s2|22.5"].map(String::from);
+        let r = render("scene | value", rows);
         assert!(r.contains("scene_01  1.0"));
         assert!(r.lines().count() == 4);
     }

@@ -8,7 +8,8 @@
 //!
 //! Run with: `cargo run --release --example campus_surveillance`
 
-use tangram_infer::accuracy::{DetectionSimulator, PresentedObject, ResolutionProfile};
+use tangram_harness::present::present_through_regions;
+use tangram_infer::accuracy::{DetectionSimulator, ResolutionProfile};
 use tangram_infer::ap::{ap50, FrameEval};
 use tangram_partition::algorithm::{partition, PartitionConfig};
 use tangram_sim::rng::DetRng;
@@ -58,24 +59,7 @@ fn main() {
             let patches = partition(frame.frame_size, *grid, &rois);
             stats[gi].0 += codec.patches_bytes(patches.iter()).get();
             stats[gi].1 += patches.len();
-            let presented: Vec<PresentedObject> = frame
-                .objects
-                .iter()
-                .filter_map(|o| {
-                    let covered: u64 = patches
-                        .iter()
-                        .filter_map(|p| p.intersect(&o.rect))
-                        .map(|r| r.area())
-                        .sum();
-                    let c = (covered as f64 / o.rect.area() as f64).min(1.0);
-                    (c > 0.0).then_some(PresentedObject {
-                        track: o.track,
-                        true_rect: o.rect,
-                        presented_area: o.rect.area() as f64 * c,
-                        visible_fraction: c,
-                    })
-                })
-                .collect();
+            let presented = present_through_regions(&frame, &patches);
             let mpx = patches.iter().map(|p| p.area() as f64).sum::<f64>() / 1.0e6;
             let dets = simulator.detect(&presented, mpx, profile.full_frame_ap, bounds, &mut rng);
             stats[gi].2.push(FrameEval::new(frame.object_rects(), dets));

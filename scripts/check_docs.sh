@@ -21,18 +21,38 @@ for doc in README.md docs/*.md; do
   done
 done
 
-# Every backtick-quoted bench-bin-looking name (figN_*, tableN_*,
-# ablation_*, bench_*) must exist too — these are how the docs' tables
-# name binaries outside full cargo commands.
+# Every backtick-quoted bench-bin-looking name (bench_*) must exist too
+# — these are how the docs' tables name binaries outside full cargo
+# commands.
 for doc in README.md docs/*.md; do
-  for bin in $(grep -oE '`(fig[0-9]+|table[0-9]+|ablation|bench)_[a-z0-9_]+`' "$doc" \
-               | tr -d '`' | sort -u); do
+  for bin in $(grep -oE '`bench_[a-z0-9_]+`' "$doc" | tr -d '`' | sort -u); do
     case "$bin" in
       # Non-binary artifacts that share the prefix.
       bench_report) continue ;;
     esac
     if ! ls crates/*/src/bin/"$bin".rs >/dev/null 2>&1; then
       echo "ERROR: $doc references missing binary '$bin'"
+      status=1
+    fi
+  done
+done
+
+# Every backtick-quoted experiment id (figN_*, tableN_*, ablation_*)
+# must be a row of the reproduction table. The ids are read from the
+# generated block of docs/EXPERIMENTS.md, which a crates/bench unit test
+# holds byte-equal to `repro docs` — so this follows the table without
+# building anything.
+experiments=$(sed -n '/<!-- repro-docs:begin -->/,/<!-- repro-docs:end -->/p' \
+              docs/EXPERIMENTS.md | grep -oE '^\| `[a-z0-9_]+`' | tr -d '|` ')
+if [ -z "$experiments" ]; then
+  echo "ERROR: docs/EXPERIMENTS.md has no repro-docs block (regenerate with 'repro docs')"
+  status=1
+fi
+for doc in README.md docs/*.md; do
+  for id in $(grep -oE '`(fig[0-9]+|table[0-9]+|ablation)_[a-z0-9_]+`' "$doc" \
+              | tr -d '`' | sort -u); do
+    if ! grep -qxF "$id" <<<"$experiments"; then
+      echo "ERROR: $doc references '$id', which is not a 'repro list' experiment"
       status=1
     fi
   done
@@ -78,12 +98,12 @@ lint_src=crates/lint/src/lib.rs
 table=$(sed -n '/<!-- lint-rule-table:begin -->/,/<!-- lint-rule-table:end -->/p' \
         docs/ARCHITECTURE.md)
 for id in $(grep -oE 'id: "[a-z-]+"' "$lint_src" | cut -d'"' -f2 | sort -u); do
-  if ! printf '%s\n' "$table" | grep -qE "^\| \`$id\`"; then
+  if ! grep -qE "^\| \`$id\`" <<<"$table"; then
     echo "ERROR: lint rule '$id' has no row in docs/ARCHITECTURE.md's rule table"
     status=1
   fi
 done
-for id in $(printf '%s\n' "$table" | grep -oE '^\| `[a-z-]+`' | tr -d '|` ' | sort -u); do
+for id in $(grep -oE '^\| `[a-z-]+`' <<<"$table" | tr -d '|` ' | sort -u); do
   if ! grep -qE "id: \"$id\"" "$lint_src"; then
     echo "ERROR: docs/ARCHITECTURE.md documents unknown lint rule '$id'"
     status=1

@@ -2,41 +2,17 @@
 //! → presentation → detection → AP, the path behind Tables III/IV and
 //! Figs. 2a/4b.
 
+use tangram_harness::present::present_through_regions;
 use tangram_infer::accuracy::{DetectionSimulator, PresentedObject, ResolutionProfile};
 use tangram_infer::ap::{ap50, FrameEval};
 use tangram_partition::algorithm::{partition, PartitionConfig};
 use tangram_sim::rng::DetRng;
 use tangram_types::geometry::Rect;
 use tangram_types::ids::SceneId;
-use tangram_video::generator::{FrameTruth, SceneSimulation, VideoConfig};
+use tangram_video::generator::{SceneSimulation, VideoConfig};
 use tangram_video::scene::SceneProfile;
 use tangram_vision::detector::DetectorProxy;
 use tangram_vision::extractor::{ProxyExtractor, RoiExtractor};
-
-fn covered_fraction(object: &Rect, regions: &[Rect]) -> f64 {
-    let covered: u64 = regions
-        .iter()
-        .filter_map(|r| r.intersect(object))
-        .map(|p| p.area())
-        .sum();
-    (covered as f64 / object.area() as f64).min(1.0)
-}
-
-fn present(frame: &FrameTruth, regions: &[Rect]) -> Vec<PresentedObject> {
-    frame
-        .objects
-        .iter()
-        .filter_map(|o| {
-            let c = covered_fraction(&o.rect, regions);
-            (c > 0.0).then(|| PresentedObject {
-                track: o.track,
-                true_rect: o.rect,
-                presented_area: o.rect.area() as f64 * c,
-                visible_fraction: c,
-            })
-        })
-        .collect()
-}
 
 fn scene_aps(scene: SceneId, frames: usize, seed: u64) -> (f64, f64) {
     let profile = SceneProfile::panda(scene);
@@ -66,7 +42,7 @@ fn scene_aps(scene: SceneId, frames: usize, seed: u64) -> (f64, f64) {
 
         let rois = extractor.extract(&frame);
         let patches = partition(frame.frame_size, PartitionConfig::default(), &rois);
-        let presented = present(&frame, &patches);
+        let presented = present_through_regions(&frame, &patches);
         let mpx = patches.iter().map(|p| p.area() as f64).sum::<f64>() / 1.0e6;
         let dets = simulator.detect(&presented, mpx, profile.full_frame_ap, bounds, &mut rng);
         part_evals.push(FrameEval::new(truths, dets));
@@ -160,7 +136,7 @@ fn stitched_presentation_beats_downsized_presentation() {
         let coverage =
             patches.iter().map(|p| p.area() as f64).sum::<f64>() / frame.frame_size.area() as f64;
         // Native-scale patches.
-        let presented = present(&frame, &patches);
+        let presented = present_through_regions(&frame, &patches);
         let dets = simulator.detect(
             &presented,
             frame.frame_size.megapixels() * coverage,
