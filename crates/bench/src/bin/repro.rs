@@ -1,4 +1,5 @@
-//! `repro` — the one way to reproduce the paper's figures and tables.
+//! `repro` — the one way to reproduce the paper's figures and tables, and
+//! to run the streaming runtime's own experiments (the `ext_*` rows).
 //!
 //! * `repro list` — the experiment ids, one per line;
 //! * `repro <id> [flags]` — runs one row of [`tangram_bench::repro::ROWS`]:

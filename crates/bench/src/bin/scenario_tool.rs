@@ -2,22 +2,22 @@
 //!
 //! The CI lints job runs `scenario_tool check` so a malformed scenario
 //! file fails the build at lint time, with the loader's own
-//! `path:line: message` diagnostics — long before the perf-smoke job
+//! `path:line: message` diagnostics — long before `baselines check`
 //! would try to run it.
 //!
 //! Subcommands:
 //!
 //! * `check [DIR]` — load and validate every `*.toml` under `DIR`
-//!   (default `config/scenarios`). Beyond the loader's validation this
-//!   also rejects duplicate scenario names across files and any file
-//!   whose canonical form (`ScenarioFile::to_toml`) fails to round-trip
-//!   — the property `tests/scenario_format.rs` holds the library to.
+//!   (default `config/scenarios`). Beyond the loader's validation
+//!   (which includes duplicate scenario names across files) this also
+//!   rejects any file whose canonical form (`ScenarioFile::to_toml`)
+//!   fails to round-trip — the property `tests/scenario_format.rs`
+//!   holds the library to.
 //! * `render FILE` — print one file's canonical TOML form (stable key
 //!   order), for normalizing a hand-edited scenario.
 //! * `list [DIR]` — one line per scenario: name, camera count, arrival
 //!   kind, fault kinds.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -56,19 +56,8 @@ fn check(dir: &Path) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut names: BTreeMap<&str, &Path> = BTreeMap::new();
     let mut failures = 0usize;
     for (path, file) in &library {
-        if let Some(first) = names.insert(&file.name, path) {
-            eprintln!(
-                "{}: duplicate scenario name `{}` (also {})",
-                path.display(),
-                file.name,
-                first.display()
-            );
-            failures += 1;
-            continue;
-        }
         // The canonical form must parse back to the same scenario; a
         // failure here means the writer and parser have drifted apart.
         match ScenarioFile::parse_str(&file.to_toml()) {

@@ -1,51 +1,35 @@
-//! Golden-trace workbench: capture, inspect, and verify the runtime
-//! event traces (`tangram_trace` JSONL) the CI gate replays.
+//! Golden-trace workbench: inspect and verify the runtime event traces
+//! (`tangram_trace` JSONL) that `baselines check` regenerates.
 //!
 //! ```text
-//! trace_tool capture <smoke|overload> [--out DIR] [--workers N] [--seed N]
 //! trace_tool stats   <trace.jsonl>
 //! trace_tool filter  <trace.jsonl> --kind KIND
 //! trace_tool tail    <trace.jsonl> [-n N]
 //! trace_tool verify  <trace.jsonl>
 //! ```
 //!
-//! `capture` runs the named single-cell golden grid
-//! ([`tangram_harness::presets::golden_trace_grid`]) with trace capture
-//! on and writes `TRACE_<which>.jsonl` — byte-identical for any
-//! `--workers` count, so the checked-in goldens under `baselines/` can
-//! be compared with `cmp`. `stats` prints per-kind event counts and the
-//! chain's final hash; `filter` prints records of one event kind;
-//! `tail` the last N records; `verify` re-derives the hash chain and
-//! sequence/time monotonicity. Exit status 0 on success, 1 when
-//! verification fails, 2 on usage/IO errors.
+//! `stats` prints per-kind event counts and the chain's final hash;
+//! `filter` prints records of one event kind; `tail` the last N records;
+//! `verify` re-derives the hash chain and sequence/time monotonicity.
+//! Exit status 0 on success, 1 when verification fails, 2 on usage/IO
+//! errors — an unknown event kind or flag is a usage error, never an
+//! empty answer.
 
-use std::path::PathBuf;
-
-use tangram_harness::presets::golden_trace_grid;
-use tangram_harness::run_grid_full;
-use tangram_trace::TraceLog;
+use tangram_trace::{TraceEvent, TraceLog};
 
 fn load(path: &str) -> TraceLog {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("trace_tool: cannot read {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    match TraceLog::from_jsonl(&text) {
-        Ok(log) => log,
-        Err(e) => {
-            eprintln!("trace_tool: {path}: {e}");
-            std::process::exit(2);
-        }
-    }
+    let read = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
+    let log = read.and_then(|text| TraceLog::from_jsonl(&text).map_err(|e| format!("{path}: {e}")));
+    log.unwrap_or_else(|err| {
+        eprintln!("trace_tool: {err}");
+        std::process::exit(2);
+    })
 }
 
-fn usage() -> ! {
+fn usage(problem: &str) -> ! {
     eprintln!(
-        "usage: trace_tool capture <smoke|overload> [--out DIR] [--workers N] [--seed N]\n\
-         \x20      trace_tool stats  <trace.jsonl>\n\
+        "trace_tool: {problem}\n\
+         usage: trace_tool stats  <trace.jsonl>\n\
          \x20      trace_tool filter <trace.jsonl> --kind KIND\n\
          \x20      trace_tool tail   <trace.jsonl> [-n N]\n\
          \x20      trace_tool verify <trace.jsonl>"
@@ -53,66 +37,16 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn capture(args: &[String]) {
-    let Some(which) = args.first() else { usage() };
-    let seed = flag_value(args, "--seed").map_or(42, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("trace_tool: --seed needs an integer");
-            std::process::exit(2);
-        })
-    });
-    let workers = flag_value(args, "--workers").map_or_else(
-        || {
-            std::thread::available_parallelism()
-                .map(std::num::NonZero::get)
-                .unwrap_or(1)
-        },
-        |v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("trace_tool: --workers needs an integer");
-                std::process::exit(2);
-            })
-        },
-    );
-    let Some(grid) = golden_trace_grid(which, seed) else {
-        eprintln!("trace_tool: unknown golden cell '{which}' (want smoke|overload)");
-        std::process::exit(2);
-    };
-    let outcomes = run_grid_full(&grid, workers.max(1));
-    let [outcome] = &outcomes[..] else {
-        eprintln!(
-            "trace_tool: golden grid '{}' ran {} cells, expected exactly 1",
-            grid.name,
-            outcomes.len()
-        );
-        std::process::exit(2);
-    };
-    let Some(trace) = &outcome.trace else {
-        eprintln!("trace_tool: golden cell produced no trace (capture flag lost?)");
-        std::process::exit(2);
-    };
-    let dir = flag_value(args, "--out").map_or_else(|| PathBuf::from("."), PathBuf::from);
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("trace_tool: cannot create {}: {e}", dir.display());
-        std::process::exit(2);
+/// The value of the one flag a subcommand takes, if given; any other
+/// argument is a usage error naming it.
+fn only_flag<'a>(rest: &'a [String], flag: &str) -> Option<&'a str> {
+    match rest {
+        [] => None,
+        [given, value] if given == flag => Some(value),
+        [given] if given == flag => usage(&format!("{flag} needs a value")),
+        [given, _, other, ..] if given == flag => usage(&format!("unknown argument `{other}`")),
+        [other, ..] => usage(&format!("unknown argument `{other}`")),
     }
-    let path = dir.join(format!("TRACE_{which}.jsonl"));
-    if let Err(e) = std::fs::write(&path, trace.to_jsonl()) {
-        eprintln!("trace_tool: cannot write {}: {e}", path.display());
-        std::process::exit(2);
-    }
-    println!(
-        "trace_tool: wrote {} — {} events, final hash {:016x}",
-        path.display(),
-        trace.records.len(),
-        trace.final_hash()
-    );
 }
 
 fn stats(path: &str) {
@@ -133,30 +67,31 @@ fn stats(path: &str) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else { usage() };
+    let [command, path, rest @ ..] = &args[..] else {
+        usage("expected a subcommand and a trace file")
+    };
     match command.as_str() {
-        "capture" => capture(&args[1..]),
-        "stats" => match args.get(1) {
-            Some(path) => stats(path),
-            None => usage(),
-        },
+        "stats" | "verify" if !rest.is_empty() => {
+            usage(&format!("unknown argument `{}`", rest[0]));
+        }
+        "stats" => stats(path),
         "filter" => {
-            let Some(path) = args.get(1) else { usage() };
-            let Some(kind) = flag_value(&args[2..], "--kind") else {
-                usage()
+            let Some(kind) = only_flag(rest, "--kind") else {
+                usage("filter needs --kind KIND")
             };
+            if !TraceEvent::KINDS.contains(&kind) {
+                let kinds = TraceEvent::KINDS.join(" ");
+                usage(&format!("unknown event kind `{kind}` (kinds: {kinds})"));
+            }
             let log = load(path);
             for record in log.records.iter().filter(|r| r.event.kind() == kind) {
                 println!("{}", record.to_line());
             }
         }
         "tail" => {
-            let Some(path) = args.get(1) else { usage() };
-            let n = flag_value(&args[2..], "-n").map_or(10, |v| {
-                v.parse().unwrap_or_else(|_| {
-                    eprintln!("trace_tool: -n needs an integer");
-                    std::process::exit(2);
-                })
+            let n = only_flag(rest, "-n").map_or(10, |v| {
+                v.parse()
+                    .unwrap_or_else(|_| usage(&format!("-n: cannot parse `{v}`")))
             });
             let log = load(path);
             let skip = log.records.len().saturating_sub(n);
@@ -165,7 +100,6 @@ fn main() {
             }
         }
         "verify" => {
-            let Some(path) = args.get(1) else { usage() };
             let log = load(path);
             match log.verify() {
                 Ok(()) => println!(
@@ -179,6 +113,6 @@ fn main() {
                 }
             }
         }
-        _ => usage(),
+        other => usage(&format!("unknown subcommand `{other}`")),
     }
 }

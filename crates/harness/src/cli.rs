@@ -18,28 +18,9 @@ pub struct ExpOpts {
     /// Directory to write `BENCH_<name>.json` reports into (`--out DIR`);
     /// default: don't write.
     pub out: Option<PathBuf>,
-    /// CI-sized mode of the gate bins (`--smoke`).
-    pub smoke: bool,
-    /// Baseline whose `counts` the count-gate bins compare against
-    /// (`--gate FILE`); default: don't gate.
-    pub gate: Option<PathBuf>,
-    /// Scenario directory of `bench_scenarios` (`--dir DIR`); default:
-    /// `config/scenarios`.
-    pub dir: Option<PathBuf>,
 }
 
 impl ExpOpts {
-    /// Parses `std::env::args`, exiting with status 2 and the offending
-    /// flag named when it is unknown or its value is missing or
-    /// malformed.
-    #[must_use]
-    pub fn from_args() -> Self {
-        Self::parse(std::env::args().skip(1)).unwrap_or_else(|err| {
-            eprintln!("error: {err}");
-            std::process::exit(2);
-        })
-    }
-
     /// Parses the given arguments (first element is the first flag, not
     /// the program name).
     ///
@@ -48,7 +29,8 @@ impl ExpOpts {
     /// Names the flag that is unknown or whose value is missing or does
     /// not parse — running the defaults instead would write a
     /// legitimate-looking report for an experiment nobody asked for
-    /// (`--quik` must not start the multi-minute full run).
+    /// (`--quik` must not start the multi-minute full run); the bins
+    /// print it and exit 2.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         fn value<T: std::str::FromStr>(flag: &str, raw: Option<String>) -> Result<T, String> {
             let raw = raw.ok_or_else(|| format!("{flag} needs a value"))?;
@@ -66,10 +48,7 @@ impl ExpOpts {
                 "--frames" => opts.frames = Some(value(&flag, args.next())?),
                 "--workers" => opts.workers = Some(value(&flag, args.next())?),
                 "--out" => opts.out = Some(value(&flag, args.next())?),
-                "--gate" => opts.gate = Some(value(&flag, args.next())?),
-                "--dir" => opts.dir = Some(value(&flag, args.next())?),
                 "--quick" => opts.quick = true,
-                "--smoke" => opts.smoke = true,
                 _ => return Err(format!("unknown flag `{flag}`")),
             }
         }
@@ -182,17 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_the_gate_bin_flags() {
-        let o = opts(&["--smoke", "--gate", "f", "--dir", "d", "--seed", "9"]);
-        assert!(o.smoke);
-        assert_eq!(o.gate.as_deref(), Some(std::path::Path::new("f")));
-        assert_eq!(o.dir.as_deref(), Some(std::path::Path::new("d")));
-        assert_eq!(o.seed, 9);
-        let o = opts(&[]);
-        assert!(!o.smoke && o.gate.is_none() && o.dir.is_none());
-    }
-
-    #[test]
     fn malformed_values_name_their_flag() {
         for (args, flag) in [
             (&["--seed", "4x2"][..], "--seed"),
@@ -209,14 +177,7 @@ mod tests {
 
     #[test]
     fn a_trailing_flag_without_its_value_is_an_error() {
-        for flag in [
-            "--out",
-            "--seed",
-            "--frames",
-            "--workers",
-            "--gate",
-            "--dir",
-        ] {
+        for flag in ["--out", "--seed", "--frames", "--workers"] {
             let err = parse(&["--quick", flag]).expect_err("missing value");
             assert_eq!(err, format!("{flag} needs a value"));
         }

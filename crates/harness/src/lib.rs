@@ -20,8 +20,7 @@
 //!   cells fanned out, results reassembled; parallel output is
 //!   bit-for-bit identical to `--workers 1`;
 //! * [`report`] — the versioned [`report::BenchReport`] written as
-//!   `BENCH_<name>.json`, plus the [`report::gate`] CI comparison
-//!   against a checked-in baseline;
+//!   `BENCH_<name>.json`;
 //! * [`presets`] — the shared experiment setup (paper sweep constants,
 //!   trace and engine constructors, warmed extractor rigs) the bins used
 //!   to copy-paste;
@@ -78,7 +77,7 @@ pub use grid::{
     WorkloadSpec,
 };
 pub use pool::parallel_map;
-pub use report::{gate, BenchReport, CellReport, GateConfig, SCHEMA_VERSION};
+pub use report::{BenchReport, CellReport, SCHEMA_VERSION};
 pub use runner::{bench_report, run_grid, run_grid_full, run_scenario_sharded, CellOutcome};
 pub use scenario_file::{RunSpec, ScenarioFile};
 pub use tangram_types::json;

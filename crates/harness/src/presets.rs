@@ -140,7 +140,7 @@ pub fn churn_scenario(fps: f64, frames_per_camera: usize) -> ScenarioSpec {
     }
 }
 
-/// The churny multi-tenant streaming grid (the `bench_churn` bin): four
+/// The churny multi-tenant streaming grid (the `ext_churn` row): four
 /// cameras share one uplink, arrive open-loop (Poisson), join staggered
 /// and leave before their frame budget runs out, and alternate between a
 /// tight "gold" SLO and a lax best-effort one. Swept over the four
@@ -174,21 +174,7 @@ pub fn churn_grid(seed: u64, frames_per_camera: usize) -> SweepGrid {
 /// cameras share the uplink, so the top rate is a sustained overload).
 pub const OVERLOAD_RAMP_FPS: [f64; 4] = [3.0, 6.0, 12.0, 24.0];
 
-/// The admission axis of the overload sweep: the open door (drops
-/// nothing, attainment collapses past capacity) against the SLO-aware
-/// shedder (sheds best-effort first, keeps gold's attainment).
-#[must_use]
-pub fn overload_admission_axis() -> Vec<AdmissionSpec> {
-    vec![
-        AdmissionSpec::Always,
-        AdmissionSpec::SloShedder {
-            per_item_s: 0.02,
-            pressure: 0.5,
-        },
-    ]
-}
-
-/// The overload grid (the `bench_overload` bin): Tangram under a ramp of
+/// The overload grid (the `ext_overload` row): Tangram under a ramp of
 /// Poisson rates crossing backend capacity, × the admission axis — the
 /// paper-style "attainment vs offered load" experiment. Four cameras
 /// with the gold/best-effort tenant mix; `smoke` keeps two ramp points
@@ -215,45 +201,47 @@ pub fn overload_grid(seed: u64, frames_per_camera: usize, smoke: bool) -> SweepG
         .iter()
         .map(|&fps| churn_scenario(fps, frames_per_camera))
         .collect();
-    grid.admission = overload_admission_axis();
+    // The open door (drops nothing, attainment collapses past capacity)
+    // against the SLO-aware shedder.
+    let shedder = AdmissionSpec::SloShedder {
+        per_item_s: 0.02,
+        pressure: 0.5,
+    };
+    grid.admission = vec![AdmissionSpec::Always, shedder];
     grid
 }
 
-/// The single-cell golden-trace grids the CI gate replays (the
-/// `trace_tool capture` subcommand): one smoke cell (Tangram at
-/// 20 Mbps over the first proxy scene — cell 0 of [`smoke_grid`]) and
-/// one overload cell (the 24 fps ramp point under the SLO shedder —
-/// the admission-heavy cell of [`overload_grid`]). Both restrict an
-/// existing preset to one cell, so the golden trace is byte-identical
-/// to that cell's trace in the full sweep, and both set
-/// [`SweepGrid::capture_traces`].
-///
-/// `which` is `"smoke"` or `"overload"`; anything else returns `None`.
+/// The seed every committed file under `baselines/` is generated at.
+pub const BASELINE_SEED: u64 = 42;
+
+/// The golden smoke trace cell (`baselines/TRACE_smoke.jsonl`): Tangram
+/// at 20 Mbps over the first proxy scene — cell 0 of [`smoke_grid`],
+/// restricted to that one cell so the trace is byte-identical to the
+/// cell's trace in the full sweep — with [`SweepGrid::capture_traces`]
+/// on.
 #[must_use]
-pub fn golden_trace_grid(which: &str, seed: u64) -> Option<SweepGrid> {
-    let mut grid = match which {
-        "smoke" => {
-            let mut grid = smoke_grid(seed);
-            grid.name = "trace_smoke".to_string();
-            grid.policies = vec![PolicyKind::Tangram];
-            grid.bandwidths_mbps = vec![20.0];
-            grid.workloads.truncate(1);
-            grid
-        }
-        "overload" => {
-            let mut grid = overload_grid(seed, 12, true);
-            grid.name = "trace_overload".to_string();
-            grid.scenarios = vec![churn_scenario(OVERLOAD_RAMP_FPS[3], 12)];
-            grid.admission = vec![AdmissionSpec::SloShedder {
-                per_item_s: 0.02,
-                pressure: 0.5,
-            }];
-            grid
-        }
-        _ => return None,
-    };
+pub fn trace_smoke_grid() -> SweepGrid {
+    let mut grid = smoke_grid(BASELINE_SEED);
+    grid.name = "trace_smoke".to_string();
+    grid.policies = vec![PolicyKind::Tangram];
+    grid.bandwidths_mbps = vec![20.0];
+    grid.workloads.truncate(1);
     grid.capture_traces = true;
-    Some(grid)
+    grid
+}
+
+/// The golden overload trace cell (`baselines/TRACE_overload.jsonl`):
+/// the 24 fps ramp point under the SLO shedder — the admission-heavy
+/// cell of [`overload_grid`] — with [`SweepGrid::capture_traces`] on.
+#[must_use]
+pub fn trace_overload_grid() -> SweepGrid {
+    let mut grid = overload_grid(BASELINE_SEED, 12, true);
+    grid.name = "trace_overload".to_string();
+    // Of (6, 24 fps) × (open door, shedder), keep the last of each.
+    grid.scenarios.remove(0);
+    grid.admission.remove(0);
+    grid.capture_traces = true;
+    grid
 }
 
 /// The gold-over-best-effort DRR weights of the fairness sweep.
@@ -283,7 +271,7 @@ pub fn fairness_drr_spec() -> FairnessSpec {
 /// middle point is the "2× overload" cell of the weighted-share table.
 pub const FAIRNESS_RAMP_FPS: [f64; 3] = [2.5, 5.0, 10.0];
 
-/// The fairness grid (the `bench_fairness` bin): Tangram under a Poisson
+/// The fairness grid (the `ext_fairness` row): Tangram under a Poisson
 /// ramp crossing the DRR ingress capacity, with the gold/best-effort
 /// tenant mix and the weighted-DRR fair-ingress axis — the
 /// weighted-share-vs-offered-load experiment. The uplink is wide
@@ -320,7 +308,7 @@ pub fn fairness_grid(seed: u64, frames_per_camera: usize, smoke: bool) -> SweepG
     grid
 }
 
-/// Camera count of the full city-scale preset (the `bench_throughput`
+/// Camera count of the full city-scale preset (the `ext_throughput`
 /// workload); smoke mode runs [`CITY_SCALE_SMOKE_CAMERAS`].
 pub const CITY_SCALE_CAMERAS: usize = 32;
 
@@ -348,7 +336,7 @@ pub fn city_scale_traces(cameras: usize, pool_frames: usize, seed: u64) -> Vec<C
 /// The city-scale streaming scenario: open-loop Poisson cameras with the
 /// standard tenant mix, joining in a short stagger. Every camera is
 /// link-independent, so the whole fleet is eligible for sharding — the
-/// workload `bench_throughput` scales across cores.
+/// workload `ext_throughput` runs at every shard count.
 #[must_use]
 pub fn city_scale_scenario(frames_per_camera: usize) -> ScenarioSpec {
     ScenarioSpec {

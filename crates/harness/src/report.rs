@@ -5,9 +5,9 @@
 //! file is self-describing), and one [`CellReport`] per cell carrying the
 //! engine's [`RunSummary`] digest. Serialisation goes through the
 //! deterministic JSON writer in [`crate::json`], so the same run always
-//! produces the same bytes — which is what lets CI compare a candidate
-//! `BENCH_smoke.json` against a checked-in baseline, and what the
-//! parallel-equals-sequential test asserts byte-for-byte.
+//! produces the same bytes — which is what lets `baselines check` hold a
+//! regenerated `BENCH_smoke.json` byte-equal to the committed one, and
+//! what the parallel-equals-sequential test asserts byte-for-byte.
 //!
 //! Nothing wall-clock-dependent is recorded: `throughput_pps` is patches
 //! per *simulated* second, so a scheduling regression moves it while the
@@ -536,179 +536,6 @@ fn cell_from_value(value: &Json) -> Result<CellReport, String> {
     })
 }
 
-/// Tolerances of the CI perf gate.
-#[derive(Debug, Clone, Copy)]
-pub struct GateConfig {
-    /// Maximum tolerated relative drop in per-cell `throughput_pps`
-    /// (and rise in `p99_latency_s`) before the gate fails.
-    pub max_perf_regression: f64,
-    /// Relative tolerance on correctness metrics (patches, violations,
-    /// cost, bytes, SLO attainment); anything beyond it is drift.
-    pub correctness_tolerance: f64,
-}
-
-impl Default for GateConfig {
-    fn default() -> Self {
-        Self {
-            max_perf_regression: 0.20,
-            correctness_tolerance: 1e-9,
-        }
-    }
-}
-
-fn rel_diff(a: f64, b: f64) -> f64 {
-    let scale = a.abs().max(b.abs());
-    if scale == 0.0 {
-        0.0
-    } else {
-        (a - b).abs() / scale
-    }
-}
-
-/// Compares a candidate report against a checked-in baseline, returning
-/// one message per violation (empty = gate passes).
-///
-/// Correctness metrics must match the baseline (the simulator is
-/// deterministic, so any drift is a real behavioural change — refresh the
-/// baseline deliberately if it is intended). Perf metrics get
-/// [`GateConfig::max_perf_regression`] headroom, and only regressions
-/// fail: faster is always fine.
-#[must_use]
-pub fn gate(baseline: &BenchReport, candidate: &BenchReport, config: &GateConfig) -> Vec<String> {
-    let mut violations = Vec::new();
-    // Cells are compared positionally, which only means something when
-    // both reports swept the same grid — same axes, same values.
-    if baseline.grid != candidate.grid {
-        let mut axes: Vec<&str> = Vec::new();
-        for grid in [&baseline.grid, &candidate.grid] {
-            let Json::Object(pairs) = grid else { continue };
-            for (key, _) in pairs {
-                if baseline.grid.get(key) != candidate.grid.get(key)
-                    && !axes.contains(&key.as_str())
-                {
-                    axes.push(key);
-                }
-            }
-        }
-        let axes = axes.join(", ");
-        violations.push(format!(
-            "swept grid changed ({axes}): cells are not comparable (grid shape drift)"
-        ));
-        return violations;
-    }
-    if baseline.cells.len() != candidate.cells.len() {
-        violations.push(format!(
-            "cell count changed: baseline {} vs candidate {} (grid shape drift)",
-            baseline.cells.len(),
-            candidate.cells.len()
-        ));
-        return violations;
-    }
-    for (base, cand) in baseline.cells.iter().zip(&candidate.cells) {
-        let label = format!(
-            "cell {} ({} @ {:.0} Mbps, SLO {:.1}s, workload {})",
-            base.index, base.metrics.policy, base.bandwidth_mbps, base.slo_s, base.workload
-        );
-        if base.metrics.policy != cand.metrics.policy {
-            violations.push(format!(
-                "{label}: policy changed to {}",
-                cand.metrics.policy
-            ));
-            continue;
-        }
-        let correctness: [(&str, f64, f64); 7] = [
-            (
-                "patches",
-                base.metrics.patches as f64,
-                cand.metrics.patches as f64,
-            ),
-            (
-                "batches",
-                base.metrics.batches as f64,
-                cand.metrics.batches as f64,
-            ),
-            (
-                "violations",
-                base.metrics.violations as f64,
-                cand.metrics.violations as f64,
-            ),
-            (
-                // A policy that sheds more (or less) traffic than the
-                // baseline is a behavioural change, never a perf win.
-                "dropped_arrivals",
-                base.metrics.dropped_arrivals as f64,
-                cand.metrics.dropped_arrivals as f64,
-            ),
-            (
-                "slo_attainment",
-                base.metrics.slo_attainment,
-                cand.metrics.slo_attainment,
-            ),
-            ("cost_usd", base.metrics.cost_usd, cand.metrics.cost_usd),
-            (
-                "uplink_bytes",
-                base.metrics.uplink_bytes as f64,
-                cand.metrics.uplink_bytes as f64,
-            ),
-        ];
-        for (name, b, c) in correctness {
-            if rel_diff(b, c) > config.correctness_tolerance {
-                violations.push(format!("{label}: {name} drifted {b} -> {c}"));
-            }
-        }
-        // Per-tenant accounting must match exactly too: total drops can
-        // stay flat while classes trade places.
-        if base.metrics.tenants.len() != cand.metrics.tenants.len() {
-            violations.push(format!(
-                "{label}: tenant class count drifted {} -> {}",
-                base.metrics.tenants.len(),
-                cand.metrics.tenants.len()
-            ));
-        } else {
-            for (bt, ct) in base.metrics.tenants.iter().zip(&cand.metrics.tenants) {
-                if rel_diff(bt.slo_s, ct.slo_s) > config.correctness_tolerance {
-                    violations.push(format!(
-                        "{label}: tenant class slo drifted {} -> {}",
-                        bt.slo_s, ct.slo_s
-                    ));
-                    continue;
-                }
-                for (name, b, c) in [
-                    ("patches", bt.patches, ct.patches),
-                    ("violations", bt.violations, ct.violations),
-                    ("dropped", bt.dropped, ct.dropped),
-                    ("admitted", bt.admitted, ct.admitted),
-                    ("peak_queued", bt.peak_queued, ct.peak_queued),
-                ] {
-                    if b != c {
-                        violations.push(format!(
-                            "{label}: tenant slo={} {name} drifted {b} -> {c}",
-                            bt.slo_s
-                        ));
-                    }
-                }
-            }
-        }
-        let b_tp = base.metrics.throughput_pps;
-        let c_tp = cand.metrics.throughput_pps;
-        if b_tp > 0.0 && c_tp < b_tp * (1.0 - config.max_perf_regression) {
-            violations.push(format!(
-                "{label}: throughput_pps regressed {:.1}% ({b_tp:.2} -> {c_tp:.2})",
-                (1.0 - c_tp / b_tp) * 100.0
-            ));
-        }
-        let b_p99 = base.metrics.p99_latency_s;
-        let c_p99 = cand.metrics.p99_latency_s;
-        if b_p99 > 0.0 && c_p99 > b_p99 * (1.0 + config.max_perf_regression) {
-            violations.push(format!(
-                "{label}: p99_latency_s regressed {:.1}% ({b_p99:.4} -> {c_p99:.4})",
-                (c_p99 / b_p99 - 1.0) * 100.0
-            ));
-        }
-    }
-    violations
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -763,6 +590,12 @@ mod tests {
 
     fn sample_report() -> BenchReport {
         report_of(&sample_grid())
+    }
+
+    /// What the byte-equality gate (`baselines check`) prints when a
+    /// regenerated report is not the committed one: the differing paths.
+    fn drift(baseline: &BenchReport, candidate: &BenchReport) -> Vec<String> {
+        baseline.to_value().diff(&candidate.to_value())
     }
 
     fn report_of(grid: &SweepGrid) -> BenchReport {
@@ -830,10 +663,9 @@ mod tests {
         let baseline = sample_report();
         let mut candidate = baseline.clone();
         candidate.cells[0].metrics.tenants[0].peak_queued = 7;
-        let violations = gate(&baseline, &candidate, &GateConfig::default());
-        assert!(
-            violations.iter().any(|v| v.contains("peak_queued")),
-            "{violations:?}"
+        assert_eq!(
+            drift(&baseline, &candidate),
+            ["cells[0].metrics.tenants[0].peak_queued: 0 → 7"]
         );
     }
 
@@ -980,63 +812,41 @@ mod tests {
         let baseline = sample_report();
         let mut candidate = baseline.clone();
         candidate.cells[0].metrics.dropped_arrivals += 1;
-        let violations = gate(&baseline, &candidate, &GateConfig::default());
-        assert!(
-            violations.iter().any(|v| v.contains("dropped_arrivals")),
-            "{violations:?}"
+        assert_eq!(
+            drift(&baseline, &candidate),
+            ["cells[0].metrics.dropped_arrivals: 3 → 4"]
         );
 
         // Per-class drift is caught even when the totals stay flat.
         let mut reshuffled = baseline.clone();
         reshuffled.cells[0].metrics.tenants[0].dropped += 2;
-        let violations = gate(&baseline, &reshuffled, &GateConfig::default());
-        assert!(
-            violations.iter().any(|v| v.contains("tenant slo=1")),
-            "{violations:?}"
+        assert_eq!(
+            drift(&baseline, &reshuffled),
+            ["cells[0].metrics.tenants[0].dropped: 3 → 5"]
         );
     }
 
     #[test]
     fn gate_passes_on_identical_reports() {
         let report = sample_report();
-        assert!(gate(&report, &report, &GateConfig::default()).is_empty());
+        assert!(drift(&report, &report).is_empty());
     }
 
     #[test]
     fn gate_catches_correctness_drift() {
         let baseline = sample_report();
         let mut candidate = baseline.clone();
-        candidate.cells[0].metrics.cost_usd *= 1.001;
-        let violations = gate(&baseline, &candidate, &GateConfig::default());
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("cost_usd"), "{violations:?}");
-    }
-
-    #[test]
-    fn gate_catches_throughput_regression_but_allows_speedup() {
-        let baseline = sample_report();
-        let mut slower = baseline.clone();
-        slower.cells[0].metrics.throughput_pps *= 0.7;
-        let violations = gate(&baseline, &slower, &GateConfig::default());
-        assert!(
-            violations.iter().any(|v| v.contains("throughput_pps")),
-            "{violations:?}"
+        candidate.cells[0].metrics.cost_usd = 0.0124;
+        // Perf metrics are held as exactly as correctness ones: the
+        // simulator is deterministic, so a wobble is a behaviour change.
+        candidate.cells[0].metrics.p99_latency_s = 0.91;
+        assert_eq!(
+            drift(&baseline, &candidate),
+            [
+                "cells[0].metrics.p99_latency_s: 0.9 → 0.91",
+                "cells[0].metrics.cost_usd: 0.0123 → 0.0124"
+            ]
         );
-
-        let mut faster = baseline.clone();
-        faster.cells[0].metrics.throughput_pps *= 1.5;
-        assert!(gate(&baseline, &faster, &GateConfig::default())
-            .iter()
-            .all(|v| !v.contains("throughput_pps")));
-    }
-
-    #[test]
-    fn gate_tolerates_small_perf_wobble() {
-        let baseline = sample_report();
-        let mut candidate = baseline.clone();
-        candidate.cells[0].metrics.throughput_pps *= 0.9; // within 20%
-        candidate.cells[0].metrics.p99_latency_s *= 1.1; // within 20%
-        assert!(gate(&baseline, &candidate, &GateConfig::default()).is_empty());
     }
 
     #[test]
@@ -1047,15 +857,15 @@ mod tests {
         grid.seeds = vec![43];
         let candidate = report_of(&grid);
         assert_eq!(baseline.cells.len(), candidate.cells.len());
-        let violations = gate(&baseline, &candidate, &GateConfig::default());
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("swept grid changed (seeds)"));
+        assert_eq!(drift(&baseline, &candidate), ["grid.seeds[0]: 42 → 43"]);
 
         // An axis only one side has is named too.
         grid.seeds = vec![42];
         grid.admission = vec![AdmissionSpec::Always];
-        let violations = gate(&baseline, &report_of(&grid), &GateConfig::default());
-        assert!(violations[0].contains("(admission)"), "{violations:?}");
+        assert_eq!(
+            drift(&baseline, &report_of(&grid)),
+            ["grid.admission: absent → [1 items]"]
+        );
     }
 
     #[test]
@@ -1073,8 +883,9 @@ mod tests {
         let baseline = sample_report();
         let mut candidate = baseline.clone();
         candidate.cells.clear();
-        let violations = gate(&baseline, &candidate, &GateConfig::default());
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("cell count"), "{violations:?}");
+        assert_eq!(
+            drift(&baseline, &candidate),
+            ["cells: [1 items] → [0 items]"]
+        );
     }
 }

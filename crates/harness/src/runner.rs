@@ -119,8 +119,8 @@ pub fn run_grid_full(grid: &SweepGrid, workers: usize) -> Vec<CellOutcome> {
 /// Link-independent camera sources are partitioned across `shards`
 /// worker threads (see [`Plan::shards`]). Sharding is a pure execution
 /// strategy — the report and trace are byte-identical at any shard
-/// count, which is exactly what `bench_throughput` exploits to measure
-/// wall-clock scaling against an unchanged workload. `credit_window`
+/// count, which the `ext_throughput` and `ext_scenarios` rows assert
+/// against the single-shard oracle on every run. `credit_window`
 /// narrows the per-shard credit window (`None` = the production
 /// [`tangram_types::credit::CREDIT_WINDOW`]); like the shard count it is
 /// byte-invisible, pinned by the `CREDIT_WINDOW=1` case in

@@ -164,8 +164,10 @@ impl ScenarioFile {
     ///
     /// # Errors
     ///
-    /// Returns the first I/O or validation error, or a message when the
-    /// directory holds no scenario files at all.
+    /// Returns the first I/O or validation error, a message naming both
+    /// paths when two files declare one `name` (reports key their rows by
+    /// it), or a message when the directory holds no scenario files at
+    /// all.
     pub fn load_dir(dir: &Path) -> Result<Vec<(PathBuf, ScenarioFile)>, String> {
         let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
             .map_err(|e| format!("{}: {e}", dir.display()))?
@@ -177,10 +179,20 @@ impl ScenarioFile {
         if paths.is_empty() {
             return Err(format!("{}: no scenario files found", dir.display()));
         }
-        paths
-            .into_iter()
-            .map(|p| ScenarioFile::load(&p).map(|s| (p, s)))
-            .collect()
+        let mut library: Vec<(PathBuf, ScenarioFile)> = Vec::new();
+        for path in paths {
+            let file = ScenarioFile::load(&path)?;
+            if let Some((first, _)) = library.iter().find(|(_, f)| f.name == file.name) {
+                return Err(format!(
+                    "{}: duplicate scenario name `{}` (also {})",
+                    path.display(),
+                    file.name,
+                    first.display()
+                ));
+            }
+            library.push((path, file));
+        }
+        Ok(library)
     }
 
     /// Renders the canonical TOML form (stable key order, shortest
@@ -896,6 +908,19 @@ mod tests {
         assert!(file.scenario.tenant_slos_s.is_empty());
         assert!(file.admission.is_none());
         assert!(file.fairness.is_none());
+    }
+
+    #[test]
+    fn load_dir_rejects_two_files_with_one_name() {
+        let dir = std::env::temp_dir().join(format!("tangram-load-dir-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("a.toml"), minimal()).unwrap();
+        assert_eq!(ScenarioFile::load_dir(&dir).unwrap().len(), 1);
+        std::fs::write(dir.join("b.toml"), minimal()).unwrap();
+        let err = ScenarioFile::load_dir(&dir).unwrap_err();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(err.contains("duplicate scenario name `t`"), "{err}");
+        assert!(err.contains("a.toml") && err.contains("b.toml"), "{err}");
     }
 
     #[test]

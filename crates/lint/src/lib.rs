@@ -10,7 +10,7 @@
 //! time, the way the scenario loader validates scenario files before
 //! execution.
 //!
-//! Five rule families, fourteen rules, each reporting
+//! Five rule families, thirteen rules, each reporting
 //! `path:line: rule-id: message` with a nonzero exit:
 //!
 //! * **Determinism** ([`rules`]) — `det-wall-clock`, `det-entropy`,
@@ -23,8 +23,7 @@
 //! * **Crate DAG** ([`dag`]) — `dag-edge`, `dag-cycle`, `dag-unlisted`,
 //!   verified against the declared lattice ([`dag::LATTICE`], the DAG's
 //!   source of truth).
-//! * **Serialization discipline** ([`schema`]) — `schema-sync`,
-//!   `trace-kinds`.
+//! * **Serialization discipline** ([`schema`]) — `trace-kinds`.
 //! * **Waivers** ([`waiver`]) — `stale-waiver`, `waiver-format`:
 //!   exemptions live in `config/lint_allow.toml` with mandatory
 //!   justifications, and an *unused* waiver is itself an error, so
@@ -107,7 +106,7 @@ pub struct Rule {
 /// Every rule the linter can report, in stable order. The docs
 /// cross-check in `scripts/check_docs.sh` holds `docs/ARCHITECTURE.md`'s
 /// rule table to exactly this registry.
-pub const RULES: [Rule; 14] = [
+pub const RULES: [Rule; 13] = [
     Rule {
         id: "det-wall-clock",
         summary: "no Instant/SystemTime outside waived wall-clock shims",
@@ -149,10 +148,6 @@ pub const RULES: [Rule; 14] = [
         summary: "every crates/* package is declared on the lattice",
     },
     Rule {
-        id: "schema-sync",
-        summary: "baseline schema_version matches its writer's constant",
-    },
-    Rule {
         id: "trace-kinds",
         summary: "emitted, registered and parsed trace kinds agree",
     },
@@ -172,7 +167,7 @@ pub const RULES: [Rule; 14] = [
 ///
 /// # Errors
 ///
-/// Returns a message when a source, manifest or baseline file cannot be
+/// Returns a message when a source or manifest file cannot be
 /// read — I/O trouble, not a lint finding.
 pub fn lint_workspace(root: &Path) -> Result<Vec<Violation>, String> {
     let mut violations = rules::check_determinism(root)?;

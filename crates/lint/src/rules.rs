@@ -5,10 +5,9 @@
 //!
 //! * **`det-wall-clock`** and **`det-entropy`** scan *every* crate under
 //!   `crates/*/src` — a wall-clock read or ambient entropy anywhere can
-//!   leak into gated output, so the deliberately wall-clock sites (the
-//!   live runtime's pacing epoch, the never-gated `bench_throughput`
-//!   timing blocks) carry explicit waivers in `config/lint_allow.toml`
-//!   instead of being silently out of scope.
+//!   leak into gated output, so the one deliberately wall-clock site
+//!   (the live runtime's pacing epoch) carries an explicit waiver in
+//!   `config/lint_allow.toml` instead of being silently out of scope.
 //! * **`det-hash-order`** scans only the deterministic crates
 //!   ([`DET_CRATES`]): `HashMap`/`HashSet` iteration order is
 //!   unspecified, so any use on a path that can feed serialized output

@@ -1,182 +1,20 @@
-//! The serialization-discipline rule family: schema versions stay in
-//! sync across writer, parser and committed baselines, and the trace
-//! event alphabet stays registered.
+//! The serialization-discipline rule: the trace event alphabet stays
+//! registered.
 //!
-//! Two rule ids:
+//! `trace-kinds` — in `crates/trace/src/event.rs`, the kind strings
+//! returned by `TraceEvent::kind()`, the entries of the
+//! `TraceEvent::KINDS` registry, and the tags `from_fields` can parse
+//! must be exactly the same set: an event kind that can be emitted but
+//! not replayed (or registered but never emitted) is a stale registry.
 //!
-//! * `schema-sync` — every `baselines/BENCH_*.json` must carry the
-//!   `schema_version` its writer stamps today. Harness-written reports
-//!   (`bench_all`/`bench_overload`/`bench_fairness` grids) are checked
-//!   against the `SCHEMA_VERSION` constant in
-//!   `crates/harness/src/report.rs` (writer *and* parser *and*
-//!   `bench_gate` share that one constant, so checking the baselines
-//!   against it closes the loop); bins that own their format
-//!   (`bench_throughput`, `bench_scenarios`) are checked against the
-//!   literal in their own source — which must itself be consistent at
-//!   every mention within the file.
-//! * `trace-kinds` — in `crates/trace/src/event.rs`, the kind strings
-//!   returned by `TraceEvent::kind()`, the entries of the
-//!   `TraceEvent::KINDS` registry, and the tags `from_fields` can parse
-//!   must be exactly the same set: an event kind that can be emitted
-//!   but not replayed (or registered but never emitted) is a stale
-//!   registry.
+//! (Schema versions need no rule: a committed baseline whose
+//! `schema_version` is not its writer's cannot regenerate byte for byte,
+//! which `baselines check` — and the tier-1 test that runs it — holds.)
 
 use crate::scan::scan;
 use crate::walk::read_file;
 use crate::Violation;
 use std::path::Path;
-
-/// Runs both serialization checks under `root`.
-///
-/// # Errors
-///
-/// Returns a message when a source or baseline file cannot be read.
-pub fn check_schema(root: &Path) -> Result<Vec<Violation>, String> {
-    let mut violations = check_schema_versions(root)?;
-    violations.extend(check_trace_kinds(root)?);
-    Ok(violations)
-}
-
-/// First *standalone* run of ASCII digits in `text` — digits embedded
-/// in an identifier (the `64` of `Json::U64(...)`) don't count.
-fn first_int(text: &str) -> Option<u64> {
-    let bytes = text.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i].is_ascii_digit() {
-            let standalone =
-                i == 0 || !(bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_');
-            let start = i;
-            while i < bytes.len() && bytes[i].is_ascii_digit() {
-                i += 1;
-            }
-            if standalone {
-                return text[start..i].parse().ok();
-            }
-        } else {
-            i += 1;
-        }
-    }
-    None
-}
-
-/// The harness-wide `SCHEMA_VERSION` constant and its line.
-fn harness_schema(root: &Path) -> Result<Option<(u64, usize)>, String> {
-    let rel = "crates/harness/src/report.rs";
-    if !root.join(rel).is_file() {
-        return Ok(None);
-    }
-    let file = scan(&read_file(root, rel)?);
-    for line in file.code_lines() {
-        if line.code.contains("SCHEMA_VERSION") && line.code.contains('=') {
-            if let Some(eq) = line.code.find('=') {
-                if let Some(value) = first_int(&line.code[eq..]) {
-                    return Ok(Some((value, line.number)));
-                }
-            }
-        }
-    }
-    Ok(None)
-}
-
-/// The schema literal a self-contained bench bin stamps, with every
-/// in-file mention collected so writer and gate cannot drift apart.
-fn bin_schema(root: &Path, rel: &str) -> Result<(Option<u64>, Vec<Violation>), String> {
-    if !root.join(rel).is_file() {
-        return Ok((None, Vec::new()));
-    }
-    let file = scan(&read_file(root, rel)?);
-    let mut sites: Vec<(u64, usize)> = Vec::new();
-    for line in &file.lines {
-        if line.strings.iter().any(|s| s.contains("schema_version")) {
-            if let Some(value) = first_int(&line.code) {
-                sites.push((value, line.number));
-            }
-        }
-    }
-    let mut violations = Vec::new();
-    if let Some(&(expected, first_line)) = sites.first() {
-        for &(value, line) in &sites[1..] {
-            if value != expected {
-                violations.push(Violation::new(
-                    rel,
-                    line,
-                    "schema-sync",
-                    format!(
-                        "schema_version {value} disagrees with {expected} on line {first_line} \
-                         of the same file"
-                    ),
-                ));
-            }
-        }
-        Ok((Some(expected), violations))
-    } else {
-        Ok((None, violations))
-    }
-}
-
-fn check_schema_versions(root: &Path) -> Result<Vec<Violation>, String> {
-    let mut violations = Vec::new();
-    let harness = harness_schema(root)?;
-    let baselines = root.join("baselines");
-    if !baselines.is_dir() {
-        return Ok(violations);
-    }
-    let mut names: Vec<String> = std::fs::read_dir(&baselines)
-        .map_err(|e| format!("baselines: {e}"))?
-        .filter_map(Result::ok)
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-        .collect();
-    names.sort();
-    for name in names {
-        let rel = format!("baselines/{name}");
-        let stem = name
-            .trim_start_matches("BENCH_")
-            .trim_end_matches(".json")
-            .to_string();
-        let bin_rel = format!("crates/bench/src/bin/bench_{stem}.rs");
-        let (bin_version, mut bin_violations) = bin_schema(root, &bin_rel)?;
-        violations.append(&mut bin_violations);
-        let (expected, owner) = match bin_version {
-            Some(v) => (v, bin_rel),
-            None => match harness {
-                Some((v, line)) => (v, format!("crates/harness/src/report.rs:{line}")),
-                None => continue,
-            },
-        };
-        let text = read_file(root, &rel)?;
-        let mut found = false;
-        for (index, line) in text.lines().enumerate() {
-            if let Some(at) = line.find("\"schema_version\"") {
-                found = true;
-                let value = first_int(&line[at + "\"schema_version\"".len()..]);
-                if value != Some(expected) {
-                    violations.push(Violation::new(
-                        &rel,
-                        index + 1,
-                        "schema-sync",
-                        format!(
-                            "schema_version {} does not match the writer's {expected} \
-                             (declared in {owner}); regenerate the baseline in this PR",
-                            value.map_or_else(|| "?".to_string(), |v| v.to_string()),
-                        ),
-                    ));
-                }
-                break;
-            }
-        }
-        if !found {
-            violations.push(Violation::new(
-                &rel,
-                1,
-                "schema-sync",
-                "baseline carries no schema_version field".to_string(),
-            ));
-        }
-    }
-    Ok(violations)
-}
 
 /// Collected trace-kind strings: the registry table, the `kind()` match
 /// arms, and the `from_fields` parser arms.
@@ -190,7 +28,12 @@ struct KindSets {
     parsed: Vec<(String, usize)>,
 }
 
-fn check_trace_kinds(root: &Path) -> Result<Vec<Violation>, String> {
+/// Runs the `trace-kinds` check under `root`.
+///
+/// # Errors
+///
+/// Returns a message when the event source cannot be read.
+pub fn check_schema(root: &Path) -> Result<Vec<Violation>, String> {
     let rel = "crates/trace/src/event.rs";
     if !root.join(rel).is_file() {
         return Ok(Vec::new());
@@ -271,16 +114,4 @@ fn check_trace_kinds(root: &Path) -> Result<Vec<Violation>, String> {
         }
     }
     Ok(violations)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn first_int_finds_the_leading_run() {
-        assert_eq!(first_int("= 4;"), Some(4));
-        assert_eq!(first_int(", Json::U64(12))"), Some(12));
-        assert_eq!(first_int("no digits"), None);
-    }
 }

@@ -178,6 +178,53 @@ impl Json {
         }
         Ok(value)
     }
+
+    /// Where `self` and `other` differ, one line per differing path:
+    /// `cells[3].metrics.violations: 12 → 13`. A key only one side has
+    /// reads `absent` on the other; containers are summarised by size,
+    /// and arrays of unequal length are compared over their common
+    /// prefix. Empty when the documents are equal.
+    #[must_use]
+    pub fn diff(&self, other: &Json) -> Vec<String> {
+        let mut lines = Vec::new();
+        self.diff_at("", other, &mut lines);
+        lines
+    }
+
+    fn diff_at(&self, path: &str, other: &Json, lines: &mut Vec<String>) {
+        fn brief(value: Option<&Json>) -> String {
+            match value {
+                None => "absent".to_string(),
+                Some(Json::Array(items)) => format!("[{} items]", items.len()),
+                Some(Json::Object(pairs)) => format!("{{{} keys}}", pairs.len()),
+                Some(scalar) => scalar.render(),
+            }
+        }
+        let differ = |path: &str, a, b| format!("{path}: {} → {}", brief(a), brief(b));
+        match (self, other) {
+            (Json::Object(ours), Json::Object(theirs)) => {
+                let added = theirs.iter().filter(|(key, _)| self.get(key).is_none());
+                for (key, _) in ours.iter().chain(added) {
+                    let dot = if path.is_empty() { "" } else { "." };
+                    let path = format!("{path}{dot}{key}");
+                    match (self.get(key), other.get(key)) {
+                        (Some(a), Some(b)) => a.diff_at(&path, b, lines),
+                        (a, b) => lines.push(differ(&path, a, b)),
+                    }
+                }
+            }
+            (Json::Array(ours), Json::Array(theirs)) => {
+                if ours.len() != theirs.len() {
+                    lines.push(differ(path, Some(self), Some(other)));
+                }
+                for (i, (a, b)) in ours.iter().zip(theirs).enumerate() {
+                    a.diff_at(&format!("{path}[{i}]"), b, lines);
+                }
+            }
+            (a, b) if a != b => lines.push(differ(path, Some(a), Some(b))),
+            _ => {}
+        }
+    }
 }
 
 fn push_indent(out: &mut String, indent: usize) {
@@ -432,6 +479,46 @@ mod tests {
         assert_eq!(back, doc);
         // Determinism: rendering the parse reproduces identical bytes.
         assert_eq!(back.render(), text);
+    }
+
+    #[test]
+    fn diff_names_each_differing_path() {
+        let doc = |violations: u64, seeds: Vec<Json>, extra: Option<(&str, Json)>| {
+            let mut metrics = vec![("violations", Json::U64(violations))];
+            metrics.extend(extra);
+            Json::object(vec![
+                ("grid", Json::object(vec![("seeds", Json::Array(seeds))])),
+                (
+                    "cells",
+                    Json::Array(vec![
+                        Json::object(vec![]),
+                        Json::object(vec![("metrics", Json::object(metrics))]),
+                    ]),
+                ),
+            ])
+        };
+        let base = doc(12, vec![Json::U64(42)], None);
+        assert!(base.diff(&base).is_empty(), "equal documents");
+        // A nested scalar.
+        let moved = doc(13, vec![Json::U64(42)], None);
+        assert_eq!(base.diff(&moved), ["cells[1].metrics.violations: 12 → 13"]);
+        // A key added, and — read the other way — removed.
+        let wider = doc(12, vec![Json::U64(42)], Some(("dropped", Json::U64(3))));
+        assert_eq!(base.diff(&wider), ["cells[1].metrics.dropped: absent → 3"]);
+        assert_eq!(wider.diff(&base), ["cells[1].metrics.dropped: 3 → absent"]);
+        // An array that grew: the length, then the common prefix.
+        let longer = doc(12, vec![Json::U64(43), Json::U64(44)], None);
+        assert_eq!(
+            base.diff(&longer),
+            [
+                "grid.seeds: [1 items] → [2 items]",
+                "grid.seeds[0]: 42 → 43"
+            ]
+        );
+        // A number is not the string that spells it, nor a container.
+        let stringly = doc(12, vec![Json::Str("42".into())], None);
+        assert_eq!(base.diff(&stringly), ["grid.seeds[0]: 42 → \"42\""]);
+        assert_eq!(Json::U64(1).diff(&base), [": 1 → {2 keys}"]);
     }
 
     #[test]

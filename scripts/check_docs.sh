@@ -37,8 +37,8 @@ for doc in README.md docs/*.md; do
   done
 done
 
-# Every backtick-quoted experiment id (figN_*, tableN_*, ablation_*)
-# must be a row of the reproduction table. The ids are read from the
+# Every backtick-quoted experiment id (figN_*, tableN_*, ablation_*,
+# ext_*) must be a row of the reproduction table. The ids are read from the
 # generated block of docs/EXPERIMENTS.md, which a crates/bench unit test
 # holds byte-equal to `repro docs` — so this follows the table without
 # building anything.
@@ -49,10 +49,20 @@ if [ -z "$experiments" ]; then
   status=1
 fi
 for doc in README.md docs/*.md; do
-  for id in $(grep -oE '`(fig[0-9]+|table[0-9]+|ablation)_[a-z0-9_]+`' "$doc" \
+  for id in $(grep -oE '`(fig[0-9]+|table[0-9]+|ablation|ext)_[a-z0-9_]+`' "$doc" \
               | tr -d '`' | sort -u); do
     if ! grep -qxF "$id" <<<"$experiments"; then
       echo "ERROR: $doc references '$id', which is not a 'repro list' experiment"
+      status=1
+    fi
+  done
+done
+
+# Every `baselines/<file>` the docs name must be a committed file.
+for doc in README.md docs/*.md; do
+  for file in $(grep -oE 'baselines/[A-Za-z0-9_]+\.jsonl?' "$doc" | sort -u); do
+    if [ ! -f "$file" ]; then
+      echo "ERROR: $doc references '$file', which is not on disk"
       status=1
     fi
   done

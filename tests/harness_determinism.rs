@@ -135,7 +135,7 @@ fn overload_grid_is_parallel_deterministic_and_sheds_under_slo_shedder() {
 #[test]
 fn fairness_grid_is_parallel_deterministic_and_holds_weighted_shares() {
     // The fairness sweep (scenario axis × fairness axis) is what
-    // `bench_fairness --smoke` runs: `--workers N` output must be
+    // `repro ext_fairness --quick` runs: `--workers N` output must be
     // byte-identical to `--workers 1`, the fairness block must round-trip,
     // and the 2×-overload cell must show the weighted-DRR property —
     // overflow sheds on both classes while the *admitted* mix tracks the
@@ -193,7 +193,7 @@ fn sharded_scenario_grid_matches_the_single_shard_bytes() {
     // run at any shard count must serialize to the exact bytes of the
     // single-shard oracle — same digests, same drop accounting, same
     // grid echo. This is the workspace-level form of the guarantee
-    // `bench_throughput` asserts per run.
+    // `repro ext_throughput` asserts per run.
     let mut grid = tangram_harness::presets::churn_grid(42, 24);
     grid.scenarios[0].session_s = Some(3.0);
     let oracle = run_grid(&grid, 2).to_json();
@@ -240,7 +240,7 @@ fn faulted_scenario_grid_matches_the_single_shard_bytes() {
     // run, a link outage inside it) serializes to the exact bytes of the
     // single-shard oracle at any shard count — the faulted form of
     // `sharded_scenario_grid_matches_the_single_shard_bytes`, and the
-    // workspace-level mirror of what `bench_scenarios` asserts per run.
+    // workspace-level mirror of what `repro ext_scenarios` asserts per run.
     use tangram_core::{FaultKind, FaultSpec};
     let mut grid = tangram_harness::presets::churn_grid(42, 24);
     grid.scenarios[0].session_s = Some(3.0);
@@ -293,36 +293,5 @@ fn legacy_grid_emission_is_byte_stable_under_the_new_axes() {
     for cell in &parsed.cells {
         assert_eq!(cell.scenario, None);
         assert_eq!(cell.admission, None);
-    }
-}
-
-#[test]
-fn city_scale_smoke_counts_are_pinned() {
-    // The counts `bench_throughput --smoke --gate` holds against
-    // `baselines/BENCH_throughput.json`, pinned here so plain
-    // `cargo test` catches drift without the bin: 12 cameras × 24 frames
-    // over 24-frame pools at seed 42, identical at 1 and 2 shards.
-    use tangram_harness::presets::{
-        city_scale_engine, city_scale_scenario, city_scale_traces, CITY_SCALE_SMOKE_CAMERAS,
-    };
-    let config = city_scale_engine(42);
-    let traces = city_scale_traces(CITY_SCALE_SMOKE_CAMERAS, 24, 42);
-    let scenario = city_scale_scenario(24);
-    for shards in [1, 2] {
-        let (report, _) = tangram_harness::run_scenario_sharded(
-            &config, &traces, &scenario, None, None, false, shards, None,
-        );
-        let summary = report.summarize();
-        assert_eq!(
-            (
-                summary.frames,
-                summary.patches,
-                summary.batches,
-                summary.dropped_arrivals,
-                report.events_processed,
-            ),
-            (288, 2376, 122, 0, 3036),
-            "{shards} shard(s): (frames, patches, batches, dropped, events)"
-        );
     }
 }

@@ -31,7 +31,6 @@ fn triples(violations: &[Violation]) -> Vec<(String, usize, &'static str)> {
 fn bad_tree_reports_every_family_at_exact_lines() {
     let violations = lint_workspace(&bad_tree()).expect("lint bad tree");
     let expected: Vec<(String, usize, &'static str)> = [
-        ("baselines/BENCH_smoke.json", 2, "schema-sync"),
         ("config/lint_allow.toml", 8, "stale-waiver"),
         ("config/lint_allow.toml", 13, "waiver-format"),
         ("crates/alpha/Cargo.toml", 2, "dag-unlisted"),
@@ -104,27 +103,6 @@ fn cycle_report_names_the_loop_once() {
         cycles[0].message.contains("alpha -> beta -> alpha"),
         "{}",
         cycles[0].message
-    );
-}
-
-/// `schema-sync` names the drifted writer constant so the diagnostic
-/// says where the truth lives and what to do.
-#[test]
-fn schema_sync_points_at_the_writer_constant() {
-    let violations = lint_workspace(&bad_tree()).expect("lint bad tree");
-    let sync = violations
-        .iter()
-        .find(|v| v.rule == "schema-sync")
-        .expect("schema-sync violation");
-    assert!(
-        sync.message.contains("crates/harness/src/report.rs:4"),
-        "{}",
-        sync.message
-    );
-    assert!(
-        sync.message.contains("regenerate the baseline"),
-        "{}",
-        sync.message
     );
 }
 

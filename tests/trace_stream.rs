@@ -3,14 +3,21 @@
 //! itself, faithful to the report's counters, and — through the hash
 //! chain — able to name the exact event where two runs diverge.
 
-use tangram_harness::presets::golden_trace_grid;
-use tangram_harness::run_grid_full;
+use tangram_harness::presets::{trace_overload_grid, trace_smoke_grid};
+use tangram_harness::{run_grid_full, SweepGrid};
 use tangram_trace::{TraceEvent, TraceLog, TraceSink};
 use tangram_types::time::SimTime;
 
-fn capture(which: &str, workers: usize) -> (tangram_core::RunReport, TraceLog) {
-    let grid = golden_trace_grid(which, 42).expect("known golden cell");
-    let mut outcomes = run_grid_full(&grid, workers);
+/// A golden cell `baselines/TRACE_*.jsonl` pins: its name and grid.
+type Golden = (&'static str, fn() -> SweepGrid);
+
+const GOLDEN: [Golden; 2] = [
+    ("smoke", trace_smoke_grid),
+    ("overload", trace_overload_grid),
+];
+
+fn capture(grid: &SweepGrid, workers: usize) -> (tangram_core::RunReport, TraceLog) {
+    let mut outcomes = run_grid_full(grid, workers);
     assert_eq!(outcomes.len(), 1, "golden grids are single-cell");
     let outcome = outcomes.pop().expect("one cell");
     let trace = outcome.trace.expect("golden grids opt into capture");
@@ -21,8 +28,8 @@ fn capture(which: &str, workers: usize) -> (tangram_core::RunReport, TraceLog) {
 /// stream is bracketed by session start/end events.
 #[test]
 fn captured_trace_has_a_valid_monotonic_chain() {
-    for which in ["smoke", "overload"] {
-        let (_, trace) = capture(which, 2);
+    for (which, golden) in GOLDEN {
+        let (_, trace) = capture(&golden(), 2);
         trace.verify().expect("chain must verify");
         for (i, record) in trace.records.iter().enumerate() {
             assert_eq!(record.seq, i as u64 + 1, "{which}: dense 1-based seq");
@@ -42,9 +49,9 @@ fn captured_trace_has_a_valid_monotonic_chain() {
 /// inherits the engine's determinism contract.
 #[test]
 fn capture_is_byte_identical_across_worker_counts() {
-    for which in ["smoke", "overload"] {
-        let (_, sequential) = capture(which, 1);
-        let (_, parallel) = capture(which, 4);
+    for (which, golden) in GOLDEN {
+        let (_, sequential) = capture(&golden(), 1);
+        let (_, parallel) = capture(&golden(), 4);
         assert_eq!(
             sequential.to_jsonl(),
             parallel.to_jsonl(),
@@ -60,10 +67,10 @@ fn capture_is_byte_identical_across_worker_counts() {
 /// inline), so both the sharded path and its fallback are covered.
 #[test]
 fn capture_is_byte_identical_across_shard_counts() {
-    for which in ["smoke", "overload"] {
-        let (oracle_report, oracle) = capture(which, 2);
+    for (which, golden) in GOLDEN {
+        let (oracle_report, oracle) = capture(&golden(), 2);
         for shards in [2, 8] {
-            let mut grid = golden_trace_grid(which, 42).expect("known golden cell");
+            let mut grid = golden();
             grid.shards = shards;
             let mut outcomes = run_grid_full(&grid, 2);
             let outcome = outcomes.pop().expect("one cell");
@@ -89,7 +96,7 @@ fn capture_is_byte_identical_across_shard_counts() {
 fn faulted_capture_is_byte_identical_across_shard_counts() {
     use tangram_core::{FaultKind, FaultSpec};
     let faulted_grid = || {
-        let mut grid = golden_trace_grid("overload", 42).expect("known golden cell");
+        let mut grid = trace_overload_grid();
         grid.scenarios[0].faults = vec![FaultSpec {
             kind: FaultKind::Brownout { factor: 2.0 },
             at_s: 0.5,
@@ -126,9 +133,9 @@ fn faulted_capture_is_byte_identical_across_shard_counts() {
 /// sink installed equals the digest of the same cell without it.
 #[test]
 fn capture_does_not_perturb_the_run_digest() {
-    for which in ["smoke", "overload"] {
-        let (traced_report, _) = capture(which, 2);
-        let mut grid = golden_trace_grid(which, 42).expect("known golden cell");
+    for (which, golden) in GOLDEN {
+        let (traced_report, _) = capture(&golden(), 2);
+        let mut grid = golden();
         grid.capture_traces = false;
         let mut outcomes = run_grid_full(&grid, 2);
         let outcome = outcomes.pop().expect("one cell");
@@ -145,8 +152,8 @@ fn capture_does_not_perturb_the_run_digest() {
 /// is a faithful account of the run, not a parallel bookkeeping.
 #[test]
 fn replaying_the_trace_reproduces_the_run_counters() {
-    for which in ["smoke", "overload"] {
-        let (report, trace) = capture(which, 2);
+    for (which, golden) in GOLDEN {
+        let (report, trace) = capture(&golden(), 2);
         let counts = trace.replay_counts();
         assert_eq!(counts.batches, report.batches.len() as u64, "{which}");
         assert_eq!(counts.patches, report.patches.len() as u64, "{which}");
@@ -158,7 +165,7 @@ fn replaying_the_trace_reproduces_the_run_counters() {
 /// The JSONL round-trips losslessly: parse(to_jsonl(log)) == log.
 #[test]
 fn trace_round_trips_through_jsonl() {
-    let (_, trace) = capture("overload", 2);
+    let (_, trace) = capture(&trace_overload_grid(), 2);
     let reparsed = TraceLog::from_jsonl(&trace.to_jsonl()).expect("round-trip parses");
     reparsed.verify().expect("round-trip chain verifies");
     assert_eq!(reparsed, trace);
@@ -166,10 +173,10 @@ fn trace_round_trips_through_jsonl() {
 
 /// A deliberately perturbed copy of a golden trace is pinned to its
 /// first divergent event by sequence number and kind — the event-level
-/// gate's contract (`bench_gate --trace`).
+/// gate's contract (`baselines check` on a `TRACE_*.jsonl` row).
 #[test]
 fn divergence_names_the_first_differing_event() {
-    let (_, golden) = capture("overload", 2);
+    let (_, golden) = capture(&trace_overload_grid(), 2);
     // Rebuild the stream through a fresh sink, flipping the verdict of
     // the first admission drop: a valid chain that disagrees with the
     // golden trace at exactly that record.
