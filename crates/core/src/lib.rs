@@ -4,8 +4,10 @@
 //! to evaluate it end to end:
 //!
 //! * [`scheduler`] — the **online SLO-aware batching invoker**
-//!   (Algorithm 2): patches are re-stitched on every arrival, a
-//!   conservative µ+3σ latency estimate sets the invoke-by time
+//!   (Algorithm 2): every arrival sees the queue's full stitching (one
+//!   tile placed onto canvases kept open, which is what re-stitching an
+//!   arrival-order first-fit amounts to), a conservative µ+3σ latency
+//!   estimate sets the invoke-by time
 //!   `t_remain = t_DDL − T_slack`, and batches dispatch exactly when
 //!   waiting longer would risk the SLO (or the GPU-memory bound of
 //!   constraint (5) is hit);

@@ -5,9 +5,12 @@
 //!
 //! 1. appends the patch to `Q`, takes the earliest deadline
 //!    `t_DDL = min t_ddl_i`, saves the previous canvases `C_old`;
-//! 2. re-stitches `Q` with the Patch-stitching Solver and asks the
-//!    Latency Estimator for the conservative execution bound
-//!    `T_slack = µ + 3σ` of the new canvas set;
+//! 2. re-stitches `Q` with the Patch-stitching Solver — realised as
+//!    placing the one new tile onto the canvases kept open since the last
+//!    arrival, because the solver is arrival-order first-fit and never
+//!    moves an earlier patch — and asks the Latency Estimator for the
+//!    conservative execution bound `T_slack = µ + 3σ` of the new canvas
+//!    set;
 //! 3. computes the invoke-by instant `t_remain = t_DDL − T_slack`;
 //! 4. if `t_remain` is already in the past — adding this patch would
 //!    break the SLO — or the canvases no longer fit the function's GPU
@@ -23,10 +26,10 @@
 use crate::policy::{Arrival, BatchSpec, BatchingPolicy, PolicyOutput};
 use tangram_infer::estimator::LatencyEstimator;
 use tangram_stitch::canvas::Canvas;
-use tangram_stitch::solver::{split_to_fit, PatchStitchingSolver};
+use tangram_stitch::solver::{split_to_fit, PatchStitchingSolver, Stitching};
 use tangram_types::geometry::Size;
 use tangram_types::patch::PatchInfo;
-use tangram_types::time::{SimDuration, SimTime};
+use tangram_types::time::SimTime;
 
 /// Static configuration of the Tangram scheduler.
 #[derive(Debug, Clone)]
@@ -62,12 +65,14 @@ impl SchedulerConfig {
 /// The Tangram scheduler (Algorithm 2).
 pub struct TangramScheduler {
     config: SchedulerConfig,
-    solver: PatchStitchingSolver,
     estimator: LatencyEstimator,
     /// The pending queue `Q`.
     queue: Vec<PatchInfo>,
-    /// Current stitching `C` of `queue`.
-    canvases: Vec<Canvas>,
+    /// Current stitching `C` of `queue`, kept open across arrivals.
+    stitching: Stitching,
+    /// Earliest (`t_DDL`) and latest deadline in `queue`; `None` when it
+    /// is empty.
+    deadlines: Option<(SimTime, SimTime)>,
     /// Armed invoke-by instant (`t_remain`), if any.
     invoke_by: Option<SimTime>,
     /// Latest observed backend earliest-start (admission-aware mode only;
@@ -93,13 +98,13 @@ impl TangramScheduler {
             config.canvas_size,
             "estimator profiled for a different canvas size"
         );
-        let solver = PatchStitchingSolver::new(config.canvas_size);
+        let stitching = Stitching::new(config.canvas_size);
         Self {
             config,
-            solver,
             estimator,
             queue: Vec::new(),
-            canvases: Vec::new(),
+            stitching,
+            deadlines: None,
             invoke_by: None,
             backend_free_at: None,
         }
@@ -120,7 +125,7 @@ impl TangramScheduler {
     /// Current number of open canvases.
     #[must_use]
     pub fn open_canvases(&self) -> usize {
-        self.canvases.len()
+        self.stitching.canvases().len()
     }
 
     /// The armed invoke-by instant, if a batch is pending.
@@ -134,10 +139,15 @@ impl TangramScheduler {
     /// canvas-sized tiles that share the original deadline.
     pub fn on_patch(&mut self, now: SimTime, patch: PatchInfo) -> PolicyOutput {
         let mut out = PolicyOutput::idle();
-        let tiles = self.normalize(patch);
-        out.accepted = tiles.len();
-        for tile in tiles {
-            self.admit(now, tile, &mut out);
+        if self.config.canvas_size.fits(patch.rect.size()) {
+            out.accepted = 1;
+            self.admit(now, patch, &mut out);
+        } else {
+            let tiles = split_to_fit(patch.rect, self.config.canvas_size);
+            out.accepted = tiles.len();
+            for rect in tiles {
+                self.admit(now, PatchInfo { rect, ..patch }, &mut out);
+            }
         }
         out.next_wake = self.invoke_by;
         out
@@ -169,16 +179,9 @@ impl TangramScheduler {
         PolicyOutput::dispatch(self.take_batch())
     }
 
-    fn normalize(&self, patch: PatchInfo) -> Vec<PatchInfo> {
-        if self.config.canvas_size.fits(patch.rect.size()) {
-            return vec![patch];
-        }
-        split_to_fit(patch.rect, self.config.canvas_size)
-            .into_iter()
-            .map(|rect| PatchInfo { rect, ..patch })
-            .collect()
-    }
-
+    /// `t_remain = t_DDL − T_slack` (lines 8–10) for a stitching of
+    /// `inputs` canvases whose patches' deadlines span `t_ddl..=latest`.
+    ///
     /// Admission-aware wait extension: while the backend cannot start a
     /// batch before `backend_free_at`, dispatching earlier buys nothing —
     /// execution begins at the same instant either way — so the invoke-by
@@ -189,97 +192,70 @@ impl TangramScheduler {
     /// past its own slack by doomed queue-mates, and for feasible work
     /// the SLO-driven `t_remain` always governs. A no-op in the default
     /// (admission-blind) configuration.
-    fn effective_invoke_by(&self, now: SimTime, invoke_by: SimTime, slack: SimDuration) -> SimTime {
-        if !self.config.admission_aware {
-            return invoke_by;
-        }
-        let Some(free) = self.backend_free_at.filter(|&free| free > now) else {
-            return invoke_by;
-        };
-        let all_doomed = self
-            .queue
-            .iter()
-            .map(PatchInfo::deadline)
-            .max()
-            .is_some_and(|latest| free + slack >= latest);
-        if all_doomed {
-            invoke_by.max(free)
-        } else {
-            invoke_by
-        }
-    }
-
-    fn admit(&mut self, now: SimTime, patch: PatchInfo, out: &mut PolicyOutput) {
-        // Lines 5–10: append, re-stitch, re-estimate.
-        self.queue.push(patch);
-        let canvases = self
-            .solver
-            .stitch(&self.queue)
-            .expect("patches were normalised to fit the canvas");
-        let t_ddl = canvases
-            .iter()
-            .filter_map(Canvas::earliest_deadline)
-            .min()
-            .expect("queue is non-empty");
-        let slack = self.estimator.slack_for(canvases.len());
+    fn t_remain(&self, now: SimTime, inputs: usize, t_ddl: SimTime, latest: SimTime) -> SimTime {
+        let slack = self.estimator.slack_for(inputs);
         let invoke_by = if t_ddl.since(SimTime::ZERO) > slack {
             t_ddl - slack
         } else {
             SimTime::ZERO
         };
-        let invoke_by = self.effective_invoke_by(now, invoke_by, slack);
+        if !self.config.admission_aware {
+            return invoke_by;
+        }
+        match self.backend_free_at {
+            Some(free) if free > now && free + slack >= latest => invoke_by.max(free),
+            _ => invoke_by,
+        }
+    }
 
-        let over_memory = canvases.len() > self.config.max_canvases;
-        let too_late = invoke_by <= now;
-
-        if (over_memory || too_late) && self.queue.len() > 1 {
+    /// Lines 5–18 for one canvas-sized patch. Algorithm 2 appends it to
+    /// `Q`, re-stitches all of `Q` and then decides; the stitching of
+    /// `Q ∪ {p}` is that of `Q` with `p` placed, so the decision needs only
+    /// its canvas count — a read-only probe of the open canvases — and
+    /// `C_old` is still untouched when it has to be dispatched.
+    fn admit(&mut self, now: SimTime, patch: PatchInfo, out: &mut PolicyOutput) {
+        let deadline = patch.deadline();
+        let opens_canvas = self.stitching.opens_canvas(patch.rect.size());
+        let inputs = self.open_canvases() + usize::from(opens_canvas);
+        let (mut t_ddl, mut latest) = match self.deadlines {
+            Some((t_ddl, latest)) => (t_ddl.min(deadline), latest.max(deadline)),
+            None => (deadline, deadline),
+        };
+        let mut invoke_by = self.t_remain(now, inputs, t_ddl, latest);
+        let over_memory = inputs > self.config.max_canvases;
+        if (over_memory || invoke_by <= now) && !self.queue.is_empty() {
             // Lines 11–17: dispatch C_old and restart with this patch.
-            let new_patch = self.queue.pop().expect("just pushed");
-            let batch = self.take_batch();
-            out.dispatches.push(batch);
-            self.queue.push(new_patch);
-            let canvases = self
-                .solver
+            out.dispatches.push(self.take_batch());
+            (t_ddl, latest) = (deadline, deadline);
+            invoke_by = self.t_remain(now, 1, t_ddl, latest);
+        }
+        self.queue.push(patch);
+        self.stitching
+            .push(patch)
+            .expect("patches were normalised to fit the canvas");
+        self.deadlines = Some((t_ddl, latest));
+        debug_assert_eq!(
+            Ok(self.stitching.canvases()),
+            PatchStitchingSolver::new(self.config.canvas_size)
                 .stitch(&self.queue)
-                .expect("single patch fits a canvas");
-            let t_ddl = canvases
-                .iter()
-                .filter_map(Canvas::earliest_deadline)
-                .min()
-                .expect("one patch queued");
-            let slack = self.estimator.slack_for(canvases.len());
-            let invoke_by = if t_ddl.since(SimTime::ZERO) > slack {
-                t_ddl - slack
-            } else {
-                SimTime::ZERO
-            };
-            let invoke_by = self.effective_invoke_by(now, invoke_by, slack);
-            self.canvases = canvases;
-            if invoke_by <= now {
-                // Even alone the patch cannot meet its SLO; sending it
-                // immediately minimises the overrun.
-                let batch = self.take_batch();
-                out.dispatches.push(batch);
-            } else {
-                self.invoke_by = Some(invoke_by);
-            }
+                .as_deref(),
+            "carried canvases differ from a from-scratch stitch of the queue"
+        );
+        if invoke_by <= now {
+            // Even alone the patch cannot meet its SLO; sending it
+            // immediately minimises the overrun.
+            out.dispatches.push(self.take_batch());
         } else {
-            self.canvases = canvases;
-            if too_late {
-                // Single queued patch that can no longer make it: ship now.
-                let batch = self.take_batch();
-                out.dispatches.push(batch);
-            } else {
-                self.invoke_by = Some(invoke_by);
-            }
+            self.invoke_by = Some(invoke_by);
         }
     }
 
     /// Builds the dispatch for the current canvases and clears the state.
     fn take_batch(&mut self) -> BatchSpec {
         let patches = std::mem::take(&mut self.queue);
-        let canvases = std::mem::take(&mut self.canvases);
+        let canvases = self.stitching.take();
         self.invoke_by = None;
+        self.deadlines = None;
         let inputs = canvases.len();
         let megapixels = inputs as f64 * self.config.canvas_size.megapixels();
         BatchSpec {

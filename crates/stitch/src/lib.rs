@@ -10,8 +10,10 @@
 //!   ablation baselines;
 //! * [`canvas`] — the canvas data model and efficiency accounting
 //!   (Fig. 10b / Fig. 13 plot the efficiency CDFs);
-//! * [`solver`] — the multi-canvas [`solver::PatchStitchingSolver`] that
-//!   Algorithm 2 invokes on every patch arrival;
+//! * [`solver`] — the multi-canvas first-fit: [`solver::Stitching`] keeps
+//!   canvases open and places one patch per arrival (what Algorithm 2's
+//!   per-arrival re-stitch amounts to), and
+//!   [`solver::PatchStitchingSolver`] stitches a whole queue at once;
 //! * [`compose`] — coordinate mapping between canvas space and source
 //!   frames, used when detections are projected back to cameras.
 //!
@@ -35,4 +37,4 @@ pub mod solver;
 pub use canvas::{Canvas, PlacedPatch};
 pub use compose::CanvasMapping;
 pub use packer::{GuillotinePacker, Packer, ShelfPacker, SkylinePacker};
-pub use solver::{PatchStitchingSolver, StitchError};
+pub use solver::{PatchStitchingSolver, StitchError, Stitching};

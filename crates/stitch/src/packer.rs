@@ -33,7 +33,7 @@ pub trait Packer {
 
 /// The paper's guillotine packer (best-short-side-fit + shorter-axis
 /// split).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GuillotinePacker {
     size: Size,
     free: Vec<Rect>,
@@ -54,6 +54,14 @@ impl GuillotinePacker {
             free: vec![Rect::from_size(size)],
             used: 0,
         }
+    }
+
+    /// Read-only probe: would [`Packer::insert`] place a `size`-shaped
+    /// patch? An insert that answers `None` returns before it touches the
+    /// free list, so asking first and inserting later see the same packer.
+    #[must_use]
+    pub fn fits(&self, size: Size) -> bool {
+        !size.is_empty() && self.free.iter().any(|c| c.size().fits(size))
     }
 }
 
@@ -391,6 +399,48 @@ mod tests {
         assert_eq!(p.insert(Size::new(1025, 10)), None);
         assert_eq!(p.insert(Size::new(10, 1025)), None);
         assert_eq!(p.insert(Size::new(0, 10)), None, "empty patches rejected");
+    }
+
+    /// What `Stitching` and the scheduler lean on: `fits` answers what
+    /// `insert` is about to, and a rejected `insert` changes nothing.
+    fn insert_checked(p: &mut GuillotinePacker, size: Size) -> Option<Point> {
+        let before = p.clone();
+        let placed = p.insert(size);
+        assert_eq!(before.fits(size), placed.is_some(), "probe of {size}");
+        if placed.is_none() {
+            assert_eq!(*p, before, "rejected {size} changed the packer");
+        }
+        placed
+    }
+
+    #[test]
+    fn rejected_insert_is_pure_and_the_probe_agrees_at_the_edges() {
+        let mut p = GuillotinePacker::new(CANVAS);
+        // Empty canvas: zero-sized and oversized are rejected, untouched.
+        for size in [Size::new(0, 0), Size::new(0, 7), Size::new(1025, 1)] {
+            assert_eq!(insert_checked(&mut p, size), None);
+        }
+        assert_eq!(p.free, vec![Rect::from_size(CANVAS)]);
+        // Exact fits: a full-width strip, then exactly what is left.
+        assert!(insert_checked(&mut p, Size::new(1024, 700)).is_some());
+        assert_eq!(insert_checked(&mut p, CANVAS), None, "canvas-sized");
+        assert_eq!(insert_checked(&mut p, Size::new(1024, 325)), None);
+        assert!(insert_checked(&mut p, Size::new(1024, 324)).is_some());
+        // Full canvas: nothing fits, nothing changes.
+        assert!(p.free.is_empty());
+        for size in [Size::new(1, 1), Size::new(0, 0), CANVAS] {
+            assert_eq!(insert_checked(&mut p, size), None);
+        }
+        assert_eq!(p.used_area(), CANVAS.area());
+        // Canvas-sized into an empty packer is the one exact fit of all.
+        assert!(insert_checked(&mut GuillotinePacker::new(CANVAS), CANVAS).is_some());
+        // And the contract holds along mixed fills that end in rejections.
+        for seed in 0..50 {
+            let mut p = GuillotinePacker::new(CANVAS);
+            for size in workload(seed, 40) {
+                insert_checked(&mut p, size);
+            }
+        }
     }
 
     #[test]

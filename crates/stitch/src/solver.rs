@@ -1,10 +1,15 @@
 //! The multi-canvas Patch-stitching Solver.
 //!
-//! Algorithm 2 re-runs the solver over the whole queue on every patch
-//! arrival: patches are stitched onto a growing sequence of canvases;
-//! when no free space fits a patch, a fresh canvas is opened (line 36).
-//! Free space is pooled across all open canvases so a later small patch
-//! can still fill an earlier canvas's gap.
+//! Patches are stitched, in arrival order, onto a growing sequence of
+//! canvases; when no free space fits a patch, a fresh canvas is opened
+//! (line 36). Free space is pooled across all open canvases so a later
+//! small patch can still fill an earlier canvas's gap.
+//!
+//! Algorithm 2 *specifies* a re-stitch of the whole queue on every patch
+//! arrival. Placement is first-fit and never moves an earlier patch, so
+//! the stitching of `Q ∪ {p}` is the stitching of `Q` with `p` placed:
+//! [`Stitching`] keeps the canvases open and places each patch once, and
+//! [`PatchStitchingSolver::stitch`] is the same loop over a whole queue.
 
 use crate::canvas::Canvas;
 use crate::packer::{GuillotinePacker, Packer};
@@ -62,8 +67,89 @@ pub fn split_to_fit(rect: Rect, canvas: Size) -> Vec<Rect> {
     tiles
 }
 
-/// Stateless multi-canvas stitching: every call packs a queue of patches
-/// from scratch, exactly as Algorithm 2 does on each arrival.
+/// An open stitching: the canvases of the patches pushed so far, each
+/// with the packer that still knows its free space.
+#[derive(Debug)]
+pub struct Stitching {
+    canvas_size: Size,
+    /// `packers[i]` packs `canvases[i]`.
+    packers: Vec<GuillotinePacker>,
+    canvases: Vec<Canvas>,
+}
+
+impl Stitching {
+    /// Starts an empty stitching onto canvases of `canvas_size`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `canvas_size` is empty.
+    #[must_use]
+    pub fn new(canvas_size: Size) -> Self {
+        assert!(!canvas_size.is_empty(), "canvas must be non-empty");
+        Self {
+            canvas_size,
+            packers: Vec::new(),
+            canvases: Vec::new(),
+        }
+    }
+
+    /// The open canvases, oldest first.
+    #[must_use]
+    pub fn canvases(&self) -> &[Canvas] {
+        &self.canvases
+    }
+
+    /// Read-only probe: would [`Self::push`] of a `size`-shaped patch open
+    /// a new canvas (`true`) or land in an open one's free space?
+    #[must_use]
+    pub fn opens_canvas(&self, size: Size) -> bool {
+        !self.packers.iter().any(|packer| packer.fits(size))
+    }
+
+    /// Stitches one patch: onto the oldest open canvas whose packer
+    /// accepts it, else onto a new canvas (Algorithm 2, line 36). Earlier
+    /// placements never move.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StitchError::PatchTooLarge`] (and places nothing) if the
+    /// patch exceeds the canvas; pre-split such patches with
+    /// [`split_to_fit`].
+    pub fn push(&mut self, patch: PatchInfo) -> Result<(), StitchError> {
+        let size = patch.rect.size();
+        if !self.canvas_size.fits(size) {
+            return Err(StitchError::PatchTooLarge {
+                patch: size,
+                canvas: self.canvas_size,
+            });
+        }
+        for (packer, canvas) in self.packers.iter_mut().zip(&mut self.canvases) {
+            if let Some(pos) = packer.insert(size) {
+                canvas.place(patch, pos);
+                return Ok(());
+            }
+        }
+        let mut packer = GuillotinePacker::new(self.canvas_size);
+        let pos = packer
+            .insert(size)
+            .expect("patch fits an empty canvas (checked above)");
+        let id = CanvasId::new(self.canvases.len() as u64);
+        let mut canvas = Canvas::new(id, self.canvas_size);
+        canvas.place(patch, pos);
+        self.packers.push(packer);
+        self.canvases.push(canvas);
+        Ok(())
+    }
+
+    /// Hands the canvases over and starts empty.
+    pub fn take(&mut self) -> Vec<Canvas> {
+        self.packers.clear();
+        std::mem::take(&mut self.canvases)
+    }
+}
+
+/// Multi-canvas stitching of a whole queue at once: a fresh [`Stitching`]
+/// with every patch pushed in queue order.
 #[derive(Debug, Clone)]
 pub struct PatchStitchingSolver {
     canvas_size: Size,
@@ -94,36 +180,11 @@ impl PatchStitchingSolver {
     /// Returns [`StitchError::PatchTooLarge`] if any patch exceeds the
     /// canvas; pre-split such patches with [`split_to_fit`].
     pub fn stitch(&self, patches: &[PatchInfo]) -> Result<Vec<Canvas>, StitchError> {
+        let mut stitching = Stitching::new(self.canvas_size);
         for p in patches {
-            if !self.canvas_size.fits(p.rect.size()) {
-                return Err(StitchError::PatchTooLarge {
-                    patch: p.rect.size(),
-                    canvas: self.canvas_size,
-                });
-            }
+            stitching.push(*p)?;
         }
-        let mut packers: Vec<GuillotinePacker> = Vec::new();
-        let mut canvases: Vec<Canvas> = Vec::new();
-        'patches: for p in patches {
-            // Try the pooled free space of every open canvas, oldest first,
-            // choosing the first canvas whose packer accepts the patch.
-            for (packer, canvas) in packers.iter_mut().zip(canvases.iter_mut()) {
-                if let Some(pos) = packer.insert(p.rect.size()) {
-                    canvas.place(*p, pos);
-                    continue 'patches;
-                }
-            }
-            // No space anywhere: open a new canvas (Algorithm 2, line 36).
-            let mut packer = GuillotinePacker::new(self.canvas_size);
-            let pos = packer
-                .insert(p.rect.size())
-                .expect("patch fits an empty canvas (checked above)");
-            let mut canvas = Canvas::new(CanvasId::new(canvases.len() as u64), self.canvas_size);
-            canvas.place(*p, pos);
-            packers.push(packer);
-            canvases.push(canvas);
-        }
-        Ok(canvases)
+        Ok(stitching.take())
     }
 
     /// Convenience for tests and benches: stitch bare sizes (metadata is
@@ -150,20 +211,6 @@ impl PatchStitchingSolver {
             })
             .collect();
         self.stitch(&patches)
-    }
-
-    /// Would the queue still fit on at most `max_canvases` canvases?
-    /// (Constraint (5): the batch must fit the function's GPU memory.)
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::stitch`].
-    pub fn fits_within(
-        &self,
-        patches: &[PatchInfo],
-        max_canvases: usize,
-    ) -> Result<bool, StitchError> {
-        Ok(self.stitch(patches)?.len() <= max_canvases)
     }
 }
 
@@ -283,29 +330,35 @@ mod tests {
     }
 
     #[test]
-    fn fits_within_reflects_canvas_count() {
-        let sizes = [Size::new(700, 700); 3];
-        let s = solver();
-        let patches: Vec<PatchInfo> = {
-            use tangram_types::ids::{CameraId, FrameId, PatchId};
-            use tangram_types::time::{SimDuration, SimTime};
-            sizes
-                .iter()
-                .enumerate()
-                .map(|(i, sz)| {
-                    PatchInfo::new(
-                        PatchId::new(i as u64),
-                        CameraId::new(0),
-                        FrameId::new(0),
-                        Rect::new(0, 0, sz.width, sz.height),
-                        SimTime::ZERO,
-                        SimDuration::from_secs(1),
-                    )
-                })
-                .collect()
+    fn stitching_probe_predicts_push_and_take_starts_empty() {
+        use tangram_types::ids::{CameraId, FrameId, PatchId};
+        use tangram_types::time::{SimDuration, SimTime};
+        let patch = |i: u64, w: u32, h: u32| {
+            PatchInfo::new(
+                PatchId::new(i),
+                CameraId::new(0),
+                FrameId::new(0),
+                Rect::new(0, 0, w, h),
+                SimTime::ZERO,
+                SimDuration::from_secs(1),
+            )
         };
-        assert!(s.fits_within(&patches, 3).unwrap());
-        assert!(!s.fits_within(&patches, 2).unwrap());
+        let mut open = Stitching::new(CANVAS);
+        for i in 0..40u32 {
+            let p = patch(u64::from(i), 90 + (i * 131) % 800, 60 + (i * 71) % 900);
+            let (before, opens) = (open.canvases().len(), open.opens_canvas(p.rect.size()));
+            open.push(p).unwrap();
+            assert_eq!(open.canvases().len(), before + usize::from(opens));
+        }
+        assert!(open.canvases().len() > 3);
+        validate_canvases(open.canvases());
+        let before = open.canvases().to_vec();
+        assert!(open.push(patch(99, 1025, 4)).is_err());
+        assert_eq!(open.canvases(), before, "a refused patch places nothing");
+        assert_eq!(open.take(), before);
+        assert!(open.canvases().is_empty() && open.opens_canvas(Size::new(1, 1)));
+        open.push(patch(100, 8, 8)).unwrap();
+        assert_eq!(open.canvases()[0].id, CanvasId::new(0), "ids restart");
     }
 
     #[test]

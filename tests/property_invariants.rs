@@ -14,6 +14,7 @@ use tangram_infer::latency::InferenceLatencyModel;
 use tangram_partition::algorithm::{partition_detailed, PartitionConfig};
 use tangram_sim::rng::DetRng;
 use tangram_stitch::canvas::PlacedPatch;
+use tangram_stitch::packer::{GuillotinePacker, Packer};
 use tangram_stitch::solver::{split_to_fit, PatchStitchingSolver};
 use tangram_trace::TraceRecord;
 use tangram_types::geometry::{Rect, Size};
@@ -98,6 +99,49 @@ fn stitch_places_everything_disjointly() {
             assert!(canvas.efficiency() <= 1.0 + 1e-12, "case {case}");
         }
     }
+}
+
+/// The packer contract the scheduler's one-tile placement leans on: the
+/// read-only probe answers what `insert` is about to, and a rejected
+/// `insert` leaves the free list and `used_area` as they were — so
+/// "ask, decide, then place" sees the packer a from-scratch re-stitch
+/// would. Sizes mix zero-sized, canvas-sized, 128-aligned (exact fits of
+/// each other's leftovers) and free-form patches.
+#[test]
+fn packer_probe_agrees_with_insert_and_rejection_is_pure() {
+    const CANVAS: Size = Size::CANVAS_1024;
+    let (mut rejected, mut exact_fills) = (0usize, 0usize);
+    for case in 0..2000 {
+        let mut rng = case_rng("packer_probe_agrees_with_insert", case);
+        let mut packer = GuillotinePacker::new(CANVAS);
+        for step in 0..(4 + rng.index(40)) {
+            let size = match rng.index(10) {
+                0 => Size::new(0, rng.index(300) as u32),
+                1 => CANVAS,
+                2..=5 => Size::new(
+                    128 * (1 + rng.index(8)) as u32,
+                    128 * (1 + rng.index(8)) as u32,
+                ),
+                _ => Size::new(1 + rng.index(700) as u32, 1 + rng.index(700) as u32),
+            };
+            let before = packer.clone();
+            let placed = packer.insert(size);
+            assert_eq!(
+                before.fits(size),
+                placed.is_some(),
+                "case {case} step {step}: probe of {size}"
+            );
+            if placed.is_none() {
+                assert_eq!(packer, before, "case {case} step {step}: rejected {size}");
+                rejected += 1;
+            }
+        }
+        exact_fills += usize::from(packer.used_area() == CANVAS.area());
+    }
+    assert!(
+        rejected > 2000 && exact_fills > 100,
+        "{rejected} {exact_fills}"
+    );
 }
 
 #[test]

@@ -1,9 +1,16 @@
 //! Focused semantic tests of Algorithm 2's timing decisions, driven as a
-//! pure state machine (no engine, no threads).
+//! pure state machine (no engine, no threads), and a differential test of
+//! the production scheduler against Algorithm 2 as the paper writes it.
 
+use tangram_core::admission::AdmissionSignals;
+use tangram_core::policy::{BatchSpec, BatchingPolicy, PolicyOutput};
 use tangram_core::scheduler::{SchedulerConfig, TangramScheduler};
 use tangram_infer::estimator::LatencyEstimator;
 use tangram_infer::latency::InferenceLatencyModel;
+use tangram_serverless::platform::BackendSnapshot;
+use tangram_sim::rng::DetRng;
+use tangram_stitch::canvas::Canvas;
+use tangram_stitch::solver::{split_to_fit, PatchStitchingSolver};
 use tangram_types::geometry::{Rect, Size};
 use tangram_types::ids::{CameraId, FrameId, PatchId};
 use tangram_types::patch::PatchInfo;
@@ -133,4 +140,257 @@ fn interleaved_slos_respect_the_tightest() {
     // Firing the timer dispatches BOTH patches together.
     let out = s.on_timer(invoke_by);
     assert_eq!(out.dispatches[0].patch_count(), 2);
+}
+
+/// Algorithm 2 as the paper writes it — append the patch, re-stitch the
+/// whole queue from scratch, re-estimate, decide — and as
+/// `TangramScheduler::admit` implemented it before it kept its canvases
+/// open across arrivals. Kept here only, as the oracle the production
+/// scheduler must match step for step.
+struct Reference {
+    config: SchedulerConfig,
+    solver: PatchStitchingSolver,
+    estimator: LatencyEstimator,
+    queue: Vec<PatchInfo>,
+    canvases: Vec<Canvas>,
+    invoke_by: Option<SimTime>,
+    backend_free_at: Option<SimTime>,
+}
+
+impl Reference {
+    fn new(config: SchedulerConfig, estimator: LatencyEstimator) -> Self {
+        Self {
+            solver: PatchStitchingSolver::new(config.canvas_size),
+            config,
+            estimator,
+            queue: Vec::new(),
+            canvases: Vec::new(),
+            invoke_by: None,
+            backend_free_at: None,
+        }
+    }
+
+    fn on_signals(&mut self, now: SimTime, signals: &AdmissionSignals) {
+        if self.config.admission_aware {
+            self.backend_free_at = Some(signals.backend.earliest_start.max(now));
+        }
+    }
+
+    fn on_patch(&mut self, now: SimTime, patch: PatchInfo) -> PolicyOutput {
+        let mut out = PolicyOutput::idle();
+        let tiles = split_to_fit(patch.rect, self.config.canvas_size);
+        out.accepted = tiles.len();
+        for rect in tiles {
+            self.admit(now, PatchInfo { rect, ..patch }, &mut out);
+        }
+        out.next_wake = self.invoke_by;
+        out
+    }
+
+    fn on_timer(&mut self, now: SimTime) -> PolicyOutput {
+        match self.invoke_by {
+            Some(t) if now >= t => self.drain(),
+            _ => PolicyOutput {
+                next_wake: self.invoke_by,
+                ..PolicyOutput::idle()
+            },
+        }
+    }
+
+    fn drain(&mut self) -> PolicyOutput {
+        if self.queue.is_empty() {
+            return PolicyOutput::idle();
+        }
+        PolicyOutput::dispatch(self.take_batch())
+    }
+
+    /// Re-stitches the whole queue and re-estimates `t_remain` from it.
+    fn restitch(&mut self, now: SimTime) -> (Vec<Canvas>, SimTime) {
+        let canvases = self.solver.stitch(&self.queue).expect("tiles fit");
+        let t_ddl = canvases
+            .iter()
+            .filter_map(Canvas::earliest_deadline)
+            .min()
+            .expect("queue is non-empty");
+        let slack = self.estimator.slack_for(canvases.len());
+        let mut invoke_by = if t_ddl.since(SimTime::ZERO) > slack {
+            t_ddl - slack
+        } else {
+            SimTime::ZERO
+        };
+        if let Some(free) = self.backend_free_at.filter(|&free| free > now) {
+            let latest = self.queue.iter().map(PatchInfo::deadline).max();
+            if self.config.admission_aware && latest.is_some_and(|l| free + slack >= l) {
+                invoke_by = invoke_by.max(free);
+            }
+        }
+        (canvases, invoke_by)
+    }
+
+    fn admit(&mut self, now: SimTime, patch: PatchInfo, out: &mut PolicyOutput) {
+        self.queue.push(patch);
+        let (canvases, invoke_by) = self.restitch(now);
+        let over_memory = canvases.len() > self.config.max_canvases;
+        let too_late = invoke_by <= now;
+        if (over_memory || too_late) && self.queue.len() > 1 {
+            let new_patch = self.queue.pop().expect("just pushed");
+            out.dispatches.push(self.take_batch());
+            self.queue.push(new_patch);
+            let (canvases, invoke_by) = self.restitch(now);
+            self.canvases = canvases;
+            if invoke_by <= now {
+                out.dispatches.push(self.take_batch());
+            } else {
+                self.invoke_by = Some(invoke_by);
+            }
+        } else {
+            self.canvases = canvases;
+            if too_late {
+                out.dispatches.push(self.take_batch());
+            } else {
+                self.invoke_by = Some(invoke_by);
+            }
+        }
+    }
+
+    fn take_batch(&mut self) -> BatchSpec {
+        let patches = std::mem::take(&mut self.queue);
+        let canvases = std::mem::take(&mut self.canvases);
+        self.invoke_by = None;
+        BatchSpec {
+            patches,
+            inputs: canvases.len(),
+            megapixels: canvases.len() as f64 * self.config.canvas_size.megapixels(),
+            canvas_efficiencies: canvases.iter().map(Canvas::efficiency).collect(),
+        }
+    }
+}
+
+/// Everything a step shows: its output bit for bit, then the state left.
+fn observed(out: &PolicyOutput, queue: usize, canvases: usize) -> String {
+    let batches: Vec<_> = out
+        .dispatches
+        .iter()
+        .map(|b| {
+            let bits = |x: &f64| x.to_bits();
+            (
+                &b.patches,
+                b.inputs,
+                bits(&b.megapixels),
+                b.canvas_efficiencies.iter().map(bits).collect::<Vec<_>>(),
+            )
+        })
+        .collect();
+    format!(
+        "{batches:?} wake {:?} accepted {} queue {queue} canvases {canvases}",
+        out.next_wake, out.accepted
+    )
+}
+
+#[test]
+fn one_tile_placement_matches_a_re_stitch_per_arrival_step_for_step() {
+    // What the sequences must reach, counted on the production side.
+    let (mut restarts, mut shipped_alone, mut at_bound, mut tiled, mut waited) = (0, 0, 0, 0, 0);
+    for case in 0..240u64 {
+        let mut rng = DetRng::new(0x5eed_0018).fork_indexed("scheduler_differential", case);
+        let config = SchedulerConfig {
+            admission_aware: case % 2 == 1,
+            ..SchedulerConfig::paper_default()
+        };
+        let estimator = || {
+            let model = InferenceLatencyModel::rtx4090_yolov8x();
+            LatencyEstimator::paper_default(&model, Size::CANVAS_1024, 9)
+        };
+        let mut production = TangramScheduler::new(config.clone(), estimator());
+        let mut reference = Reference::new(config, estimator());
+        // A third of the cases are bursts of big, patient patches (the
+        // 9-canvas bound); the rest mix sizes under the 0.8 s / 1.5 s SLOs.
+        let burst = case % 3 == 0;
+        let mut now_us = 0u64;
+        for step in 0..(40 + rng.index(120)) as u64 {
+            now_us += if rng.chance(0.05) {
+                rng.index(1_500_000) as u64
+            } else {
+                rng.index(if burst { 2_000 } else { 40_000 }) as u64
+            };
+            let now = SimTime::from_micros(now_us);
+            let (out, expected) = match rng.index(20) {
+                0 => (production.drain(), reference.drain()),
+                // A timer tick: the armed one when due, else a spurious one.
+                1..=3 => (production.on_timer(now), reference.on_timer(now)),
+                4..=5 => {
+                    let signals = AdmissionSignals {
+                        queued: production.queue_len(),
+                        backend: BackendSnapshot {
+                            in_flight: 0,
+                            live_instances: 1,
+                            max_instances: Some(1),
+                            earliest_start: now
+                                + SimDuration::from_micros(rng.index(2_000_000) as u64),
+                            backlog: SimDuration::ZERO,
+                        },
+                    };
+                    BatchingPolicy::on_signals(&mut production, now, &signals);
+                    reference.on_signals(now, &signals);
+                    (PolicyOutput::idle(), PolicyOutput::idle())
+                }
+                _ => {
+                    let side = |rng: &mut DetRng| match rng.index(if burst { 4 } else { 12 }) {
+                        0 => 1025 + rng.index(2000),
+                        1..=2 => 700 + rng.index(325),
+                        3 => 1024,
+                        4..=6 => 4 + rng.index(60),
+                        _ => 64 + rng.index(600),
+                    } as u32;
+                    let (w, h) = (side(&mut rng), side(&mut rng));
+                    // Late patches: generated up to 1.6 s before they arrive.
+                    let age_us = if rng.chance(0.25) {
+                        rng.index(1_600_000) as u64
+                    } else {
+                        rng.index(30_000) as u64
+                    };
+                    let slo_ms = match (burst, rng.chance(0.5)) {
+                        (true, _) => 60_000,
+                        (false, true) => 800,
+                        (false, false) => 1500,
+                    };
+                    let info = PatchInfo::new(
+                        PatchId::new(step),
+                        CameraId::new(rng.index(8) as u32),
+                        FrameId::new(step / 8),
+                        Rect::new(0, 0, w, h),
+                        SimTime::from_micros(now_us.saturating_sub(age_us)),
+                        SimDuration::from_millis(slo_ms),
+                    );
+                    let out = production.on_patch(now, info);
+                    tiled += usize::from(out.accepted > 1);
+                    match (out.dispatches.len(), production.queue_len()) {
+                        (0, _) => {
+                            waited +=
+                                usize::from(out.next_wake.is_some_and(|t| t > info.deadline()))
+                        }
+                        (_, 0) => shipped_alone += 1,
+                        _ => restarts += 1,
+                    }
+                    at_bound += out.dispatches.iter().filter(|b| b.inputs == 9).count();
+                    (out, reference.on_patch(now, info))
+                }
+            };
+            assert_eq!(
+                observed(&out, production.queue_len(), production.open_canvases()),
+                observed(&expected, reference.queue.len(), reference.canvases.len()),
+                "case {case} step {step} at {now}"
+            );
+            assert_eq!(
+                production.invoke_by(),
+                reference.invoke_by,
+                "case {case} step {step}"
+            );
+        }
+    }
+    let reached = [restarts, shipped_alone, at_bound, tiled, waited];
+    assert!(
+        reached.iter().all(|&n| n >= 20),
+        "paths reached: {reached:?}"
+    );
 }
