@@ -391,9 +391,10 @@ mod tests {
         let opts = ExpOpts::parse(["--quick".to_string()]).expect("a known flag");
         for row in &ROWS {
             // The one row of 22 not run here: its subject *is* the raster
-            // extractors (GMM, optical flow), 35 s in release and 137 s
-            // in a debug build even at `--frames 2`. CI's `repro all
-            // --quick` step holds it to its declaration instead.
+            // extractors (GMM, optical flow), 22 s in release and 170 s
+            // in a debug build even at `--frames 2` — block matching is
+            // nearly all of it. CI's `repro all --quick` step holds it
+            // to its declaration instead.
             if row.id == "table4_extractors" {
                 continue;
             }

@@ -63,12 +63,11 @@ pub fn connected_components(mask: &BitMask, min_pixels: u32) -> Vec<Component> {
 
     // First pass: provisional labels + equivalences.
     for y in 0..h {
-        for x in 0..w {
-            if !mask.get(x, y) {
-                continue;
-            }
-            let left = (x > 0 && mask.get(x - 1, y)).then(|| labels[at(x - 1, y)]);
-            let up = (y > 0 && mask.get(x, y - 1)).then(|| labels[at(x, y - 1)]);
+        for x in mask.set_in_row(y) {
+            // A scanned neighbour is foreground exactly when it is labelled.
+            let left = (x > 0).then(|| labels[at(x - 1, y)]);
+            let up = (y > 0).then(|| labels[at(x, y - 1)]);
+            let [left, up] = [left, up].map(|l| l.filter(|&l| l != u32::MAX));
             let label = match (left, up) {
                 (Some(l), Some(u)) => {
                     uf.union(l, u);
