@@ -36,8 +36,9 @@
 //! * [`engine`] — [`engine::EngineConfig`] and the batch entry point
 //!   ([`engine::EngineConfig::run`]): trace replay is one event source
 //!   of the [`online`] loop;
-//! * [`runtime`] — a live, threaded runtime exposing the paper's
-//!   `receive_patch` / `invoke` API for real-time (non-simulated) use.
+//! * [`runtime`] — the paper's `receive_patch` / `invoke` API for
+//!   real-time (non-simulated) use: the [`online`] engine's batch stage
+//!   on a clock the host injects.
 //!
 //! # Example
 //!

@@ -27,7 +27,7 @@
 //! [`GeneratedSource`] emits frames under a seeded [`ArrivalProcess`]
 //! with a per-tenant SLO class.
 
-mod batch;
+pub(crate) mod batch;
 mod execute;
 mod ingest;
 mod source;
@@ -188,7 +188,7 @@ impl OnlineEngine {
         // End of stream: flush whatever the policy still holds; only
         // those batches' completions remain to be acknowledged.
         let now = self.out.events.now();
-        for spec in self.batch.policy.flush(now).dispatches {
+        for spec in self.batch.flush(now).dispatches {
             self.dispatch(now, spec);
         }
         while let Some((now, event)) = self.out.events.step() {

@@ -23,9 +23,15 @@ pub(crate) struct Batch {
 
 impl Batch {
     pub(crate) fn new(config: &EngineConfig) -> Self {
+        Self::with_policy(config.build_policy(), config.scheduler_admission_aware)
+    }
+
+    /// The stage around an already-built policy: the engine's by way of
+    /// [`Batch::new`], the live runtime's directly.
+    pub(crate) fn with_policy(policy: Box<dyn BatchingPolicy>, reads_signals: bool) -> Self {
         Self {
-            policy: config.build_policy(),
-            reads_signals: config.scheduler_admission_aware,
+            policy,
+            reads_signals,
             queued: 0,
             timer_armed: None,
         }
@@ -40,14 +46,24 @@ impl Batch {
         output
     }
 
-    /// The armed wake-up fired: its slot is free again, and the policy
-    /// re-arms via `next_wake` if it still wants one (possibly at this
-    /// same instant).
+    /// A wake-up fired: the armed one's slot is free again once `now`
+    /// has reached it, and the policy re-arms via `next_wake` if it still
+    /// wants one (possibly at this same instant). The engine's timers
+    /// fire at exactly their instants, the armed one first; a polling
+    /// host may deliver it late, and a tick that comes early is one more
+    /// stale tick to the policy.
     pub(crate) fn on_timer(&mut self, now: SimTime) -> PolicyOutput {
-        if self.timer_armed == Some(now) {
+        if self.timer_armed.is_some_and(|armed| armed <= now) {
             self.timer_armed = None;
         }
         self.policy.on_tick(now)
+    }
+
+    /// End of stream: the policy gives up whatever it still holds, so no
+    /// wake-up is owed any more.
+    pub(crate) fn flush(&mut self, now: SimTime) -> PolicyOutput {
+        self.timer_armed = None;
+        self.policy.flush(now)
     }
 
     /// A batch of `patches` items left for the platform. Arrivals were
@@ -74,6 +90,12 @@ impl Batch {
         }
         self.timer_armed = Some(wake);
         Some(wake)
+    }
+
+    /// The armed wake-up: the instant a host without an event queue must
+    /// deliver its next [`Batch::on_timer`] by.
+    pub(crate) fn armed(&self) -> Option<SimTime> {
+        self.timer_armed
     }
 }
 
@@ -111,5 +133,12 @@ mod tests {
         // taken.
         let _ = batch.on_timer(at(40));
         assert_eq!(batch.arm(at(40), Some(at(50))), None, "50 ms still armed");
+        // A polling host may deliver the wake-up late; the slot is freed
+        // all the same, and a flush leaves none armed.
+        let _ = batch.on_timer(at(60));
+        assert_eq!(batch.armed(), None);
+        assert_eq!(batch.arm(at(60), Some(at(90))), Some(at(90)));
+        let _ = batch.flush(at(70));
+        assert_eq!(batch.armed(), None);
     }
 }

@@ -1,4 +1,4 @@
-//! Live (threaded, wall-clock) runtime exposing the paper's API.
+//! Live runtime exposing the paper's API.
 //!
 //! §IV of the paper describes the deployment interface:
 //!
@@ -8,176 +8,112 @@
 //! 2. def invoke(canvases)
 //! ```
 //!
-//! [`LiveTangram`] provides exactly that: patches stream in from any
-//! thread via [`LiveTangram::receive_patch`]; a background invoker thread
-//! watches the scheduler's `t_remain` and calls the user's `invoke`
-//! callback with the batch at the right moment. The scheduler state
-//! machine is shared with the simulation (`TangramScheduler`), so the
-//! batching behaviour is identical in both worlds.
+//! [`LiveTangram`] provides exactly that, and it is the engine's own batch
+//! stage (`online::batch`) around a [`TangramScheduler`], read off an
+//! injected [`Clock`] instead of an event queue — so the batching
+//! behaviour, wake-up bookkeeping included, is the simulation's. It is
+//! synchronous and owns neither a thread nor a timer: the host hands it
+//! patches as they arrive and calls [`LiveTangram::poll`] by the instant
+//! the previous `poll` returned. Real time lives in the host:
+//! `examples/quickstart.rs` paces that loop with a wall clock, tests
+//! with a `ManualClock`.
 
-use crate::policy::BatchSpec;
+use crate::online::batch::Batch;
+use crate::policy::{Arrival, BatchSpec, PolicyOutput};
 use crate::scheduler::{SchedulerConfig, TangramScheduler};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 use tangram_infer::estimator::LatencyEstimator;
-use tangram_types::patch::PatchInfo;
+use tangram_sim::clock::Clock;
+use tangram_types::patch::{Patch, PatchInfo};
 use tangram_types::time::SimTime;
+use tangram_types::units::Bytes;
 
 /// Callback invoked with each dispatched batch (the paper's
 /// `invoke(canvases)`).
-pub type InvokeFn = dyn FnMut(BatchSpec) + Send;
-
-enum Command {
-    Patch(PatchInfo),
-    Flush,
-    Shutdown,
-}
-
-struct Worker {
-    scheduler: TangramScheduler,
-    receiver: Receiver<Command>,
-    invoke: Box<InvokeFn>,
-    epoch: Instant,
-}
-
-impl Worker {
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
-    }
-
-    fn fire_all(&mut self, specs: Vec<BatchSpec>) {
-        for spec in specs {
-            if !spec.patches.is_empty() {
-                (self.invoke)(spec);
-            }
-        }
-    }
-
-    fn run(mut self) {
-        loop {
-            // Wait for a command, but never past the armed invoke-by.
-            let received = match self.scheduler.invoke_by() {
-                Some(t) => {
-                    let wait = Duration::from_micros(t.since(self.now()).as_micros());
-                    match self.receiver.recv_timeout(wait) {
-                        Ok(cmd) => Some(cmd),
-                        Err(RecvTimeoutError::Timeout) => None,
-                        Err(RecvTimeoutError::Disconnected) => {
-                            // Producer gone: honour the pending timer, then
-                            // exit.
-                            let remaining = t.since(self.now());
-                            if !remaining.is_zero() {
-                                std::thread::sleep(Duration::from_micros(remaining.as_micros()));
-                            }
-                            let out = self.scheduler.drain();
-                            self.fire_all(out.dispatches);
-                            return;
-                        }
-                    }
-                }
-                None => match self.receiver.recv() {
-                    Ok(cmd) => Some(cmd),
-                    Err(_) => {
-                        let out = self.scheduler.drain();
-                        self.fire_all(out.dispatches);
-                        return;
-                    }
-                },
-            };
-            let now = self.now();
-            match received {
-                Some(Command::Patch(p)) => {
-                    let out = self.scheduler.on_patch(now, p);
-                    self.fire_all(out.dispatches);
-                }
-                Some(Command::Flush) => {
-                    let out = self.scheduler.drain();
-                    self.fire_all(out.dispatches);
-                }
-                Some(Command::Shutdown) => {
-                    let out = self.scheduler.drain();
-                    self.fire_all(out.dispatches);
-                    return;
-                }
-                None => {
-                    // Timer fired.
-                    let out = self.scheduler.on_timer(now);
-                    self.fire_all(out.dispatches);
-                }
-            }
-        }
-    }
-}
+pub type InvokeFn = dyn FnMut(BatchSpec);
 
 /// The live Tangram runtime.
-pub struct LiveTangram {
-    sender: Sender<Command>,
-    worker: Option<JoinHandle<()>>,
+pub struct LiveTangram<C: Clock> {
+    batch: Batch,
+    clock: C,
+    invoke: Box<InvokeFn>,
 }
 
-impl LiveTangram {
+impl<C: Clock> LiveTangram<C> {
     /// Starts the runtime with a scheduler configuration, a profiled
-    /// latency estimator, and the invoke callback.
+    /// latency estimator, the clock every instant is read from, and the
+    /// invoke callback.
     #[must_use]
     pub fn start(
         config: SchedulerConfig,
         estimator: LatencyEstimator,
+        clock: C,
         invoke: Box<InvokeFn>,
     ) -> Self {
-        let (sender, receiver) = unbounded();
-        let worker_state = Worker {
-            scheduler: TangramScheduler::new(config, estimator),
-            receiver,
-            invoke,
-            epoch: Instant::now(),
-        };
-        let worker = std::thread::spawn(move || worker_state.run());
+        let scheduler = TangramScheduler::new(config, estimator);
         Self {
-            sender,
-            worker: Some(worker),
+            batch: Batch::with_policy(Box::new(scheduler), false),
+            clock,
+            invoke,
         }
     }
 
-    /// The paper's `receive_patch`: hand one patch to the scheduler.
+    /// The paper's `receive_patch`: hand one patch to the scheduler, which
+    /// may invoke at once (SLO already at risk, or GPU memory full).
     ///
     /// The patch's `generated_at` should be stamped by the caller (the
     /// edge) on the runtime's clock; its SLO countdown is already running.
-    pub fn receive_patch(&self, patch: PatchInfo) {
-        let _ = self.sender.send(Command::Patch(patch));
+    pub fn receive_patch(&mut self, patch: PatchInfo) {
+        let arrival = Arrival::Patch(Patch::new(patch, Bytes::ZERO));
+        self.step(|batch, now| batch.on_arrival(now, arrival));
+    }
+
+    /// Invokes the pending batch if the clock has reached its invoke-by
+    /// instant, and returns the instant the host must call `poll` by next
+    /// (`None`: not before the next patch).
+    pub fn poll(&mut self) -> Option<SimTime> {
+        self.step(Batch::on_timer);
+        self.batch.armed()
     }
 
     /// Forces everything queued to dispatch now.
-    pub fn flush(&self) {
-        let _ = self.sender.send(Command::Flush);
+    pub fn flush(&mut self) {
+        self.step(Batch::flush);
     }
 
-    /// Stops the runtime, flushing pending patches.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
+    /// Stops the runtime, flushing pending patches (as dropping it does).
+    pub fn shutdown(self) {}
 
-    fn stop(&mut self) {
-        if let Some(w) = self.worker.take() {
-            let _ = self.sender.send(Command::Shutdown);
-            let _ = w.join();
+    /// Hands the stage one event at the clock's instant and acts on what
+    /// it returns the way the engine does: dispatches first, then the
+    /// wake-up.
+    fn step(&mut self, event: impl FnOnce(&mut Batch, SimTime) -> PolicyOutput) {
+        let now = self.clock.now();
+        let output = event(&mut self.batch, now);
+        for spec in output.dispatches {
+            if !spec.patches.is_empty() {
+                self.batch.on_dispatch(spec.patches.len());
+                (self.invoke)(spec);
+            }
         }
+        // The armed slot is the only timer a polled host has, so there is
+        // nothing to schedule with the instant `arm` returns.
+        let _ = self.batch.arm(now, output.next_wake);
     }
 }
 
-impl Drop for LiveTangram {
+impl<C: Clock> Drop for LiveTangram<C> {
     fn drop(&mut self) {
-        self.stop();
+        self.flush();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use tangram_infer::latency::InferenceLatencyModel;
+    use tangram_sim::clock::ManualClock;
     use tangram_types::geometry::{Rect, Size};
     use tangram_types::ids::{CameraId, FrameId, PatchId};
     use tangram_types::time::SimDuration;
@@ -190,85 +126,80 @@ mod tests {
         )
     }
 
-    fn patch(id: u64, generated: SimTime, slo_ms: u64) -> PatchInfo {
+    fn patch(id: u64, slo_ms: u64) -> PatchInfo {
         PatchInfo::new(
             PatchId::new(id),
             CameraId::new(0),
             FrameId::new(0),
             Rect::new(0, 0, 400, 300),
-            generated,
+            SimTime::ZERO,
             SimDuration::from_millis(slo_ms),
         )
     }
 
-    #[test]
-    fn live_runtime_dispatches_on_deadline() {
-        let fired = Arc::new(AtomicUsize::new(0));
-        let fired_clone = Arc::clone(&fired);
-        let batches: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
-        let batches_clone = Arc::clone(&batches);
+    /// A runtime on `clock` and the patch count of every batch it fired.
+    fn runtime(clock: &ManualClock) -> (LiveTangram<ManualClock>, Rc<RefCell<Vec<usize>>>) {
+        let fired = Rc::new(RefCell::new(Vec::new()));
+        let sink = Rc::clone(&fired);
         let runtime = LiveTangram::start(
             SchedulerConfig::paper_default(),
             estimator(),
-            Box::new(move |spec| {
-                fired_clone.fetch_add(1, Ordering::SeqCst);
-                batches_clone.lock().push(spec.patch_count());
-            }),
+            clock.clone(),
+            Box::new(move |spec| sink.borrow_mut().push(spec.patch_count())),
         );
-        // Two patches with ~350 ms budget: the invoker must fire on its
-        // own before the deadline.
-        runtime.receive_patch(patch(1, SimTime::ZERO, 350));
-        runtime.receive_patch(patch(2, SimTime::ZERO, 350));
-        std::thread::sleep(Duration::from_millis(500));
-        assert_eq!(fired.load(Ordering::SeqCst), 1, "one batch, fired by timer");
-        assert_eq!(batches.lock()[0], 2, "both patches in the batch");
-        runtime.shutdown();
+        (runtime, fired)
+    }
+
+    #[test]
+    fn live_runtime_dispatches_on_deadline() {
+        let clock = ManualClock::new();
+        let (mut runtime, fired) = runtime(&clock);
+        let mut bare = TangramScheduler::new(SchedulerConfig::paper_default(), estimator());
+        // Two patches with a 350 ms budget: `poll` must fire them at the
+        // scheduler's invoke-by instant, not a microsecond earlier.
+        for id in [1, 2] {
+            runtime.receive_patch(patch(id, 350));
+            let _ = bare.on_patch(SimTime::ZERO, patch(id, 350));
+        }
+        let invoke_by = bare.invoke_by().expect("a batch is pending");
+        assert!(invoke_by < patch(1, 350).deadline());
+        assert_eq!(runtime.poll(), Some(invoke_by));
+        clock.advance_to(invoke_by - SimDuration::from_micros(1));
+        assert_eq!(runtime.poll(), Some(invoke_by));
+        assert!(fired.borrow().is_empty(), "fired before invoke-by");
+        clock.advance_to(invoke_by);
+        assert_eq!(runtime.poll(), None, "nothing left to wake up for");
+        assert_eq!(*fired.borrow(), [2], "one batch, both patches in it");
     }
 
     #[test]
     fn shutdown_flushes_pending() {
-        let fired = Arc::new(AtomicUsize::new(0));
-        let fired_clone = Arc::clone(&fired);
-        let runtime = LiveTangram::start(
-            SchedulerConfig::paper_default(),
-            estimator(),
-            Box::new(move |_| {
-                fired_clone.fetch_add(1, Ordering::SeqCst);
-            }),
-        );
+        let (mut runtime, fired) = runtime(&ManualClock::new());
         // Long SLO: would not fire for seconds — shutdown must flush.
-        runtime.receive_patch(patch(1, SimTime::ZERO, 60_000));
-        std::thread::sleep(Duration::from_millis(50));
+        runtime.receive_patch(patch(1, 60_000));
+        assert!(fired.borrow().is_empty());
         runtime.shutdown();
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
+        assert_eq!(*fired.borrow(), [1]);
     }
 
     #[test]
     fn explicit_flush_dispatches() {
-        let fired = Arc::new(AtomicUsize::new(0));
-        let fired_clone = Arc::clone(&fired);
-        let runtime = LiveTangram::start(
-            SchedulerConfig::paper_default(),
-            estimator(),
-            Box::new(move |_| {
-                fired_clone.fetch_add(1, Ordering::SeqCst);
-            }),
-        );
-        runtime.receive_patch(patch(1, SimTime::ZERO, 60_000));
+        let (mut runtime, fired) = runtime(&ManualClock::new());
+        runtime.receive_patch(patch(1, 60_000));
         runtime.flush();
-        std::thread::sleep(Duration::from_millis(100));
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
-        runtime.shutdown();
+        assert_eq!(*fired.borrow(), [1]);
+        assert_eq!(runtime.poll(), None, "a flushed queue owes no wake-up");
+        // Nothing is left for a second flush, nor for the drop.
+        runtime.flush();
+        drop(runtime);
+        assert_eq!(*fired.borrow(), [1]);
     }
 
     #[test]
     fn drop_without_shutdown_is_clean() {
-        let runtime = LiveTangram::start(
-            SchedulerConfig::paper_default(),
-            estimator(),
-            Box::new(|_| {}),
-        );
-        runtime.receive_patch(patch(1, SimTime::ZERO, 60_000));
-        drop(runtime); // must not hang or panic
+        let (mut runtime, fired) = runtime(&ManualClock::new());
+        runtime.receive_patch(patch(1, 60_000));
+        drop(runtime);
+        assert_eq!(*fired.borrow(), [1], "dropping flushes, once");
     }
 }

@@ -20,7 +20,7 @@
 //!    reaches it, the whole canvas set dispatches as one batch.
 //!
 //! The scheduler is a pure state machine (no IO, no clock reads): both
-//! the discrete-event engine and the live threaded runtime drive it with
+//! the discrete-event engine and the live runtime drive it with
 //! explicit times, which makes Algorithm 2 directly unit-testable.
 
 use crate::policy::{Arrival, BatchSpec, BatchingPolicy, PolicyOutput};

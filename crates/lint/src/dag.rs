@@ -141,7 +141,7 @@ struct Manifest {
     package: String,
     /// Line of `name = "…"`.
     package_line: usize,
-    /// `[dependencies]` + `[dev-dependencies]` keys.
+    /// The keys of every `[…dependencies]` section.
     deps: Vec<Dep>,
 }
 
@@ -181,8 +181,16 @@ pub fn check_dag(root: &Path) -> Result<Vec<Violation>, String> {
         let text = std::fs::read_to_string(&path).map_err(|e| format!("{rel}: {e}"))?;
         manifests.push(parse_manifest(&dir, &text));
     }
+    violations.extend(check_edges(&manifests));
+    violations.extend(find_cycles(&manifests));
+    Ok(violations)
+}
 
-    for m in &manifests {
+/// `dag-unlisted` and `dag-edge`: every package on the lattice, every
+/// edge pointing down it, every external declared.
+fn check_edges(manifests: &[Manifest]) -> Vec<Violation> {
+    let mut violations = Vec::new();
+    for m in manifests {
         let entry = lattice_entry(m.short());
         if entry.is_none() {
             violations.push(Violation::new(
@@ -262,9 +270,7 @@ pub fn check_dag(root: &Path) -> Result<Vec<Violation>, String> {
             }
         }
     }
-
-    violations.extend(find_cycles(&manifests));
-    Ok(violations)
+    violations
 }
 
 /// Reports each dependency cycle once, anchored at the closing edge of
@@ -342,7 +348,10 @@ fn parse_manifest(dir: &str, text: &str) -> Manifest {
                 }
             }
         }
-        if section == "dependencies" || section == "dev-dependencies" {
+        // `[dependencies]`, `[dev-dependencies]`, `[build-dependencies]`
+        // and each of them under `[target.'cfg(…)'.…]`.
+        let last_segment = section.rsplit('.').next().unwrap_or("");
+        if last_segment.ends_with("dependencies") {
             let key: String = line
                 .chars()
                 .take_while(|c| c.is_ascii_alphanumeric() || *c == '-' || *c == '_')
@@ -381,6 +390,22 @@ mod tests {
         assert_eq!(m.deps[0].line, 5);
         assert_eq!(m.deps[1].name, "tangram-types");
         assert_eq!(m.deps[1].line, 6);
+    }
+
+    #[test]
+    fn edges_are_read_from_every_dependencies_section() {
+        let m = parse_manifest(
+            "types",
+            "[package]\nname = \"tangram-types\"\n[dependencies]\nserde.workspace = true\n\
+             [build-dependencies]\ntangram-core.workspace = true\n\
+             [target.'cfg(unix)'.dependencies]\ntangram-sim.workspace = true\n\
+             [package.metadata.docs]\ntangram-bench = true\n",
+        );
+        let names: Vec<&str> = m.deps.iter().map(|d| d.name.as_str()).collect();
+        assert_eq!(names, ["serde", "tangram-core", "tangram-sim"]);
+        let upward: Vec<(usize, &str)> =
+            check_edges(&[m]).iter().map(|v| (v.line, v.rule)).collect();
+        assert_eq!(upward, [(6, "dag-edge"), (8, "dag-edge")]);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //!
 //! * **`det-wall-clock`** and **`det-entropy`** scan *every* crate under
 //!   `crates/*/src` — a wall-clock read or ambient entropy anywhere can
-//!   leak into gated output, so the one deliberately wall-clock site
-//!   (the live runtime's pacing epoch) carries an explicit waiver in
-//!   `config/lint_allow.toml` instead of being silently out of scope.
+//!   leak into gated output, so no crate is silently out of scope and
+//!   none holds a waiver: the live runtime reads an injected clock, and
+//!   real time lives in `examples/` and `benchmark/`.
 //! * **`det-hash-order`** scans only the deterministic crates
 //!   ([`DET_CRATES`]): `HashMap`/`HashSet` iteration order is
 //!   unspecified, so any use on a path that can feed serialized output

@@ -4,9 +4,9 @@
 //!
 //! ```toml
 //! [[allow]]
-//! file = "crates/core/src/runtime.rs"
-//! rule = "det-wall-clock"
-//! justification = "LiveTangram is the wall-clock deployment shim"
+//! file = "crates/types/src/json.rs"
+//! rule = "det-float-format"
+//! justification = "write_f64 is the sanctioned shortest-round-trip float writer"
 //! ```
 //!
 //! Waivers are load-bearing, both ways: a violation matching a waiver

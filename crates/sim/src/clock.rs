@@ -1,9 +1,10 @@
 //! Clock abstraction shared by the discrete-event engine and the live
-//! (threaded) runtime.
+//! runtime.
 //!
 //! The engine advances a [`ManualClock`] as it drains its event queue; the
-//! live runtime in `tangram-core` provides a wall-clock-backed
-//! implementation of the same [`Clock`] trait, so the scheduler code is
+//! live runtime in `tangram-core` (`LiveTangram`) reads whichever
+//! [`Clock`] its host injects — a [`ManualClock`] under test, a wall-clock
+//! implementation in `examples/quickstart.rs` — so the scheduler code is
 //! identical in both worlds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,7 +40,9 @@ impl ManualClock {
     /// Panics if `at` is earlier than the current instant — simulated time
     /// never flows backwards.
     pub fn advance_to(&self, at: SimTime) {
-        let prev = self.micros.swap(at.as_micros(), Ordering::SeqCst);
+        // `fetch_max`: a rejected move leaves every clone of the clock
+        // reading the later instant.
+        let prev = self.micros.fetch_max(at.as_micros(), Ordering::SeqCst);
         assert!(
             prev <= at.as_micros(),
             "clock moved backwards: {prev} -> {}",
@@ -80,6 +83,17 @@ mod tests {
         let c = ManualClock::new();
         c.advance_to(SimTime::from_micros(100));
         c.advance_to(SimTime::from_micros(99));
+    }
+
+    #[test]
+    fn a_rejected_backwards_move_leaves_the_clock_where_it_was() {
+        let c = ManualClock::new();
+        c.advance_to(SimTime::from_micros(100));
+        let view = c.clone();
+        let moved_back =
+            std::panic::catch_unwind(move || view.advance_to(SimTime::from_micros(99)));
+        assert!(moved_back.is_err(), "a backwards move must panic");
+        assert_eq!(c.now(), SimTime::from_micros(100));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! * [`event::EventQueue`] — a time-ordered queue with stable FIFO
 //!   tie-breaking, the heart of the end-to-end engine;
 //! * [`clock`] — the [`clock::Clock`] abstraction shared by the simulated
-//!   and the live (threaded) runtime;
+//!   and the live runtime;
 //! * [`driver::EventLoop`] — the queue and the clock stepped together:
 //!   the discrete-event loop that drives the streaming engine's
 //!   arrival/timer/completion/churn events;

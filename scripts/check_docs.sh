@@ -78,6 +78,15 @@ for path in crates/*/src/bin/*.rs; do
   fi
 done
 
+# Every integration suite must be named in README.md's suite list.
+for path in tests/*.rs; do
+  suite=$(basename "$path" .rs)
+  if ! grep -qF "\`$suite\`" README.md; then
+    echo "ERROR: integration suite '$suite' is not named in README.md"
+    status=1
+  fi
+done
+
 # Every experiment binary must have its own table row in
 # docs/EXPERIMENTS.md (a line starting "| `<bin>`"), so the bin↔metric
 # mapping there stays exhaustive — a passing mention elsewhere is not

@@ -168,6 +168,26 @@ fn every_real_waiver_is_load_bearing() {
     }
 }
 
+/// One wall-clock instrument, `benchmark/`: nothing under `crates/`
+/// names `Instant` or `SystemTime` — before waivers — and the allowlist
+/// holds no waiver that would let some file start to.
+#[test]
+fn the_real_tree_reads_no_wall_clock() {
+    let root = repo_root();
+    let raw = rules::check_determinism(&root).expect("determinism");
+    let reads: Vec<String> = raw
+        .iter()
+        .filter(|v| v.rule == "det-wall-clock")
+        .map(ToString::to_string)
+        .collect();
+    assert!(reads.is_empty(), "wall-clock reads:\n{}", reads.join("\n"));
+    let (waivers, _) = WaiverSet::load(&root).expect("allowlist");
+    assert!(
+        !waivers.entries.iter().any(|w| w.rule == "det-wall-clock"),
+        "the allowlist waives det-wall-clock"
+    );
+}
+
 /// Adding an unused waiver to the real allowlist fails the run as
 /// `stale-waiver`.
 #[test]

@@ -1,13 +1,18 @@
 //! Focused semantic tests of Algorithm 2's timing decisions, driven as a
-//! pure state machine (no engine, no threads), and a differential test of
-//! the production scheduler against Algorithm 2 as the paper writes it.
+//! pure state machine (no engine, no threads), a differential test of
+//! the production scheduler against Algorithm 2 as the paper writes it,
+//! and one of the live runtime against that scheduler driven by hand.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use tangram_core::admission::AdmissionSignals;
 use tangram_core::policy::{BatchSpec, BatchingPolicy, PolicyOutput};
+use tangram_core::runtime::LiveTangram;
 use tangram_core::scheduler::{SchedulerConfig, TangramScheduler};
 use tangram_infer::estimator::LatencyEstimator;
 use tangram_infer::latency::InferenceLatencyModel;
 use tangram_serverless::platform::BackendSnapshot;
+use tangram_sim::clock::{Clock, ManualClock};
 use tangram_sim::rng::DetRng;
 use tangram_stitch::canvas::Canvas;
 use tangram_stitch::solver::{split_to_fit, PatchStitchingSolver};
@@ -393,4 +398,127 @@ fn one_tile_placement_matches_a_re_stitch_per_arrival_step_for_step() {
         reached.iter().all(|&n| n >= 20),
         "paths reached: {reached:?}"
     );
+}
+
+/// One dispatch as both drivers see it: when, which patches (tiles of an
+/// oversized patch repeat its id), on how many canvases.
+type Dispatch = (SimTime, Vec<u64>, usize);
+
+fn dispatches(at: SimTime, batches: &[BatchSpec]) -> impl Iterator<Item = Dispatch> + '_ {
+    batches.iter().map(move |b| {
+        let ids = b.patches.iter().map(|p| p.id.raw()).collect();
+        (at, ids, b.inputs)
+    })
+}
+
+/// `LiveTangram` is one more driver of the same state machine: streamed
+/// the same patches on a `ManualClock` — the host sleeping until the
+/// earlier of the next arrival and the instant `poll` returned — it fires
+/// the batches a bare `TangramScheduler` fires when its timer is
+/// delivered by hand at `invoke_by`, at the same instants.
+#[test]
+fn the_live_runtime_fires_what_the_scheduler_driven_by_hand_fires() {
+    let estimator = || {
+        let model = InferenceLatencyModel::rtx4090_yolov8x();
+        LatencyEstimator::paper_default(&model, Size::CANVAS_1024, 9)
+    };
+    let mut rng = DetRng::new(0x5eed_0020).fork("live_differential");
+    let mut now_us = 0u64;
+    let arrivals: Vec<(SimTime, PatchInfo)> = (0..320u64)
+        .map(|id| {
+            // Bursts a few ms apart, then a lull long enough for timers;
+            // ids 200..240 are one burst of big, patient patches (the
+            // 9-canvas bound).
+            let big_burst = (200..240).contains(&id);
+            now_us += if rng.chance(0.12) && !big_burst {
+                200_000 + rng.index(1_200_000)
+            } else {
+                rng.index(6_000)
+            } as u64;
+            let side = |rng: &mut DetRng| match rng.index(if big_burst { 3 } else { 10 }) {
+                0..=1 => 700 + rng.index(325),
+                2 => 1024,
+                3..=5 => 8 + rng.index(120),
+                _ => 128 + rng.index(500),
+            } as u32;
+            // One patch larger than the canvas; a fifth arrive late.
+            let (w, h) = match id {
+                97 => (2600, 1400),
+                _ => (side(&mut rng), side(&mut rng)),
+            };
+            let age_us = if rng.chance(0.2) && !big_burst {
+                rng.index(900_000) as u64
+            } else {
+                0
+            };
+            let slo_ms = match big_burst {
+                true => 60_000,
+                false => [400, 800, 1500, 60_000][rng.index(4)],
+            };
+            let info = PatchInfo::new(
+                PatchId::new(id),
+                CameraId::new(rng.index(8) as u32),
+                FrameId::new(id / 8),
+                Rect::new(0, 0, w, h),
+                SimTime::from_micros(now_us.saturating_sub(age_us)),
+                SimDuration::from_millis(slo_ms),
+            );
+            (SimTime::from_micros(now_us), info)
+        })
+        .collect();
+
+    let mut by_hand: Vec<Dispatch> = Vec::new();
+    let mut bare = TangramScheduler::new(SchedulerConfig::paper_default(), estimator());
+    let mut by_timer = 0;
+    for &(arrival, info) in &arrivals {
+        while let Some(due) = bare.invoke_by().filter(|&due| due <= arrival) {
+            by_timer += 1;
+            by_hand.extend(dispatches(due, &bare.on_timer(due).dispatches));
+        }
+        by_hand.extend(dispatches(
+            arrival,
+            &bare.on_patch(arrival, info).dispatches,
+        ));
+    }
+    let end = arrivals.last().expect("arrivals").0;
+    by_hand.extend(dispatches(end, &bare.drain().dispatches));
+
+    let clock = ManualClock::new();
+    let live: Rc<RefCell<Vec<Dispatch>>> = Rc::default();
+    let (sink, now) = (Rc::clone(&live), clock.clone());
+    let mut runtime = LiveTangram::start(
+        SchedulerConfig::paper_default(),
+        estimator(),
+        clock.clone(),
+        Box::new(move |spec| sink.borrow_mut().extend(dispatches(now.now(), &[spec]))),
+    );
+    let mut wake = None;
+    for &(arrival, info) in &arrivals {
+        while let Some(due) = wake.filter(|&due| due <= arrival) {
+            clock.advance_to(due);
+            wake = runtime.poll();
+        }
+        clock.advance_to(arrival);
+        runtime.receive_patch(info);
+        wake = runtime.poll();
+    }
+    runtime.shutdown();
+
+    assert_eq!(*live.borrow(), by_hand);
+    // The sequence exercised every way a batch leaves: the timer, an
+    // arrival that restarts the queue, the memory bound, the final drain.
+    let arrivals_at: Vec<SimTime> = arrivals.iter().map(|a| a.0).collect();
+    let on_arrival = by_hand
+        .iter()
+        .filter(|d| arrivals_at.contains(&d.0))
+        .count();
+    let at_bound = by_hand.iter().filter(|d| d.2 == 9).count();
+    assert!(
+        by_timer >= 20 && on_arrival >= 20 && at_bound >= 2,
+        "timer {by_timer}, on arrival {on_arrival}, at the bound {at_bound}, of {}",
+        by_hand.len()
+    );
+    assert!(by_hand
+        .last()
+        .is_some_and(|d| d.0 == end && !d.1.is_empty()));
 }
