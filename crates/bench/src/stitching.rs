@@ -252,10 +252,11 @@ pub(crate) fn ablation_restitch(opts: &ExpOpts, out: &mut dyn Write) -> Vec<bool
             for tile in &infos {
                 open.push(*tile).expect("tiles fit");
             }
-            let placed = open.take();
+            let placed = open.canvases();
             restitch += restitched.len();
             incremental += placed.len();
             same &= restitched == placed;
+            open.close();
         }
         (scene, queues, restitch, incremental, same)
     });

@@ -251,18 +251,26 @@ impl TangramScheduler {
     }
 
     /// Builds the dispatch for the current canvases and clears the state.
+    /// The canvases are read, then closed for the next queue to reopen.
+    /// That queue starts with room for as many patches as this one held,
+    /// so a steady batch size grows it once, not by doubling — sized by
+    /// length, not capacity, because whoever keeps the `BatchSpec` keeps
+    /// the room too, and a capacity would never shrink again.
     fn take_batch(&mut self) -> BatchSpec {
-        let patches = std::mem::take(&mut self.queue);
-        let canvases = self.stitching.take();
+        let next_queue = Vec::with_capacity(self.queue.len());
+        let patches = std::mem::replace(&mut self.queue, next_queue);
+        let canvases = self.stitching.canvases();
+        let inputs = canvases.len();
+        let canvas_efficiencies = canvases.iter().map(Canvas::efficiency).collect();
+        self.stitching.close();
         self.invoke_by = None;
         self.deadlines = None;
-        let inputs = canvases.len();
         let megapixels = inputs as f64 * self.config.canvas_size.megapixels();
         BatchSpec {
             patches,
             inputs,
             megapixels,
-            canvas_efficiencies: canvases.iter().map(Canvas::efficiency).collect(),
+            canvas_efficiencies,
         }
     }
 }

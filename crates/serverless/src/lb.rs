@@ -3,8 +3,6 @@
 //! The paper fronts its functions with NGINX in its default (round-robin)
 //! mode, so that is the one balancer the platform runs.
 
-use tangram_types::ids::InstanceId;
-
 /// NGINX's default strategy: rotate through the idle warm instances.
 #[derive(Debug, Default)]
 pub struct RoundRobin {
@@ -12,12 +10,14 @@ pub struct RoundRobin {
 }
 
 impl RoundRobin {
-    /// Picks from `idle` (sorted by id, possibly empty).
-    pub fn pick(&mut self, idle: &[InstanceId]) -> Option<InstanceId> {
-        if idle.is_empty() {
+    /// Picks among `idle` instances: the position, counting the idle ones
+    /// in id order from 0, of the one to use — `None` when there is none.
+    /// The caller walks to it; no list of candidates is ever built.
+    pub fn pick(&mut self, idle: usize) -> Option<usize> {
+        if idle == 0 {
             return None;
         }
-        let choice = idle[self.cursor % idle.len()];
+        let choice = self.cursor % idle;
         self.cursor = self.cursor.wrapping_add(1);
         Some(choice)
     }
@@ -27,23 +27,23 @@ impl RoundRobin {
 mod tests {
     use super::*;
 
-    fn ids(raw: &[u32]) -> Vec<InstanceId> {
-        raw.iter().map(|&r| InstanceId::new(r)).collect()
-    }
-
     #[test]
     fn round_robin_rotates() {
         let mut rr = RoundRobin::default();
-        let idle = ids(&[0, 1, 2]);
-        assert_eq!(rr.pick(&idle), Some(InstanceId::new(0)));
-        assert_eq!(rr.pick(&idle), Some(InstanceId::new(1)));
-        assert_eq!(rr.pick(&idle), Some(InstanceId::new(2)));
-        assert_eq!(rr.pick(&idle), Some(InstanceId::new(0)));
+        assert_eq!(rr.pick(3), Some(0));
+        assert_eq!(rr.pick(3), Some(1));
+        assert_eq!(rr.pick(3), Some(2));
+        assert_eq!(rr.pick(3), Some(0));
+        // The cursor is shared across pool sizes, as it was across slices.
+        assert_eq!(rr.pick(2), Some(0));
+        assert_eq!(rr.pick(2), Some(1));
     }
 
     #[test]
     fn round_robin_empty_is_none() {
         let mut rr = RoundRobin::default();
-        assert_eq!(rr.pick(&[]), None);
+        assert_eq!(rr.pick(2), Some(0));
+        assert_eq!(rr.pick(0), None);
+        assert_eq!(rr.pick(2), Some(1), "an empty pool does not advance");
     }
 }

@@ -85,6 +85,23 @@ struct Instance {
     expires_at: SimTime,
 }
 
+impl Instance {
+    /// Provisioned at `now`: executing, or warm inside its keep-alive.
+    fn is_live(&self, now: SimTime) -> bool {
+        self.busy_until > now || self.expires_at > now
+    }
+
+    /// Warm and free at `now`: what the balancer chooses among.
+    fn is_idle(&self, now: SimTime) -> bool {
+        self.busy_until <= now && self.expires_at > now
+    }
+}
+
+/// Where [`ServerlessPlatform::submit`] decided a batch runs: the
+/// instance's position in the table, whether it was just cold-started,
+/// and when execution begins.
+type Placement = (usize, bool, SimTime);
+
 /// A point-in-time reading of backend pressure — the signals an
 /// ingress admission policy consumes to decide whether an arriving work
 /// item can still be served in time.
@@ -140,6 +157,10 @@ pub struct ServerlessPlatform {
     /// RTX 4090s). `None` = unlimited scale-out. Requests beyond the cap
     /// queue on the earliest-free instance.
     pub max_instances: Option<usize>,
+    /// The instance table, in ascending [`InstanceId`] order: instances
+    /// are only ever pushed with a fresh (larger) id or dropped by
+    /// `retain`, which keeps order. The balancer's "*k*-th idle instance"
+    /// is counted in this order.
     instances: Vec<Instance>,
     next_instance: InstanceId,
     next_invocation: InvocationId,
@@ -217,17 +238,15 @@ impl ServerlessPlatform {
     /// evicted. Busy instances finish their work — only warmth is lost.
     pub fn evict_idle(&mut self, now: SimTime) -> usize {
         let before = self.instances.len();
-        self.instances.retain(|i| i.busy_until > now);
+        // Live and not idle is exactly "executing at `now`".
+        self.instances.retain(|i| i.is_live(now) && !i.is_idle(now));
         before - self.instances.len()
     }
 
     /// Number of instances currently provisioned (warm or busy).
     #[must_use]
     pub fn live_instances(&self, now: SimTime) -> usize {
-        self.instances
-            .iter()
-            .filter(|i| i.busy_until > now || i.expires_at > now)
-            .count()
+        self.instances.iter().filter(|i| i.is_live(now)).count()
     }
 
     /// Executes a batch and immediately acknowledges its completion — the
@@ -270,26 +289,39 @@ impl ServerlessPlatform {
                 capacity,
             });
         }
-        let now = request.submitted;
-        // Reap expired idle instances.
-        self.instances
-            .retain(|i| i.busy_until > now || i.expires_at > now);
+        let placement = self.place(request.submitted);
+        Ok(self.run(request, placement))
+    }
 
-        // Idle warm instances, balanced.
-        let idle: Vec<InstanceId> = self
-            .instances
-            .iter()
-            .filter(|i| i.busy_until <= now && i.expires_at > now)
-            .map(|i| i.id)
-            .collect();
-
-        let (instance_idx, cold, started) = match self.balancer.pick(&idle) {
-            Some(chosen) => {
+    /// Chooses the instance for a batch submitted at `now`: an idle warm
+    /// one (balanced), else a cold-started one, else — at the cap — the
+    /// earliest-free one. Allocates nothing: one pass counts the idle
+    /// instances and notices expired ones, and the balancer's choice is
+    /// then walked to rather than looked up in a collected list.
+    fn place(&mut self, now: SimTime) -> Placement {
+        let (mut idle, mut expired) = (0usize, false);
+        for instance in &self.instances {
+            if instance.is_idle(now) {
+                idle += 1;
+            } else if !instance.is_live(now) {
+                expired = true;
+            }
+        }
+        // Reap expired instances before the table's length is read. No
+        // idle instance is expired, so the pick is the same either way.
+        if expired {
+            self.instances.retain(|i| i.is_live(now));
+        }
+        match self.balancer.pick(idle) {
+            Some(kth) => {
                 let idx = self
                     .instances
                     .iter()
-                    .position(|i| i.id == chosen)
-                    .expect("balancer picked a live instance");
+                    .enumerate()
+                    .filter(|(_, i)| i.is_idle(now))
+                    .nth(kth)
+                    .map(|(idx, _)| idx)
+                    .expect("balancer picked among the idle instances counted");
                 (idx, false, now)
             }
             None if self
@@ -318,8 +350,17 @@ impl ServerlessPlatform {
                 let start = self.instances[idx].busy_until.max(now);
                 (idx, false, start)
             }
-        };
+        }
+    }
 
+    /// Executes `request` where [`Self::place`] put it: samples the
+    /// execution, bills it, occupies the instance and leaves the
+    /// invocation in flight.
+    fn run(
+        &mut self,
+        request: InvocationRequest,
+        (instance_idx, cold, started): Placement,
+    ) -> InvocationOutcome {
         let execution = self.model.sample(request.megapixels, &mut self.rng);
         // Brownout injection: scale the sampled duration without
         // touching the draw sequence. The exact-1.0 guard keeps
@@ -354,15 +395,16 @@ impl ServerlessPlatform {
             cost,
         };
         self.in_flight.push((outcome.id, outcome.finished));
-        Ok(outcome)
+        outcome
     }
 
     /// Acknowledges the completion event of a previously [`Self::submit`]ted
     /// invocation, returning whether it was in flight.
     ///
     /// Ids are unique ([`InvocationId::bump`] never repeats), so the first
-    /// match is the only one; `swap_remove` keeps the ack O(1) — order is
-    /// irrelevant because [`Self::next_completion`] scans with `min`.
+    /// match is the only one. Finding it is a scan, O(in-flight); removing
+    /// it is O(1) by `swap_remove` — order is irrelevant because
+    /// [`Self::next_completion`] scans with `min`.
     pub fn complete(&mut self, id: InvocationId) -> bool {
         match self
             .in_flight
@@ -389,12 +431,9 @@ impl ServerlessPlatform {
     /// the RNG.
     #[must_use]
     pub fn snapshot(&self, now: SimTime) -> BackendSnapshot {
-        let live = |i: &&Instance| i.busy_until > now || i.expires_at > now;
+        let live = |i: &&Instance| i.is_live(now);
         let live_instances = self.instances.iter().filter(live).count();
-        let idle_warm = self
-            .instances
-            .iter()
-            .any(|i| i.busy_until <= now && i.expires_at > now);
+        let idle_warm = self.instances.iter().any(|i| i.is_idle(now));
         let earliest_start = if idle_warm {
             now
         } else if self.max_instances.is_none_or(|cap| live_instances < cap) {
@@ -424,7 +463,8 @@ impl ServerlessPlatform {
         }
     }
 
-    /// The earliest scheduled completion among in-flight invocations.
+    /// The earliest scheduled completion among in-flight invocations — a
+    /// scan, O(in-flight), like the find in [`Self::complete`].
     #[must_use]
     pub fn next_completion(&self) -> Option<SimTime> {
         self.in_flight.iter().map(|&(_, at)| at).min()
@@ -631,6 +671,113 @@ mod tests {
         let via_snapshots = fresh.invoke(req(3, 0)).unwrap();
         let direct = platform().invoke(req(3, 0)).unwrap();
         assert_eq!(via_snapshots, direct);
+    }
+
+    /// `submit` as it placed batches before it stopped allocating: reap,
+    /// collect the idle ids, index that list, look the chosen id back up.
+    /// `cursor` is the reference's own round-robin position.
+    fn submit_by_collecting(
+        p: &mut ServerlessPlatform,
+        cursor: &mut usize,
+        request: InvocationRequest,
+    ) -> Result<InvocationOutcome, PlatformError> {
+        let capacity = p.spec.max_canvases();
+        if request.canvases > capacity {
+            return Err(PlatformError::BatchTooLarge {
+                requested: request.canvases,
+                capacity,
+            });
+        }
+        let now = request.submitted;
+        p.instances
+            .retain(|i| i.busy_until > now || i.expires_at > now);
+        let idle: Vec<InstanceId> = p
+            .instances
+            .iter()
+            .filter(|i| i.busy_until <= now && i.expires_at > now)
+            .map(|i| i.id)
+            .collect();
+        let placement = if !idle.is_empty() {
+            let chosen = idle[*cursor % idle.len()];
+            *cursor = cursor.wrapping_add(1);
+            let idx = p.instances.iter().position(|i| i.id == chosen).unwrap();
+            (idx, false, now)
+        } else if p.max_instances.is_none_or(|cap| p.instances.len() < cap) {
+            let delay = p.sample_cold_start();
+            let id = p.next_instance.bump();
+            p.instances.push(Instance {
+                id,
+                busy_until: now,
+                expires_at: now + p.keep_alive,
+            });
+            (p.instances.len() - 1, true, now + delay)
+        } else {
+            let (idx, earliest) = p
+                .instances
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, i)| i.busy_until)
+                .unwrap();
+            (idx, false, earliest.busy_until.max(now))
+        };
+        Ok(p.run(request, placement))
+    }
+
+    #[test]
+    fn allocation_free_submit_places_exactly_like_collect_and_pick() {
+        for cap in [None, Some(8)] {
+            let mut rng = DetRng::new(33).fork("platform-differential");
+            let (mut subject, mut reference) = (platform(), platform());
+            subject.max_instances = cap;
+            reference.max_instances = cap;
+            let capacity = subject.spec().max_canvases();
+            let mut cursor = 0usize;
+            let mut now = SimTime::ZERO;
+            let mut outstanding = Vec::new();
+            let mut refused = 0;
+            for _ in 0..2_500 {
+                // Bursts at one instant grow the pool; short gaps leave a
+                // mix of busy and idle instances; a gap past `keep_alive`
+                // expires the whole pool, which the next submit reaps.
+                now += match rng.index(40) {
+                    0..=19 => SimDuration::ZERO,
+                    20..=33 => SimDuration::from_micros(rng.index(50_000) as u64),
+                    34..=38 => SimDuration::from_millis(200 + rng.index(1_800) as u64),
+                    _ => subject.keep_alive + SimDuration::from_secs(1 + rng.index(100) as u64),
+                };
+                if rng.chance(0.02) {
+                    assert_eq!(subject.evict_idle(now), reference.evict_idle(now));
+                }
+                let request = InvocationRequest {
+                    canvases: 1 + rng.index(capacity + 1),
+                    megapixels: rng.uniform_in(0.2, 9.0),
+                    submitted: now,
+                };
+                let outcome = subject.submit(request);
+                let expected = submit_by_collecting(&mut reference, &mut cursor, request);
+                assert_eq!(outcome, expected);
+                match outcome {
+                    Ok(outcome) => outstanding.push(outcome.id),
+                    Err(_) => refused += 1,
+                }
+                if rng.chance(0.6) && !outstanding.is_empty() {
+                    let id = outstanding.swap_remove(rng.index(outstanding.len()));
+                    assert!(subject.complete(id) && reference.complete(id));
+                }
+                assert_eq!(subject.stats(), reference.stats());
+                assert_eq!(subject.snapshot(now), reference.snapshot(now));
+                assert_eq!(subject.live_instances(now), reference.live_instances(now));
+            }
+            // The run reached every placement arm, and the refusal.
+            let stats = subject.stats();
+            assert!(refused > 0, "no oversized batch in the run");
+            assert!(stats.cold_starts > 50, "{stats:?}");
+            assert!(stats.invocations - stats.cold_starts > 1_000, "{stats:?}");
+            match cap {
+                Some(cap) => assert_eq!(stats.peak_instances, cap, "never queued at the cap"),
+                None => assert!(stats.peak_instances > 2 * 8, "{stats:?}"),
+            }
+        }
     }
 
     #[test]

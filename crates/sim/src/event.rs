@@ -14,9 +14,24 @@
 //! `Arrival`), that cuts the bytes shuffled per heap operation by an
 //! order of magnitude. Ordering semantics are unchanged: min on
 //! `(at, seq)`, FIFO on ties.
+//!
+//! # The monotone lane
+//!
+//! A slot pushed at an instant no earlier than the last slot of the
+//! *lane* — a `VecDeque<Slot>` — is appended there instead of entering
+//! the heap. `seq` only grows, so the lane is sorted by `(at, seq)` by
+//! construction and its front is its minimum; `pop` takes whichever of
+//! the lane's front and the heap's top is smaller. A producer whose
+//! instants never decrease (a FIFO uplink's deliveries) therefore costs
+//! O(1) per event however many are pending, and the heap holds only what
+//! was scheduled ahead of it. It is still one queue: one `seq` counter
+//! stamps every slot, so the pop order is exactly the heap-only order.
+//! The worst case — a far-future event sitting at the lane's back, so
+//! everything after it goes to the heap — is the heap-only cost plus one
+//! comparison.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use tangram_types::time::SimTime;
 
 #[derive(Clone, Copy)]
@@ -26,9 +41,16 @@ struct Slot {
     idx: u32,
 }
 
+impl Slot {
+    /// What the queue orders by: firing time, then insertion order.
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
+}
+
 impl PartialEq for Slot {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 
@@ -44,16 +66,16 @@ impl Ord for Slot {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (then
         // lowest-sequence) entry is the maximum.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
 /// A min-priority queue of `(SimTime, T)` events with FIFO tie-breaking.
 pub struct EventQueue<T> {
     heap: BinaryHeap<Slot>,
+    /// Slots pushed in non-decreasing `at` order, hence sorted by
+    /// `(at, seq)`; everything else is in `heap`.
+    lane: VecDeque<Slot>,
     arena: Vec<Option<T>>,
     free: Vec<u32>,
     next_seq: u64,
@@ -65,6 +87,7 @@ impl<T> EventQueue<T> {
     pub fn new() -> Self {
         Self {
             heap: BinaryHeap::new(),
+            lane: VecDeque::new(),
             arena: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
@@ -86,12 +109,21 @@ impl<T> EventQueue<T> {
                 idx
             }
         };
-        self.heap.push(Slot { at, seq, idx });
+        let slot = Slot { at, seq, idx };
+        if self.lane.back().is_none_or(|back| back.at <= at) {
+            self.lane.push_back(slot);
+        } else {
+            self.heap.push(slot);
+        }
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        let slot = self.heap.pop()?;
+        let slot = match (self.lane.front(), self.heap.peek()) {
+            (Some(lane), Some(heap)) if heap.key() < lane.key() => self.heap.pop(),
+            (Some(_), _) => self.lane.pop_front(),
+            (None, _) => self.heap.pop(),
+        }?;
         let payload = self.arena[slot.idx as usize]
             .take()
             .expect("event arena slot already vacated");
@@ -102,24 +134,26 @@ impl<T> EventQueue<T> {
     /// The firing time of the earliest event without removing it.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        let fronts = self.lane.front().into_iter().chain(self.heap.peek());
+        fronts.map(|slot| slot.at).min()
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lane.len()
     }
 
     /// Whether no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.lane.is_empty()
     }
 
     /// Drops all pending events.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.lane.clear();
         self.arena.clear();
         self.free.clear();
     }
@@ -134,7 +168,7 @@ impl<T> Default for EventQueue<T> {
 impl<T> std::fmt::Debug for EventQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("pending", &self.heap.len())
+            .field("pending", &self.len())
             .field("next_at", &self.peek_time())
             .finish()
     }
@@ -217,6 +251,101 @@ mod tests {
             q.arena.len() <= 8,
             "arena grew to {} slots for 8 live events",
             q.arena.len()
+        );
+    }
+
+    /// The queue next to the reference it must be indistinguishable from:
+    /// a plain min-heap of `(at, seq)`. Payloads are the push ordinals, so
+    /// equal pops mean equal order.
+    struct AgainstReference {
+        queue: EventQueue<u64>,
+        reference: BinaryHeap<std::cmp::Reverse<(SimTime, u64)>>,
+        pushed: u64,
+        /// Steps that found slots in the lane and in the heap at once.
+        both_lanes_live: usize,
+    }
+
+    impl AgainstReference {
+        fn push(&mut self, at: SimTime) {
+            self.queue.push(at, self.pushed);
+            self.reference.push(std::cmp::Reverse((at, self.pushed)));
+            self.pushed += 1;
+            self.check();
+        }
+
+        fn pop(&mut self) -> bool {
+            let expected = self.reference.pop().map(|r| r.0);
+            assert_eq!(self.queue.pop(), expected);
+            self.check();
+            expected.is_some()
+        }
+
+        fn clear(&mut self) {
+            self.queue.clear();
+            self.reference.clear();
+            self.check();
+        }
+
+        fn check(&mut self) {
+            assert_eq!(self.queue.len(), self.reference.len());
+            assert_eq!(self.queue.is_empty(), self.reference.is_empty());
+            let next = self.reference.peek().map(|r| r.0 .0);
+            assert_eq!(self.queue.peek_time(), next);
+            let (lane, heap) = (&self.queue.lane, &self.queue.heap);
+            self.both_lanes_live += usize::from(!lane.is_empty() && !heap.is_empty());
+        }
+    }
+
+    #[test]
+    fn lane_and_heap_together_pop_in_heap_only_order() {
+        let mut rng = crate::rng::DetRng::new(21).fork("event-queue");
+        let mut pair = AgainstReference {
+            queue: EventQueue::new(),
+            reference: BinaryHeap::new(),
+            pushed: 0,
+            both_lanes_live: 0,
+        };
+        // A far-future sentinel pushed first parks at the lane's back:
+        // until it pops, every later push is a heap push.
+        pair.push(t(u64::MAX / 2));
+        let (mut now, mut link) = (0u64, 2_000_000u64);
+        for step in 0..12_000 {
+            if step == 4_000 {
+                pair.clear();
+                // Strictly decreasing instants: the first opens the lane,
+                // the rest can only go to the heap.
+                for k in 0..500 {
+                    pair.push(t(1_000_000 - k));
+                }
+            }
+            if step == 8_000 {
+                while pair.pop() {}
+            }
+            match rng.index(6) {
+                0 | 1 => {
+                    pair.pop();
+                }
+                // Equal-instant ties, in and out of the lane.
+                2 => pair.push(t(now)),
+                3 => pair.push(t(now + rng.index(4) as u64)),
+                // A FIFO producer far ahead of everything else: its
+                // instants never decrease, so it owns the lane.
+                4 => {
+                    link += rng.index(3) as u64;
+                    pair.push(t(link));
+                }
+                _ => {
+                    now += rng.index(40) as u64;
+                    pair.push(t(now + 1_000));
+                }
+            }
+        }
+        while pair.pop() {}
+        assert!(pair.pushed > 7_000, "{} pushes", pair.pushed);
+        assert!(
+            pair.both_lanes_live > 5_000,
+            "the run must exercise the merge of both fronts, did so {} times",
+            pair.both_lanes_live
         );
     }
 

@@ -69,12 +69,19 @@ pub fn split_to_fit(rect: Rect, canvas: Size) -> Vec<Rect> {
 
 /// An open stitching: the canvases of the patches pushed so far, each
 /// with the packer that still knows its free space.
+///
+/// Canvases are recycled: [`Self::close`] empties the open ones and keeps
+/// them, packers and all, and the next [`Self::push`]es open them again
+/// in the same order, so steady-state stitching allocates nothing.
 #[derive(Debug)]
 pub struct Stitching {
     canvas_size: Size,
-    /// `packers[i]` packs `canvases[i]`.
+    /// `packers[i]` packs `canvases[i]`, whose id is `i`.
     packers: Vec<GuillotinePacker>,
     canvases: Vec<Canvas>,
+    /// The first `open` canvases hold patches; the rest are empty, reset
+    /// and waiting to be opened.
+    open: usize,
 }
 
 impl Stitching {
@@ -90,20 +97,23 @@ impl Stitching {
             canvas_size,
             packers: Vec::new(),
             canvases: Vec::new(),
+            open: 0,
         }
     }
 
     /// The open canvases, oldest first.
     #[must_use]
     pub fn canvases(&self) -> &[Canvas] {
-        &self.canvases
+        &self.canvases[..self.open]
     }
 
     /// Read-only probe: would [`Self::push`] of a `size`-shaped patch open
     /// a new canvas (`true`) or land in an open one's free space?
     #[must_use]
     pub fn opens_canvas(&self, size: Size) -> bool {
-        !self.packers.iter().any(|packer| packer.fits(size))
+        !self.packers[..self.open]
+            .iter()
+            .any(|packer| packer.fits(size))
     }
 
     /// Stitches one patch: onto the oldest open canvas whose packer
@@ -123,28 +133,44 @@ impl Stitching {
                 canvas: self.canvas_size,
             });
         }
-        for (packer, canvas) in self.packers.iter_mut().zip(&mut self.canvases) {
+        let open = self.packers.iter_mut().zip(&mut self.canvases);
+        for (packer, canvas) in open.take(self.open) {
             if let Some(pos) = packer.insert(size) {
                 canvas.place(patch, pos);
                 return Ok(());
             }
         }
-        let mut packer = GuillotinePacker::new(self.canvas_size);
-        let pos = packer
+        if self.open == self.canvases.len() {
+            // No closed canvas left to reopen: make one.
+            let id = CanvasId::new(self.open as u64);
+            self.packers.push(GuillotinePacker::new(self.canvas_size));
+            self.canvases.push(Canvas::new(id, self.canvas_size));
+        }
+        let pos = self.packers[self.open]
             .insert(size)
             .expect("patch fits an empty canvas (checked above)");
-        let id = CanvasId::new(self.canvases.len() as u64);
-        let mut canvas = Canvas::new(id, self.canvas_size);
-        canvas.place(patch, pos);
-        self.packers.push(packer);
-        self.canvases.push(canvas);
+        self.canvases[self.open].place(patch, pos);
+        self.open += 1;
         Ok(())
     }
 
-    /// Hands the canvases over and starts empty.
-    pub fn take(&mut self) -> Vec<Canvas> {
-        self.packers.clear();
-        std::mem::take(&mut self.canvases)
+    /// Closes the open canvases and starts empty: they and their packers
+    /// are reset and kept for the next pushes to reopen. Read
+    /// [`Self::canvases`] first.
+    pub fn close(&mut self) {
+        let open = self.packers.iter_mut().zip(&mut self.canvases);
+        for (packer, canvas) in open.take(self.open) {
+            packer.reset();
+            canvas.placements.clear();
+        }
+        self.open = 0;
+    }
+
+    /// Hands the open canvases over.
+    #[must_use]
+    pub fn into_canvases(mut self) -> Vec<Canvas> {
+        self.canvases.truncate(self.open);
+        self.canvases
     }
 }
 
@@ -184,7 +210,7 @@ impl PatchStitchingSolver {
         for p in patches {
             stitching.push(*p)?;
         }
-        Ok(stitching.take())
+        Ok(stitching.into_canvases())
     }
 
     /// Convenience for tests and benches: stitch bare sizes (metadata is
@@ -330,7 +356,7 @@ mod tests {
     }
 
     #[test]
-    fn stitching_probe_predicts_push_and_take_starts_empty() {
+    fn stitching_probe_predicts_push_and_close_starts_empty() {
         use tangram_types::ids::{CameraId, FrameId, PatchId};
         use tangram_types::time::{SimDuration, SimTime};
         let patch = |i: u64, w: u32, h: u32| {
@@ -355,10 +381,12 @@ mod tests {
         let before = open.canvases().to_vec();
         assert!(open.push(patch(99, 1025, 4)).is_err());
         assert_eq!(open.canvases(), before, "a refused patch places nothing");
-        assert_eq!(open.take(), before);
+        open.close();
         assert!(open.canvases().is_empty() && open.opens_canvas(Size::new(1, 1)));
         open.push(patch(100, 8, 8)).unwrap();
         assert_eq!(open.canvases()[0].id, CanvasId::new(0), "ids restart");
+        assert_eq!(open.canvases()[0].patch_count(), 1, "reopened empty");
+        assert_eq!(open.into_canvases().len(), 1, "closed canvases stay behind");
     }
 
     #[test]

@@ -1,0 +1,167 @@
+//! Allocation budgets for the per-invocation path: what one already-late
+//! patch costs from `TangramScheduler::on_patch` through
+//! `ServerlessPlatform::submit` to `complete`, and what one `EventQueue`
+//! push/pop pair costs at a steady population.
+//!
+//! A test binary may install its own `#[global_allocator]`; nothing under
+//! `crates/` does. Counts are per thread, so the two tests do not see
+//! each other's allocations when the harness runs them in parallel.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use tangram_core::scheduler::{SchedulerConfig, TangramScheduler};
+use tangram_infer::estimator::LatencyEstimator;
+use tangram_infer::latency::InferenceLatencyModel;
+use tangram_serverless::function::FunctionSpec;
+use tangram_serverless::platform::{InvocationRequest, ServerlessPlatform};
+use tangram_sim::event::EventQueue;
+use tangram_types::geometry::{Rect, Size};
+use tangram_types::ids::{CameraId, FrameId, PatchId};
+use tangram_types::patch::PatchInfo;
+use tangram_types::time::{SimDuration, SimTime};
+
+struct Counting;
+
+thread_local! {
+    /// Allocator calls (alloc, zeroed alloc, realloc) made by this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_alloc() {
+    // A thread that is tearing its locals down is past anything counted.
+    let _ = ALLOCS.try_with(|allocs| allocs.set(allocs.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a
+// const-initialised thread-local `Cell` with no destructor, so touching
+// it never allocates and never re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc();
+        // SAFETY: `layout` is the caller's, passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_alloc();
+        // SAFETY: `layout` is the caller's, passed through unchanged.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System` for this `layout` (the
+        // caller's obligation, unchanged by the wrapper).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_alloc();
+        // SAFETY: `ptr`/`layout`/`new_size` are the caller's, passed
+        // through unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocator calls this thread makes while `work` runs.
+fn allocations_in(work: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    work();
+    ALLOCS.with(Cell::get) - before
+}
+
+/// A saturated uplink in miniature: every patch reaches the scheduler
+/// past its deadline, so each is its own batch, submitted 2 ms after the
+/// last onto a pool of a few dozen instances and acknowledged. What is
+/// left per patch is the `PolicyOutput`'s dispatch list, the batch's
+/// patch list and its efficiencies — the canvas, its packer and the
+/// platform's pick allocate nothing once warm.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "counts the release path; the debug oracle re-stitches"
+)]
+fn a_late_patch_costs_at_most_four_allocations_from_arrival_to_ack() {
+    let model = InferenceLatencyModel::rtx4090_yolov8x();
+    let estimator = LatencyEstimator::paper_default(&model, Size::CANVAS_1024, 9);
+    let mut scheduler = TangramScheduler::new(SchedulerConfig::paper_default(), estimator);
+    let mut platform = ServerlessPlatform::new(FunctionSpec::paper_default(), model, 7);
+    platform.max_instances = None;
+    let mut late_patch = |i: u64| {
+        let now = SimTime::from_micros(20_000_000 + i * 2_000);
+        let patch = PatchInfo::new(
+            PatchId::new(i),
+            CameraId::new(0),
+            FrameId::new(i),
+            Rect::new(0, 0, 300, 200),
+            now - SimDuration::from_secs(10),
+            SimDuration::from_secs(1),
+        );
+        let out = scheduler.on_patch(now, patch);
+        assert_eq!(out.dispatches.len(), 1, "a late patch ships alone, at once");
+        for spec in out.dispatches {
+            let request = InvocationRequest {
+                canvases: spec.inputs,
+                megapixels: spec.megapixels,
+                submitted: now,
+            };
+            let outcome = platform.submit(request).expect("one canvas fits");
+            assert!(platform.complete(outcome.id));
+        }
+    };
+    (0..64).for_each(&mut late_patch);
+    let allocs = allocations_in(|| (64..1_064).for_each(&mut late_patch));
+    assert!(
+        platform.stats().peak_instances > 20,
+        "the pick must have a pool to walk: {:?}",
+        platform.stats()
+    );
+    assert!(
+        allocs <= 4 * 1_000,
+        "{allocs} allocator calls for 1,000 late patches"
+    );
+}
+
+/// Once the lane, the heap and the arena have grown to a population, a
+/// pop followed by a push from the same producer allocates nothing.
+#[test]
+fn event_queue_churn_at_a_steady_population_allocates_nothing() {
+    // `true` events come from a FIFO producer a few milliseconds ahead
+    // (the lane); `false` ones are rescheduled just ahead of now, before
+    // the lane's back (the heap).
+    let mut queue: EventQueue<bool> = EventQueue::new();
+    let mut link = 1_000u64;
+    for i in 0..1_000u64 {
+        if i % 10 == 0 {
+            queue.push(SimTime::from_micros(i), false);
+        } else {
+            link += 3;
+            queue.push(SimTime::from_micros(link), true);
+        }
+    }
+    let mut from_link = 0u64;
+    let mut churn = |pairs: usize| {
+        for _ in 0..pairs {
+            let (at, link_event) = queue.pop().expect("population is steady");
+            if link_event {
+                from_link += 1;
+                link += 3;
+                queue.push(SimTime::from_micros(link), true);
+            } else {
+                queue.push(at + SimDuration::from_micros(50), false);
+            }
+        }
+    };
+    // The first pop also grows the arena's free list.
+    churn(100);
+    let allocs = allocations_in(|| churn(10_000));
+    assert_eq!(queue.len(), 1_000);
+    assert!(
+        (1_000..9_000).contains(&from_link),
+        "both producers must churn: {from_link} of 10,000 pops from the link"
+    );
+    assert_eq!(allocs, 0, "allocator calls in 10,000 pop/push pairs");
+}

@@ -13,9 +13,9 @@ use tangram_infer::estimator::LatencyEstimator;
 use tangram_infer::latency::InferenceLatencyModel;
 use tangram_partition::algorithm::{partition_detailed, PartitionConfig};
 use tangram_sim::rng::DetRng;
-use tangram_stitch::canvas::PlacedPatch;
+use tangram_stitch::canvas::{Canvas, PlacedPatch};
 use tangram_stitch::packer::{GuillotinePacker, Packer};
-use tangram_stitch::solver::{split_to_fit, PatchStitchingSolver};
+use tangram_stitch::solver::{split_to_fit, PatchStitchingSolver, Stitching};
 use tangram_trace::TraceRecord;
 use tangram_types::geometry::{Rect, Size};
 use tangram_types::ids::{CameraId, FrameId, PatchId};
@@ -99,6 +99,56 @@ fn stitch_places_everything_disjointly() {
             assert!(canvas.efficiency() <= 1.0 + 1e-12, "case {case}");
         }
     }
+}
+
+/// One `Stitching` carried through many queues — push, read, close, push
+/// again — against a from-scratch `stitch` of each queue: recycling the
+/// closed canvases and their packers must not show in canvas ids,
+/// placements or efficiencies, whether the next queue needs fewer
+/// canvases than are waiting or more. Queues include oversized patches,
+/// tiled to fit as the scheduler tiles them.
+#[test]
+fn recycled_stitching_equals_a_fresh_stitch_of_every_queue() {
+    const CANVAS: Size = Size::CANVAS_1024;
+    let solver = PatchStitchingSolver::new(CANVAS);
+    let mut recycled = Stitching::new(CANVAS);
+    let (mut waiting, mut shrank, mut grew, mut tiled) = (0usize, 0usize, 0usize, 0usize);
+    for case in 0..4 * CASES {
+        let mut rng = case_rng("recycled_stitching", case);
+        let mut rects = arb_rect_vec(&mut rng, 1, 60);
+        if rng.chance(0.25) {
+            let at = rng.index(rects.len());
+            let (w, h) = (1025 + rng.index(2000), 8 + rng.index(2000));
+            rects[at] = Rect::new(0, 0, w as u32, h as u32);
+        }
+        let queue: Vec<PatchInfo> = rects
+            .iter()
+            .enumerate()
+            .flat_map(|(i, r)| {
+                split_to_fit(*r, CANVAS)
+                    .into_iter()
+                    .map(move |tile| patch_info(i, tile))
+            })
+            .collect();
+        tiled += usize::from(queue.len() > rects.len());
+        for patch in &queue {
+            recycled.push(*patch).expect("tiles fit");
+        }
+        let fresh = solver.stitch(&queue).expect("tiles fit");
+        assert_eq!(recycled.canvases(), fresh, "case {case}");
+        let efficiencies =
+            |canvases: &[Canvas]| -> Vec<f64> { canvases.iter().map(Canvas::efficiency).collect() };
+        assert_eq!(efficiencies(recycled.canvases()), efficiencies(&fresh));
+        shrank += usize::from(fresh.len() < waiting);
+        grew += usize::from(fresh.len() > waiting);
+        waiting = waiting.max(fresh.len());
+        recycled.close();
+        assert!(recycled.canvases().is_empty(), "case {case}");
+    }
+    assert!(
+        shrank > 100 && grew > 3 && tiled > 30,
+        "{shrank} {grew} {tiled}"
+    );
 }
 
 /// The packer contract the scheduler's one-tile placement leans on: the
