@@ -4,7 +4,7 @@ use crate::policy::{BatchSpec, CompletionFeedback};
 use serde::{Deserialize, Serialize};
 use tangram_net::LinkStats;
 use tangram_serverless::platform::{InvocationOutcome, PlatformStats};
-use tangram_sim::stats::EmpiricalCdf;
+use tangram_sim::stats::nearest_rank_index;
 use tangram_types::ids::{CameraId, FrameId, PatchId};
 use tangram_types::time::{SimDuration, SimTime};
 use tangram_types::units::{Bytes, Dollars};
@@ -195,15 +195,22 @@ impl RunReport {
         SimDuration::from_secs_f64(total / self.patches.len() as f64)
     }
 
-    /// Latency quantile (`q` in `[0, 1]`).
+    /// Latency quantile (`q` in `[0, 1]`, nearest rank; zero for an empty
+    /// run). Allocates one `u64` per patch on every call;
+    /// [`Self::summarize`] does not go through it.
     #[must_use]
     pub fn latency_quantile(&self, q: f64) -> SimDuration {
-        let mut cdf = EmpiricalCdf::new();
-        cdf.extend(self.patches.iter().map(|p| p.latency().as_secs_f64()));
-        SimDuration::from_secs_f64(cdf.quantile(q).unwrap_or(0.0))
+        let mut micros: Vec<u64> = self
+            .patches
+            .iter()
+            .map(|p| p.latency().as_micros())
+            .collect();
+        select_quantile(&mut micros, q, self.patches.len()).0
     }
 
-    /// All canvas efficiencies across batches (Fig. 10b / Fig. 13).
+    /// All canvas efficiencies across batches (Fig. 10b / Fig. 13), for
+    /// the rows that plot their distribution. Allocates the list on every
+    /// call; [`Self::summarize`] folds its mean without going through it.
     #[must_use]
     pub fn canvas_efficiencies(&self) -> Vec<f64> {
         self.batches
@@ -275,45 +282,74 @@ impl RunReport {
     }
 
     /// Collapses the run into its scalar digest — the per-cell record the
-    /// experiment harness serialises into `BENCH_*.json`.
+    /// experiment harness serialises into `BENCH_*.json`. One pass over
+    /// `patches` and two selections; every value is, bit for bit, what
+    /// the per-metric methods above return — so the latency sum runs in
+    /// patch order (the order of `f64` additions is part of the bytes).
     #[must_use]
     pub fn summarize(&self) -> RunSummary {
-        let eff = self.canvas_efficiencies();
-        let mean_eff = if eff.is_empty() {
-            0.0
-        } else {
-            eff.iter().sum::<f64>() / eff.len() as f64
-        };
-        let violations = self.patches.iter().filter(|p| p.violated()).count() as u64;
+        let n = self.patches.len();
+        let mut violations = 0u64;
+        let mut latency_sum = 0.0;
+        let mut micros = Vec::with_capacity(n);
+        for p in &self.patches {
+            let latency = p.latency();
+            violations += u64::from(p.violated());
+            latency_sum += latency.as_secs_f64();
+            micros.push(latency.as_micros());
+        }
+        let (p99, at_most_p99) = select_quantile(&mut micros, 0.99, n);
+        let (p50, _) = select_quantile(at_most_p99, 0.5, n);
+        let (eff_sum, eff_count) = self
+            .batches
+            .iter()
+            .flat_map(|b| &b.efficiencies)
+            .fold((0.0, 0usize), |(sum, count), e| (sum + e, count + 1));
+        // An empty sum divides by one, not zero: 0 / 1 = 0.
+        let per_patch = n.max(1) as f64;
         let makespan_s = self.makespan.as_secs_f64();
         RunSummary {
             policy: self.policy.clone(),
             frames: self.frames,
-            patches: self.patches_completed() as u64,
+            patches: n as u64,
             batches: self.batches.len() as u64,
             violations,
             dropped_arrivals: self.dropped_arrivals,
             tenants: self.tenant_breakdown(),
-            slo_attainment: 1.0 - self.slo_violation_rate(),
-            mean_latency_s: self.mean_latency().as_secs_f64(),
-            p50_latency_s: self.latency_quantile(0.5).as_secs_f64(),
-            p99_latency_s: self.latency_quantile(0.99).as_secs_f64(),
+            slo_attainment: 1.0 - violations as f64 / per_patch,
+            mean_latency_s: SimDuration::from_secs_f64(latency_sum / per_patch).as_secs_f64(),
+            p50_latency_s: p50.as_secs_f64(),
+            p99_latency_s: p99.as_secs_f64(),
             cost_usd: self.total_cost().get(),
             uplink_bytes: self.total_bytes().get(),
             invocations: self.platform.invocations,
             cold_starts: self.platform.cold_starts,
-            mean_canvas_efficiency: mean_eff,
+            mean_canvas_efficiency: eff_sum / eff_count.max(1) as f64,
             mean_patches_per_batch: self.mean_patches_per_batch(),
             execution_total_s: self.total_execution().as_secs_f64(),
             transmission_total_s: self.transmission_busy.as_secs_f64(),
             makespan_s,
             throughput_pps: if makespan_s > 0.0 {
-                self.patches_completed() as f64 / makespan_s
+                n as f64 / makespan_s
             } else {
                 0.0
             },
         }
     }
+}
+
+/// The nearest-rank `q`-quantile of a run's `n` latencies by selection
+/// (zero for an empty run). `micros` holds the smallest of them — all `n`
+/// at first; returned with the value is the prefix ending at it, where a
+/// lower quantile selects next. Integer microseconds order as their
+/// `as_secs_f64` does: an ordered list of seconds holds the same value.
+fn select_quantile(micros: &mut [u64], q: f64, n: usize) -> (SimDuration, &mut [u64]) {
+    if micros.is_empty() {
+        return (SimDuration::ZERO, micros);
+    }
+    let at = nearest_rank_index(q, n);
+    let value = *micros.select_nth_unstable(at).1;
+    (SimDuration::from_micros(value), &mut micros[..=at])
 }
 
 /// One tenant class's slice of a run: completions, violations and
@@ -399,6 +435,8 @@ pub struct RunSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tangram_sim::rng::DetRng;
+    use tangram_sim::stats::EmpiricalCdf;
 
     fn record(gen_us: u64, fin_us: u64, slo_ms: u64) -> PatchRecord {
         PatchRecord {
@@ -489,6 +527,149 @@ mod tests {
         assert_eq!(s.violations, 0);
         assert_eq!(s.slo_attainment, 1.0);
         assert_eq!(s.mean_canvas_efficiency, 0.0);
+    }
+
+    /// The digest assembled from the public per-metric methods and a
+    /// sorted [`EmpiricalCdf`] of the latencies in seconds — what
+    /// `summarize` was before it became one pass and two selections.
+    fn digest_by_the_public_methods(r: &RunReport) -> RunSummary {
+        let eff = r.canvas_efficiencies();
+        let mut cdf = EmpiricalCdf::new();
+        cdf.extend(r.patches.iter().map(|p| p.latency().as_secs_f64()));
+        let makespan_s = r.makespan.as_secs_f64();
+        RunSummary {
+            policy: r.policy.clone(),
+            frames: r.frames,
+            patches: r.patches_completed() as u64,
+            batches: r.batches.len() as u64,
+            violations: r.patches.iter().filter(|p| p.violated()).count() as u64,
+            dropped_arrivals: r.dropped_arrivals,
+            tenants: r.tenant_breakdown(),
+            slo_attainment: 1.0 - r.slo_violation_rate(),
+            mean_latency_s: r.mean_latency().as_secs_f64(),
+            p50_latency_s: cdf.quantile(0.5).unwrap_or(0.0),
+            p99_latency_s: cdf.quantile(0.99).unwrap_or(0.0),
+            cost_usd: r.total_cost().get(),
+            uplink_bytes: r.total_bytes().get(),
+            invocations: r.platform.invocations,
+            cold_starts: r.platform.cold_starts,
+            mean_canvas_efficiency: if eff.is_empty() {
+                0.0
+            } else {
+                eff.iter().sum::<f64>() / eff.len() as f64
+            },
+            mean_patches_per_batch: r.mean_patches_per_batch(),
+            execution_total_s: r.total_execution().as_secs_f64(),
+            transmission_total_s: r.transmission_busy.as_secs_f64(),
+            makespan_s,
+            throughput_pps: if makespan_s > 0.0 {
+                r.patches_completed() as f64 / makespan_s
+            } else {
+                0.0
+            },
+        }
+    }
+
+    /// Every `f64` of a digest as its bit pattern: `==` on floats would
+    /// let `-0.0` pass for `0.0`.
+    fn float_bits(s: &RunSummary) -> Vec<u64> {
+        [
+            s.slo_attainment,
+            s.mean_latency_s,
+            s.p50_latency_s,
+            s.p99_latency_s,
+            s.cost_usd,
+            s.mean_canvas_efficiency,
+            s.mean_patches_per_batch,
+            s.execution_total_s,
+            s.transmission_total_s,
+            s.makespan_s,
+            s.throughput_pps,
+        ]
+        .iter()
+        .chain(s.tenants.iter().map(|t| &t.slo_s))
+        .map(|x| x.to_bits())
+        .collect()
+    }
+
+    /// A seeded report of `n` patches: one to three SLO classes, latencies
+    /// either drawn from a handful of values (heavy ties) or spread over
+    /// ten seconds, every patch late / none / mixed, and batches that
+    /// carry zero to three efficiencies each.
+    fn random_report(rng: &mut DetRng, n: usize) -> RunReport {
+        let classes = 1 + rng.index(3);
+        let tied = rng.chance(0.5);
+        // 0: every patch violates; 1: none does; 2: mixed.
+        let lateness = rng.index(3);
+        let patches = (0..n)
+            .map(|_| {
+                let gen_us = rng.index(5_000_000) as u64;
+                let latency_us = if tied {
+                    1 + 250_000 * rng.index(4) as u64
+                } else {
+                    1 + rng.index(10_000_000) as u64
+                };
+                let slo_ms = match lateness {
+                    0 => 0,
+                    1 => 20_000 + rng.index(classes) as u64,
+                    _ => 400 * (1 + rng.index(classes) as u64),
+                };
+                record(gen_us, gen_us + latency_us, slo_ms)
+            })
+            .collect();
+        let mut r = report(patches);
+        r.batches = (0..rng.index(40))
+            .map(|_| BatchRecord {
+                dispatched_at: SimTime::ZERO,
+                inputs: 1 + rng.index(4),
+                patch_count: rng.index(60),
+                execution: SimDuration::from_micros(rng.index(300_000) as u64),
+                cold: rng.chance(0.1),
+                cost: Dollars::new(rng.uniform() * 1e-3),
+                efficiencies: (0..rng.index(4)).map(|_| rng.uniform()).collect(),
+            })
+            .collect();
+        r.makespan = SimDuration::from_micros(rng.index(30_000_000) as u64);
+        r.transmission_busy = SimDuration::from_micros(rng.index(9_000_000) as u64);
+        if rng.chance(0.5) {
+            r.dropped_arrivals = 7;
+            r.dropped_by_slo = vec![(SimDuration::from_millis(400), 7)];
+            r.ingress_peak_depth = vec![(SimDuration::from_millis(600), 3)];
+            r.ingress_admitted = vec![(SimDuration::from_millis(400), 11)];
+        }
+        r
+    }
+
+    #[test]
+    fn summarize_equals_the_per_metric_methods_bit_for_bit() {
+        let mut rng = DetRng::new(0x5e1ec7);
+        for case in 0..240 {
+            // The edge sizes in turn (one patch is where the p50 and p99
+            // ranks coincide), ~5,000 patches a dozen times, and anything
+            // up to 300 for the rest.
+            let n = match case % 8 {
+                k @ 0..=4 => [0, 1, 2, 3, 100][k],
+                5 if case < 96 => 5_000 - rng.index(100),
+                _ => 4 + rng.index(297),
+            };
+            let r = random_report(&mut rng, n);
+            let (got, want) = (r.summarize(), digest_by_the_public_methods(&r));
+            assert_eq!(got, want, "case {case}, {n} patches");
+            assert_eq!(
+                float_bits(&got),
+                float_bits(&want),
+                "case {case}, {n} patches"
+            );
+            let mut cdf = EmpiricalCdf::new();
+            cdf.extend(r.patches.iter().map(|p| p.latency().as_secs_f64()));
+            for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
+                assert_eq!(
+                    r.latency_quantile(q).as_secs_f64().to_bits(),
+                    cdf.quantile(q).unwrap_or(0.0).to_bits(),
+                    "case {case}, {n} patches, q = {q}"
+                );
+            }
+        }
     }
 
     #[test]

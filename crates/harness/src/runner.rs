@@ -5,7 +5,6 @@ use crate::pool::parallel_map;
 use crate::presets::build_workload;
 use crate::report::{grid_to_value, BenchReport, CellReport};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use tangram_core::engine::EngineConfig;
 use tangram_core::online::{GeneratedSource, OnlineEngine, Plan, TenantClass};
 use tangram_core::report::RunReport;
@@ -28,14 +27,9 @@ pub struct CellOutcome {
 }
 
 /// Runs every cell of `grid` on `workers` threads, returning full
-/// outcomes in grid enumeration order.
-///
-/// Two parallel phases: workload traces are built once per unique
-/// `(workload, trace_seed)` pair (cells on the same pair share the exact
-/// same traces — the paired comparison the paper's per-scene tables
-/// need), then cells run against the shared traces. Both phases are
-/// deterministic per item, so the outcome is bit-for-bit identical for
-/// any worker count — including `--workers 1`.
+/// outcomes in grid enumeration order. Keeps every cell's [`RunReport`]
+/// (each `PatchRecord` and `BatchRecord`) alive until the caller drops
+/// the list; use [`run_grid`] when the digest is all you read.
 ///
 /// # Panics
 ///
@@ -43,6 +37,26 @@ pub struct CellOutcome {
 /// configurations, e.g. an empty workload).
 #[must_use]
 pub fn run_grid_full(grid: &SweepGrid, workers: usize) -> Vec<CellOutcome> {
+    run_cells(grid, workers, |outcome| outcome)
+}
+
+/// The one cell runner: each outcome goes to `keep` on the worker that
+/// produced it, and what `keep` returns is collected in grid enumeration
+/// order. What `keep` lets go of is dropped before the worker pulls its
+/// next cell, so a digesting `keep` holds `workers` reports plus the
+/// shared traces at its peak, not one report per cell.
+///
+/// Two parallel phases: workload traces are built once per unique
+/// `(workload, trace_seed)` pair (cells on the same pair share the exact
+/// same traces — the paired comparison the paper's per-scene tables
+/// need), then cells run against the shared traces. Both phases are
+/// deterministic per item, so the outcome is bit-for-bit identical for
+/// any worker count — including `--workers 1`.
+fn run_cells<T: Send>(
+    grid: &SweepGrid,
+    workers: usize,
+    keep: impl Fn(CellOutcome) -> T + Sync,
+) -> Vec<T> {
     let cells = grid.cells();
 
     let mut trace_keys: Vec<(usize, u64)> = cells
@@ -51,56 +65,50 @@ pub fn run_grid_full(grid: &SweepGrid, workers: usize) -> Vec<CellOutcome> {
         .collect();
     trace_keys.sort_unstable();
     trace_keys.dedup();
-    let built: Vec<Arc<Vec<CameraTrace>>> =
+    let built: Vec<Vec<CameraTrace>> =
         parallel_map(trace_keys.clone(), workers, |_, (workload_index, seed)| {
-            Arc::new(build_workload(&grid.workloads[workload_index], seed))
+            build_workload(&grid.workloads[workload_index], seed)
         });
-    let traces: BTreeMap<(usize, u64), Arc<Vec<CameraTrace>>> =
+    let traces: BTreeMap<(usize, u64), Vec<CameraTrace>> =
         trace_keys.into_iter().zip(built).collect();
 
-    let scenarios = grid.scenarios.clone();
-    let admission = grid.admission.clone();
-    let fairness = grid.fairness.clone();
-    let capture = grid.capture_traces;
-    let shards = grid.shards;
-    let credit_window = grid.credit_window;
-    parallel_map(cells, workers, move |_, cell| {
-        let traces = Arc::clone(&traces[&(cell.workload_index, cell.trace_seed)]);
-        let admission = cell.admission_index.map(|i| &admission[i]);
-        let fairness = cell.fairness_index.map(|i| &fairness[i]);
+    parallel_map(cells, workers, |_, cell| {
+        let traces = &traces[&(cell.workload_index, cell.trace_seed)];
+        let admission = cell.admission_index.map(|i| &grid.admission[i]);
+        let fairness = cell.fairness_index.map(|i| &grid.fairness[i]);
         let mut config = cell.engine_config();
         if let Some(spec) = fairness {
             spec.configure(&mut config);
         }
-        let (report, trace) = match cell.scenario_index.map(|i| &scenarios[i]) {
+        let (report, trace) = match cell.scenario_index.map(|i| &grid.scenarios[i]) {
             // Trace replay, with the cell's ingress stages (if any)
             // installed. Replay cells carry no tenant mix, so the fair
             // ingress runs a single class at the cell SLO.
             None => config.replay(
-                &traces,
+                traces,
                 Plan {
                     admission: admission.map(|spec| spec.build(&[])),
                     fair_ingress: fairness.map(|spec| spec.build(&[], cell.slo_s)),
-                    trace: capture,
+                    trace: grid.capture_traces,
                     ..Plan::default()
                 },
             ),
             Some(scenario) => run_scenario_sharded(
                 &config,
-                &traces,
+                traces,
                 scenario,
                 admission,
                 fairness,
-                capture,
-                shards,
-                credit_window,
+                grid.capture_traces,
+                grid.shards,
+                grid.credit_window,
             ),
         };
-        CellOutcome {
+        keep(CellOutcome {
             cell,
             report,
             trace,
-        }
+        })
     })
 }
 
@@ -173,53 +181,61 @@ pub fn run_scenario_sharded(
     engine.run()
 }
 
-/// Collapses full outcomes into the serialisable [`BenchReport`].
+/// One cell's row of the [`BenchReport`]: its coordinates on the grid's
+/// axes and the scalar digest of its run.
+fn cell_report(grid: &SweepGrid, outcome: &CellOutcome) -> CellReport {
+    let cell = &outcome.cell;
+    CellReport {
+        index: cell.index as u64,
+        seed: cell.seed,
+        slo_s: cell.slo_s,
+        bandwidth_mbps: cell.bandwidth_mbps,
+        sigma_multiplier: cell.sigma_multiplier,
+        workload: cell.workload_index as u64,
+        // Recorded only when the axis genuinely sweeps, so
+        // single/no-scenario grids keep their legacy cell bytes.
+        scenario: if grid.scenarios.len() > 1 {
+            cell.scenario_index.map(|i| i as u64)
+        } else {
+            None
+        },
+        admission: cell
+            .admission_index
+            .map(|i| grid.admission[i].kind().to_string()),
+        // All fairness specs share the "drr" kind, so a multi-variant
+        // axis suffixes the axis index to keep cells distinguishable.
+        fairness: cell.fairness_index.map(|i| {
+            if grid.fairness.len() > 1 {
+                format!("{}@{i}", grid.fairness[i].kind())
+            } else {
+                grid.fairness[i].kind().to_string()
+            }
+        }),
+        metrics: outcome.report.summarize(),
+    }
+}
+
+/// Collapses full outcomes into the serialisable [`BenchReport`], for a
+/// caller that reads the full records *and* writes the digest.
 #[must_use]
 pub fn bench_report(grid: &SweepGrid, outcomes: &[CellOutcome]) -> BenchReport {
     BenchReport {
         name: grid.name.clone(),
         grid: grid_to_value(grid),
-        cells: outcomes
-            .iter()
-            .map(|o| CellReport {
-                index: o.cell.index as u64,
-                seed: o.cell.seed,
-                slo_s: o.cell.slo_s,
-                bandwidth_mbps: o.cell.bandwidth_mbps,
-                sigma_multiplier: o.cell.sigma_multiplier,
-                workload: o.cell.workload_index as u64,
-                // Recorded only when the axis genuinely sweeps, so
-                // single/no-scenario grids keep their legacy cell bytes.
-                scenario: if grid.scenarios.len() > 1 {
-                    o.cell.scenario_index.map(|i| i as u64)
-                } else {
-                    None
-                },
-                admission: o
-                    .cell
-                    .admission_index
-                    .map(|i| grid.admission[i].kind().to_string()),
-                // All fairness specs share the "drr" kind, so a
-                // multi-variant axis suffixes the axis index to keep
-                // cells distinguishable.
-                fairness: o.cell.fairness_index.map(|i| {
-                    if grid.fairness.len() > 1 {
-                        format!("{}@{i}", grid.fairness[i].kind())
-                    } else {
-                        grid.fairness[i].kind().to_string()
-                    }
-                }),
-                metrics: o.report.summarize(),
-            })
-            .collect(),
+        cells: outcomes.iter().map(|o| cell_report(grid, o)).collect(),
     }
 }
 
-/// Runs every cell of `grid` and collects the [`BenchReport`] digest.
-/// See [`run_grid_full`] for the execution model.
+/// Runs every cell of `grid` and collects the [`BenchReport`] digest,
+/// each cell summarised — and its full report dropped — on the worker
+/// that ran it. Byte for byte [`bench_report`] of [`run_grid_full`].
 #[must_use]
 pub fn run_grid(grid: &SweepGrid, workers: usize) -> BenchReport {
-    bench_report(grid, &run_grid_full(grid, workers))
+    BenchReport {
+        name: grid.name.clone(),
+        grid: grid_to_value(grid),
+        cells: run_cells(grid, workers, |outcome| cell_report(grid, &outcome)),
+    }
 }
 
 #[cfg(test)]
@@ -319,5 +335,48 @@ mod tests {
         assert!(starved.metrics.dropped_arrivals > 0);
         // The admission path keeps the worker-count guarantee.
         assert_eq!(run_grid(&grid, 1).to_json(), report.to_json());
+    }
+
+    #[test]
+    fn the_two_grid_entry_points_write_the_same_bytes() {
+        use crate::grid::{AdmissionSpec, ArrivalSpec, FairnessSpec, ScenarioSpec};
+        let scenario = |fps: f64| ScenarioSpec {
+            arrival: ArrivalSpec::Poisson { fps },
+            frames_per_camera: 6,
+            join_stagger_s: 0.25,
+            session_s: None,
+            tenant_slos_s: vec![0.8, 1.5],
+            faults: Vec::new(),
+        };
+        let drr = |aware: bool| FairnessSpec {
+            weights: vec![3.0, 1.0],
+            queue_capacity: 16,
+            tick_s: 0.02,
+            quantum: 1.0,
+            admission_aware: aware,
+        };
+        // Every axis whose cell field is conditional sweeps: `scenario`
+        // (recorded only past one scenario), `admission`, and the
+        // `drr@i` suffix (written only past one fairness variant).
+        let mut grid = micro_grid();
+        grid.name = "micro_axes".to_string();
+        grid.scenarios = vec![scenario(8.0), scenario(12.0)];
+        grid.admission = vec![
+            AdmissionSpec::Always,
+            AdmissionSpec::QueueDepth { max_queued: 4 },
+        ];
+        grid.fairness = vec![drr(false), drr(true)];
+        for workers in [1, 3] {
+            let digest = run_grid(&grid, workers);
+            assert_eq!(digest.cells.len(), 16);
+            assert_eq!(digest.cells[15].scenario, Some(1));
+            assert_eq!(digest.cells[15].admission.as_deref(), Some("queue-depth"));
+            assert_eq!(digest.cells[15].fairness.as_deref(), Some("drr@1"));
+            assert_eq!(
+                digest.to_json(),
+                bench_report(&grid, &run_grid_full(&grid, workers)).to_json(),
+                "{workers} workers"
+            );
+        }
     }
 }

@@ -115,6 +115,20 @@ impl OnlineStats {
     }
 }
 
+/// Where the nearest-rank `q`-quantile of `n` sorted samples sits
+/// (0-based): the smallest sample whose cumulative frequency reaches
+/// `q`, i.e. the `⌈q·n⌉`-th smallest (1-based), clamped so `q ≤ 0`
+/// yields the minimum and `q ≥ 1` the maximum.
+///
+/// # Panics
+///
+/// Panics if `n == 0`.
+#[must_use]
+pub fn nearest_rank_index(q: f64, n: usize) -> usize {
+    let rank = (q.clamp(0.0, 1.0) * n as f64).ceil() as usize;
+    rank.clamp(1, n) - 1
+}
+
 /// An empirical cumulative distribution built from raw samples.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct EmpiricalCdf {
@@ -178,10 +192,8 @@ impl EmpiricalCdf {
         idx as f64 / self.samples.len() as f64
     }
 
-    /// The `q`-quantile (`q` in `[0, 1]`, nearest-rank): the smallest
-    /// sample whose cumulative frequency reaches `q`, i.e. the
-    /// `⌈q·n⌉`-th smallest (1-based), clamped so `q = 0` yields the
-    /// minimum and `q = 1` the maximum.
+    /// The `q`-quantile (`q` in `[0, 1]`, nearest-rank): the sample at
+    /// [`nearest_rank_index`] of the sorted samples.
     ///
     /// Returns `None` when empty.
     pub fn quantile(&mut self, q: f64) -> Option<f64> {
@@ -189,10 +201,7 @@ impl EmpiricalCdf {
             return None;
         }
         self.ensure_sorted();
-        let q = q.clamp(0.0, 1.0);
-        let n = self.samples.len();
-        let rank = (q * n as f64).ceil() as usize;
-        Some(self.samples[rank.clamp(1, n) - 1])
+        Some(self.samples[nearest_rank_index(q, self.samples.len())])
     }
 
     /// `n` evenly-spaced `(value, cumulative_probability)` points — exactly
@@ -416,6 +425,23 @@ mod tests {
         assert_eq!(cdf.quantile(1.0), Some(100.0));
         let median = cdf.quantile(0.5).unwrap();
         assert!((median - 50.0).abs() <= 1.0, "median {median}");
+    }
+
+    #[test]
+    fn nearest_rank_index_is_ceil_qn_clamped_to_the_samples() {
+        // Rows are n; columns are q = 0, 0.5, 0.99, 1.
+        for (n, expected) in [
+            (1, [0, 0, 0, 0]),
+            (2, [0, 0, 1, 1]),
+            (100, [0, 49, 98, 99]),
+            (101, [0, 50, 99, 100]),
+        ] {
+            let got = [0.0, 0.5, 0.99, 1.0].map(|q| nearest_rank_index(q, n));
+            assert_eq!(got, expected, "n = {n}");
+        }
+        // Out-of-range `q` clamps rather than indexing out of bounds.
+        assert_eq!(nearest_rank_index(-3.0, 10), 0);
+        assert_eq!(nearest_rank_index(7.0, 10), 9);
     }
 
     #[test]

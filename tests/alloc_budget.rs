@@ -1,15 +1,19 @@
 //! Allocation budgets for the per-invocation path: what one already-late
 //! patch costs from `TangramScheduler::on_patch` through
 //! `ServerlessPlatform::submit` to `complete`, and what one `EventQueue`
-//! push/pop pair costs at a steady population.
+//! push/pop pair costs at a steady population — and the high-water mark
+//! of a sweep: `run_grid` holds one cell's records at a time, so its peak
+//! is flat in the cell count.
 //!
 //! A test binary may install its own `#[global_allocator]`; nothing under
-//! `crates/` does. Counts are per thread, so the two tests do not see
-//! each other's allocations when the harness runs them in parallel.
+//! `crates/` does. Counts are per thread, so the tests do not see each
+//! other's allocations when the harness runs them in parallel.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use tangram_core::engine::PolicyKind;
 use tangram_core::scheduler::{SchedulerConfig, TangramScheduler};
+use tangram_harness::{run_grid, run_grid_full, SweepGrid, TraceKind, WorkloadSpec};
 use tangram_infer::estimator::LatencyEstimator;
 use tangram_infer::latency::InferenceLatencyModel;
 use tangram_serverless::function::FunctionSpec;
@@ -25,6 +29,10 @@ struct Counting;
 thread_local! {
     /// Allocator calls (alloc, zeroed alloc, realloc) made by this thread.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated less the bytes it has freed
+    /// (signed: a thread may free what another allocated), and the
+    /// highest that figure has been since `high_water_in` last reset it.
+    static LIVE_AND_PEAK: Cell<(isize, isize)> = const { Cell::new((0, 0)) };
 }
 
 fn note_alloc() {
@@ -32,24 +40,35 @@ fn note_alloc() {
     let _ = ALLOCS.try_with(|allocs| allocs.set(allocs.get() + 1));
 }
 
+fn note_bytes(delta: isize) {
+    let _ = LIVE_AND_PEAK.try_with(|bytes| {
+        let (live, peak) = bytes.get();
+        bytes.set((live + delta, peak.max(live + delta)));
+    });
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the counter is a
 // const-initialised thread-local `Cell` with no destructor, so touching
-// it never allocates and never re-enters the allocator.
+// it never allocates and never re-enters the allocator (the byte counters
+// are the same kind of cell).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note_alloc();
+        note_bytes(layout.size() as isize);
         // SAFETY: `layout` is the caller's, passed through unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note_alloc();
+        note_bytes(layout.size() as isize);
         // SAFETY: `layout` is the caller's, passed through unchanged.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_bytes(-(layout.size() as isize));
         // SAFETY: `ptr` was returned by `System` for this `layout` (the
         // caller's obligation, unchanged by the wrapper).
         unsafe { System.dealloc(ptr, layout) }
@@ -57,6 +76,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note_alloc();
+        note_bytes(new_size as isize - layout.size() as isize);
         // SAFETY: `ptr`/`layout`/`new_size` are the caller's, passed
         // through unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -71,6 +91,15 @@ fn allocations_in(work: impl FnOnce()) -> u64 {
     let before = ALLOCS.with(Cell::get);
     work();
     ALLOCS.with(Cell::get) - before
+}
+
+/// The most bytes this thread holds at once while `work` runs, above what
+/// it held on entry.
+fn high_water_in(work: impl FnOnce()) -> isize {
+    let (held, _) = LIVE_AND_PEAK.with(Cell::get);
+    LIVE_AND_PEAK.with(|bytes| bytes.set((held, held)));
+    work();
+    LIVE_AND_PEAK.with(Cell::get).1 - held
 }
 
 /// A saturated uplink in miniature: every patch reaches the scheduler
@@ -164,4 +193,43 @@ fn event_queue_churn_at_a_steady_population_allocates_nothing() {
         "both producers must churn: {from_link} of 10,000 pops from the link"
     );
     assert_eq!(allocs, 0, "allocator calls in 10,000 pop/push pairs");
+}
+
+/// `run_grid` summarises each cell on the worker that ran it and drops
+/// the cell's records there, so what a sweep holds at its peak is the
+/// shared traces, one cell's run and the digests — not one `RunReport`
+/// per cell. On one worker everything happens on this thread, so the
+/// byte counts repeat exactly.
+///
+/// The cell count grows along the SLO axis: cells of one seed share one
+/// set of traces, held for the whole grid, so more seeds would be more
+/// traces — memory a sweep owes at any cell count.
+#[test]
+fn a_sweep_holds_one_cells_records_at_a_time() {
+    let grid_of = |slos: u32| {
+        let mut grid = SweepGrid::named("high_water");
+        grid.policies = vec![PolicyKind::Tangram, PolicyKind::Elf];
+        grid.seeds = vec![7, 8];
+        grid.slos_s = (0..slos).map(|k| 0.6 + 0.05 * f64::from(k)).collect();
+        grid.bandwidths_mbps = vec![40.0];
+        grid.workloads = vec![WorkloadSpec {
+            scenes: vec![1, 2],
+            frames: 64,
+            trace: TraceKind::Proxy,
+        }];
+        grid
+    };
+    let (one, four) = (grid_of(3), grid_of(12));
+    assert_eq!(four.cell_count(), 4 * one.cell_count());
+    let digest_1x = high_water_in(|| drop(run_grid(&one, 1)));
+    let digest_4x = high_water_in(|| drop(run_grid(&four, 1)));
+    let full_4x = high_water_in(|| drop(run_grid_full(&four, 1)));
+    assert!(
+        digest_4x * 4 <= digest_1x * 5,
+        "4x the cells may hold at most 1.25x the bytes: {digest_1x} B, then {digest_4x} B"
+    );
+    assert!(
+        digest_4x * 2 < full_4x,
+        "a digest sweep peaks under half of a full one: {digest_4x} B against {full_4x} B"
+    );
 }
