@@ -13,9 +13,11 @@
 //! `verify` re-derives the hash chain and sequence/time monotonicity.
 //! Exit status 0 on success, 1 when verification fails, 2 on usage/IO
 //! errors — an unknown event kind or flag is a usage error, never an
-//! empty answer.
+//! empty answer. A reader that closes the pipe early (`… | head -1`) has
+//! what it wanted: that ends `filter` and `tail` with status 0.
 
-use tangram_trace::{TraceEvent, TraceLog};
+use std::io::{BufWriter, ErrorKind, Write};
+use tangram_trace::{TraceEvent, TraceLog, TraceRecord};
 
 fn load(path: &str) -> TraceLog {
     let read = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
@@ -65,6 +67,29 @@ fn stats(path: &str) {
     println!("  final hash {:016x}", log.final_hash());
 }
 
+/// Writes `records` to stdout as JSONL: one lock, one buffered writer,
+/// one line buffer.
+fn print<'a>(mut records: impl Iterator<Item = &'a TraceRecord>) {
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    let mut line = String::new();
+    let written = records
+        .try_for_each(|record| {
+            line.clear();
+            record.write_line(&mut line);
+            line.push('\n');
+            out.write_all(line.as_bytes())
+        })
+        .and_then(|()| out.flush());
+    match written {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => {}
+        Err(e) => {
+            eprintln!("trace_tool: cannot write to stdout: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let [command, path, rest @ ..] = &args[..] else {
@@ -84,9 +109,7 @@ fn main() {
                 usage(&format!("unknown event kind `{kind}` (kinds: {kinds})"));
             }
             let log = load(path);
-            for record in log.records.iter().filter(|r| r.event.kind() == kind) {
-                println!("{}", record.to_line());
-            }
+            print(log.records.iter().filter(|r| r.event.kind() == kind));
         }
         "tail" => {
             let n = only_flag(rest, "-n").map_or(10, |v| {
@@ -95,9 +118,7 @@ fn main() {
             });
             let log = load(path);
             let skip = log.records.len().saturating_sub(n);
-            for record in &log.records[skip..] {
-                println!("{}", record.to_line());
-            }
+            print(log.records[skip..].iter());
         }
         "verify" => {
             let log = load(path);

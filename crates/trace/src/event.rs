@@ -1,7 +1,7 @@
 //! The trace event alphabet and its canonical field rendering.
 
-use std::fmt::Write as _;
-use tangram_types::json::{write_string, Json};
+use std::borrow::Cow;
+use tangram_types::json::Scalar;
 
 /// One runtime event, as the engine saw it.
 ///
@@ -131,21 +131,39 @@ impl TraceEvent {
         "session.end",
     ];
 
-    /// Appends the canonical `,"key":value` rendering of the event's
-    /// fields (key order fixed per kind).
-    pub(crate) fn render_fields(&self, out: &mut String) {
+    /// The kind's position in [`TraceEvent::KINDS`].
+    pub(crate) fn kind_index(&self) -> usize {
+        match self {
+            TraceEvent::SessionStart { .. } => 0,
+            TraceEvent::CameraJoin { .. } => 1,
+            TraceEvent::CameraLeave { .. } => 2,
+            TraceEvent::AdmissionVerdict { .. } => 3,
+            TraceEvent::DrrRound { .. } => 4,
+            TraceEvent::BatchDispatch { .. } => 5,
+            TraceEvent::FunctionComplete { .. } => 6,
+            TraceEvent::FaultWindow { .. } => 7,
+            TraceEvent::SessionEnd { .. } => 8,
+        }
+    }
+
+    /// Calls `visit` with the canonical `,"key":` prefix and the value of
+    /// each of the event's fields (key order fixed per kind) — the one
+    /// place that order lives, for the renderer and for its length count.
+    pub(crate) fn each_field<'a>(&'a self, mut visit: impl FnMut(&'static str, Scalar<'a>)) {
+        use Scalar::{Bool, U64};
+        let text = |s: &'a str| Scalar::Str(Cow::Borrowed(s));
         match self {
             TraceEvent::SessionStart {
                 policy,
                 seed,
                 cameras,
             } => {
-                out.push_str(",\"policy\":");
-                write_string(out, policy);
-                let _ = write!(out, ",\"seed\":{seed},\"cameras\":{cameras}");
+                visit(",\"policy\":", text(policy));
+                visit(",\"seed\":", U64(*seed));
+                visit(",\"cameras\":", U64(*cameras));
             }
             TraceEvent::CameraJoin { camera } | TraceEvent::CameraLeave { camera } => {
-                let _ = write!(out, ",\"camera\":{camera}");
+                visit(",\"camera\":", U64(*camera));
             }
             TraceEvent::AdmissionVerdict {
                 patch,
@@ -155,15 +173,16 @@ impl TraceEvent {
                 in_flight,
                 earliest_start_us,
             } => {
-                let _ = write!(
-                    out,
-                    ",\"patch\":{patch},\"slo_us\":{slo_us},\"admitted\":{admitted},\
-                     \"queued\":{queued},\"in_flight\":{in_flight},\
-                     \"earliest_start_us\":{earliest_start_us}"
-                );
+                visit(",\"patch\":", U64(*patch));
+                visit(",\"slo_us\":", U64(*slo_us));
+                visit(",\"admitted\":", Bool(*admitted));
+                visit(",\"queued\":", U64(*queued));
+                visit(",\"in_flight\":", U64(*in_flight));
+                visit(",\"earliest_start_us\":", U64(*earliest_start_us));
             }
             TraceEvent::DrrRound { released, backlog } => {
-                let _ = write!(out, ",\"released\":{released},\"backlog\":{backlog}");
+                visit(",\"released\":", U64(*released));
+                visit(",\"backlog\":", U64(*backlog));
             }
             TraceEvent::BatchDispatch {
                 batch,
@@ -171,26 +190,23 @@ impl TraceEvent {
                 inputs,
                 megapixels_e6,
             } => {
-                let _ = write!(
-                    out,
-                    ",\"batch\":{batch},\"patches\":{patches},\"inputs\":{inputs},\
-                     \"megapixels_e6\":{megapixels_e6}"
-                );
+                visit(",\"batch\":", U64(*batch));
+                visit(",\"patches\":", U64(*patches));
+                visit(",\"inputs\":", U64(*inputs));
+                visit(",\"megapixels_e6\":", U64(*megapixels_e6));
             }
             TraceEvent::FunctionComplete {
                 invocation,
                 inputs,
                 violations,
             } => {
-                let _ = write!(
-                    out,
-                    ",\"invocation\":{invocation},\"inputs\":{inputs},\"violations\":{violations}"
-                );
+                visit(",\"invocation\":", U64(*invocation));
+                visit(",\"inputs\":", U64(*inputs));
+                visit(",\"violations\":", U64(*violations));
             }
             TraceEvent::FaultWindow { kind, until_us } => {
-                out.push_str(",\"fault\":");
-                write_string(out, kind);
-                let _ = write!(out, ",\"until_us\":{until_us}");
+                visit(",\"fault\":", text(kind));
+                visit(",\"until_us\":", U64(*until_us));
             }
             TraceEvent::SessionEnd {
                 frames,
@@ -199,17 +215,17 @@ impl TraceEvent {
                 dropped,
                 makespan_us,
             } => {
-                let _ = write!(
-                    out,
-                    ",\"frames\":{frames},\"batches\":{batches},\"completions\":{completions},\
-                     \"dropped\":{dropped},\"makespan_us\":{makespan_us}"
-                );
+                visit(",\"frames\":", U64(*frames));
+                visit(",\"batches\":", U64(*batches));
+                visit(",\"completions\":", U64(*completions));
+                visit(",\"dropped\":", U64(*dropped));
+                visit(",\"makespan_us\":", U64(*makespan_us));
             }
         }
     }
 
-    /// Rebuilds an event from its kind tag and the parsed record object.
-    pub(crate) fn from_fields(kind: &str, fields: &Json) -> Result<TraceEvent, String> {
+    /// Rebuilds an event from its kind tag and the line's parsed fields.
+    pub(crate) fn from_fields(kind: &str, fields: &Fields<'_>) -> Result<TraceEvent, String> {
         Ok(match kind {
             "session.start" => TraceEvent::SessionStart {
                 policy: string(fields, "policy")?.to_string(),
@@ -261,32 +277,119 @@ impl TraceEvent {
     }
 }
 
-/// Field `key` of a parsed record object, read through `get`; `want`
-/// names the expected type in the error.
-fn typed<'a, T>(
-    fields: &'a Json,
+/// Appends `v` in decimal, as `{v}` formats it.
+pub(crate) fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// The digits a hash is spelled in.
+pub(crate) const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Appends `v` as 16 lowercase hex digits, as `{v:016x}` formats it.
+pub(crate) fn push_hex16(out: &mut String, v: u64) {
+    let mut digits = [0u8; 16];
+    for (i, digit) in digits.iter_mut().enumerate() {
+        *digit = HEX_DIGITS[(v >> (60 - 4 * i)) as usize & 0xf];
+    }
+    out.push_str(std::str::from_utf8(&digits).expect("ASCII digits"));
+}
+
+/// The number of bytes [`push_u64`] appends for `v`.
+pub(crate) fn decimal_len(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |log| log as usize + 1)
+}
+
+/// One line's fields as [`parse_flat_object`] leaves them: document
+/// order, duplicates kept (the first one is the field).
+///
+/// [`parse_flat_object`]: tangram_types::json::parse_flat_object
+pub(crate) type Fields<'a> = [(Cow<'a, str>, Scalar<'a>)];
+
+/// Field `key` of a parsed line, read through `get`; `want` names the
+/// expected type in the error.
+fn typed<'f, 'a, T>(
+    fields: &'f Fields<'a>,
     key: &str,
     want: &str,
-    get: fn(&'a Json) -> Option<T>,
+    get: impl Fn(&'f Scalar<'a>) -> Option<T>,
 ) -> Result<T, String> {
-    let value = fields.get(key);
+    let value = fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
     let value = value.ok_or_else(|| format!("missing field {key:?}"))?;
     get(value).ok_or_else(|| format!("field {key:?}: expected {want}, got {value:?}"))
 }
 
 /// The string field `key`.
-pub(crate) fn string<'a>(fields: &'a Json, key: &str) -> Result<&'a str, String> {
-    typed(fields, key, "string", Json::as_str)
+pub(crate) fn string<'f>(fields: &'f Fields<'_>, key: &str) -> Result<&'f str, String> {
+    typed(fields, key, "string", Scalar::as_str)
 }
 
 /// The integer field `key`; floats and negatives are not integers.
-pub(crate) fn integer(fields: &Json, key: &str) -> Result<u64, String> {
-    typed(fields, key, "integer", Json::as_u64)
+pub(crate) fn integer(fields: &Fields<'_>, key: &str) -> Result<u64, String> {
+    typed(fields, key, "integer", Scalar::as_u64)
 }
 
 /// The boolean field `key`.
-pub(crate) fn boolean(fields: &Json, key: &str) -> Result<bool, String> {
-    typed(fields, key, "bool", Json::as_bool)
+pub(crate) fn boolean(fields: &Fields<'_>, key: &str) -> Result<bool, String> {
+    typed(fields, key, "bool", Scalar::as_bool)
+}
+
+/// One event of every kind, every integer field set to `n` and every
+/// string field to `text`.
+#[cfg(test)]
+pub(crate) fn every_variant(n: u64, text: &str) -> [TraceEvent; 9] {
+    [
+        TraceEvent::SessionStart {
+            policy: text.into(),
+            seed: n,
+            cameras: n,
+        },
+        TraceEvent::CameraJoin { camera: n },
+        TraceEvent::CameraLeave { camera: n },
+        TraceEvent::AdmissionVerdict {
+            patch: n,
+            slo_us: n,
+            admitted: n.is_multiple_of(2),
+            queued: n,
+            in_flight: n,
+            earliest_start_us: n,
+        },
+        TraceEvent::DrrRound {
+            released: n,
+            backlog: n,
+        },
+        TraceEvent::BatchDispatch {
+            batch: n,
+            patches: n,
+            inputs: n,
+            megapixels_e6: n,
+        },
+        TraceEvent::FunctionComplete {
+            invocation: n,
+            inputs: n,
+            violations: n,
+        },
+        TraceEvent::FaultWindow {
+            kind: text.into(),
+            until_us: n,
+        },
+        TraceEvent::SessionEnd {
+            frames: n,
+            batches: n,
+            completions: n,
+            dropped: n,
+            makespan_us: n,
+        },
+    ]
 }
 
 #[cfg(test)]
@@ -295,53 +398,24 @@ mod tests {
 
     #[test]
     fn kinds_cover_every_variant() {
-        let events = [
-            TraceEvent::SessionStart {
-                policy: "Tangram".into(),
-                seed: 1,
-                cameras: 2,
-            },
-            TraceEvent::CameraJoin { camera: 0 },
-            TraceEvent::CameraLeave { camera: 0 },
-            TraceEvent::AdmissionVerdict {
-                patch: 9,
-                slo_us: 1_000_000,
-                admitted: true,
-                queued: 3,
-                in_flight: 1,
-                earliest_start_us: 77,
-            },
-            TraceEvent::DrrRound {
-                released: 4,
-                backlog: 2,
-            },
-            TraceEvent::BatchDispatch {
-                batch: 0,
-                patches: 5,
-                inputs: 2,
-                megapixels_e6: 2_097_152,
-            },
-            TraceEvent::FunctionComplete {
-                invocation: 3,
-                inputs: 2,
-                violations: 0,
-            },
-            TraceEvent::FaultWindow {
-                kind: "brownout".into(),
-                until_us: 5_000_000,
-            },
-            TraceEvent::SessionEnd {
-                frames: 10,
-                batches: 4,
-                completions: 4,
-                dropped: 1,
-                makespan_us: 123,
-            },
-        ];
-        let mut kinds: Vec<&str> = events.iter().map(TraceEvent::kind).collect();
-        kinds.sort_unstable();
-        let mut expected = TraceEvent::KINDS.to_vec();
-        expected.sort_unstable();
-        assert_eq!(kinds, expected);
+        let events = every_variant(1, "Tangram");
+        let kinds: Vec<&str> = events.iter().map(TraceEvent::kind).collect();
+        assert_eq!(kinds, TraceEvent::KINDS);
+        for event in &events {
+            assert_eq!(TraceEvent::KINDS[event.kind_index()], event.kind());
+        }
+    }
+
+    #[test]
+    fn integers_render_as_core_fmt_renders_them() {
+        let edges = [0, 9, 10, 99, 100, 12_345, u64::MAX / 10, u64::MAX];
+        for v in edges.into_iter().chain((0..64).map(|shift| 1 << shift)) {
+            let (mut decimal, mut hex) = (String::new(), String::new());
+            push_u64(&mut decimal, v);
+            push_hex16(&mut hex, v);
+            assert_eq!(decimal, format!("{v}"));
+            assert_eq!(decimal_len(v), decimal.len(), "{v}");
+            assert_eq!(hex, format!("{v:016x}"));
+        }
     }
 }

@@ -26,10 +26,23 @@
 //! `cmp` golden traces.
 //!
 //! The crate sits below `sim` on the DAG and depends only on
-//! `tangram-types`: it writes the compact canonical line itself (the
-//! hash covers those bytes) and reads lines back through the workspace's
-//! one JSON codec, [`tangram_types::json`], rejecting anything that is
-//! not a flat object of strings, integers and booleans.
+//! `tangram-types`. It has **one renderer and one flat reader**, and a
+//! record costs its bytes once in each:
+//!
+//! * [`TraceRecord::write_line`] appends the compact canonical line to a
+//!   buffer its caller owns. [`TraceSink::emit`] and [`TraceLog::verify`]
+//!   hash the same body, rendered into a scratch buffer they reuse, in
+//!   one FNV-1a pass; [`TraceLog::to_jsonl`] writes every line into one
+//!   output sized exactly beforehand. Nothing on those paths allocates
+//!   per record or goes through `core::fmt`.
+//! * [`TraceRecord::from_line`] reads a line through
+//!   [`tangram_types::json::parse_flat_object`] — the workspace's one JSON
+//!   codec, its string, number and keyword scanners, but no tree: keys
+//!   and values borrow from the line, in one field list reused across a
+//!   log — rejecting anything that is not a flat object of strings,
+//!   integers and booleans, and any `prev` / `hash` not spelled as the
+//!   renderer spells it (16 lowercase hex digits), so that
+//!   `render(parse(x)) == x` for every `x` that parses.
 //!
 //! ```
 //! use tangram_trace::{TraceEvent, TraceLog, TraceSink};

@@ -1,8 +1,8 @@
 //! Records, the rolling hash chain, JSONL rendering/parsing and diffs.
 
-use crate::event::{integer, string, TraceEvent};
-use std::fmt::Write as _;
-use tangram_types::json::{write_string, Json};
+use crate::event::{decimal_len, integer, push_hex16, push_u64, string, TraceEvent, HEX_DIGITS};
+use std::borrow::Cow;
+use tangram_types::json::{escaped_len, parse_flat_object, write_string, Scalar};
 use tangram_types::time::SimTime;
 
 /// FNV-1a 64-bit offset basis.
@@ -40,58 +40,103 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
+/// What a rendered line adds around its body: the braces, the two
+/// 16-digit hashes and their keys.
+const LINE_FRAME: usize = "{,\"prev\":\"\",\"hash\":\"\"}".len() + 2 * 16;
+
 impl TraceRecord {
-    /// The canonical body: everything the hash covers.
-    fn body(seq: u64, at_us: u64, event: &TraceEvent) -> String {
-        let mut body = String::new();
-        let _ = write!(body, "\"seq\":{seq},\"at_us\":{at_us},\"kind\":");
-        write_string(&mut body, event.kind());
-        event.render_fields(&mut body);
-        body
+    /// Appends the canonical body: everything the hash covers.
+    fn body(out: &mut String, seq: u64, at_us: u64, event: &TraceEvent) {
+        out.push_str("\"seq\":");
+        push_u64(out, seq);
+        out.push_str(",\"at_us\":");
+        push_u64(out, at_us);
+        // Kind tags are plain ASCII: nothing for the escaper to do.
+        out.push_str(",\"kind\":\"");
+        out.push_str(event.kind());
+        out.push('"');
+        event.each_field(|key, value| {
+            out.push_str(key);
+            match value {
+                Scalar::U64(v) => push_u64(out, v),
+                Scalar::Bool(b) => out.push_str(if b { "true" } else { "false" }),
+                Scalar::Str(s) => write_string(out, &s),
+            }
+        });
     }
 
-    /// The hash this record must carry given its `prev`.
-    fn chain(seq: u64, at_us: u64, event: &TraceEvent, prev: u64) -> u64 {
-        let mut state = fnv1a(FNV_OFFSET, format!("{prev:016x}|").as_bytes());
-        state = fnv1a(state, Self::body(seq, at_us, event).as_bytes());
-        state
+    /// Exactly the number of bytes [`TraceRecord::write_line`] appends.
+    fn line_len(&self) -> usize {
+        let mut len = LINE_FRAME
+            + "\"seq\":,\"at_us\":,\"kind\":\"\"".len()
+            + decimal_len(self.seq)
+            + decimal_len(self.at_us)
+            + self.event.kind().len();
+        self.event.each_field(|key, value| {
+            len += key.len()
+                + match value {
+                    Scalar::U64(v) => decimal_len(v),
+                    Scalar::Bool(b) => if b { "true" } else { "false" }.len(),
+                    Scalar::Str(s) => escaped_len(&s),
+                };
+        });
+        len
+    }
+
+    /// The hash a record must carry given its `prev`: FNV-1a over
+    /// `{prev:016x}|` and the body, rendered into `scratch` (whose
+    /// contents are replaced) and hashed in one pass.
+    fn chain(scratch: &mut String, seq: u64, at_us: u64, event: &TraceEvent, prev: u64) -> u64 {
+        scratch.clear();
+        push_hex16(scratch, prev);
+        scratch.push('|');
+        Self::body(scratch, seq, at_us, event);
+        fnv1a(FNV_OFFSET, scratch.as_bytes())
+    }
+
+    /// Appends the record as one JSONL line (no trailing newline) — the
+    /// one renderer; the hash chain covers the body it writes.
+    pub fn write_line(&self, out: &mut String) {
+        out.push('{');
+        Self::body(out, self.seq, self.at_us, &self.event);
+        out.push_str(",\"prev\":\"");
+        push_hex16(out, self.prev);
+        out.push_str("\",\"hash\":\"");
+        push_hex16(out, self.hash);
+        out.push_str("\"}");
     }
 
     /// Renders the record as one JSONL line (no trailing newline).
     #[must_use]
     pub fn to_line(&self) -> String {
-        let mut line = String::from("{");
-        line.push_str(&Self::body(self.seq, self.at_us, &self.event));
-        let _ = write!(
-            line,
-            ",\"prev\":\"{:016x}\",\"hash\":\"{:016x}\"}}",
-            self.prev, self.hash
-        );
+        let mut line = String::with_capacity(self.line_len());
+        self.write_line(&mut line);
         line
     }
 
     /// Parses one JSONL line: a flat object of string, integer and
-    /// boolean values — exactly the shape [`TraceRecord::to_line`] emits.
+    /// boolean values — exactly the shape [`TraceRecord::write_line`]
+    /// emits.
     pub fn from_line(line: &str) -> Result<TraceRecord, String> {
-        let fields = Json::parse(line)?;
-        let Json::Object(pairs) = &fields else {
-            return Err("expected a JSON object".into());
-        };
+        Self::read_line(line, &mut Vec::new())
+    }
+
+    /// [`TraceRecord::from_line`] through a caller-owned field list, so a
+    /// whole log is read through one.
+    fn read_line<'a>(
+        line: &'a str,
+        fields: &mut Vec<(Cow<'a, str>, Scalar<'a>)>,
+    ) -> Result<TraceRecord, String> {
         // The trace alphabet has no nesting, floats or nulls; a line
         // carrying one anywhere is not a record, known key or not.
-        if let Some((key, value)) = pairs
-            .iter()
-            .find(|(_, v)| !matches!(v, Json::Str(_) | Json::U64(_) | Json::Bool(_)))
-        {
-            return Err(format!("field {key:?}: unexpected {value:?}"));
-        }
-        let kind = string(&fields, "kind")?;
+        parse_flat_object(line, fields)?;
+        let kind = string(fields, "kind")?;
         Ok(TraceRecord {
-            seq: integer(&fields, "seq")?,
-            at_us: integer(&fields, "at_us")?,
-            prev: parse_hex(string(&fields, "prev")?)?,
-            hash: parse_hex(string(&fields, "hash")?)?,
-            event: TraceEvent::from_fields(kind, &fields)?,
+            seq: integer(fields, "seq")?,
+            at_us: integer(fields, "at_us")?,
+            prev: parse_hex(string(fields, "prev")?)?,
+            hash: parse_hex(string(fields, "hash")?)?,
+            event: TraceEvent::from_fields(kind, fields)?,
         })
     }
 
@@ -102,8 +147,32 @@ impl TraceRecord {
     }
 }
 
+/// Reads a hash as [`TraceRecord::write_line`] writes one — 16 lowercase
+/// hex digits — and in no other spelling, so that two different files
+/// never parse to equal logs.
 fn parse_hex(s: &str) -> Result<u64, String> {
-    u64::from_str_radix(s, 16).map_err(|e| format!("bad hash {s:?}: {e}"))
+    /// The value of each lowercase hex digit, `0xff` for any other byte.
+    /// A table, not a `match`: which of `0-9` / `a-f` a hash digit falls
+    /// in is a coin toss no branch predictor wins.
+    const VALUE: [u8; 256] = {
+        let mut table = [0xff; 256];
+        let mut digit = 0;
+        while digit < 16 {
+            table[HEX_DIGITS[digit] as usize] = digit as u8;
+            digit += 1;
+        }
+        table
+    };
+    let canonical = <&[u8; 16]>::try_from(s.as_bytes()).ok().and_then(|digits| {
+        let (mut value, mut seen) = (0u64, 0u8);
+        for &b in digits {
+            let digit = VALUE[usize::from(b)];
+            seen |= digit;
+            value = value << 4 | u64::from(digit & 0xf);
+        }
+        (seen <= 0xf).then_some(value)
+    });
+    canonical.ok_or_else(|| format!("bad hash {s:?}: expected 16 lowercase hex digits"))
 }
 
 /// The recorder the engine writes into: appends records, maintaining the
@@ -112,6 +181,9 @@ fn parse_hex(s: &str) -> Result<u64, String> {
 pub struct TraceSink {
     records: Vec<TraceRecord>,
     prev: Option<u64>,
+    /// Where each record's hashed bytes are rendered; reused, so `emit`
+    /// allocates only when `records` grows.
+    scratch: String,
 }
 
 impl TraceSink {
@@ -130,7 +202,7 @@ impl TraceSink {
         );
         let seq = self.records.len() as u64 + 1;
         let prev = self.prev.unwrap_or_else(chain_seed);
-        let hash = TraceRecord::chain(seq, at_us, &event, prev);
+        let hash = TraceRecord::chain(&mut self.scratch, seq, at_us, &event, prev);
         self.prev = Some(hash);
         self.records.push(TraceRecord {
             seq,
@@ -237,23 +309,32 @@ impl TraceLog {
     /// newline included when non-empty).
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        // Sized exactly, once: a text this large must not be grown by
+        // doubling, which would hold three times its length for a moment.
+        let len = self.records.iter().map(|r| r.line_len() + 1).sum();
+        let mut out = String::with_capacity(len);
         for record in &self.records {
-            out.push_str(&record.to_line());
+            record.write_line(&mut out);
             out.push('\n');
         }
+        debug_assert_eq!(out.len(), len, "line_len counts what write_line writes");
         out
     }
 
     /// Parses a JSONL rendering. Blank lines are ignored; the chain is
     /// *not* checked — call [`TraceLog::verify`] for that.
     pub fn from_jsonl(text: &str) -> Result<TraceLog, String> {
-        let mut records = Vec::new();
+        // One record a line, and no line shorter than its frame is one:
+        // the text's length bounds what is reserved for it.
+        let newlines = text.matches('\n').count();
+        let mut records = Vec::with_capacity(newlines.min(text.len() / LINE_FRAME) + 1);
+        let mut fields = Vec::new();
         for (i, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            records.push(TraceRecord::from_line(line).map_err(|e| format!("line {}: {e}", i + 1))?);
+            let record = TraceRecord::read_line(line, &mut fields);
+            records.push(record.map_err(|e| format!("line {}: {e}", i + 1))?);
         }
         Ok(TraceLog { records })
     }
@@ -263,6 +344,7 @@ impl TraceLog {
     pub fn verify(&self) -> Result<(), String> {
         let mut prev_hash = chain_seed();
         let mut prev_at = 0u64;
+        let mut scratch = String::with_capacity(256);
         for (i, record) in self.records.iter().enumerate() {
             let want_seq = i as u64 + 1;
             if record.seq != want_seq {
@@ -286,7 +368,13 @@ impl TraceLog {
                     record.prev
                 ));
             }
-            let want = TraceRecord::chain(record.seq, record.at_us, &record.event, record.prev);
+            let want = TraceRecord::chain(
+                &mut scratch,
+                record.seq,
+                record.at_us,
+                &record.event,
+                record.prev,
+            );
             if record.hash != want {
                 return Err(format!(
                     "{}: hash mismatch ({:016x}, expected {want:016x})",
@@ -327,18 +415,11 @@ impl TraceLog {
     /// Record counts per event kind, in [`TraceEvent::KINDS`] order.
     #[must_use]
     pub fn stats(&self) -> Vec<(&'static str, usize)> {
-        TraceEvent::KINDS
-            .iter()
-            .map(|&kind| {
-                (
-                    kind,
-                    self.records
-                        .iter()
-                        .filter(|r| r.event.kind() == kind)
-                        .count(),
-                )
-            })
-            .collect()
+        let mut counts = [0usize; TraceEvent::KINDS.len()];
+        for record in &self.records {
+            counts[record.event.kind_index()] += 1;
+        }
+        TraceEvent::KINDS.into_iter().zip(counts).collect()
     }
 
     /// Folds the per-event records into totals (see [`ReplayCounts`]).
@@ -365,6 +446,7 @@ impl TraceLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::every_variant;
 
     fn sample() -> TraceLog {
         let mut sink = TraceSink::new();
@@ -519,13 +601,124 @@ mod tests {
         assert_eq!(get("camera.join"), 1);
         assert_eq!(get("batch.dispatch"), 1);
         assert_eq!(get("session.end"), 0);
+        let kinds: Vec<&str> = stats.iter().map(|(kind, _)| *kind).collect();
+        assert_eq!(kinds, TraceEvent::KINDS);
+        assert_eq!(stats.iter().map(|(_, n)| n).sum::<usize>(), 5);
+    }
+
+    /// `line` with its `"hash"` value spelled `hash`.
+    fn respell_hash(line: &str, hash: &str) -> String {
+        let (head, _) = line.split_once("\"hash\":\"").expect("a hash field");
+        format!("{head}\"hash\":\"{hash}\"}}")
+    }
+
+    /// The parent commit's renderer, `core::fmt` throughout: what
+    /// `write_line` and `chain` must keep producing byte for byte.
+    fn reference_body(seq: u64, at_us: u64, event: &TraceEvent) -> String {
+        let mut body = format!("\"seq\":{seq},\"at_us\":{at_us},\"kind\":");
+        write_string(&mut body, event.kind());
+        let quoted = |s: &str| {
+            let mut out = String::new();
+            write_string(&mut out, s);
+            out
+        };
+        body + &match event {
+            TraceEvent::SessionStart {
+                policy,
+                seed,
+                cameras,
+            } => format!(
+                ",\"policy\":{},\"seed\":{seed},\"cameras\":{cameras}",
+                quoted(policy)
+            ),
+            TraceEvent::CameraJoin { camera } | TraceEvent::CameraLeave { camera } => {
+                format!(",\"camera\":{camera}")
+            }
+            TraceEvent::AdmissionVerdict {
+                patch,
+                slo_us,
+                admitted,
+                queued,
+                in_flight,
+                earliest_start_us,
+            } => format!(
+                ",\"patch\":{patch},\"slo_us\":{slo_us},\"admitted\":{admitted},\
+                 \"queued\":{queued},\"in_flight\":{in_flight},\
+                 \"earliest_start_us\":{earliest_start_us}"
+            ),
+            TraceEvent::DrrRound { released, backlog } => {
+                format!(",\"released\":{released},\"backlog\":{backlog}")
+            }
+            TraceEvent::BatchDispatch {
+                batch,
+                patches,
+                inputs,
+                megapixels_e6,
+            } => format!(
+                ",\"batch\":{batch},\"patches\":{patches},\"inputs\":{inputs},\
+                 \"megapixels_e6\":{megapixels_e6}"
+            ),
+            TraceEvent::FunctionComplete {
+                invocation,
+                inputs,
+                violations,
+            } => format!(
+                ",\"invocation\":{invocation},\"inputs\":{inputs},\"violations\":{violations}"
+            ),
+            TraceEvent::FaultWindow { kind, until_us } => {
+                format!(",\"fault\":{},\"until_us\":{until_us}", quoted(kind))
+            }
+            TraceEvent::SessionEnd {
+                frames,
+                batches,
+                completions,
+                dropped,
+                makespan_us,
+            } => format!(
+                ",\"frames\":{frames},\"batches\":{batches},\"completions\":{completions},\
+                 \"dropped\":{dropped},\"makespan_us\":{makespan_us}"
+            ),
+        }
+    }
+
+    #[test]
+    fn the_buffered_renderer_writes_the_formatted_bytes_and_hashes_them_the_same() {
+        let mut scratch = String::from("left over from the last record");
+        for n in [0, 9, 10, u64::MAX] {
+            for text in ["Tangram", "", "a\"b\\c\nd\te\r\u{1}\u{1f}é✓🎥/"] {
+                for event in every_variant(n, text) {
+                    let body = reference_body(n, n, &event);
+                    let prev = n ^ 0x0123_4567_89ab_cdef;
+                    let want = fnv1a(
+                        fnv1a(FNV_OFFSET, format!("{prev:016x}|").as_bytes()),
+                        body.as_bytes(),
+                    );
+                    let hash = TraceRecord::chain(&mut scratch, n, n, &event, prev);
+                    assert_eq!(hash, want, "{body}");
+                    let record = TraceRecord {
+                        seq: n,
+                        at_us: n,
+                        prev,
+                        hash,
+                        event,
+                    };
+                    let line = record.to_line();
+                    assert_eq!(
+                        line,
+                        format!("{{{body},\"prev\":\"{prev:016x}\",\"hash\":\"{hash:016x}\"}}")
+                    );
+                    assert_eq!(record.line_len(), line.len(), "{line}");
+                    assert_eq!(TraceRecord::from_line(&line), Ok(record), "{line}");
+                }
+            }
+        }
     }
 
     #[test]
     fn parser_rejects_malformed_lines() {
         let good = sample().records[2].to_line();
         TraceRecord::from_line(&good).expect("the unedited line parses");
-        let cases: [(&str, String, &str); 14] = [
+        let cases: [(&str, String, &str); 18] = [
             ("truncated", "{\"seq\":1".into(), "expected"),
             ("not json", "not json".into(), "invalid"),
             ("not an object", "[1,2]".into(), "expected a JSON object"),
@@ -579,6 +772,24 @@ mod tests {
                 "bad hex hash",
                 good.replace("\"hash\":\"", "\"hash\":\"zz"),
                 "bad hash",
+            ),
+            // A hash has one spelling, the one `write_line` emits: any
+            // other would let two different files parse to equal logs.
+            (
+                "signed hash",
+                respell_hash(&good, "+ff"),
+                "bad hash \"+ff\"",
+            ),
+            (
+                "upper-case hash",
+                respell_hash(&good, "FF"),
+                "bad hash \"FF\"",
+            ),
+            ("short hash", respell_hash(&good, "ff"), "bad hash \"ff\""),
+            (
+                "17-digit hash",
+                respell_hash(&good, "000000000000000ff"),
+                "bad hash \"000000000000000ff\"",
             ),
         ];
         for (what, line, want) in &cases {

@@ -19,7 +19,13 @@
 //! Integers and floats are kept as distinct variants (`U64` vs `F64`) so
 //! counters survive a round trip exactly even beyond 2^53. Parsing is
 //! linear in the input length.
+//!
+//! A TRACE line is a flat object of scalars, read hundreds of thousands
+//! of times a log: [`parse_flat_object`] reads one through the same
+//! string, number and keyword scanners as [`Json::parse`] but into a
+//! caller-owned field list that borrows from the line, building no tree.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A JSON value.
@@ -169,11 +175,10 @@ impl Json {
     /// Returns a message naming the byte offset of the first syntax
     /// error, or any trailing non-whitespace input.
     pub fn parse(input: &str) -> Result<Json, String> {
-        let bytes = input.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(input, &mut pos, 0)?;
+        skip_ws(input, &mut pos);
+        if pos != input.len() {
             return Err(format!("trailing input at byte {pos}"));
         }
         Ok(value)
@@ -265,14 +270,118 @@ pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
+/// The number of bytes [`write_string`] appends for `s`, so a writer can
+/// size its output before rendering into it.
+#[must_use]
+pub fn escaped_len(s: &str) -> usize {
+    let escapes = |c: char| match c {
+        '"' | '\\' | '\n' | '\r' | '\t' => 2,
+        c if (c as u32) < 0x20 => 6,
+        c => c.len_utf8(),
+    };
+    2 + s.chars().map(escapes).sum::<usize>()
+}
+
+/// A value of a flat object: the scalars [`parse_flat_object`] accepts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Scalar<'a> {
+    /// A string; borrowed from the input unless it carried an escape.
+    Str(Cow<'a, str>),
+    /// A non-negative integer.
+    U64(u64),
+    /// `true` / `false`.
+    Bool(bool),
+}
+
+impl Scalar<'_> {
+    /// The value as a `u64`, if it is an integer.
+    #[must_use]
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Scalar::U64(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// The value as a string slice.
+    #[must_use]
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Scalar::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value as a boolean.
+    #[must_use]
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Scalar::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+}
+
+/// Reads `input` — one JSON object whose values are all strings,
+/// non-negative integers or booleans — into `fields` (cleared first), in
+/// document order with duplicate keys kept. Accepts exactly the documents
+/// [`Json::parse`] reads as such an object, without building one.
+///
+/// # Errors
+///
+/// Returns [`Json::parse`]'s message for a syntax error, `expected a JSON
+/// object` for any other document, and `field "k": unexpected …` naming
+/// the first value that is not a scalar.
+pub fn parse_flat_object<'a>(
+    input: &'a str,
+    fields: &mut Vec<(Cow<'a, str>, Scalar<'a>)>,
+) -> Result<(), String> {
+    fields.clear();
+    let mut pos = 0usize;
+    skip_ws(input, &mut pos);
+    if peek(input, pos) != Some(b'{') {
+        // Whatever is wrong with it as a document comes first.
+        Json::parse(input)?;
+        return Err("expected a JSON object".to_string());
+    }
+    scan_object(input, &mut pos, |key, pos| {
+        skip_ws(input, pos);
+        let value = if peek(input, *pos) == Some(b'"') {
+            Scalar::Str(scan_string(input, pos)?)
+        } else {
+            match parse_value(input, pos, 1)? {
+                Json::U64(v) => Scalar::U64(v),
+                Json::Bool(b) => Scalar::Bool(b),
+                other => return Err(format!("field {key:?}: unexpected {other:?}")),
+            }
+        };
+        fields.push((key, value));
+        Ok(())
+    })?;
+    skip_ws(input, &mut pos);
+    if pos != input.len() {
+        return Err(format!("trailing input at byte {pos}"));
+    }
+    Ok(())
+}
+
+// The scanners below walk `text` by byte offset. Every offset they stop
+// at is just past an ASCII byte (or at either end), so slicing `text`
+// there is always on a character boundary.
+
+fn skip_ws(text: &str, pos: &mut usize) {
+    let bytes = text.as_bytes();
     while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
     }
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
-    if *pos < bytes.len() && bytes[*pos] == byte {
+fn peek(text: &str, pos: usize) -> Option<u8> {
+    text.as_bytes().get(pos).copied()
+}
+
+fn expect(text: &str, pos: &mut usize, byte: u8) -> Result<(), String> {
+    if peek(text, *pos) == Some(byte) {
         *pos += 1;
         Ok(())
     } else {
@@ -284,25 +393,25 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
 /// recurses per level, so hostile input must not choose the stack depth.
 const MAX_DEPTH: usize = 128;
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    skip_ws(text, pos);
     if depth > MAX_DEPTH {
         return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos));
     }
-    match bytes.get(*pos) {
+    match peek(text, *pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos, depth),
-        Some(b'[') => parse_array(bytes, pos, depth),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
+        Some(b'{') => parse_object(text, pos, depth),
+        Some(b'[') => parse_array(text, pos, depth),
+        Some(b'"') => Ok(Json::Str(scan_string(text, pos)?.into_owned())),
+        Some(b't') => parse_keyword(text, pos, "true", Json::Bool(true)),
+        Some(b'f') => parse_keyword(text, pos, "false", Json::Bool(false)),
+        Some(b'n') => parse_keyword(text, pos, "null", Json::Null),
+        Some(_) => parse_number(text, pos),
     }
 }
 
-fn parse_keyword(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
+fn parse_keyword(text: &str, pos: &mut usize, word: &str, value: Json) -> Result<Json, String> {
+    if text.as_bytes()[*pos..].starts_with(word.as_bytes()) {
         *pos += word.len();
         Ok(value)
     } else {
@@ -310,45 +419,64 @@ fn parse_keyword(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Resu
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_number(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
+    let mut at = start;
+    if bytes.get(at) == Some(&b'-') {
+        at += 1;
     }
-    let mut float = false;
-    while let Some(&b) = bytes.get(*pos) {
+    // The value of a run of plain digits, as long as it fits a `u64`.
+    let mut integer = (at == start).then_some(0u64);
+    while let Some(&b) = bytes.get(at) {
         match b {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                float = true;
-                *pos += 1;
+            b'0'..=b'9' => {
+                let digit = u64::from(b - b'0');
+                integer = integer.and_then(|v| v.checked_mul(10)?.checked_add(digit));
             }
+            b'.' | b'e' | b'E' | b'+' | b'-' => integer = None,
             _ => break,
         }
+        at += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "bad utf8".to_string())?;
-    if text.is_empty() || text == "-" {
+    *pos = at;
+    let number = &text[start..at];
+    if number.is_empty() || number == "-" {
         return Err(format!("invalid number at byte {start}"));
     }
-    if !float {
-        if let Ok(v) = text.parse::<u64>() {
-            return Ok(Json::U64(v));
-        }
+    if let Some(v) = integer {
+        return Ok(Json::U64(v));
     }
-    text.parse::<f64>()
+    number
+        .parse::<f64>()
         .map(Json::F64)
-        .map_err(|_| format!("invalid number '{text}' at byte {start}"))
+        .map_err(|_| format!("invalid number '{number}' at byte {start}"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
+/// Scans one string literal; the result borrows from `text` unless an
+/// escape had to be decoded.
+fn scan_string<'a>(text: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, String> {
+    expect(text, pos, b'"')?;
+    let bytes = text.as_bytes();
+    // Where the run of plain bytes starting at `from` ends: at the next
+    // quote or backslash, or at the end of the input.
+    let run_end = |from: usize| {
+        let stop = bytes[from..].iter().position(|b| matches!(b, b'"' | b'\\'));
+        from + stop.unwrap_or(bytes.len() - from)
+    };
+    let start = *pos;
+    *pos = run_end(start);
+    if bytes.get(*pos) == Some(&b'"') {
+        *pos += 1;
+        return Ok(Cow::Borrowed(&text[start..*pos - 1]));
+    }
+    let mut out = String::from(&text[start..*pos]);
     loop {
         match bytes.get(*pos) {
             None => return Err("unterminated string".to_string()),
             Some(b'"') => {
                 *pos += 1;
-                return Ok(out);
+                return Ok(Cow::Owned(out));
             }
             Some(b'\\') => {
                 *pos += 1;
@@ -362,6 +490,9 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
+                        // Through the bytes: the four after `\u` may end
+                        // inside a multi-byte scalar, which is an error
+                        // here, not a slicing panic.
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
                             .ok_or("truncated \\u escape")?;
@@ -375,33 +506,26 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Copy the run up to the next quote or backslash. Both
-                // are ASCII, so they never fall inside a multi-byte
-                // scalar; validating the run alone keeps the parse
-                // linear in the input.
                 let start = *pos;
-                while bytes.get(*pos).is_some_and(|b| !matches!(b, b'"' | b'\\')) {
-                    *pos += 1;
-                }
-                let run = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "bad utf8")?;
-                out.push_str(run);
+                *pos = run_end(start);
+                out.push_str(&text[start..*pos]);
             }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    expect(bytes, pos, b'[')?;
+fn parse_array(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    expect(text, pos, b'[')?;
     let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
+    skip_ws(text, pos);
+    if peek(text, *pos) == Some(b']') {
         *pos += 1;
         return Ok(Json::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos, depth + 1)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
+        items.push(parse_value(text, pos, depth + 1)?);
+        skip_ws(text, pos);
+        match peek(text, *pos) {
             Some(b',') => *pos += 1,
             Some(b']') => {
                 *pos += 1;
@@ -412,27 +536,42 @@ fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    expect(bytes, pos, b'{')?;
+fn parse_object(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
     let mut pairs = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
+    scan_object(text, pos, |key, pos| {
+        pairs.push((key.into_owned(), parse_value(text, pos, depth + 1)?));
+        Ok(())
+    })?;
+    Ok(Json::Object(pairs))
+}
+
+/// Walks one object: `{`, then for each member its key and `:`, a call
+/// to `value` — which must consume the value at `pos` — and the `,` or
+/// `}` after it. The one place object syntax lives, for the tree parser
+/// and the flat reader alike.
+fn scan_object<'a>(
+    text: &'a str,
+    pos: &mut usize,
+    mut value: impl FnMut(Cow<'a, str>, &mut usize) -> Result<(), String>,
+) -> Result<(), String> {
+    expect(text, pos, b'{')?;
+    skip_ws(text, pos);
+    if peek(text, *pos) == Some(b'}') {
         *pos += 1;
-        return Ok(Json::Object(pairs));
+        return Ok(());
     }
     loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos, depth + 1)?;
-        pairs.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
+        skip_ws(text, pos);
+        let key = scan_string(text, pos)?;
+        skip_ws(text, pos);
+        expect(text, pos, b':')?;
+        value(key, pos)?;
+        skip_ws(text, pos);
+        match peek(text, *pos) {
             Some(b',') => *pos += 1,
             Some(b'}') => {
                 *pos += 1;
-                return Ok(Json::Object(pairs));
+                return Ok(());
             }
             _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
         }
@@ -573,6 +712,92 @@ mod tests {
             Json::parse(r#""\/\b\f\u00e9""#).unwrap(),
             Json::Str("/\u{8}\u{c}é".to_string())
         );
+    }
+
+    #[test]
+    fn escaped_len_counts_what_write_string_appends() {
+        for s in ["", "plain", "q\" b\\ n\n r\r t\t \u{1} \u{1f} é ✓ 🎥 /"] {
+            let mut out = String::new();
+            write_string(&mut out, s);
+            assert_eq!(escaped_len(s), out.len(), "{out}");
+        }
+    }
+
+    #[test]
+    fn flat_objects_read_in_document_order_borrowing_what_needs_no_decoding() {
+        let line = " { \"a\" : 1 , \"b\\n\":\"x\\u00e9\",\"a\":true,\"c\":\"plain\" } ";
+        let mut fields = vec![(Cow::Borrowed("stale"), Scalar::U64(0))];
+        parse_flat_object(line, &mut fields).expect("flat");
+        let want = [
+            ("a", Scalar::U64(1)),
+            ("b\n", Scalar::Str("xé".into())),
+            ("a", Scalar::Bool(true)),
+            ("c", Scalar::Str("plain".into())),
+        ];
+        assert_eq!(fields.len(), want.len());
+        for ((key, value), (want_key, want_value)) in fields.iter().zip(&want) {
+            assert_eq!((key.as_ref(), value), (*want_key, want_value));
+        }
+        let borrowed = |s: &Cow<str>| matches!(s, Cow::Borrowed(_));
+        assert!(borrowed(&fields[0].0) && !borrowed(&fields[1].0));
+        assert!(matches!(&fields[1].1, Scalar::Str(Cow::Owned(_))));
+        assert!(matches!(&fields[3].1, Scalar::Str(Cow::Borrowed("plain"))));
+        parse_flat_object("{}", &mut fields).expect("empty");
+        assert!(fields.is_empty());
+    }
+
+    #[test]
+    fn flat_objects_are_rejected_in_the_tree_parsers_words() {
+        let mut fields = Vec::new();
+        let mut err = |text| parse_flat_object(text, &mut fields).unwrap_err();
+        // Not an object: the document's own defect first, then its shape.
+        for text in ["", "nul", "[1,]", "\"abc", "12 34"] {
+            assert_eq!(err(text), Json::parse(text).unwrap_err(), "{text}");
+        }
+        for text in ["[1,2]", "7", "\"s\"", "null"] {
+            assert_eq!(err(text), "expected a JSON object", "{text}");
+        }
+        // An object: syntax errors as `Json::parse` words them.
+        for text in [
+            "{",
+            "{\"a\"",
+            "{\"a\":",
+            "{\"a\":1",
+            "{\"a\":1,}",
+            "{\"a\":1} x",
+            "{a:1}",
+        ] {
+            assert_eq!(err(text), Json::parse(text).unwrap_err(), "{text}");
+        }
+        // A value outside the scalar alphabet, named with its key.
+        for (text, want) in [
+            ("{\"k\":null}", "field \"k\": unexpected Null"),
+            ("{\"k\":1.5}", "field \"k\": unexpected F64(1.5)"),
+            ("{\"k\":-1}", "field \"k\": unexpected F64(-1.0)"),
+            ("{\"k\":[1]}", "field \"k\": unexpected Array([U64(1)])"),
+            ("{\"k\":{}}", "field \"k\": unexpected Object([])"),
+            (
+                "{\"k\":18446744073709551616}",
+                "field \"k\": unexpected F64(1.8446744073709552e19)",
+            ),
+        ] {
+            assert_eq!(err(text), want, "{text}");
+        }
+    }
+
+    #[test]
+    fn integers_parse_with_leading_zeros_and_up_to_u64_max() {
+        assert_eq!(Json::parse("007").unwrap(), Json::U64(7));
+        assert_eq!(
+            Json::parse("18446744073709551615").unwrap(),
+            Json::U64(u64::MAX)
+        );
+        assert_eq!(
+            Json::parse("18446744073709551616").unwrap(),
+            Json::F64(18_446_744_073_709_551_616.0)
+        );
+        assert_eq!(Json::parse("-0").unwrap(), Json::F64(-0.0));
+        assert!(Json::parse("-").is_err() && Json::parse("1-").is_err());
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! `ServerlessPlatform::submit` to `complete`, and what one `EventQueue`
 //! push/pop pair costs at a steady population — and the high-water mark
 //! of a sweep: `run_grid` holds one cell's records at a time, so its peak
-//! is flat in the cell count.
+//! is flat in the cell count. And what a trace record costs: nothing per
+//! record in `emit`, `verify`, `to_jsonl` and `from_jsonl` beyond the
+//! record itself and the strings it owns.
 //!
 //! A test binary may install its own `#[global_allocator]`; nothing under
 //! `crates/` does. Counts are per thread, so the tests do not see each
@@ -19,6 +21,7 @@ use tangram_infer::latency::InferenceLatencyModel;
 use tangram_serverless::function::FunctionSpec;
 use tangram_serverless::platform::{InvocationRequest, ServerlessPlatform};
 use tangram_sim::event::EventQueue;
+use tangram_trace::{TraceEvent, TraceLog, TraceSink};
 use tangram_types::geometry::{Rect, Size};
 use tangram_types::ids::{CameraId, FrameId, PatchId};
 use tangram_types::patch::PatchInfo;
@@ -232,4 +235,102 @@ fn a_sweep_holds_one_cells_records_at_a_time() {
         digest_4x * 2 < full_4x,
         "a digest sweep peaks under half of a full one: {digest_4x} B against {full_4x} B"
     );
+}
+
+/// A record renders into buffers that outlive it: the sink's scratch, a
+/// local of `verify`, the one output of `to_jsonl` (sized exactly, so its
+/// high-water mark is the text), one field list across `from_jsonl`.
+#[test]
+fn a_trace_record_allocates_only_what_it_keeps() {
+    const RECORDS: u64 = 20_007;
+    let event = |i: u64| match i % 9 {
+        0 => TraceEvent::SessionStart {
+            policy: "Tangram".into(),
+            seed: i,
+            cameras: 16,
+        },
+        1 => TraceEvent::CameraJoin { camera: i },
+        2 => TraceEvent::CameraLeave { camera: i },
+        3 => TraceEvent::AdmissionVerdict {
+            patch: i << 32,
+            slo_us: 800_000,
+            admitted: i.is_multiple_of(2),
+            queued: i % 50,
+            in_flight: i % 7,
+            earliest_start_us: i * 131,
+        },
+        4 => TraceEvent::DrrRound {
+            released: i % 5,
+            backlog: i % 77,
+        },
+        5 => TraceEvent::BatchDispatch {
+            batch: i / 9,
+            patches: 35,
+            inputs: 9,
+            megapixels_e6: 9_437_184,
+        },
+        6 => TraceEvent::FunctionComplete {
+            invocation: i / 9,
+            inputs: 9,
+            violations: i % 3,
+        },
+        7 => TraceEvent::FaultWindow {
+            kind: "cold_start_storm".into(),
+            until_us: i * 131 + 5_000_000,
+        },
+        _ => TraceEvent::SessionEnd {
+            frames: i,
+            batches: i / 9,
+            completions: i / 9,
+            dropped: i / 20,
+            makespan_us: u64::MAX - i,
+        },
+    };
+    let events: Vec<(SimTime, TraceEvent)> = (0..RECORDS)
+        .map(|i| (SimTime::from_micros(i * 131), event(i)))
+        .collect();
+    let strings = events
+        .iter()
+        .filter(|(_, e)| {
+            matches!(
+                e,
+                TraceEvent::SessionStart { .. } | TraceEvent::FaultWindow { .. }
+            )
+        })
+        .count() as u64;
+    assert!(strings > RECORDS / 5 && events.len() as u64 == RECORDS);
+
+    let mut log = TraceLog::default();
+    let emit = allocations_in(|| {
+        let mut sink = TraceSink::new();
+        for (at, event) in events {
+            sink.emit(at, event);
+        }
+        log = sink.finish();
+    });
+    assert!(
+        emit * 100 <= RECORDS,
+        "{emit} allocator calls to emit {RECORDS} records: only `records` may grow"
+    );
+
+    let verify = allocations_in(|| log.verify().expect("chain verifies"));
+    assert!(verify <= 2, "{verify} allocator calls in verify");
+
+    let mut text = String::new();
+    let mut render = 0;
+    let held = high_water_in(|| render = allocations_in(|| text = log.to_jsonl()));
+    assert!(render <= 4, "{render} allocator calls in to_jsonl");
+    assert!(
+        held as usize * 10 <= text.len() * 11,
+        "to_jsonl held {held} B for a text of {} B",
+        text.len()
+    );
+
+    let mut parsed = TraceLog::default();
+    let parse = allocations_in(|| parsed = TraceLog::from_jsonl(&text).expect("parses"));
+    assert!(
+        (parse - strings) * 100 <= RECORDS,
+        "{parse} allocator calls to read {RECORDS} records, {strings} of them owning a string"
+    );
+    assert_eq!(parsed, log);
 }

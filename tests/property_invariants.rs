@@ -16,7 +16,7 @@ use tangram_sim::rng::DetRng;
 use tangram_stitch::canvas::{Canvas, PlacedPatch};
 use tangram_stitch::packer::{GuillotinePacker, Packer};
 use tangram_stitch::solver::{split_to_fit, PatchStitchingSolver, Stitching};
-use tangram_trace::TraceRecord;
+use tangram_trace::{TraceEvent, TraceRecord};
 use tangram_types::geometry::{Rect, Size};
 use tangram_types::ids::{CameraId, FrameId, PatchId};
 use tangram_types::json::Json;
@@ -439,6 +439,197 @@ fn trace_from_line_survives_mutated_golden_lines() {
         }
     }
     assert!(accepted > 0 && accepted < FUZZ_CASES, "{accepted} accepted");
+}
+
+/// The reader `TraceRecord::from_line` replaced, kept as its oracle: the
+/// whole line through `Json::parse` into a tree, every value checked to
+/// be a scalar, fields looked up by key (the first of a duplicated key
+/// is the field), a hash only as 16 lowercase hex digits.
+fn tree_from_line(line: &str) -> Result<TraceRecord, String> {
+    let doc = Json::parse(line)?;
+    let Json::Object(pairs) = &doc else {
+        return Err("expected a JSON object".into());
+    };
+    let scalar = |v: &Json| matches!(v, Json::Str(_) | Json::U64(_) | Json::Bool(_));
+    if let Some((key, value)) = pairs.iter().find(|(_, v)| !scalar(v)) {
+        return Err(format!("field {key:?}: unexpected {value:?}"));
+    }
+    let field = |key: &str| doc.get(key).ok_or_else(|| format!("missing field {key:?}"));
+    let int = |key: &str| {
+        let value = field(key)?.as_u64();
+        value.ok_or_else(|| format!("field {key:?}: expected integer"))
+    };
+    let string = |key: &str| {
+        let value = field(key)?.as_str();
+        value.ok_or_else(|| format!("field {key:?}: expected string"))
+    };
+    let hash = |key: &str| {
+        let s = string(key)?;
+        let canonical = s.len() == 16
+            && s.bytes()
+                .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b));
+        let value = u64::from_str_radix(s, 16).ok().filter(|_| canonical);
+        value.ok_or_else(|| format!("bad hash {s:?}"))
+    };
+    let kind = string("kind")?;
+    let (seq, at_us, prev, hash) = (int("seq")?, int("at_us")?, hash("prev")?, hash("hash")?);
+    let event = match kind {
+        "session.start" => TraceEvent::SessionStart {
+            policy: string("policy")?.to_string(),
+            seed: int("seed")?,
+            cameras: int("cameras")?,
+        },
+        "camera.join" => TraceEvent::CameraJoin {
+            camera: int("camera")?,
+        },
+        "camera.leave" => TraceEvent::CameraLeave {
+            camera: int("camera")?,
+        },
+        "admission.verdict" => TraceEvent::AdmissionVerdict {
+            patch: int("patch")?,
+            slo_us: int("slo_us")?,
+            admitted: field("admitted")?
+                .as_bool()
+                .ok_or("field \"admitted\": expected bool")?,
+            queued: int("queued")?,
+            in_flight: int("in_flight")?,
+            earliest_start_us: int("earliest_start_us")?,
+        },
+        "drr.round" => TraceEvent::DrrRound {
+            released: int("released")?,
+            backlog: int("backlog")?,
+        },
+        "batch.dispatch" => TraceEvent::BatchDispatch {
+            batch: int("batch")?,
+            patches: int("patches")?,
+            inputs: int("inputs")?,
+            megapixels_e6: int("megapixels_e6")?,
+        },
+        "function.complete" => TraceEvent::FunctionComplete {
+            invocation: int("invocation")?,
+            inputs: int("inputs")?,
+            violations: int("violations")?,
+        },
+        "fault.window" => TraceEvent::FaultWindow {
+            kind: string("fault")?.to_string(),
+            until_us: int("until_us")?,
+        },
+        "session.end" => TraceEvent::SessionEnd {
+            frames: int("frames")?,
+            batches: int("batches")?,
+            completions: int("completions")?,
+            dropped: int("dropped")?,
+            makespan_us: int("makespan_us")?,
+        },
+        other => return Err(format!("unknown event kind {other:?}")),
+    };
+    Ok(TraceRecord {
+        seq,
+        at_us,
+        prev,
+        hash,
+        event,
+    })
+}
+
+/// One edit of a canonical line that keeps it JSON but not canonical:
+/// members reordered, an unknown scalar member, a key given twice with
+/// two values, an integer with leading zeros or at / past `u64::MAX`, a
+/// `\u` escape in a key or a string value, whitespace around the tokens.
+fn respell(line: &str, rng: &mut DetRng) -> String {
+    let inner = &line[1..line.len() - 1];
+    // No golden string holds a comma, so members split on `,"`.
+    let mut members: Vec<String> = inner.split(",\"").map(str::to_string).collect();
+    for member in &mut members[1..] {
+        member.insert(0, '"');
+    }
+    let at = rng.index(members.len());
+    let (key, value) = members[at].split_once(':').expect("a member");
+    let (key, value) = (key.to_string(), value.to_string());
+    let escape_first = |quoted: &str| format!("\"\\u{:04x}{}", quoted.as_bytes()[1], &quoted[2..]);
+    match rng.index(8) {
+        0 => {
+            let to = rng.index(members.len());
+            members.swap(at, to);
+        }
+        1 => {
+            let extra = [
+                "\"extra\":7",
+                "\"\":\"\"",
+                "\"seq \":true",
+                "\"Kind\":\"x\"",
+            ];
+            members.insert(at, extra[rng.index(extra.len())].to_string());
+        }
+        2 => {
+            // Before the original it is the field; after it, ignored.
+            let other = ["0", "\"camera.join\"", "false", "\"0000000000000000\""];
+            let to = rng.index(members.len() + 1);
+            members.insert(to, format!("{key}:{}", other[rng.index(other.len())]));
+        }
+        3 if value.as_bytes()[0].is_ascii_digit() => members[at] = format!("{key}:00{value}"),
+        4 if value.as_bytes()[0].is_ascii_digit() => {
+            let edge = ["18446744073709551615", "18446744073709551616", "1e3", "-0"];
+            members[at] = format!("{key}:{}", edge[rng.index(edge.len())]);
+        }
+        5 => members[at] = format!("{}:{value}", escape_first(&key)),
+        6 if value.len() > 2 && value.starts_with('"') => {
+            members[at] = format!("{key}:{}", escape_first(&value));
+        }
+        _ => {
+            let space = [" ", "\t", "  ", ""];
+            let mut pad = || space[rng.index(space.len())];
+            let padded: Vec<String> = members
+                .iter()
+                .map(|m| {
+                    let (k, v) = m.split_once(':').expect("a member");
+                    format!("{}{k}{}:{}{v}{}", pad(), pad(), pad(), pad())
+                })
+                .collect();
+            return format!("{}{{{}}}{}", pad(), padded.join(","), pad());
+        }
+    }
+    format!("{{{}}}", members.join(","))
+}
+
+#[test]
+fn the_flat_reader_and_the_tree_reader_agree_on_every_line() {
+    let golden = baseline("TRACE_smoke.jsonl") + &baseline("TRACE_overload.jsonl");
+    let lines: Vec<&str> = golden.lines().collect();
+    let (mut accepted, mut respelled, mut rejected) = (0u64, 0u64, 0u64);
+    for case in 0..4 * FUZZ_CASES {
+        let mut rng = case_rng("trace-differential", case);
+        let mut input = lines[rng.index(lines.len())].to_string();
+        // Half the cases stay JSON (one to three respellings), a quarter
+        // are then broken at byte level as well, a quarter only broken.
+        let kept = rng.index(4);
+        if kept < 3 {
+            for _ in 0..=rng.index(3) {
+                input = respell(&input, &mut rng);
+                if !input.starts_with('{') || !input.ends_with('}') {
+                    break;
+                }
+            }
+        }
+        if kept >= 2 {
+            input = mutate(&input, JSON_GRAMMAR, &mut rng);
+        }
+        match (TraceRecord::from_line(&input), tree_from_line(&input)) {
+            (Ok(flat), Ok(tree)) => {
+                assert_eq!(flat, tree, "case {case}: {input}");
+                accepted += 1;
+                respelled += u64::from(flat.to_line() != input);
+            }
+            (Err(_), Err(_)) => rejected += 1,
+            (flat, tree) => panic!("case {case}: {input}\n  flat: {flat:?}\n  tree: {tree:?}"),
+        }
+    }
+    // Every arm must run: canonical lines, accepted non-canonical
+    // spellings of a record, and rejections.
+    assert!(
+        accepted > respelled && respelled > 500 && rejected > 1_000,
+        "{accepted} accepted ({respelled} respelled), {rejected} rejected"
+    );
 }
 
 #[test]
