@@ -6,7 +6,6 @@
 //! ticks. This mirrors the paper's controlled comparison: differences in
 //! Fig. 12 come solely from batching decisions.
 
-use serde::{Deserialize, Serialize};
 use tangram_types::geometry::Size;
 use tangram_types::patch::{Patch, PatchInfo};
 use tangram_types::time::{SimDuration, SimTime};
@@ -33,7 +32,7 @@ impl Arrival {
 }
 
 /// A full- or masked-frame work item.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FrameArrival {
     /// Metadata of the frame treated as one big patch (the rect covers
     /// the whole frame).
@@ -45,7 +44,7 @@ pub struct FrameArrival {
 }
 
 /// A batch the policy wants executed.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BatchSpec {
     /// Patches whose results this invocation produces (SLO accounting).
     pub patches: Vec<PatchInfo>,

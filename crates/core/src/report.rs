@@ -1,7 +1,6 @@
 //! Run reports: everything an experiment needs to print its table/figure.
 
 use crate::policy::{BatchSpec, CompletionFeedback};
-use serde::{Deserialize, Serialize};
 use tangram_net::LinkStats;
 use tangram_serverless::platform::{InvocationOutcome, PlatformStats};
 use tangram_sim::stats::nearest_rank_index;
@@ -10,7 +9,7 @@ use tangram_types::time::{SimDuration, SimTime};
 use tangram_types::units::{Bytes, Dollars};
 
 /// Per-patch end-to-end outcome.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PatchRecord {
     /// Patch identity.
     pub patch: PatchId,
@@ -43,7 +42,7 @@ impl PatchRecord {
 }
 
 /// Per-invocation outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BatchRecord {
     /// When the batch was dispatched.
     pub dispatched_at: SimTime,
@@ -112,7 +111,7 @@ impl Account {
 }
 
 /// The full outcome of one end-to-end run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Policy under test.
     pub policy: String,
@@ -354,7 +353,7 @@ fn select_quantile(micros: &mut [u64], q: f64, n: usize) -> (SimDuration, &mut [
 
 /// One tenant class's slice of a run: completions, violations and
 /// admission drops for every patch stamped with the same SLO.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TenantSummary {
     /// The class SLO, seconds (tenant identity: every camera of a class
     /// stamps the same SLO).
@@ -384,7 +383,7 @@ pub struct TenantSummary {
 /// per *simulated* second (patches / makespan): a scheduling regression
 /// shows up as a drop here without any wall-clock noise entering the
 /// serialized record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     /// Policy under test.
     pub policy: String,

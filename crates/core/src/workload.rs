@@ -7,7 +7,6 @@
 //! the comparison controlled, exactly like running every system over the
 //! same PANDA clip.
 
-use serde::{Deserialize, Serialize};
 use tangram_partition::algorithm::PartitionConfig;
 use tangram_partition::pipeline::{EdgePipeline, EdgePipelineConfig};
 use tangram_sim::rng::DetRng;
@@ -23,7 +22,7 @@ use tangram_vision::detector::DetectorProxy;
 use tangram_vision::extractor::{GmmExtractor, ProxyExtractor, RoiExtractor};
 
 /// One frame's worth of edge output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceFrame {
     /// Frame index.
     pub frame: FrameId,
@@ -46,7 +45,7 @@ pub struct TraceFrame {
 }
 
 /// The workload of one camera.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CameraTrace {
     /// Camera identity.
     pub camera: CameraId,

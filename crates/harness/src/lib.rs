@@ -14,8 +14,8 @@
 //!   [`grid::AdmissionSpec`] axis crossing every cell with ingress
 //!   admission-control policies (always-admit, queue bounds, the
 //!   SLO-aware shedder);
-//! * [`pool`] — a crossbeam-channel worker pool
-//!   ([`pool::parallel_map`]) that preserves input order;
+//! * [`pool`] — a scoped-thread worker pool ([`pool::parallel_map`])
+//!   that preserves input order;
 //! * [`runner`] — [`runner::run_grid`]: traces built once per workload,
 //!   cells fanned out, results reassembled; parallel output is
 //!   bit-for-bit identical to `--workers 1`;
@@ -27,8 +27,10 @@
 //! * [`json`] — re-export of [`tangram_types::json`], the workspace's
 //!   one deterministic JSON codec (it lives at layer 0 so `tangram-trace`
 //!   reads TRACE lines through the same parser);
-//! * [`toml`] / [`scenario_file`] — the line-tracking TOML reader and
-//!   the declarative scenario library it loads
+//! * [`toml`] / [`scenario_file`] — re-export of
+//!   [`tangram_types::toml`], the workspace's one line-tracking TOML
+//!   reader (layer 0, so `tangram-lint` reads waivers and manifests
+//!   through it too), and the declarative scenario library it loads
 //!   ([`scenario_file::ScenarioFile`]): `config/scenarios/*.toml` files
 //!   describing hard streaming runs — fleet, arrivals, tenants, ingress
 //!   stages and first-class fault windows — validated at load time with
@@ -69,7 +71,6 @@ pub mod report;
 pub mod runner;
 pub mod scenario_file;
 pub mod table;
-pub mod toml;
 
 pub use cli::ExpOpts;
 pub use grid::{
@@ -81,4 +82,4 @@ pub use report::{BenchReport, CellReport, SCHEMA_VERSION};
 pub use runner::{bench_report, run_grid, run_grid_full, run_scenario_sharded, CellOutcome};
 pub use scenario_file::{RunSpec, ScenarioFile};
 pub use tangram_types::json;
-pub use toml::{TomlDocument, TomlError, TomlValue};
+pub use tangram_types::toml::{self, TomlDocument, TomlError, TomlValue};

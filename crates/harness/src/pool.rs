@@ -1,13 +1,14 @@
-//! The crossbeam-based worker pool.
+//! The sweep worker pool.
 //!
 //! Sweep cells are embarrassingly parallel: every cell is seeded
 //! independently, so execution order cannot leak into results. The pool
-//! therefore needs no scheduling cleverness — a shared MPMC job channel,
-//! N workers (the calling thread among them) pulling until it drains, and
-//! results reassembled by index so the output order matches the input
-//! order regardless of which worker finished first.
+//! therefore needs no scheduling cleverness — one shared iterator over
+//! the jobs behind a mutex, N workers (the calling thread among them)
+//! taking the next job until none is left, and results reassembled by
+//! index so the output order matches the input order regardless of
+//! which worker finished first.
 
-use crossbeam::channel::unbounded;
+use std::sync::Mutex;
 
 /// Resolves a worker-count request: explicit value (clamped to ≥ 1), or
 /// the machine's available parallelism.
@@ -23,8 +24,8 @@ pub fn resolve_workers(requested: Option<usize>) -> usize {
 /// the output.
 ///
 /// `f` receives `(index, item)`. The calling thread is one of the
-/// `workers`, so `workers == 1` spawns nothing; the items still flow
-/// through the same channel plumbing, so the only difference between a
+/// `workers`, so `workers == 1` spawns nothing; the items still come
+/// off the same shared iterator, so the only difference between a
 /// sequential and a parallel run is which thread computes each cell —
 /// and, because cells are independently seeded, the results are
 /// bit-for-bit identical.
@@ -44,21 +45,22 @@ where
         return Vec::new();
     }
     let workers = workers.clamp(1, total);
-    let (job_tx, job_rx) = unbounded();
-    for job in items.into_iter().enumerate() {
-        assert!(job_tx.send(job).is_ok(), "job receiver alive");
-    }
-    drop(job_tx);
+    let jobs = Mutex::new(items.into_iter().enumerate());
 
-    // Each worker drains the shared queue into a list of its own, and the
-    // calling thread is one of them: a request for N workers on N cores
-    // runs N threads, with no cross-thread wake-up per result.
+    // Each worker drains the shared iterator into a list of its own, and
+    // the calling thread is one of them: a request for N workers on N
+    // cores runs N threads, with no cross-thread wake-up per result. The
+    // lock is held for `next()` only: `f` runs outside it, so a panic in
+    // `f` cannot poison it.
     let drain = || {
         let mut done = Vec::new();
-        while let Ok((index, item)) = job_rx.recv() {
+        loop {
+            let job = jobs.lock().expect("only next() runs under it").next();
+            let Some((index, item)) = job else {
+                return done;
+            };
             done.push((index, f(index, item)));
         }
-        done
     };
     let mut slots: Vec<Option<T>> = Vec::with_capacity(total);
     slots.resize_with(total, || None);

@@ -17,7 +17,6 @@ use crate::grid::{
     AdmissionSpec, ArrivalSpec, FairnessSpec, ScenarioSpec, SweepGrid, WorkloadSpec,
 };
 use crate::json::Json;
-use serde::{Deserialize, Serialize};
 use tangram_core::faults::{FaultKind, FaultSpec};
 use tangram_core::report::{RunSummary, TenantSummary};
 
@@ -32,7 +31,7 @@ use tangram_core::report::{RunSummary, TenantSummary};
 pub const SCHEMA_VERSION: u64 = 4;
 
 /// One cell's outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellReport {
     /// Position in grid enumeration order.
     pub index: u64,
@@ -61,7 +60,7 @@ pub struct CellReport {
 }
 
 /// The full outcome of one grid run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
     /// Experiment name (`BENCH_<name>.json`).
     pub name: String,

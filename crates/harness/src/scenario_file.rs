@@ -5,7 +5,7 @@
 //! (`[scenario]` + `[arrival]`), the declarative fault schedule
 //! (`[[fault]]`, see [`tangram_core::faults`]), and optional ingress
 //! stages (`[admission]`, `[fairness]`). Files are parsed with the
-//! line-tracking reader in [`crate::toml`] and validated at load time —
+//! line-tracking reader in [`tangram_types::toml`] and validated at load time —
 //! unknown keys, out-of-range rates and overlapping same-kind fault
 //! windows are rejected with an error naming the offending line, so a
 //! bad scenario never silently runs as something else.
@@ -57,7 +57,6 @@
 use crate::grid::{AdmissionSpec, ArrivalSpec, FairnessSpec, ScenarioSpec};
 use crate::presets::build_trace;
 use crate::runner::run_scenario_sharded;
-use crate::toml::{TomlDocument, TomlEntry, TomlError, TomlTable, TomlValue};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use tangram_core::engine::{EngineConfig, PolicyKind};
@@ -67,6 +66,7 @@ use tangram_core::workload::CameraTrace;
 use tangram_trace::TraceLog;
 use tangram_types::ids::{CameraId, SceneId};
 use tangram_types::time::SimDuration;
+use tangram_types::toml::{TomlDocument, TomlEntry, TomlError, TomlTable, TomlValue};
 
 /// Camera frame rates past this are rejected as out of range.
 pub const MAX_RATE_FPS: f64 = 240.0;
@@ -377,115 +377,55 @@ impl ScenarioFile {
 }
 
 fn fail<T>(line: usize, message: impl Into<String>) -> Result<T, TomlError> {
-    Err(TomlError {
-        line,
-        message: message.into(),
-    })
+    Err(TomlError::new(line, message))
 }
 
 fn missing_table(name: &str) -> TomlError {
-    TomlError {
-        line: 1,
-        message: format!("missing required [{name}] table"),
-    }
+    TomlError::new(1, format!("missing required [{name}] table"))
 }
 
 /// Rejects unknown root keys and unknown/mis-shaped tables up front.
 fn check_layout(doc: &TomlDocument) -> Result<(), TomlError> {
     for entry in &doc.root {
-        if !matches!(entry.key.as_str(), "name" | "description") {
-            return fail(entry.line, format!("unknown top-level key `{}`", entry.key));
+        let key = entry.key();
+        if !matches!(key.as_str(), "name" | "description") {
+            return fail(entry.line, format!("unknown top-level key `{key}`"));
         }
     }
     for table in &doc.tables {
-        let known_array = match table.name.as_str() {
+        let name = table.name();
+        let known_array = match name.as_str() {
             "run" | "scenario" | "arrival" | "admission" | "fairness" => false,
             "fault" => true,
             other => return fail(table.line, format!("unknown table [{other}]")),
         };
         if known_array != table.is_array {
-            let (want, got) = if known_array {
-                (format!("[[{}]]", table.name), format!("[{}]", table.name))
+            let want = if known_array {
+                format!("[[{name}]]")
             } else {
-                (format!("[{}]", table.name), format!("[[{}]]", table.name))
+                format!("[{name}]")
             };
-            return fail(table.line, format!("{got} should be {want}"));
+            return fail(table.line, format!("{} should be {want}", table.header()));
         }
     }
     Ok(())
 }
 
 fn root_string(doc: &TomlDocument, key: &str) -> Result<String, TomlError> {
-    let entry = doc.root_entry(key).ok_or_else(|| TomlError {
-        line: 1,
-        message: format!("missing top-level key `{key}`"),
-    })?;
-    str_of(entry)
-}
-
-fn check_keys(table: &TomlTable, allowed: &[&str]) -> Result<(), TomlError> {
-    for entry in &table.entries {
-        if !allowed.contains(&entry.key.as_str()) {
-            let shape = if table.is_array { "[[" } else { "[" };
-            let close = if table.is_array { "]]" } else { "]" };
-            return fail(
-                entry.line,
-                format!(
-                    "unknown key `{}` in {shape}{}{close}",
-                    entry.key, table.name
-                ),
-            );
-        }
-    }
-    Ok(())
-}
-
-fn require<'t>(table: &'t TomlTable, key: &str) -> Result<&'t TomlEntry, TomlError> {
-    table.get(key).ok_or_else(|| TomlError {
-        line: table.line,
-        message: format!("[{}] is missing required key `{}`", table.name, key),
-    })
-}
-
-fn str_of(entry: &TomlEntry) -> Result<String, TomlError> {
-    entry
-        .value
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| TomlError {
-            line: entry.line,
-            message: format!(
-                "key `{}`: expected string, got {}",
-                entry.key,
-                entry.value.type_name()
-            ),
-        })
-}
-
-fn f64_of(entry: &TomlEntry) -> Result<f64, TomlError> {
-    let value = entry.value.as_f64().ok_or_else(|| TomlError {
-        line: entry.line,
-        message: format!(
-            "key `{}`: expected number, got {}",
-            entry.key,
-            entry.value.type_name()
-        ),
-    })?;
-    if value.is_finite() {
-        Ok(value)
-    } else {
-        fail(entry.line, format!("key `{}` is not finite", entry.key))
-    }
+    let entry = doc
+        .root_entry(key)
+        .ok_or_else(|| TomlError::new(1, format!("missing top-level key `{key}`")))?;
+    Ok(entry.str()?.to_string())
 }
 
 fn positive_f64(entry: &TomlEntry) -> Result<f64, TomlError> {
-    let value = f64_of(entry)?;
+    let value = entry.f64()?;
     if value > 0.0 {
         Ok(value)
     } else {
         fail(
             entry.line,
-            format!("key `{}` must be positive, got {value}", entry.key),
+            format!("key `{}` must be positive, got {value}", entry.key()),
         )
     }
 }
@@ -499,90 +439,60 @@ fn rate_fps(entry: &TomlEntry) -> Result<f64, TomlError> {
             entry.line,
             format!(
                 "key `{}`: rate {value} out of range (0, {MAX_RATE_FPS}]",
-                entry.key
+                entry.key()
             ),
         )
     }
 }
 
-fn u64_of(entry: &TomlEntry) -> Result<u64, TomlError> {
-    entry.value.as_u64().ok_or_else(|| TomlError {
-        line: entry.line,
-        message: format!(
-            "key `{}`: expected non-negative integer, got {}",
-            entry.key,
-            entry.value.type_name()
-        ),
-    })
-}
-
 fn count_of(entry: &TomlEntry) -> Result<usize, TomlError> {
-    let value = u64_of(entry)? as usize;
+    let value = entry.u64()? as usize;
     if value >= 1 {
         Ok(value)
     } else {
         fail(
             entry.line,
-            format!("key `{}` must be at least 1", entry.key),
+            format!("key `{}` must be at least 1", entry.key()),
         )
     }
 }
 
-fn bool_of(entry: &TomlEntry) -> Result<bool, TomlError> {
-    entry.value.as_bool().ok_or_else(|| TomlError {
-        line: entry.line,
-        message: format!(
-            "key `{}`: expected boolean, got {}",
-            entry.key,
-            entry.value.type_name()
-        ),
-    })
-}
-
 fn positive_f64_list(entry: &TomlEntry) -> Result<Vec<f64>, TomlError> {
-    let items = entry.value.as_array().ok_or_else(|| TomlError {
-        line: entry.line,
-        message: format!(
-            "key `{}`: expected array, got {}",
-            entry.key,
-            entry.value.type_name()
-        ),
-    })?;
-    items
+    entry
+        .array()?
         .iter()
         .map(|item| {
             let value = item.as_f64().filter(|v| v.is_finite() && *v > 0.0);
-            value.ok_or_else(|| TomlError {
-                line: entry.line,
-                message: format!(
-                    "key `{}`: every element must be a positive number",
-                    entry.key
-                ),
+            value.ok_or_else(|| {
+                TomlError::new(
+                    entry.line,
+                    format!(
+                        "key `{}`: every element must be a positive number",
+                        entry.key()
+                    ),
+                )
             })
         })
         .collect()
 }
 
 fn parse_run(table: &TomlTable) -> Result<RunSpec, TomlError> {
-    check_keys(
-        table,
-        &[
-            "cameras",
-            "pool_frames",
-            "scenes",
-            "bandwidth_mbps",
-            "slo_s",
-            "seed",
-            "max_instances",
-        ],
-    )?;
+    table.check_keys(&[
+        "cameras",
+        "pool_frames",
+        "scenes",
+        "bandwidth_mbps",
+        "slo_s",
+        "seed",
+        "max_instances",
+    ])?;
     let scenes = match table.get("scenes") {
         None => SceneId::all().map(|s| s.index()).collect(),
         Some(entry) => {
-            let items = entry.value.as_array().ok_or_else(|| TomlError {
-                line: entry.line,
-                message: "key `scenes`: expected array".to_string(),
-            })?;
+            let items = entry
+                .value
+                .as_array()
+                .ok_or_else(|| TomlError::new(entry.line, "key `scenes`: expected array"))?;
             if items.is_empty() {
                 return fail(entry.line, "key `scenes` is empty");
             }
@@ -616,48 +526,45 @@ fn parse_run(table: &TomlTable) -> Result<RunSpec, TomlError> {
         },
     };
     Ok(RunSpec {
-        cameras: count_of(require(table, "cameras")?)?,
-        pool_frames: count_of(require(table, "pool_frames")?)?,
+        cameras: count_of(table.require("cameras")?)?,
+        pool_frames: count_of(table.require("pool_frames")?)?,
         scenes,
-        bandwidth_mbps: positive_f64(require(table, "bandwidth_mbps")?)?,
-        slo_s: positive_f64(require(table, "slo_s")?)?,
-        seed: u64_of(require(table, "seed")?)?,
+        bandwidth_mbps: positive_f64(table.require("bandwidth_mbps")?)?,
+        slo_s: positive_f64(table.require("slo_s")?)?,
+        seed: table.require("seed")?.u64()?,
         max_instances,
     })
 }
 
 fn parse_arrival(table: &TomlTable) -> Result<ArrivalSpec, TomlError> {
-    let kind = require(table, "kind")?;
-    match str_of(kind)?.as_str() {
+    let kind = table.require("kind")?;
+    match kind.str()? {
         "poisson" => {
-            check_keys(table, &["kind", "fps"])?;
+            table.check_keys(&["kind", "fps"])?;
             Ok(ArrivalSpec::Poisson {
-                fps: rate_fps(require(table, "fps")?)?,
+                fps: rate_fps(table.require("fps")?)?,
             })
         }
         "bursty" => {
-            check_keys(
-                table,
-                &[
-                    "kind",
-                    "calm_fps",
-                    "burst_fps",
-                    "mean_calm_s",
-                    "mean_burst_s",
-                ],
-            )?;
+            table.check_keys(&[
+                "kind",
+                "calm_fps",
+                "burst_fps",
+                "mean_calm_s",
+                "mean_burst_s",
+            ])?;
             Ok(ArrivalSpec::Bursty {
-                calm_fps: rate_fps(require(table, "calm_fps")?)?,
-                burst_fps: rate_fps(require(table, "burst_fps")?)?,
-                mean_calm_s: positive_f64(require(table, "mean_calm_s")?)?,
-                mean_burst_s: positive_f64(require(table, "mean_burst_s")?)?,
+                calm_fps: rate_fps(table.require("calm_fps")?)?,
+                burst_fps: rate_fps(table.require("burst_fps")?)?,
+                mean_calm_s: positive_f64(table.require("mean_calm_s")?)?,
+                mean_burst_s: positive_f64(table.require("mean_burst_s")?)?,
             })
         }
         "diurnal" => {
-            check_keys(table, &["kind", "min_fps", "max_fps", "period_s"])?;
-            let min_entry = require(table, "min_fps")?;
+            table.check_keys(&["kind", "min_fps", "max_fps", "period_s"])?;
+            let min_entry = table.require("min_fps")?;
             let min_fps = rate_fps(min_entry)?;
-            let max_fps = rate_fps(require(table, "max_fps")?)?;
+            let max_fps = rate_fps(table.require("max_fps")?)?;
             if min_fps > max_fps {
                 return fail(
                     min_entry.line,
@@ -667,7 +574,7 @@ fn parse_arrival(table: &TomlTable) -> Result<ArrivalSpec, TomlError> {
             Ok(ArrivalSpec::Diurnal {
                 min_fps,
                 max_fps,
-                period_s: positive_f64(require(table, "period_s")?)?,
+                period_s: positive_f64(table.require("period_s")?)?,
             })
         }
         other => fail(
@@ -682,23 +589,20 @@ fn parse_scenario(
     arrival: ArrivalSpec,
     faults: Vec<FaultSpec>,
 ) -> Result<ScenarioSpec, TomlError> {
-    check_keys(
-        table,
-        &[
-            "frames_per_camera",
-            "join_stagger_s",
-            "session_s",
-            "tenant_slos_s",
-        ],
-    )?;
-    let stagger_entry = require(table, "join_stagger_s")?;
-    let join_stagger_s = f64_of(stagger_entry)?;
+    table.check_keys(&[
+        "frames_per_camera",
+        "join_stagger_s",
+        "session_s",
+        "tenant_slos_s",
+    ])?;
+    let stagger_entry = table.require("join_stagger_s")?;
+    let join_stagger_s = stagger_entry.f64()?;
     if join_stagger_s < 0.0 {
         return fail(stagger_entry.line, "key `join_stagger_s` must be >= 0");
     }
     Ok(ScenarioSpec {
         arrival,
-        frames_per_camera: count_of(require(table, "frames_per_camera")?)?,
+        frames_per_camera: count_of(table.require("frames_per_camera")?)?,
         join_stagger_s,
         session_s: table.get("session_s").map(positive_f64).transpose()?,
         tenant_slos_s: table
@@ -716,36 +620,33 @@ fn parse_faults(tables: &[&TomlTable]) -> Result<Vec<FaultSpec>, TomlError> {
     // the same-kind overlap check.
     let mut windows: Vec<(&'static str, f64, f64, usize)> = Vec::new();
     for table in tables {
-        let kind_entry = require(table, "kind")?;
-        let kind = match str_of(kind_entry)?.as_str() {
+        let kind_entry = table.require("kind")?;
+        let kind = match kind_entry.str()? {
             "link_outage" => {
-                check_keys(table, &["kind", "at_s", "duration_s"])?;
+                table.check_keys(&["kind", "at_s", "duration_s"])?;
                 FaultKind::LinkOutage
             }
             "cold_start_storm" => {
-                check_keys(table, &["kind", "at_s", "duration_s"])?;
+                table.check_keys(&["kind", "at_s", "duration_s"])?;
                 FaultKind::ColdStartStorm
             }
             "latency_tail" => {
-                check_keys(table, &["kind", "factor", "at_s", "duration_s"])?;
+                table.check_keys(&["kind", "factor", "at_s", "duration_s"])?;
                 FaultKind::LatencyTail {
-                    factor: slowdown_factor(require(table, "factor")?)?,
+                    factor: slowdown_factor(table.require("factor")?)?,
                 }
             }
             "brownout" => {
-                check_keys(table, &["kind", "factor", "at_s", "duration_s"])?;
+                table.check_keys(&["kind", "factor", "at_s", "duration_s"])?;
                 FaultKind::Brownout {
-                    factor: slowdown_factor(require(table, "factor")?)?,
+                    factor: slowdown_factor(table.require("factor")?)?,
                 }
             }
             "camera_flap" => {
-                check_keys(
-                    table,
-                    &["kind", "mean_up_s", "mean_down_s", "at_s", "duration_s"],
-                )?;
+                table.check_keys(&["kind", "mean_up_s", "mean_down_s", "at_s", "duration_s"])?;
                 FaultKind::CameraFlap {
-                    mean_up_s: positive_f64(require(table, "mean_up_s")?)?,
-                    mean_down_s: positive_f64(require(table, "mean_down_s")?)?,
+                    mean_up_s: positive_f64(table.require("mean_up_s")?)?,
+                    mean_down_s: positive_f64(table.require("mean_down_s")?)?,
                 }
             }
             other => {
@@ -758,12 +659,12 @@ fn parse_faults(tables: &[&TomlTable]) -> Result<Vec<FaultSpec>, TomlError> {
                 )
             }
         };
-        let at_entry = require(table, "at_s")?;
-        let at_s = f64_of(at_entry)?;
+        let at_entry = table.require("at_s")?;
+        let at_s = at_entry.f64()?;
         if at_s < 0.0 {
             return fail(at_entry.line, "key `at_s` must be >= 0");
         }
-        let duration_s = positive_f64(require(table, "duration_s")?)?;
+        let duration_s = positive_f64(table.require("duration_s")?)?;
         let (start, end) = (at_s, at_s + duration_s);
         let name = kind.name();
         if let Some((_, other_start, _, other_line)) = windows
@@ -791,7 +692,7 @@ fn parse_faults(tables: &[&TomlTable]) -> Result<Vec<FaultSpec>, TomlError> {
 /// Latency-tail and brownout factors scale execution up; a factor below
 /// 1 would be a speedup, which is never a fault.
 fn slowdown_factor(entry: &TomlEntry) -> Result<f64, TomlError> {
-    let value = f64_of(entry)?;
+    let value = entry.f64()?;
     if value >= 1.0 {
         Ok(value)
     } else {
@@ -803,21 +704,21 @@ fn slowdown_factor(entry: &TomlEntry) -> Result<f64, TomlError> {
 }
 
 fn parse_admission(table: &TomlTable) -> Result<AdmissionSpec, TomlError> {
-    let kind = require(table, "kind")?;
-    match str_of(kind)?.as_str() {
+    let kind = table.require("kind")?;
+    match kind.str()? {
         "always" => {
-            check_keys(table, &["kind"])?;
+            table.check_keys(&["kind"])?;
             Ok(AdmissionSpec::Always)
         }
         "queue-depth" => {
-            check_keys(table, &["kind", "max_queued"])?;
+            table.check_keys(&["kind", "max_queued"])?;
             Ok(AdmissionSpec::QueueDepth {
-                max_queued: u64_of(require(table, "max_queued")?)? as usize,
+                max_queued: table.require("max_queued")?.u64()? as usize,
             })
         }
         "slo-shedder" => {
-            check_keys(table, &["kind", "per_item_s", "pressure"])?;
-            let pressure_entry = require(table, "pressure")?;
+            table.check_keys(&["kind", "per_item_s", "pressure"])?;
+            let pressure_entry = table.require("pressure")?;
             let pressure = positive_f64(pressure_entry)?;
             if pressure > 1.0 {
                 return fail(
@@ -826,7 +727,7 @@ fn parse_admission(table: &TomlTable) -> Result<AdmissionSpec, TomlError> {
                 );
             }
             Ok(AdmissionSpec::SloShedder {
-                per_item_s: positive_f64(require(table, "per_item_s")?)?,
+                per_item_s: positive_f64(table.require("per_item_s")?)?,
                 pressure,
             })
         }
@@ -838,27 +739,24 @@ fn parse_admission(table: &TomlTable) -> Result<AdmissionSpec, TomlError> {
 }
 
 fn parse_fairness(table: &TomlTable) -> Result<FairnessSpec, TomlError> {
-    check_keys(
-        table,
-        &[
-            "weights",
-            "queue_capacity",
-            "tick_s",
-            "quantum",
-            "admission_aware",
-        ],
-    )?;
-    let weights_entry = require(table, "weights")?;
+    table.check_keys(&[
+        "weights",
+        "queue_capacity",
+        "tick_s",
+        "quantum",
+        "admission_aware",
+    ])?;
+    let weights_entry = table.require("weights")?;
     let weights = positive_f64_list(weights_entry)?;
     if weights.is_empty() {
         return fail(weights_entry.line, "key `weights` is empty");
     }
     Ok(FairnessSpec {
         weights,
-        queue_capacity: count_of(require(table, "queue_capacity")?)?,
-        tick_s: positive_f64(require(table, "tick_s")?)?,
-        quantum: positive_f64(require(table, "quantum")?)?,
-        admission_aware: bool_of(require(table, "admission_aware")?)?,
+        queue_capacity: count_of(table.require("queue_capacity")?)?,
+        tick_s: positive_f64(table.require("tick_s")?)?,
+        quantum: positive_f64(table.require("quantum")?)?,
+        admission_aware: table.require("admission_aware")?.bool()?,
     })
 }
 
@@ -996,6 +894,12 @@ mod tests {
         let text = minimal().replace("slo_s = 1.0\n", "");
         let e = ScenarioFile::parse_str(&text).unwrap_err();
         assert!(e.message.contains("missing required key `slo_s`"), "{e}");
+
+        // A table in the wrong shape, and a dotted key, name themselves.
+        let e = ScenarioFile::parse_str(&minimal().replace("[run]", "[[run]]")).unwrap_err();
+        assert_eq!(e.message, "[[run]] should be [run]");
+        let e = ScenarioFile::parse_str(&minimal().replace("seed = 7", "seed.x = 7")).unwrap_err();
+        assert_eq!(e.message, "unknown key `seed.x` in [run]");
     }
 
     #[test]

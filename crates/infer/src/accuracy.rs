@@ -10,7 +10,6 @@
 //! for objects clipped at patch boundaries.
 
 use crate::ap::Detection;
-use serde::{Deserialize, Serialize};
 use tangram_sim::rng::DetRng;
 use tangram_types::geometry::Rect;
 
@@ -20,7 +19,7 @@ use tangram_types::geometry::Rect;
 /// the object's presented pixel area: the first penalty term models
 /// too-small objects (downsizing), the second too-large ones (upsizing
 /// past the training distribution, Fig. 4b's 480P-trained curve).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ResolutionProfile {
     /// Profile name.
     pub name: &'static str,
@@ -85,7 +84,7 @@ impl ResolutionProfile {
 
 /// An object as presented to the model after the transmission pipeline
 /// (full frame, masked frame, or stitched patches).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PresentedObject {
     /// Ground-truth track (for diagnostics; not used by detection).
     pub track: u64,
@@ -127,7 +126,7 @@ impl PresentedObject {
 
 /// Simulates the detector head: recall, box jitter, confidence, false
 /// positives.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DetectionSimulator {
     /// The model's resolution profile.
     pub profile: ResolutionProfile,

@@ -6,11 +6,10 @@
 //! IoU ≥ threshold, and AP is the area under the interpolated
 //! precision–recall curve (precision envelope).
 
-use serde::{Deserialize, Serialize};
 use tangram_types::geometry::Rect;
 
 /// One detection: a box and its confidence score.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Detection {
     /// Detected box (frame coordinates).
     pub rect: Rect,
@@ -19,7 +18,7 @@ pub struct Detection {
 }
 
 /// Ground truth and detections for one frame.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FrameEval {
     /// Ground-truth boxes.
     pub truths: Vec<Rect>,

@@ -10,14 +10,13 @@
 //! [`LatencyEstimator::slack_for`] is a table lookup.
 
 use crate::latency::InferenceLatencyModel;
-use serde::{Deserialize, Serialize};
 use tangram_sim::rng::DetRng;
 use tangram_sim::stats::OnlineStats;
 use tangram_types::geometry::Size;
 use tangram_types::time::SimDuration;
 
 /// Offline-profiled conservative execution-time bounds per batch size.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyEstimator {
     canvas: Size,
     /// `(µ, σ)` in seconds, indexed by batch size − 1.

@@ -11,12 +11,11 @@
 //! * Fig. 8 — full-frame (8.3 Mpx) invocations costing ≈ 2× a stitched
 //!   4-canvas Tangram request on the serverless GPU slice.
 
-use serde::{Deserialize, Serialize};
 use tangram_sim::rng::DetRng;
 use tangram_types::time::SimDuration;
 
 /// Affine-in-pixels latency model with lognormal noise.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InferenceLatencyModel {
     /// Profile name (for reports).
     pub name: &'static str,

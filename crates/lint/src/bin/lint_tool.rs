@@ -2,16 +2,18 @@
 //!
 //! The CI lints job runs `lint_tool check` beside `scenario_tool check`
 //! and `scripts/check_docs.sh`, so a determinism hazard, a DAG
-//! violation, a drifted schema version or a stale waiver fails the
-//! build at lint time with a `path:line: rule-id: message` diagnostic —
-//! long before a runtime byte-comparison could notice.
+//! violation or a stale waiver fails the build at lint time with a
+//! `path:line: rule-id: message` diagnostic — long before a runtime
+//! byte-comparison could notice.
 //!
 //! Subcommands:
 //!
 //! * `check [--root DIR]` — run every rule family over the workspace
 //!   (default: the current directory), apply `config/lint_allow.toml`,
 //!   and print surviving violations one per line. Exit 0 when clean,
-//!   1 on violations, 2 on usage or I/O errors.
+//!   1 on violations, 2 on usage or I/O errors — a root without a
+//!   readable `crates/` directory among them, so a check run from the
+//!   wrong directory cannot pass.
 //! * `rules` — list every rule id with its one-line summary.
 
 use std::path::PathBuf;

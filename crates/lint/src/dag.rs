@@ -12,10 +12,20 @@
 //! crates.io access, so an undeclared external is a broken build at
 //! best.
 //!
+//! Manifests are read through [`tangram_types::toml`], so a dependency
+//! is an edge in every spelling Cargo accepts for one: an entry of a
+//! `[dependencies]`, `[dev-dependencies]` or `[build-dependencies]`
+//! table (`x = "1"`, `x.workspace = true`, `"x".workspace = true`), a
+//! `[dependencies.x]` table of its own, a root-level dotted key, and
+//! each of those under `target.<cfg>.`. A manifest the reader rejects
+//! (an inline table, a syntax error) is never half-read: it is a
+//! `dag-unlisted` violation at the reader's line.
+//!
 //! Three rule ids:
 //!
 //! * `dag-unlisted` — a `crates/*` directory whose package is not on
-//!   the lattice (new crates must land on it deliberately).
+//!   the lattice (new crates must land on it deliberately), or whose
+//!   manifest cannot be read.
 //! * `dag-edge` — a dependency edge that points sideways or up the
 //!   lattice, targets an unknown crate, or pulls an undeclared external.
 //! * `dag-cycle` — a dependency cycle among the discovered crates
@@ -26,6 +36,7 @@ use crate::walk::crate_dirs;
 use crate::Violation;
 use std::collections::BTreeMap;
 use std::path::Path;
+use tangram_types::toml::{TomlDocument, TomlError};
 
 /// One declared lattice position.
 #[derive(Debug, Clone, Copy)]
@@ -141,7 +152,7 @@ struct Manifest {
     package: String,
     /// Line of `name = "…"`.
     package_line: usize,
-    /// The keys of every `[…dependencies]` section.
+    /// Every dependency the manifest declares, in file order.
     deps: Vec<Dep>,
 }
 
@@ -179,7 +190,18 @@ pub fn check_dag(root: &Path) -> Result<Vec<Violation>, String> {
             continue;
         }
         let text = std::fs::read_to_string(&path).map_err(|e| format!("{rel}: {e}"))?;
-        manifests.push(parse_manifest(&dir, &text));
+        match read_manifest(&dir, &text) {
+            Ok(manifest) => manifests.push(manifest),
+            Err(e) => violations.push(Violation::new(
+                &rel,
+                e.line,
+                "dag-unlisted",
+                format!(
+                    "manifest cannot be read, so its edges are unchecked: {}",
+                    e.message
+                ),
+            )),
+        }
     }
     violations.extend(check_edges(&manifests));
     violations.extend(find_cycles(&manifests));
@@ -323,89 +345,230 @@ fn dfs(
     }
 }
 
-/// Parses the subset of a crate manifest the DAG check needs: the
-/// package name and the dependency keys with their lines.
-fn parse_manifest(dir: &str, text: &str) -> Manifest {
-    let mut package = String::new();
-    let mut package_line = 1;
+/// The dependency a full key path declares, if any: the segment after
+/// a `[…dependencies]` section at the root or under `target.<cfg>`.
+fn dep_name<'a>(path: &[&'a str]) -> Option<&'a str> {
+    let path = match path {
+        ["target", _cfg, rest @ ..] => rest,
+        all => all,
+    };
+    match path {
+        ["dependencies" | "dev-dependencies" | "build-dependencies", name, ..] => Some(name),
+        _ => None,
+    }
+}
+
+/// Reads what the DAG check needs of a crate manifest: the package name
+/// and every dependency with the line that declares it — the header's
+/// for a `[dependencies.x]` table, the entry's otherwise.
+fn read_manifest(dir: &str, text: &str) -> Result<Manifest, TomlError> {
+    let doc = TomlDocument::parse(text)?;
+    let mut package = None;
     let mut deps = Vec::new();
-    let mut section = String::new();
-    for (index, raw) in text.lines().enumerate() {
-        let line_no = index + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
+    let root = (&[][..], 0, &doc.root);
+    let tables = doc.tables.iter().map(|t| (&t.path[..], t.line, &t.entries));
+    for (prefix, header_line, entries) in std::iter::once(root).chain(tables) {
+        let prefix: Vec<&str> = prefix.iter().map(String::as_str).collect();
+        if let Some(name) = dep_name(&prefix) {
+            deps.push(Dep {
+                name: name.to_string(),
+                line: header_line,
+            });
             continue;
         }
-        if line.starts_with('[') {
-            section = line.trim_matches(['[', ']']).to_string();
-            continue;
-        }
-        if section == "package" && package.is_empty() {
-            if let Some(rest) = line.strip_prefix("name") {
-                if let Some(value) = rest.trim_start().strip_prefix('=') {
-                    package = value.trim().trim_matches('"').to_string();
-                    package_line = line_no;
-                }
-            }
-        }
-        // `[dependencies]`, `[dev-dependencies]`, `[build-dependencies]`
-        // and each of them under `[target.'cfg(…)'.…]`.
-        let last_segment = section.rsplit('.').next().unwrap_or("");
-        if last_segment.ends_with("dependencies") {
-            let key: String = line
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '-' || *c == '_')
-                .collect();
-            if !key.is_empty() {
+        for entry in entries {
+            let mut full = prefix.clone();
+            full.extend(entry.path.iter().map(String::as_str));
+            if full == ["package", "name"] {
+                package = Some((entry.str()?.to_string(), entry.line));
+            } else if let Some(name) = dep_name(&full) {
                 deps.push(Dep {
-                    name: key,
-                    line: line_no,
+                    name: name.to_string(),
+                    line: entry.line,
                 });
             }
         }
     }
-    Manifest {
+    let (package, package_line) =
+        package.ok_or_else(|| TomlError::new(1, "no `name` in [package]"))?;
+    Ok(Manifest {
         dir: dir.to_string(),
         package,
         package_line,
         deps,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The line-shape reader this module used before it read manifests
+    /// through `tangram_types::toml`, kept as the oracle for the
+    /// committed manifests: they only use the inline spelling, on which
+    /// it is right.
+    fn parse_manifest(text: &str) -> (String, Vec<(String, usize)>) {
+        let mut package = String::new();
+        let mut deps = Vec::new();
+        let mut section = String::new();
+        for (index, raw) in text.lines().enumerate() {
+            let line = raw.split('#').next().unwrap_or("").trim();
+            if line.is_empty() {
+                continue;
+            }
+            if line.starts_with('[') {
+                section = line.trim_matches(['[', ']']).to_string();
+                continue;
+            }
+            if section == "package" && package.is_empty() {
+                if let Some(rest) = line.strip_prefix("name") {
+                    if let Some(value) = rest.trim_start().strip_prefix('=') {
+                        package = value.trim().trim_matches('"').to_string();
+                    }
+                }
+            }
+            if section
+                .rsplit('.')
+                .next()
+                .unwrap_or("")
+                .ends_with("dependencies")
+            {
+                let key: String = line
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '-' || *c == '_')
+                    .collect();
+                if !key.is_empty() {
+                    deps.push((key, index + 1));
+                }
+            }
+        }
+        (package, deps)
+    }
+
+    fn manifest(dir: &str, text: &str) -> Manifest {
+        read_manifest(dir, text).expect("manifest reads")
+    }
+
+    fn edges(m: &Manifest) -> Vec<(&str, usize)> {
+        m.deps.iter().map(|d| (d.name.as_str(), d.line)).collect()
+    }
+
+    /// Every committed file of the dialect goes through the one reader,
+    /// and each crate manifest yields what the line-shape reader gave.
+    #[test]
+    fn every_committed_toml_file_reads_and_manifests_match_the_old_reader() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let tomls_in = |rel: &str| -> Vec<std::path::PathBuf> {
+            let dir = root.join(rel);
+            let entries = std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{rel}: {e}"));
+            let mut paths: Vec<_> = entries
+                .map(|entry| entry.expect("entry").path())
+                .filter(|p| p.extension().is_some_and(|ext| ext == "toml"))
+                .collect();
+            paths.sort();
+            assert!(!paths.is_empty(), "{rel} holds no .toml file");
+            paths
+        };
+        let mut files = tomls_in("config/scenarios");
+        files.extend(tomls_in("config"));
+        files.extend(tomls_in("benchmark/workloads"));
+        for path in &files {
+            let text = std::fs::read_to_string(path).expect("readable");
+            let doc = TomlDocument::parse(&text);
+            assert!(doc.is_ok(), "{}: {doc:?}", path.display());
+        }
+        let dirs = crate_dirs(&root).expect("crates/");
+        assert_eq!(dirs.len(), LATTICE.len());
+        for dir in dirs {
+            let rel = format!("crates/{dir}/Cargo.toml");
+            let text = std::fs::read_to_string(root.join(&rel)).expect("readable");
+            let m = manifest(&dir, &text);
+            let (package, deps) = parse_manifest(&text);
+            assert_eq!(m.package, package, "{rel}");
+            assert!(!deps.is_empty(), "{rel}: every crate has a dependency");
+            let deps: Vec<(&str, usize)> = deps.iter().map(|(n, l)| (n.as_str(), *l)).collect();
+            assert_eq!(edges(&m), deps, "{rel}");
+        }
+    }
+
     #[test]
     fn manifest_parse_extracts_name_and_dep_lines() {
-        let m = parse_manifest(
+        let m = manifest(
             "sim",
             "[package]\nname = \"tangram-sim\"\n\n[dependencies]\nrand.workspace = true\n\
              tangram-types.workspace = true\n",
         );
         assert_eq!(m.package, "tangram-sim");
         assert_eq!(m.package_line, 2);
-        assert_eq!(m.deps.len(), 2);
-        assert_eq!(m.deps[0].name, "rand");
-        assert_eq!(m.deps[0].line, 5);
-        assert_eq!(m.deps[1].name, "tangram-types");
-        assert_eq!(m.deps[1].line, 6);
+        assert_eq!(edges(&m), [("rand", 5), ("tangram-types", 6)]);
     }
 
     #[test]
     fn edges_are_read_from_every_dependencies_section() {
-        let m = parse_manifest(
+        let m = manifest(
             "types",
             "[package]\nname = \"tangram-types\"\n[dependencies]\nserde.workspace = true\n\
              [build-dependencies]\ntangram-core.workspace = true\n\
              [target.'cfg(unix)'.dependencies]\ntangram-sim.workspace = true\n\
              [package.metadata.docs]\ntangram-bench = true\n",
         );
-        let names: Vec<&str> = m.deps.iter().map(|d| d.name.as_str()).collect();
-        assert_eq!(names, ["serde", "tangram-core", "tangram-sim"]);
+        assert_eq!(
+            edges(&m),
+            [("serde", 4), ("tangram-core", 6), ("tangram-sim", 8)]
+        );
         let upward: Vec<(usize, &str)> =
             check_edges(&[m]).iter().map(|v| (v.line, v.rule)).collect();
         assert_eq!(upward, [(6, "dag-edge"), (8, "dag-edge")]);
+    }
+
+    /// The spellings the line-shape reader passed: a table of its own, a
+    /// quoted key, a version string, a root-level dotted key, and each
+    /// under `target.<cfg>` — every one an edge at the line declaring it.
+    #[test]
+    fn an_edge_is_read_in_every_spelling() {
+        let m = manifest(
+            "types",
+            "dependencies.tangram-net.workspace = true\n\
+             [package]\nname = \"tangram-types\"\n\
+             [dependencies.tangram-core]\nworkspace = true\n\
+             [dependencies]\n\"tangram-sim\".workspace = true\n'tangram-video' = \"0.1\"\n\
+             [dev-dependencies.libc]\nversion = \"0.2\"\n\
+             [target.\"cfg(windows)\".build-dependencies.tangram-bench]\npath = \"../bench\"\n\
+             [target.'cfg(unix)'.dev-dependencies]\ntangram-stitch . workspace = true\n",
+        );
+        assert_eq!(
+            edges(&m),
+            [
+                ("tangram-net", 1),
+                ("tangram-core", 4),
+                ("tangram-sim", 7),
+                ("tangram-video", 8),
+                ("libc", 9),
+                ("tangram-bench", 11),
+                ("tangram-stitch", 14),
+            ]
+        );
+        let reported: Vec<usize> = check_edges(std::slice::from_ref(&m))
+            .iter()
+            .inspect(|v| assert_eq!(v.rule, "dag-edge", "{v}"))
+            .map(|v| v.line)
+            .collect();
+        assert_eq!(reported, [1, 4, 7, 8, 9, 11, 14]);
+    }
+
+    #[test]
+    fn a_manifest_the_reader_rejects_is_an_error_with_its_line() {
+        let inline = "[package]\nname = \"tangram-types\"\n[dependencies]\n\
+                      tangram-core = { workspace = true }\n";
+        let e = read_manifest("types", inline).unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (4, "inline tables are not supported")
+        );
+        let e = read_manifest("types", "[dependencies]\nserde = \"1\"\n").unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (1, "no `name` in [package]"));
+        let e = read_manifest("types", "[package]\nname = 3\n").unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
     }
 
     #[test]
@@ -424,11 +587,11 @@ mod tests {
 
     #[test]
     fn cycles_are_reported_once() {
-        let a = parse_manifest(
+        let a = manifest(
             "alpha",
             "[package]\nname = \"tangram-alpha\"\n[dependencies]\ntangram-beta.workspace = true\n",
         );
-        let b = parse_manifest(
+        let b = manifest(
             "beta",
             "[package]\nname = \"tangram-beta\"\n[dependencies]\ntangram-alpha.workspace = true\n",
         );

@@ -1,9 +1,8 @@
 //! A line-tracking Rust source scanner.
 //!
-//! The offline workspace has no `syn` (vendored serde is a compile-only
-//! stub), so the linter reads source text directly — the same
-//! hand-rolled, line-tracking approach the TOML scenario reader and the
-//! JSONL trace parser take. The scanner does not parse Rust; it
+//! The offline workspace has no `syn`, so the linter reads source text
+//! directly — the same hand-rolled, line-tracking approach the TOML
+//! reader and the JSONL trace parser take. The scanner does not parse Rust; it
 //! tokenises just enough to answer the two questions every rule asks:
 //!
 //! * what does the **code** on line *N* say, with comments stripped and

@@ -12,13 +12,20 @@
 //! Waivers are load-bearing, both ways: a violation matching a waiver
 //! is suppressed, and a waiver matching **nothing** is itself an error
 //! (`stale-waiver`) — an exemption whose reason has evaporated must be
-//! deleted, not silently carried. Malformed entries (missing fields,
-//! empty justifications, unknown or meta rule ids, duplicates) are
-//! `waiver-format` errors. The meta rules `stale-waiver` and
+//! deleted, not silently carried. The file is read through
+//! [`tangram_types::toml`], the reader scenario files use, and fails
+//! closed: a document that reader rejects (a syntax error, a repeated
+//! key) is one `waiver-format` error at the reader's line and loads
+//! **no** waivers. In a document it accepts, malformed entries (missing
+//! fields, unknown keys, non-string values, empty justifications,
+//! unknown or meta rule ids, duplicates, any table that is not
+//! `[[allow]]`) are `waiver-format` errors of their own and the
+//! well-formed entries still load. The meta rules `stale-waiver` and
 //! `waiver-format` cannot themselves be waived.
 
 use crate::Violation;
 use std::path::Path;
+use tangram_types::toml::{TomlDocument, TomlError, TomlTable};
 
 /// The allowlist's location, relative to the workspace root.
 pub const ALLOW_FILE: &str = "config/lint_allow.toml";
@@ -49,54 +56,30 @@ pub struct WaiverSet {
 
 impl WaiverSet {
     /// Parses an allowlist document, collecting `waiver-format`
-    /// violations for malformed entries (well-formed entries still
-    /// load, so one bad entry does not disable the rest).
+    /// violations: one for a document the TOML reader rejects (which
+    /// loads nothing), else one per malformed entry (well-formed entries
+    /// still load, so one bad entry does not disable the rest).
     #[must_use]
     pub fn parse(text: &str) -> (WaiverSet, Vec<Violation>) {
+        let format_error =
+            |e: TomlError| Violation::new(ALLOW_FILE, e.line, "waiver-format", e.message);
+        let doc = match TomlDocument::parse(text) {
+            Ok(doc) => doc,
+            Err(e) => return (WaiverSet::default(), vec![format_error(e)]),
+        };
         let mut entries: Vec<Waiver> = Vec::new();
         let mut violations = Vec::new();
-        let mut current: Option<Waiver> = None;
-        let mut violation = |line: usize, message: String| {
-            violations.push(Violation::new(ALLOW_FILE, line, "waiver-format", message));
-        };
-        for (index, raw) in text.lines().enumerate() {
-            let line_no = index + 1;
-            let line = strip_comment(raw).trim().to_string();
-            if line.is_empty() {
-                continue;
-            }
-            if line == "[[allow]]" {
-                if let Some(done) = current.take() {
-                    finish(done, &mut entries, &mut violation);
-                }
-                current = Some(Waiver {
-                    file: String::new(),
-                    rule: String::new(),
-                    justification: String::new(),
-                    line: line_no,
-                });
-                continue;
-            }
-            let Some((key, value)) = parse_entry(&line) else {
-                violation(
-                    line_no,
-                    format!("expected `[[allow]]` or `key = \"value\"`, got `{line}`"),
-                );
-                continue;
-            };
-            let Some(entry) = current.as_mut() else {
-                violation(line_no, format!("`{key}` outside any [[allow]] entry"));
-                continue;
-            };
-            match key.as_str() {
-                "file" => entry.file = value,
-                "rule" => entry.rule = value,
-                "justification" => entry.justification = value,
-                other => violation(line_no, format!("unknown waiver key `{other}`")),
-            }
+        for entry in &doc.root {
+            violations.push(format_error(TomlError::new(
+                entry.line,
+                format!("`{}` outside any [[allow]] entry", entry.key()),
+            )));
         }
-        if let Some(done) = current.take() {
-            finish(done, &mut entries, &mut violation);
+        for table in &doc.tables {
+            match read_waiver(table, &entries) {
+                Ok(waiver) => entries.push(waiver),
+                Err(e) => violations.push(format_error(e)),
+            }
         }
         (WaiverSet { entries }, violations)
     }
@@ -156,75 +139,44 @@ impl WaiverSet {
     }
 }
 
-/// Validates a completed entry and either records it or reports it.
-fn finish(entry: Waiver, entries: &mut Vec<Waiver>, violation: &mut impl FnMut(usize, String)) {
-    if entry.file.is_empty() || entry.rule.is_empty() {
-        violation(
-            entry.line,
-            "waiver entry needs both `file` and `rule`".to_string(),
-        );
-        return;
+/// Reads and validates one table of the allowlist; `entries` are the
+/// waivers already accepted (for the duplicate check).
+fn read_waiver(table: &TomlTable, entries: &[Waiver]) -> Result<Waiver, TomlError> {
+    let fail = |message: String| Err(TomlError::new(table.line, message));
+    if !table.is_array || table.path != ["allow"] {
+        return fail(format!("expected `[[allow]]`, got `{}`", table.header()));
     }
-    if entry.justification.trim().is_empty() {
-        violation(
-            entry.line,
-            format!(
-                "waiver for {} / {} has no justification — every exemption must say why",
-                entry.file, entry.rule
-            ),
-        );
-        return;
+    table.check_keys(&["file", "rule", "justification"])?;
+    let field = |key: &str| match table.get(key) {
+        Some(entry) => entry.str(),
+        None => Ok(""),
+    };
+    let (file, rule, justification) = (field("file")?, field("rule")?, field("justification")?);
+    if file.is_empty() || rule.is_empty() {
+        return fail("waiver entry needs both `file` and `rule`".to_string());
     }
-    if META_RULES.contains(&entry.rule.as_str()) {
-        violation(
-            entry.line,
-            format!("rule `{}` governs waivers and cannot be waived", entry.rule),
-        );
-        return;
+    if justification.trim().is_empty() {
+        return fail(format!(
+            "waiver for {file} / {rule} has no justification — every exemption must say why"
+        ));
     }
-    if !crate::RULES.iter().any(|r| r.id == entry.rule) {
-        violation(
-            entry.line,
-            format!("unknown rule id `{}` (see `lint_tool rules`)", entry.rule),
-        );
-        return;
+    if META_RULES.contains(&rule) {
+        return fail(format!(
+            "rule `{rule}` governs waivers and cannot be waived"
+        ));
     }
-    if entries
-        .iter()
-        .any(|w| w.file == entry.file && w.rule == entry.rule)
-    {
-        violation(
-            entry.line,
-            format!("duplicate waiver for {} / {}", entry.file, entry.rule),
-        );
-        return;
+    if !crate::RULES.iter().any(|r| r.id == rule) {
+        return fail(format!("unknown rule id `{rule}` (see `lint_tool rules`)"));
     }
-    entries.push(entry);
-}
-
-/// `key = "value"` with a double-quoted value.
-fn parse_entry(line: &str) -> Option<(String, String)> {
-    let eq = line.find('=')?;
-    let key = line[..eq].trim();
-    let value = line[eq + 1..].trim();
-    let value = value.strip_prefix('"')?.strip_suffix('"')?;
-    if key.is_empty() || key.contains(char::is_whitespace) {
-        return None;
+    if entries.iter().any(|w| w.file == file && w.rule == rule) {
+        return fail(format!("duplicate waiver for {file} / {rule}"));
     }
-    Some((key.to_string(), value.to_string()))
-}
-
-/// Removes a trailing `#` comment, respecting double-quoted strings.
-fn strip_comment(line: &str) -> &str {
-    let mut in_string = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_string = !in_string,
-            '#' if !in_string => return &line[..i],
-            _ => {}
-        }
-    }
-    line
+    Ok(Waiver {
+        file: file.to_string(),
+        rule: rule.to_string(),
+        justification: justification.to_string(),
+        line: table.line,
+    })
 }
 
 #[cfg(test)]
@@ -280,5 +232,135 @@ mod tests {
         assert_eq!(stale[0].rule, "stale-waiver");
         assert_eq!(stale[0].path, ALLOW_FILE);
         assert_eq!(stale[0].line, 2);
+    }
+
+    /// The reader this module used before it read the allowlist through
+    /// `tangram_types::toml` — a line loop over `[[allow]]` and
+    /// `key = "value"` shapes — kept as the oracle for the committed
+    /// files. It validates nothing: the differential test feeds it
+    /// well-formed entries only.
+    fn line_shape_parse(text: &str) -> Vec<Waiver> {
+        fn strip_comment(line: &str) -> &str {
+            let mut in_string = false;
+            for (i, c) in line.char_indices() {
+                match c {
+                    '"' => in_string = !in_string,
+                    '#' if !in_string => return &line[..i],
+                    _ => {}
+                }
+            }
+            line
+        }
+        fn parse_entry(line: &str) -> Option<(&str, &str)> {
+            let eq = line.find('=')?;
+            let value = line[eq + 1..].trim();
+            Some((
+                line[..eq].trim(),
+                value.strip_prefix('"')?.strip_suffix('"')?,
+            ))
+        }
+        let mut entries: Vec<Waiver> = Vec::new();
+        for (index, raw) in text.lines().enumerate() {
+            let line = strip_comment(raw).trim();
+            if line == "[[allow]]" {
+                entries.push(Waiver {
+                    file: String::new(),
+                    rule: String::new(),
+                    justification: String::new(),
+                    line: index + 1,
+                });
+            } else if let Some((key, value)) = parse_entry(line) {
+                let entry = entries.last_mut().expect("key inside an entry");
+                match key {
+                    "file" => entry.file = value.to_string(),
+                    "rule" => entry.rule = value.to_string(),
+                    "justification" => entry.justification = value.to_string(),
+                    other => panic!("unknown key {other}"),
+                }
+            }
+        }
+        entries
+    }
+
+    /// The committed allowlist and the fixture's load to the values the
+    /// line-shape reader gave (the fixture's empty-justification entry
+    /// aside, which both reject — the oracle by not validating at all).
+    #[test]
+    fn committed_allowlists_load_as_the_line_shape_reader_loaded_them() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for (rel, count) in [("", 5), ("tests/fixtures/lint/bad_tree", 3)] {
+            let path = root.join(rel).join(ALLOW_FILE);
+            let text = std::fs::read_to_string(&path).expect("allowlist readable");
+            let (set, _) = WaiverSet::parse(&text);
+            let mut oracle = line_shape_parse(&text);
+            oracle.retain(|w| !w.justification.is_empty());
+            assert_eq!(set.entries, oracle, "{}", path.display());
+            assert_eq!(set.entries.len(), count, "{}", path.display());
+        }
+    }
+
+    /// A justification is the whole string, escapes and `#` included —
+    /// the line-shape reader cut this one down to a single backslash.
+    #[test]
+    fn a_justification_reads_as_the_full_string() {
+        let text = GOOD.replace("\"reason\"", r#""\" # everything after this is dropped""#);
+        let (set, violations) = WaiverSet::parse(&text);
+        assert!(violations.is_empty(), "{violations:?}");
+        assert_eq!(
+            set.entries[0].justification,
+            "\" # everything after this is dropped"
+        );
+        assert_eq!(line_shape_parse(&text)[0].justification, "\\");
+    }
+
+    /// Each malformed shape is exactly one `waiver-format` violation at
+    /// its own line.
+    #[test]
+    fn malformed_entries_are_one_format_error_at_their_own_line() {
+        let entry = |body: &str| format!("{GOOD}[[allow]]\n{body}");
+        let cases = [
+            // A repeated key: the reader rejects the file, nothing loads.
+            (
+                entry("file = \"a.rs\"\nfile = \"b.rs\"\nrule = \"det-entropy\"\n"),
+                8,
+                "duplicate key `file`",
+                0,
+            ),
+            // A syntax error anywhere loads nothing either.
+            (entry("file = \"a.rs\nrule = \"x\"\n"), 7, "unterminated", 0),
+            (
+                entry("file = \"a.rs\"\nrule = 7\njustification = \"x\"\n"),
+                8,
+                "key `rule`: expected string, got integer",
+                1,
+            ),
+            (
+                entry("file = \"a.rs\"\nrule = \"det-entropy\"\nwhy = \"x\"\n"),
+                9,
+                "unknown key `why` in [[allow]]",
+                1,
+            ),
+            (
+                "[allow]\nfile = \"a.rs\"\nrule = \"det-entropy\"\njustification = \"x\"\n"
+                    .to_string(),
+                1,
+                "expected `[[allow]]`, got `[allow]`",
+                0,
+            ),
+            (
+                format!("rule = \"det-entropy\"\n{GOOD}"),
+                1,
+                "`rule` outside any [[allow]] entry",
+                1,
+            ),
+        ];
+        for (text, line, needle, loaded) in cases {
+            let (set, violations) = WaiverSet::parse(&text);
+            assert_eq!(violations.len(), 1, "{text}\n{violations:?}");
+            assert_eq!(violations[0].rule, "waiver-format");
+            assert_eq!(violations[0].line, line, "{}", violations[0]);
+            assert!(violations[0].message.contains(needle), "{}", violations[0]);
+            assert_eq!(set.entries.len(), loaded, "{text}");
+        }
     }
 }

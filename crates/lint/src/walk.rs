@@ -30,12 +30,10 @@ pub fn rust_sources(root: &Path) -> Result<Vec<String>, String> {
 ///
 /// # Errors
 ///
-/// Returns a message when `root/crates` cannot be read.
+/// Returns a message when `root/crates` cannot be read — a missing
+/// directory included: a root without one is not a clean workspace.
 pub fn crate_dirs(root: &Path) -> Result<Vec<String>, String> {
     let crates = root.join("crates");
-    if !crates.is_dir() {
-        return Ok(Vec::new());
-    }
     let mut dirs = Vec::new();
     let entries = std::fs::read_dir(&crates).map_err(|e| format!("{}: {e}", crates.display()))?;
     for entry in entries {
@@ -83,10 +81,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn missing_crates_dir_yields_no_sources() {
+    fn missing_crates_dir_is_an_error() {
         let root = std::env::temp_dir().join("tangram-lint-empty-walk");
         let _ = std::fs::create_dir_all(&root);
-        assert!(rust_sources(&root).expect("walk").is_empty());
-        assert!(crate_dirs(&root).expect("dirs").is_empty());
+        assert!(rust_sources(&root).unwrap_err().contains("crates"));
+        assert!(crate_dirs(&root).unwrap_err().contains("crates"));
     }
 }

@@ -21,12 +21,11 @@
 //! assert!(second > first);
 //! ```
 
-use serde::{Deserialize, Serialize};
 use tangram_types::time::{SimDuration, SimTime};
 use tangram_types::units::{Bandwidth, Bytes};
 
 /// Static configuration of a link.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinkConfig {
     /// Wire rate.
     pub bandwidth: Bandwidth,
@@ -47,7 +46,7 @@ impl LinkConfig {
 }
 
 /// Counters describing everything a link has carried.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkStats {
     /// Total payload bytes accepted.
     pub bytes: Bytes,

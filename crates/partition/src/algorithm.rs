@@ -1,11 +1,10 @@
 //! The adaptive frame partitioning algorithm (Algorithm 1).
 
-use serde::{Deserialize, Serialize};
 use tangram_types::geometry::{Rect, Size};
 
 /// Zone-grid shape `X × Y` — the paper's partitioning knob (Table II /
 /// Table III trade accuracy against bandwidth through this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PartitionConfig {
     /// Number of zone columns (`X`).
     pub zones_x: u32,
@@ -69,7 +68,7 @@ impl Default for PartitionConfig {
 }
 
 /// A patch cut from one zone, with provenance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ZonePatch {
     /// Row-major zone index the patch came from.
     pub zone: u32,

@@ -1,10 +1,9 @@
 //! Function specifications and the GPU-memory batch bound.
 
-use serde::{Deserialize, Serialize};
 use tangram_types::units::GigaBytes;
 
 /// Resources allocated to one function instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FunctionSpec {
     /// vCPUs (`n_C` in Eqn. 1).
     pub vcpus: f64,

@@ -10,7 +10,6 @@
 use crate::function::FunctionSpec;
 use crate::lb::RoundRobin;
 use crate::pricing::ResourcePrices;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 use tangram_infer::latency::InferenceLatencyModel;
@@ -20,7 +19,7 @@ use tangram_types::time::{SimDuration, SimTime};
 use tangram_types::units::Dollars;
 
 /// A batch submitted for execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InvocationRequest {
     /// Number of canvases in the batch (bounded by constraint (5)).
     pub canvases: usize,
@@ -31,7 +30,7 @@ pub struct InvocationRequest {
 }
 
 /// The result of one invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InvocationOutcome {
     /// Invocation identity.
     pub id: InvocationId,
@@ -109,7 +108,7 @@ type Placement = (usize, bool, SimTime);
 /// Pure read: taking a snapshot never mutates the platform (no instance
 /// reaping, no RNG draws), so admission control cannot perturb the
 /// simulation of the work it admits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackendSnapshot {
     /// Submitted invocations whose completion has not been acknowledged.
     pub in_flight: usize,
@@ -127,7 +126,7 @@ pub struct BackendSnapshot {
 }
 
 /// Aggregate platform statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PlatformStats {
     /// Invocations served.
     pub invocations: u64,

@@ -1,13 +1,12 @@
 //! The Alibaba Function Compute billing model (Eqn. 1).
 
-use serde::{Deserialize, Serialize};
 use tangram_types::time::SimDuration;
 use tangram_types::units::Dollars;
 
 use crate::function::FunctionSpec;
 
 /// Unit prices of the serverless platform.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourcePrices {
     /// `P_C`: dollars per vCPU-second.
     pub per_vcpu_second: f64,

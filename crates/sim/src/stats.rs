@@ -8,11 +8,10 @@
 //! * [`TimeSeries`] — time-stamped samples for per-frame series (Figs. 3(a),
 //!   10(a)).
 
-use serde::{Deserialize, Serialize};
 use tangram_types::time::SimTime;
 
 /// Single-pass mean / variance / extrema accumulator (Welford's method).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -130,7 +129,7 @@ pub fn nearest_rank_index(q: f64, n: usize) -> usize {
 }
 
 /// An empirical cumulative distribution built from raw samples.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EmpiricalCdf {
     samples: Vec<f64>,
     sorted: bool,
@@ -236,7 +235,7 @@ impl EmpiricalCdf {
 }
 
 /// Fixed-width-bin histogram over `[lo, hi)` with saturating edge bins.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -297,7 +296,7 @@ impl Histogram {
 }
 
 /// Time-stamped scalar samples (per-frame RoI proportion, queue depth, …).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
 }

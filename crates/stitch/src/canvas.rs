@@ -5,14 +5,13 @@
 //! function; canvas *efficiency* (patch area / canvas area) is the
 //! utilisation metric the paper plots in Fig. 10b and Fig. 13.
 
-use serde::{Deserialize, Serialize};
 use tangram_types::geometry::{Point, Rect, Size};
 use tangram_types::ids::CanvasId;
 use tangram_types::patch::PatchInfo;
 use tangram_types::time::SimTime;
 
 /// One patch placed at a position on a canvas.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlacedPatch {
     /// The patch's metadata (including its source-frame rectangle).
     pub patch: PatchInfo,
@@ -34,7 +33,7 @@ impl PlacedPatch {
 }
 
 /// A fixed-size canvas with stitched patches.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Canvas {
     /// Canvas identity.
     pub id: CanvasId,

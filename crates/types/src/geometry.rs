@@ -5,11 +5,10 @@
 //! right and `y` growing down. Rectangles are half-open: a rectangle with
 //! `x = 0, width = 10` covers pixel columns `0..10`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A pixel position in frame coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Point {
     /// Horizontal coordinate (pixels from the left edge).
     pub x: u32,
@@ -38,7 +37,7 @@ impl fmt::Display for Point {
 }
 
 /// A width × height extent in pixels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Size {
     /// Width in pixels.
     pub width: u32,
@@ -123,7 +122,7 @@ impl From<(u32, u32)> for Size {
 }
 
 /// An axis-aligned rectangle in frame coordinates (half-open intervals).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Rect {
     /// Left edge.
     pub x: u32,

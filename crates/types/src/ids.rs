@@ -4,15 +4,13 @@
 //! expected (C-NEWTYPE). All ids are cheap `Copy` integers with sequential
 //! allocation helpers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! define_id {
     ($(#[$meta:meta])* $name:ident, $inner:ty, $prefix:literal) => {
         $(#[$meta])*
         #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-            Serialize, Deserialize,
+            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default
         )]
         pub struct $name(pub $inner);
 
@@ -83,7 +81,7 @@ define_id!(
 
 /// One of the ten PANDA-style evaluation scenes (1-based, matching the
 /// paper's `scene_01`..`scene_10`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SceneId(u8);
 
 impl SceneId {

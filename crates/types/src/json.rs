@@ -1,9 +1,8 @@
 //! The workspace's one JSON codec: a minimal, deterministic document
 //! model with its writer and parser.
 //!
-//! The vendored `serde` is a compile-only marker stub (no data model, no
-//! `serde_json`), so the workspace carries its own value type. It lives
-//! at layer 0 so that both the BENCH reports (`tangram-harness`, which
+//! No JSON library resolves offline, so the workspace carries its own
+//! value type. It lives at layer 0 so that both the BENCH reports (`tangram-harness`, which
 //! re-exports this module as `tangram_harness::json`) and the TRACE
 //! lines (`tangram-trace`) read through the same parser and escape
 //! strings the same way. Two properties matter more here than

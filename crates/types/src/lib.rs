@@ -5,8 +5,10 @@
 //! simulated [`time`], measurement [`units`], the patch/canvas/batch
 //! [`patch`] model that flows from edge cameras to the cloud scheduler,
 //! the shard [`credit`] protocol's shared constants (one vocabulary
-//! for the runtime and its model checker), and the workspace's one
-//! [`json`] codec (BENCH reports and TRACE lines share it).
+//! for the runtime and its model checker), and the workspace's two
+//! file formats, one implementation each: the [`json`] codec (BENCH
+//! reports and TRACE lines share it) and the line-tracking [`toml`]
+//! reader (scenario files, lint waivers and crate manifests share it).
 //!
 //! # Example
 //!
@@ -30,6 +32,7 @@ pub mod ids;
 pub mod json;
 pub mod patch;
 pub mod time;
+pub mod toml;
 pub mod units;
 
 pub use error::ValidationError;

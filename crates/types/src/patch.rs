@@ -11,12 +11,11 @@ use crate::geometry::{Rect, Size};
 use crate::ids::{CameraId, FrameId, PatchId};
 use crate::time::{SimDuration, SimTime};
 use crate::units::Bytes;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Metadata describing one patch (the `P_i = {w_i, h_i, t_ddl_i}` record of
 /// Algorithm 2, extended with provenance).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PatchInfo {
     /// Unique patch id.
     pub id: PatchId,
@@ -97,7 +96,7 @@ impl fmt::Display for PatchInfo {
 
 /// A patch as transmitted over the uplink: metadata plus the encoded
 /// payload size (the raster content is modelled, not carried).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Patch {
     /// Scheduling metadata.
     pub info: PatchInfo,

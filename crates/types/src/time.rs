@@ -6,15 +6,12 @@
 //! everything the paper measures (network transfers, GPU inference in the
 //! tens-to-hundreds of milliseconds, SLOs around one second).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// A span of simulated time with microsecond resolution.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration {
     micros: u64,
 }
@@ -187,9 +184,7 @@ impl Sum for SimDuration {
 }
 
 /// An instant on the simulated clock (microseconds since simulation start).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime {
     micros: u64,
 }

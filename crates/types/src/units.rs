@@ -5,15 +5,12 @@
 //! place.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
 /// A number of bytes (payload size of a frame, patch or message).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Bytes(pub u64);
 
 impl Bytes {
@@ -91,7 +88,7 @@ impl Sum for Bytes {
 
 /// Link bandwidth. Stored in bits per second; the paper's experiments use
 /// 20, 40 and 80 Mbps uplinks.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Bandwidth {
     bits_per_sec: f64,
 }
@@ -147,7 +144,7 @@ impl fmt::Display for Bandwidth {
 }
 
 /// US dollars, the unit of the Alibaba Function Compute cost model (Eqn. 1).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Dollars(pub f64);
 
 impl Dollars {
@@ -207,7 +204,7 @@ impl Sum for Dollars {
 }
 
 /// Memory measured in gigabytes (function RAM and GPU VRAM allocations).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct GigaBytes(pub f64);
 
 impl GigaBytes {

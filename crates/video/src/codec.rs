@@ -27,12 +27,11 @@
 //! encoder settings); every comparison in the experiments is *relative* to
 //! Full Frame, matching how the paper reports bandwidth.
 
-use serde::{Deserialize, Serialize};
 use tangram_types::geometry::{Rect, Size};
 use tangram_types::units::Bytes;
 
 /// Byte-cost model for every transmission strategy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CodecModel {
     /// Bits per pixel of one individually-encoded full frame
     /// (detection-quality JPEG; a 4K frame ≈ 2.5 MB, which at 20 Mbps

@@ -7,7 +7,6 @@
 //! workload fluctuation of Fig. 3a; sizes and clustering reproduce the RoI
 //! statistics of Table I and Fig. 4a.
 
-use serde::{Deserialize, Serialize};
 use tangram_sim::rng::DetRng;
 use tangram_types::geometry::{Rect, Size};
 use tangram_types::ids::{FrameId, SceneId};
@@ -18,7 +17,7 @@ use crate::raster::{FrameRenderer, Raster};
 use crate::scene::SceneProfile;
 
 /// Configuration of the synthetic video stream.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VideoConfig {
     /// Frames per second of the capture (PANDA clips are sampled sparsely;
     /// the paper's end-to-end runs pace arrivals by bandwidth, so a low
@@ -49,7 +48,7 @@ impl VideoConfig {
 }
 
 /// Ground truth for one captured frame.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FrameTruth {
     /// Scene this frame belongs to.
     pub scene: SceneId,

@@ -7,12 +7,11 @@
 //! scene's fluctuation model to reproduce the irregular workload peaks of
 //! Fig. 3a.
 
-use serde::{Deserialize, Serialize};
 use tangram_sim::rng::DetRng;
 use tangram_types::geometry::{Rect, Size};
 
 /// A ground-truth object visible in one frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GtObject {
     /// Stable track id (unique within a scene run).
     pub track: u64,

@@ -10,13 +10,12 @@
 //! All texture and noise comes from counter-based hashes, so a frame is a
 //! pure function of `(scene seed, frame index)` — no RNG stream state.
 
-use serde::{Deserialize, Serialize};
 use tangram_types::geometry::{Rect, Size};
 
 use crate::object::GtObject;
 
 /// A grayscale image at the renderer's (downscaled) resolution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Raster {
     width: u32,
     height: u32,

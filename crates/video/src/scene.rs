@@ -16,12 +16,11 @@
 //! statistics — patches per frame (Fig. 10a), canvas coverage (Table II),
 //! RoI-size scatter (Fig. 4a) — land in the paper's ranges.
 
-use serde::{Deserialize, Serialize};
 use tangram_types::geometry::Size;
 use tangram_types::ids::SceneId;
 
 /// Static description of one synthetic scene.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SceneProfile {
     /// Which of the ten scenes this is.
     pub id: u8,

@@ -11,13 +11,12 @@
 //! parameters are fitted so the end-to-end Table IV numbers land near the
 //! paper's.
 
-use serde::{Deserialize, Serialize};
 use tangram_sim::rng::DetRng;
 use tangram_types::geometry::Rect;
 use tangram_video::generator::FrameTruth;
 
 /// A calibrated stochastic stand-in for a lightweight detector.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DetectorProxy {
     /// Human-readable model name.
     pub name: &'static str,

@@ -68,6 +68,19 @@ for doc in README.md docs/*.md; do
   done
 done
 
+# Every source path the docs name — a `.rs`, `.toml` or `.sh` file under
+# crates/, tests/, examples/, scripts/ or config/ — must exist (files
+# move and get deleted; references to them rot silently).
+for doc in README.md docs/*.md; do
+  for file in $(grep -oE '(crates|tests|examples|scripts|config)/[A-Za-z0-9_./-]+\.(rs|toml|sh)' "$doc" \
+                | sort -u); do
+    if [ ! -f "$file" ]; then
+      echo "ERROR: $doc references '$file', which is not on disk"
+      status=1
+    fi
+  done
+done
+
 # Every binary must be documented somewhere (docs stay complete as bins
 # are added).
 for path in crates/*/src/bin/*.rs; do

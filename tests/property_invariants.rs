@@ -361,8 +361,27 @@ fn baseline(name: &str) -> String {
 /// JSON's structural alphabet.
 const JSON_GRAMMAR: &[u8] = b"{}[]\",:\\ \n-+.eEu0123456789tfn";
 
-/// The structural alphabet of the scenario files' TOML subset.
-const TOML_GRAMMAR: &[u8] = b"[]\"=#,_\\ \n-+.e0123456789tf";
+/// The structural alphabet of the workspace's TOML dialect.
+const TOML_GRAMMAR: &[u8] = b"[]\"'=#,_\\ \n-+.e0123456789tf";
+
+/// Whole lines of the dialect's wider half — dotted keys, quoted
+/// segments, dotted table names, quotes that never close — spliced into
+/// a seed document before the byte-level edits, which would almost never
+/// assemble one.
+const TOML_LINES: &[&str] = &[
+    "rand.workspace = true",
+    "\"tangram-core\".workspace = true # quoted",
+    "'cfg(unix)' . \"a.b\".c = [1, 2]",
+    "a.b.c = \"x # y\"",
+    "[dependencies.tangram-core]",
+    "[target.'cfg(all(unix, feature = \"#\"))'.dev-dependencies]",
+    "[[bin . \"two words\"]]",
+    "justification = \"\\\" # not a comment\"",
+    "open = \"never closed",
+    "'open.key = 1",
+    "[table.\"open]",
+    "x = { inline = true }",
+];
 
 /// Applies one to four byte-level edits — overwrite, insert, delete,
 /// duplicate a slice, truncate — drawing inserted bytes half from the
@@ -639,13 +658,40 @@ fn toml_readers_survive_mutated_scenario_files() {
     for (path, _) in &library {
         let seed_doc = std::fs::read_to_string(path).expect("just loaded");
         let name = path.file_name().and_then(|n| n.to_str()).expect("utf-8");
-        let mut accepted = 0u64;
+        let (mut accepted, mut read, mut wide) = (0u64, 0u64, 0u64);
         for case in 0..FUZZ_CASES {
             let mut rng = case_rng(name, case);
-            let input = mutate(&seed_doc, TOML_GRAMMAR, &mut rng);
-            // Both layers must return, never panic; whatever validates
-            // must survive its own canonical form unchanged.
-            let _ = TomlDocument::parse(&input);
+            let mut lines: Vec<&str> = seed_doc.lines().collect();
+            for _ in 0..rng.index(3) {
+                let line = TOML_LINES[rng.index(TOML_LINES.len())];
+                lines.insert(rng.index(lines.len() + 1), line);
+            }
+            let mut input = lines.join("\n");
+            if rng.chance(0.75) {
+                input = mutate(&input, TOML_GRAMMAR, &mut rng);
+            }
+            // Both layers must return, never panic. Whatever the reader
+            // accepts points every header and entry at a line that spells
+            // its path (a segment holding an escape is spelled otherwise
+            // there); whatever validates must survive its own canonical
+            // form unchanged.
+            if let Ok(doc) = TomlDocument::parse(&input) {
+                let source: Vec<&str> = input.lines().collect();
+                let headers = doc.tables.iter().map(|t| (&t.path, t.line));
+                let entries = doc.tables.iter().flat_map(|t| &t.entries).chain(&doc.root);
+                for (path, line) in headers.chain(entries.map(|e| (&e.path, e.line))) {
+                    let text = source.get(line.wrapping_sub(1));
+                    let text = text.unwrap_or_else(|| panic!("{name} case {case}: line {line}"));
+                    for segment in path.iter().filter(|s| !s.contains(['"', '\\', '\t', '\n'])) {
+                        assert!(
+                            text.contains(segment.as_str()),
+                            "{name} case {case}: {text}"
+                        );
+                    }
+                    wide += u64::from(path.len() > 1);
+                }
+                read += 1;
+            }
             if let Ok(parsed) = ScenarioFile::parse_str(&input) {
                 accepted += 1;
                 let back = ScenarioFile::parse_str(&parsed.to_toml()).unwrap_or_else(|e| {
@@ -655,8 +701,13 @@ fn toml_readers_survive_mutated_scenario_files() {
             }
         }
         // Edits inside comments, strings and numbers often stay valid:
-        // the round-trip arm must actually run.
+        // the round-trip arm must actually run, and so must the reader's
+        // on documents with dotted and quoted paths in them.
         assert!(accepted > 0 && accepted < FUZZ_CASES, "{name}: {accepted}");
+        assert!(
+            accepted < read && read < FUZZ_CASES && wide > 100,
+            "{name}: {read} read, {wide} dotted paths"
+        );
     }
 }
 
