@@ -13,14 +13,15 @@ use tangram_core::report::{RunReport, RunSummary};
 use tangram_core::TenantSummary;
 use tangram_harness::json::Json;
 use tangram_harness::presets::{
-    churn_grid, city_scale_engine, city_scale_scenario, city_scale_traces, fairness_grid,
-    overload_grid, CITY_SCALE_CAMERAS, CITY_SCALE_SMOKE_CAMERAS, FAIRNESS_RAMP_FPS,
-    FAIRNESS_WEIGHTS, TENANT_MIX_SLOS_S,
+    churn_grid, city_scale_engine, city_scale_scenario, fairness_grid, fleet_traces, overload_grid,
+    CITY_SCALE_CAMERAS, CITY_SCALE_SMOKE_CAMERAS, FAIRNESS_RAMP_FPS, FAIRNESS_WEIGHTS,
+    TENANT_MIX_SLOS_S,
 };
 use tangram_harness::{
     run_grid, run_scenario_sharded, table, ArrivalSpec, BenchReport, CellReport, ScenarioFile,
     SweepGrid,
 };
+use tangram_types::ids::SceneId;
 
 /// Frames per camera of the two ramp rows, and of the baselines that pin
 /// their `--quick` grids: `--quick` picks the ramp points, only an
@@ -33,11 +34,13 @@ fn run_ramp(grid: &SweepGrid, opts: &ExpOpts, out: &mut dyn Write) -> (BenchRepo
     let report = run_grid(grid, opts.workers());
     opts.maybe_write(&report, out);
     let cameras = grid.workloads[0].scenes.len() as f64;
-    let offered =
-        |cell: &CellReport| match grid.scenarios[cell.scenario.unwrap_or(0) as usize].arrival {
+    let offered = |cell: &CellReport| {
+        let scenario = cell.scenario.expect("a ramp cell runs a scenario");
+        match grid.scenarios[scenario as usize].arrival {
             ArrivalSpec::Poisson { fps } => fps * cameras,
             _ => f64::NAN,
-        };
+        }
+    };
     let offered = report.cells.iter().map(offered).collect();
     (report, offered)
 }
@@ -77,7 +80,8 @@ pub(crate) fn ext_overload(opts: &ExpOpts, out: &mut dyn Write) -> Vec<bool> {
         let [gold, be] = gold_and_best_effort(m);
         format!(
             "{offered:.0} | {} | {} | {} | {} | {:.1} | {:.1} | {:.1} | {:.1} | {:.3}",
-            cell.admission.as_deref().unwrap_or("-"),
+            cell.admission
+                .map_or("-", |i| grid.admission[i as usize].kind()),
             m.patches + m.dropped_arrivals,
             m.patches,
             m.dropped_arrivals,
@@ -275,7 +279,8 @@ impl CityScale {
         let config = city_scale_engine(self.seed);
         // 24-frame content pools: the scenario cycles them, so the depth
         // shapes content variety, not run length.
-        let traces = city_scale_traces(self.cameras, 24, self.seed);
+        let scenes: Vec<u8> = SceneId::all().map(|s| s.index()).collect();
+        let traces = fleet_traces(self.cameras, &scenes, 24, self.seed);
         let scenario = city_scale_scenario(self.frames_per_camera);
         let run = |shards: usize| {
             run_scenario_sharded(&config, &traces, &scenario, None, None, false, shards, None).0

@@ -3,22 +3,23 @@
 //! Under overload, a serverless video pipeline has exactly one cheap
 //! place to give ground: the ingress, *before* a patch consumes uplink
 //! scheduling state, batching work and GPU time it can no longer convert
-//! into an on-time result. This module makes that decision pluggable:
+//! into an on-time result. The streaming engine consults one
+//! [`AdmissionPolicy`] for every work item that reaches the cloud
+//! scheduler, fed an [`AdmissionSignals`] snapshot (scheduler queue depth
+//! plus the serverless backend's [`BackendSnapshot`]: in-flight
+//! invocations, backlog, earliest feasible start). The policies are a
+//! closed set, the same three `AdmissionSpec` declares:
 //!
-//! * [`AdmissionPolicy`] — the trait the streaming engine consults for
-//!   every work item that reaches the cloud scheduler, fed an
-//!   [`AdmissionSignals`] snapshot (scheduler queue depth plus the
-//!   serverless backend's [`BackendSnapshot`]: in-flight invocations,
-//!   backlog, earliest feasible start);
-//! * [`AlwaysAdmit`] — the open-door default (byte-identical to running
-//!   with no policy at all);
-//! * [`QueueDepthThreshold`] — the classic bound: shed when the
+//! * [`AdmissionPolicy::Always`] — the open door (behaviourally identical
+//!   to running with no policy at all);
+//! * [`AdmissionPolicy::QueueDepth`] — the classic bound: shed when the
 //!   scheduler already holds too many undispatched work items;
-//! * [`SloShedder`] — the SLO-aware policy: estimates whether the
-//!   arriving patch can still meet its tenant deadline given current
-//!   queue and in-flight state, sheds *doomed* work outright, and under
-//!   sustained pressure sheds lower-class tenants (laxer SLOs) first so
-//!   the tightest class keeps its attainment.
+//! * [`AdmissionPolicy::SloShedder`] — the SLO-aware [`SloShedder`]:
+//!   estimates whether the arriving patch can still meet its tenant
+//!   deadline given current queue and in-flight state, sheds *doomed*
+//!   work outright, and under sustained pressure sheds lower-class
+//!   tenants (laxer SLOs) first so the tightest class keeps its
+//!   attainment.
 //!
 //! Every drop is counted per tenant class in
 //! [`crate::report::RunReport::dropped_by_slo`] and surfaces in the
@@ -56,56 +57,37 @@ pub struct AdmissionSignals {
 
 /// An ingress admission policy: decides, per arriving work item, whether
 /// the batching policy ever sees it.
-pub trait AdmissionPolicy {
-    /// Display name (report tables, BENCH json cell labels).
-    fn name(&self) -> &'static str;
+#[derive(Debug, Clone)]
+pub enum AdmissionPolicy {
+    /// Admits everything — the open door. An engine running it behaves
+    /// byte-identically to one with no policy, trace records aside.
+    Always,
+    /// Sheds once the scheduler's standing queue reaches a fixed depth —
+    /// the textbook bound: indiscriminate, SLO-blind, but a useful
+    /// baseline for the overload sweeps.
+    QueueDepth {
+        /// Admit while fewer than this many work items are queued.
+        max_queued: usize,
+    },
+    /// The SLO-aware shedder.
+    SloShedder(SloShedder),
+}
 
+impl AdmissionPolicy {
     /// Decide the verdict for `arrival` at `now` given `signals`.
-    fn admit(&mut self, now: SimTime, arrival: &Arrival, signals: &AdmissionSignals) -> Admission;
-}
-
-/// Admits everything — the open-door default. An engine with
-/// `AlwaysAdmit` behaves byte-identically to one with no policy.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AlwaysAdmit;
-
-impl AdmissionPolicy for AlwaysAdmit {
-    fn name(&self) -> &'static str {
-        "always"
-    }
-
-    fn admit(&mut self, _: SimTime, _: &Arrival, _: &AdmissionSignals) -> Admission {
-        Admission::Accept
-    }
-}
-
-/// Sheds once the scheduler's standing queue reaches a fixed depth — the
-/// textbook bound: indiscriminate, SLO-blind, but a useful baseline for
-/// the overload sweeps.
-#[derive(Debug, Clone, Copy)]
-pub struct QueueDepthThreshold {
-    /// Admit while fewer than this many work items are queued.
-    pub max_queued: usize,
-}
-
-impl QueueDepthThreshold {
-    /// A threshold policy shedding at `max_queued` standing work items.
-    #[must_use]
-    pub fn new(max_queued: usize) -> Self {
-        Self { max_queued }
-    }
-}
-
-impl AdmissionPolicy for QueueDepthThreshold {
-    fn name(&self) -> &'static str {
-        "queue-depth"
-    }
-
-    fn admit(&mut self, _: SimTime, _: &Arrival, signals: &AdmissionSignals) -> Admission {
-        if signals.queued >= self.max_queued {
-            Admission::Drop
-        } else {
-            Admission::Accept
+    pub fn admit(
+        &mut self,
+        now: SimTime,
+        arrival: &Arrival,
+        signals: &AdmissionSignals,
+    ) -> Admission {
+        match self {
+            AdmissionPolicy::Always => Admission::Accept,
+            AdmissionPolicy::QueueDepth { max_queued } if signals.queued >= *max_queued => {
+                Admission::Drop
+            }
+            AdmissionPolicy::QueueDepth { .. } => Admission::Accept,
+            AdmissionPolicy::SloShedder(shedder) => shedder.admit(now, arrival, signals),
         }
     }
 }
@@ -198,12 +180,6 @@ impl SloShedder {
             .mul_f64(1.0 / parallelism as f64);
         start + drain
     }
-}
-
-impl AdmissionPolicy for SloShedder {
-    fn name(&self) -> &'static str {
-        "slo-shedder"
-    }
 
     fn admit(&mut self, now: SimTime, arrival: &Arrival, signals: &AdmissionSignals) -> Admission {
         let info = arrival.info();
@@ -225,12 +201,12 @@ impl AdmissionPolicy for SloShedder {
 }
 
 /// The engine's admit stage: the optional [`AdmissionPolicy`] (none
-/// admits everything, like [`AlwaysAdmit`] minus the trace records) plus
-/// the one ledger of ingress drops — admission verdicts and fair-ingress
-/// overflow alike — per tenant class.
+/// admits everything, like [`AdmissionPolicy::Always`] minus the trace
+/// records) plus the one ledger of ingress drops — admission verdicts
+/// and fair-ingress overflow alike — per tenant class.
 #[derive(Default)]
 pub(crate) struct Admit {
-    pub(crate) policy: Option<Box<dyn AdmissionPolicy>>,
+    pub(crate) policy: Option<AdmissionPolicy>,
     pub(crate) dropped_arrivals: u64,
     /// Drops per tenant class, keyed by SLO, ascending.
     pub(crate) dropped_by_slo: Vec<(SimDuration, u64)>,
@@ -323,7 +299,7 @@ mod tests {
 
     #[test]
     fn always_admit_accepts_under_any_pressure() {
-        let mut policy = AlwaysAdmit;
+        let mut policy = AdmissionPolicy::Always;
         let s = signals(10_000, 9_000_000, Some(1));
         assert_eq!(
             policy.admit(SimTime::ZERO, &arrival(0, 100), &s),
@@ -333,7 +309,7 @@ mod tests {
 
     #[test]
     fn queue_threshold_sheds_at_the_bound() {
-        let mut policy = QueueDepthThreshold::new(4);
+        let mut policy = AdmissionPolicy::QueueDepth { max_queued: 4 };
         let a = arrival(0, 1000);
         assert_eq!(
             policy.admit(SimTime::ZERO, &a, &signals(3, 0, Some(4))),
@@ -466,7 +442,7 @@ mod tests {
     #[test]
     fn drop_ledger_stays_sorted_and_sums_to_the_total() {
         let mut admit = Admit {
-            policy: Some(Box::new(QueueDepthThreshold::new(1))),
+            policy: Some(AdmissionPolicy::QueueDepth { max_queued: 1 }),
             ..Admit::default()
         };
         let open = signals(0, 0, Some(1));
@@ -501,37 +477,5 @@ mod tests {
         assert!(admit.on_arrival(SimTime::ZERO, &arrival(0, 800), &flooded, &mut out));
         assert_eq!(out.trace.map(|sink| sink.len()), Some(0));
         assert_eq!(admit.dropped_arrivals, 0);
-    }
-
-    /// A caller-written policy deciding on the clock alone.
-    struct Curfew(SimTime);
-
-    impl AdmissionPolicy for Curfew {
-        fn name(&self) -> &'static str {
-            "curfew"
-        }
-
-        fn admit(&mut self, now: SimTime, _: &Arrival, _: &AdmissionSignals) -> Admission {
-            if now >= self.0 {
-                Admission::Drop
-            } else {
-                Admission::Accept
-            }
-        }
-    }
-
-    #[test]
-    fn caller_written_policy_may_ignore_the_signals() {
-        let mut policy: Box<dyn AdmissionPolicy> = Box::new(Curfew(SimTime::from_secs_f64(1.0)));
-        let s = signals(0, 0, Some(1));
-        assert_eq!(policy.name(), "curfew");
-        assert_eq!(
-            policy.admit(SimTime::ZERO, &arrival(0, 1000), &s),
-            Admission::Accept
-        );
-        assert_eq!(
-            policy.admit(SimTime::from_secs_f64(2.0), &arrival(0, 1000), &s),
-            Admission::Drop
-        );
     }
 }

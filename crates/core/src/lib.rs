@@ -20,9 +20,10 @@
 //!   configured once by an [`online::Plan`]. Cameras are generators
 //!   ([`online::ArrivalProcess`]: Poisson / bursty / diurnal, or trace
 //!   replay), join and leave mid-run, and carry per-tenant SLOs;
-//! * [`admission`] — the admit stage: pluggable ingress admission control
-//!   ([`admission::AdmissionPolicy`], up to the SLO-aware
-//!   [`admission::SloShedder`]) and the per-tenant drop ledger;
+//! * [`admission`] — the admit stage: ingress admission control, a closed
+//!   [`admission::AdmissionPolicy`] enum (open door, queue-depth bound,
+//!   the SLO-aware [`admission::SloShedder`]), and the per-tenant drop
+//!   ledger;
 //! * [`fairness`] — the fair-queue stage: weighted deficit-round-robin
 //!   ([`fairness::DrrIngress`]) between admission and the scheduler, so
 //!   the admitted mix under overload tracks the configured weights;
@@ -73,9 +74,7 @@ pub mod scheduler;
 mod shard;
 pub mod workload;
 
-pub use admission::{
-    Admission, AdmissionPolicy, AdmissionSignals, AlwaysAdmit, QueueDepthThreshold, SloShedder,
-};
+pub use admission::{Admission, AdmissionPolicy, AdmissionSignals, SloShedder};
 pub use engine::{EngineConfig, PolicyKind};
 pub use fairness::{DrrConfig, DrrIngress};
 pub use faults::{FaultKind, FaultSpec};

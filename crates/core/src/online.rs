@@ -55,8 +55,8 @@ use tangram_types::time::SimTime;
 #[derive(Default)]
 pub struct Plan {
     /// Ingress admission control; `None` admits every arrival
-    /// (equivalent to [`crate::admission::AlwaysAdmit`]).
-    pub admission: Option<Box<dyn AdmissionPolicy>>,
+    /// (equivalent to [`AdmissionPolicy::Always`]).
+    pub admission: Option<AdmissionPolicy>,
     /// A weighted-DRR stage between admission and the batching policy
     /// (see [`crate::fairness`]); its overflow is counted per class like
     /// any other ingress drop. `None` hands admitted arrivals to the
@@ -372,8 +372,6 @@ impl OnlineEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admission::Admission;
-    use crate::policy::Arrival;
     use crate::workload::{CameraTrace, TraceConfig};
     use tangram_sim::rng::DetRng;
     use tangram_types::ids::SceneId;
@@ -462,24 +460,12 @@ mod tests {
         assert!(churned_report.frames > 0);
     }
 
-    /// A caller-written policy: sheds everything, reads no signal.
-    struct DropAll;
-
-    impl AdmissionPolicy for DropAll {
-        fn name(&self) -> &'static str {
-            "drop-all"
-        }
-
-        fn admit(&mut self, _: SimTime, _: &Arrival, _: &AdmissionSignals) -> Admission {
-            Admission::Drop
-        }
-    }
-
     #[test]
     fn admission_hook_sheds_load() {
         let cfg = config(PolicyKind::Tangram);
         let plan = Plan {
-            admission: Some(Box::new(DropAll)),
+            // A zero-depth bound sheds everything.
+            admission: Some(AdmissionPolicy::QueueDepth { max_queued: 0 }),
             ..Plan::default()
         };
         let mut engine = OnlineEngine::new(&cfg, plan);
@@ -512,14 +498,14 @@ mod tests {
         };
         let policed = {
             let plan = Plan {
-                admission: Some(Box::new(crate::admission::AlwaysAdmit)),
+                admission: Some(AdmissionPolicy::Always),
                 ..Plan::default()
             };
             let mut engine = OnlineEngine::new(&cfg, plan);
             engine.add_camera_at(SimTime::ZERO, Box::new(poisson_source(1, 20, 8.0, 17)));
             engine.run().0.summarize()
         };
-        assert_eq!(bare, policed, "AlwaysAdmit must be a behavioural no-op");
+        assert_eq!(bare, policed, "the open door must be a behavioural no-op");
         assert_eq!(policed.dropped_arrivals, 0);
     }
 
@@ -537,7 +523,7 @@ mod tests {
         let best_effort = TenantClass::new("best-effort", SimDuration::from_secs(3));
 
         let plan = Plan {
-            admission: Some(Box::new(
+            admission: Some(AdmissionPolicy::SloShedder(
                 SloShedder::new(SimDuration::from_millis(20))
                     .with_pressure(0.5)
                     .with_classes(&[gold.slo, best_effort.slo]),
@@ -692,11 +678,10 @@ mod tests {
     /// are already doomed by ingress queueing delay.
     #[test]
     fn admission_signals_include_fair_ingress_backlog() {
-        use crate::admission::QueueDepthThreshold;
         use crate::fairness::DrrConfig;
         let cfg = config(PolicyKind::Tangram);
         let plan = Plan {
-            admission: Some(Box::new(QueueDepthThreshold::new(5))),
+            admission: Some(AdmissionPolicy::QueueDepth { max_queued: 5 }),
             // A crawling single-class ingress: its standing queue, not
             // the scheduler's, is where admitted-but-undispatched work
             // piles up.

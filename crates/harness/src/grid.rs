@@ -17,7 +17,7 @@
 //!   shared across policy/bandwidth/SLO so only the axis under test
 //!   varies.
 
-use tangram_core::admission::{AdmissionPolicy, AlwaysAdmit, QueueDepthThreshold, SloShedder};
+use tangram_core::admission::{AdmissionPolicy, SloShedder};
 use tangram_core::engine::{EngineConfig, PolicyKind};
 use tangram_core::fairness::{DrrConfig, DrrIngress};
 use tangram_core::faults::FaultSpec;
@@ -181,8 +181,7 @@ pub struct ScenarioSpec {
     /// tenant-mix axis. Empty = every camera uses the cell's SLO.
     pub tenant_slos_s: Vec<f64>,
     /// Declarative fault windows injected into the run (see
-    /// [`tangram_core::faults`]). Empty = fault-free; the serialized
-    /// `BENCH_*.json` omits the key so legacy scenarios keep their bytes.
+    /// [`tangram_core::faults`]). Empty = fault-free.
     pub faults: Vec<FaultSpec>,
 }
 
@@ -224,12 +223,10 @@ impl AdmissionSpec {
     /// SLO-aware shedder's class table (the scenario's tenant axis), so
     /// shedding priorities are right from the first arrival.
     #[must_use]
-    pub fn build(&self, tenant_slos_s: &[f64]) -> Box<dyn AdmissionPolicy> {
+    pub fn build(&self, tenant_slos_s: &[f64]) -> AdmissionPolicy {
         match *self {
-            AdmissionSpec::Always => Box::new(AlwaysAdmit),
-            AdmissionSpec::QueueDepth { max_queued } => {
-                Box::new(QueueDepthThreshold::new(max_queued))
-            }
+            AdmissionSpec::Always => AdmissionPolicy::Always,
+            AdmissionSpec::QueueDepth { max_queued } => AdmissionPolicy::QueueDepth { max_queued },
             AdmissionSpec::SloShedder {
                 per_item_s,
                 pressure,
@@ -238,7 +235,7 @@ impl AdmissionSpec {
                     .iter()
                     .map(|&s| SimDuration::from_secs_f64(s))
                     .collect();
-                Box::new(
+                AdmissionPolicy::SloShedder(
                     SloShedder::new(SimDuration::from_secs_f64(per_item_s))
                         .with_pressure(pressure)
                         .with_classes(&classes),
@@ -249,8 +246,7 @@ impl AdmissionSpec {
 }
 
 /// The declarative face of [`tangram_core::fairness`]: a weighted-DRR
-/// fair-ingress stage for every cell, with stable names for
-/// `BENCH_*.json`.
+/// fair-ingress stage for every cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FairnessSpec {
     /// Per-class DRR weights, aligned with the cell's distinct tenant
@@ -270,12 +266,6 @@ pub struct FairnessSpec {
 }
 
 impl FairnessSpec {
-    /// Stable name used in `BENCH_*.json` and report tables.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        "drr"
-    }
-
     /// What mounting this stage changes in the cell's engine
     /// configuration: the Tangram scheduler runs admission-aware exactly
     /// when the stage says so.
@@ -344,8 +334,7 @@ pub struct SweepGrid {
     /// Streaming-scenario axis: empty (the default) replays traces
     /// through the legacy batch path; non-empty runs every cell on the
     /// event-driven engine with generated arrivals, churn and tenants,
-    /// once per scenario (cross-product with every other axis). A single
-    /// entry reproduces the former `scenario` override byte-for-byte.
+    /// once per scenario (cross-product with every other axis).
     pub scenarios: Vec<ScenarioSpec>,
     /// Admission-control axis: empty (the default) runs with no ingress
     /// policy; non-empty crosses every cell with each policy.
@@ -693,7 +682,6 @@ mod tests {
             quantum: 1.0,
             admission_aware: false,
         };
-        assert_eq!(spec.kind(), "drr");
         // Tenant mixes dedup and sort tightest-first; the weights align.
         let ingress = spec.build(&[1.5, 0.8, 1.5], 1.0);
         assert_eq!(ingress.peak_depths().len(), 2);

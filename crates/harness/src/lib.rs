@@ -10,20 +10,24 @@
 //!   on which thread ran them. A grid may also sweep
 //!   [`grid::ScenarioSpec`]s — running its cells on the event-driven
 //!   streaming engine (open-loop arrivals, camera churn, tenant SLO
-//!   mixes) instead of trace replay, one cell per scenario — and an
+//!   mixes) instead of trace replay, one cell per scenario — an
 //!   [`grid::AdmissionSpec`] axis crossing every cell with ingress
 //!   admission-control policies (always-admit, queue bounds, the
-//!   SLO-aware shedder);
+//!   SLO-aware shedder), and a [`grid::FairnessSpec`] axis of
+//!   weighted-DRR ingress stages;
 //! * [`pool`] — a scoped-thread worker pool ([`pool::parallel_map`])
 //!   that preserves input order;
 //! * [`runner`] — [`runner::run_grid`]: traces built once per workload,
 //!   cells fanned out, results reassembled; parallel output is
 //!   bit-for-bit identical to `--workers 1`;
 //! * [`report`] — the versioned [`report::BenchReport`] written as
-//!   `BENCH_<name>.json`;
+//!   `BENCH_<name>.json`, one shape for every grid (each optional axis an
+//!   array, each cell's coordinate on it an index or `null`), and the one
+//!   field list of every declarative spec, which the scenario files'
+//!   canonical TOML renders too;
 //! * [`presets`] — the shared experiment setup (paper sweep constants,
-//!   trace and engine constructors, warmed extractor rigs) the bins used
-//!   to copy-paste;
+//!   trace, fleet and engine constructors, warmed extractor rigs) the
+//!   bins used to copy-paste;
 //! * [`json`] — re-export of [`tangram_types::json`], the workspace's
 //!   one deterministic JSON codec (it lives at layer 0 so `tangram-trace`
 //!   reads TRACE lines through the same parser);

@@ -315,17 +315,24 @@ pub const CITY_SCALE_CAMERAS: usize = 32;
 /// Camera count of the CI-sized city-scale smoke preset.
 pub const CITY_SCALE_SMOKE_CAMERAS: usize = 12;
 
-/// The content pools of the city-scale preset: `cameras` cameras cycling
-/// the five synthetic scenes. Each trace's camera id is re-stamped with
-/// the camera index — the trace builder derives ids from the *scene*, so
-/// without the override two cameras on the same scene would collide (and
-/// so would their generated patch ids, which embed the camera id).
+/// A fleet's content pools: camera `cam` observes `scenes[cam % n]`
+/// (1-based scene indices) through a `pool_frames`-frame proxy trace.
+/// Each trace's camera id is re-stamped with the camera index — the trace
+/// builder derives ids from the *scene*, so without the override two
+/// cameras on the same scene would collide (and so would their generated
+/// patch ids, which embed the camera id). A single-scene list is the
+/// content-correlated stitcher stress: every camera offers patches from
+/// the same scene geometry.
 #[must_use]
-pub fn city_scale_traces(cameras: usize, pool_frames: usize, seed: u64) -> Vec<CameraTrace> {
-    let scenes: Vec<SceneId> = SceneId::all().collect();
+pub fn fleet_traces(
+    cameras: usize,
+    scenes: &[u8],
+    pool_frames: usize,
+    seed: u64,
+) -> Vec<CameraTrace> {
     (0..cameras)
         .map(|cam| {
-            let scene = scenes[cam % scenes.len()];
+            let scene = SceneId::new(scenes[cam % scenes.len()]);
             let mut trace = build_trace(scene, pool_frames, seed, TraceKind::Proxy);
             trace.camera = CameraId::new(cam as u32);
             trace
@@ -503,7 +510,8 @@ mod tests {
 
     #[test]
     fn city_scale_traces_have_unique_camera_ids() {
-        let traces = city_scale_traces(12, 4, 7);
+        let scenes: Vec<u8> = SceneId::all().map(|s| s.index()).collect();
+        let traces = fleet_traces(12, &scenes, 4, 7);
         assert_eq!(traces.len(), 12);
         let ids: std::collections::HashSet<u32> = traces.iter().map(|t| t.camera.raw()).collect();
         assert_eq!(ids.len(), 12, "camera ids must not collide across scenes");

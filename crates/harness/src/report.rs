@@ -9,6 +9,12 @@
 //! regenerated `BENCH_smoke.json` byte-equal to the committed one, and
 //! what the parallel-equals-sequential test asserts byte-for-byte.
 //!
+//! The `*_to_value` functions here are the one field list of each
+//! declarative spec (arrival, fault, admission, fairness, scenario and a
+//! scenario file's `[run]`): the grid echo is built from them, and
+//! [`crate::scenario_file::ScenarioFile::to_toml`] renders the same
+//! values as TOML tables.
+//!
 //! Nothing wall-clock-dependent is recorded: `throughput_pps` is patches
 //! per *simulated* second, so a scheduling regression moves it while the
 //! host machine's speed cannot.
@@ -17,6 +23,7 @@ use crate::grid::{
     AdmissionSpec, ArrivalSpec, FairnessSpec, ScenarioSpec, SweepGrid, WorkloadSpec,
 };
 use crate::json::Json;
+use crate::scenario_file::RunSpec;
 use tangram_core::faults::{FaultKind, FaultSpec};
 use tangram_core::report::{RunSummary, TenantSummary};
 
@@ -28,7 +35,12 @@ use tangram_core::report::{RunSummary, TenantSummary};
 /// v4 added declarative fault injection (`faults` on every scenario,
 /// emitted only when non-empty) and made weighted-DRR work-conserving,
 /// which moves fairness-axis metrics.
-pub const SCHEMA_VERSION: u64 = 4;
+/// v5 is one shape for every grid: `scenarios`, `admission` and
+/// `fairness` are always arrays (possibly empty; the singular `scenario`
+/// form is gone), every scenario carries `faults`, the fairness echo
+/// drops its constant `kind`, and every cell names its `scenario`,
+/// `admission` and `fairness` coordinates as an axis index or `null`.
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// One cell's outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,16 +57,12 @@ pub struct CellReport {
     pub sigma_multiplier: f64,
     /// Index into the grid's workload axis.
     pub workload: u64,
-    /// Index into the grid's scenario axis — recorded (and serialized)
-    /// only when the grid sweeps more than one scenario, so
-    /// single-scenario grids keep their legacy cell bytes.
+    /// Index into the grid's scenario axis (`None` = trace replay).
     pub scenario: Option<u64>,
-    /// Admission-policy name — recorded (and serialized) only when the
-    /// grid sweeps an admission axis.
-    pub admission: Option<String>,
-    /// Fair-ingress name — recorded (and serialized) only when the grid
-    /// sweeps a fairness axis.
-    pub fairness: Option<String>,
+    /// Index into the grid's admission axis (`None` = no ingress policy).
+    pub admission: Option<u64>,
+    /// Index into the grid's fairness axis (`None` = no fair ingress).
+    pub fairness: Option<u64>,
     /// The engine's scalar digest (policy name included).
     pub metrics: RunSummary,
 }
@@ -152,13 +160,14 @@ impl BenchReport {
     }
 }
 
-/// The grid echo a report carries: every swept axis, in a fixed key
-/// order. The grid's name is omitted (the report's own carries it), as
-/// are the execution-only fields (`capture_traces`, `shards`,
-/// `credit_window`), which never change report bytes.
+/// The grid echo a report carries: every axis, in a fixed key order,
+/// empty ones included. The grid's name is omitted (the report's own
+/// carries it), as are the execution-only fields (`capture_traces`,
+/// `shards`, `credit_window`), which never change report bytes.
 #[must_use]
 pub fn grid_to_value(grid: &SweepGrid) -> Json {
-    let mut fields = vec![
+    let floats = |values: &[f64]| Json::Array(values.iter().map(|&v| Json::F64(v)).collect());
+    Json::object(vec![
         (
             "policies",
             Json::Array(
@@ -172,23 +181,9 @@ pub fn grid_to_value(grid: &SweepGrid) -> Json {
             "seeds",
             Json::Array(grid.seeds.iter().map(|&s| Json::U64(s)).collect()),
         ),
-        (
-            "slos_s",
-            Json::Array(grid.slos_s.iter().map(|&v| Json::F64(v)).collect()),
-        ),
-        (
-            "bandwidths_mbps",
-            Json::Array(grid.bandwidths_mbps.iter().map(|&v| Json::F64(v)).collect()),
-        ),
-        (
-            "sigma_multipliers",
-            Json::Array(
-                grid.sigma_multipliers
-                    .iter()
-                    .map(|&v| Json::F64(v))
-                    .collect(),
-            ),
-        ),
+        ("slos_s", floats(&grid.slos_s)),
+        ("bandwidths_mbps", floats(&grid.bandwidths_mbps)),
+        ("sigma_multipliers", floats(&grid.sigma_multipliers)),
         (
             "workloads",
             Json::Array(grid.workloads.iter().map(workload_to_value).collect()),
@@ -198,50 +193,60 @@ pub fn grid_to_value(grid: &SweepGrid) -> Json {
             Json::Array(
                 grid.mark_timeouts_s
                     .iter()
-                    .map(|&(bw, t)| Json::Array(vec![Json::F64(bw), Json::F64(t)]))
+                    .map(|&(bw, t)| floats(&[bw, t]))
                     .collect(),
             ),
         ),
         ("max_fps", grid.max_fps.map_or(Json::Null, Json::F64)),
+        ("max_instances", max_instances_to_value(grid.max_instances)),
         (
-            "max_instances",
-            match grid.max_instances {
-                None => Json::Null,
-                Some(None) => Json::Str("unlimited".to_string()),
-                Some(Some(n)) => Json::U64(n as u64),
-            },
-        ),
-    ];
-    // Emitted only when configured, so pre-streaming baselines (and their
-    // byte-exact CI comparison) are untouched by the axes. A single
-    // scenario keeps the legacy `"scenario"` object form byte-for-byte;
-    // only a real multi-scenario sweep emits the `"scenarios"` array.
-    match grid.scenarios.as_slice() {
-        [] => {}
-        [only] => fields.push(("scenario", scenario_to_value(only))),
-        many => fields.push((
             "scenarios",
-            Json::Array(many.iter().map(scenario_to_value).collect()),
-        )),
-    }
-    if !grid.admission.is_empty() {
-        fields.push((
+            Json::Array(grid.scenarios.iter().map(scenario_to_value).collect()),
+        ),
+        (
             "admission",
             Json::Array(grid.admission.iter().map(admission_to_value).collect()),
-        ));
-    }
-    if !grid.fairness.is_empty() {
-        fields.push((
+        ),
+        (
             "fairness",
             Json::Array(grid.fairness.iter().map(fairness_to_value).collect()),
-        ));
-    }
-    Json::object(fields)
+        ),
+    ])
 }
 
-fn fairness_to_value(spec: &FairnessSpec) -> Json {
+/// A backend-cap override: `null` keeps the engine default, `"unlimited"`
+/// is unlimited scale-out, a number is the cap.
+fn max_instances_to_value(cap: Option<Option<usize>>) -> Json {
+    match cap {
+        None => Json::Null,
+        Some(None) => Json::Str("unlimited".to_string()),
+        Some(Some(n)) => Json::U64(n as u64),
+    }
+}
+
+/// A scenario file's `[run]` table.
+pub(crate) fn run_to_value(spec: &RunSpec) -> Json {
     Json::object(vec![
-        ("kind", Json::Str(spec.kind().to_string())),
+        ("cameras", Json::U64(spec.cameras as u64)),
+        ("pool_frames", Json::U64(spec.pool_frames as u64)),
+        (
+            "scenes",
+            Json::Array(
+                spec.scenes
+                    .iter()
+                    .map(|&s| Json::U64(u64::from(s)))
+                    .collect(),
+            ),
+        ),
+        ("bandwidth_mbps", Json::F64(spec.bandwidth_mbps)),
+        ("slo_s", Json::F64(spec.slo_s)),
+        ("seed", Json::U64(spec.seed)),
+        ("max_instances", max_instances_to_value(spec.max_instances)),
+    ])
+}
+
+pub(crate) fn fairness_to_value(spec: &FairnessSpec) -> Json {
+    Json::object(vec![
         (
             "weights",
             Json::Array(spec.weights.iter().map(|&w| Json::F64(w)).collect()),
@@ -253,7 +258,7 @@ fn fairness_to_value(spec: &FairnessSpec) -> Json {
     ])
 }
 
-fn admission_to_value(spec: &AdmissionSpec) -> Json {
+pub(crate) fn admission_to_value(spec: &AdmissionSpec) -> Json {
     let mut fields = vec![("kind", Json::Str(spec.kind().to_string()))];
     match *spec {
         AdmissionSpec::Always => {}
@@ -271,7 +276,7 @@ fn admission_to_value(spec: &AdmissionSpec) -> Json {
     Json::object(fields)
 }
 
-fn arrival_to_value(spec: &ArrivalSpec) -> Json {
+pub(crate) fn arrival_to_value(spec: &ArrivalSpec) -> Json {
     let mut fields = vec![("kind", Json::Str(spec.kind().to_string()))];
     match *spec {
         ArrivalSpec::Poisson { fps } => fields.push(("fps", Json::F64(fps))),
@@ -299,7 +304,7 @@ fn arrival_to_value(spec: &ArrivalSpec) -> Json {
     Json::object(fields)
 }
 
-fn fault_to_value(spec: &FaultSpec) -> Json {
+pub(crate) fn fault_to_value(spec: &FaultSpec) -> Json {
     let mut fields = vec![("kind", Json::Str(spec.kind.name().to_string()))];
     match spec.kind {
         FaultKind::LinkOutage | FaultKind::ColdStartStorm => {}
@@ -319,8 +324,9 @@ fn fault_to_value(spec: &FaultSpec) -> Json {
     Json::object(fields)
 }
 
-fn scenario_to_value(spec: &ScenarioSpec) -> Json {
-    let mut fields = vec![
+/// A streaming scenario, its `arrival` and `faults` nested.
+pub(crate) fn scenario_to_value(spec: &ScenarioSpec) -> Json {
+    Json::object(vec![
         ("arrival", arrival_to_value(&spec.arrival)),
         (
             "frames_per_camera",
@@ -332,16 +338,11 @@ fn scenario_to_value(spec: &ScenarioSpec) -> Json {
             "tenant_slos_s",
             Json::Array(spec.tenant_slos_s.iter().map(|&v| Json::F64(v)).collect()),
         ),
-    ];
-    // Emitted only when configured, so fault-free scenarios keep their
-    // legacy bytes.
-    if !spec.faults.is_empty() {
-        fields.push((
+        (
             "faults",
             Json::Array(spec.faults.iter().map(fault_to_value).collect()),
-        ));
-    }
-    Json::object(fields)
+        ),
+    ])
 }
 
 fn workload_to_value(spec: &WorkloadSpec) -> Json {
@@ -393,7 +394,8 @@ fn tenant_from_value(value: &Json) -> Result<TenantSummary, String> {
 
 fn cell_to_value(cell: &CellReport) -> Json {
     let m = &cell.metrics;
-    let mut fields = vec![
+    let axis = |index: Option<u64>| index.map_or(Json::Null, Json::U64);
+    Json::object(vec![
         ("index", Json::U64(cell.index)),
         ("policy", Json::Str(m.policy.clone())),
         ("seed", Json::U64(cell.seed)),
@@ -401,51 +403,44 @@ fn cell_to_value(cell: &CellReport) -> Json {
         ("bandwidth_mbps", Json::F64(cell.bandwidth_mbps)),
         ("sigma_multiplier", Json::F64(cell.sigma_multiplier)),
         ("workload", Json::U64(cell.workload)),
-    ];
-    if let Some(scenario) = cell.scenario {
-        fields.push(("scenario", Json::U64(scenario)));
-    }
-    if let Some(admission) = &cell.admission {
-        fields.push(("admission", Json::Str(admission.clone())));
-    }
-    if let Some(fairness) = &cell.fairness {
-        fields.push(("fairness", Json::Str(fairness.clone())));
-    }
-    fields.extend([(
-        "metrics",
-        Json::object(vec![
-            ("frames", Json::U64(m.frames)),
-            ("patches", Json::U64(m.patches)),
-            ("batches", Json::U64(m.batches)),
-            ("violations", Json::U64(m.violations)),
-            ("dropped_arrivals", Json::U64(m.dropped_arrivals)),
-            (
-                "tenants",
-                Json::Array(m.tenants.iter().map(tenant_to_value).collect()),
-            ),
-            ("slo_attainment", Json::F64(m.slo_attainment)),
-            ("mean_latency_s", Json::F64(m.mean_latency_s)),
-            ("p50_latency_s", Json::F64(m.p50_latency_s)),
-            ("p99_latency_s", Json::F64(m.p99_latency_s)),
-            ("cost_usd", Json::F64(m.cost_usd)),
-            ("uplink_bytes", Json::U64(m.uplink_bytes)),
-            ("invocations", Json::U64(m.invocations)),
-            ("cold_starts", Json::U64(m.cold_starts)),
-            (
-                "mean_canvas_efficiency",
-                Json::F64(m.mean_canvas_efficiency),
-            ),
-            (
-                "mean_patches_per_batch",
-                Json::F64(m.mean_patches_per_batch),
-            ),
-            ("execution_total_s", Json::F64(m.execution_total_s)),
-            ("transmission_total_s", Json::F64(m.transmission_total_s)),
-            ("makespan_s", Json::F64(m.makespan_s)),
-            ("throughput_pps", Json::F64(m.throughput_pps)),
-        ]),
-    )]);
-    Json::object(fields)
+        ("scenario", axis(cell.scenario)),
+        ("admission", axis(cell.admission)),
+        ("fairness", axis(cell.fairness)),
+        (
+            "metrics",
+            Json::object(vec![
+                ("frames", Json::U64(m.frames)),
+                ("patches", Json::U64(m.patches)),
+                ("batches", Json::U64(m.batches)),
+                ("violations", Json::U64(m.violations)),
+                ("dropped_arrivals", Json::U64(m.dropped_arrivals)),
+                (
+                    "tenants",
+                    Json::Array(m.tenants.iter().map(tenant_to_value).collect()),
+                ),
+                ("slo_attainment", Json::F64(m.slo_attainment)),
+                ("mean_latency_s", Json::F64(m.mean_latency_s)),
+                ("p50_latency_s", Json::F64(m.p50_latency_s)),
+                ("p99_latency_s", Json::F64(m.p99_latency_s)),
+                ("cost_usd", Json::F64(m.cost_usd)),
+                ("uplink_bytes", Json::U64(m.uplink_bytes)),
+                ("invocations", Json::U64(m.invocations)),
+                ("cold_starts", Json::U64(m.cold_starts)),
+                (
+                    "mean_canvas_efficiency",
+                    Json::F64(m.mean_canvas_efficiency),
+                ),
+                (
+                    "mean_patches_per_batch",
+                    Json::F64(m.mean_patches_per_batch),
+                ),
+                ("execution_total_s", Json::F64(m.execution_total_s)),
+                ("transmission_total_s", Json::F64(m.transmission_total_s)),
+                ("makespan_s", Json::F64(m.makespan_s)),
+                ("throughput_pps", Json::F64(m.throughput_pps)),
+            ]),
+        ),
+    ])
 }
 
 fn cell_from_value(value: &Json) -> Result<CellReport, String> {
@@ -483,17 +478,16 @@ fn cell_from_value(value: &Json) -> Result<CellReport, String> {
             .collect::<Result<Vec<_>, _>>()?,
         None => return Err("missing metrics.tenants".to_string()),
     };
-    let scenario = match value.get("scenario") {
-        Some(v) => Some(v.as_u64().ok_or("bad cell.scenario")?),
-        None => None,
-    };
-    let admission = match value.get("admission") {
-        Some(v) => Some(v.as_str().ok_or("bad cell.admission")?.to_string()),
-        None => None,
-    };
-    let fairness = match value.get("fairness") {
-        Some(v) => Some(v.as_str().ok_or("bad cell.fairness")?.to_string()),
-        None => None,
+    // An axis coordinate: an index, or `null` off that axis.
+    let axis = |key: &str| -> Result<Option<u64>, String> {
+        match value.get(key) {
+            Some(Json::Null) => Ok(None),
+            Some(v) => v
+                .as_u64()
+                .map(Some)
+                .ok_or_else(|| format!("bad cell.{key}")),
+            None => Err(format!("missing cell.{key}")),
+        }
     };
     Ok(CellReport {
         index: cu("index")?,
@@ -502,9 +496,9 @@ fn cell_from_value(value: &Json) -> Result<CellReport, String> {
         bandwidth_mbps: cf("bandwidth_mbps")?,
         sigma_multiplier: cf("sigma_multiplier")?,
         workload: cu("workload")?,
-        scenario,
-        admission,
-        fairness,
+        scenario: axis("scenario")?,
+        admission: axis("admission")?,
+        fairness: axis("fairness")?,
         metrics: RunSummary {
             policy: value
                 .get("policy")
@@ -626,13 +620,33 @@ mod tests {
     }
 
     #[test]
-    fn scenario_free_reports_emit_no_scenario_key() {
-        // Pre-streaming baselines must stay byte-identical: the scenario
-        // and admission fields only appear when configured.
+    fn scenario_free_reports_write_empty_axes_and_null_coordinates() {
+        // One shape: an unswept axis is an empty array in the grid echo
+        // and a `null` coordinate on every cell, never an absent key.
         let text = sample_report().to_json();
-        assert!(!text.contains("scenario"));
-        assert!(!text.contains("admission"));
-        assert!(!text.contains("fairness"));
+        for key in ["scenarios", "admission", "fairness"] {
+            assert!(text.contains(&format!("\"{key}\": []")), "{key}");
+        }
+        for key in ["scenario", "admission", "fairness"] {
+            assert!(text.contains(&format!("\"{key}\": null")), "{key}");
+        }
+    }
+
+    #[test]
+    fn a_cell_without_an_axis_coordinate_is_rejected() {
+        let text = sample_report().to_json();
+        for (key, spelling) in [
+            ("scenario", "\"scenario\": null,"),
+            ("fairness", "\"fairness\": null,"),
+        ] {
+            let err = BenchReport::from_json(&text.replace(spelling, "")).unwrap_err();
+            assert_eq!(err, format!("missing cell.{key}"));
+        }
+        let err = BenchReport::from_json(
+            &text.replace("\"admission\": null,", "\"admission\": \"always\","),
+        )
+        .unwrap_err();
+        assert_eq!(err, "bad cell.admission");
     }
 
     #[test]
@@ -646,11 +660,12 @@ mod tests {
             admission_aware: true,
         }];
         let mut report = report_of(&grid);
-        report.cells[0].fairness = Some("drr".to_string());
+        report.cells[0].fairness = Some(0);
         report.cells[0].metrics.tenants[0].peak_queued = 16;
         let text = report.to_json();
         assert!(text.contains("\"fairness\""));
         assert!(text.contains("\"admission_aware\": true"));
+        assert!(!text.contains("\"drr\""), "no constant kind");
         assert!(text.contains("\"peak_queued\": 16"));
         let back = BenchReport::from_json(&text).unwrap();
         assert_eq!(back, report);
@@ -697,11 +712,13 @@ mod tests {
                 tenant_slos_s: vec![0.8, 1.5],
                 faults: Vec::new(),
             }];
-            let report = report_of(&grid);
+            let mut report = report_of(&grid);
+            report.cells[0].scenario = Some(0);
             let text = report.to_json();
-            // One scenario keeps the legacy singular form.
-            assert!(text.contains("\"scenario\""));
-            assert!(!text.contains("\"scenarios\""));
+            // One scenario is an axis of length one, like any other.
+            assert!(text.contains("\"scenarios\": [\n"));
+            assert!(!text.contains("\"scenario\": {"));
+            assert!(text.contains("\"scenario\": 0"));
             let back = BenchReport::from_json(&text).unwrap();
             assert_eq!(back, report);
             assert_eq!(back.to_json(), text, "render(parse(x)) == x");
@@ -709,7 +726,7 @@ mod tests {
     }
 
     #[test]
-    fn faulted_scenarios_round_trip_and_fault_free_ones_omit_the_key() {
+    fn faulted_and_fault_free_scenarios_round_trip_with_a_faults_array() {
         let mut grid = sample_grid();
         grid.scenarios = vec![ScenarioSpec {
             arrival: ArrivalSpec::Poisson { fps: 6.0 },
@@ -756,9 +773,12 @@ mod tests {
         assert_eq!(back, report);
         assert_eq!(back.to_json(), text, "render(parse(x)) == x");
 
-        // Fault-free scenarios keep their legacy bytes.
+        // A fault-free scenario carries an empty schedule.
         grid.scenarios[0].faults.clear();
-        assert!(!report_of(&grid).to_json().contains("\"faults\""));
+        let report = report_of(&grid);
+        let text = report.to_json();
+        assert!(text.contains("\"faults\": []"));
+        assert_eq!(BenchReport::from_json(&text).unwrap(), report);
     }
 
     #[test]
@@ -783,15 +803,11 @@ mod tests {
         ];
         let mut report = report_of(&grid);
         report.cells[0].scenario = Some(1);
-        report.cells[0].admission = Some("slo-shedder".to_string());
+        report.cells[0].admission = Some(2);
         let text = report.to_json();
         assert!(text.contains("\"scenarios\""));
-        // The grid-level singular object form is reserved for
-        // single-scenario grids; here `"scenario"` appears only as the
-        // cell's index.
-        assert!(!text.contains("\"scenario\": {"));
         assert!(text.contains("\"scenario\": 1"));
-        assert!(text.contains("\"admission\""));
+        assert!(text.contains("\"admission\": 2"));
         let back = BenchReport::from_json(&text).unwrap();
         assert_eq!(back, report);
         assert_eq!(back.to_json(), text, "render(parse(x)) == x");
@@ -799,9 +815,10 @@ mod tests {
 
     #[test]
     fn schema_version_is_enforced() {
-        let text = sample_report()
-            .to_json()
-            .replace("\"schema_version\": 4", "\"schema_version\": 999");
+        let text = sample_report().to_json().replace(
+            &format!("\"schema_version\": {SCHEMA_VERSION}"),
+            "\"schema_version\": 999",
+        );
         let err = BenchReport::from_json(&text).unwrap_err();
         assert!(err.contains("schema_version"), "{err}");
     }
@@ -858,12 +875,12 @@ mod tests {
         assert_eq!(baseline.cells.len(), candidate.cells.len());
         assert_eq!(drift(&baseline, &candidate), ["grid.seeds[0]: 42 → 43"]);
 
-        // An axis only one side has is named too.
+        // An axis only one side sweeps is named too.
         grid.seeds = vec![42];
         grid.admission = vec![AdmissionSpec::Always];
         assert_eq!(
             drift(&baseline, &report_of(&grid)),
-            ["grid.admission: absent → [1 items]"]
+            ["grid.admission: [0 items] → [1 items]"]
         );
     }
 

@@ -183,8 +183,9 @@ pub fn run_scenario_sharded(
 
 /// One cell's row of the [`BenchReport`]: its coordinates on the grid's
 /// axes and the scalar digest of its run.
-fn cell_report(grid: &SweepGrid, outcome: &CellOutcome) -> CellReport {
+fn cell_report(outcome: &CellOutcome) -> CellReport {
     let cell = &outcome.cell;
+    let axis = |index: Option<usize>| index.map(|i| i as u64);
     CellReport {
         index: cell.index as u64,
         seed: cell.seed,
@@ -192,25 +193,9 @@ fn cell_report(grid: &SweepGrid, outcome: &CellOutcome) -> CellReport {
         bandwidth_mbps: cell.bandwidth_mbps,
         sigma_multiplier: cell.sigma_multiplier,
         workload: cell.workload_index as u64,
-        // Recorded only when the axis genuinely sweeps, so
-        // single/no-scenario grids keep their legacy cell bytes.
-        scenario: if grid.scenarios.len() > 1 {
-            cell.scenario_index.map(|i| i as u64)
-        } else {
-            None
-        },
-        admission: cell
-            .admission_index
-            .map(|i| grid.admission[i].kind().to_string()),
-        // All fairness specs share the "drr" kind, so a multi-variant
-        // axis suffixes the axis index to keep cells distinguishable.
-        fairness: cell.fairness_index.map(|i| {
-            if grid.fairness.len() > 1 {
-                format!("{}@{i}", grid.fairness[i].kind())
-            } else {
-                grid.fairness[i].kind().to_string()
-            }
-        }),
+        scenario: axis(cell.scenario_index),
+        admission: axis(cell.admission_index),
+        fairness: axis(cell.fairness_index),
         metrics: outcome.report.summarize(),
     }
 }
@@ -222,7 +207,7 @@ pub fn bench_report(grid: &SweepGrid, outcomes: &[CellOutcome]) -> BenchReport {
     BenchReport {
         name: grid.name.clone(),
         grid: grid_to_value(grid),
-        cells: outcomes.iter().map(|o| cell_report(grid, o)).collect(),
+        cells: outcomes.iter().map(cell_report).collect(),
     }
 }
 
@@ -234,7 +219,7 @@ pub fn run_grid(grid: &SweepGrid, workers: usize) -> BenchReport {
     BenchReport {
         name: grid.name.clone(),
         grid: grid_to_value(grid),
-        cells: run_cells(grid, workers, |outcome| cell_report(grid, &outcome)),
+        cells: run_cells(grid, workers, |outcome| cell_report(&outcome)),
     }
 }
 
@@ -324,21 +309,22 @@ mod tests {
         ];
         let report = run_grid(&grid, 2);
         assert_eq!(report.cells.len(), 2 * bare.cells.len());
-        // AlwaysAdmit over replay sources reproduces the batch digest.
+        // The open door over replay sources reproduces the batch digest.
         let always = &report.cells[0];
-        assert_eq!(always.admission.as_deref(), Some("always"));
+        assert_eq!(always.admission, Some(0));
         assert_eq!(always.metrics, bare.cells[0].metrics);
         // A zero-depth queue bound sheds everything.
         let starved = &report.cells[1];
-        assert_eq!(starved.admission.as_deref(), Some("queue-depth"));
+        assert_eq!(starved.admission, Some(1));
         assert_eq!(starved.metrics.patches, 0);
         assert!(starved.metrics.dropped_arrivals > 0);
         // The admission path keeps the worker-count guarantee.
         assert_eq!(run_grid(&grid, 1).to_json(), report.to_json());
     }
 
-    #[test]
-    fn the_two_grid_entry_points_write_the_same_bytes() {
+    /// Every optional axis swept: two scenarios × two admission
+    /// policies × two fairness variants over the micro grid's policies.
+    fn axes_grid() -> SweepGrid {
         use crate::grid::{AdmissionSpec, ArrivalSpec, FairnessSpec, ScenarioSpec};
         let scenario = |fps: f64| ScenarioSpec {
             arrival: ArrivalSpec::Poisson { fps },
@@ -355,9 +341,6 @@ mod tests {
             quantum: 1.0,
             admission_aware: aware,
         };
-        // Every axis whose cell field is conditional sweeps: `scenario`
-        // (recorded only past one scenario), `admission`, and the
-        // `drr@i` suffix (written only past one fairness variant).
         let mut grid = micro_grid();
         grid.name = "micro_axes".to_string();
         grid.scenarios = vec![scenario(8.0), scenario(12.0)];
@@ -366,17 +349,63 @@ mod tests {
             AdmissionSpec::QueueDepth { max_queued: 4 },
         ];
         grid.fairness = vec![drr(false), drr(true)];
+        grid
+    }
+
+    #[test]
+    fn the_two_grid_entry_points_write_the_same_bytes() {
+        let grid = axes_grid();
         for workers in [1, 3] {
             let digest = run_grid(&grid, workers);
             assert_eq!(digest.cells.len(), 16);
-            assert_eq!(digest.cells[15].scenario, Some(1));
-            assert_eq!(digest.cells[15].admission.as_deref(), Some("queue-depth"));
-            assert_eq!(digest.cells[15].fairness.as_deref(), Some("drr@1"));
             assert_eq!(
                 digest.to_json(),
                 bench_report(&grid, &run_grid_full(&grid, workers)).to_json(),
                 "{workers} workers"
             );
         }
+    }
+
+    #[test]
+    fn every_cell_names_all_three_axes_and_each_index_resolves_in_the_echo() {
+        use crate::json::Json;
+        let grid = axes_grid();
+        let report = run_grid(&grid, 2);
+        let echoed = |axis: &str, index: Option<u64>| {
+            let index = index.unwrap_or_else(|| panic!("a cell without a {axis} coordinate"));
+            report.grid.get(axis).and_then(Json::as_array).unwrap()[index as usize].clone()
+        };
+        let mut triples = Vec::new();
+        for (cell, swept) in report.cells.iter().zip(grid.cells()) {
+            let at = |index: Option<usize>| index.map(|i| i as u64);
+            assert_eq!(cell.scenario, at(swept.scenario_index));
+            assert_eq!(cell.admission, at(swept.admission_index));
+            assert_eq!(cell.fairness, at(swept.fairness_index));
+            let scenario = &grid.scenarios[swept.scenario_index.unwrap()];
+            let admission = &grid.admission[swept.admission_index.unwrap()];
+            let fairness = &grid.fairness[swept.fairness_index.unwrap()];
+            assert_eq!(
+                echoed("scenarios", cell.scenario),
+                crate::report::scenario_to_value(scenario)
+            );
+            assert_eq!(
+                echoed("admission", cell.admission),
+                crate::report::admission_to_value(admission)
+            );
+            assert_eq!(
+                echoed("fairness", cell.fairness),
+                crate::report::fairness_to_value(fairness)
+            );
+            triples.push((
+                cell.metrics.policy.clone(),
+                cell.scenario,
+                cell.admission,
+                cell.fairness,
+            ));
+        }
+        // The coordinates tell every cell of a policy apart.
+        triples.sort();
+        triples.dedup();
+        assert_eq!(triples.len(), report.cells.len());
     }
 }

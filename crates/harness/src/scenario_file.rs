@@ -21,15 +21,15 @@
 //! pool_frames = 8                    # content pool per camera, >= 1
 //! scenes = [1, 2, 3, 4]              # optional; cameras cycle it (1-5)
 //! bandwidth_mbps = 80.0              # > 0
-//! slo_s = 1.0                        # > 0
+//! slo_s = 1.0                        # >= 1e-6 (durations: the 1 µs clock)
 //! seed = 42
 //! max_instances = 8                  # optional; integer or "unlimited"
 //!
 //! [scenario]                         # required: the streaming shape
 //! frames_per_camera = 40             # >= 1
 //! join_stagger_s = 0.5               # >= 0
-//! session_s = 20.0                   # optional, > 0
-//! tenant_slos_s = [0.8, 1.5]         # optional, each > 0
+//! session_s = 20.0                   # optional, >= 1e-6
+//! tenant_slos_s = [0.8, 1.5]         # optional, each >= 1e-6
 //!
 //! [arrival]                          # required: poisson|bursty|diurnal
 //! kind = "poisson"
@@ -39,7 +39,7 @@
 //! kind = "brownout"                  # link_outage | latency_tail |
 //! factor = 2.0                       #   cold_start_storm | camera_flap
 //! at_s = 4.0                         #   | brownout
-//! duration_s = 6.0                   # same-kind windows must not overlap
+//! duration_s = 6.0                   # >= 1e-6; same-kind windows must not overlap
 //!
 //! [admission]                        # optional ingress stages
 //! kind = "slo-shedder"
@@ -55,16 +55,19 @@
 //! ```
 
 use crate::grid::{AdmissionSpec, ArrivalSpec, FairnessSpec, ScenarioSpec};
-use crate::presets::build_trace;
+use crate::json::Json;
+use crate::presets::fleet_traces;
+use crate::report::{
+    admission_to_value, arrival_to_value, fairness_to_value, fault_to_value, run_to_value,
+    scenario_to_value,
+};
 use crate::runner::run_scenario_sharded;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use tangram_core::engine::{EngineConfig, PolicyKind};
 use tangram_core::faults::{FaultKind, FaultSpec};
 use tangram_core::report::RunReport;
-use tangram_core::workload::CameraTrace;
 use tangram_trace::TraceLog;
-use tangram_types::ids::{CameraId, SceneId};
+use tangram_types::ids::SceneId;
 use tangram_types::time::SimDuration;
 use tangram_types::toml::{TomlDocument, TomlEntry, TomlError, TomlTable, TomlValue};
 
@@ -195,120 +198,37 @@ impl ScenarioFile {
         Ok(library)
     }
 
-    /// Renders the canonical TOML form (stable key order, shortest
-    /// round-trip floats). `parse_str(to_toml(x)) == x` for any valid
-    /// file — the round-trip property `tests/scenario_format.rs` holds
-    /// the library to.
+    /// Renders the canonical TOML form: each table is the BENCH echo of
+    /// its spec ([`crate::report`] writes every spec's keys, in order,
+    /// once), one `key = value` line per field; strings are TOML-escaped,
+    /// floats shortest round-trip, and a `null` or empty array has no
+    /// line. `parse_str(to_toml(x)) == x` for any valid file — the
+    /// round-trip property `tests/scenario_format.rs` holds the library
+    /// to.
     #[must_use]
     pub fn to_toml(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "name = {}", toml_str(&self.name));
-        let _ = writeln!(out, "description = {}", toml_str(&self.description));
-        let _ = writeln!(out, "\n[run]");
-        let _ = writeln!(out, "cameras = {}", self.run.cameras);
-        let _ = writeln!(out, "pool_frames = {}", self.run.pool_frames);
-        let _ = writeln!(
-            out,
-            "scenes = [{}]",
-            self.run
-                .scenes
-                .iter()
-                .map(u8::to_string)
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        let _ = writeln!(out, "bandwidth_mbps = {:?}", self.run.bandwidth_mbps);
-        let _ = writeln!(out, "slo_s = {:?}", self.run.slo_s);
-        let _ = writeln!(out, "seed = {}", self.run.seed);
-        match self.run.max_instances {
-            None => {}
-            Some(None) => {
-                let _ = writeln!(out, "max_instances = \"unlimited\"");
-            }
-            Some(Some(n)) => {
-                let _ = writeln!(out, "max_instances = {n}");
-            }
-        }
+        let root = Json::object(vec![
+            ("name", Json::Str(self.name.clone())),
+            ("description", Json::Str(self.description.clone())),
+        ]);
+        write_table(&mut out, None, &root);
+        write_table(&mut out, Some("[run]"), &run_to_value(&self.run));
         let s = &self.scenario;
-        let _ = writeln!(out, "\n[scenario]");
-        let _ = writeln!(out, "frames_per_camera = {}", s.frames_per_camera);
-        let _ = writeln!(out, "join_stagger_s = {:?}", s.join_stagger_s);
-        if let Some(session_s) = s.session_s {
-            let _ = writeln!(out, "session_s = {session_s:?}");
-        }
-        if !s.tenant_slos_s.is_empty() {
-            let _ = writeln!(out, "tenant_slos_s = [{}]", float_list(&s.tenant_slos_s));
-        }
-        let _ = writeln!(out, "\n[arrival]");
-        let _ = writeln!(out, "kind = \"{}\"", s.arrival.kind());
-        match s.arrival {
-            ArrivalSpec::Poisson { fps } => {
-                let _ = writeln!(out, "fps = {fps:?}");
-            }
-            ArrivalSpec::Bursty {
-                calm_fps,
-                burst_fps,
-                mean_calm_s,
-                mean_burst_s,
-            } => {
-                let _ = writeln!(out, "calm_fps = {calm_fps:?}");
-                let _ = writeln!(out, "burst_fps = {burst_fps:?}");
-                let _ = writeln!(out, "mean_calm_s = {mean_calm_s:?}");
-                let _ = writeln!(out, "mean_burst_s = {mean_burst_s:?}");
-            }
-            ArrivalSpec::Diurnal {
-                min_fps,
-                max_fps,
-                period_s,
-            } => {
-                let _ = writeln!(out, "min_fps = {min_fps:?}");
-                let _ = writeln!(out, "max_fps = {max_fps:?}");
-                let _ = writeln!(out, "period_s = {period_s:?}");
-            }
-        }
+        write_table(&mut out, Some("[scenario]"), &scenario_to_value(s));
+        write_table(&mut out, Some("[arrival]"), &arrival_to_value(&s.arrival));
         for fault in &s.faults {
-            let _ = writeln!(out, "\n[[fault]]");
-            let _ = writeln!(out, "kind = \"{}\"", fault.kind.name());
-            match fault.kind {
-                FaultKind::LinkOutage | FaultKind::ColdStartStorm => {}
-                FaultKind::LatencyTail { factor } | FaultKind::Brownout { factor } => {
-                    let _ = writeln!(out, "factor = {factor:?}");
-                }
-                FaultKind::CameraFlap {
-                    mean_up_s,
-                    mean_down_s,
-                } => {
-                    let _ = writeln!(out, "mean_up_s = {mean_up_s:?}");
-                    let _ = writeln!(out, "mean_down_s = {mean_down_s:?}");
-                }
-            }
-            let _ = writeln!(out, "at_s = {:?}", fault.at_s);
-            let _ = writeln!(out, "duration_s = {:?}", fault.duration_s);
+            write_table(&mut out, Some("[[fault]]"), &fault_to_value(fault));
         }
         if let Some(admission) = &self.admission {
-            let _ = writeln!(out, "\n[admission]");
-            let _ = writeln!(out, "kind = \"{}\"", admission.kind());
-            match *admission {
-                AdmissionSpec::Always => {}
-                AdmissionSpec::QueueDepth { max_queued } => {
-                    let _ = writeln!(out, "max_queued = {max_queued}");
-                }
-                AdmissionSpec::SloShedder {
-                    per_item_s,
-                    pressure,
-                } => {
-                    let _ = writeln!(out, "per_item_s = {per_item_s:?}");
-                    let _ = writeln!(out, "pressure = {pressure:?}");
-                }
-            }
+            write_table(
+                &mut out,
+                Some("[admission]"),
+                &admission_to_value(admission),
+            );
         }
         if let Some(fairness) = &self.fairness {
-            let _ = writeln!(out, "\n[fairness]");
-            let _ = writeln!(out, "weights = [{}]", float_list(&fairness.weights));
-            let _ = writeln!(out, "queue_capacity = {}", fairness.queue_capacity);
-            let _ = writeln!(out, "tick_s = {:?}", fairness.tick_s);
-            let _ = writeln!(out, "quantum = {:?}", fairness.quantum);
-            let _ = writeln!(out, "admission_aware = {}", fairness.admission_aware);
+            write_table(&mut out, Some("[fairness]"), &fairness_to_value(fairness));
         }
         out
     }
@@ -334,35 +254,14 @@ impl ScenarioFile {
         config
     }
 
-    /// Builds the fleet's content pools: `cameras` proxy traces cycling
-    /// the file's scene list, camera ids re-stamped per index so cameras
-    /// sharing a scene keep distinct identities (and distinct patch
-    /// ids). A single-scene list is the content-correlated stitcher
-    /// stress: every camera offers patches from the same scene geometry.
-    #[must_use]
-    pub fn build_traces(&self) -> Vec<CameraTrace> {
-        (0..self.run.cameras)
-            .map(|cam| {
-                let scene = SceneId::new(self.run.scenes[cam % self.run.scenes.len()]);
-                let mut trace = build_trace(
-                    scene,
-                    self.run.pool_frames,
-                    self.run.seed,
-                    crate::grid::TraceKind::Proxy,
-                );
-                trace.camera = CameraId::new(cam as u32);
-                trace
-            })
-            .collect()
-    }
-
     /// Runs the scenario end to end on `shards` engine shards,
     /// optionally capturing the runtime event trace. Deterministic in
     /// the file contents alone: byte-identical report and trace at any
     /// shard count.
     #[must_use]
     pub fn run(&self, capture: bool, shards: usize) -> (RunReport, Option<TraceLog>) {
-        let traces = self.build_traces();
+        let run = &self.run;
+        let traces = fleet_traces(run.cameras, &run.scenes, run.pool_frames, run.seed);
         run_scenario_sharded(
             &self.engine_config(),
             &traces,
@@ -428,6 +327,31 @@ fn positive_f64(entry: &TomlEntry) -> Result<f64, TomlError> {
             format!("key `{}` must be positive, got {value}", entry.key()),
         )
     }
+}
+
+/// The simulator's clock resolution: `SimDuration` counts whole
+/// microseconds.
+const RESOLUTION_S: f64 = 1e-6;
+
+/// `value`, unless it is a duration the simulator cannot represent: below
+/// 1 µs, `SimDuration::from_secs_f64` would round it to zero.
+fn resolvable(entry: &TomlEntry, value: f64) -> Result<f64, TomlError> {
+    if value >= RESOLUTION_S {
+        Ok(value)
+    } else {
+        fail(
+            entry.line,
+            format!(
+                "key `{}`: {value} s is below the simulator's 1 µs resolution",
+                entry.key()
+            ),
+        )
+    }
+}
+
+/// A positive duration, seconds, of at least the clock resolution.
+fn duration_of(entry: &TomlEntry) -> Result<f64, TomlError> {
+    resolvable(entry, positive_f64(entry)?)
 }
 
 fn rate_fps(entry: &TomlEntry) -> Result<f64, TomlError> {
@@ -530,7 +454,7 @@ fn parse_run(table: &TomlTable) -> Result<RunSpec, TomlError> {
         pool_frames: count_of(table.require("pool_frames")?)?,
         scenes,
         bandwidth_mbps: positive_f64(table.require("bandwidth_mbps")?)?,
-        slo_s: positive_f64(table.require("slo_s")?)?,
+        slo_s: duration_of(table.require("slo_s")?)?,
         seed: table.require("seed")?.u64()?,
         max_instances,
     })
@@ -604,12 +528,14 @@ fn parse_scenario(
         arrival,
         frames_per_camera: count_of(table.require("frames_per_camera")?)?,
         join_stagger_s,
-        session_s: table.get("session_s").map(positive_f64).transpose()?,
-        tenant_slos_s: table
-            .get("tenant_slos_s")
-            .map(positive_f64_list)
-            .transpose()?
-            .unwrap_or_default(),
+        session_s: table.get("session_s").map(duration_of).transpose()?,
+        tenant_slos_s: match table.get("tenant_slos_s") {
+            None => Vec::new(),
+            Some(entry) => positive_f64_list(entry)?
+                .into_iter()
+                .map(|slo_s| resolvable(entry, slo_s))
+                .collect::<Result<_, _>>()?,
+        },
         faults,
     })
 }
@@ -664,7 +590,7 @@ fn parse_faults(tables: &[&TomlTable]) -> Result<Vec<FaultSpec>, TomlError> {
         if at_s < 0.0 {
             return fail(at_entry.line, "key `at_s` must be >= 0");
         }
-        let duration_s = positive_f64(table.require("duration_s")?)?;
+        let duration_s = duration_of(table.require("duration_s")?)?;
         let (start, end) = (at_s, at_s + duration_s);
         let name = kind.name();
         if let Some((_, other_start, _, other_line)) = windows
@@ -727,7 +653,7 @@ fn parse_admission(table: &TomlTable) -> Result<AdmissionSpec, TomlError> {
                 );
             }
             Ok(AdmissionSpec::SloShedder {
-                per_item_s: positive_f64(table.require("per_item_s")?)?,
+                per_item_s: duration_of(table.require("per_item_s")?)?,
                 pressure,
             })
         }
@@ -754,10 +680,46 @@ fn parse_fairness(table: &TomlTable) -> Result<FairnessSpec, TomlError> {
     Ok(FairnessSpec {
         weights,
         queue_capacity: count_of(table.require("queue_capacity")?)?,
-        tick_s: positive_f64(table.require("tick_s")?)?,
+        tick_s: duration_of(table.require("tick_s")?)?,
         quantum: positive_f64(table.require("quantum")?)?,
         admission_aware: table.require("admission_aware")?.bool()?,
     })
+}
+
+/// Writes one table: its header (none for the root) and a `key = value`
+/// line per field of `fields`, in order. A `null`, an empty array and a
+/// nested table (written as a table of its own) have no line.
+fn write_table(out: &mut String, header: Option<&str>, fields: &Json) {
+    if let Some(header) = header {
+        out.push('\n');
+        out.push_str(header);
+        out.push('\n');
+    }
+    let Json::Object(fields) = fields else {
+        return;
+    };
+    for (key, value) in fields {
+        if let Some(value) = toml_value(value) {
+            out.push_str(&format!("{key} = {value}\n"));
+        }
+    }
+}
+
+/// A scalar or an array of scalars in TOML spelling: strings through
+/// [`toml_str`], floats through `{:?}` (shortest round-trip).
+fn toml_value(value: &Json) -> Option<String> {
+    match value {
+        Json::Null | Json::Object(_) => None,
+        Json::Array(items) if items.is_empty() => None,
+        Json::Array(items) => {
+            let items: Option<Vec<String>> = items.iter().map(toml_value).collect();
+            items.map(|items| format!("[{}]", items.join(", ")))
+        }
+        Json::Bool(b) => Some(b.to_string()),
+        Json::U64(n) => Some(n.to_string()),
+        Json::F64(v) => Some(format!("{v:?}")),
+        Json::Str(s) => Some(toml_str(s)),
+    }
 }
 
 fn toml_str(s: &str) -> String {
@@ -774,14 +736,6 @@ fn toml_str(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-fn float_list(values: &[f64]) -> String {
-    values
-        .iter()
-        .map(|v| format!("{v:?}"))
-        .collect::<Vec<_>>()
-        .join(", ")
 }
 
 #[cfg(test)]
@@ -841,6 +795,225 @@ mod tests {
         assert_eq!(back, file);
         // The canonical form is a fixed point.
         assert_eq!(back.to_toml(), canonical);
+    }
+
+    /// A file that uses every table and every optional key.
+    fn every_table() -> ScenarioFile {
+        let fault = |kind, at_s, duration_s| FaultSpec {
+            kind,
+            at_s,
+            duration_s,
+        };
+        ScenarioFile {
+            name: "all \"tables\"\tone".to_string(),
+            description: "a back\\slash and\na newline".to_string(),
+            run: RunSpec {
+                cameras: 3,
+                pool_frames: 4,
+                scenes: vec![2, 5],
+                bandwidth_mbps: 80.0,
+                slo_s: 1.25,
+                seed: 9,
+                max_instances: Some(None),
+            },
+            scenario: ScenarioSpec {
+                arrival: ArrivalSpec::Bursty {
+                    calm_fps: 2.0,
+                    burst_fps: 18.0,
+                    mean_calm_s: 3.0,
+                    mean_burst_s: 0.5,
+                },
+                frames_per_camera: 12,
+                join_stagger_s: 0.5,
+                session_s: Some(9.0),
+                tenant_slos_s: vec![0.8, 1.5, 3.0],
+                faults: vec![
+                    fault(FaultKind::LinkOutage, 1.0, 0.5),
+                    fault(FaultKind::LatencyTail { factor: 3.0 }, 0.0, 4.0),
+                    fault(FaultKind::ColdStartStorm, 2.0, 1.0),
+                    fault(
+                        FaultKind::CameraFlap {
+                            mean_up_s: 3.0,
+                            mean_down_s: 0.25,
+                        },
+                        0.5,
+                        6.0,
+                    ),
+                    fault(FaultKind::Brownout { factor: 1.5 }, 4.0, 1e-6),
+                ],
+            },
+            admission: Some(AdmissionSpec::SloShedder {
+                per_item_s: 0.02,
+                pressure: 0.5,
+            }),
+            fairness: Some(FairnessSpec {
+                weights: vec![3.0, 1.0],
+                queue_capacity: 16,
+                tick_s: 0.02,
+                quantum: 0.4,
+                admission_aware: true,
+            }),
+        }
+    }
+
+    const EVERY_TABLE: &str = r#"name = "all \"tables\"\tone"
+description = "a back\\slash and\na newline"
+
+[run]
+cameras = 3
+pool_frames = 4
+scenes = [2, 5]
+bandwidth_mbps = 80.0
+slo_s = 1.25
+seed = 9
+max_instances = "unlimited"
+
+[scenario]
+frames_per_camera = 12
+join_stagger_s = 0.5
+session_s = 9.0
+tenant_slos_s = [0.8, 1.5, 3.0]
+
+[arrival]
+kind = "bursty"
+calm_fps = 2.0
+burst_fps = 18.0
+mean_calm_s = 3.0
+mean_burst_s = 0.5
+
+[[fault]]
+kind = "link_outage"
+at_s = 1.0
+duration_s = 0.5
+
+[[fault]]
+kind = "latency_tail"
+factor = 3.0
+at_s = 0.0
+duration_s = 4.0
+
+[[fault]]
+kind = "cold_start_storm"
+at_s = 2.0
+duration_s = 1.0
+
+[[fault]]
+kind = "camera_flap"
+mean_up_s = 3.0
+mean_down_s = 0.25
+at_s = 0.5
+duration_s = 6.0
+
+[[fault]]
+kind = "brownout"
+factor = 1.5
+at_s = 4.0
+duration_s = 1e-6
+
+[admission]
+kind = "slo-shedder"
+per_item_s = 0.02
+pressure = 0.5
+
+[fairness]
+weights = [3.0, 1.0]
+queue_capacity = 16
+tick_s = 0.02
+quantum = 0.4
+admission_aware = true
+"#;
+
+    #[test]
+    fn to_toml_writes_every_table_byte_for_byte() {
+        assert_eq!(every_table().to_toml(), EVERY_TABLE);
+        assert_eq!(ScenarioFile::parse_str(EVERY_TABLE).unwrap(), every_table());
+    }
+
+    #[test]
+    fn every_arrival_fault_and_admission_kind_round_trips() {
+        let arrivals = [
+            ArrivalSpec::Poisson { fps: 6.0 },
+            ArrivalSpec::Bursty {
+                calm_fps: 1.5,
+                burst_fps: 24.0,
+                mean_calm_s: 2.0,
+                mean_burst_s: 0.25,
+            },
+            ArrivalSpec::Diurnal {
+                min_fps: 0.5,
+                max_fps: 12.0,
+                period_s: 30.0,
+            },
+        ];
+        let faults = [
+            FaultKind::LinkOutage,
+            FaultKind::LatencyTail { factor: 2.5 },
+            FaultKind::ColdStartStorm,
+            FaultKind::CameraFlap {
+                mean_up_s: 4.0,
+                mean_down_s: 0.75,
+            },
+            FaultKind::Brownout { factor: 1.25 },
+        ];
+        let admissions = [
+            AdmissionSpec::Always,
+            AdmissionSpec::QueueDepth { max_queued: 7 },
+            AdmissionSpec::SloShedder {
+                per_item_s: 0.015,
+                pressure: 0.75,
+            },
+        ];
+        let mut cases = 0;
+        for arrival in arrivals {
+            for kind in &faults {
+                for admission in admissions {
+                    for fairness in [None, every_table().fairness] {
+                        let mut file = every_table();
+                        file.scenario.arrival = arrival;
+                        file.scenario.faults = vec![FaultSpec {
+                            kind: kind.clone(),
+                            at_s: 0.125,
+                            duration_s: 3.5,
+                        }];
+                        file.admission = Some(admission);
+                        file.fairness = fairness;
+                        let canonical = file.to_toml();
+                        let back = ScenarioFile::parse_str(&canonical)
+                            .unwrap_or_else(|e| panic!("{e}\n{canonical}"));
+                        assert_eq!(back, file, "{canonical}");
+                        assert_eq!(back.to_toml(), canonical);
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 3 * 5 * 3 * 2);
+    }
+
+    #[test]
+    fn durations_below_the_clock_resolution_are_rejected_with_their_line() {
+        for (line, bad) in [
+            ("slo_s = 1.25", "slo_s = 0.0000004"),
+            ("session_s = 9.0", "session_s = 5e-7"),
+            (
+                "tenant_slos_s = [0.8, 1.5, 3.0]",
+                "tenant_slos_s = [0.8, 1e-9]",
+            ),
+            ("duration_s = 0.5", "duration_s = 0.0000009"),
+            ("per_item_s = 0.02", "per_item_s = 1e-7"),
+            ("tick_s = 0.02", "tick_s = 0.0000001"),
+        ] {
+            let text = EVERY_TABLE.replacen(line, bad, 1);
+            let e = ScenarioFile::parse_str(&text).unwrap_err();
+            assert!(
+                e.message.contains("below the simulator's 1 µs resolution"),
+                "{bad}: {e}"
+            );
+            let expected = text.lines().position(|l| l == bad).unwrap() + 1;
+            assert_eq!(e.line, expected, "{bad}: {e}");
+        }
+        // Exactly one tick is representable (the golden's last fault).
+        assert!(EVERY_TABLE.contains("duration_s = 1e-6"));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * [`rng::DetRng`] — seeded, forkable random streams with the handful of
 //!   distributions the substrates need (normal, lognormal, Poisson,
 //!   exponential) implemented locally so no extra crates are required;
-//! * [`stats`] — online statistics, histograms, and empirical CDFs used by
+//! * [`stats`] — online statistics and empirical CDFs used by
 //!   every experiment to report exactly the series the paper plots.
 //!
 //! # Example
@@ -39,4 +39,4 @@ pub use clock::{Clock, ManualClock};
 pub use driver::EventLoop;
 pub use event::EventQueue;
 pub use rng::DetRng;
-pub use stats::{EmpiricalCdf, Histogram, OnlineStats, TimeSeries};
+pub use stats::{EmpiricalCdf, OnlineStats};

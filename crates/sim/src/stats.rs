@@ -3,12 +3,7 @@
 //! * [`OnlineStats`] — single-pass mean/variance (Welford), the basis of
 //!   the paper's latency estimator (`T_slack = µ + 3σ`, Eqn. 9);
 //! * [`EmpiricalCdf`] — sample-based CDFs, matching the CDF plots in
-//!   Figs. 3(b), 10(b) and 13;
-//! * [`Histogram`] — fixed-width bins for distribution tables (Fig. 14);
-//! * [`TimeSeries`] — time-stamped samples for per-frame series (Figs. 3(a),
-//!   10(a)).
-
-use tangram_types::time::SimTime;
+//!   Figs. 3(b), 10(b) and 13.
 
 /// Single-pass mean / variance / extrema accumulator (Welford's method).
 #[derive(Debug, Clone, Default)]
@@ -234,124 +229,6 @@ impl EmpiricalCdf {
     }
 }
 
-/// Fixed-width-bin histogram over `[lo, hi)` with saturating edge bins.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins spanning `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `lo >= hi`.
-    #[must_use]
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(lo < hi, "empty histogram range [{lo}, {hi})");
-        Self {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            total: 0,
-        }
-    }
-
-    /// Adds an observation; values outside the range land in the edge
-    /// bins. `NaN` has no position on the axis: it is counted in
-    /// [`Histogram::total`] but binned nowhere, instead of silently
-    /// landing in bin 0 via a float cast.
-    pub fn push(&mut self, x: f64) {
-        if x.is_nan() {
-            self.total += 1;
-            return;
-        }
-        let bins = self.counts.len();
-        let idx = if x < self.lo {
-            0
-        } else if x >= self.hi {
-            bins - 1
-        } else {
-            (((x - self.lo) / (self.hi - self.lo)) * bins as f64) as usize
-        };
-        self.counts[idx.min(bins - 1)] += 1;
-        self.total += 1;
-    }
-
-    /// Raw counts per bin.
-    #[must_use]
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total number of observations (`NaN` observations included).
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-}
-
-/// Time-stamped scalar samples (per-frame RoI proportion, queue depth, …).
-#[derive(Debug, Clone, Default)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a sample; timestamps should be non-decreasing.
-    pub fn push(&mut self, at: SimTime, value: f64) {
-        debug_assert!(
-            self.points.last().is_none_or(|(t, _)| *t <= at),
-            "time series timestamps must be non-decreasing"
-        );
-        self.points.push((at, value));
-    }
-
-    /// All samples in order.
-    #[must_use]
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Number of samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the series is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Just the values, in time order.
-    #[must_use]
-    pub fn values(&self) -> Vec<f64> {
-        self.points.iter().map(|&(_, v)| v).collect()
-    }
-
-    /// Mean of the values (0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.points.is_empty() {
-            0.0
-        } else {
-            self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,46 +369,5 @@ mod tests {
         assert_eq!(cdf.quantile(0.5), None);
         assert_eq!(cdf.fraction_at_or_below(1.0), 0.0);
         assert!(cdf.points(5).is_empty());
-    }
-
-    #[test]
-    fn histogram_bins_and_edges() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.push(-5.0); // below -> first bin
-        h.push(0.5);
-        h.push(9.99);
-        h.push(100.0); // above -> last bin
-        assert_eq!(h.total(), 4);
-        assert_eq!(h.counts()[0], 2);
-        assert_eq!(h.counts()[9], 2);
-    }
-
-    #[test]
-    fn histogram_counts_nan_without_binning() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        h.push(f64::NAN);
-        h.push(0.1);
-        h.push(f64::NAN);
-        assert_eq!(h.total(), 3);
-        // NaN lands in no bin — in particular not bin 0 via the cast —
-        // so the bins cover only the binned third of the mass.
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts().iter().sum::<u64>(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn histogram_rejects_zero_bins() {
-        let _ = Histogram::new(0.0, 1.0, 0);
-    }
-
-    #[test]
-    fn time_series_basics() {
-        let mut ts = TimeSeries::new();
-        ts.push(SimTime::from_micros(0), 1.0);
-        ts.push(SimTime::from_micros(10), 3.0);
-        assert_eq!(ts.len(), 2);
-        assert_eq!(ts.values(), vec![1.0, 3.0]);
-        assert!((ts.mean() - 2.0).abs() < 1e-12);
     }
 }

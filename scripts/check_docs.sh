@@ -81,6 +81,21 @@ for doc in README.md docs/*.md; do
   done
 done
 
+# The BENCH schema version docs/EXPERIMENTS.md states must be the one
+# crates/harness/src/report.rs stamps (a bump is when it goes stale).
+schema=$(sed -nE 's/^pub const SCHEMA_VERSION: u64 = ([0-9]+);$/\1/p' crates/harness/src/report.rs)
+documented=$(grep -oE 'schema_version [0-9]+' docs/EXPERIMENTS.md | awk '{print $2}' | sort -u)
+if [ -z "$schema" ] || [ -z "$documented" ]; then
+  echo "ERROR: no SCHEMA_VERSION in crates/harness/src/report.rs or no 'schema_version N' in docs/EXPERIMENTS.md"
+  status=1
+fi
+for version in $documented; do
+  if [ "$version" != "$schema" ]; then
+    echo "ERROR: docs/EXPERIMENTS.md says schema_version $version, report.rs stamps $schema"
+    status=1
+  fi
+done
+
 # Every binary must be documented somewhere (docs stay complete as bins
 # are added).
 for path in crates/*/src/bin/*.rs; do

@@ -104,8 +104,14 @@ fn overload_grid_is_parallel_deterministic_and_sheds_under_slo_shedder() {
     assert_eq!(parsed, sequential);
     assert_eq!(parsed.to_json(), sequential.to_json());
 
+    // A cell names its admission policy by index into the grid's axis.
+    let admission = |cell: &tangram_harness::CellReport| {
+        cell.admission
+            .map(|i| grid.admission[i as usize].kind())
+            .expect("every overload cell runs an admission policy")
+    };
     for cell in &parsed.cells {
-        // Multi-scenario grids stamp both axes on every cell.
+        // Both swept axes are stamped on every cell.
         assert!(cell.scenario.is_some(), "cell {}", cell.index);
         assert!(cell.admission.is_some(), "cell {}", cell.index);
         // Gold and best-effort are accounted separately.
@@ -116,7 +122,7 @@ fn overload_grid_is_parallel_deterministic_and_sheds_under_slo_shedder() {
             "cell {}: per-class drops must sum to the total",
             cell.index
         );
-        if cell.admission.as_deref() == Some("always") {
+        if admission(cell) == "always" {
             assert_eq!(cell.metrics.dropped_arrivals, 0, "cell {}", cell.index);
         }
     }
@@ -124,7 +130,7 @@ fn overload_grid_is_parallel_deterministic_and_sheds_under_slo_shedder() {
     let shed: Vec<_> = parsed
         .cells
         .iter()
-        .filter(|c| c.admission.as_deref() == Some("slo-shedder"))
+        .filter(|c| admission(c) == "slo-shedder")
         .collect();
     assert!(
         shed.iter().any(|c| c.metrics.dropped_arrivals > 0),
@@ -151,7 +157,7 @@ fn fairness_grid_is_parallel_deterministic_and_holds_weighted_shares() {
     assert_eq!(parsed.to_json(), sequential.to_json());
 
     for cell in &parsed.cells {
-        assert_eq!(cell.fairness.as_deref(), Some("drr"), "cell {}", cell.index);
+        assert_eq!(cell.fairness, Some(0), "cell {}", cell.index);
         assert_eq!(cell.metrics.tenants.len(), 2, "cell {}", cell.index);
         let drops: u64 = cell.metrics.tenants.iter().map(|t| t.dropped).sum();
         assert_eq!(
@@ -262,8 +268,8 @@ fn faulted_scenario_grid_matches_the_single_shard_bytes() {
         let sharded = run_grid(&grid, 2).to_json();
         assert_eq!(sharded, oracle, "{shards} shards diverged under faults");
     }
-    // The fault schedule is part of the artifact (schema v4): it must
-    // round-trip with the grid echo.
+    // The fault schedule is part of the artifact: it must round-trip with
+    // the grid echo.
     let parsed = BenchReport::from_json(&oracle).expect("valid BENCH json");
     assert_eq!(parsed.grid, tangram_harness::report::grid_to_value(&grid));
     assert!(oracle.contains("\"faults\""));
@@ -271,27 +277,35 @@ fn faulted_scenario_grid_matches_the_single_shard_bytes() {
 }
 
 #[test]
-fn legacy_grid_emission_is_byte_stable_under_the_new_axes() {
-    // PR 4 turned `scenario: Option<ScenarioSpec>` into the `scenarios`
-    // axis (plus `admission`). Legacy shapes must keep their exact
-    // serialization: no key at all without scenarios, the singular
-    // `"scenario"` object form with exactly one, and no admission key
-    // without an admission axis — so pre-existing BENCH consumers and
-    // checked-in baselines only change where drop accounting was added.
+fn replay_and_single_scenario_grids_write_the_one_shape() {
+    // Schema v5 has one shape: every grid echoes all three optional
+    // axes as arrays, empty when unswept, and every cell names its
+    // coordinate on each — an index, or `null` off the axis. A grid
+    // without scenarios is no special case, and neither is a grid with
+    // exactly one.
     let plain = run_grid(&two_axis_grid(), 2).to_json();
-    assert!(!plain.contains("\"scenario"));
-    assert!(!plain.contains("\"admission\""));
-    assert!(!plain.contains("\"fairness\""));
+    for axis in ["\"scenarios\": []", "\"admission\": []", "\"fairness\": []"] {
+        assert!(plain.contains(axis), "{axis}");
+    }
+    let parsed = BenchReport::from_json(&plain).expect("valid BENCH json");
+    for cell in &parsed.cells {
+        assert_eq!(
+            (cell.scenario, cell.admission, cell.fairness),
+            (None, None, None)
+        );
+    }
+    assert_eq!(
+        plain.matches("\"scenario\": null").count(),
+        parsed.cells.len()
+    );
 
     let single = run_grid(&tangram_harness::presets::churn_grid(42, 6), 2).to_json();
-    assert!(single.contains("\"scenario\": {"));
-    assert!(!single.contains("\"scenarios\""));
-    assert!(!single.contains("\"admission\""));
-    // Single-scenario cells carry no per-cell scenario index either: the
-    // cell keys are exactly the legacy eight.
+    assert!(single.contains("\"scenarios\": [\n"));
+    assert!(!single.contains("\"scenario\": {"));
+    assert!(single.contains("\"faults\": []"));
     let parsed = BenchReport::from_json(&single).expect("valid BENCH json");
     for cell in &parsed.cells {
-        assert_eq!(cell.scenario, None);
+        assert_eq!(cell.scenario, Some(0));
         assert_eq!(cell.admission, None);
     }
 }

@@ -9,7 +9,7 @@
 //! past their threshold (and the counter only survived dispatch through
 //! a masking `saturating_sub`).
 
-use tangram_core::admission::QueueDepthThreshold;
+use tangram_core::admission::AdmissionPolicy;
 use tangram_core::engine::{EngineConfig, PolicyKind};
 use tangram_core::online::{OnlineEngine, Plan, TraceReplaySource};
 use tangram_core::workload::{CameraTrace, TraceFrame};
@@ -65,7 +65,7 @@ fn queue_depth_signal_counts_tiles_not_arrivals() {
         ..EngineConfig::default()
     };
     let plan = Plan {
-        admission: Some(Box::new(QueueDepthThreshold::new(5))),
+        admission: Some(AdmissionPolicy::QueueDepth { max_queued: 5 }),
         ..Plan::default()
     };
     let mut engine = OnlineEngine::new(&config, plan);
@@ -98,7 +98,7 @@ fn queue_depth_bound_is_exact_in_tile_units() {
         ..EngineConfig::default()
     };
     let plan = Plan {
-        admission: Some(Box::new(QueueDepthThreshold::new(9))),
+        admission: Some(AdmissionPolicy::QueueDepth { max_queued: 9 }),
         ..Plan::default()
     };
     let mut engine = OnlineEngine::new(&config, plan);
