@@ -215,8 +215,8 @@ impl TangramScheduler {
     /// `C_old` is still untouched when it has to be dispatched.
     fn admit(&mut self, now: SimTime, patch: PatchInfo, out: &mut PolicyOutput) {
         let deadline = patch.deadline();
-        let opens_canvas = self.stitching.opens_canvas(patch.rect.size());
-        let inputs = self.open_canvases() + usize::from(opens_canvas);
+        let mut fitting = self.stitching.fitting(patch.rect.size());
+        let inputs = self.open_canvases() + usize::from(fitting.is_none());
         let (mut t_ddl, mut latest) = match self.deadlines {
             Some((t_ddl, latest)) => (t_ddl.min(deadline), latest.max(deadline)),
             None => (deadline, deadline),
@@ -226,13 +226,14 @@ impl TangramScheduler {
         if (over_memory || invoke_by <= now) && !self.queue.is_empty() {
             // Lines 11–17: dispatch C_old and restart with this patch.
             out.dispatches.push(self.take_batch());
+            fitting = None;
             (t_ddl, latest) = (deadline, deadline);
             invoke_by = self.t_remain(now, 1, t_ddl, latest);
         }
         self.queue.push(patch);
         self.stitching
-            .push(patch)
-            .expect("patches were normalised to fit the canvas");
+            .push_at(patch, fitting)
+            .expect("tiles are non-empty and canvas-sized");
         self.deadlines = Some((t_ddl, latest));
         debug_assert_eq!(
             Ok(self.stitching.canvases()),

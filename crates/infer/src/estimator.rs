@@ -19,8 +19,9 @@ use tangram_types::time::SimDuration;
 #[derive(Debug, Clone)]
 pub struct LatencyEstimator {
     canvas: Size,
-    /// `(µ, σ)` in seconds, indexed by batch size − 1.
-    profile: Vec<(f64, f64)>,
+    /// `(µ, σ)` in seconds and `T_slack = µ + k·σ` rounded once, indexed
+    /// by batch size − 1.
+    profile: Vec<(f64, f64, SimDuration)>,
     /// The σ multiplier `k` (3 in the paper; exposed for the slack
     /// ablation and for "applications highly sensitive to the SLO", §V-B).
     sigma_multiplier: f64,
@@ -52,7 +53,9 @@ impl LatencyEstimator {
             for _ in 0..iterations {
                 stats.push(model.sample(mpx, &mut rng).as_secs_f64());
             }
-            profile.push((stats.mean(), stats.std_dev()));
+            let (mu, sigma) = (stats.mean(), stats.std_dev());
+            let slack = SimDuration::from_secs_f64(mu + sigma_multiplier * sigma);
+            profile.push((mu, sigma, slack));
         }
         Self {
             canvas,
@@ -91,13 +94,12 @@ impl LatencyEstimator {
             return SimDuration::ZERO;
         }
         let k = self.sigma_multiplier;
-        if batch <= self.profile.len() {
-            let (mu, sigma) = self.profile[batch - 1];
-            return SimDuration::from_secs_f64(mu + k * sigma);
+        if let Some(&(_, _, slack)) = self.profile.get(batch - 1) {
+            return slack;
         }
         // Linear extrapolation on µ; σ taken from the largest profiled size.
         let n = self.profile.len();
-        let (mu_last, sigma_last) = self.profile[n - 1];
+        let (mu_last, sigma_last, _) = self.profile[n - 1];
         let slope = if n >= 2 {
             mu_last - self.profile[n - 2].0
         } else {
@@ -196,6 +198,44 @@ mod tests {
         let e3 = LatencyEstimator::profile(&model, Size::CANVAS_1024, 4, 500, 3.0, 1);
         for b in 1..=4 {
             assert!(e3.slack_for(b) > e1.slack_for(b));
+        }
+    }
+
+    /// `slack_for` as it was before the profile kept its slack column:
+    /// `µ + k·σ` rounded on every call.
+    fn slack_per_call(e: &LatencyEstimator, batch: usize) -> SimDuration {
+        if batch == 0 {
+            return SimDuration::ZERO;
+        }
+        let (k, n) = (e.sigma_multiplier, e.profile.len());
+        if batch <= n {
+            let (mu, sigma, _) = e.profile[batch - 1];
+            return SimDuration::from_secs_f64(mu + k * sigma);
+        }
+        let (mu_last, sigma_last, _) = e.profile[n - 1];
+        let slope = if n >= 2 {
+            mu_last - e.profile[n - 2].0
+        } else {
+            mu_last
+        };
+        let mu = mu_last + slope * (batch - n) as f64;
+        SimDuration::from_secs_f64(mu + k * sigma_last)
+    }
+
+    #[test]
+    fn the_slack_table_equals_the_per_call_formula() {
+        let model = InferenceLatencyModel::rtx4090_yolov8x();
+        for k in [1.0, 3.0, 4.5] {
+            for max_batch in [1, 2, 9] {
+                let e = LatencyEstimator::profile(&model, Size::CANVAS_1024, max_batch, 300, k, 11);
+                for b in 0..=2 * max_batch {
+                    assert_eq!(
+                        e.slack_for(b),
+                        slack_per_call(&e, b),
+                        "k {k}, max_batch {max_batch}, batch {b}"
+                    );
+                }
+            }
         }
     }
 

@@ -37,6 +37,9 @@ pub trait Packer {
 pub struct GuillotinePacker {
     size: Size,
     free: Vec<Rect>,
+    /// The width of the widest and the height of the tallest rectangle in
+    /// `free`: no free rectangle holds a patch this does not.
+    bound: Size,
     used: u64,
 }
 
@@ -52,6 +55,7 @@ impl GuillotinePacker {
         Self {
             size,
             free: vec![Rect::from_size(size)],
+            bound: size,
             used: 0,
         }
     }
@@ -61,13 +65,13 @@ impl GuillotinePacker {
     /// free list, so asking first and inserting later see the same packer.
     #[must_use]
     pub fn fits(&self, size: Size) -> bool {
-        !size.is_empty() && self.free.iter().any(|c| c.size().fits(size))
+        !size.is_empty() && self.bound.fits(size) && self.free.iter().any(|c| c.size().fits(size))
     }
 }
 
 impl Packer for GuillotinePacker {
     fn insert(&mut self, size: Size) -> Option<Point> {
-        if size.is_empty() {
+        if size.is_empty() || !self.bound.fits(size) {
             return None;
         }
         // Best short side fit: minimise min(wc - wi, hc - hi) (line 30).
@@ -105,6 +109,13 @@ impl Packer for GuillotinePacker {
                 self.free.push(c);
             }
         }
+        // Both pieces lie inside `cell`, so the bound can only shrink, and
+        // only if `cell` set it.
+        if cell.width == self.bound.width || cell.height == self.bound.height {
+            self.bound = self.free.iter().fold(Size::new(0, 0), |b, c| {
+                Size::new(b.width.max(c.width), b.height.max(c.height))
+            });
+        }
         self.used += size.area();
         Some(origin)
     }
@@ -112,6 +123,7 @@ impl Packer for GuillotinePacker {
     fn reset(&mut self) {
         self.free.clear();
         self.free.push(Rect::from_size(self.size));
+        self.bound = self.size;
         self.used = 0;
     }
 
@@ -402,7 +414,8 @@ mod tests {
     }
 
     /// What `Stitching` and the scheduler lean on: `fits` answers what
-    /// `insert` is about to, and a rejected `insert` changes nothing.
+    /// `insert` is about to, a rejected `insert` changes nothing, and the
+    /// bound is the free list's widest width and tallest height.
     fn insert_checked(p: &mut GuillotinePacker, size: Size) -> Option<Point> {
         let before = p.clone();
         let placed = p.insert(size);
@@ -410,6 +423,9 @@ mod tests {
         if placed.is_none() {
             assert_eq!(*p, before, "rejected {size} changed the packer");
         }
+        let widest = p.free.iter().map(|c| c.width).max().unwrap_or(0);
+        let tallest = p.free.iter().map(|c| c.height).max().unwrap_or(0);
+        assert_eq!(p.bound, Size::new(widest, tallest), "bound after {size}");
         placed
     }
 

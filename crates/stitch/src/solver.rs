@@ -30,6 +30,11 @@ pub enum StitchError {
         /// The canvas size it must fit into.
         canvas: Size,
     },
+    /// The patch has no area, so no packer can place it.
+    EmptyPatch {
+        /// The offending patch size.
+        patch: Size,
+    },
 }
 
 impl fmt::Display for StitchError {
@@ -38,6 +43,7 @@ impl fmt::Display for StitchError {
             StitchError::PatchTooLarge { patch, canvas } => {
                 write!(f, "patch {patch} exceeds canvas {canvas}; split it first")
             }
+            StitchError::EmptyPatch { patch } => write!(f, "patch {patch} is empty"),
         }
     }
 }
@@ -107,13 +113,13 @@ impl Stitching {
         &self.canvases[..self.open]
     }
 
-    /// Read-only probe: would [`Self::push`] of a `size`-shaped patch open
-    /// a new canvas (`true`) or land in an open one's free space?
+    /// Read-only probe: the open canvas a `size`-shaped patch lands on —
+    /// the oldest whose packer fits it — or `None` when it opens a new one.
     #[must_use]
-    pub fn opens_canvas(&self, size: Size) -> bool {
-        !self.packers[..self.open]
+    pub fn fitting(&self, size: Size) -> Option<usize> {
+        self.packers[..self.open]
             .iter()
-            .any(|packer| packer.fits(size))
+            .position(|packer| packer.fits(size))
     }
 
     /// Stitches one patch: onto the oldest open canvas whose packer
@@ -122,35 +128,45 @@ impl Stitching {
     ///
     /// # Errors
     ///
-    /// Returns [`StitchError::PatchTooLarge`] (and places nothing) if the
-    /// patch exceeds the canvas; pre-split such patches with
-    /// [`split_to_fit`].
+    /// Same as [`Self::push_at`].
     pub fn push(&mut self, patch: PatchInfo) -> Result<(), StitchError> {
+        self.push_at(patch, self.fitting(patch.rect.size()))
+    }
+
+    /// [`Self::push`] onto `at`, [`Self::fitting`]'s answer for the patch.
+    ///
+    /// # Errors
+    ///
+    /// [`StitchError::PatchTooLarge`] or [`StitchError::EmptyPatch`], and
+    /// nothing placed; pre-split oversized patches with [`split_to_fit`].
+    ///
+    /// # Panics
+    ///
+    /// If `at` is not an open canvas with room for the patch.
+    pub fn push_at(&mut self, patch: PatchInfo, at: Option<usize>) -> Result<(), StitchError> {
         let size = patch.rect.size();
+        if size.is_empty() {
+            return Err(StitchError::EmptyPatch { patch: size });
+        }
         if !self.canvas_size.fits(size) {
             return Err(StitchError::PatchTooLarge {
                 patch: size,
                 canvas: self.canvas_size,
             });
         }
-        let open = self.packers.iter_mut().zip(&mut self.canvases);
-        for (packer, canvas) in open.take(self.open) {
-            if let Some(pos) = packer.insert(size) {
-                canvas.place(patch, pos);
-                return Ok(());
-            }
-        }
-        if self.open == self.canvases.len() {
+        debug_assert_eq!(at, self.fitting(size), "not the probe's answer");
+        let index = at.unwrap_or(self.open);
+        if index == self.canvases.len() {
             // No closed canvas left to reopen: make one.
             let id = CanvasId::new(self.open as u64);
             self.packers.push(GuillotinePacker::new(self.canvas_size));
             self.canvases.push(Canvas::new(id, self.canvas_size));
         }
-        let pos = self.packers[self.open]
+        self.open += usize::from(at.is_none());
+        let pos = self.packers[..self.open][index]
             .insert(size)
-            .expect("patch fits an empty canvas (checked above)");
-        self.canvases[self.open].place(patch, pos);
-        self.open += 1;
+            .expect("the probe found room, or the canvas is empty");
+        self.canvases[index].place(patch, pos);
         Ok(())
     }
 
@@ -204,7 +220,8 @@ impl PatchStitchingSolver {
     /// # Errors
     ///
     /// Returns [`StitchError::PatchTooLarge`] if any patch exceeds the
-    /// canvas; pre-split such patches with [`split_to_fit`].
+    /// canvas (pre-split such patches with [`split_to_fit`]), and
+    /// [`StitchError::EmptyPatch`] if any has no area.
     pub fn stitch(&self, patches: &[PatchInfo]) -> Result<Vec<Canvas>, StitchError> {
         let mut stitching = Stitching::new(self.canvas_size);
         for p in patches {
@@ -332,6 +349,16 @@ mod tests {
     }
 
     #[test]
+    fn empty_patch_is_an_error() {
+        for size in [Size::new(0, 40), Size::new(40, 0), Size::new(0, 0)] {
+            let err = solver().stitch_sizes(&[size]).unwrap_err();
+            assert_eq!(err, StitchError::EmptyPatch { patch: size });
+            let err = solver().stitch_sizes(&[Size::new(8, 8), size]).unwrap_err();
+            assert_eq!(err.to_string(), format!("patch {size} is empty"));
+        }
+    }
+
+    #[test]
     fn split_to_fit_tiles_cover_exactly() {
         let rect = Rect::new(100, 200, 2500, 1800);
         let tiles = split_to_fit(rect, CANVAS);
@@ -372,17 +399,21 @@ mod tests {
         let mut open = Stitching::new(CANVAS);
         for i in 0..40u32 {
             let p = patch(u64::from(i), 90 + (i * 131) % 800, 60 + (i * 71) % 900);
-            let (before, opens) = (open.canvases().len(), open.opens_canvas(p.rect.size()));
+            let (before, fitting) = (open.canvases().to_vec(), open.fitting(p.rect.size()));
             open.push(p).unwrap();
-            assert_eq!(open.canvases().len(), before + usize::from(opens));
+            let landed = fitting.unwrap_or(before.len());
+            assert_eq!(open.canvases().len(), before.len().max(landed + 1));
+            let placements = open.canvases()[landed].placements.last();
+            assert_eq!(placements.map(|placed| placed.patch), Some(p));
         }
         assert!(open.canvases().len() > 3);
         validate_canvases(open.canvases());
         let before = open.canvases().to_vec();
         assert!(open.push(patch(99, 1025, 4)).is_err());
+        assert!(open.push(patch(98, 0, 4)).is_err());
         assert_eq!(open.canvases(), before, "a refused patch places nothing");
         open.close();
-        assert!(open.canvases().is_empty() && open.opens_canvas(Size::new(1, 1)));
+        assert!(open.canvases().is_empty() && open.fitting(Size::new(1, 1)).is_none());
         open.push(patch(100, 8, 8)).unwrap();
         assert_eq!(open.canvases()[0].id, CanvasId::new(0), "ids restart");
         assert_eq!(open.canvases()[0].patch_count(), 1, "reopened empty");

@@ -15,6 +15,10 @@
 use crate::mask::BitMask;
 use tangram_video::raster::Raster;
 
+/// The most modes a pixel may keep: `apply` ranks them in stack buffers of
+/// this length.
+const MAX_MODES: usize = 8;
+
 /// Per-mode state, stored struct-of-arrays-style per pixel.
 #[derive(Debug, Clone, Copy)]
 struct Mode {
@@ -70,11 +74,16 @@ impl GaussianMixtureModel {
     ///
     /// # Panics
     ///
-    /// Panics if the raster would be empty or `params.modes == 0`.
+    /// Panics if the raster would be empty or `params.modes` is not in
+    /// `1..=8`.
     #[must_use]
     pub fn new(width: u32, height: u32, params: GmmParams) -> Self {
         assert!(width > 0 && height > 0, "empty raster");
-        assert!(params.modes > 0, "need at least one mode");
+        assert!(
+            (1..=MAX_MODES).contains(&params.modes),
+            "GmmParams::modes must be in 1..={MAX_MODES}, got {}",
+            params.modes
+        );
         let n = width as usize * height as usize * params.modes;
         Self {
             params,
@@ -181,7 +190,7 @@ impl GaussianMixtureModel {
             }
             // Rank by weight/σ and find which modes form the background.
             // K is tiny (≤5), insertion-sort indices on the stack.
-            let mut order: [usize; 8] = [0; 8];
+            let mut order = [0usize; MAX_MODES];
             for (i, o) in order.iter_mut().enumerate().take(k) {
                 *o = i;
             }
@@ -198,7 +207,7 @@ impl GaussianMixtureModel {
                     .expect("fitness is finite")
             });
             let mut cum = 0.0f32;
-            let mut background_of = [false; 8];
+            let mut background_of = [false; MAX_MODES];
             for &i in &order[..k] {
                 if cum < p.background_ratio {
                     background_of[i] = true;
@@ -306,6 +315,28 @@ mod tests {
         let fg = mask.count_set() as f64 / (640.0 * 360.0);
         assert!(fg < 0.1, "cold start too slow: {fg}");
         assert_eq!(gmm.frames_seen(), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "GmmParams::modes must be in 1..=8, got 9")]
+    fn more_modes_than_the_rank_buffer_holds_panic_at_construction() {
+        let params = GmmParams {
+            modes: 9,
+            ..GmmParams::default()
+        };
+        let _ = GaussianMixtureModel::new(64, 36, params);
+    }
+
+    #[test]
+    fn eight_modes_apply() {
+        let r = FrameRenderer::new(3, Size::new(64, 36), 1.0);
+        let params = GmmParams {
+            modes: 8,
+            ..GmmParams::default()
+        };
+        let mut gmm = GaussianMixtureModel::new(64, 36, params);
+        let _ = gmm.apply(&r.render(0, &[]));
+        assert_eq!(gmm.frames_seen(), 1);
     }
 
     #[test]

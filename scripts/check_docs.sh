@@ -96,6 +96,36 @@ for version in $documented; do
   fi
 done
 
+# Every row of docs/PERFORMANCE.md's "Claimed gains" table names, in its
+# second column, a workload and an end-to-end metric that BENCHMARK.json
+# declares (a claim on anything else was not measured by the benchmark).
+declared() {
+  sed -n "/^  \"$1\": \\[/,/^  \\]/p" BENCHMARK.json \
+    | grep -oE '"name": *"[^"]+"' | sed -E 's/.*"([^"]+)"$/\1/'
+}
+workloads=$(declared workloads)
+end_to_end=$(declared end_to_end)
+claims=$(sed -n '/^### Claimed gains/,/^#/p' docs/PERFORMANCE.md \
+         | grep -E '^\| [0-9]' | awk -F'|' '{print $3}')
+if [ -z "$workloads" ] || [ -z "$end_to_end" ] || [ -z "$claims" ]; then
+  echo "ERROR: no workloads / end_to_end in BENCHMARK.json or no rows in docs/PERFORMANCE.md's Claimed gains"
+  status=1
+fi
+while IFS= read -r claim; do
+  [ -n "$claim" ] || continue
+  names=$(grep -oE '`[^`]+`' <<<"$claim" | tr -d '`')
+  workload=$(sed -n 1p <<<"$names")
+  metric=$(sed -n 2p <<<"$names")
+  if ! grep -qxF -- "$workload" <<<"$workloads"; then
+    echo "ERROR: docs/PERFORMANCE.md claims a gain on '$workload', which BENCHMARK.json does not declare as a workload"
+    status=1
+  fi
+  if ! grep -qxF -- "$metric" <<<"$end_to_end"; then
+    echo "ERROR: docs/PERFORMANCE.md claims a gain in '$metric', which BENCHMARK.json does not declare as an end-to-end metric"
+    status=1
+  fi
+done <<<"$claims"
+
 # Every binary must be documented somewhere (docs stay complete as bins
 # are added).
 for path in crates/*/src/bin/*.rs; do

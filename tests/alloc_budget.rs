@@ -1,7 +1,8 @@
 //! Allocation budgets for the per-invocation path: what one already-late
 //! patch costs from `TangramScheduler::on_patch` through
 //! `ServerlessPlatform::submit` to `complete`, and what one `EventQueue`
-//! push/pop pair costs at a steady population — and the high-water mark
+//! push/pop pair costs at a steady population, what placing a tile onto
+//! warm canvases and profiling the latency estimator cost — and the high-water mark
 //! of a sweep: `run_grid` holds one cell's records at a time, so its peak
 //! is flat in the cell count. And what a trace record costs: nothing per
 //! record in `emit`, `verify`, `to_jsonl` and `from_jsonl` beyond the
@@ -21,6 +22,7 @@ use tangram_infer::latency::InferenceLatencyModel;
 use tangram_serverless::function::FunctionSpec;
 use tangram_serverless::platform::{InvocationRequest, ServerlessPlatform};
 use tangram_sim::event::EventQueue;
+use tangram_stitch::solver::Stitching;
 use tangram_trace::{TraceEvent, TraceLog, TraceSink};
 use tangram_types::geometry::{Rect, Size};
 use tangram_types::ids::{CameraId, FrameId, PatchId};
@@ -155,6 +157,61 @@ fn a_late_patch_costs_at_most_four_allocations_from_arrival_to_ack() {
         allocs <= 4 * 1_000,
         "{allocs} allocator calls for 1,000 late patches"
     );
+}
+
+/// Algorithm 2's placement of one tile is a probe of the open canvases
+/// and one insert where it stopped. Closed canvases keep their placement
+/// and free lists, so once a queue's worth of tiles has been placed,
+/// placing it again allocates nothing.
+#[test]
+fn placing_a_tile_onto_warm_canvases_allocates_nothing() {
+    let tiles: Vec<PatchInfo> = (0..300u32)
+        .map(|i| {
+            PatchInfo::new(
+                PatchId::new(u64::from(i)),
+                CameraId::new(0),
+                FrameId::new(0),
+                Rect::new(0, 0, 1 + (i * 131) % 700, 1 + (i * 71) % 600),
+                SimTime::ZERO,
+                SimDuration::from_secs(1),
+            )
+        })
+        .collect();
+    let place_all = |stitching: &mut Stitching| {
+        for tile in &tiles {
+            let at = stitching.fitting(tile.rect.size());
+            stitching.push_at(*tile, at).expect("tiles fit the canvas");
+        }
+    };
+    let mut stitching = Stitching::new(Size::CANVAS_1024);
+    place_all(&mut stitching);
+    let canvases = stitching.canvases().to_vec();
+    stitching.close();
+    let allocs = allocations_in(|| place_all(&mut stitching));
+    assert_eq!(
+        stitching.canvases(),
+        canvases,
+        "the same tiles, the same stitching"
+    );
+    assert!(canvases.len() > 20, "{} canvases", canvases.len());
+    assert_eq!(allocs, 0, "allocator calls placing {} tiles", tiles.len());
+}
+
+/// Profiling is `max_batch` rows of `(µ, σ, T_slack)` in one `Vec`.
+#[test]
+fn profiling_the_estimator_is_one_allocation() {
+    let model = InferenceLatencyModel::rtx4090_yolov8x();
+    let allocs = allocations_in(|| {
+        drop(LatencyEstimator::profile(
+            &model,
+            Size::CANVAS_1024,
+            9,
+            200,
+            3.0,
+            5,
+        ));
+    });
+    assert_eq!(allocs, 1);
 }
 
 /// Once the lane, the heap and the arena have grown to a population, a

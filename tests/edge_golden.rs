@@ -7,8 +7,10 @@
 //! (PR 18), before `BitMask` was packed into words and before the
 //! renderer built its background from row/column tables; an optimisation
 //! of the vision or video crates must leave them unchanged.
+//! The steady-state digest (past the GMM's learning-rate switch) was
+//! captured at commit 0e58d60, before any rework of the mixture kernel.
 
-use tangram_core::workload::TraceConfig;
+use tangram_core::workload::{ExtractorKind, TraceConfig};
 use tangram_types::geometry::Rect;
 use tangram_types::ids::SceneId;
 use tangram_video::generator::{SceneSimulation, VideoConfig};
@@ -41,11 +43,15 @@ impl Digest {
 
 /// Digest and patch count of the GMM trace of `scene`.
 fn gmm_trace(scene: u8) -> (u64, usize) {
-    let trace = TraceConfig {
+    gmm_digest(&TraceConfig {
         warmup_frames: WARMUP,
         ..TraceConfig::gmm_extractor(SceneId::new(scene), FRAMES, SEED)
-    }
-    .build();
+    })
+}
+
+/// Digest and patch count of the trace `config` builds.
+fn gmm_digest(config: &TraceConfig) -> (u64, usize) {
+    let trace = config.build();
     let mut d = Digest::new();
     for f in &trace.frames {
         d.push(f.roi_count as u64);
@@ -98,4 +104,24 @@ fn scene_1_is_the_pinned_bytes() {
 fn scene_2_is_the_pinned_bytes() {
     assert_eq!(gmm_trace(2), (0xbf47_eb36_9580_6160, 27), "GMM trace");
     assert_eq!(flow_rois(2), (0x02e3_0aa5_e66a_e013, 10), "flow RoIs");
+}
+
+/// The two tests above stop at frame 7, inside the boosted learning rate
+/// of a cold model's first 50 frames. This one records frames 56–59, past
+/// the switch to the steady rate, on a 1/10-scale raster so that 60 frames
+/// stay quick in a debug build.
+#[test]
+fn scene_1_past_the_learning_rate_switch_is_the_pinned_bytes() {
+    let config = TraceConfig {
+        warmup_frames: 56,
+        extractor: ExtractorKind::Gmm {
+            raster_scale_milli: 100,
+        },
+        ..TraceConfig::gmm_extractor(SceneId::new(1), 4, SEED)
+    };
+    assert_eq!(
+        gmm_digest(&config),
+        (0x00d1_9e9b_60f1_41ba, 25),
+        "GMM trace"
+    );
 }

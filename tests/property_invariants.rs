@@ -17,7 +17,7 @@ use tangram_stitch::canvas::{Canvas, PlacedPatch};
 use tangram_stitch::packer::{GuillotinePacker, Packer};
 use tangram_stitch::solver::{split_to_fit, PatchStitchingSolver, Stitching};
 use tangram_trace::{TraceEvent, TraceRecord};
-use tangram_types::geometry::{Rect, Size};
+use tangram_types::geometry::{Point, Rect, Size};
 use tangram_types::ids::{CameraId, FrameId, PatchId};
 use tangram_types::json::Json;
 use tangram_types::patch::PatchInfo;
@@ -191,6 +191,133 @@ fn packer_probe_agrees_with_insert_and_rejection_is_pure() {
     assert!(
         rejected > 2000 && exact_fills > 100,
         "{rejected} {exact_fills}"
+    );
+}
+
+/// `GuillotinePacker` before it kept a fit bound: the free list alone,
+/// best short side fit, shorter-axis split.
+#[derive(Clone)]
+struct FreeListPacker {
+    free: Vec<Rect>,
+}
+
+impl FreeListPacker {
+    fn insert(&mut self, size: Size) -> Option<Point> {
+        if size.is_empty() {
+            return None;
+        }
+        let (idx, _) = self
+            .free
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.size().fits(size))
+            .min_by_key(|(_, c)| (c.width - size.width).min(c.height - size.height))?;
+        let cell = self.free.swap_remove(idx);
+        let (rem_w, rem_h) = (cell.width - size.width, cell.height - size.height);
+        let (c1, c2) = if rem_w <= rem_h {
+            (
+                Rect::new(cell.x + size.width, cell.y, rem_w, size.height),
+                Rect::new(cell.x, cell.y + size.height, cell.width, rem_h),
+            )
+        } else {
+            (
+                Rect::new(cell.x + size.width, cell.y, rem_w, cell.height),
+                Rect::new(cell.x, cell.y + size.height, size.width, rem_h),
+            )
+        };
+        self.free
+            .extend([c1, c2].into_iter().filter(|c| !c.is_empty()));
+        Some(cell.origin())
+    }
+}
+
+/// The scheduler places each tile where `Stitching::fitting` stopped, so
+/// that answer must be the canvas the loop `Stitching::push` used to run
+/// picks — `insert` on each open canvas in turn, a new canvas if none
+/// accepts — and a packer's fit bound must never refuse a tile its free
+/// list holds. Beside the stitching, the test keeps every canvas twice:
+/// a shipped packer and a bound-free copy of its free list. Streams mix
+/// exact fits, canvas-sized tiles, 1-px slivers and tiled oversized
+/// patches, and close the stitching at random to reopen its canvases.
+#[test]
+fn the_stitching_probe_is_the_first_fit_of_the_free_lists() {
+    const CANVAS: Size = Size::CANVAS_1024;
+    let mut stitching = Stitching::new(CANVAS);
+    let mut open: Vec<(GuillotinePacker, FreeListPacker)> = Vec::new();
+    let (mut onto_open, mut opened, mut closes, mut bound_refusals) = (0usize, 0usize, 0, 0usize);
+    for case in 0..CASES {
+        let mut rng = case_rng("stitching_probe", case);
+        for step in 0..(1 + rng.index(150)) {
+            let side = |rng: &mut DetRng| 1 + rng.index(1024) as u32;
+            let rect = match rng.index(10) {
+                0 => Rect::from_size(CANVAS),
+                1 => Rect::new(0, 0, 1, side(&mut rng)),
+                2 => Rect::new(0, 0, side(&mut rng), 1),
+                3 => Rect::new(0, 0, 1025 + rng.index(2000) as u32, side(&mut rng)),
+                4..=6 => Rect::new(
+                    0,
+                    0,
+                    128 * (1 + rng.index(8)) as u32,
+                    128 * (1 + rng.index(8)) as u32,
+                ),
+                _ => Rect::new(0, 0, 1 + rng.index(700) as u32, 1 + rng.index(700) as u32),
+            };
+            for tile in split_to_fit(rect, CANVAS) {
+                let size = tile.size();
+                for (i, (packer, free_list)) in open.iter().enumerate() {
+                    let holds = free_list.free.iter().any(|r| r.size().fits(size));
+                    assert_eq!(
+                        packer.fits(size),
+                        holds,
+                        "case {case} step {step} canvas {i}"
+                    );
+                    let widest = free_list.free.iter().map(|r| r.width).max();
+                    let tallest = free_list.free.iter().map(|r| r.height).max();
+                    bound_refusals += usize::from(
+                        widest.is_none_or(|w| size.width > w)
+                            || tallest.is_none_or(|h| size.height > h),
+                    );
+                }
+                let first_fit = open
+                    .iter()
+                    .position(|(_, free_list)| free_list.clone().insert(size).is_some());
+                assert_eq!(
+                    stitching.fitting(size),
+                    first_fit,
+                    "case {case} step {step}"
+                );
+                let patch = patch_info(step, tile);
+                stitching.push(patch).expect("tiles fit");
+                let at = first_fit.unwrap_or_else(|| {
+                    let free = vec![Rect::from_size(CANVAS)];
+                    open.push((GuillotinePacker::new(CANVAS), FreeListPacker { free }));
+                    open.len() - 1
+                });
+                onto_open += usize::from(first_fit.is_some());
+                opened += usize::from(first_fit.is_none());
+                let (packer, free_list) = &mut open[at];
+                let position = packer.insert(size);
+                assert_eq!(position, free_list.insert(size), "case {case} step {step}");
+                let placed = stitching.canvases()[at].placements.last();
+                let placed = placed.map(|p| (p.patch, Some(p.position)));
+                assert_eq!(placed, Some((patch, position)), "case {case} step {step}");
+            }
+            assert_eq!(
+                stitching.canvases().len(),
+                open.len(),
+                "case {case} step {step}"
+            );
+            if rng.chance(0.05) {
+                stitching.close();
+                open.clear();
+                closes += 1;
+            }
+        }
+    }
+    assert!(
+        onto_open > 2_000 && opened > 1_000 && closes > 100 && bound_refusals > 20_000,
+        "{onto_open} onto open canvases, {opened} opened, {closes} closes, \
+         {bound_refusals} refused by the bound"
     );
 }
 
