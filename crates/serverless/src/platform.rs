@@ -10,6 +10,8 @@
 use crate::function::FunctionSpec;
 use crate::lb::RoundRobin;
 use crate::pricing::ResourcePrices;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 use tangram_infer::latency::InferenceLatencyModel;
@@ -80,20 +82,80 @@ impl Error for PlatformError {}
 #[derive(Debug, Clone)]
 struct Instance {
     id: InstanceId,
+    /// When its last execution ends; it expires `keep_alive` later.
     busy_until: SimTime,
-    expires_at: SimTime,
 }
 
 impl Instance {
     /// Provisioned at `now`: executing, or warm inside its keep-alive.
-    fn is_live(&self, now: SimTime) -> bool {
-        self.busy_until > now || self.expires_at > now
+    fn is_live(&self, now: SimTime, keep_alive: SimDuration) -> bool {
+        self.busy_until + keep_alive > now
     }
 
     /// Warm and free at `now`: what the balancer chooses among.
-    fn is_idle(&self, now: SimTime) -> bool {
-        self.busy_until <= now && self.expires_at > now
+    fn is_idle(&self, now: SimTime, keep_alive: SimDuration) -> bool {
+        self.busy_until <= now && self.is_live(now, keep_alive)
     }
+}
+
+/// A set of instance-table positions, one bit each.
+#[derive(Debug, Default)]
+struct IdleSet {
+    words: Vec<u64>,
+}
+
+impl IdleSet {
+    /// Empties the set and sizes it for a table of `len` instances.
+    fn reset(&mut self, len: usize) {
+        self.words.clear();
+        self.words.resize(len.div_ceil(64), 0);
+    }
+
+    /// Makes room for position `len - 1` after the table grew to `len`.
+    fn grow(&mut self, len: usize) {
+        if self.words.len() * 64 < len {
+            self.words.push(0);
+        }
+    }
+
+    fn insert(&mut self, position: usize) {
+        self.words[position / 64] |= 1 << (position % 64);
+    }
+
+    fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Removes and returns the `k`-th smallest position in the set.
+    fn take_nth(&mut self, mut k: usize) -> usize {
+        for (index, word) in self.words.iter_mut().enumerate() {
+            let ones = word.count_ones() as usize;
+            if k < ones {
+                let bit = select(*word, k as u32);
+                *word &= !(1 << bit);
+                return index * 64 + bit as usize;
+            }
+            k -= ones;
+        }
+        unreachable!("the set holds more than k positions")
+    }
+}
+
+/// The position of the `k`-th set bit of `word`, counting from the least
+/// significant (`k` must be below its popcount): a binary search that
+/// keeps the low half when it holds more than `k` set bits and otherwise
+/// shifts it out.
+fn select(mut word: u64, mut k: u32) -> u32 {
+    let mut bit = 0;
+    for half in [32, 16, 8, 4, 2, 1] {
+        let low = (word & ((1 << half) - 1)).count_ones();
+        if k >= low {
+            k -= low;
+            word >>= half;
+            bit += half;
+        }
+    }
+    bit
 }
 
 /// Where [`ServerlessPlatform::submit`] decided a batch runs: the
@@ -146,11 +208,8 @@ pub struct ServerlessPlatform {
     prices: ResourcePrices,
     model: InferenceLatencyModel,
     balancer: RoundRobin,
-    /// Keep-alive window before an idle instance is reclaimed.
-    pub keep_alive: SimDuration,
-    /// Mean cold-start delay (lognormal-sampled; §I: "tens of
-    /// milliseconds" for a pre-provisioned GPU runtime).
-    pub cold_start_mean: SimDuration,
+    keep_alive: SimDuration,
+    cold_start_mean: SimDuration,
     /// Physical capacity cap: at most this many simultaneous instances
     /// (the paper's testbed hosts ~8 six-GB functions on two 24-GB
     /// RTX 4090s). `None` = unlimited scale-out. Requests beyond the cap
@@ -161,6 +220,18 @@ pub struct ServerlessPlatform {
     /// `retain`, which keeps order. The balancer's "*k*-th idle instance"
     /// is counted in this order.
     instances: Vec<Instance>,
+    /// The table positions of the instances idle at `placed_at`. Every
+    /// other instance has an entry in `busy` keyed by its `busy_until`.
+    idle: IdleSet,
+    /// `(busy_until, position)` per execution started, earliest first.
+    /// An entry whose key is no longer its instance's `busy_until` is
+    /// stale (the at-cap arm re-queued the instance) and is skipped.
+    busy: BinaryHeap<Reverse<(SimTime, usize)>>,
+    /// The instant `idle` describes: the last placement or eviction.
+    placed_at: SimTime,
+    /// No instance in `idle` expires before this instant. Picks do not
+    /// raise it, so it is a lower bound, not the minimum.
+    idle_expiry_floor: SimTime,
     next_instance: InstanceId,
     next_invocation: InvocationId,
     stats: PlatformStats,
@@ -189,6 +260,10 @@ impl ServerlessPlatform {
             cold_start_mean: SimDuration::from_millis(60),
             max_instances: Some(8),
             instances: Vec::new(),
+            idle: IdleSet::default(),
+            busy: BinaryHeap::new(),
+            placed_at: SimTime::ZERO,
+            idle_expiry_floor: SimTime::MAX,
             next_instance: InstanceId::default(),
             next_invocation: InvocationId::default(),
             stats: PlatformStats::default(),
@@ -217,6 +292,19 @@ impl ServerlessPlatform {
         self.stats
     }
 
+    /// Keep-alive window before an idle instance is reclaimed.
+    #[must_use]
+    pub fn keep_alive(&self) -> SimDuration {
+        self.keep_alive
+    }
+
+    /// Mean cold-start delay (lognormal-sampled; §I: "tens of
+    /// milliseconds" for a pre-provisioned GPU runtime).
+    #[must_use]
+    pub fn cold_start_mean(&self) -> SimDuration {
+        self.cold_start_mean
+    }
+
     /// Sets the brownout execution-time multiplier (see the
     /// `compute_factor` field). 1.0 restores exact no-fault timing: the
     /// latency model's draw sequence is never perturbed, only the
@@ -237,15 +325,19 @@ impl ServerlessPlatform {
     /// evicted. Busy instances finish their work — only warmth is lost.
     pub fn evict_idle(&mut self, now: SimTime) -> usize {
         let before = self.instances.len();
-        // Live and not idle is exactly "executing at `now`".
-        self.instances.retain(|i| i.is_live(now) && !i.is_idle(now));
+        self.instances.retain(|i| i.busy_until > now);
+        // Positions moved under `idle` and `busy`.
+        self.rebuild(now);
         before - self.instances.len()
     }
 
     /// Number of instances currently provisioned (warm or busy).
     #[must_use]
     pub fn live_instances(&self, now: SimTime) -> usize {
-        self.instances.iter().filter(|i| i.is_live(now)).count()
+        self.instances
+            .iter()
+            .filter(|i| i.is_live(now, self.keep_alive))
+            .count()
     }
 
     /// Executes a batch and immediately acknowledges its completion — the
@@ -294,35 +386,12 @@ impl ServerlessPlatform {
 
     /// Chooses the instance for a batch submitted at `now`: an idle warm
     /// one (balanced), else a cold-started one, else — at the cap — the
-    /// earliest-free one. Allocates nothing: one pass counts the idle
-    /// instances and notices expired ones, and the balancer's choice is
-    /// then walked to rather than looked up in a collected list.
+    /// earliest-free one. Without a table scan: the balancer's *k*-th
+    /// idle instance in id order is the *k*-th set bit of `idle`.
     fn place(&mut self, now: SimTime) -> Placement {
-        let (mut idle, mut expired) = (0usize, false);
-        for instance in &self.instances {
-            if instance.is_idle(now) {
-                idle += 1;
-            } else if !instance.is_live(now) {
-                expired = true;
-            }
-        }
-        // Reap expired instances before the table's length is read. No
-        // idle instance is expired, so the pick is the same either way.
-        if expired {
-            self.instances.retain(|i| i.is_live(now));
-        }
-        match self.balancer.pick(idle) {
-            Some(kth) => {
-                let idx = self
-                    .instances
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, i)| i.is_idle(now))
-                    .nth(kth)
-                    .map(|(idx, _)| idx)
-                    .expect("balancer picked among the idle instances counted");
-                (idx, false, now)
-            }
+        self.catch_up(now);
+        match self.balancer.pick(self.idle.len()) {
+            Some(kth) => (self.idle.take_nth(kth), false, now),
             None if self
                 .max_instances
                 .is_none_or(|cap| self.instances.len() < cap) =>
@@ -333,8 +402,8 @@ impl ServerlessPlatform {
                 self.instances.push(Instance {
                     id,
                     busy_until: now,
-                    expires_at: now + self.keep_alive,
                 });
+                self.idle.grow(self.instances.len());
                 (self.instances.len() - 1, true, now + delay)
             }
             None => {
@@ -350,6 +419,57 @@ impl ServerlessPlatform {
                 (idx, false, start)
             }
         }
+    }
+
+    /// Brings `idle` from `placed_at` to `now`: every execution that has
+    /// ended by `now` joins it. The table is rebuilt instead — expired
+    /// instances reaped before its length is read — when `now` is earlier
+    /// than `placed_at` or an idle instance may have expired.
+    fn catch_up(&mut self, now: SimTime) {
+        if now < self.placed_at {
+            self.rebuild(now);
+            return;
+        }
+        while let Some(&Reverse((until, idx))) = self.busy.peek() {
+            if until > now {
+                break;
+            }
+            self.busy.pop();
+            if self.instances[idx].busy_until == until {
+                self.idle.insert(idx);
+                self.idle_expiry_floor = self.idle_expiry_floor.min(until + self.keep_alive);
+            }
+        }
+        if self.idle_expiry_floor <= now {
+            self.rebuild(now);
+        } else {
+            self.placed_at = now;
+        }
+    }
+
+    /// Reaps the instances expired at `now` and sorts the rest into
+    /// `idle` and `busy` as of `now` — one scan of the table.
+    fn rebuild(&mut self, now: SimTime) {
+        let keep_alive = self.keep_alive;
+        self.idle.reset(self.instances.len());
+        self.busy.clear();
+        self.idle_expiry_floor = SimTime::MAX;
+        let mut idx = 0;
+        self.instances.retain(|instance| {
+            if !instance.is_live(now, keep_alive) {
+                return false;
+            }
+            if instance.busy_until <= now {
+                self.idle.insert(idx);
+                self.idle_expiry_floor =
+                    self.idle_expiry_floor.min(instance.busy_until + keep_alive);
+            } else {
+                self.busy.push(Reverse((instance.busy_until, idx)));
+            }
+            idx += 1;
+            true
+        });
+        self.placed_at = now;
     }
 
     /// Executes `request` where [`Self::place`] put it: samples the
@@ -372,9 +492,8 @@ impl ServerlessPlatform {
         let finished = started + execution;
         let cost = self.prices.invocation_cost(execution, &self.spec);
 
-        let inst = &mut self.instances[instance_idx];
-        inst.busy_until = finished;
-        inst.expires_at = finished + self.keep_alive;
+        self.instances[instance_idx].busy_until = finished;
+        self.busy.push(Reverse((finished, instance_idx)));
 
         self.stats.invocations += 1;
         if cold {
@@ -402,8 +521,8 @@ impl ServerlessPlatform {
     ///
     /// Ids are unique ([`InvocationId::bump`] never repeats), so the first
     /// match is the only one. Finding it is a scan, O(in-flight); removing
-    /// it is O(1) by `swap_remove` — order is irrelevant because
-    /// [`Self::next_completion`] scans with `min`.
+    /// it is O(1) by `swap_remove` — order is irrelevant because the one
+    /// reader of the set, [`Self::snapshot`], only counts and sums it.
     pub fn complete(&mut self, id: InvocationId) -> bool {
         match self
             .in_flight
@@ -430,9 +549,12 @@ impl ServerlessPlatform {
     /// the RNG.
     #[must_use]
     pub fn snapshot(&self, now: SimTime) -> BackendSnapshot {
-        let live = |i: &&Instance| i.is_live(now);
+        let live = |i: &&Instance| i.is_live(now, self.keep_alive);
         let live_instances = self.instances.iter().filter(live).count();
-        let idle_warm = self.instances.iter().any(|i| i.is_idle(now));
+        let idle_warm = self
+            .instances
+            .iter()
+            .any(|i| i.is_idle(now, self.keep_alive));
         let earliest_start = if idle_warm {
             now
         } else if self.max_instances.is_none_or(|cap| live_instances < cap) {
@@ -460,13 +582,6 @@ impl ServerlessPlatform {
             earliest_start,
             backlog,
         }
-    }
-
-    /// The earliest scheduled completion among in-flight invocations — a
-    /// scan, O(in-flight), like the find in [`Self::complete`].
-    #[must_use]
-    pub fn next_completion(&self) -> Option<SimTime> {
-        self.in_flight.iter().map(|&(_, at)| at).min()
     }
 
     fn sample_cold_start(&mut self) -> SimDuration {
@@ -542,7 +657,7 @@ mod tests {
     fn keep_alive_expiry_forces_cold_start() {
         let mut p = platform();
         let first = p.invoke(req(1, 0)).unwrap();
-        let after_expiry = first.finished + p.keep_alive + SimDuration::from_secs(1);
+        let after_expiry = first.finished + p.keep_alive() + SimDuration::from_secs(1);
         let second = p.invoke(req(1, after_expiry.as_micros())).unwrap();
         assert!(second.cold, "keep-alive elapsed; must cold start");
     }
@@ -601,12 +716,16 @@ mod tests {
         let a = p.submit(req(1, 0)).unwrap();
         let b = p.submit(req(1, 0)).unwrap();
         assert_eq!(p.in_flight(), 2);
-        assert_eq!(p.next_completion(), Some(a.finished.min(b.finished)));
+        assert_eq!(
+            p.snapshot(SimTime::ZERO).backlog,
+            a.finished.since(SimTime::ZERO) + b.finished.since(SimTime::ZERO)
+        );
         assert!(p.complete(a.id));
         assert_eq!(p.in_flight(), 1);
         assert!(!p.complete(a.id), "double-ack is a no-op");
         assert!(p.complete(b.id));
-        assert_eq!(p.next_completion(), None);
+        assert_eq!(p.in_flight(), 0);
+        assert_eq!(p.snapshot(SimTime::ZERO).backlog, SimDuration::ZERO);
     }
 
     #[test]
@@ -615,17 +734,17 @@ mod tests {
         let a = p.submit(req(1, 0)).unwrap();
         let b = p.submit(req(1, 0)).unwrap();
         let stats_before = p.stats();
-        let next_before = p.next_completion();
+        let snapshot_before = p.snapshot(SimTime::ZERO);
 
         // An id that was never issued: `bump` starts after the defaults,
         // so a far-future raw id can never collide.
         let unknown = InvocationId::new(u64::MAX);
         assert!(!p.complete(unknown));
 
-        // Nothing moved: both invocations still in flight, same earliest
-        // completion, same counters.
+        // Nothing moved: both invocations still in flight, same backlog,
+        // same counters.
         assert_eq!(p.in_flight(), 2);
-        assert_eq!(p.next_completion(), next_before);
+        assert_eq!(p.snapshot(SimTime::ZERO), snapshot_before);
         assert_eq!(p.stats(), stats_before);
         assert!(p.complete(a.id));
         assert!(p.complete(b.id));
@@ -639,7 +758,7 @@ mod tests {
         // Empty platform: a submission would cold-start.
         assert_eq!(
             p.snapshot(SimTime::ZERO).earliest_start,
-            SimTime::ZERO + p.cold_start_mean
+            SimTime::ZERO + p.cold_start_mean()
         );
 
         let a = p.submit(req(1, 0)).unwrap();
@@ -648,7 +767,7 @@ mod tests {
         assert_eq!(snap.live_instances, 1);
         assert_eq!(snap.backlog, a.finished.since(SimTime::ZERO));
         // Instance busy, but scale-out is open below the cap.
-        assert_eq!(snap.earliest_start, SimTime::ZERO + p.cold_start_mean);
+        assert_eq!(snap.earliest_start, SimTime::ZERO + p.cold_start_mean());
 
         // Saturate the cap: a new submission queues on the earliest-free
         // instance.
@@ -672,9 +791,11 @@ mod tests {
         assert_eq!(via_snapshots, direct);
     }
 
-    /// `submit` as it placed batches before it stopped allocating: reap,
+    /// `submit` as it placed batches before it kept an idle set: reap,
     /// collect the idle ids, index that list, look the chosen id back up.
-    /// `cursor` is the reference's own round-robin position.
+    /// `cursor` is the reference's own round-robin position. It reads and
+    /// writes only the instance table; `run` still feeds the reference's
+    /// `busy` heap, which nothing in it reads.
     fn submit_by_collecting(
         p: &mut ServerlessPlatform,
         cursor: &mut usize,
@@ -688,12 +809,13 @@ mod tests {
             });
         }
         let now = request.submitted;
-        p.instances
-            .retain(|i| i.busy_until > now || i.expires_at > now);
+        let keep_alive = p.keep_alive;
+        let expires_at = |i: &Instance| i.busy_until + keep_alive;
+        p.instances.retain(|i| expires_at(i) > now);
         let idle: Vec<InstanceId> = p
             .instances
             .iter()
-            .filter(|i| i.busy_until <= now && i.expires_at > now)
+            .filter(|i| i.busy_until <= now && expires_at(i) > now)
             .map(|i| i.id)
             .collect();
         let placement = if !idle.is_empty() {
@@ -707,7 +829,6 @@ mod tests {
             p.instances.push(Instance {
                 id,
                 busy_until: now,
-                expires_at: now + p.keep_alive,
             });
             (p.instances.len() - 1, true, now + delay)
         } else {
@@ -724,28 +845,50 @@ mod tests {
 
     #[test]
     fn allocation_free_submit_places_exactly_like_collect_and_pick() {
-        for cap in [None, Some(8)] {
+        for cap in [None, Some(8), Some(1)] {
             let mut rng = DetRng::new(33).fork("platform-differential");
             let (mut subject, mut reference) = (platform(), platform());
             subject.max_instances = cap;
             reference.max_instances = cap;
             let capacity = subject.spec().max_canvases();
+            let keep_alive = subject.keep_alive();
             let mut cursor = 0usize;
             let mut now = SimTime::ZERO;
             let mut outstanding = Vec::new();
-            let mut refused = 0;
+            let (mut refused, mut queued, mut instant) = (0, 0, 0);
             for _ in 0..2_500 {
                 // Bursts at one instant grow the pool; short gaps leave a
-                // mix of busy and idle instances; a gap past `keep_alive`
-                // expires the whole pool, which the next submit reaps.
-                now += match rng.index(40) {
-                    0..=19 => SimDuration::ZERO,
-                    20..=33 => SimDuration::from_micros(rng.index(50_000) as u64),
-                    34..=38 => SimDuration::from_millis(200 + rng.index(1_800) as u64),
-                    _ => subject.keep_alive + SimDuration::from_secs(1 + rng.index(100) as u64),
+                // mix of busy and idle instances; a gap well past
+                // `keep_alive` expires the whole pool, which the next
+                // submit reaps, and one just past it expires the instances
+                // that were idle while those still executing survive. A
+                // step backwards reads the table at an earlier instant.
+                now = match rng.index(50) {
+                    0..=24 => now,
+                    25..=38 => now + SimDuration::from_micros(rng.index(50_000) as u64),
+                    39..=43 => now + SimDuration::from_millis(200 + rng.index(1_800) as u64),
+                    44 => now + keep_alive + SimDuration::from_secs(1 + rng.index(100) as u64),
+                    45..=46 => {
+                        now + keep_alive + SimDuration::from_micros(rng.index(100_000) as u64)
+                    }
+                    _ => SimTime::from_micros(
+                        now.as_micros().saturating_sub(rng.index(300_000) as u64),
+                    ),
                 };
                 if rng.chance(0.02) {
                     assert_eq!(subject.evict_idle(now), reference.evict_idle(now));
+                }
+                // Bursts of zero-length executions: an instance is idle
+                // again the instant it was picked, and many finish times
+                // are equal.
+                if rng.chance(0.04) {
+                    let factor = if subject.compute_factor() == 1.0 {
+                        0.0
+                    } else {
+                        1.0
+                    };
+                    subject.set_compute_factor(factor);
+                    reference.set_compute_factor(factor);
                 }
                 let request = InvocationRequest {
                     canvases: 1 + rng.index(capacity + 1),
@@ -756,7 +899,11 @@ mod tests {
                 let expected = submit_by_collecting(&mut reference, &mut cursor, request);
                 assert_eq!(outcome, expected);
                 match outcome {
-                    Ok(outcome) => outstanding.push(outcome.id),
+                    Ok(outcome) => {
+                        outstanding.push(outcome.id);
+                        queued += usize::from(!outcome.cold && outcome.started > now);
+                        instant += usize::from(outcome.execution.is_zero());
+                    }
                     Err(_) => refused += 1,
                 }
                 if rng.chance(0.6) && !outstanding.is_empty() {
@@ -767,16 +914,57 @@ mod tests {
                 assert_eq!(subject.snapshot(now), reference.snapshot(now));
                 assert_eq!(subject.live_instances(now), reference.live_instances(now));
             }
-            // The run reached every placement arm, and the refusal.
+            // The run reached every placement arm, the refusal and the
+            // zero-length executions.
             let stats = subject.stats();
             assert!(refused > 0, "no oversized batch in the run");
+            assert!(instant > 100, "{instant} zero-length executions");
             assert!(stats.cold_starts > 50, "{stats:?}");
             assert!(stats.invocations - stats.cold_starts > 1_000, "{stats:?}");
             match cap {
-                Some(cap) => assert_eq!(stats.peak_instances, cap, "never queued at the cap"),
+                Some(cap) => {
+                    assert_eq!(stats.peak_instances, cap, "never reached the cap");
+                    assert!(queued > 50, "{queued} batches queued at the cap");
+                }
                 None => assert!(stats.peak_instances > 2 * 8, "{stats:?}"),
             }
         }
+    }
+
+    #[test]
+    fn the_idle_set_takes_the_kth_position_in_order() {
+        let rng = DetRng::new(5).fork("idle-set");
+        let word = |i: u64| rng.derive_seed("word", i);
+        for i in 0..500 {
+            // Dense, sparse and the edge words.
+            let w = match i {
+                0 => u64::MAX,
+                1 => 1,
+                2 => 1 << 63,
+                _ if i % 2 == 0 => word(i),
+                _ => word(i) & word(i + 1_000) & word(i + 2_000),
+            };
+            let ones: Vec<u32> = (0..64).filter(|&b| w >> b & 1 == 1).collect();
+            for (k, &bit) in ones.iter().enumerate() {
+                assert_eq!(select(w, k as u32), bit, "{w:#x}, k = {k}");
+            }
+        }
+
+        let mut set = IdleSet::default();
+        let mut oracle = Vec::new();
+        for len in 1..=200 {
+            set.grow(len);
+            if word(len as u64).is_multiple_of(3) {
+                set.insert(len - 1);
+                oracle.push(len - 1);
+            }
+        }
+        while !oracle.is_empty() {
+            assert_eq!(set.len(), oracle.len());
+            let k = word(oracle.len() as u64 + 9_000) as usize % oracle.len();
+            assert_eq!(set.take_nth(k), oracle.remove(k));
+        }
+        assert_eq!(set.len(), 0);
     }
 
     #[test]
@@ -834,7 +1022,7 @@ mod tests {
         let mut p = platform();
         let o = p.invoke(req(1, 0)).unwrap();
         assert_eq!(p.live_instances(o.finished), 1);
-        let far = o.finished + p.keep_alive + SimDuration::from_secs(5);
+        let far = o.finished + p.keep_alive() + SimDuration::from_secs(5);
         assert_eq!(p.live_instances(far), 0);
     }
 }

@@ -1,6 +1,7 @@
 //! Allocation budgets for the per-invocation path: what one already-late
 //! patch costs from `TangramScheduler::on_patch` through
-//! `ServerlessPlatform::submit` to `complete`, and what one `EventQueue`
+//! `ServerlessPlatform::submit` to `complete` (and the platform's own
+//! share of it at a warm pool), what one `EventQueue`
 //! push/pop pair costs at a steady population, what placing a tile onto
 //! warm canvases and profiling the latency estimator cost — and the high-water mark
 //! of a sweep: `run_grid` holds one cell's records at a time, so its peak
@@ -157,6 +158,35 @@ fn a_late_patch_costs_at_most_four_allocations_from_arrival_to_ack() {
         allocs <= 4 * 1_000,
         "{allocs} allocator calls for 1,000 late patches"
     );
+}
+
+/// The platform alone, at the pool size a saturated uplink keeps warm:
+/// placing a batch takes a bit from the idle set and pushes its finish
+/// time onto the busy heap, acknowledging it removes one in-flight entry.
+/// Once the pool has grown, none of that allocates — nor does the
+/// rescan of the table that the first idle instance's keep-alive
+/// deadline triggers, 60 s into the run.
+#[test]
+fn a_warm_pool_submits_and_completes_without_allocating() {
+    let model = InferenceLatencyModel::rtx4090_yolov8x();
+    let mut platform = ServerlessPlatform::new(FunctionSpec::paper_default(), model, 7);
+    platform.max_instances = None;
+    let keep_alive = platform.keep_alive();
+    let mut submit_and_ack = |i: u64| {
+        let request = InvocationRequest {
+            canvases: 1,
+            megapixels: 1.05,
+            submitted: SimTime::from_micros(i * 2_000),
+        };
+        let outcome = platform.submit(request).expect("one canvas fits");
+        assert!(platform.complete(outcome.id));
+    };
+    (0..2_000).for_each(&mut submit_and_ack);
+    let allocs = allocations_in(|| (2_000..42_000).for_each(&mut submit_and_ack));
+    assert!(SimDuration::from_micros(40_000 * 2_000) > keep_alive);
+    let stats = platform.stats();
+    assert!(stats.peak_instances >= 60, "{stats:?}");
+    assert_eq!(allocs, 0, "allocator calls in 40,000 submits and acks");
 }
 
 /// Algorithm 2's placement of one tile is a probe of the open canvases
