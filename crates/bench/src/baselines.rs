@@ -51,17 +51,17 @@ pub const FILES: [Baseline; 7] = [
     },
     Baseline {
         file: "BENCH_throughput.json",
-        pins: "sharded runtime: the `ext_throughput --quick` counts, identical at 1 and 2 shards",
+        pins: "city-scale streaming: the `ext_throughput --quick` counts",
         render: |_, _| {
             let preset = CityScale::preset(true, BASELINE_SEED, None);
-            Ok(preset.document(&preset.oracle()?).render() + "\n")
+            Ok(preset.document(&preset.run()).render() + "\n")
         },
     },
     Baseline {
         file: "BENCH_scenarios.json",
-        pins: "fault injection: every `config/scenarios/*.toml`, identical at 1 and 8 shards",
+        pins: "fault injection: every `config/scenarios/*.toml`",
         render: |root, _| {
-            let library = scenario_library(&root.join("config/scenarios"), &[1, 8])?;
+            let library = scenario_library(&root.join("config/scenarios"))?;
             Ok(scenarios_document("full", &library).render() + "\n")
         },
     },
@@ -98,7 +98,7 @@ const REFRESH: &str = "If this change is intended, refresh the baselines (and sa
 /// The one gate: regenerates each of `rows` and compares it with
 /// `<root>/baselines/<file>`, reporting on `out`. Returns the exit
 /// status: 0 when every row is byte-equal; 1 when one differs or cannot
-/// be regenerated (a shard count diverged from its oracle), with the
+/// be regenerated (the scenario library does not load), with the
 /// differing JSON paths or the first divergent trace event; 2 when a
 /// committed file cannot be read as what it is.
 pub fn check(rows: &[Baseline], root: &Path, workers: usize, out: &mut dyn Write) -> u8 {

@@ -1,10 +1,9 @@
 //! Rows beyond the paper: the streaming runtime's own experiments —
 //! overload with admission control, weighted-DRR fair ingress, camera
-//! churn, the sharded city-scale preset and the declarative scenario
-//! library. `--quick` runs the CI-sized shape whose report
+//! churn, the city-scale preset and the declarative scenario library.
+//! `--quick` runs the CI-sized shape whose report
 //! [`crate::baselines::FILES`] pins byte for byte (churn has none); the
-//! two shard-oracle rows share their run and their document with that
-//! table.
+//! last two rows share their run and their document with that table.
 
 use crate::{heading, same, say, workspace_root, ExpOpts};
 use std::io::Write;
@@ -18,8 +17,7 @@ use tangram_harness::presets::{
     TENANT_MIX_SLOS_S,
 };
 use tangram_harness::{
-    run_grid, run_scenario_sharded, table, ArrivalSpec, BenchReport, CellReport, ScenarioFile,
-    SweepGrid,
+    run_grid, run_scenario, table, ArrivalSpec, BenchReport, CellReport, ScenarioFile, SweepGrid,
 };
 use tangram_types::ids::SceneId;
 
@@ -207,91 +205,54 @@ pub(crate) fn ext_churn(opts: &ExpOpts, out: &mut dyn Write) -> Vec<bool> {
     ]
 }
 
-/// Runs `what` once per shard count. Every count must reproduce the
-/// first (single-shard) run exactly — summary, events, frames, muted
-/// frames: a divergence is a correctness bug in the sharded runtime.
-///
-/// # Errors
-///
-/// Names `what` and the first shard count whose run differs.
-fn shard_oracle(
-    what: &str,
-    shard_counts: &[usize],
-    run: impl Fn(usize) -> RunReport,
-) -> Result<RunReport, String> {
-    let oracle = run(shard_counts[0]);
-    for &shards in &shard_counts[1..] {
-        let report = run(shards);
-        let counts = |r: &RunReport| (r.events_processed, r.frames, r.frames_muted);
-        if report.summarize() != oracle.summarize() || counts(&report) != counts(&oracle) {
-            return Err(format!(
-                "DETERMINISM VIOLATION: {what} diverged at {shards} shards from the single-shard \
-                 oracle"
-            ));
-        }
-    }
-    Ok(oracle)
-}
-
 /// The city-scale preset (open-loop Poisson cameras, Tangram policy, a
-/// wide uplink) at one mode's size, run once per shard count.
+/// wide uplink) at one mode's size.
 pub(crate) struct CityScale {
     mode: &'static str,
     seed: u64,
     cameras: usize,
     frames_per_camera: usize,
-    shard_counts: &'static [usize],
 }
 
 impl CityScale {
     /// The CI-sized preset (`quick`) or the full one; `frames` overrides
     /// the per-camera budget.
     pub(crate) fn preset(quick: bool, seed: u64, frames: Option<usize>) -> Self {
-        let (mode, cameras, budget, shard_counts): (_, _, _, &[usize]) = if quick {
-            ("smoke", CITY_SCALE_SMOKE_CAMERAS, 24, &[1, 2])
+        let (mode, cameras, budget) = if quick {
+            ("smoke", CITY_SCALE_SMOKE_CAMERAS, 24)
         } else {
-            ("full", CITY_SCALE_CAMERAS, 96, &[1, 2, 4, 8])
+            ("full", CITY_SCALE_CAMERAS, 96)
         };
-        let frames_per_camera = frames.unwrap_or(budget);
         Self {
             mode,
             seed,
             cameras,
-            frames_per_camera,
-            shard_counts,
+            frames_per_camera: frames.unwrap_or(budget),
         }
     }
 
-    /// `smoke mode: 12 cameras x 24 frames, seed 42, shard counts [1, 2]`.
+    /// `smoke mode: 12 cameras x 24 frames, seed 42`.
     fn shape(&self) -> String {
         format!(
-            "{} mode: {} cameras x {} frames, seed {}, shard counts {:?}",
-            self.mode, self.cameras, self.frames_per_camera, self.seed, self.shard_counts
+            "{} mode: {} cameras x {} frames, seed {}",
+            self.mode, self.cameras, self.frames_per_camera, self.seed
         )
     }
 
-    /// The single-shard run, reproduced at every other shard count.
-    ///
-    /// # Errors
-    ///
-    /// Names the shard count that diverged.
-    pub(crate) fn oracle(&self) -> Result<RunReport, String> {
+    /// One run of the preset.
+    pub(crate) fn run(&self) -> RunReport {
         let config = city_scale_engine(self.seed);
         // 24-frame content pools: the scenario cycles them, so the depth
         // shapes content variety, not run length.
         let scenes: Vec<u8> = SceneId::all().map(|s| s.index()).collect();
         let traces = fleet_traces(self.cameras, &scenes, 24, self.seed);
         let scenario = city_scale_scenario(self.frames_per_camera);
-        let run = |shards: usize| {
-            run_scenario_sharded(&config, &traces, &scenario, None, None, false, shards, None).0
-        };
-        shard_oracle("the city-scale preset", self.shard_counts, run)
+        run_scenario(&config, &traces, &scenario, None, None, false).0
     }
 
     /// The `BENCH_throughput.json` document: deterministic counts only.
-    pub(crate) fn document(&self, oracle: &RunReport) -> Json {
-        let summary = oracle.summarize();
-        let shards = self.shard_counts.iter().map(|&s| Json::U64(s as u64));
+    pub(crate) fn document(&self, report: &RunReport) -> Json {
+        let summary = report.summarize();
         let counts = Json::object(vec![
             ("mode", Json::Str(self.mode.to_string())),
             ("seed", Json::U64(self.seed)),
@@ -300,35 +261,27 @@ impl CityScale {
                 "frames_per_camera",
                 Json::U64(self.frames_per_camera as u64),
             ),
-            ("shard_counts", Json::Array(shards.collect())),
             ("frames", Json::U64(summary.frames)),
             ("patches", Json::U64(summary.patches)),
             ("batches", Json::U64(summary.batches)),
             ("dropped_arrivals", Json::U64(summary.dropped_arrivals)),
-            ("events", Json::U64(oracle.events_processed)),
+            ("events", Json::U64(report.events_processed)),
             ("makespan_s", Json::F64(summary.makespan_s)),
         ]);
         Json::object(vec![
-            ("schema_version", Json::U64(2)),
+            ("schema_version", Json::U64(3)),
             ("name", Json::Str("throughput".to_string())),
             ("counts", counts),
         ])
     }
 }
 
-/// The sharded runtime on the city-scale preset: deterministic counts,
-/// identical at every shard count or no counts at all.
+/// The streaming runtime on the city-scale preset: deterministic counts.
 pub(crate) fn ext_throughput(opts: &ExpOpts, out: &mut dyn Write) -> Vec<bool> {
     let preset = CityScale::preset(opts.quick, opts.seed, opts.frames);
     heading(out, &format!("City-scale preset, {}", preset.shape()));
-    let oracle = match preset.oracle() {
-        Ok(oracle) => oracle,
-        Err(divergence) => {
-            say!(out, "{divergence}");
-            return vec![false, false];
-        }
-    };
-    let s = oracle.summarize();
+    let report = preset.run();
+    let s = report.summarize();
     say!(
         out,
         "counts: {} frames, {} patches, {} batches, {} dropped, {} events, makespan {:.3}s",
@@ -336,37 +289,31 @@ pub(crate) fn ext_throughput(opts: &ExpOpts, out: &mut dyn Write) -> Vec<bool> {
         s.patches,
         s.batches,
         s.dropped_arrivals,
-        oracle.events_processed,
+        report.events_processed,
         s.makespan_s,
     );
-    vec![true, s.patches > 2 * s.batches]
+    vec![s.patches > 2 * s.batches]
 }
 
-/// Every scenario file under `dir`, each run at every shard count
-/// against its single-shard oracle, in library order.
+/// Every scenario file under `dir`, each run once, in library order.
 ///
 /// # Errors
 ///
-/// A library that does not load, or the scenario and shard count that
-/// diverged.
-pub(crate) fn scenario_library(
-    dir: &Path,
-    shard_counts: &[usize],
-) -> Result<Vec<(String, RunReport)>, String> {
-    let run_file = |(path, file): (std::path::PathBuf, ScenarioFile)| {
-        let what = format!("{} ({})", file.name, path.display());
-        let oracle = shard_oracle(&what, shard_counts, |shards| file.run(false, shards).0)?;
-        Ok((file.name, oracle))
+/// A library that does not load.
+pub(crate) fn scenario_library(dir: &Path) -> Result<Vec<(String, RunReport)>, String> {
+    let run_file = |(_, file): (_, ScenarioFile)| {
+        let (report, _) = file.run(false);
+        (file.name, report)
     };
-    ScenarioFile::load_dir(dir)?
+    Ok(ScenarioFile::load_dir(dir)?
         .into_iter()
         .map(run_file)
-        .collect()
+        .collect())
 }
 
 /// The `BENCH_scenarios.json` document: per-scenario deterministic
 /// counts. `mode` stays outside `counts` — runs are deterministic in the
-/// scenario files alone, so every shard-count set states the same counts.
+/// scenario files alone.
 pub(crate) fn scenarios_document(mode: &str, rows: &[(String, RunReport)]) -> Json {
     let scenario = |(name, report): &(String, RunReport)| {
         let summary = report.summarize();
@@ -392,18 +339,12 @@ pub(crate) fn scenarios_document(mode: &str, rows: &[(String, RunReport)]) -> Js
 }
 
 /// The declarative hard-scenario library (`config/scenarios/*.toml`),
-/// end to end at shard counts 1 and 2 (`--quick`) or 1 and 8.
-pub(crate) fn ext_scenarios(opts: &ExpOpts, out: &mut dyn Write) -> Vec<bool> {
-    let shard_counts: &[usize] = if opts.quick { &[1, 2] } else { &[1, 8] };
-    heading(out, &format!("Scenario library, shards {shard_counts:?}"));
+/// each file end to end. It claims nothing: `BENCH_scenarios.json` pins
+/// its counts.
+pub(crate) fn ext_scenarios(_: &ExpOpts, out: &mut dyn Write) -> Vec<bool> {
+    heading(out, "Scenario library");
     let dir = workspace_root().join("config/scenarios");
-    let library = match scenario_library(&dir, shard_counts) {
-        Ok(library) => library,
-        Err(err) => {
-            say!(out, "{err}");
-            return vec![false];
-        }
-    };
+    let library = scenario_library(&dir).expect("the scenario library loads");
     let rows = library.iter().map(|(name, report)| {
         let s = report.summarize();
         format!(
@@ -418,5 +359,5 @@ pub(crate) fn ext_scenarios(opts: &ExpOpts, out: &mut dyn Write) -> Vec<bool> {
     });
     let headers = "scenario | frames | muted | patches | dropped | viol | makespan_s";
     table::write(out, headers, rows);
-    vec![true]
+    Vec::new()
 }

@@ -14,15 +14,14 @@
 //!   [`DetRng::derive_seed`] from the engine seed — never from a stream
 //!   another subsystem consumes — so injecting a fault leaves every other
 //!   draw sequence untouched;
-//! * all actuation happens on the coordinator (link, platform, submit,
-//!   deliver). Shard threads replay camera generation only, so a faulted
-//!   run is byte-identical at any shard count — CI asserts this for a
-//!   brownout scenario in `tests/harness_determinism.rs`;
+//! * all actuation happens at four points of the one event loop (link,
+//!   platform, submit, deliver), so a faulted run is byte-identical at
+//!   any worker count — CI asserts this for a brownout + outage scenario
+//!   in `tests/harness_determinism.rs`;
 //! * camera flap is modelled as *mute windows*: the camera keeps
 //!   capturing (its generator state and RNG advance identically), but
 //!   frames captured inside a mute window are lost at the edge instead
-//!   of entering the uplink. Deactivating the source instead would
-//!   desynchronise shard speculation.
+//!   of entering the uplink, so a flap moves no other camera's draws.
 //!
 //! A run with an empty fault list is bit-for-bit identical to one that
 //! never saw this module.
@@ -204,7 +203,7 @@ impl FaultPlane {
     /// The extra result-delivery delay for a batch of execution time
     /// `execution` dispatched at `now`: one mean-1 lognormal draw per
     /// active latency-tail window. Draw count is a pure function of the
-    /// dispatch sequence, so it is identical at any shard count.
+    /// dispatch sequence.
     pub(crate) fn tail_delay(&mut self, now: SimTime, execution: SimDuration) -> SimDuration {
         let mut extra = 0.0f64;
         for (fault, rng) in self.faults.iter().zip(self.tail_rngs.iter_mut()) {

@@ -30,7 +30,7 @@
 //! * [`faults`] — declarative fault windows ([`faults::FaultSpec`]: link
 //!   outages, latency tails, cold-start storms, camera flaps, brownouts)
 //!   drawn from dedicated RNG forks, so a faulted run stays bit-for-bit
-//!   reproducible at any shard count;
+//!   reproducible at any worker count;
 //! * [`report`] — the account stage and its [`report::RunReport`]:
 //!   per-patch latencies, per-batch records, cost, bandwidth and
 //!   SLO-violation accounting;
@@ -71,7 +71,6 @@ pub mod policy;
 pub mod report;
 pub mod runtime;
 pub mod scheduler;
-mod shard;
 pub mod workload;
 
 pub use admission::{Admission, AdmissionPolicy, AdmissionSignals, SloShedder};

@@ -51,7 +51,7 @@ use tangram_types::time::SimTime;
 
 /// Everything about a run that is not its [`EngineConfig`], decided once
 /// at construction. The default plan — no ingress stages, no faults, no
-/// trace, one shard — is the legacy batch engine.
+/// trace — is the legacy batch engine.
 #[derive(Default)]
 pub struct Plan {
     /// Ingress admission control; `None` admits every arrival
@@ -68,16 +68,6 @@ pub struct Plan {
     /// Record the runtime event trace. Pure observation: the run itself
     /// is byte-identical with or without it.
     pub trace: bool,
-    /// Partition link-independent cameras across this many worker
-    /// threads (0 and 1 both mean fully inline; closed-loop sources, which
-    /// pace on the shared uplink, always are). A pure execution strategy:
-    /// digests, BENCH json and trace are byte-identical at any count.
-    pub shards: usize,
-    /// Narrows the per-shard credit window (clamped to ≥ 1; `None` is the
-    /// production [`tangram_types::credit::CREDIT_WINDOW`]). It bounds
-    /// shard run-ahead, never ordering — proven by the `tangram-model`
-    /// explorer, pinned by the `CREDIT_WINDOW=1` regression.
-    pub credit_window: Option<usize>,
 }
 
 /// Where a stage's effects go: future events onto the loop, records into
@@ -127,7 +117,7 @@ impl OnlineEngine {
     pub fn new(config: &EngineConfig, plan: Plan) -> Self {
         Self {
             out: Outbox::new(plan.trace),
-            ingest: Ingest::new(config, plan.shards, plan.credit_window),
+            ingest: Ingest::new(config),
             admit: Admit {
                 policy: plan.admission,
                 ..Admit::default()
@@ -146,7 +136,7 @@ impl OnlineEngine {
     pub fn add_camera_at(&mut self, at: SimTime, source: Box<dyn CameraSource>) -> usize {
         let cam = self.ingest.cameras();
         let muted = mute_windows(self.seed, &self.execute.faults.faults, cam);
-        self.ingest.add_camera(at, source, muted);
+        self.ingest.add_camera(source, muted);
         self.out.schedule(at, StreamEvent::CameraJoin { cam });
         cam
     }
@@ -171,7 +161,6 @@ impl OnlineEngine {
             self.out
                 .schedule(spec.start(), StreamEvent::FaultStart { fault });
         }
-        self.ingest.mount_shards();
         self.out.emit(
             SimTime::ZERO,
             TraceEvent::SessionStart {
@@ -216,7 +205,6 @@ impl OnlineEngine {
                 makespan_us: makespan.as_micros(),
             },
         );
-        self.ingest.shutdown();
         let fair = self.fair.as_ref();
         let report = RunReport {
             policy: self.policy.name().to_string(),
@@ -736,106 +724,6 @@ mod tests {
             report.patches.iter().map(|p| p.slo.as_micros()).collect();
         assert!(slos.contains(&600_000), "gold SLO stamped");
         assert!(slos.contains(&3_000_000), "best-effort SLO stamped");
-    }
-
-    #[test]
-    fn sharded_runs_match_the_inline_oracle() {
-        let build = |shards| {
-            let plan = Plan {
-                shards,
-                ..Plan::default()
-            };
-            let mut engine = OnlineEngine::new(&config(PolicyKind::Tangram), plan);
-            for i in 0..6u8 {
-                engine.add_camera_at(
-                    SimTime::from_micros(u64::from(i) * 700),
-                    Box::new(poisson_source(1 + i, 30, 12.0, 40 + u64::from(i))),
-                );
-            }
-            engine
-        };
-        let oracle = build(1).run().0;
-        for shards in [2, 3, 8] {
-            let sharded = build(shards).run().0;
-            assert_eq!(
-                sharded.summarize(),
-                oracle.summarize(),
-                "digest must be byte-identical at {shards} shards"
-            );
-            assert_eq!(sharded.frames, oracle.frames);
-            assert_eq!(sharded.events_processed, oracle.events_processed);
-        }
-    }
-
-    #[test]
-    fn minimum_credit_window_matches_the_inline_oracle() {
-        // CREDIT_WINDOW=1 is the tightest flow control the protocol
-        // supports: every shard hand-off round-trips one credit. The
-        // digests must still be byte-identical to the 1-shard oracle —
-        // the window is pure run-ahead, never ordering.
-        let build = |shards, credit_window| {
-            let plan = Plan {
-                shards,
-                credit_window,
-                ..Plan::default()
-            };
-            let mut engine = OnlineEngine::new(&config(PolicyKind::Tangram), plan);
-            for i in 0..5u8 {
-                engine.add_camera_at(
-                    SimTime::from_micros(u64::from(i) * 900),
-                    Box::new(poisson_source(1 + i, 24, 11.0, 70 + u64::from(i))),
-                );
-            }
-            engine
-        };
-        let oracle = build(1, None).run().0;
-        for shards in [2, 3] {
-            let tight = build(shards, Some(1)).run().0;
-            assert_eq!(
-                tight.summarize(),
-                oracle.summarize(),
-                "CREDIT_WINDOW=1 at {shards} shards diverged from the oracle"
-            );
-            assert_eq!(tight.frames, oracle.frames);
-            assert_eq!(tight.events_processed, oracle.events_processed);
-        }
-    }
-
-    #[test]
-    fn sharding_leaves_closed_loop_sources_inline() {
-        // Trace replay paces on the shared uplink, so it must stay on
-        // the coordinator even when shards are requested — and produce
-        // the exact legacy digest.
-        let t = trace(1, 10);
-        let cfg = config(PolicyKind::Tangram);
-        let batch = cfg.run(std::slice::from_ref(&t));
-        let plan = Plan {
-            shards: 8,
-            ..Plan::default()
-        };
-        let mut online = OnlineEngine::new(&cfg, plan);
-        online.add_camera_at(SimTime::ZERO, Box::new(TraceReplaySource::new(t)));
-        assert_eq!(online.run().0.summarize(), batch.summarize());
-    }
-
-    #[test]
-    fn sharded_churn_matches_inline() {
-        // A camera that leaves mid-run: the coordinator stops consuming
-        // its shard stream; digests still match the inline run.
-        let build = |shards| {
-            let plan = Plan {
-                shards,
-                ..Plan::default()
-            };
-            let mut engine = OnlineEngine::new(&config(PolicyKind::Tangram), plan);
-            let cam =
-                engine.add_camera_at(SimTime::ZERO, Box::new(poisson_source(1, 200, 10.0, 9)));
-            engine.add_camera_at(SimTime::ZERO, Box::new(poisson_source(2, 50, 10.0, 10)));
-            engine.remove_camera_at(SimTime::from_secs_f64(5.0), cam);
-            engine
-        };
-        let oracle = build(1).run().0.summarize();
-        assert_eq!(build(2).run().0.summarize(), oracle);
     }
 
     #[test]

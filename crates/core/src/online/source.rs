@@ -80,11 +80,7 @@ impl TenantClass {
 }
 
 /// A camera as the engine sees it: a generator of edge output.
-///
-/// Sources must be [`Send`]: when the engine runs sharded
-/// ([`crate::online::Plan::shards`]), link-independent sources move onto
-/// shard threads.
-pub trait CameraSource: Send {
+pub trait CameraSource {
     /// The camera's identity (stamped on its patches).
     fn camera(&self) -> CameraId;
 
@@ -112,18 +108,6 @@ pub trait CameraSource: Send {
     /// Per-tenant SLO override (`None` → the engine default).
     fn slo(&self) -> Option<SimDuration> {
         None
-    }
-
-    /// Whether [`CameraSource::next_capture`] ignores its `uplink_free`
-    /// argument (and every other piece of shared engine state).
-    ///
-    /// Only link-independent sources are eligible for sharding: their
-    /// capture timeline is a pure function of the source's own state and
-    /// RNG, so a shard thread can replay it ahead of the coordinator and
-    /// still produce bit-identical draws. Closed-loop sources (which
-    /// pace on the shared uplink) must return `false` — the default.
-    fn link_independent(&self) -> bool {
-        false
     }
 }
 
@@ -346,11 +330,5 @@ impl CameraSource for GeneratedSource {
 
     fn slo(&self) -> Option<SimDuration> {
         self.slo
-    }
-
-    fn link_independent(&self) -> bool {
-        // Only the closed loop paces on the shared uplink; the open-loop
-        // processes draw their gaps purely from the source's own RNG.
-        !matches!(self.process, ArrivalProcess::ClosedLoop)
     }
 }

@@ -151,7 +151,7 @@ pub struct RunReport {
     pub makespan: SimDuration,
     /// Events popped off the engine's coordinator loop (the benchmark's
     /// per-event denominator). Deterministic — a pure function of the
-    /// workload, identical at any shard count — but *not* part of
+    /// workload — but *not* part of
     /// [`RunSummary`]: it measures the runtime, not the policy.
     pub events_processed: u64,
 }

@@ -348,20 +348,6 @@ pub struct SweepGrid {
     /// `BENCH_*.json` schema (trace capture never changes report bytes),
     /// so `from_json` always reconstructs it as `false`.
     pub capture_traces: bool,
-    /// Engine shard count for streaming-scenario cells (see
-    /// [`tangram_core::online::Plan::shards`]). Execution-only
-    /// like `capture_traces`: sharding is byte-invisible in every report,
-    /// so the field is *not* serialized and `from_json` reconstructs it
-    /// as 1.
-    pub shards: usize,
-    /// Per-shard credit window override for streaming-scenario cells
-    /// (see [`tangram_core::online::Plan::credit_window`]).
-    /// Execution-only like `shards`: the window bounds shard run-ahead,
-    /// never ordering, so `None` (the production window) and any
-    /// explicit value produce byte-identical reports — pinned by the
-    /// `CREDIT_WINDOW=1` case in `tests/harness_determinism.rs`. Not
-    /// serialized; `from_json` reconstructs it as `None`.
-    pub credit_window: Option<usize>,
 }
 
 impl SweepGrid {
@@ -384,8 +370,6 @@ impl SweepGrid {
             admission: Vec::new(),
             fairness: Vec::new(),
             capture_traces: false,
-            shards: 1,
-            credit_window: None,
         }
     }
 

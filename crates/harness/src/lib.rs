@@ -83,7 +83,9 @@ pub use grid::{
 };
 pub use pool::parallel_map;
 pub use report::{BenchReport, CellReport, SCHEMA_VERSION};
-pub use runner::{bench_report, run_grid, run_grid_full, run_scenario_sharded, CellOutcome};
+pub use runner::{
+    bench_report, run_grid, run_grid_full, run_scenario, run_scenario_sharded, CellOutcome,
+};
 pub use scenario_file::{RunSpec, ScenarioFile};
 pub use tangram_types::json;
 pub use tangram_types::toml::{self, TomlDocument, TomlError, TomlValue};

@@ -341,9 +341,8 @@ pub fn fleet_traces(
 }
 
 /// The city-scale streaming scenario: open-loop Poisson cameras with the
-/// standard tenant mix, joining in a short stagger. Every camera is
-/// link-independent, so the whole fleet is eligible for sharding — the
-/// workload `ext_throughput` runs at every shard count.
+/// standard tenant mix, joining in a short stagger — the workload
+/// `ext_throughput` runs.
 #[must_use]
 pub fn city_scale_scenario(frames_per_camera: usize) -> ScenarioSpec {
     ScenarioSpec {

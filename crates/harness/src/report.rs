@@ -162,8 +162,8 @@ impl BenchReport {
 
 /// The grid echo a report carries: every axis, in a fixed key order,
 /// empty ones included. The grid's name is omitted (the report's own
-/// carries it), as are the execution-only fields (`capture_traces`,
-/// `shards`, `credit_window`), which never change report bytes.
+/// carries it), as is the execution-only `capture_traces`, which never
+/// changes report bytes.
 #[must_use]
 pub fn grid_to_value(grid: &SweepGrid) -> Json {
     let floats = |values: &[f64]| Json::Array(values.iter().map(|&v| Json::F64(v)).collect());

@@ -93,15 +93,13 @@ fn run_cells<T: Send>(
                     ..Plan::default()
                 },
             ),
-            Some(scenario) => run_scenario_sharded(
+            Some(scenario) => run_scenario(
                 &config,
                 traces,
                 scenario,
                 admission,
                 fairness,
                 grid.capture_traces,
-                grid.shards,
-                grid.credit_window,
             ),
         };
         keep(CellOutcome {
@@ -123,27 +121,14 @@ fn run_cells<T: Send>(
 /// Everything is derived from `config.seed` (the cell's engine seed) via
 /// labelled forks, so the outcome is independent of which worker thread
 /// runs the cell — the same guarantee trace-replay cells have.
-///
-/// Link-independent camera sources are partitioned across `shards`
-/// worker threads (see [`Plan::shards`]). Sharding is a pure execution
-/// strategy — the report and trace are byte-identical at any shard
-/// count, which the `ext_throughput` and `ext_scenarios` rows assert
-/// against the single-shard oracle on every run. `credit_window`
-/// narrows the per-shard credit window (`None` = the production
-/// [`tangram_types::credit::CREDIT_WINDOW`]); like the shard count it is
-/// byte-invisible, pinned by the `CREDIT_WINDOW=1` case in
-/// `tests/harness_determinism.rs`.
 #[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn run_scenario_sharded(
+pub fn run_scenario(
     config: &EngineConfig,
     traces: &[CameraTrace],
     scenario: &ScenarioSpec,
     admission: Option<&AdmissionSpec>,
     fairness: Option<&FairnessSpec>,
     capture: bool,
-    shards: usize,
-    credit_window: Option<usize>,
 ) -> (RunReport, Option<TraceLog>) {
     let plan = Plan {
         admission: admission.map(|spec| spec.build(&scenario.tenant_slos_s)),
@@ -151,8 +136,6 @@ pub fn run_scenario_sharded(
             .map(|spec| spec.build(&scenario.tenant_slos_s, config.slo.as_secs_f64())),
         faults: scenario.faults.clone(),
         trace: capture,
-        shards,
-        credit_window,
     };
     let mut engine = OnlineEngine::new(config, plan);
     let root = DetRng::new(config.seed);
@@ -179,6 +162,25 @@ pub fn run_scenario_sharded(
         }
     }
     engine.run()
+}
+
+/// [`run_scenario`] under its older eight-argument signature, which the
+/// standalone `benchmark/` package still calls. `_shards` and
+/// `_credit_window` are ignored: capture runs on the one event loop.
+/// ROADMAP item 6(c) deletes this shim together with that caller.
+#[must_use]
+#[allow(clippy::too_many_arguments)]
+pub fn run_scenario_sharded(
+    config: &EngineConfig,
+    traces: &[CameraTrace],
+    scenario: &ScenarioSpec,
+    admission: Option<&AdmissionSpec>,
+    fairness: Option<&FairnessSpec>,
+    capture: bool,
+    _shards: usize,
+    _credit_window: Option<usize>,
+) -> (RunReport, Option<TraceLog>) {
+    run_scenario(config, traces, scenario, admission, fairness, capture)
 }
 
 /// One cell's row of the [`BenchReport`]: its coordinates on the grid's
@@ -350,6 +352,35 @@ mod tests {
         ];
         grid.fairness = vec![drr(false), drr(true)];
         grid
+    }
+
+    /// The benchmark's staged pass compares a run through the
+    /// eight-argument shim with its own one-worker run: summary, event
+    /// count and trace must be exactly `run_scenario`'s.
+    #[test]
+    fn the_eight_argument_shim_is_run_scenario() {
+        use crate::grid::{ArrivalSpec, ScenarioSpec};
+        use crate::presets::fleet_traces;
+        let config = EngineConfig {
+            seed: 7,
+            ..EngineConfig::default()
+        };
+        let traces = fleet_traces(3, &[1, 2, 3], 4, 7);
+        let scenario = ScenarioSpec {
+            arrival: ArrivalSpec::Poisson { fps: 8.0 },
+            frames_per_camera: 8,
+            join_stagger_s: 0.25,
+            session_s: None,
+            tenant_slos_s: vec![0.8, 1.5],
+            faults: Vec::new(),
+        };
+        let (report, trace) = run_scenario(&config, &traces, &scenario, None, None, true);
+        let (shim, shim_trace) =
+            run_scenario_sharded(&config, &traces, &scenario, None, None, true, 2, Some(1));
+        assert_eq!(shim.summarize(), report.summarize());
+        assert_eq!(shim.events_processed, report.events_processed);
+        let jsonl = |trace: Option<TraceLog>| trace.expect("capture on").to_jsonl();
+        assert_eq!(jsonl(shim_trace), jsonl(trace));
     }
 
     #[test]

@@ -61,7 +61,7 @@ use crate::report::{
     admission_to_value, arrival_to_value, fairness_to_value, fault_to_value, run_to_value,
     scenario_to_value,
 };
-use crate::runner::run_scenario_sharded;
+use crate::runner::run_scenario;
 use std::path::{Path, PathBuf};
 use tangram_core::engine::{EngineConfig, PolicyKind};
 use tangram_core::faults::{FaultKind, FaultSpec};
@@ -254,23 +254,19 @@ impl ScenarioFile {
         config
     }
 
-    /// Runs the scenario end to end on `shards` engine shards,
-    /// optionally capturing the runtime event trace. Deterministic in
-    /// the file contents alone: byte-identical report and trace at any
-    /// shard count.
+    /// Runs the scenario end to end, optionally capturing the runtime
+    /// event trace. Deterministic in the file contents alone.
     #[must_use]
-    pub fn run(&self, capture: bool, shards: usize) -> (RunReport, Option<TraceLog>) {
+    pub fn run(&self, capture: bool) -> (RunReport, Option<TraceLog>) {
         let run = &self.run;
         let traces = fleet_traces(run.cameras, &run.scenes, run.pool_frames, run.seed);
-        run_scenario_sharded(
+        run_scenario(
             &self.engine_config(),
             &traces,
             &self.scenario,
             self.admission.as_ref(),
             self.fairness.as_ref(),
             capture,
-            shards,
-            None,
         )
     }
 }
@@ -1081,16 +1077,5 @@ admission_aware = true
             "\n[[fault]]\nkind = \"brownout\"\nfactor = 0.5\nat_s = 0.0\nduration_s = 1.0\n";
         let e = ScenarioFile::parse_str(&format!("{}{fault}", minimal())).unwrap_err();
         assert!(e.message.contains("must be >= 1"), "{e}");
-    }
-
-    #[test]
-    fn scenario_runs_deterministically_across_shards() {
-        let fault =
-            "\n[[fault]]\nkind = \"brownout\"\nfactor = 2.0\nat_s = 1.0\nduration_s = 3.0\n";
-        let file = ScenarioFile::parse_str(&format!("{}{fault}", minimal())).unwrap();
-        let (a, _) = file.run(false, 1);
-        let (b, _) = file.run(false, 4);
-        assert_eq!(a.summarize(), b.summarize());
-        assert!(a.frames > 0);
     }
 }

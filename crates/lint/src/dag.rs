@@ -52,7 +52,7 @@ pub struct LatticeEntry {
 
 /// The declared dependency lattice — the workspace DAG's source of
 /// truth. `types` and `sim` are pinned dependency-light.
-pub const LATTICE: [LatticeEntry; 15] = [
+pub const LATTICE: [LatticeEntry; 14] = [
     LatticeEntry {
         name: "types",
         layer: 0,
@@ -60,11 +60,6 @@ pub const LATTICE: [LatticeEntry; 15] = [
     },
     LatticeEntry {
         name: "lint",
-        layer: 1,
-        externals: &[],
-    },
-    LatticeEntry {
-        name: "model",
         layer: 1,
         externals: &[],
     },

@@ -1,8 +1,8 @@
 //! Static workspace invariant checker (`tangram-lint`).
 //!
 //! The reproduction's headline guarantee — SLO-aware batching results
-//! gated by byte-identical BENCH/TRACE baselines at any worker or shard
-//! count — rests on rules that, until this crate, were enforced only
+//! gated by byte-identical BENCH/TRACE baselines at any worker count —
+//! rests on rules that, until this crate, were enforced only
 //! *dynamically*: an ambient wall-clock read or a `HashMap` iteration
 //! feeding serialized output is caught when (and only when) a runtime
 //! byte-comparison happens to diverge, often PRs after the regression
@@ -10,16 +10,13 @@
 //! time, the way the scenario loader validates scenario files before
 //! execution.
 //!
-//! Four rule families, twelve rules, each reporting
+//! Four rule families, ten rules, each reporting
 //! `path:line: rule-id: message` with a nonzero exit:
 //!
 //! * **Determinism** ([`rules`]) — `det-wall-clock`, `det-entropy`,
 //!   `det-hash-order`, `det-float-format`.
-//! * **Concurrency discipline** ([`conc`]) — `conc-raw-thread`,
-//!   `conc-unbounded-channel`, `conc-lock-across-send`: the static leg
-//!   of the concurrency argument whose dynamic leg is the bounded
-//!   model checker (`crates/model`) — code stays inside the envelope
-//!   the model proves.
+//! * **Concurrency discipline** ([`conc`]) — `conc-raw-thread`: the
+//!   harness pool is the one place that spawns threads.
 //! * **Crate DAG** ([`dag`]) — `dag-edge`, `dag-cycle`, `dag-unlisted`,
 //!   verified against the declared lattice ([`dag::LATTICE`], the DAG's
 //!   source of truth).
@@ -103,7 +100,7 @@ pub struct Rule {
 /// Every rule the linter can report, in stable order. The docs
 /// cross-check in `scripts/check_docs.sh` holds `docs/ARCHITECTURE.md`'s
 /// rule table to exactly this registry.
-pub const RULES: [Rule; 12] = [
+pub const RULES: [Rule; 10] = [
     Rule {
         id: "det-wall-clock",
         summary: "no Instant/SystemTime outside waived wall-clock shims",
@@ -122,15 +119,7 @@ pub const RULES: [Rule; 12] = [
     },
     Rule {
         id: "conc-raw-thread",
-        summary: "no thread::spawn/scope outside waived, model-checked sites",
-    },
-    Rule {
-        id: "conc-unbounded-channel",
-        summary: "no unbounded channels without a credit/drain waiver",
-    },
-    Rule {
-        id: "conc-lock-across-send",
-        summary: "no channel send/recv while a lock guard is live",
+        summary: "no thread::spawn/scope outside the waived harness pool",
     },
     Rule {
         id: "dag-edge",

@@ -28,9 +28,7 @@ use std::path::Path;
 
 /// Crates whose code must stay free of unordered containers: everything
 /// on the path from the simulation kernel to the serialized reports.
-pub const DET_CRATES: [&str; 7] = [
-    "core", "harness", "model", "sim", "stitch", "trace", "types",
-];
+pub const DET_CRATES: [&str; 6] = ["core", "harness", "sim", "stitch", "trace", "types"];
 
 /// Files whose output bytes are gated (BENCH json, golden traces, the
 /// canonical scenario TOML), scanned by `det-float-format`. A path

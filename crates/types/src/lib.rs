@@ -4,9 +4,7 @@
 //! their arithmetic: pixel-space [`geometry`], id newtypes ([`ids`]),
 //! simulated [`time`], measurement [`units`], the patch/canvas/batch
 //! [`patch`] model that flows from edge cameras to the cloud scheduler,
-//! the shard [`credit`] protocol's shared constants (one vocabulary
-//! for the runtime and its model checker), and the workspace's two
-//! file formats, one implementation each: the [`json`] codec (BENCH
+//! and the workspace's two file formats, one implementation each: the [`json`] codec (BENCH
 //! reports and TRACE lines share it) and the line-tracking [`toml`]
 //! reader (scenario files, lint waivers and crate manifests share it).
 //!
@@ -25,7 +23,6 @@
 //! assert!(deadline > generated);
 //! ```
 
-pub mod credit;
 pub mod error;
 pub mod geometry;
 pub mod ids;

@@ -8,7 +8,6 @@
 pub use tangram_core as core;
 pub use tangram_infer as infer;
 pub use tangram_lint as lint;
-pub use tangram_model as model;
 pub use tangram_net as net;
 pub use tangram_partition as partition;
 pub use tangram_serverless as serverless;

@@ -55,7 +55,7 @@ fn fault_free(file: &ScenarioFile) -> ScenarioFile {
 /// arrivals = admitted + dropped, with the admitted side completing and
 /// the dropped side matching the report's shed counter.
 fn run_checked(file: &ScenarioFile) -> (RunReport, TraceLog) {
-    let (report, trace) = file.run(true, 1);
+    let (report, trace) = file.run(true);
     let trace = trace.expect("capture requested");
     trace.verify().expect("hash chain must verify under faults");
     let (mut arrivals, mut admitted, mut dropped) = (0u64, 0u64, 0u64);
@@ -230,7 +230,7 @@ fn starved_capacity_queues_instead_of_dropping() {
     let mut file = scenario("");
     file.run.max_instances = Some(Some(1));
     file.admission = None; // nothing sheds: every patch must queue
-    let (report, trace) = file.run(true, 1);
+    let (report, trace) = file.run(true);
     trace
         .expect("capture requested")
         .verify()
@@ -250,7 +250,7 @@ fn tiny_bandwidth_still_completes_the_run() {
     let mut file = scenario("");
     file.run.bandwidth_mbps = 2.0;
     file.admission = None;
-    let (report, trace) = file.run(true, 1);
+    let (report, trace) = file.run(true);
     trace
         .expect("capture requested")
         .verify()

@@ -1,8 +1,5 @@
-//! Concurrency-discipline abuse: one pinned violation per conc rule.
+//! Concurrency-discipline abuse: one pinned unwaived spawn.
 
-pub fn abuse(state: &std::sync::Mutex<u32>) {
-    let (tx, rx) = crossbeam::channel::unbounded::<u32>();
-    std::thread::spawn(move || drop(rx));
-    let guard = state.lock().unwrap();
-    tx.send(*guard).unwrap();
+pub fn abuse() {
+    std::thread::spawn(|| ());
 }

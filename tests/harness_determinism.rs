@@ -85,6 +85,43 @@ fn churn_scenario_grid_is_parallel_deterministic() {
 }
 
 #[test]
+fn faulted_scenario_grid_matches_the_single_shard_bytes() {
+    // Fault injection must not weaken the determinism guarantee: a
+    // scenario carrying declarative fault windows (a brownout across most
+    // of the run, a link outage inside it) runs on the one event loop and
+    // serializes to the exact bytes of the sequential run at any worker
+    // count — the workspace-level mirror of what `repro ext_scenarios`
+    // asserts per run.
+    use tangram_core::{FaultKind, FaultSpec};
+    let mut grid = tangram_harness::presets::churn_grid(42, 24);
+    grid.scenarios[0].session_s = Some(3.0);
+    grid.scenarios[0].faults = vec![
+        FaultSpec {
+            kind: FaultKind::Brownout { factor: 2.0 },
+            at_s: 0.5,
+            duration_s: 3.0,
+        },
+        FaultSpec {
+            kind: FaultKind::LinkOutage,
+            at_s: 1.0,
+            duration_s: 0.5,
+        },
+    ];
+    let oracle = run_grid(&grid, 1).to_json();
+    for workers in [2, 4] {
+        let parallel = run_grid(&grid, workers).to_json();
+        assert_eq!(parallel, oracle, "{workers} workers diverged under faults");
+    }
+    // The fault schedule is part of the artifact: it must round-trip with
+    // the grid echo.
+    let parsed = BenchReport::from_json(&oracle).expect("valid BENCH json");
+    assert_eq!(parsed.to_json(), oracle);
+    assert_eq!(parsed.grid, tangram_harness::report::grid_to_value(&grid));
+    assert!(oracle.contains("\"faults\""));
+    assert!(oracle.contains("\"brownout\""));
+}
+
+#[test]
 fn overload_grid_is_parallel_deterministic_and_sheds_under_slo_shedder() {
     // The overload sweep (scenario axis × admission axis) must hold the
     // worker-count guarantee like every other grid — and its whole point
@@ -191,89 +228,6 @@ fn fairness_grid_is_parallel_deterministic_and_holds_weighted_shares() {
         parsed.cells.iter().any(|c| c.metrics.dropped_arrivals > 0),
         "the ramp must cross the DRR ingress capacity"
     );
-}
-
-#[test]
-fn sharded_scenario_grid_matches_the_single_shard_bytes() {
-    // The sharded runtime is a pure execution strategy: a scenario grid
-    // run at any shard count must serialize to the exact bytes of the
-    // single-shard oracle — same digests, same drop accounting, same
-    // grid echo. This is the workspace-level form of the guarantee
-    // `repro ext_throughput` asserts per run.
-    let mut grid = tangram_harness::presets::churn_grid(42, 24);
-    grid.scenarios[0].session_s = Some(3.0);
-    let oracle = run_grid(&grid, 2).to_json();
-    for shards in [2, 8] {
-        grid.shards = shards;
-        let sharded = run_grid(&grid, 2).to_json();
-        assert_eq!(sharded, oracle, "{shards} shards diverged from 1 shard");
-    }
-    // `shards` is execution-only: it must never leak into the artifact,
-    // so baselines stay valid no matter how the producer was sharded.
-    assert!(!oracle.contains("\"shards\""));
-}
-
-#[test]
-fn minimum_credit_window_grid_matches_the_oracle_bytes() {
-    // CREDIT_WINDOW = 1 is the most adversarial legal window: every
-    // shard capture blocks until the coordinator returns its one
-    // credit, so the merge interleaving is maximally serialized — the
-    // exact regime the model checker's `credit s* w1` rows explore.
-    // The end-to-end guarantee must not depend on the window: a grid
-    // run with the window pinned to 1 serializes to the same bytes as
-    // the default-window run, at every shard count. `credit_window` is
-    // execution-only (like `shards`), so it must never reach the
-    // artifact either.
-    let mut grid = tangram_harness::presets::churn_grid(42, 24);
-    grid.scenarios[0].session_s = Some(3.0);
-    let oracle = run_grid(&grid, 2).to_json();
-    grid.credit_window = Some(1);
-    for shards in [1, 2, 8] {
-        grid.shards = shards;
-        let starved = run_grid(&grid, 2).to_json();
-        assert_eq!(
-            starved, oracle,
-            "window 1 at {shards} shard(s) diverged from the default window"
-        );
-    }
-    assert!(!oracle.contains("\"credit_window\""));
-}
-
-#[test]
-fn faulted_scenario_grid_matches_the_single_shard_bytes() {
-    // Fault injection must not weaken the sharding guarantee: a scenario
-    // carrying declarative fault windows (a brownout across most of the
-    // run, a link outage inside it) serializes to the exact bytes of the
-    // single-shard oracle at any shard count — the faulted form of
-    // `sharded_scenario_grid_matches_the_single_shard_bytes`, and the
-    // workspace-level mirror of what `repro ext_scenarios` asserts per run.
-    use tangram_core::{FaultKind, FaultSpec};
-    let mut grid = tangram_harness::presets::churn_grid(42, 24);
-    grid.scenarios[0].session_s = Some(3.0);
-    grid.scenarios[0].faults = vec![
-        FaultSpec {
-            kind: FaultKind::Brownout { factor: 2.0 },
-            at_s: 0.5,
-            duration_s: 3.0,
-        },
-        FaultSpec {
-            kind: FaultKind::LinkOutage,
-            at_s: 1.0,
-            duration_s: 0.5,
-        },
-    ];
-    let oracle = run_grid(&grid, 2).to_json();
-    for shards in [2, 8] {
-        grid.shards = shards;
-        let sharded = run_grid(&grid, 2).to_json();
-        assert_eq!(sharded, oracle, "{shards} shards diverged under faults");
-    }
-    // The fault schedule is part of the artifact: it must round-trip with
-    // the grid echo.
-    let parsed = BenchReport::from_json(&oracle).expect("valid BENCH json");
-    assert_eq!(parsed.grid, tangram_harness::report::grid_to_value(&grid));
-    assert!(oracle.contains("\"faults\""));
-    assert!(oracle.contains("\"brownout\""));
 }
 
 #[test]

@@ -36,17 +36,7 @@ fn bad_tree_reports_every_family_at_exact_lines() {
         ("crates/alpha/Cargo.toml", 2, "dag-unlisted"),
         ("crates/beta/Cargo.toml", 2, "dag-unlisted"),
         ("crates/beta/Cargo.toml", 5, "dag-cycle"),
-        (
-            "crates/harness/src/conc_abuse.rs",
-            4,
-            "conc-unbounded-channel",
-        ),
-        ("crates/harness/src/conc_abuse.rs", 5, "conc-raw-thread"),
-        (
-            "crates/harness/src/conc_abuse.rs",
-            7,
-            "conc-lock-across-send",
-        ),
+        ("crates/harness/src/conc_abuse.rs", 4, "conc-raw-thread"),
         ("crates/infer/Cargo.toml", 4, "dag-edge"),
         ("crates/net/Cargo.toml", 4, "dag-edge"),
         ("crates/sim/src/clock_abuse.rs", 3, "det-hash-order"),

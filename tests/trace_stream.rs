@@ -60,58 +60,21 @@ fn capture_is_byte_identical_across_worker_counts() {
     }
 }
 
-/// Sharding the producer must not move a single byte of the golden
-/// trace: the event stream — hash chain included — is identical at any
-/// shard count. The overload cell is a streaming scenario (sharding
-/// engages); the smoke cell is trace replay (closed-loop cameras stay
-/// inline), so both the sharded path and its fallback are covered.
-#[test]
-fn capture_is_byte_identical_across_shard_counts() {
-    for (which, golden) in GOLDEN {
-        let (oracle_report, oracle) = capture(&golden(), 2);
-        for shards in [2, 8] {
-            let mut grid = golden();
-            grid.shards = shards;
-            let mut outcomes = run_grid_full(&grid, 2);
-            let outcome = outcomes.pop().expect("one cell");
-            let trace = outcome.trace.expect("golden grids opt into capture");
-            assert_eq!(
-                trace.to_jsonl(),
-                oracle.to_jsonl(),
-                "{which}: {shards} shards diverged from the 1-shard golden trace"
-            );
-            assert_eq!(
-                outcome.report.events_processed, oracle_report.events_processed,
-                "{which}: event count must not depend on shard count"
-            );
-        }
-    }
-}
-
 /// A faulted run's golden trace holds the same guarantee: with a
 /// brownout window injected into the overload cell, the captured JSONL
 /// — `fault.window` record and hash chain included — is byte-identical
-/// at any shard count, and the chain still verifies.
+/// to the sequential capture at any worker count, and the chain still
+/// verifies.
 #[test]
 fn faulted_capture_is_byte_identical_across_shard_counts() {
     use tangram_core::{FaultKind, FaultSpec};
-    let faulted_grid = || {
-        let mut grid = trace_overload_grid();
-        grid.scenarios[0].faults = vec![FaultSpec {
-            kind: FaultKind::Brownout { factor: 2.0 },
-            at_s: 0.5,
-            duration_s: 2.0,
-        }];
-        grid
-    };
-    let capture_at = |shards: usize| -> TraceLog {
-        let mut grid = faulted_grid();
-        grid.shards = shards;
-        let mut outcomes = run_grid_full(&grid, 2);
-        let outcome = outcomes.pop().expect("one cell");
-        outcome.trace.expect("golden grids opt into capture")
-    };
-    let oracle = capture_at(1);
+    let mut grid = trace_overload_grid();
+    grid.scenarios[0].faults = vec![FaultSpec {
+        kind: FaultKind::Brownout { factor: 2.0 },
+        at_s: 0.5,
+        duration_s: 2.0,
+    }];
+    let (_, oracle) = capture(&grid, 1);
     oracle.verify().expect("faulted chain must verify");
     assert!(
         oracle.records.iter().any(|r| matches!(
@@ -120,11 +83,11 @@ fn faulted_capture_is_byte_identical_across_shard_counts() {
         )),
         "the golden trace must record the brownout window"
     );
-    for shards in [2, 8] {
+    for workers in [2, 4] {
         assert_eq!(
-            capture_at(shards).to_jsonl(),
+            capture(&grid, workers).1.to_jsonl(),
             oracle.to_jsonl(),
-            "{shards} shards diverged from the 1-shard faulted golden trace"
+            "{workers} workers diverged from the sequential faulted golden trace"
         );
     }
 }
