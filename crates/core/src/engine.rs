@@ -17,7 +17,7 @@
 //! exclusively from batching decisions.
 
 use crate::online::{OnlineEngine, Plan, TraceReplaySource};
-use crate::policy::baselines::{ClipperPolicy, ElfPolicy, FramePerRequestPolicy, MarkPolicy};
+use crate::policy::baselines::{ClipperPolicy, MarkPolicy, PerRequestPolicy};
 use crate::policy::BatchingPolicy;
 use crate::report::RunReport;
 use crate::scheduler::{SchedulerConfig, TangramScheduler};
@@ -155,13 +155,12 @@ impl EngineConfig {
                 ))
             }
             PolicyKind::Clipper => Box::new(ClipperPolicy::new(max_batch)),
-            PolicyKind::Elf => Box::new(ElfPolicy::default()),
+            PolicyKind::Elf => Box::new(PerRequestPolicy::elf()),
             PolicyKind::Mark => Box::new(MarkPolicy::new(
                 max_batch,
                 self.mark_timeout.unwrap_or(self.slo / 2),
             )),
-            PolicyKind::FullFrame => Box::new(FramePerRequestPolicy::full_frame()),
-            PolicyKind::MaskedFrame => Box::new(FramePerRequestPolicy::masked_frame()),
+            PolicyKind::FullFrame | PolicyKind::MaskedFrame => Box::new(PerRequestPolicy::frames()),
         }
     }
 

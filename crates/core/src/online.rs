@@ -6,8 +6,8 @@
 //! from many cameras, cameras join and leave mid-run, tenants carry
 //! different SLOs, and the operator may shed load at the ingress. This
 //! module is that open world, built on the same deterministic substrate.
-//! [`OnlineEngine`] is a [`tangram_sim::driver::EventLoop`] over
-//! [`StreamEvent`]s plus the wiring between the stages a patch passes
+//! [`OnlineEngine`] pops a [`tangram_sim::event::EventQueue`] of
+//! [`StreamEvent`]s and wires together the stages a patch passes
 //! through, each of which owns its state, keeps its own counters and
 //! emits its own trace records:
 //!
@@ -45,7 +45,7 @@ use crate::report::{Account, RunReport};
 use batch::Batch;
 use execute::Execute;
 use ingest::Ingest;
-use tangram_sim::driver::EventLoop;
+use tangram_sim::event::EventQueue;
 use tangram_trace::{TraceEvent, TraceLog, TraceSink};
 use tangram_types::time::SimTime;
 
@@ -70,23 +70,36 @@ pub struct Plan {
     pub trace: bool,
 }
 
-/// Where a stage's effects go: future events onto the loop, records into
-/// the runtime trace when one is being captured.
+/// Where a stage's effects go: future events onto the queue, records
+/// into the runtime trace when one is being captured.
 pub(crate) struct Outbox {
-    events: EventLoop<StreamEvent>,
+    events: EventQueue<StreamEvent>,
+    /// The instant of the last popped event.
+    now: SimTime,
     pub(crate) trace: Option<TraceSink>,
 }
 
 impl Outbox {
     pub(crate) fn new(trace: bool) -> Self {
         Self {
-            events: EventLoop::new(),
+            events: EventQueue::new(),
+            now: SimTime::ZERO,
             trace: trace.then(TraceSink::new),
         }
     }
 
+    /// Schedules `event` at `at`, or at "now" if `at` already passed: a
+    /// wake-up for a missed deadline fires at once, and time never runs
+    /// backwards.
     pub(crate) fn schedule(&mut self, at: SimTime, event: StreamEvent) {
-        self.events.schedule(at, event);
+        self.events.push(at.max(self.now), event);
+    }
+
+    /// Pops the earliest event and moves "now" to its instant.
+    fn step(&mut self) -> Option<(SimTime, StreamEvent)> {
+        let (at, event) = self.events.pop()?;
+        self.now = at;
+        Some((at, event))
     }
 
     pub(crate) fn emit(&mut self, at: SimTime, event: TraceEvent) {
@@ -96,7 +109,7 @@ impl Outbox {
     }
 }
 
-/// The event-driven streaming engine: an [`EventLoop`] over
+/// The event-driven streaming engine: an [`EventQueue`] of
 /// [`StreamEvent`]s and the wiring between the six pipeline stages.
 pub struct OnlineEngine {
     out: Outbox,
@@ -170,17 +183,17 @@ impl OnlineEngine {
             },
         );
         let mut events_processed = 0u64;
-        while let Some((now, event)) = self.out.events.step() {
+        while let Some((now, event)) = self.out.step() {
             events_processed += 1;
             self.handle(now, event);
         }
         // End of stream: flush whatever the policy still holds; only
         // those batches' completions remain to be acknowledged.
-        let now = self.out.events.now();
+        let now = self.out.now;
         for spec in self.batch.flush(now).dispatches {
             self.dispatch(now, spec);
         }
-        while let Some((now, event)) = self.out.events.step() {
+        while let Some((now, event)) = self.out.step() {
             events_processed += 1;
             if let StreamEvent::FunctionComplete { id, feedback } = event {
                 self.execute.on_complete(now, id, &feedback, &mut self.out);
@@ -193,7 +206,7 @@ impl OnlineEngine {
             "queue-depth accounting leaked {} items past the flush",
             self.batch.queued
         );
-        let end = self.out.events.now();
+        let end = self.out.now;
         let makespan = end.since(SimTime::ZERO);
         self.out.emit(
             end,
@@ -384,6 +397,61 @@ mod tests {
             ArrivalProcess::Poisson { fps },
             DetRng::new(seed).fork_indexed("online-test", u64::from(scene)),
         )
+    }
+
+    /// Each step pops the earliest event and moves "now" to its instant.
+    #[test]
+    fn outbox_steps_advance_now_in_order() {
+        let t = SimTime::from_micros;
+        let mut out = Outbox::new(false);
+        for (at, cam) in [(30, 2), (10, 0), (20, 1)] {
+            out.schedule(t(at), StreamEvent::Capture { cam });
+        }
+        for (at_expected, cam_expected) in [(10, 0), (20, 1), (30, 2)] {
+            assert!(matches!(
+                out.step(),
+                Some((at, StreamEvent::Capture { cam })) if at == t(at_expected) && cam == cam_expected
+            ));
+            assert_eq!(out.now, t(at_expected));
+        }
+        assert!(out.step().is_none());
+        assert_eq!(out.now, t(30));
+    }
+
+    /// A wake-up scheduled in the past pops at "now", never earlier.
+    #[test]
+    fn outbox_past_schedules_clamp_to_now() {
+        let t = SimTime::from_micros;
+        let mut out = Outbox::new(false);
+        out.schedule(t(100), StreamEvent::InvokeTimer);
+        assert!(matches!(out.step(), Some((at, StreamEvent::InvokeTimer)) if at == t(100)));
+        assert_eq!(out.now, t(100));
+        out.schedule(t(5), StreamEvent::InvokeTimer);
+        assert!(matches!(out.step(), Some((at, StreamEvent::InvokeTimer)) if at == t(100)));
+        assert!(out.step().is_none());
+        assert_eq!(out.now, t(100));
+    }
+
+    /// Same-instant events pop in the order they were scheduled, a
+    /// clamped past wake-up included.
+    #[test]
+    fn outbox_same_instant_events_fire_fifo() {
+        let t = SimTime::from_micros;
+        let mut out = Outbox::new(false);
+        out.schedule(t(100), StreamEvent::InvokeTimer);
+        assert!(out.step().is_some());
+        out.schedule(t(5), StreamEvent::InvokeTimer);
+        for cam in 0..10 {
+            out.schedule(t(100), StreamEvent::Capture { cam });
+        }
+        assert!(matches!(out.step(), Some((at, StreamEvent::InvokeTimer)) if at == t(100)));
+        for expected in 0..10 {
+            assert!(matches!(
+                out.step(),
+                Some((at, StreamEvent::Capture { cam })) if at == t(100) && cam == expected
+            ));
+        }
+        assert!(out.step().is_none());
     }
 
     #[test]

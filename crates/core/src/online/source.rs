@@ -153,11 +153,10 @@ impl CameraSource for TraceReplaySource {
     }
 }
 
-/// How a generated camera paces its captures.
+/// How a generated camera paces its captures: open-loop, whatever the
+/// uplink does (the closed-loop pacing is [`TraceReplaySource`]'s).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
-    /// Fixed-rate capture gated on the uplink — the trace-replay pacing.
-    ClosedLoop,
     /// Open-loop Poisson arrivals at mean `fps` frames per second.
     Poisson {
         /// Mean frame rate.
@@ -278,14 +277,8 @@ impl CameraSource for GeneratedSource {
         self.emitted >= self.budget
     }
 
-    fn next_capture(
-        &mut self,
-        now: SimTime,
-        frame_interval: SimDuration,
-        uplink_free: SimTime,
-    ) -> SimTime {
+    fn next_capture(&mut self, now: SimTime, _: SimDuration, _: SimTime) -> SimTime {
         match self.process {
-            ArrivalProcess::ClosedLoop => (now + frame_interval).max(uplink_free),
             ArrivalProcess::Poisson { fps } => now + self.gap(fps),
             ArrivalProcess::Bursty {
                 calm_fps,

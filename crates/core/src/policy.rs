@@ -134,9 +134,6 @@ pub struct CompletionFeedback {
 
 /// A batching policy under evaluation.
 pub trait BatchingPolicy {
-    /// Display name (report tables).
-    fn name(&self) -> &'static str;
-
     /// Fresh ingress load signals, observed just before the arrivals they
     /// accompany. The default ignores them; admission-aware policies
     /// (e.g. [`crate::scheduler::TangramScheduler`] with

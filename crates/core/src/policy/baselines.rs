@@ -1,9 +1,10 @@
 //! The paper's comparison systems (§V-A).
 //!
-//! * **Full Frame** — every 4K frame is one immediate request;
-//! * **Masked Frame** (AdaMask) — the masked frame is one immediate
-//!   request whose effective compute skips the masked background;
-//! * **ELF** — every patch is its own immediate request;
+//! * **Full Frame**, **Masked Frame** (AdaMask) and **ELF** — one
+//!   [`PerRequestPolicy`]: every arrival is one immediate request. The
+//!   engine hands the first two whole frames (a masked frame's effective
+//!   compute skips the masked background) and ELF its patches, letterboxed
+//!   to a minimum input;
 //! * **Clipper** — dynamic batch sizing via additive-increase /
 //!   multiplicative-decrease on the SLO feedback, patches padded to
 //!   uniform model inputs;
@@ -15,117 +16,58 @@
 //! input, which is exactly the wedge the paper's Fig. 12 isolates.
 
 use crate::policy::{
-    padded_inputs_megapixels, Arrival, BatchSpec, BatchingPolicy, CompletionFeedback, FrameArrival,
-    PolicyOutput,
+    padded_inputs_megapixels, Arrival, BatchSpec, BatchingPolicy, CompletionFeedback, PolicyOutput,
 };
 use tangram_types::geometry::Size;
 use tangram_types::patch::PatchInfo;
 use tangram_types::time::{SimDuration, SimTime};
 
-/// Immediate per-frame dispatch (Full Frame and Masked Frame).
+/// One immediate request per arrival, no batching: Full Frame and
+/// Masked Frame (whose engines deliver frames) and ELF (whose engine
+/// delivers patches). Only the billed input differs: a frame is billed at
+/// its effective megapixels, a patch at its area, raised to
+/// `min_input_megapixels`.
 #[derive(Debug)]
-pub struct FramePerRequestPolicy {
-    name: &'static str,
-}
-
-impl FramePerRequestPolicy {
-    /// The Full Frame baseline.
-    #[must_use]
-    pub fn full_frame() -> Self {
-        Self { name: "FullFrame" }
-    }
-
-    /// The Masked Frame (AdaMask) baseline.
-    #[must_use]
-    pub fn masked_frame() -> Self {
-        Self {
-            name: "MaskedFrame",
-        }
-    }
-
-    fn dispatch_frame(f: FrameArrival) -> BatchSpec {
-        BatchSpec {
-            patches: vec![f.info],
-            inputs: 1,
-            megapixels: f.effective_megapixels,
-            canvas_efficiencies: Vec::new(),
-        }
-    }
-}
-
-impl BatchingPolicy for FramePerRequestPolicy {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn on_arrival(&mut self, _now: SimTime, arrival: Arrival) -> PolicyOutput {
-        match arrival {
-            Arrival::Frame(f) => PolicyOutput::dispatch(Self::dispatch_frame(f)).accepted(1),
-            Arrival::Patch(p) => {
-                // Frame policies receive only frames; a stray patch is
-                // served as its own request.
-                PolicyOutput::dispatch(BatchSpec {
-                    megapixels: p.info.rect.area() as f64 / 1.0e6,
-                    patches: vec![p.info],
-                    inputs: 1,
-                    canvas_efficiencies: Vec::new(),
-                })
-                .accepted(1)
-            }
-        }
-    }
-
-    fn on_tick(&mut self, _now: SimTime) -> PolicyOutput {
-        PolicyOutput::idle()
-    }
-
-    fn flush(&mut self, _now: SimTime) -> PolicyOutput {
-        PolicyOutput::idle()
-    }
-}
-
-/// ELF: one request per patch, no batching.
-#[derive(Debug)]
-pub struct ElfPolicy {
+pub struct PerRequestPolicy {
     /// Model inputs are at least this large (tiny crops still pay a
     /// realistic minimum input resolution).
     pub min_input_megapixels: f64,
 }
 
-impl Default for ElfPolicy {
-    fn default() -> Self {
+impl PerRequestPolicy {
+    /// The Full Frame and Masked Frame baselines: no minimum input.
+    #[must_use]
+    pub fn frames() -> Self {
         Self {
-            // 320×320 letterboxed minimum input.
+            min_input_megapixels: 0.0,
+        }
+    }
+
+    /// ELF: patches letterboxed to at least 320×320.
+    #[must_use]
+    pub fn elf() -> Self {
+        Self {
             min_input_megapixels: 0.1024,
         }
     }
 }
 
-impl BatchingPolicy for ElfPolicy {
-    fn name(&self) -> &'static str {
-        "ELF"
-    }
-
+impl BatchingPolicy for PerRequestPolicy {
     fn on_arrival(&mut self, _now: SimTime, arrival: Arrival) -> PolicyOutput {
-        match arrival {
+        let (info, megapixels) = match arrival {
+            Arrival::Frame(f) => (f.info, f.effective_megapixels),
             Arrival::Patch(p) => {
-                let mpx = (p.info.rect.area() as f64 / 1.0e6).max(self.min_input_megapixels);
-                PolicyOutput::dispatch(BatchSpec {
-                    patches: vec![p.info],
-                    inputs: 1,
-                    megapixels: mpx,
-                    canvas_efficiencies: Vec::new(),
-                })
-                .accepted(1)
+                let area = p.info.rect.area() as f64 / 1.0e6;
+                (p.info, area.max(self.min_input_megapixels))
             }
-            Arrival::Frame(f) => PolicyOutput::dispatch(BatchSpec {
-                megapixels: f.effective_megapixels,
-                patches: vec![f.info],
-                inputs: 1,
-                canvas_efficiencies: Vec::new(),
-            })
-            .accepted(1),
-        }
+        };
+        PolicyOutput::dispatch(BatchSpec {
+            patches: vec![info],
+            inputs: 1,
+            megapixels,
+            canvas_efficiencies: Vec::new(),
+        })
+        .accepted(1)
     }
 
     fn on_tick(&mut self, _now: SimTime) -> PolicyOutput {
@@ -190,10 +132,6 @@ impl ClipperPolicy {
 }
 
 impl BatchingPolicy for ClipperPolicy {
-    fn name(&self) -> &'static str {
-        "Clipper"
-    }
-
     fn on_arrival(&mut self, now: SimTime, arrival: Arrival) -> PolicyOutput {
         let Arrival::Patch(p) = arrival else {
             return PolicyOutput::idle();
@@ -292,10 +230,6 @@ impl MarkPolicy {
 }
 
 impl BatchingPolicy for MarkPolicy {
-    fn name(&self) -> &'static str {
-        "MArk"
-    }
-
     fn on_arrival(&mut self, now: SimTime, arrival: Arrival) -> PolicyOutput {
         let Arrival::Patch(p) = arrival else {
             return PolicyOutput::idle();
@@ -336,6 +270,7 @@ impl BatchingPolicy for MarkPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::FrameArrival;
     use tangram_types::geometry::Rect;
     use tangram_types::ids::{CameraId, FrameId, PatchId};
     use tangram_types::patch::Patch;
@@ -375,17 +310,17 @@ mod tests {
 
     #[test]
     fn full_frame_dispatches_immediately() {
-        let mut p = FramePerRequestPolicy::full_frame();
+        let mut p = PerRequestPolicy::frames();
         let out = p.on_arrival(t(0), Arrival::Frame(frame(0)));
         assert_eq!(out.dispatches.len(), 1);
         assert_eq!(out.dispatches[0].inputs, 1);
         assert!((out.dispatches[0].megapixels - 8.29).abs() < 1e-9);
-        assert_eq!(p.name(), "FullFrame");
+        assert_eq!(out.accepted, 1);
     }
 
     #[test]
     fn elf_one_request_per_patch() {
-        let mut p = ElfPolicy::default();
+        let mut p = PerRequestPolicy::elf();
         let a = p.on_arrival(t(0), Arrival::Patch(patch(1, 0, 1000)));
         let b = p.on_arrival(t(1), Arrival::Patch(patch(2, 1, 1000)));
         assert_eq!(a.dispatches.len() + b.dispatches.len(), 2);
@@ -395,7 +330,7 @@ mod tests {
 
     #[test]
     fn elf_pads_tiny_patches() {
-        let mut p = ElfPolicy::default();
+        let mut p = PerRequestPolicy::elf();
         let tiny = Patch::new(
             PatchInfo::new(
                 PatchId::new(1),

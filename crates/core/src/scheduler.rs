@@ -277,10 +277,6 @@ impl TangramScheduler {
 }
 
 impl BatchingPolicy for TangramScheduler {
-    fn name(&self) -> &'static str {
-        "Tangram"
-    }
-
     fn on_signals(&mut self, now: SimTime, signals: &crate::admission::AdmissionSignals) {
         if self.config.admission_aware {
             self.backend_free_at = Some(signals.backend.earliest_start.max(now));

@@ -21,20 +21,21 @@
 //! (an inline table, a syntax error) is never half-read: it is a
 //! `dag-unlisted` violation at the reader's line.
 //!
-//! Three rule ids:
+//! Two rule ids:
 //!
 //! * `dag-unlisted` — a `crates/*` directory whose package is not on
 //!   the lattice (new crates must land on it deliberately), or whose
 //!   manifest cannot be read.
 //! * `dag-edge` — a dependency edge that points sideways or up the
 //!   lattice, targets an unknown crate, or pulls an undeclared external.
-//! * `dag-cycle` — a dependency cycle among the discovered crates
-//!   (belt-and-braces: unlisted crates bypass the layer check, so the
-//!   cycle scan covers them too).
+//!
+//! A cycle needs no rule of its own: among lattice crates one of its
+//! edges does not point strictly down (`dag-edge`), a cycle through an
+//! unlisted crate reports that crate (`dag-unlisted`), and Cargo rejects
+//! a cyclic package graph before any lint runs.
 
 use crate::walk::crate_dirs;
 use crate::Violation;
-use std::collections::BTreeMap;
 use std::path::Path;
 use tangram_types::toml::{TomlDocument, TomlError};
 
@@ -199,7 +200,6 @@ pub fn check_dag(root: &Path) -> Result<Vec<Violation>, String> {
         }
     }
     violations.extend(check_edges(&manifests));
-    violations.extend(find_cycles(&manifests));
     Ok(violations)
 }
 
@@ -288,56 +288,6 @@ fn check_edges(manifests: &[Manifest]) -> Vec<Violation> {
         }
     }
     violations
-}
-
-/// Reports each dependency cycle once, anchored at the closing edge of
-/// the lexicographically-first crate in the cycle.
-fn find_cycles(manifests: &[Manifest]) -> Vec<Violation> {
-    let index: BTreeMap<&str, &Manifest> = manifests.iter().map(|m| (m.short(), m)).collect();
-    let mut reported: Vec<Vec<String>> = Vec::new();
-    let mut violations = Vec::new();
-    for m in manifests {
-        let mut stack = vec![m.short().to_string()];
-        dfs(m, &index, &mut stack, &mut reported, &mut violations);
-    }
-    violations
-}
-
-fn dfs(
-    m: &Manifest,
-    index: &BTreeMap<&str, &Manifest>,
-    stack: &mut Vec<String>,
-    reported: &mut Vec<Vec<String>>,
-    violations: &mut Vec<Violation>,
-) {
-    for dep in &m.deps {
-        let Some(target) = dep.name.strip_prefix("tangram-") else {
-            continue;
-        };
-        if let Some(pos) = stack.iter().position(|s| s == target) {
-            // The membership set identifies the cycle; the first DFS
-            // discovery (crates visited in sorted order) anchors the one
-            // report deterministically.
-            let mut members: Vec<String> = stack[pos..].to_vec();
-            members.sort();
-            if !reported.contains(&members) {
-                reported.push(members);
-                let path: Vec<&str> = stack[pos..].iter().map(String::as_str).collect();
-                violations.push(Violation::new(
-                    &m.rel(),
-                    dep.line,
-                    "dag-cycle",
-                    format!("dependency cycle: {} -> {}", path.join(" -> "), target),
-                ));
-            }
-            continue;
-        }
-        if let Some(next) = index.get(target) {
-            stack.push(target.to_string());
-            dfs(next, index, stack, reported, violations);
-            stack.pop();
-        }
-    }
 }
 
 /// The dependency a full key path declares, if any: the segment after
@@ -580,19 +530,46 @@ mod tests {
         );
     }
 
+    /// A cycle is reported once per cause, by the edge and lattice rules:
+    /// among lattice crates by its upward edge, through unlisted crates
+    /// by each crate that is off the lattice.
     #[test]
     fn cycles_are_reported_once() {
-        let a = manifest(
+        let types = manifest(
+            "types",
+            "[package]\nname = \"tangram-types\"\n[dependencies]\ntangram-sim.workspace = true\n",
+        );
+        let sim = manifest(
+            "sim",
+            "[package]\nname = \"tangram-sim\"\n[dependencies]\ntangram-types.workspace = true\n",
+        );
+        let reported: Vec<(String, usize, &str)> = check_edges(&[types, sim])
+            .into_iter()
+            .map(|v| (v.path, v.line, v.rule))
+            .collect();
+        assert_eq!(
+            reported,
+            [("crates/types/Cargo.toml".to_string(), 4, "dag-edge")]
+        );
+
+        let alpha = manifest(
             "alpha",
             "[package]\nname = \"tangram-alpha\"\n[dependencies]\ntangram-beta.workspace = true\n",
         );
-        let b = manifest(
+        let beta = manifest(
             "beta",
             "[package]\nname = \"tangram-beta\"\n[dependencies]\ntangram-alpha.workspace = true\n",
         );
-        let violations = find_cycles(&[a, b]);
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert_eq!(violations[0].rule, "dag-cycle");
-        assert!(violations[0].message.contains("alpha -> beta -> alpha"));
+        let reported: Vec<(String, usize, &str)> = check_edges(&[alpha, beta])
+            .into_iter()
+            .map(|v| (v.path, v.line, v.rule))
+            .collect();
+        assert_eq!(
+            reported,
+            [
+                ("crates/alpha/Cargo.toml".to_string(), 2, "dag-unlisted"),
+                ("crates/beta/Cargo.toml".to_string(), 2, "dag-unlisted"),
+            ]
+        );
     }
 }

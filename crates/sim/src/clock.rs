@@ -1,11 +1,11 @@
-//! Clock abstraction shared by the discrete-event engine and the live
-//! runtime.
+//! Clock abstraction of the live runtime.
 //!
-//! The engine advances a [`ManualClock`] as it drains its event queue; the
-//! live runtime in `tangram-core` (`LiveTangram`) reads whichever
-//! [`Clock`] its host injects — a [`ManualClock`] under test, a wall-clock
-//! implementation in `examples/quickstart.rs` — so the scheduler code is
-//! identical in both worlds.
+//! The discrete-event engine needs no clock object: "now" is the instant
+//! of the event it last popped. The live runtime in `tangram-core`
+//! (`LiveTangram`) reads whichever [`Clock`] its host injects — a
+//! [`ManualClock`] under test, a wall-clock implementation in
+//! `examples/quickstart.rs` — so the scheduler code is identical in both
+//! worlds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

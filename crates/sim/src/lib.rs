@@ -4,12 +4,9 @@
 //! `(configuration, seed)` pair reproduces an experiment bit-for-bit:
 //!
 //! * [`event::EventQueue`] — a time-ordered queue with stable FIFO
-//!   tie-breaking, the heart of the end-to-end engine;
-//! * [`clock`] — the [`clock::Clock`] abstraction shared by the simulated
-//!   and the live runtime;
-//! * [`driver::EventLoop`] — the queue and the clock stepped together:
-//!   the discrete-event loop that drives the streaming engine's
-//!   arrival/timer/completion/churn events;
+//!   tie-breaking, the heart of the end-to-end engine, which pops it
+//!   directly and keeps "now" beside it;
+//! * [`clock`] — the [`clock::Clock`] abstraction of the live runtime;
 //! * [`rng::DetRng`] — seeded, forkable random streams with the handful of
 //!   distributions the substrates need (normal, lognormal, Poisson,
 //!   exponential) implemented locally so no extra crates are required;
@@ -30,13 +27,11 @@
 //! ```
 
 pub mod clock;
-pub mod driver;
 pub mod event;
 pub mod rng;
 pub mod stats;
 
 pub use clock::{Clock, ManualClock};
-pub use driver::EventLoop;
 pub use event::EventQueue;
 pub use rng::DetRng;
 pub use stats::{EmpiricalCdf, OnlineStats};

@@ -13,9 +13,7 @@
 //! * [`solver`] — the multi-canvas first-fit: [`solver::Stitching`] keeps
 //!   canvases open and places one patch per arrival (what Algorithm 2's
 //!   per-arrival re-stitch amounts to), and
-//!   [`solver::PatchStitchingSolver`] stitches a whole queue at once;
-//! * [`compose`] — coordinate mapping between canvas space and source
-//!   frames, used when detections are projected back to cameras.
+//!   [`solver::PatchStitchingSolver`] stitches a whole queue at once.
 //!
 //! # Example
 //!
@@ -30,11 +28,9 @@
 //! ```
 
 pub mod canvas;
-pub mod compose;
 pub mod packer;
 pub mod solver;
 
 pub use canvas::{Canvas, PlacedPatch};
-pub use compose::CanvasMapping;
 pub use packer::{GuillotinePacker, Packer, ShelfPacker, SkylinePacker};
 pub use solver::{PatchStitchingSolver, StitchError, Stitching};

@@ -35,7 +35,6 @@ fn bad_tree_reports_every_family_at_exact_lines() {
         ("config/lint_allow.toml", 13, "waiver-format"),
         ("crates/alpha/Cargo.toml", 2, "dag-unlisted"),
         ("crates/beta/Cargo.toml", 2, "dag-unlisted"),
-        ("crates/beta/Cargo.toml", 5, "dag-cycle"),
         ("crates/harness/src/conc_abuse.rs", 4, "conc-raw-thread"),
         ("crates/infer/Cargo.toml", 4, "dag-edge"),
         ("crates/net/Cargo.toml", 4, "dag-edge"),
@@ -124,22 +123,6 @@ fn a_root_without_crates_is_an_error_not_a_pass() {
         let message = outcome.expect_err("no crates/ must not lint clean");
         assert!(message.contains("crates"), "{message}");
     }
-}
-
-/// The cycle report names the loop and fires exactly once.
-#[test]
-fn cycle_report_names_the_loop_once() {
-    let violations = lint_workspace(&bad_tree()).expect("lint bad tree");
-    let cycles: Vec<&Violation> = violations
-        .iter()
-        .filter(|v| v.rule == "dag-cycle")
-        .collect();
-    assert_eq!(cycles.len(), 1);
-    assert!(
-        cycles[0].message.contains("alpha -> beta -> alpha"),
-        "{}",
-        cycles[0].message
-    );
 }
 
 /// The live fixture waivers suppress both `det-hash-order` hits in

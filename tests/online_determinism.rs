@@ -8,6 +8,7 @@ use tangram_core::engine::{EngineConfig, PolicyKind};
 use tangram_core::online::{
     ArrivalProcess, GeneratedSource, OnlineEngine, Plan, TraceReplaySource,
 };
+use tangram_core::report::RunSummary;
 use tangram_core::workload::{CameraTrace, TraceConfig};
 use tangram_sim::rng::DetRng;
 use tangram_types::ids::SceneId;
@@ -91,5 +92,86 @@ fn streaming_runs_are_reproducible_per_seed() {
             engine.run().0.summarize()
         };
         assert_eq!(run(7), run(7), "{}: same seed, same digest", policy.name());
+    }
+}
+
+/// FNV-1a over a summary's `Debug` rendering: every field, floats in
+/// their shortest round-trip spelling.
+fn digest(summary: &RunSummary) -> u64 {
+    format!("{summary:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// No committed baseline runs Full Frame or Masked Frame (`BENCH_smoke`
+/// sweeps Tangram, Clipper, ELF and MArk), so every policy's summary on
+/// the two-trace fixture is held here by value: frames, patches,
+/// batches, violations, uplink bytes, cost and p99 latency, then a
+/// digest of every field.
+#[test]
+fn every_policys_summary_is_pinned_by_value() {
+    type Pin = (PolicyKind, [u64; 5], f64, f64, u64);
+    const PINNED: [Pin; 6] = [
+        (
+            PolicyKind::Tangram,
+            [20, 175, 7, 0, 10_541_499],
+            0.001_927_431_200_000_000_4,
+            0.932_936,
+            0x5fbe_331b_99c4_1260,
+        ),
+        (
+            PolicyKind::Clipper,
+            [20, 171, 29, 7, 10_541_499],
+            0.006_868_234_000_000_001,
+            1.000_113,
+            0x24ce_608c_2125_f91b,
+        ),
+        (
+            PolicyKind::Elf,
+            [20, 171, 171, 129, 96_883_839],
+            0.006_035_986_200_000_002,
+            2.327_632,
+            0x2da3_f827_372d_b4d7,
+        ),
+        (
+            PolicyKind::Mark,
+            [20, 171, 19, 11, 10_541_499],
+            0.006_724_435_640_000_001,
+            1.004_782,
+            0x79e4_46e3_a507_8172,
+        ),
+        (
+            PolicyKind::FullFrame,
+            [20, 20, 20, 19, 49_766_400],
+            0.006_261_326_560_000_001,
+            1.494_492,
+            0x6a7c_bc7b_4b70_c3b6,
+        ),
+        (
+            PolicyKind::MaskedFrame,
+            [20, 20, 20, 19, 52_809_617],
+            0.005_581_907_68,
+            1.491_923,
+            0xe32b_f3b5_1667_2eff,
+        ),
+    ];
+    let traces = traces();
+    for (policy, counts, cost_usd, p99_latency_s, pinned) in PINNED {
+        let s = config(policy).run(&traces).summarize();
+        let name = policy.name();
+        assert_eq!(
+            [s.frames, s.patches, s.batches, s.violations, s.uplink_bytes],
+            counts,
+            "{name}"
+        );
+        assert_eq!(s.cost_usd.to_bits(), cost_usd.to_bits(), "{name}: {s:?}");
+        assert_eq!(
+            s.p99_latency_s.to_bits(),
+            p99_latency_s.to_bits(),
+            "{name}: {s:?}"
+        );
+        assert_eq!(digest(&s), pinned, "{name}: {s:?}");
     }
 }
