@@ -140,24 +140,31 @@ impl TraceEvent {
         }
     }
 
+    /// The index in [`TraceEvent::KINDS`] of the kind tagged `tag`.
+    pub(crate) fn kind_of(tag: &str) -> Option<usize> {
+        Self::KINDS.iter().position(|kind| *kind == tag)
+    }
+
     /// Calls `visit` with the canonical `,"key":` prefix and the value of
-    /// each of the event's fields (key order fixed per kind) — the one
-    /// place that order lives, for the renderer and for its length count.
+    /// each of the event's fields, in [`FIELDS`] order — for the renderer
+    /// and for its length count.
     pub(crate) fn each_field<'a>(&'a self, mut visit: impl FnMut(&'static str, Scalar<'a>)) {
         use Scalar::{Bool, U64};
         let text = |s: &'a str| Scalar::Str(Cow::Borrowed(s));
+        let mut keys = FIELDS[self.kind_index()].iter();
+        let mut visit = |value| visit(keys.next().map_or("", |&(key, _)| key), value);
         match self {
             TraceEvent::SessionStart {
                 policy,
                 seed,
                 cameras,
             } => {
-                visit(",\"policy\":", text(policy));
-                visit(",\"seed\":", U64(*seed));
-                visit(",\"cameras\":", U64(*cameras));
+                visit(text(policy));
+                visit(U64(*seed));
+                visit(U64(*cameras));
             }
             TraceEvent::CameraJoin { camera } | TraceEvent::CameraLeave { camera } => {
-                visit(",\"camera\":", U64(*camera));
+                visit(U64(*camera));
             }
             TraceEvent::AdmissionVerdict {
                 patch,
@@ -167,16 +174,16 @@ impl TraceEvent {
                 in_flight,
                 earliest_start_us,
             } => {
-                visit(",\"patch\":", U64(*patch));
-                visit(",\"slo_us\":", U64(*slo_us));
-                visit(",\"admitted\":", Bool(*admitted));
-                visit(",\"queued\":", U64(*queued));
-                visit(",\"in_flight\":", U64(*in_flight));
-                visit(",\"earliest_start_us\":", U64(*earliest_start_us));
+                visit(U64(*patch));
+                visit(U64(*slo_us));
+                visit(Bool(*admitted));
+                visit(U64(*queued));
+                visit(U64(*in_flight));
+                visit(U64(*earliest_start_us));
             }
             TraceEvent::DrrRound { released, backlog } => {
-                visit(",\"released\":", U64(*released));
-                visit(",\"backlog\":", U64(*backlog));
+                visit(U64(*released));
+                visit(U64(*backlog));
             }
             TraceEvent::BatchDispatch {
                 batch,
@@ -184,23 +191,23 @@ impl TraceEvent {
                 inputs,
                 megapixels_e6,
             } => {
-                visit(",\"batch\":", U64(*batch));
-                visit(",\"patches\":", U64(*patches));
-                visit(",\"inputs\":", U64(*inputs));
-                visit(",\"megapixels_e6\":", U64(*megapixels_e6));
+                visit(U64(*batch));
+                visit(U64(*patches));
+                visit(U64(*inputs));
+                visit(U64(*megapixels_e6));
             }
             TraceEvent::FunctionComplete {
                 invocation,
                 inputs,
                 violations,
             } => {
-                visit(",\"invocation\":", U64(*invocation));
-                visit(",\"inputs\":", U64(*inputs));
-                visit(",\"violations\":", U64(*violations));
+                visit(U64(*invocation));
+                visit(U64(*inputs));
+                visit(U64(*violations));
             }
             TraceEvent::FaultWindow { kind, until_us } => {
-                visit(",\"fault\":", text(kind));
-                visit(",\"until_us\":", U64(*until_us));
+                visit(text(kind));
+                visit(U64(*until_us));
             }
             TraceEvent::SessionEnd {
                 frames,
@@ -209,81 +216,184 @@ impl TraceEvent {
                 dropped,
                 makespan_us,
             } => {
-                visit(",\"frames\":", U64(*frames));
-                visit(",\"batches\":", U64(*batches));
-                visit(",\"completions\":", U64(*completions));
-                visit(",\"dropped\":", U64(*dropped));
-                visit(",\"makespan_us\":", U64(*makespan_us));
+                visit(U64(*frames));
+                visit(U64(*batches));
+                visit(U64(*completions));
+                visit(U64(*dropped));
+                visit(U64(*makespan_us));
             }
         }
     }
 
-    /// Rebuilds an event from its kind tag and the line's parsed fields.
+    /// Builds the event of kind `KINDS[kind]` from its field values, slot
+    /// `i` of `row` holding field `i` of the kind's [`FIELDS`] entry.
+    pub(crate) fn from_row(kind: usize, row: Row<'_>) -> TraceEvent {
+        let Row {
+            ints: n,
+            flag,
+            text,
+        } = row;
+        match kind {
+            0 => TraceEvent::SessionStart {
+                policy: text.into_owned(),
+                seed: n[1],
+                cameras: n[2],
+            },
+            1 => TraceEvent::CameraJoin { camera: n[0] },
+            2 => TraceEvent::CameraLeave { camera: n[0] },
+            3 => TraceEvent::AdmissionVerdict {
+                patch: n[0],
+                slo_us: n[1],
+                admitted: flag,
+                queued: n[3],
+                in_flight: n[4],
+                earliest_start_us: n[5],
+            },
+            4 => TraceEvent::DrrRound {
+                released: n[0],
+                backlog: n[1],
+            },
+            5 => TraceEvent::BatchDispatch {
+                batch: n[0],
+                patches: n[1],
+                inputs: n[2],
+                megapixels_e6: n[3],
+            },
+            6 => TraceEvent::FunctionComplete {
+                invocation: n[0],
+                inputs: n[1],
+                violations: n[2],
+            },
+            7 => TraceEvent::FaultWindow {
+                kind: text.into_owned(),
+                until_us: n[1],
+            },
+            _ => TraceEvent::SessionEnd {
+                frames: n[0],
+                batches: n[1],
+                completions: n[2],
+                dropped: n[3],
+                makespan_us: n[4],
+            },
+        }
+    }
+
+    /// Rebuilds an event from its kind tag and the line's parsed fields,
+    /// looking its keys up in [`FIELDS`] order (so the first missing or
+    /// mistyped one is the error).
     pub(crate) fn from_fields(kind: &str, fields: &Fields<'_>) -> Result<TraceEvent, String> {
-        Ok(match kind {
-            "session.start" => TraceEvent::SessionStart {
-                policy: string(fields, "policy")?.to_string(),
-                seed: integer(fields, "seed")?,
-                cameras: integer(fields, "cameras")?,
-            },
-            "camera.join" => TraceEvent::CameraJoin {
-                camera: integer(fields, "camera")?,
-            },
-            "camera.leave" => TraceEvent::CameraLeave {
-                camera: integer(fields, "camera")?,
-            },
-            "admission.verdict" => TraceEvent::AdmissionVerdict {
-                patch: integer(fields, "patch")?,
-                slo_us: integer(fields, "slo_us")?,
-                admitted: boolean(fields, "admitted")?,
-                queued: integer(fields, "queued")?,
-                in_flight: integer(fields, "in_flight")?,
-                earliest_start_us: integer(fields, "earliest_start_us")?,
-            },
-            "drr.round" => TraceEvent::DrrRound {
-                released: integer(fields, "released")?,
-                backlog: integer(fields, "backlog")?,
-            },
-            "batch.dispatch" => TraceEvent::BatchDispatch {
-                batch: integer(fields, "batch")?,
-                patches: integer(fields, "patches")?,
-                inputs: integer(fields, "inputs")?,
-                megapixels_e6: integer(fields, "megapixels_e6")?,
-            },
-            "function.complete" => TraceEvent::FunctionComplete {
-                invocation: integer(fields, "invocation")?,
-                inputs: integer(fields, "inputs")?,
-                violations: integer(fields, "violations")?,
-            },
-            "fault.window" => TraceEvent::FaultWindow {
-                kind: string(fields, "fault")?.to_string(),
-                until_us: integer(fields, "until_us")?,
-            },
-            "session.end" => TraceEvent::SessionEnd {
-                frames: integer(fields, "frames")?,
-                batches: integer(fields, "batches")?,
-                completions: integer(fields, "completions")?,
-                dropped: integer(fields, "dropped")?,
-                makespan_us: integer(fields, "makespan_us")?,
-            },
-            other => return Err(format!("unknown event kind {other:?}")),
-        })
+        let index = Self::kind_of(kind).ok_or_else(|| format!("unknown event kind {kind:?}"))?;
+        let mut row = Row::default();
+        for (slot, &(prefix, ty)) in FIELDS[index].iter().enumerate() {
+            let key = key_name(prefix);
+            match ty {
+                Ty::Int => row.ints[slot] = integer(fields, key)?,
+                Ty::Bool => row.flag = boolean(fields, key)?,
+                Ty::Text => row.text = Cow::Borrowed(string(fields, key)?),
+            }
+        }
+        Ok(Self::from_row(index, row))
     }
 }
 
-/// Appends `v` in decimal, as `{v}` formats it.
+/// The type of a field's value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Ty {
+    /// A non-negative integer.
+    Int,
+    /// `true` / `false`.
+    Bool,
+    /// A string.
+    Text,
+}
+
+/// Each kind's fields, indexed like [`TraceEvent::KINDS`]: the canonical
+/// `,"key":` prefix and the value's type, in the order a line spells
+/// them. The one place that order lives: the renderer and its length
+/// count (through [`TraceEvent::each_field`]), the canonical-line
+/// template and [`TraceEvent::from_fields`] all read it.
+pub(crate) const FIELDS: [&[(&str, Ty)]; 9] = {
+    use Ty::{Bool, Int, Text};
+    [
+        &[
+            (",\"policy\":", Text),
+            (",\"seed\":", Int),
+            (",\"cameras\":", Int),
+        ],
+        &[(",\"camera\":", Int)],
+        &[(",\"camera\":", Int)],
+        &[
+            (",\"patch\":", Int),
+            (",\"slo_us\":", Int),
+            (",\"admitted\":", Bool),
+            (",\"queued\":", Int),
+            (",\"in_flight\":", Int),
+            (",\"earliest_start_us\":", Int),
+        ],
+        &[(",\"released\":", Int), (",\"backlog\":", Int)],
+        &[
+            (",\"batch\":", Int),
+            (",\"patches\":", Int),
+            (",\"inputs\":", Int),
+            (",\"megapixels_e6\":", Int),
+        ],
+        &[
+            (",\"invocation\":", Int),
+            (",\"inputs\":", Int),
+            (",\"violations\":", Int),
+        ],
+        &[(",\"fault\":", Text), (",\"until_us\":", Int)],
+        &[
+            (",\"frames\":", Int),
+            (",\"batches\":", Int),
+            (",\"completions\":", Int),
+            (",\"dropped\":", Int),
+            (",\"makespan_us\":", Int),
+        ],
+    ]
+};
+
+/// The bare key inside a [`FIELDS`] prefix: `policy` for `,"policy":`.
+fn key_name(prefix: &'static str) -> &'static str {
+    &prefix[2..prefix.len() - 2]
+}
+
+/// The most fields any kind has.
+const MAX_FIELDS: usize = 6;
+
+/// One event's field values as a reader collects them: slot `i` of `ints`
+/// holds integer field `i` of the kind's [`FIELDS`] entry, and `flag` /
+/// `text` its boolean and string (no kind has two of either).
+#[derive(Debug, Default)]
+pub(crate) struct Row<'a> {
+    pub(crate) ints: [u64; MAX_FIELDS],
+    pub(crate) flag: bool,
+    pub(crate) text: Cow<'a, str>,
+}
+
+/// The two digits of every value below 100, `00` to `99`: [`push_u64`]
+/// writes a pair per division.
+const DECIMAL_PAIRS: &str = "\
+    00010203040506070809101112131415161718192021222324252627282930313233343536373839\
+    40414243444546474849505152535455565758596061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Appends `v` in decimal, as `{v}` formats it: the low pairs are split
+/// off first, then pushed from the most significant.
 pub(crate) fn push_u64(out: &mut String, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+    let pair = |v: usize| &DECIMAL_PAIRS[2 * v..2 * v + 2];
+    let mut low = [0u8; 9];
+    let mut n = 0;
+    while v >= 100 {
+        low[n] = (v % 100) as u8;
+        v /= 100;
+        n += 1;
     }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    let lead = pair(v as usize);
+    out.push_str(if v < 10 { &lead[1..] } else { lead });
+    for &v in low[..n].iter().rev() {
+        out.push_str(pair(usize::from(v)));
+    }
 }
 
 /// The digits a hash is spelled in.
@@ -398,9 +508,62 @@ mod tests {
     }
 
     #[test]
+    fn every_reader_and_writer_follows_the_one_field_table() {
+        for (kind, fields) in FIELDS.iter().enumerate() {
+            let count = |want: Ty| fields.iter().filter(|&&(_, ty)| ty == want).count();
+            assert!(count(Ty::Bool) <= 1 && count(Ty::Text) <= 1, "{kind}");
+            assert!(fields.len() <= MAX_FIELDS, "{kind}");
+            // Distinct values per slot, so a slot read into the wrong
+            // field shows.
+            let mut row = Row::default();
+            let mut want = Vec::new();
+            for (slot, &(prefix, ty)) in fields.iter().enumerate() {
+                let key = key_name(prefix);
+                assert_eq!(prefix, format!(",\"{key}\":"));
+                want.push((
+                    prefix,
+                    match ty {
+                        Ty::Int => {
+                            row.ints[slot] = 100 + slot as u64;
+                            Scalar::U64(row.ints[slot])
+                        }
+                        Ty::Bool => {
+                            row.flag = true;
+                            Scalar::Bool(true)
+                        }
+                        Ty::Text => {
+                            row.text = Cow::Borrowed(key);
+                            Scalar::Str(Cow::Borrowed(key))
+                        }
+                    },
+                ));
+            }
+            let event = TraceEvent::from_row(kind, row);
+            assert_eq!(event.kind_index(), kind);
+            let mut seen = Vec::new();
+            event.each_field(|prefix, value| seen.push((prefix, value)));
+            assert_eq!(seen, want, "{}", TraceEvent::KINDS[kind]);
+        }
+    }
+
+    #[test]
     fn integers_render_as_core_fmt_renders_them() {
-        let edges = [0, 9, 10, 99, 100, 12_345, u64::MAX / 10, u64::MAX];
-        for v in edges.into_iter().chain((0..64).map(|shift| 1 << shift)) {
+        let edges = [
+            0,
+            9,
+            10,
+            99,
+            100,
+            101,
+            999,
+            1000,
+            12_345,
+            u64::MAX / 10,
+            u64::MAX,
+        ];
+        let powers = (0..20).flat_map(|e| [10u64.pow(e) - 1, 10u64.pow(e)]);
+        let shifts = (0..64).map(|shift| 1 << shift);
+        for v in edges.into_iter().chain(powers).chain(shifts) {
             let (mut decimal, mut hex) = (String::new(), String::new());
             push_u64(&mut decimal, v);
             push_hex16(&mut hex, v);

@@ -26,23 +26,43 @@
 //! `cmp` golden traces.
 //!
 //! The crate sits below `sim` on the DAG and depends only on
-//! `tangram-types`. It has **one renderer and one flat reader**, and a
-//! record costs its bytes once in each:
+//! `tangram-types`. It has **one renderer and one reader**, and a record
+//! costs its bytes once in each. Each kind's keys, their order and their
+//! value types live in one table, `event::FIELDS`, that the renderer,
+//! its length count and both halves of the reader follow.
 //!
 //! * [`TraceRecord::write_line`] appends the compact canonical line to a
-//!   buffer its caller owns. [`TraceSink::emit`] and [`TraceLog::verify`]
-//!   hash the same body, rendered into a scratch buffer they reuse, in
-//!   one FNV-1a pass; [`TraceLog::to_jsonl`] writes every line into one
-//!   output sized exactly beforehand. Nothing on those paths allocates
-//!   per record or goes through `core::fmt`.
-//! * [`TraceRecord::from_line`] reads a line through
-//!   [`tangram_types::json::parse_flat_object`] — the workspace's one JSON
-//!   codec, its string, number and keyword scanners, but no tree: keys
-//!   and values borrow from the line, in one field list reused across a
-//!   log — rejecting anything that is not a flat object of strings,
-//!   integers and booleans, and any `prev` / `hash` not spelled as the
-//!   renderer spells it (16 lowercase hex digits), so that
-//!   `render(parse(x)) == x` for every `x` that parses.
+//!   buffer its caller owns, digits pushed two at a time from a `00`–`99`
+//!   table. [`TraceSink::emit`] hashes the body, rendered into a scratch
+//!   buffer it reuses, in one FNV-1a pass; [`TraceLog::to_jsonl`] writes
+//!   every line into one output sized exactly beforehand. Nothing on those
+//!   paths allocates per record or goes through `core::fmt`.
+//! * [`TraceLog::verify`] hashes four records at once. A record's hash
+//!   covers its own stored `prev`, so record *n*'s hash does not wait on
+//!   record *n − 1*'s: each group of four is rendered into one scratch
+//!   buffer and its four FNV-1a chains run interleaved. The sequence,
+//!   time, `prev` and hash checks then run in record order, so the error
+//!   still names the first bad record.
+//! * [`TraceRecord::from_line`] first matches the line against the
+//!   template the renderer fills: the fixed keys in renderer order,
+//!   integers without sign, leading zero or overflow, strings without
+//!   escapes or control bytes, hashes as 16 lowercase hex digits. At the
+//!   first byte that differs it falls through to
+//!   [`tangram_types::json::parse_flat_object`] — the workspace's one
+//!   JSON codec, its string, number and keyword scanners, but no tree:
+//!   keys and values borrow from the line, in one field list reused
+//!   across a log. That flat path reads every other spelling (members
+//!   reordered or repeated, unknown keys, whitespace, leading zeros, `\u`
+//!   escapes), rejects anything that is not a flat object of strings,
+//!   integers and booleans or whose `prev` / `hash` is not spelled as the
+//!   renderer spells it, and writes every error message.
+//!
+//! Two properties hold the reader to the renderer: a canonical line reads
+//! and renders back byte for byte, and any other accepted spelling reads
+//! to the record a tree reader over [`tangram_types::json::Json`] gives
+//! (the differential test in `tests/property_invariants.rs`). Accepted
+//! respellings do not render back to themselves: the renderer writes the
+//! one canonical line.
 //!
 //! ```
 //! use tangram_trace::{TraceEvent, TraceLog, TraceSink};

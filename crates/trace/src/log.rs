@@ -1,6 +1,8 @@
 //! Records, the rolling hash chain, JSONL rendering/parsing and diffs.
 
-use crate::event::{decimal_len, integer, push_hex16, push_u64, string, TraceEvent, HEX_DIGITS};
+use crate::event::{
+    decimal_len, integer, push_hex16, push_u64, string, Row, TraceEvent, Ty, FIELDS, HEX_DIGITS,
+};
 use std::borrow::Cow;
 use tangram_types::json::{escaped_len, parse_flat_object, write_string, Scalar};
 use tangram_types::time::SimTime;
@@ -15,6 +17,39 @@ fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         state ^= u64::from(b);
         state = state.wrapping_mul(FNV_PRIME);
+    }
+    state
+}
+
+/// Records [`TraceLog::verify`] hashes at once.
+const LANES: usize = 4;
+
+/// FNV-1a from the offset basis over each of `LANES` segments of
+/// `bytes`, segment `l` ending at `ends[l]` (and starting where the one
+/// before it ends). The chains are independent, so the common length
+/// runs them interleaved — each multiply overlaps the other lanes'
+/// instead of waiting on its own — and each lane then finishes alone.
+fn fnv1a_lanes(bytes: &[u8], ends: [usize; LANES]) -> [u64; LANES] {
+    let mut start = 0;
+    let lanes = ends.map(|end| {
+        let lane = &bytes[start..end];
+        start = end;
+        lane
+    });
+    let common = lanes.iter().map(|lane| lane.len()).min().unwrap_or(0);
+    let [a, b, c, d] = lanes.map(|lane| &lane[..common]);
+    let step = |state: u64, byte: &u8| (state ^ u64::from(*byte)).wrapping_mul(FNV_PRIME);
+    let mut state = [FNV_OFFSET; LANES];
+    for (((a, b), c), d) in a.iter().zip(b).zip(c).zip(d) {
+        state = [
+            step(state[0], a),
+            step(state[1], b),
+            step(state[2], c),
+            step(state[3], d),
+        ];
+    }
+    for (state, lane) in state.iter_mut().zip(&lanes) {
+        *state = fnv1a(*state, &lane[common..]);
     }
     state
 }
@@ -83,14 +118,20 @@ impl TraceRecord {
         len
     }
 
-    /// The hash a record must carry given its `prev`: FNV-1a over
-    /// `{prev:016x}|` and the body, rendered into `scratch` (whose
-    /// contents are replaced) and hashed in one pass.
+    /// Appends the bytes a record's hash covers given its `prev`:
+    /// `{prev:016x}|` and the body.
+    fn hashed_bytes(out: &mut String, seq: u64, at_us: u64, event: &TraceEvent, prev: u64) {
+        push_hex16(out, prev);
+        out.push('|');
+        Self::body(out, seq, at_us, event);
+    }
+
+    /// The hash a record must carry given its `prev`: FNV-1a over its
+    /// hashed bytes, rendered into `scratch` (whose contents are
+    /// replaced) and hashed in one pass.
     fn chain(scratch: &mut String, seq: u64, at_us: u64, event: &TraceEvent, prev: u64) -> u64 {
         scratch.clear();
-        push_hex16(scratch, prev);
-        scratch.push('|');
-        Self::body(scratch, seq, at_us, event);
+        Self::hashed_bytes(scratch, seq, at_us, event, prev);
         fnv1a(FNV_OFFSET, scratch.as_bytes())
     }
 
@@ -122,8 +163,56 @@ impl TraceRecord {
     }
 
     /// [`TraceRecord::from_line`] through a caller-owned field list, so a
-    /// whole log is read through one.
+    /// whole log is read through one: the canonical template first, the
+    /// flat reader for whatever it does not match.
     fn read_line<'a>(
+        line: &'a str,
+        fields: &mut Vec<(Cow<'a, str>, Scalar<'a>)>,
+    ) -> Result<TraceRecord, String> {
+        Self::read_canonical(line).map_or_else(|| Self::read_flat(line, fields), Ok)
+    }
+
+    /// Reads `line` if it is spelled byte for byte as
+    /// [`TraceRecord::write_line`] spells a record — members in renderer
+    /// order, integers without leading zeros and within `u64`, strings
+    /// without escapes or control bytes — and gives up (`None`) at the
+    /// first byte where it is not. It never errs: every line it reads,
+    /// the flat reader reads to the same record.
+    fn read_canonical(line: &str) -> Option<TraceRecord> {
+        let mut template = Template { line, pos: 0 };
+        template.literal("{\"seq\":")?;
+        let seq = template.integer()?;
+        template.literal(",\"at_us\":")?;
+        let at_us = template.integer()?;
+        template.literal(",\"kind\":")?;
+        let kind = TraceEvent::kind_of(template.text()?)?;
+        let mut row = Row::default();
+        for (slot, &(prefix, ty)) in FIELDS[kind].iter().enumerate() {
+            template.literal(prefix)?;
+            match ty {
+                Ty::Int => row.ints[slot] = template.integer()?,
+                Ty::Bool => row.flag = template.boolean()?,
+                Ty::Text => row.text = Cow::Borrowed(template.text()?),
+            }
+        }
+        template.literal(",\"prev\":")?;
+        let prev = template.hash()?;
+        template.literal(",\"hash\":")?;
+        let hash = template.hash()?;
+        template.literal("}")?;
+        (template.pos == line.len()).then(|| TraceRecord {
+            seq,
+            at_us,
+            prev,
+            hash,
+            event: TraceEvent::from_row(kind, row),
+        })
+    }
+
+    /// Reads any spelling of a record through
+    /// [`tangram_types::json::parse_flat_object`]; the source of every
+    /// error message.
+    fn read_flat<'a>(
         line: &'a str,
         fields: &mut Vec<(Cow<'a, str>, Scalar<'a>)>,
     ) -> Result<TraceRecord, String> {
@@ -151,6 +240,12 @@ impl TraceRecord {
 /// hex digits — and in no other spelling, so that two different files
 /// never parse to equal logs.
 fn parse_hex(s: &str) -> Result<u64, String> {
+    let canonical = <&[u8; 16]>::try_from(s.as_bytes()).ok().and_then(hex16);
+    canonical.ok_or_else(|| format!("bad hash {s:?}: expected 16 lowercase hex digits"))
+}
+
+/// The value of 16 lowercase hex digits; `None` if any byte is not one.
+fn hex16(digits: &[u8; 16]) -> Option<u64> {
     /// The value of each lowercase hex digit, `0xff` for any other byte.
     /// A table, not a `match`: which of `0-9` / `a-f` a hash digit falls
     /// in is a coin toss no branch predictor wins.
@@ -163,16 +258,76 @@ fn parse_hex(s: &str) -> Result<u64, String> {
         }
         table
     };
-    let canonical = <&[u8; 16]>::try_from(s.as_bytes()).ok().and_then(|digits| {
-        let (mut value, mut seen) = (0u64, 0u8);
-        for &b in digits {
-            let digit = VALUE[usize::from(b)];
-            seen |= digit;
-            value = value << 4 | u64::from(digit & 0xf);
+    let (mut value, mut seen) = (0u64, 0u8);
+    for &b in digits {
+        let digit = VALUE[usize::from(b)];
+        seen |= digit;
+        value = value << 4 | u64::from(digit & 0xf);
+    }
+    (seen <= 0xf).then_some(value)
+}
+
+/// A cursor matching a line against the canonical record template; each
+/// step consumes one token as the renderer spells it, or returns `None`.
+struct Template<'a> {
+    line: &'a str,
+    pos: usize,
+}
+
+impl<'a> Template<'a> {
+    /// The bytes of `literal`.
+    fn literal(&mut self, literal: &str) -> Option<()> {
+        let rest = &self.line.as_bytes()[self.pos..];
+        rest.starts_with(literal.as_bytes())
+            .then(|| self.pos += literal.len())
+    }
+
+    /// A decimal integer as [`push_u64`] writes one: no sign, no leading
+    /// zero, no overflow.
+    fn integer(&mut self) -> Option<u64> {
+        let bytes = self.line.as_bytes();
+        let start = self.pos;
+        let mut value = 0u64;
+        while let Some(&b) = bytes.get(self.pos).filter(|b| b.is_ascii_digit()) {
+            value = value.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+            self.pos += 1;
         }
-        (seen <= 0xf).then_some(value)
-    });
-    canonical.ok_or_else(|| format!("bad hash {s:?}: expected 16 lowercase hex digits"))
+        let digits = self.pos - start;
+        (digits == 1 || digits > 1 && bytes[start] != b'0').then_some(value)
+    }
+
+    /// `true` or `false`.
+    fn boolean(&mut self) -> Option<bool> {
+        if self.literal("true").is_some() {
+            Some(true)
+        } else {
+            self.literal("false").map(|()| false)
+        }
+    }
+
+    /// A string literal the escaper left alone: no quote, backslash or
+    /// control byte between its quotes.
+    fn text(&mut self) -> Option<&'a str> {
+        self.literal("\"")?;
+        let rest = &self.line.as_bytes()[self.pos..];
+        let len = rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)?;
+        (rest[len] == b'"').then(|| {
+            let text = &self.line[self.pos..self.pos + len];
+            self.pos += len + 1;
+            text
+        })
+    }
+
+    /// A quoted hash: 16 lowercase hex digits.
+    fn hash(&mut self) -> Option<u64> {
+        self.literal("\"")?;
+        let digits = self.line.as_bytes().get(self.pos..self.pos + 16)?;
+        let value = hex16(digits.try_into().ok()?)?;
+        self.pos += 16;
+        self.literal("\"").map(|()| value)
+    }
 }
 
 /// The recorder the engine writes into: appends records, maintaining the
@@ -341,49 +496,57 @@ impl TraceLog {
 
     /// Checks sequence monotonicity (1, 2, 3, …), time monotonicity and
     /// the hash chain, returning the first violation.
+    ///
+    /// A record's hash covers its own stored `prev`, not its
+    /// predecessor's hash, so the hashes do not depend on each other: the
+    /// records are hashed four at a time, rendered into one scratch
+    /// buffer, and then checked in order.
     pub fn verify(&self) -> Result<(), String> {
         let mut prev_hash = chain_seed();
         let mut prev_at = 0u64;
-        let mut scratch = String::with_capacity(256);
-        for (i, record) in self.records.iter().enumerate() {
-            let want_seq = i as u64 + 1;
-            if record.seq != want_seq {
-                return Err(format!(
-                    "record {}: seq {} breaks the 1..n sequence (expected {want_seq})",
-                    i + 1,
-                    record.seq
-                ));
+        let mut scratch = String::with_capacity(LANES * 256);
+        for (group, records) in self.records.chunks(LANES).enumerate() {
+            scratch.clear();
+            let mut ends = [0; LANES];
+            for (end, r) in ends.iter_mut().zip(records) {
+                TraceRecord::hashed_bytes(&mut scratch, r.seq, r.at_us, &r.event, r.prev);
+                *end = scratch.len();
             }
-            if record.at_us < prev_at {
-                return Err(format!(
-                    "{}: time runs backwards ({} < {prev_at})",
-                    record.label(),
-                    record.at_us
-                ));
+            // A short last group hashes empty lanes.
+            ends[records.len()..].fill(scratch.len());
+            let hashes = fnv1a_lanes(scratch.as_bytes(), ends);
+            for (lane, (record, want)) in records.iter().zip(hashes).enumerate() {
+                let position = group * LANES + lane + 1;
+                if record.seq != position as u64 {
+                    return Err(format!(
+                        "record {position}: seq {} breaks the 1..n sequence (expected {position})",
+                        record.seq
+                    ));
+                }
+                if record.at_us < prev_at {
+                    return Err(format!(
+                        "{}: time runs backwards ({} < {prev_at})",
+                        record.label(),
+                        record.at_us
+                    ));
+                }
+                if record.prev != prev_hash {
+                    return Err(format!(
+                        "{}: chain broken (prev {:016x}, expected {prev_hash:016x})",
+                        record.label(),
+                        record.prev
+                    ));
+                }
+                if record.hash != want {
+                    return Err(format!(
+                        "{}: hash mismatch ({:016x}, expected {want:016x})",
+                        record.label(),
+                        record.hash
+                    ));
+                }
+                prev_hash = record.hash;
+                prev_at = record.at_us;
             }
-            if record.prev != prev_hash {
-                return Err(format!(
-                    "{}: chain broken (prev {:016x}, expected {prev_hash:016x})",
-                    record.label(),
-                    record.prev
-                ));
-            }
-            let want = TraceRecord::chain(
-                &mut scratch,
-                record.seq,
-                record.at_us,
-                &record.event,
-                record.prev,
-            );
-            if record.hash != want {
-                return Err(format!(
-                    "{}: hash mismatch ({:016x}, expected {want:016x})",
-                    record.label(),
-                    record.hash
-                ));
-            }
-            prev_hash = record.hash;
-            prev_at = record.at_us;
         }
         Ok(())
     }
@@ -796,6 +959,204 @@ mod tests {
             assert_ne!(line, &good, "{what}: the edit must change the line");
             let err = TraceRecord::from_line(line).expect_err(what);
             assert!(err.contains(want), "{what}: {err}");
+        }
+    }
+
+    /// `verify` as it ran before the lanes: one record at a time, in
+    /// order — their oracle.
+    fn serial_verify(log: &TraceLog) -> Result<(), String> {
+        let mut prev_hash = chain_seed();
+        let mut prev_at = 0u64;
+        let mut scratch = String::new();
+        for (i, record) in log.records.iter().enumerate() {
+            let want_seq = i as u64 + 1;
+            if record.seq != want_seq {
+                return Err(format!(
+                    "record {}: seq {} breaks the 1..n sequence (expected {want_seq})",
+                    i + 1,
+                    record.seq
+                ));
+            }
+            if record.at_us < prev_at {
+                return Err(format!(
+                    "{}: time runs backwards ({} < {prev_at})",
+                    record.label(),
+                    record.at_us
+                ));
+            }
+            if record.prev != prev_hash {
+                return Err(format!(
+                    "{}: chain broken (prev {:016x}, expected {prev_hash:016x})",
+                    record.label(),
+                    record.prev
+                ));
+            }
+            let want = TraceRecord::chain(
+                &mut scratch,
+                record.seq,
+                record.at_us,
+                &record.event,
+                record.prev,
+            );
+            if record.hash != want {
+                return Err(format!(
+                    "{}: hash mismatch ({:016x}, expected {want:016x})",
+                    record.label(),
+                    record.hash
+                ));
+            }
+            prev_hash = record.hash;
+            prev_at = record.at_us;
+        }
+        Ok(())
+    }
+
+    /// `len` records cycling through every kind, so lanes hash bodies of
+    /// unequal length.
+    fn log_of(len: u64) -> TraceLog {
+        let mut sink = TraceSink::new();
+        for i in 0..len {
+            let event = every_variant(i * 37, "Tangram")[(i % 9) as usize].clone();
+            sink.emit(SimTime::from_micros(i * 10), event);
+        }
+        sink.finish()
+    }
+
+    /// The three single-record tampers: a field, `prev`, `seq`.
+    fn tamper(record: &mut TraceRecord, how: usize) {
+        match how {
+            0 => {
+                let kind = record.event.kind_index();
+                record.event = every_variant(1_000_003, "tampered")[kind].clone();
+            }
+            1 => record.prev ^= 1,
+            _ => record.seq += 100,
+        }
+    }
+
+    /// What the error for a first bad record at index `at` starts with.
+    fn names(log: &TraceLog, at: usize, how: usize) -> String {
+        if how == 2 {
+            format!("record {}: seq ", at + 1)
+        } else {
+            format!("seq {}: ", log.records[at].seq)
+        }
+    }
+
+    #[test]
+    fn the_lanes_report_the_first_violation_in_record_order() {
+        for len in 1..=9u64 {
+            let clean = log_of(len);
+            clean.verify().expect("an untouched chain verifies");
+            let n = clean.records.len();
+            for at in 0..n {
+                for how in 0..3 {
+                    let mut log = clean.clone();
+                    tamper(&mut log.records[at], how);
+                    let err = log.verify().expect_err("tamper detected");
+                    assert_eq!(Err(err.clone()), serial_verify(&log), "len {len}");
+                    let want = names(&log, at, how);
+                    assert!(err.starts_with(&want), "len {len}, at {at}: {err}");
+                }
+            }
+            // A hash mismatch in an earlier lane beats a broken chain in a
+            // later one, and the other way round, in and across groups.
+            for early in 0..n {
+                for late in early + 1..n {
+                    for (first, then) in [(0, 1), (1, 0), (2, 0), (0, 2)] {
+                        let mut log = clean.clone();
+                        tamper(&mut log.records[early], first);
+                        tamper(&mut log.records[late], then);
+                        let err = log.verify().expect_err("tamper detected");
+                        assert_eq!(Err(err.clone()), serial_verify(&log), "len {len}");
+                        let want = names(&log, early, first);
+                        assert!(err.starts_with(&want), "len {len}, {early}/{late}: {err}");
+                    }
+                }
+            }
+        }
+        assert_eq!(TraceLog::default().verify(), Ok(()));
+    }
+
+    /// Reads `line` through the template and through the flat path and
+    /// checks they agree: a canonical line with no escape in it must go
+    /// through the template, any other the template must leave to the
+    /// flat path or read to the same record. Returns what the template
+    /// read.
+    fn through_both(line: &str) -> Option<TraceRecord> {
+        let template = TraceRecord::read_canonical(line);
+        let flat = TraceRecord::read_flat(line, &mut Vec::new());
+        let canonical = flat.as_ref().is_ok_and(|r| r.to_line() == line) && !line.contains('\\');
+        match &template {
+            Some(record) => assert_eq!(Ok(record), flat.as_ref(), "{line}"),
+            None => assert!(!canonical, "the template missed a canonical line: {line}"),
+        }
+        assert_eq!(TraceRecord::from_line(line), flat, "{line}");
+        template
+    }
+
+    #[test]
+    fn the_template_reads_what_the_flat_path_reads() {
+        for name in ["TRACE_smoke.jsonl", "TRACE_overload.jsonl"] {
+            let path = format!("{}/../../baselines/{name}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).expect("golden trace is committed");
+            for line in text.lines() {
+                assert!(through_both(line).is_some(), "{name}: {line}");
+            }
+        }
+        for n in [0, 9, 10, u64::MAX] {
+            for text in ["Tangram", "", "é✓🎥/", "a\"b\\c\nd\te\r\u{1}\u{1f}é"] {
+                let escapes = text.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\');
+                for event in every_variant(n, text) {
+                    let fields = FIELDS[event.kind_index()];
+                    let escaped = escapes && fields.iter().any(|&(_, ty)| ty == Ty::Text);
+                    let prev = n ^ 0x0123_4567_89ab_cdef;
+                    let record = TraceRecord {
+                        seq: n,
+                        at_us: n,
+                        prev,
+                        hash: !prev,
+                        event,
+                    };
+                    let line = record.to_line();
+                    let read = through_both(&line);
+                    assert_eq!(read.is_some(), !escaped, "{line}");
+                }
+            }
+        }
+        // Canonical-shaped edges: the largest `u64` is canonical, one more
+        // overflows, leading zeros and escapes are respellings, and a raw
+        // non-ASCII scalar is what the escaper writes.
+        let start = TraceEvent::SessionStart {
+            policy: "Tangram".into(),
+            seed: 5,
+            cameras: 1,
+        };
+        let line = TraceRecord {
+            seq: 1,
+            at_us: 2,
+            prev: 3,
+            hash: 4,
+            event: start,
+        }
+        .to_line();
+        let edges = [
+            ("\"seed\":5", "\"seed\":18446744073709551615", true),
+            ("\"seed\":5", "\"seed\":18446744073709551616", false),
+            ("\"seed\":5", "\"seed\":007", false),
+            ("\"seq\":1", "\"seq\":01", false),
+            ("\"at_us\":2", "\"at_us\":", false),
+            ("Tangram", "T\\u0061ngram", false),
+            ("Tangram", "Tangr\\\"am", false),
+            ("Tangram", "Tang\u{1}ram", false),
+            ("Tangram", "Tangrém", true),
+            ("\"cameras\":1", "\"cameras\":1.0", false),
+            ("\"}", "\"} ", false),
+        ];
+        for (from, to, canonical) in edges {
+            let edge = line.replacen(from, to, 1);
+            assert_ne!(edge, line, "{to}");
+            assert_eq!(through_both(&edge).is_some(), canonical, "{edge}");
         }
     }
 

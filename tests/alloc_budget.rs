@@ -324,9 +324,11 @@ fn a_sweep_holds_one_cells_records_at_a_time() {
     );
 }
 
-/// A record renders into buffers that outlive it: the sink's scratch, a
-/// local of `verify`, the one output of `to_jsonl` (sized exactly, so its
-/// high-water mark is the text), one field list across `from_jsonl`.
+/// A record renders into buffers that outlive it: the sink's scratch, the
+/// one scratch `verify` renders each group of four hashing lanes into, the
+/// one output of `to_jsonl` (sized exactly, so its high-water mark is the
+/// text), one field list across `from_jsonl`, and the one line a printer
+/// such as `trace_tool filter` reuses for `write_line`.
 #[test]
 fn a_trace_record_allocates_only_what_it_keeps() {
     const RECORDS: u64 = 20_007;
@@ -411,6 +413,22 @@ fn a_trace_record_allocates_only_what_it_keeps() {
         held as usize * 10 <= text.len() * 11,
         "to_jsonl held {held} B for a text of {} B",
         text.len()
+    );
+
+    let mut line = String::new();
+    let longest = log.records.iter().map(|r| r.to_line().len()).max();
+    let print = allocations_in(|| {
+        for record in &log.records {
+            line.clear();
+            record.write_line(&mut line);
+        }
+    });
+    // Growing once to the longest line, doubling from the smallest
+    // capacity: nothing per record.
+    let doublings = u64::from(usize::BITS - longest.unwrap_or(0).leading_zeros());
+    assert!(
+        print <= doublings,
+        "{print} allocator calls to print {RECORDS} records into one line"
     );
 
     let mut parsed = TraceLog::default();
