@@ -1,7 +1,6 @@
 //! The trace event alphabet and its canonical field rendering.
 
 use std::borrow::Cow;
-use tangram_types::json::Scalar;
 
 /// One runtime event, as the engine saw it.
 ///
@@ -148,9 +147,8 @@ impl TraceEvent {
     /// Calls `visit` with the canonical `,"key":` prefix and the value of
     /// each of the event's fields, in [`FIELDS`] order — for the renderer
     /// and for its length count.
-    pub(crate) fn each_field<'a>(&'a self, mut visit: impl FnMut(&'static str, Scalar<'a>)) {
-        use Scalar::{Bool, U64};
-        let text = |s: &'a str| Scalar::Str(Cow::Borrowed(s));
+    pub(crate) fn each_field<'a>(&'a self, mut visit: impl FnMut(&'static str, Value<'a>)) {
+        use Value::{Bool, Int, Text};
         let mut keys = FIELDS[self.kind_index()].iter();
         let mut visit = |value| visit(keys.next().map_or("", |&(key, _)| key), value);
         match self {
@@ -159,12 +157,12 @@ impl TraceEvent {
                 seed,
                 cameras,
             } => {
-                visit(text(policy));
-                visit(U64(*seed));
-                visit(U64(*cameras));
+                visit(Text(policy));
+                visit(Int(*seed));
+                visit(Int(*cameras));
             }
             TraceEvent::CameraJoin { camera } | TraceEvent::CameraLeave { camera } => {
-                visit(U64(*camera));
+                visit(Int(*camera));
             }
             TraceEvent::AdmissionVerdict {
                 patch,
@@ -174,16 +172,16 @@ impl TraceEvent {
                 in_flight,
                 earliest_start_us,
             } => {
-                visit(U64(*patch));
-                visit(U64(*slo_us));
+                visit(Int(*patch));
+                visit(Int(*slo_us));
                 visit(Bool(*admitted));
-                visit(U64(*queued));
-                visit(U64(*in_flight));
-                visit(U64(*earliest_start_us));
+                visit(Int(*queued));
+                visit(Int(*in_flight));
+                visit(Int(*earliest_start_us));
             }
             TraceEvent::DrrRound { released, backlog } => {
-                visit(U64(*released));
-                visit(U64(*backlog));
+                visit(Int(*released));
+                visit(Int(*backlog));
             }
             TraceEvent::BatchDispatch {
                 batch,
@@ -191,23 +189,23 @@ impl TraceEvent {
                 inputs,
                 megapixels_e6,
             } => {
-                visit(U64(*batch));
-                visit(U64(*patches));
-                visit(U64(*inputs));
-                visit(U64(*megapixels_e6));
+                visit(Int(*batch));
+                visit(Int(*patches));
+                visit(Int(*inputs));
+                visit(Int(*megapixels_e6));
             }
             TraceEvent::FunctionComplete {
                 invocation,
                 inputs,
                 violations,
             } => {
-                visit(U64(*invocation));
-                visit(U64(*inputs));
-                visit(U64(*violations));
+                visit(Int(*invocation));
+                visit(Int(*inputs));
+                visit(Int(*violations));
             }
             TraceEvent::FaultWindow { kind, until_us } => {
-                visit(text(kind));
-                visit(U64(*until_us));
+                visit(Text(kind));
+                visit(Int(*until_us));
             }
             TraceEvent::SessionEnd {
                 frames,
@@ -216,11 +214,11 @@ impl TraceEvent {
                 dropped,
                 makespan_us,
             } => {
-                visit(U64(*frames));
-                visit(U64(*batches));
-                visit(U64(*completions));
-                visit(U64(*dropped));
-                visit(U64(*makespan_us));
+                visit(Int(*frames));
+                visit(Int(*batches));
+                visit(Int(*completions));
+                visit(Int(*dropped));
+                visit(Int(*makespan_us));
             }
         }
     }
@@ -277,23 +275,17 @@ impl TraceEvent {
             },
         }
     }
+}
 
-    /// Rebuilds an event from its kind tag and the line's parsed fields,
-    /// looking its keys up in [`FIELDS`] order (so the first missing or
-    /// mistyped one is the error).
-    pub(crate) fn from_fields(kind: &str, fields: &Fields<'_>) -> Result<TraceEvent, String> {
-        let index = Self::kind_of(kind).ok_or_else(|| format!("unknown event kind {kind:?}"))?;
-        let mut row = Row::default();
-        for (slot, &(prefix, ty)) in FIELDS[index].iter().enumerate() {
-            let key = key_name(prefix);
-            match ty {
-                Ty::Int => row.ints[slot] = integer(fields, key)?,
-                Ty::Bool => row.flag = boolean(fields, key)?,
-                Ty::Text => row.text = Cow::Borrowed(string(fields, key)?),
-            }
-        }
-        Ok(Self::from_row(index, row))
-    }
+/// A field's value as [`TraceEvent::each_field`] hands it out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Value<'a> {
+    /// A non-negative integer.
+    Int(u64),
+    /// `true` / `false`.
+    Bool(bool),
+    /// A string, before escaping.
+    Text(&'a str),
 }
 
 /// The type of a field's value.
@@ -310,8 +302,8 @@ pub(crate) enum Ty {
 /// Each kind's fields, indexed like [`TraceEvent::KINDS`]: the canonical
 /// `,"key":` prefix and the value's type, in the order a line spells
 /// them. The one place that order lives: the renderer and its length
-/// count (through [`TraceEvent::each_field`]), the canonical-line
-/// template and [`TraceEvent::from_fields`] all read it.
+/// count (through [`TraceEvent::each_field`]) and the reader's template
+/// both read it.
 pub(crate) const FIELDS: [&[(&str, Ty)]; 9] = {
     use Ty::{Bool, Int, Text};
     [
@@ -352,11 +344,6 @@ pub(crate) const FIELDS: [&[(&str, Ty)]; 9] = {
         ],
     ]
 };
-
-/// The bare key inside a [`FIELDS`] prefix: `policy` for `,"policy":`.
-fn key_name(prefix: &'static str) -> &'static str {
-    &prefix[2..prefix.len() - 2]
-}
 
 /// The most fields any kind has.
 const MAX_FIELDS: usize = 6;
@@ -411,40 +398,6 @@ pub(crate) fn push_hex16(out: &mut String, v: u64) {
 /// The number of bytes [`push_u64`] appends for `v`.
 pub(crate) fn decimal_len(v: u64) -> usize {
     v.checked_ilog10().map_or(1, |log| log as usize + 1)
-}
-
-/// One line's fields as [`parse_flat_object`] leaves them: document
-/// order, duplicates kept (the first one is the field).
-///
-/// [`parse_flat_object`]: tangram_types::json::parse_flat_object
-pub(crate) type Fields<'a> = [(Cow<'a, str>, Scalar<'a>)];
-
-/// Field `key` of a parsed line, read through `get`; `want` names the
-/// expected type in the error.
-fn typed<'f, 'a, T>(
-    fields: &'f Fields<'a>,
-    key: &str,
-    want: &str,
-    get: impl Fn(&'f Scalar<'a>) -> Option<T>,
-) -> Result<T, String> {
-    let value = fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    let value = value.ok_or_else(|| format!("missing field {key:?}"))?;
-    get(value).ok_or_else(|| format!("field {key:?}: expected {want}, got {value:?}"))
-}
-
-/// The string field `key`.
-pub(crate) fn string<'f>(fields: &'f Fields<'_>, key: &str) -> Result<&'f str, String> {
-    typed(fields, key, "string", Scalar::as_str)
-}
-
-/// The integer field `key`; floats and negatives are not integers.
-pub(crate) fn integer(fields: &Fields<'_>, key: &str) -> Result<u64, String> {
-    typed(fields, key, "integer", Scalar::as_u64)
-}
-
-/// The boolean field `key`.
-pub(crate) fn boolean(fields: &Fields<'_>, key: &str) -> Result<bool, String> {
-    typed(fields, key, "bool", Scalar::as_bool)
 }
 
 /// One event of every kind, every integer field set to `n` and every
@@ -518,22 +471,22 @@ mod tests {
             let mut row = Row::default();
             let mut want = Vec::new();
             for (slot, &(prefix, ty)) in fields.iter().enumerate() {
-                let key = key_name(prefix);
+                let key = &prefix[2..prefix.len() - 2];
                 assert_eq!(prefix, format!(",\"{key}\":"));
                 want.push((
                     prefix,
                     match ty {
                         Ty::Int => {
                             row.ints[slot] = 100 + slot as u64;
-                            Scalar::U64(row.ints[slot])
+                            Value::Int(row.ints[slot])
                         }
                         Ty::Bool => {
                             row.flag = true;
-                            Scalar::Bool(true)
+                            Value::Bool(true)
                         }
                         Ty::Text => {
                             row.text = Cow::Borrowed(key);
-                            Scalar::Str(Cow::Borrowed(key))
+                            Value::Text(key)
                         }
                     },
                 ));

@@ -29,7 +29,7 @@
 //! `tangram-types`. It has **one renderer and one reader**, and a record
 //! costs its bytes once in each. Each kind's keys, their order and their
 //! value types live in one table, `event::FIELDS`, that the renderer,
-//! its length count and both halves of the reader follow.
+//! its length count and the reader follow.
 //!
 //! * [`TraceRecord::write_line`] appends the compact canonical line to a
 //!   buffer its caller owns, digits pushed two at a time from a `00`–`99`
@@ -43,26 +43,25 @@
 //!   buffer and its four FNV-1a chains run interleaved. The sequence,
 //!   time, `prev` and hash checks then run in record order, so the error
 //!   still names the first bad record.
-//! * [`TraceRecord::from_line`] first matches the line against the
-//!   template the renderer fills: the fixed keys in renderer order,
-//!   integers without sign, leading zero or overflow, strings without
-//!   escapes or control bytes, hashes as 16 lowercase hex digits. At the
-//!   first byte that differs it falls through to
-//!   [`tangram_types::json::parse_flat_object`] — the workspace's one
-//!   JSON codec, its string, number and keyword scanners, but no tree:
-//!   keys and values borrow from the line, in one field list reused
-//!   across a log. That flat path reads every other spelling (members
-//!   reordered or repeated, unknown keys, whitespace, leading zeros, `\u`
-//!   escapes), rejects anything that is not a flat object of strings,
-//!   integers and booleans or whose `prev` / `hash` is not spelled as the
-//!   renderer spells it, and writes every error message.
+//! * [`TraceRecord::from_line`] is the renderer's inverse: it matches
+//!   the line against the template the renderer fills — the fixed keys
+//!   in renderer order, integers without sign, leading zero or overflow,
+//!   hashes as 16 lowercase hex digits — and rejects anything else with
+//!   `byte N: expected …`. A string borrows from the line; one carrying
+//!   an escape is decoded by [`tangram_types::json::Json::parse`] and
+//!   kept only if [`tangram_types::json::write_string`] escapes it back
+//!   to the same bytes. [`TraceLog::from_jsonl`] reads exactly the text
+//!   [`TraceLog::to_jsonl`] writes: every line a record ended by `\n`,
+//!   no blank line, no `\r`.
 //!
-//! Two properties hold the reader to the renderer: a canonical line reads
-//! and renders back byte for byte, and any other accepted spelling reads
-//! to the record a tree reader over [`tangram_types::json::Json`] gives
-//! (the differential test in `tests/property_invariants.rs`). Accepted
-//! respellings do not render back to themselves: the renderer writes the
-//! one canonical line.
+//! So one property holds the reader to the renderer: `from_jsonl(x) ==
+//! Ok(log)` implies `log.to_jsonl() == x`. Equal logs are equal files,
+//! and a respelled line — members reordered or repeated, an unknown key,
+//! whitespace, a leading zero, a needless `\u` escape — is an error, not
+//! a second spelling of a record. The differential test in
+//! `tests/property_invariants.rs` holds it against a tree reader over
+//! [`tangram_types::json::Json`]: a line is accepted exactly when that
+//! reader accepts it and it is the line its record renders to.
 //!
 //! ```
 //! use tangram_trace::{TraceEvent, TraceLog, TraceSink};

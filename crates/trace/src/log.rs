@@ -1,10 +1,11 @@
 //! Records, the rolling hash chain, JSONL rendering/parsing and diffs.
 
 use crate::event::{
-    decimal_len, integer, push_hex16, push_u64, string, Row, TraceEvent, Ty, FIELDS, HEX_DIGITS,
+    decimal_len, push_hex16, push_u64, Row, TraceEvent, Ty, Value, FIELDS, HEX_DIGITS,
 };
 use std::borrow::Cow;
-use tangram_types::json::{escaped_len, parse_flat_object, write_string, Scalar};
+use std::fmt::Display;
+use tangram_types::json::{escaped_len, write_string, Json};
 use tangram_types::time::SimTime;
 
 /// FNV-1a 64-bit offset basis.
@@ -93,9 +94,9 @@ impl TraceRecord {
         event.each_field(|key, value| {
             out.push_str(key);
             match value {
-                Scalar::U64(v) => push_u64(out, v),
-                Scalar::Bool(b) => out.push_str(if b { "true" } else { "false" }),
-                Scalar::Str(s) => write_string(out, &s),
+                Value::Int(v) => push_u64(out, v),
+                Value::Bool(b) => out.push_str(if b { "true" } else { "false" }),
+                Value::Text(s) => write_string(out, s),
             }
         });
     }
@@ -110,9 +111,9 @@ impl TraceRecord {
         self.event.each_field(|key, value| {
             len += key.len()
                 + match value {
-                    Scalar::U64(v) => decimal_len(v),
-                    Scalar::Bool(b) => if b { "true" } else { "false" }.len(),
-                    Scalar::Str(s) => escaped_len(&s),
+                    Value::Int(v) => decimal_len(v),
+                    Value::Bool(b) => if b { "true" } else { "false" }.len(),
+                    Value::Text(s) => escaped_len(s),
                 };
         });
         len
@@ -155,44 +156,34 @@ impl TraceRecord {
         line
     }
 
-    /// Parses one JSONL line: a flat object of string, integer and
-    /// boolean values — exactly the shape [`TraceRecord::write_line`]
-    /// emits.
+    /// Parses one JSONL line spelled byte for byte as
+    /// [`TraceRecord::write_line`] spells a record: members in renderer
+    /// order, integers without sign, leading zero or overflow, strings as
+    /// the JSON escaper writes them, hashes as 16 lowercase hex digits. So
+    /// `from_line(x)?.to_line() == x` for every `x` it accepts.
+    ///
+    /// # Errors
+    ///
+    /// `byte N: expected …`, naming the first token that is not where
+    /// (or not as) the renderer puts it.
     pub fn from_line(line: &str) -> Result<TraceRecord, String> {
-        Self::read_line(line, &mut Vec::new())
-    }
-
-    /// [`TraceRecord::from_line`] through a caller-owned field list, so a
-    /// whole log is read through one: the canonical template first, the
-    /// flat reader for whatever it does not match.
-    fn read_line<'a>(
-        line: &'a str,
-        fields: &mut Vec<(Cow<'a, str>, Scalar<'a>)>,
-    ) -> Result<TraceRecord, String> {
-        Self::read_canonical(line).map_or_else(|| Self::read_flat(line, fields), Ok)
-    }
-
-    /// Reads `line` if it is spelled byte for byte as
-    /// [`TraceRecord::write_line`] spells a record — members in renderer
-    /// order, integers without leading zeros and within `u64`, strings
-    /// without escapes or control bytes — and gives up (`None`) at the
-    /// first byte where it is not. It never errs: every line it reads,
-    /// the flat reader reads to the same record.
-    fn read_canonical(line: &str) -> Option<TraceRecord> {
         let mut template = Template { line, pos: 0 };
         template.literal("{\"seq\":")?;
         let seq = template.integer()?;
         template.literal(",\"at_us\":")?;
         let at_us = template.integer()?;
         template.literal(",\"kind\":")?;
-        let kind = TraceEvent::kind_of(template.text()?)?;
+        let at = template.pos;
+        let tag = template.text()?;
+        let kind = TraceEvent::kind_of(&tag)
+            .ok_or_else(|| format!("byte {at}: expected an event kind, not {tag:?}"))?;
         let mut row = Row::default();
         for (slot, &(prefix, ty)) in FIELDS[kind].iter().enumerate() {
             template.literal(prefix)?;
             match ty {
                 Ty::Int => row.ints[slot] = template.integer()?,
                 Ty::Bool => row.flag = template.boolean()?,
-                Ty::Text => row.text = Cow::Borrowed(template.text()?),
+                Ty::Text => row.text = template.text()?,
             }
         }
         template.literal(",\"prev\":")?;
@@ -200,7 +191,9 @@ impl TraceRecord {
         template.literal(",\"hash\":")?;
         let hash = template.hash()?;
         template.literal("}")?;
-        (template.pos == line.len()).then(|| TraceRecord {
+        let end = template.pos == line.len();
+        template.take(0, end.then_some(()), "the end of the line")?;
+        Ok(TraceRecord {
             seq,
             at_us,
             prev,
@@ -209,39 +202,11 @@ impl TraceRecord {
         })
     }
 
-    /// Reads any spelling of a record through
-    /// [`tangram_types::json::parse_flat_object`]; the source of every
-    /// error message.
-    fn read_flat<'a>(
-        line: &'a str,
-        fields: &mut Vec<(Cow<'a, str>, Scalar<'a>)>,
-    ) -> Result<TraceRecord, String> {
-        // The trace alphabet has no nesting, floats or nulls; a line
-        // carrying one anywhere is not a record, known key or not.
-        parse_flat_object(line, fields)?;
-        let kind = string(fields, "kind")?;
-        Ok(TraceRecord {
-            seq: integer(fields, "seq")?,
-            at_us: integer(fields, "at_us")?,
-            prev: parse_hex(string(fields, "prev")?)?,
-            hash: parse_hex(string(fields, "hash")?)?,
-            event: TraceEvent::from_fields(kind, fields)?,
-        })
-    }
-
     /// A compact human label: `seq 12: batch.dispatch @ 118000us`.
     #[must_use]
     pub fn label(&self) -> String {
         format!("seq {}: {} @ {}us", self.seq, self.event.kind(), self.at_us)
     }
-}
-
-/// Reads a hash as [`TraceRecord::write_line`] writes one — 16 lowercase
-/// hex digits — and in no other spelling, so that two different files
-/// never parse to equal logs.
-fn parse_hex(s: &str) -> Result<u64, String> {
-    let canonical = <&[u8; 16]>::try_from(s.as_bytes()).ok().and_then(hex16);
-    canonical.ok_or_else(|| format!("bad hash {s:?}: expected 16 lowercase hex digits"))
 }
 
 /// The value of 16 lowercase hex digits; `None` if any byte is not one.
@@ -268,65 +233,105 @@ fn hex16(digits: &[u8; 16]) -> Option<u64> {
 }
 
 /// A cursor matching a line against the canonical record template; each
-/// step consumes one token as the renderer spells it, or returns `None`.
+/// step consumes one token as the renderer spells it, or names the byte
+/// where that token should start.
 struct Template<'a> {
     line: &'a str,
     pos: usize,
 }
 
 impl<'a> Template<'a> {
+    /// The line from the cursor on.
+    fn rest(&self) -> &'a [u8] {
+        &self.line.as_bytes()[self.pos..]
+    }
+
+    /// `value` with its `len` bytes consumed, or for `None` the error
+    /// `byte N: expected {what}` — only ever built on the way out, so a
+    /// match allocates nothing.
+    fn take<T>(&mut self, len: usize, value: Option<T>, what: impl Display) -> Result<T, String> {
+        let Some(value) = value else {
+            return Err(format!("byte {}: expected {what}", self.pos));
+        };
+        self.pos += len;
+        Ok(value)
+    }
+
     /// The bytes of `literal`.
-    fn literal(&mut self, literal: &str) -> Option<()> {
-        let rest = &self.line.as_bytes()[self.pos..];
-        rest.starts_with(literal.as_bytes())
-            .then(|| self.pos += literal.len())
+    fn literal(&mut self, literal: &str) -> Result<(), String> {
+        let found = self.rest().starts_with(literal.as_bytes());
+        self.take(
+            literal.len(),
+            found.then_some(()),
+            format_args!("`{literal}`"),
+        )
     }
 
     /// A decimal integer as [`push_u64`] writes one: no sign, no leading
     /// zero, no overflow.
-    fn integer(&mut self) -> Option<u64> {
-        let bytes = self.line.as_bytes();
-        let start = self.pos;
-        let mut value = 0u64;
-        while let Some(&b) = bytes.get(self.pos).filter(|b| b.is_ascii_digit()) {
-            value = value.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
-            self.pos += 1;
-        }
-        let digits = self.pos - start;
-        (digits == 1 || digits > 1 && bytes[start] != b'0').then_some(value)
+    fn integer(&mut self) -> Result<u64, String> {
+        let rest = self.rest();
+        let digits = &rest[..rest.iter().take_while(|b| b.is_ascii_digit()).count()];
+        let canonical = digits.len() == 1 || digits.first().is_some_and(|&b| b != b'0');
+        let value = digits.iter().try_fold(0u64, |v, &b| {
+            v.checked_mul(10)?.checked_add(u64::from(b - b'0'))
+        });
+        let what = match digits {
+            [] => "a decimal integer",
+            [b'0', ..] => "an integer without a leading zero",
+            _ => "an integer within u64",
+        };
+        self.take(digits.len(), value.filter(|_| canonical), what)
     }
 
     /// `true` or `false`.
-    fn boolean(&mut self) -> Option<bool> {
-        if self.literal("true").is_some() {
+    fn boolean(&mut self) -> Result<bool, String> {
+        let flag = if self.rest().starts_with(b"true") {
             Some(true)
         } else {
-            self.literal("false").map(|()| false)
-        }
+            self.rest().starts_with(b"false").then_some(false)
+        };
+        let len = flag.map_or(0, |flag| if flag { "true" } else { "false" }.len());
+        self.take(len, flag, "`true` or `false`")
     }
 
-    /// A string literal the escaper left alone: no quote, backslash or
-    /// control byte between its quotes.
-    fn text(&mut self) -> Option<&'a str> {
-        self.literal("\"")?;
-        let rest = &self.line.as_bytes()[self.pos..];
-        let len = rest
-            .iter()
-            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)?;
-        (rest[len] == b'"').then(|| {
-            let text = &self.line[self.pos..self.pos + len];
-            self.pos += len + 1;
-            text
-        })
+    /// A string literal as [`write_string`] writes one. Borrowed from the
+    /// line when the escaper had nothing to do; one with an escape in it is
+    /// decoded by [`Json::parse`] and kept only if [`write_string`] escapes
+    /// what it decodes back to the same bytes.
+    fn text(&mut self) -> Result<Cow<'a, str>, String> {
+        let rest = &self.line[self.pos..];
+        let bytes = rest.as_bytes();
+        // To the first quote no backslash escapes, noting whether the
+        // escaper had anything to do on the way.
+        let (mut end, mut escaped) = (1, false);
+        while let Some(&b) = bytes.get(end).filter(|&&b| b != b'"') {
+            escaped |= b == b'\\' || b < 0x20;
+            end += if b == b'\\' { 2 } else { 1 };
+        }
+        let literal = rest.get(..=end).filter(|_| bytes.first() == Some(&b'"'));
+        let text = literal.and_then(|literal| {
+            if !escaped {
+                return Some(Cow::Borrowed(&literal[1..end]));
+            }
+            let Ok(Json::Str(text)) = Json::parse(literal) else {
+                return None;
+            };
+            let mut again = String::with_capacity(literal.len());
+            write_string(&mut again, &text);
+            (again == literal).then_some(Cow::Owned(text))
+        });
+        self.take(end + 1, text, "a string as the renderer escapes it")
     }
 
     /// A quoted hash: 16 lowercase hex digits.
-    fn hash(&mut self) -> Option<u64> {
-        self.literal("\"")?;
-        let digits = self.line.as_bytes().get(self.pos..self.pos + 16)?;
-        let value = hex16(digits.try_into().ok()?)?;
-        self.pos += 16;
-        self.literal("\"").map(|()| value)
+    fn hash(&mut self) -> Result<u64, String> {
+        let token = self
+            .rest()
+            .get(..18)
+            .filter(|t| t[0] == b'"' && t[17] == b'"');
+        let value = token.and_then(|t| hex16(t[1..17].try_into().ok()?));
+        self.take(18, value, "a hash, 16 lowercase hex digits in quotes")
     }
 }
 
@@ -476,20 +481,29 @@ impl TraceLog {
         out
     }
 
-    /// Parses a JSONL rendering. Blank lines are ignored; the chain is
-    /// *not* checked — call [`TraceLog::verify`] for that.
+    /// Parses exactly the text [`TraceLog::to_jsonl`] writes: one
+    /// [`TraceRecord::from_line`] line per record, each ended by `\n` —
+    /// no blank line, no `\r`, no unterminated last line. So
+    /// `from_jsonl(x) == Ok(log)` implies `log.to_jsonl() == x`. The chain
+    /// is *not* checked — call [`TraceLog::verify`] for that.
+    ///
+    /// # Errors
+    ///
+    /// `line N: …`, naming the first line that is not a canonical record.
     pub fn from_jsonl(text: &str) -> Result<TraceLog, String> {
         // One record a line, and no line shorter than its frame is one:
         // the text's length bounds what is reserved for it.
         let newlines = text.matches('\n').count();
-        let mut records = Vec::with_capacity(newlines.min(text.len() / LINE_FRAME) + 1);
-        let mut fields = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let record = TraceRecord::read_line(line, &mut fields);
-            records.push(record.map_err(|e| format!("line {}: {e}", i + 1))?);
+        let mut records = Vec::with_capacity(newlines.min(text.len() / LINE_FRAME));
+        let mut rest = text;
+        while !rest.is_empty() {
+            let number = records.len() + 1;
+            let Some((line, next)) = rest.split_once('\n') else {
+                return Err(format!("line {number}: expected a newline at its end"));
+            };
+            let record = TraceRecord::from_line(line);
+            records.push(record.map_err(|e| format!("line {number}: {e}"))?);
+            rest = next;
         }
         Ok(TraceLog { records })
     }
@@ -881,84 +895,111 @@ mod tests {
     fn parser_rejects_malformed_lines() {
         let good = sample().records[2].to_line();
         TraceRecord::from_line(&good).expect("the unedited line parses");
-        let cases: [(&str, String, &str); 18] = [
-            ("truncated", "{\"seq\":1".into(), "expected"),
-            ("not json", "not json".into(), "invalid"),
-            ("not an object", "[1,2]".into(), "expected a JSON object"),
+        // Where the value of `key` starts in the unedited line.
+        let value = |key: &str| good.find(&format!("\"{key}\":")).expect("a key") + key.len() + 3;
+        let member = |key: &str| value(key) - key.len() - 4;
+        let hash = value("hash");
+        let cases: [(&str, String, String); 18] = [
+            (
+                "truncated",
+                "{\"seq\":1".into(),
+                "byte 8: expected `,\"at_us\":`".into(),
+            ),
+            (
+                "not json",
+                "not json".into(),
+                "byte 0: expected `{\"seq\":`".into(),
+            ),
+            (
+                "not an object",
+                "[1,2]".into(),
+                "byte 0: expected `{\"seq\":`".into(),
+            ),
             (
                 "nested value",
                 good.replace("\"queued\":6", "\"queued\":[6]"),
-                "\"queued\": unexpected",
+                format!("byte {}: expected a decimal integer", value("queued")),
             ),
             (
                 "float value",
                 good.replace("\"queued\":6", "\"queued\":6.0"),
-                "\"queued\": unexpected",
+                format!("byte {}: expected `,\"in_flight\":`", value("queued") + 1),
             ),
             (
                 "negative value",
                 good.replace("\"queued\":6", "\"queued\":-6"),
-                "\"queued\": unexpected",
+                format!("byte {}: expected a decimal integer", value("queued")),
             ),
             (
                 "null value",
                 good.replace("\"queued\":6", "\"queued\":null"),
-                "\"queued\": unexpected",
+                format!("byte {}: expected a decimal integer", value("queued")),
             ),
             (
                 "null under an unknown key",
                 good.replace("{\"seq\"", "{\"extra\":null,\"seq\""),
-                "\"extra\": unexpected",
+                "byte 0: expected `{\"seq\":`".into(),
             ),
             (
                 "wrong field type",
                 good.replace("\"queued\":6", "\"queued\":\"6\""),
-                "\"queued\": expected integer",
+                format!("byte {}: expected a decimal integer", value("queued")),
             ),
             (
                 "bool where integer",
                 good.replace("\"admitted\":false", "\"admitted\":0"),
-                "\"admitted\": expected bool",
+                format!("byte {}: expected `true` or `false`", value("admitted")),
             ),
             (
                 "missing field",
                 good.replace("\"queued\":6,", ""),
-                "missing field \"queued\"",
+                format!("byte {}: expected `,\"queued\":`", member("queued")),
             ),
             (
                 "unknown kind",
                 good.replace("admission.verdict", "bogus.kind"),
-                "unknown event kind",
+                format!(
+                    "byte {}: expected an event kind, not \"bogus.kind\"",
+                    value("kind")
+                ),
             ),
-            ("trailing bytes", format!("{good} x"), "trailing input"),
+            (
+                "trailing bytes",
+                format!("{good} x"),
+                format!("byte {}: expected the end of the line", good.len()),
+            ),
             (
                 "bad hex hash",
                 good.replace("\"hash\":\"", "\"hash\":\"zz"),
-                "bad hash",
+                format!("byte {hash}: expected a hash"),
             ),
             // A hash has one spelling, the one `write_line` emits: any
             // other would let two different files parse to equal logs.
             (
                 "signed hash",
                 respell_hash(&good, "+ff"),
-                "bad hash \"+ff\"",
+                format!("byte {hash}: expected a hash"),
             ),
             (
                 "upper-case hash",
-                respell_hash(&good, "FF"),
-                "bad hash \"FF\"",
+                respell_hash(&good, &format!("{:016X}", u64::MAX - 1)),
+                format!("byte {hash}: expected a hash"),
             ),
-            ("short hash", respell_hash(&good, "ff"), "bad hash \"ff\""),
+            (
+                "short hash",
+                respell_hash(&good, "ff"),
+                format!("byte {hash}: expected a hash"),
+            ),
             (
                 "17-digit hash",
                 respell_hash(&good, "000000000000000ff"),
-                "bad hash \"000000000000000ff\"",
+                format!("byte {hash}: expected a hash"),
             ),
         ];
         for (what, line, want) in &cases {
             assert_ne!(line, &good, "{what}: the edit must change the line");
             let err = TraceRecord::from_line(line).expect_err(what);
-            assert!(err.contains(want), "{what}: {err}");
+            assert!(err.starts_with(want.as_str()), "{what}: {err}");
         }
     }
 
@@ -1078,21 +1119,14 @@ mod tests {
         assert_eq!(TraceLog::default().verify(), Ok(()));
     }
 
-    /// Reads `line` through the template and through the flat path and
-    /// checks they agree: a canonical line with no escape in it must go
-    /// through the template, any other the template must leave to the
-    /// flat path or read to the same record. Returns what the template
-    /// read.
-    fn through_both(line: &str) -> Option<TraceRecord> {
-        let template = TraceRecord::read_canonical(line);
-        let flat = TraceRecord::read_flat(line, &mut Vec::new());
-        let canonical = flat.as_ref().is_ok_and(|r| r.to_line() == line) && !line.contains('\\');
-        match &template {
-            Some(record) => assert_eq!(Ok(record), flat.as_ref(), "{line}"),
-            None => assert!(!canonical, "the template missed a canonical line: {line}"),
+    /// Reads `line` and checks the reader inverts the renderer on it: what
+    /// it accepts renders back to `line`, byte for byte.
+    fn read_back(line: &str) -> Result<TraceRecord, String> {
+        let read = TraceRecord::from_line(line);
+        if let Ok(record) = &read {
+            assert_eq!(record.to_line(), line);
         }
-        assert_eq!(TraceRecord::from_line(line), flat, "{line}");
-        template
+        read
     }
 
     #[test]
@@ -1101,15 +1135,14 @@ mod tests {
             let path = format!("{}/../../baselines/{name}", env!("CARGO_MANIFEST_DIR"));
             let text = std::fs::read_to_string(&path).expect("golden trace is committed");
             for line in text.lines() {
-                assert!(through_both(line).is_some(), "{name}: {line}");
+                assert!(read_back(line).is_ok(), "{name}: {line}");
             }
         }
+        // Every kind at the integer edges, with strings the escaper leaves
+        // alone and strings it escapes: each reads back to its record.
         for n in [0, 9, 10, u64::MAX] {
             for text in ["Tangram", "", "é✓🎥/", "a\"b\\c\nd\te\r\u{1}\u{1f}é"] {
-                let escapes = text.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\');
                 for event in every_variant(n, text) {
-                    let fields = FIELDS[event.kind_index()];
-                    let escaped = escapes && fields.iter().any(|&(_, ty)| ty == Ty::Text);
                     let prev = n ^ 0x0123_4567_89ab_cdef;
                     let record = TraceRecord {
                         seq: n,
@@ -1119,14 +1152,14 @@ mod tests {
                         event,
                     };
                     let line = record.to_line();
-                    let read = through_both(&line);
-                    assert_eq!(read.is_some(), !escaped, "{line}");
+                    assert_eq!(read_back(&line), Ok(record), "{line}");
                 }
             }
         }
         // Canonical-shaped edges: the largest `u64` is canonical, one more
-        // overflows, leading zeros and escapes are respellings, and a raw
-        // non-ASCII scalar is what the escaper writes.
+        // overflows, leading zeros, a needless escape and a raw control byte
+        // are respellings, and an escaped quote or a raw non-ASCII scalar is
+        // what the escaper writes.
         let start = TraceEvent::SessionStart {
             policy: "Tangram".into(),
             seed: 5,
@@ -1147,17 +1180,71 @@ mod tests {
             ("\"seq\":1", "\"seq\":01", false),
             ("\"at_us\":2", "\"at_us\":", false),
             ("Tangram", "T\\u0061ngram", false),
-            ("Tangram", "Tangr\\\"am", false),
+            ("Tangram", "Tangr\\\"am", true),
+            ("Tangram", "Tang\\u0001ram", true),
+            ("Tangram", "Tang\\u0001ra\\/m", false),
             ("Tangram", "Tang\u{1}ram", false),
+            ("Tangram", "Tang\\x", false),
+            ("Tangram", "Tang\\", false),
             ("Tangram", "Tangrém", true),
+            (
+                "\"kind\":\"session.start\"",
+                "\"kind\":\"session\\u002estart\"",
+                false,
+            ),
             ("\"cameras\":1", "\"cameras\":1.0", false),
             ("\"}", "\"} ", false),
         ];
         for (from, to, canonical) in edges {
             let edge = line.replacen(from, to, 1);
             assert_ne!(edge, line, "{to}");
-            assert_eq!(through_both(&edge).is_some(), canonical, "{edge}");
+            let read = read_back(&edge);
+            assert_eq!(read.is_ok(), canonical, "{edge}: {read:?}");
+            if let Err(err) = read {
+                assert!(
+                    err.starts_with("byte ") && err.contains(": expected "),
+                    "{err}"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn from_jsonl_reads_exactly_the_text_to_jsonl_writes() {
+        assert_eq!(TraceLog::from_jsonl(""), Ok(TraceLog::default()));
+        assert_eq!(TraceLog::default().to_jsonl(), "");
+        let text = sample().to_jsonl();
+        assert_eq!(TraceLog::from_jsonl(&text), Ok(sample()));
+        let lines: Vec<&str> = text.lines().collect();
+        // Each edit of the text, and the line the error must name.
+        let blank = format!("{}\n\n{}\n", lines[0], lines[1..].join("\n"));
+        let crlf = text.replacen('\n', "\r\n", 1);
+        let unterminated = text.trim_end().to_string();
+        let respelled = text.replacen("\"seq\":4,", "\"seq\":4 ,", 1);
+        let leading = format!("\n{text}");
+        for (edited, line) in [
+            (blank, 2),
+            (crlf, 1),
+            (unterminated, lines.len()),
+            (respelled, 4),
+            (leading, 1),
+        ] {
+            let err = TraceLog::from_jsonl(&edited).expect_err(&edited);
+            assert!(err.starts_with(&format!("line {line}: ")), "{err}");
+        }
+        // A golden trace with one line respelled is not that trace.
+        let path = format!(
+            "{}/../../baselines/TRACE_smoke.jsonl",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let golden = std::fs::read_to_string(&path).expect("golden trace is committed");
+        let respelled = golden.replacen("{\"seq\":3,", "{\"seq\":03,", 1);
+        assert_ne!(respelled, golden);
+        let err = TraceLog::from_jsonl(&respelled).expect_err("a respelled line");
+        assert_eq!(
+            err,
+            "line 3: byte 7: expected an integer without a leading zero"
+        );
     }
 
     #[test]

@@ -2,29 +2,27 @@
 //! model with its writer and parser.
 //!
 //! No JSON library resolves offline, so the workspace carries its own
-//! value type. It lives at layer 0 so that both the BENCH reports (`tangram-harness`, which
-//! re-exports this module as `tangram_harness::json`) and the TRACE
-//! lines (`tangram-trace`) read through the same parser and escape
-//! strings the same way. Two properties matter more here than
-//! generality:
+//! value type. It lives at layer 0 so that the BENCH reports
+//! (`tangram-harness`, which re-exports this module as
+//! `tangram_harness::json`) and the TRACE lines (`tangram-trace`) share
+//! one parser and one JSON string escaper, [`write_string`]. (TOML strings
+//! are quoted apart, by `toml_str` in `tangram-harness`'s scenario-file
+//! writer.) Two properties matter more here than generality:
 //!
 //! * **Determinism** — objects keep insertion order and floats print via
 //!   Rust's shortest-round-trip formatting, so the same `BenchReport`
 //!   always serialises to the same bytes (the parallel-equals-sequential
 //!   acceptance check compares output byte-for-byte);
-//! * **Round-tripping** — `parse(render(v)) == v`, which the CI gate
-//!   relies on when it re-reads a checked-in baseline.
+//! * **Round-tripping** — `parse(render(v)) == v` for every `v` that
+//!   `parse` returns, which the CI gate relies on when it re-reads a
+//!   checked-in baseline. So a number beyond `f64`'s range is an error,
+//!   not an infinity that would render as `null`, and an escaped UTF-16
+//!   surrogate pair reads as the one scalar it encodes.
 //!
 //! Integers and floats are kept as distinct variants (`U64` vs `F64`) so
 //! counters survive a round trip exactly even beyond 2^53. Parsing is
 //! linear in the input length.
-//!
-//! A TRACE line is a flat object of scalars, read hundreds of thousands
-//! of times a log: [`parse_flat_object`] reads one through the same
-//! string, number and keyword scanners as [`Json::parse`] but into a
-//! caller-owned field list that borrows from the line, building no tree.
 
-use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A JSON value.
@@ -249,8 +247,8 @@ fn write_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Appends `s` as a JSON string literal — the one escaper every writer
-/// in the workspace shares.
+/// Appends `s` as a JSON string literal: the escaper behind every JSON
+/// writer in the workspace, BENCH documents and TRACE lines alike.
 pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
@@ -279,89 +277,6 @@ pub fn escaped_len(s: &str) -> usize {
         c => c.len_utf8(),
     };
     2 + s.chars().map(escapes).sum::<usize>()
-}
-
-/// A value of a flat object: the scalars [`parse_flat_object`] accepts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Scalar<'a> {
-    /// A string; borrowed from the input unless it carried an escape.
-    Str(Cow<'a, str>),
-    /// A non-negative integer.
-    U64(u64),
-    /// `true` / `false`.
-    Bool(bool),
-}
-
-impl Scalar<'_> {
-    /// The value as a `u64`, if it is an integer.
-    #[must_use]
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Scalar::U64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Scalar::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a boolean.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Scalar::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-/// Reads `input` — one JSON object whose values are all strings,
-/// non-negative integers or booleans — into `fields` (cleared first), in
-/// document order with duplicate keys kept. Accepts exactly the documents
-/// [`Json::parse`] reads as such an object, without building one.
-///
-/// # Errors
-///
-/// Returns [`Json::parse`]'s message for a syntax error, `expected a JSON
-/// object` for any other document, and `field "k": unexpected …` naming
-/// the first value that is not a scalar.
-pub fn parse_flat_object<'a>(
-    input: &'a str,
-    fields: &mut Vec<(Cow<'a, str>, Scalar<'a>)>,
-) -> Result<(), String> {
-    fields.clear();
-    let mut pos = 0usize;
-    skip_ws(input, &mut pos);
-    if peek(input, pos) != Some(b'{') {
-        // Whatever is wrong with it as a document comes first.
-        Json::parse(input)?;
-        return Err("expected a JSON object".to_string());
-    }
-    scan_object(input, &mut pos, |key, pos| {
-        skip_ws(input, pos);
-        let value = if peek(input, *pos) == Some(b'"') {
-            Scalar::Str(scan_string(input, pos)?)
-        } else {
-            match parse_value(input, pos, 1)? {
-                Json::U64(v) => Scalar::U64(v),
-                Json::Bool(b) => Scalar::Bool(b),
-                other => return Err(format!("field {key:?}: unexpected {other:?}")),
-            }
-        };
-        fields.push((key, value));
-        Ok(())
-    })?;
-    skip_ws(input, &mut pos);
-    if pos != input.len() {
-        return Err(format!("trailing input at byte {pos}"));
-    }
-    Ok(())
 }
 
 // The scanners below walk `text` by byte offset. Every offset they stop
@@ -401,7 +316,7 @@ fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String
         None => Err("unexpected end of input".to_string()),
         Some(b'{') => parse_object(text, pos, depth),
         Some(b'[') => parse_array(text, pos, depth),
-        Some(b'"') => Ok(Json::Str(scan_string(text, pos)?.into_owned())),
+        Some(b'"') => Ok(Json::Str(scan_string(text, pos)?)),
         Some(b't') => parse_keyword(text, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(text, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_keyword(text, pos, "null", Json::Null),
@@ -446,38 +361,35 @@ fn parse_number(text: &str, pos: &mut usize) -> Result<Json, String> {
     if let Some(v) = integer {
         return Ok(Json::U64(v));
     }
-    number
-        .parse::<f64>()
-        .map(Json::F64)
-        .map_err(|_| format!("invalid number '{number}' at byte {start}"))
+    match number.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(Json::F64(v)),
+        // An infinity would render as `null`: out of range is an error.
+        Ok(_) => Err(format!("number out of range at byte {start}")),
+        Err(_) => Err(format!("invalid number '{number}' at byte {start}")),
+    }
 }
 
-/// Scans one string literal; the result borrows from `text` unless an
-/// escape had to be decoded.
-fn scan_string<'a>(text: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, String> {
+/// Scans one string literal into the string it spells.
+fn scan_string(text: &str, pos: &mut usize) -> Result<String, String> {
     expect(text, pos, b'"')?;
     let bytes = text.as_bytes();
-    // Where the run of plain bytes starting at `from` ends: at the next
-    // quote or backslash, or at the end of the input.
-    let run_end = |from: usize| {
-        let stop = bytes[from..].iter().position(|b| matches!(b, b'"' | b'\\'));
-        from + stop.unwrap_or(bytes.len() - from)
-    };
-    let start = *pos;
-    *pos = run_end(start);
-    if bytes.get(*pos) == Some(&b'"') {
-        *pos += 1;
-        return Ok(Cow::Borrowed(&text[start..*pos - 1]));
-    }
-    let mut out = String::from(&text[start..*pos]);
+    let mut out = String::new();
     loop {
+        // The run of plain bytes up to the next quote or backslash.
+        let start = *pos;
+        let run = bytes[start..]
+            .iter()
+            .position(|b| matches!(b, b'"' | b'\\'));
+        *pos = start + run.unwrap_or(bytes.len() - start);
+        out.push_str(&text[start..*pos]);
         match bytes.get(*pos) {
             None => return Err("unterminated string".to_string()),
             Some(b'"') => {
                 *pos += 1;
-                return Ok(Cow::Owned(out));
+                return Ok(out);
             }
-            Some(b'\\') => {
+            _ => {
+                let escape = *pos;
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -488,29 +400,44 @@ fn scan_string<'a>(text: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, Strin
                     Some(b't') => out.push('\t'),
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        // Through the bytes: the four after `\u` may end
-                        // inside a multi-byte scalar, which is an error
-                        // here, not a slicing panic.
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
+                    Some(b'u') => out.push(scan_unicode_escape(bytes, pos, escape)?),
                     _ => return Err(format!("bad escape at byte {}", *pos)),
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                let start = *pos;
-                *pos = run_end(start);
-                out.push_str(&text[start..*pos]);
-            }
         }
     }
+}
+
+/// Reads the scalar a `\u` escape spells, `pos` on its `u` and left on
+/// the escape's last byte: a high surrogate must be followed by a `\u`
+/// low one, and the pair is the one scalar it encodes in UTF-16. A lone
+/// or reversed surrogate is an error naming the escape's byte `escape`.
+fn scan_unicode_escape(bytes: &[u8], pos: &mut usize, escape: usize) -> Result<char, String> {
+    // Through the bytes: the four after `\u` may end inside a multi-byte
+    // scalar, which is an error here, not a slicing panic.
+    let hex4 = |at: usize| {
+        let hex = bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
+        let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
+        u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")
+    };
+    let code = hex4(*pos + 1)?;
+    *pos += 4;
+    let code = match code {
+        0xd800..=0xdbff => {
+            let low = bytes[*pos + 1..]
+                .starts_with(b"\\u")
+                .then(|| hex4(*pos + 3))
+                .transpose()?
+                .filter(|low| (0xdc00..=0xdfff).contains(low));
+            let low = low.ok_or_else(|| format!("lone surrogate at byte {escape}"))?;
+            *pos += 6;
+            0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00)
+        }
+        0xdc00..=0xdfff => return Err(format!("lone surrogate at byte {escape}")),
+        code => code,
+    };
+    Ok(char::from_u32(code).expect("a scalar value: surrogates are handled above"))
 }
 
 fn parse_array(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
@@ -536,41 +463,25 @@ fn parse_array(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String
 }
 
 fn parse_object(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
-    let mut pairs = Vec::new();
-    scan_object(text, pos, |key, pos| {
-        pairs.push((key.into_owned(), parse_value(text, pos, depth + 1)?));
-        Ok(())
-    })?;
-    Ok(Json::Object(pairs))
-}
-
-/// Walks one object: `{`, then for each member its key and `:`, a call
-/// to `value` — which must consume the value at `pos` — and the `,` or
-/// `}` after it. The one place object syntax lives, for the tree parser
-/// and the flat reader alike.
-fn scan_object<'a>(
-    text: &'a str,
-    pos: &mut usize,
-    mut value: impl FnMut(Cow<'a, str>, &mut usize) -> Result<(), String>,
-) -> Result<(), String> {
     expect(text, pos, b'{')?;
+    let mut pairs = Vec::new();
     skip_ws(text, pos);
     if peek(text, *pos) == Some(b'}') {
         *pos += 1;
-        return Ok(());
+        return Ok(Json::Object(pairs));
     }
     loop {
         skip_ws(text, pos);
         let key = scan_string(text, pos)?;
         skip_ws(text, pos);
         expect(text, pos, b':')?;
-        value(key, pos)?;
+        pairs.push((key, parse_value(text, pos, depth + 1)?));
         skip_ws(text, pos);
         match peek(text, *pos) {
             Some(b',') => *pos += 1,
             Some(b'}') => {
                 *pos += 1;
-                return Ok(());
+                return Ok(Json::Object(pairs));
             }
             _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
         }
@@ -723,65 +634,44 @@ mod tests {
     }
 
     #[test]
-    fn flat_objects_read_in_document_order_borrowing_what_needs_no_decoding() {
-        let line = " { \"a\" : 1 , \"b\\n\":\"x\\u00e9\",\"a\":true,\"c\":\"plain\" } ";
-        let mut fields = vec![(Cow::Borrowed("stale"), Scalar::U64(0))];
-        parse_flat_object(line, &mut fields).expect("flat");
-        let want = [
-            ("a", Scalar::U64(1)),
-            ("b\n", Scalar::Str("xé".into())),
-            ("a", Scalar::Bool(true)),
-            ("c", Scalar::Str("plain".into())),
-        ];
-        assert_eq!(fields.len(), want.len());
-        for ((key, value), (want_key, want_value)) in fields.iter().zip(&want) {
-            assert_eq!((key.as_ref(), value), (*want_key, want_value));
+    fn numbers_beyond_f64_are_rejected_not_read_as_infinity() {
+        for (text, at) in [("1e999", 0), ("-1e999", 0), ("[1e400]", 1)] {
+            let err = Json::parse(text).unwrap_err();
+            assert_eq!(err, format!("number out of range at byte {at}"), "{text}");
         }
-        let borrowed = |s: &Cow<str>| matches!(s, Cow::Borrowed(_));
-        assert!(borrowed(&fields[0].0) && !borrowed(&fields[1].0));
-        assert!(matches!(&fields[1].1, Scalar::Str(Cow::Owned(_))));
-        assert!(matches!(&fields[3].1, Scalar::Str(Cow::Borrowed("plain"))));
-        parse_flat_object("{}", &mut fields).expect("empty");
-        assert!(fields.is_empty());
+        let max = Json::F64(f64::MAX);
+        assert_eq!(max.render(), "1.7976931348623157e308");
+        assert_eq!(Json::parse("1.7976931348623157e308").unwrap(), max);
+        // Underflow is not overflow: a tiny literal reads as zero.
+        assert_eq!(Json::parse("1e-999").unwrap(), Json::F64(0.0));
     }
 
     #[test]
-    fn flat_objects_are_rejected_in_the_tree_parsers_words() {
-        let mut fields = Vec::new();
-        let mut err = |text| parse_flat_object(text, &mut fields).unwrap_err();
-        // Not an object: the document's own defect first, then its shape.
-        for text in ["", "nul", "[1,]", "\"abc", "12 34"] {
-            assert_eq!(err(text), Json::parse(text).unwrap_err(), "{text}");
-        }
-        for text in ["[1,2]", "7", "\"s\"", "null"] {
-            assert_eq!(err(text), "expected a JSON object", "{text}");
-        }
-        // An object: syntax errors as `Json::parse` words them.
-        for text in [
-            "{",
-            "{\"a\"",
-            "{\"a\":",
-            "{\"a\":1",
-            "{\"a\":1,}",
-            "{\"a\":1} x",
-            "{a:1}",
+    fn surrogate_pairs_read_as_one_scalar_and_lone_halves_are_rejected() {
+        let camera = Json::Str("🎥".to_string());
+        assert_eq!(Json::parse(r#""\ud83c\udfa5""#).unwrap(), camera);
+        assert_eq!(
+            Json::parse(r#""a\uD83C\uDFA5b""#).unwrap(),
+            Json::Str("a🎥b".into())
+        );
+        // `write_string` writes it raw, and raw it reads back.
+        let mut raw = String::new();
+        write_string(&mut raw, "🎥");
+        assert_eq!(raw, "\"🎥\"");
+        assert_eq!(Json::parse(&raw).unwrap(), camera);
+        for (text, at) in [
+            (r#""\ud83c""#, 1),
+            (r#""x\ud83c!""#, 2),
+            (r#""\ud83c\u0041""#, 1),
+            (r#""\ud83c\n""#, 1),
+            (r#""\udfa5""#, 1),
+            (r#""\udfa5\ud83c""#, 1),
+            (r#"["\ud83c\ud83c"]"#, 2),
         ] {
-            assert_eq!(err(text), Json::parse(text).unwrap_err(), "{text}");
+            let err = Json::parse(text).unwrap_err();
+            assert_eq!(err, format!("lone surrogate at byte {at}"), "{text}");
         }
-        // A value outside the scalar alphabet, named with its key.
-        for (text, want) in [
-            ("{\"k\":null}", "field \"k\": unexpected Null"),
-            ("{\"k\":1.5}", "field \"k\": unexpected F64(1.5)"),
-            ("{\"k\":-1}", "field \"k\": unexpected F64(-1.0)"),
-            ("{\"k\":[1]}", "field \"k\": unexpected Array([U64(1)])"),
-            ("{\"k\":{}}", "field \"k\": unexpected Object([])"),
-            (
-                "{\"k\":18446744073709551616}",
-                "field \"k\": unexpected F64(1.8446744073709552e19)",
-            ),
-        ] {
-            assert_eq!(err(text), want, "{text}");
-        }
+        assert!(Json::parse(r#""\ud83c\udfa""#).is_err());
     }
 
     #[test]

@@ -327,8 +327,9 @@ fn a_sweep_holds_one_cells_records_at_a_time() {
 /// A record renders into buffers that outlive it: the sink's scratch, the
 /// one scratch `verify` renders each group of four hashing lanes into, the
 /// one output of `to_jsonl` (sized exactly, so its high-water mark is the
-/// text), one field list across `from_jsonl`, and the one line a printer
-/// such as `trace_tool filter` reuses for `write_line`.
+/// text), and the one line a printer such as `trace_tool filter` reuses
+/// for `write_line`; `from_jsonl` borrows each string from the text until
+/// the record that keeps it owns it.
 #[test]
 fn a_trace_record_allocates_only_what_it_keeps() {
     const RECORDS: u64 = 20_007;

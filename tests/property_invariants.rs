@@ -575,13 +575,11 @@ fn trace_from_line_survives_mutated_golden_lines() {
     for case in 0..FUZZ_CASES {
         let mut rng = case_rng("trace-fuzz", case);
         let input = mutate(lines[rng.index(lines.len())], JSON_GRAMMAR, &mut rng);
+        // Must return, never panic; whatever it accepts is the line its
+        // record renders to.
         if let Ok(record) = TraceRecord::from_line(&input) {
             accepted += 1;
-            let line = record.to_line();
-            let back = TraceRecord::from_line(&line)
-                .unwrap_or_else(|e| panic!("case {case}: to_line does not reparse: {e}"));
-            assert_eq!(back, record, "case {case}");
-            assert_eq!(back.to_line(), line, "case {case}");
+            assert_eq!(record.to_line(), input, "case {case}");
         }
     }
     assert!(accepted > 0 && accepted < FUZZ_CASES, "{accepted} accepted");
@@ -760,21 +758,28 @@ fn the_flat_reader_and_the_tree_reader_agree_on_every_line() {
         if kept >= 2 {
             input = mutate(&input, JSON_GRAMMAR, &mut rng);
         }
-        match (TraceRecord::from_line(&input), tree_from_line(&input)) {
-            (Ok(flat), Ok(tree)) => {
-                assert_eq!(flat, tree, "case {case}: {input}");
+        // Accepted exactly when the oracle accepts the line and it is the
+        // line the oracle's record renders to, and then as that record.
+        let tree = tree_from_line(&input);
+        let canonical = tree.as_ref().is_ok_and(|r| r.to_line() == input);
+        match TraceRecord::from_line(&input) {
+            Ok(record) => {
+                assert!(canonical, "case {case}: accepted a respelling: {input}");
+                assert_eq!(Ok(record), tree, "case {case}: {input}");
                 accepted += 1;
-                respelled += u64::from(flat.to_line() != input);
             }
-            (Err(_), Err(_)) => rejected += 1,
-            (flat, tree) => panic!("case {case}: {input}\n  flat: {flat:?}\n  tree: {tree:?}"),
+            Err(err) => {
+                assert!(!canonical, "case {case}: rejected a canonical line: {err}");
+                respelled += u64::from(tree.is_ok());
+                rejected += 1;
+            }
         }
     }
-    // Every arm must run: canonical lines, accepted non-canonical
-    // spellings of a record, and rejections.
+    // Every arm must run: canonical lines, non-canonical spellings the
+    // oracle accepts (all rejected), and lines nobody accepts.
     assert!(
-        accepted > respelled && respelled > 500 && rejected > 1_000,
-        "{accepted} accepted ({respelled} respelled), {rejected} rejected"
+        accepted > 0 && respelled > 500 && rejected > 1_000,
+        "{accepted} accepted, {rejected} rejected ({respelled} of them respellings)"
     );
 }
 
