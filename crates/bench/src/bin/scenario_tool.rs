@@ -8,11 +8,11 @@
 //! Subcommands:
 //!
 //! * `check [DIR]` — load and validate every `*.toml` under `DIR`
-//!   (default `config/scenarios`). Beyond the loader's validation
-//!   (which includes duplicate scenario names across files) this also
-//!   rejects any file whose canonical form (`ScenarioFile::to_toml`)
-//!   fails to round-trip — the property `tests/scenario_format.rs`
-//!   holds the library to.
+//!   (default: the workspace's `config/scenarios`, from any directory).
+//!   Beyond the loader's validation (which includes duplicate scenario
+//!   names across files) this also rejects any file whose canonical form
+//!   (`ScenarioFile::to_toml`) fails to round-trip — the property
+//!   `tests/scenario_format.rs` holds the library to.
 //! * `render FILE` — print one file's canonical TOML form (stable key
 //!   order), for normalizing a hand-edited scenario.
 //! * `list [DIR]` — one line per scenario: name, camera count, arrival
@@ -21,6 +21,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use tangram_bench::workspace_root;
 use tangram_harness::ScenarioFile;
 
 fn main() -> ExitCode {
@@ -37,8 +38,10 @@ fn main() -> ExitCode {
     }
 }
 
+/// An explicit `DIR` resolves against the current directory; the default
+/// is the workspace's own library, wherever the tool runs from.
 fn dir_arg(arg: Option<&String>) -> PathBuf {
-    arg.map_or_else(|| PathBuf::from("config/scenarios"), PathBuf::from)
+    arg.map_or_else(|| workspace_root().join("config/scenarios"), PathBuf::from)
 }
 
 fn usage(problem: &str) -> ExitCode {

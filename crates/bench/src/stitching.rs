@@ -4,6 +4,7 @@
 
 use crate::{heading, paper_cells, per_scene, say, ExpOpts};
 use std::io::Write;
+use tangram_core::policy::baselines::ELF_MIN_INPUT_MEGAPIXELS;
 use tangram_core::workload::TraceFrame;
 use tangram_harness::presets::{build_trace, trace_kind};
 use tangram_harness::{table, TraceKind};
@@ -96,7 +97,8 @@ pub(crate) fn fig8_cost(opts: &ExpOpts, out: &mut dyn Write) -> Vec<bool> {
             bill(1, f.masked_megapixels);
             bill(2, f.full_megapixels);
             for p in &f.patches {
-                bill(3, (p.info.rect.area() as f64 / 1.0e6).max(0.1024));
+                let area = p.info.rect.area() as f64 / 1.0e6;
+                bill(3, area.max(ELF_MIN_INPUT_MEGAPIXELS));
             }
         }
         (scene, frames, cost.map(|c| c.get()))

@@ -17,7 +17,7 @@
 //! exclusively from batching decisions.
 
 use crate::online::{OnlineEngine, Plan, TraceReplaySource};
-use crate::policy::baselines::{ClipperPolicy, MarkPolicy, PerRequestPolicy};
+use crate::policy::baselines::{ClipperPolicy, ElfPolicy, MarkPolicy};
 use crate::policy::BatchingPolicy;
 use crate::report::RunReport;
 use crate::scheduler::{SchedulerConfig, TangramScheduler};
@@ -41,10 +41,6 @@ pub enum PolicyKind {
     Elf,
     /// MArk-style batch + timeout.
     Mark,
-    /// One request per full frame.
-    FullFrame,
-    /// One request per masked frame.
-    MaskedFrame,
 }
 
 impl PolicyKind {
@@ -56,15 +52,7 @@ impl PolicyKind {
             PolicyKind::Clipper => "Clipper",
             PolicyKind::Elf => "ELF",
             PolicyKind::Mark => "MArk",
-            PolicyKind::FullFrame => "FullFrame",
-            PolicyKind::MaskedFrame => "MaskedFrame",
         }
-    }
-
-    /// Whether the policy consumes patches (vs whole frames).
-    #[must_use]
-    pub fn patch_based(&self) -> bool {
-        !matches!(self, PolicyKind::FullFrame | PolicyKind::MaskedFrame)
     }
 }
 
@@ -73,7 +61,7 @@ impl PolicyKind {
 pub struct EngineConfig {
     /// Policy under test.
     pub policy: PolicyKind,
-    /// SLO stamped on every patch/frame.
+    /// SLO stamped on every patch.
     pub slo: SimDuration,
     /// Uplink bandwidth in Mbps (the paper sweeps 20/40/80).
     pub bandwidth_mbps: f64,
@@ -155,12 +143,11 @@ impl EngineConfig {
                 ))
             }
             PolicyKind::Clipper => Box::new(ClipperPolicy::new(max_batch)),
-            PolicyKind::Elf => Box::new(PerRequestPolicy::elf()),
+            PolicyKind::Elf => Box::new(ElfPolicy),
             PolicyKind::Mark => Box::new(MarkPolicy::new(
                 max_batch,
                 self.mark_timeout.unwrap_or(self.slo / 2),
             )),
-            PolicyKind::FullFrame | PolicyKind::MaskedFrame => Box::new(PerRequestPolicy::frames()),
         }
     }
 
@@ -276,12 +263,13 @@ mod tests {
 
     #[test]
     fn full_frame_uses_more_bandwidth_than_tangram() {
+        // Full Frame is priced per frame from the trace (Fig. 9's
+        // denominator); Tangram's bytes are what the engine uploaded.
         let t = trace(10);
-        let tangram = config(PolicyKind::Tangram).run(std::slice::from_ref(&t));
-        let full = config(PolicyKind::FullFrame).run(&[t]);
-        assert!(tangram.total_bytes() < full.total_bytes());
-        assert_eq!(full.frames, 10);
-        assert!(full.batches.iter().all(|b| b.inputs == 1));
+        let full: u64 = t.frames.iter().map(|f| f.full_frame_bytes.get()).sum();
+        let tangram = config(PolicyKind::Tangram).run(&[t]);
+        assert!(tangram.total_bytes().get() < full);
+        assert_eq!(tangram.frames, 10);
     }
 
     #[test]

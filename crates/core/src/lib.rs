@@ -12,7 +12,8 @@
 //!   waiting longer would risk the SLO (or the GPU-memory bound of
 //!   constraint (5) is hit);
 //! * [`policy`] — the [`policy::BatchingPolicy`] trait plus the paper's
-//!   comparison systems: Full Frame, Masked Frame, ELF, Clipper and MArk;
+//!   comparison systems that batch on the engine: ELF, Clipper and MArk
+//!   (Full Frame and Masked Frame are priced per frame from the trace);
 //! * [`workload`] — per-camera traces built from the synthetic scenes and
 //!   an RoI extractor, replayed identically across policies;
 //! * [`online`] — the engine: an event loop over the paper's cloud

@@ -3,12 +3,11 @@
 
 use super::{CameraSource, Outbox, StreamEvent};
 use crate::engine::{EngineConfig, PolicyKind};
-use crate::policy::{Arrival, FrameArrival};
+use crate::policy::Arrival;
 use crate::workload::TraceFrame;
 use tangram_net::{Link, LinkConfig};
 use tangram_trace::TraceEvent;
-use tangram_types::geometry::{Rect, Size};
-use tangram_types::ids::{CameraId, PatchId};
+use tangram_types::ids::CameraId;
 use tangram_types::patch::{Patch, PatchInfo};
 use tangram_types::time::{SimDuration, SimTime};
 use tangram_types::units::Bytes;
@@ -29,8 +28,9 @@ struct CameraSlot {
 pub(crate) struct Ingest {
     cameras: Vec<CameraSlot>,
     pub(super) link: Link,
-    /// The wire representation of the engine's policy.
-    kind: MaterializeKind,
+    /// ELF re-encodes every patch on its own (its bytes are the trace's
+    /// `elf_patch_bytes`); every other policy ships `encoded_size`.
+    elf: bool,
     /// Engine default SLO for sources without a tenant override.
     default_slo: SimDuration,
     /// Engine capture period, handed to closed-loop sources.
@@ -49,7 +49,7 @@ impl Ingest {
         Self {
             cameras: Vec::new(),
             link: Link::new(LinkConfig::mbps(config.bandwidth_mbps)),
-            kind: MaterializeKind::of(config.policy),
+            elf: config.policy == PolicyKind::Elf,
             default_slo: config.slo,
             frame_interval: SimDuration::from_secs_f64(1.0 / config.max_fps),
             edge_delay: config.edge_delay,
@@ -106,7 +106,7 @@ impl Ingest {
             return;
         };
         let slo = slot.source.slo().unwrap_or(self.default_slo);
-        let arrivals = materialize_frame(&frame, slot.camera, slo, now, self.kind);
+        let arrivals = materialize_frame(&frame, slo, now, self.elf);
         self.deliver(now, cam, arrivals, out);
 
         let uplink_free = self.link.busy_until();
@@ -144,104 +144,32 @@ impl Ingest {
     }
 }
 
-/// Which wire representation [`materialize_frame`] builds — derived
-/// once from the engine's [`PolicyKind`].
-#[derive(Debug, Clone, Copy)]
-enum MaterializeKind {
-    /// Patch-based policies ship every RoI patch separately.
-    Patch {
-        /// ELF re-encodes patches (different byte sizes per patch).
-        elf: bool,
-    },
-    /// Frame-based baselines ship one oversized "patch" per frame.
-    Frame {
-        /// Masked-frame transfers background-suppressed bytes.
-        masked: bool,
-    },
-}
-
-impl MaterializeKind {
-    /// The wire representation for `policy`.
-    fn of(policy: PolicyKind) -> Self {
-        if policy.patch_based() {
-            Self::Patch {
-                elf: policy == PolicyKind::Elf,
-            }
-        } else {
-            Self::Frame {
-                masked: policy == PolicyKind::MaskedFrame,
-            }
-        }
-    }
-}
-
 /// Turns one captured frame into the `(Arrival, Bytes)` work items the
-/// engine feeds to the uplink, in wire order: id stamping, byte
-/// selection and SLO stamping.
+/// engine feeds to the uplink, in wire order: one per patch, re-stamped
+/// with the capture instant and SLO, carrying ELF's or the shared
+/// encoder's bytes.
 fn materialize_frame(
     frame: &TraceFrame,
-    camera_id: CameraId,
     slo: SimDuration,
     generated_at: SimTime,
-    kind: MaterializeKind,
+    elf: bool,
 ) -> Vec<(Arrival, Bytes)> {
-    match kind {
-        MaterializeKind::Patch { elf } => frame
-            .patches
-            .iter()
-            .enumerate()
-            .map(|(i, patch)| {
-                let bytes = if elf {
-                    frame.elf_patch_bytes[i]
-                } else {
-                    patch.encoded_size
-                };
-                let info = PatchInfo {
-                    generated_at,
-                    slo,
-                    ..patch.info
-                };
-                (Arrival::Patch(Patch::new(info, bytes)), bytes)
-            })
-            .collect(),
-        MaterializeKind::Frame { masked } => {
-            let bytes = if masked {
-                frame.masked_frame_bytes
+    frame
+        .patches
+        .iter()
+        .enumerate()
+        .map(|(i, patch)| {
+            let bytes = if elf {
+                frame.elf_patch_bytes[i]
             } else {
-                frame.full_frame_bytes
+                patch.encoded_size
             };
-            let mpx = if masked {
-                frame.masked_megapixels
-            } else {
-                frame.full_megapixels
+            let info = PatchInfo {
+                generated_at,
+                slo,
+                ..patch.info
             };
-            // The frame travels as one oversized "patch".
-            let base = frame.patches.first().map_or_else(
-                || PatchInfo {
-                    id: PatchId::new(
-                        (u64::from(camera_id.raw()) << 40) | (1 << 39) | frame.frame.raw(),
-                    ),
-                    camera: camera_id,
-                    frame: frame.frame,
-                    rect: Rect::from_size(Size::UHD_4K),
-                    generated_at,
-                    slo,
-                },
-                |p| PatchInfo {
-                    id: PatchId::new(p.info.id.raw() | (1 << 39)),
-                    rect: Rect::from_size(Size::UHD_4K),
-                    generated_at,
-                    slo,
-                    ..p.info
-                },
-            );
-            vec![(
-                Arrival::Frame(FrameArrival {
-                    info: base,
-                    effective_megapixels: mpx,
-                }),
-                bytes,
-            )]
-        }
-    }
+            (Arrival::Patch(Patch::new(info, bytes)), bytes)
+        })
+        .collect()
 }

@@ -261,8 +261,7 @@ impl CameraSource for GeneratedSource {
         frame.frame = tangram_types::ids::FrameId::new(self.emitted as u64);
         for patch in &mut frame.patches {
             // Bit 38 marks generated ids, keeping them disjoint from the
-            // partition pipeline's (camera << 40 | counter) scheme and
-            // the engine's full-frame (1 << 39) scheme.
+            // partition pipeline's (camera << 40 | counter) scheme.
             patch.info.id =
                 PatchId::new((u64::from(self.camera.raw()) << 40) | (1 << 38) | self.next_patch);
             patch.info.camera = self.camera;

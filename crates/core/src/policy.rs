@@ -2,7 +2,7 @@
 //!
 //! The end-to-end engine is identical for all compared systems — cameras,
 //! uplink, serverless platform, cost and SLO accounting. A policy only
-//! decides *what to dispatch when*, given patch/frame arrivals and clock
+//! decides *what to dispatch when*, given patch arrivals and clock
 //! ticks. This mirrors the paper's controlled comparison: differences in
 //! Fig. 12 come solely from batching decisions.
 
@@ -13,34 +13,17 @@ use tangram_types::time::{SimDuration, SimTime};
 /// A unit of work arriving at the cloud scheduler.
 #[derive(Debug, Clone)]
 pub enum Arrival {
-    /// One patch (Tangram / ELF / Clipper / MArk pipelines).
+    /// One patch.
     Patch(Patch),
-    /// One whole frame (Full Frame / Masked Frame pipelines).
-    Frame(FrameArrival),
 }
 
 impl Arrival {
-    /// The work item's metadata (identity, capture instant, SLO) —
-    /// uniform across patch and frame pipelines.
+    /// The work item's metadata (identity, capture instant, SLO).
     #[must_use]
     pub fn info(&self) -> &PatchInfo {
-        match self {
-            Arrival::Patch(patch) => &patch.info,
-            Arrival::Frame(frame) => &frame.info,
-        }
+        let Arrival::Patch(patch) = self;
+        &patch.info
     }
-}
-
-/// A full- or masked-frame work item.
-#[derive(Debug, Clone, Copy)]
-pub struct FrameArrival {
-    /// Metadata of the frame treated as one big patch (the rect covers
-    /// the whole frame).
-    pub info: PatchInfo,
-    /// Megapixels the model must effectively process for this frame
-    /// (masked frames skip the masked background — Table I's redundancy
-    /// column).
-    pub effective_megapixels: f64,
 }
 
 /// A batch the policy wants executed.
@@ -48,7 +31,7 @@ pub struct FrameArrival {
 pub struct BatchSpec {
     /// Patches whose results this invocation produces (SLO accounting).
     pub patches: Vec<PatchInfo>,
-    /// Number of model inputs (canvases / padded patches / frames) —
+    /// Number of model inputs (canvases / padded or letterboxed patches) —
     /// checked against the GPU-memory bound.
     pub inputs: usize,
     /// Total megapixels to execute.
@@ -81,8 +64,7 @@ pub struct PolicyOutput {
     /// Work items the policy actually enqueued for this arrival, in the
     /// same unit `BatchSpec::patches` drains in (post-normalize: an
     /// oversized patch tiled 4-ways accepts 4). Only meaningful from
-    /// `on_arrival`; silent drops (e.g. a frame handed to a patch-only
-    /// policy) report 0 so the engine's queue-depth signal stays exact.
+    /// `on_arrival`; the engine's queue-depth signal counts it.
     pub accepted: usize,
 }
 

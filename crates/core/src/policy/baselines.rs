@@ -1,10 +1,7 @@
-//! The paper's comparison systems (§V-A).
+//! The paper's comparison systems that run on the engine (§V-A).
 //!
-//! * **Full Frame**, **Masked Frame** (AdaMask) and **ELF** — one
-//!   [`PerRequestPolicy`]: every arrival is one immediate request. The
-//!   engine hands the first two whole frames (a masked frame's effective
-//!   compute skips the masked background) and ELF its patches, letterboxed
-//!   to a minimum input;
+//! * **ELF** — [`ElfPolicy`]: every patch is one immediate request,
+//!   letterboxed to a minimum input ([`ELF_MIN_INPUT_MEGAPIXELS`]);
 //! * **Clipper** — dynamic batch sizing via additive-increase /
 //!   multiplicative-decrease on the SLO feedback, patches padded to
 //!   uniform model inputs;
@@ -13,7 +10,10 @@
 //!
 //! Clipper and MArk batch *requests* (one patch per model input, padded to
 //! the canvas resolution); only Tangram stitches multiple patches into one
-//! input, which is exactly the wedge the paper's Fig. 12 isolates.
+//! input, which is exactly the wedge the paper's Fig. 12 isolates. Full
+//! Frame and Masked Frame upload whole frames and never batch, so the
+//! reproduction prices them per frame from the trace (Figs. 8 and 9)
+//! rather than through the engine.
 
 use crate::policy::{
     padded_inputs_megapixels, Arrival, BatchSpec, BatchingPolicy, CompletionFeedback, PolicyOutput,
@@ -22,49 +22,23 @@ use tangram_types::geometry::Size;
 use tangram_types::patch::PatchInfo;
 use tangram_types::time::{SimDuration, SimTime};
 
-/// One immediate request per arrival, no batching: Full Frame and
-/// Masked Frame (whose engines deliver frames) and ELF (whose engine
-/// delivers patches). Only the billed input differs: a frame is billed at
-/// its effective megapixels, a patch at its area, raised to
-/// `min_input_megapixels`.
+/// ELF's minimum model input: tiny crops are letterboxed to 320×320, so
+/// every request pays a realistic minimum resolution.
+pub const ELF_MIN_INPUT_MEGAPIXELS: f64 = 0.1024;
+
+/// ELF: one immediate request per patch, no batching, billed at the
+/// patch's area raised to [`ELF_MIN_INPUT_MEGAPIXELS`].
 #[derive(Debug)]
-pub struct PerRequestPolicy {
-    /// Model inputs are at least this large (tiny crops still pay a
-    /// realistic minimum input resolution).
-    pub min_input_megapixels: f64,
-}
+pub struct ElfPolicy;
 
-impl PerRequestPolicy {
-    /// The Full Frame and Masked Frame baselines: no minimum input.
-    #[must_use]
-    pub fn frames() -> Self {
-        Self {
-            min_input_megapixels: 0.0,
-        }
-    }
-
-    /// ELF: patches letterboxed to at least 320×320.
-    #[must_use]
-    pub fn elf() -> Self {
-        Self {
-            min_input_megapixels: 0.1024,
-        }
-    }
-}
-
-impl BatchingPolicy for PerRequestPolicy {
+impl BatchingPolicy for ElfPolicy {
     fn on_arrival(&mut self, _now: SimTime, arrival: Arrival) -> PolicyOutput {
-        let (info, megapixels) = match arrival {
-            Arrival::Frame(f) => (f.info, f.effective_megapixels),
-            Arrival::Patch(p) => {
-                let area = p.info.rect.area() as f64 / 1.0e6;
-                (p.info, area.max(self.min_input_megapixels))
-            }
-        };
+        let Arrival::Patch(p) = arrival;
+        let area = p.info.rect.area() as f64 / 1.0e6;
         PolicyOutput::dispatch(BatchSpec {
-            patches: vec![info],
+            patches: vec![p.info],
             inputs: 1,
-            megapixels,
+            megapixels: area.max(ELF_MIN_INPUT_MEGAPIXELS),
             canvas_efficiencies: Vec::new(),
         })
         .accepted(1)
@@ -133,9 +107,7 @@ impl ClipperPolicy {
 
 impl BatchingPolicy for ClipperPolicy {
     fn on_arrival(&mut self, now: SimTime, arrival: Arrival) -> PolicyOutput {
-        let Arrival::Patch(p) = arrival else {
-            return PolicyOutput::idle();
-        };
+        let Arrival::Patch(p) = arrival;
         self.queue.push(p.info);
         let mut out = PolicyOutput::idle().accepted(1);
         if self.queue.len() >= self.batch_size {
@@ -231,9 +203,7 @@ impl MarkPolicy {
 
 impl BatchingPolicy for MarkPolicy {
     fn on_arrival(&mut self, now: SimTime, arrival: Arrival) -> PolicyOutput {
-        let Arrival::Patch(p) = arrival else {
-            return PolicyOutput::idle();
-        };
+        let Arrival::Patch(p) = arrival;
         if self.queue.is_empty() {
             self.first_arrival = Some(now);
         }
@@ -270,7 +240,6 @@ impl BatchingPolicy for MarkPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::FrameArrival;
     use tangram_types::geometry::Rect;
     use tangram_types::ids::{CameraId, FrameId, PatchId};
     use tangram_types::patch::Patch;
@@ -290,37 +259,13 @@ mod tests {
         )
     }
 
-    fn frame(gen_ms: u64) -> FrameArrival {
-        FrameArrival {
-            info: PatchInfo::new(
-                PatchId::new(99),
-                CameraId::new(0),
-                FrameId::new(1),
-                Rect::new(0, 0, 3840, 2160),
-                SimTime::from_micros(gen_ms * 1000),
-                SimDuration::from_secs(1),
-            ),
-            effective_megapixels: 8.29,
-        }
-    }
-
     fn t(ms: u64) -> SimTime {
         SimTime::from_micros(ms * 1000)
     }
 
     #[test]
-    fn full_frame_dispatches_immediately() {
-        let mut p = PerRequestPolicy::frames();
-        let out = p.on_arrival(t(0), Arrival::Frame(frame(0)));
-        assert_eq!(out.dispatches.len(), 1);
-        assert_eq!(out.dispatches[0].inputs, 1);
-        assert!((out.dispatches[0].megapixels - 8.29).abs() < 1e-9);
-        assert_eq!(out.accepted, 1);
-    }
-
-    #[test]
     fn elf_one_request_per_patch() {
-        let mut p = PerRequestPolicy::elf();
+        let mut p = ElfPolicy;
         let a = p.on_arrival(t(0), Arrival::Patch(patch(1, 0, 1000)));
         let b = p.on_arrival(t(1), Arrival::Patch(patch(2, 1, 1000)));
         assert_eq!(a.dispatches.len() + b.dispatches.len(), 2);
@@ -330,7 +275,7 @@ mod tests {
 
     #[test]
     fn elf_pads_tiny_patches() {
-        let mut p = PerRequestPolicy::elf();
+        let mut p = ElfPolicy;
         let tiny = Patch::new(
             PatchInfo::new(
                 PatchId::new(1),
@@ -343,7 +288,7 @@ mod tests {
             Bytes::from_kib(4),
         );
         let out = p.on_arrival(t(0), Arrival::Patch(tiny));
-        assert!((out.dispatches[0].megapixels - 0.1024).abs() < 1e-9);
+        assert!((out.dispatches[0].megapixels - ELF_MIN_INPUT_MEGAPIXELS).abs() < 1e-9);
     }
 
     #[test]

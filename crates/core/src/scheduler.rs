@@ -284,14 +284,8 @@ impl BatchingPolicy for TangramScheduler {
     }
 
     fn on_arrival(&mut self, now: SimTime, arrival: Arrival) -> PolicyOutput {
-        match arrival {
-            Arrival::Patch(p) => self.on_patch(now, p.info),
-            Arrival::Frame(f) => {
-                // Tangram never receives whole frames, but handle it
-                // gracefully: treat as one oversized patch.
-                self.on_patch(now, f.info)
-            }
-        }
+        let Arrival::Patch(p) = arrival;
+        self.on_patch(now, p.info)
     }
 
     fn on_tick(&mut self, now: SimTime) -> PolicyOutput {

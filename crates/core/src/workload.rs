@@ -154,16 +154,6 @@ impl TraceConfig {
                 DetRng::new(self.seed).fork_indexed("edge-proxy", u64::from(self.camera.raw())),
             )),
         };
-        self.build_with_extractor(&mut sim, extractor)
-    }
-
-    /// Builds the trace with a caller-supplied extractor (Table IV runs).
-    #[must_use]
-    pub fn build_with_extractor(
-        &self,
-        sim: &mut SceneSimulation,
-        extractor: Box<dyn RoiExtractor>,
-    ) -> CameraTrace {
         let profile = SceneProfile::panda(self.scene);
         let pipeline_config = EdgePipelineConfig {
             camera: self.camera,

@@ -345,8 +345,8 @@ pub struct SweepGrid {
     pub fairness: Vec<FairnessSpec>,
     /// Record a runtime event trace per cell (see `tangram_trace`).
     /// Execution-only: the flag is *not* part of the serialized
-    /// `BENCH_*.json` schema (trace capture never changes report bytes),
-    /// so `from_json` always reconstructs it as `false`.
+    /// `BENCH_*.json` grid echo, because trace capture never changes
+    /// report bytes.
     pub capture_traces: bool,
 }
 

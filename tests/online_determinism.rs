@@ -14,13 +14,11 @@ use tangram_sim::rng::DetRng;
 use tangram_types::ids::SceneId;
 use tangram_types::time::{SimDuration, SimTime};
 
-const ALL_POLICIES: [PolicyKind; 6] = [
+const ALL_POLICIES: [PolicyKind; 4] = [
     PolicyKind::Tangram,
     PolicyKind::Clipper,
     PolicyKind::Elf,
     PolicyKind::Mark,
-    PolicyKind::FullFrame,
-    PolicyKind::MaskedFrame,
 ];
 
 fn traces() -> Vec<CameraTrace> {
@@ -105,15 +103,13 @@ fn digest(summary: &RunSummary) -> u64 {
         })
 }
 
-/// No committed baseline runs Full Frame or Masked Frame (`BENCH_smoke`
-/// sweeps Tangram, Clipper, ELF and MArk), so every policy's summary on
-/// the two-trace fixture is held here by value: frames, patches,
-/// batches, violations, uplink bytes, cost and p99 latency, then a
-/// digest of every field.
+/// Every policy's summary on the two-trace fixture is held here by
+/// value: frames, patches, batches, violations, uplink bytes, cost and
+/// p99 latency, then a digest of every field.
 #[test]
 fn every_policys_summary_is_pinned_by_value() {
     type Pin = (PolicyKind, [u64; 5], f64, f64, u64);
-    const PINNED: [Pin; 6] = [
+    const PINNED: [Pin; 4] = [
         (
             PolicyKind::Tangram,
             [20, 175, 7, 0, 10_541_499],
@@ -141,20 +137,6 @@ fn every_policys_summary_is_pinned_by_value() {
             0.006_724_435_640_000_001,
             1.004_782,
             0x79e4_46e3_a507_8172,
-        ),
-        (
-            PolicyKind::FullFrame,
-            [20, 20, 20, 19, 49_766_400],
-            0.006_261_326_560_000_001,
-            1.494_492,
-            0x6a7c_bc7b_4b70_c3b6,
-        ),
-        (
-            PolicyKind::MaskedFrame,
-            [20, 20, 20, 19, 52_809_617],
-            0.005_581_907_68,
-            1.491_923,
-            0xe32b_f3b5_1667_2eff,
         ),
     ];
     let traces = traces();
