@@ -120,28 +120,40 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Builds the policy instance for this configuration.
-    pub(crate) fn build_policy(&self) -> Box<dyn BatchingPolicy> {
+    /// Profiles the Tangram scheduler's [`LatencyEstimator`] offline
+    /// (§III-C: 1,000 iterations per batch size, `µ + k·σ`). A pure
+    /// function of the latency model, canvas, batch bound, σ multiplier
+    /// and seed, so a sweep may profile it once per key and hand every
+    /// cell on that key a copy ([`Plan::estimator`]).
+    #[must_use]
+    pub fn estimator(&self) -> LatencyEstimator {
+        LatencyEstimator::profile(
+            &self.latency_model,
+            self.canvas_size,
+            self.function_spec.max_canvases().max(1),
+            1000,
+            self.sigma_multiplier,
+            self.seed ^ 0x51ac,
+        )
+    }
+
+    /// Builds the policy instance for this configuration. Tangram takes
+    /// `estimator` when given one and profiles [`EngineConfig::estimator`]
+    /// otherwise; the other policies ignore it.
+    pub(crate) fn build_policy(
+        &self,
+        estimator: Option<LatencyEstimator>,
+    ) -> Box<dyn BatchingPolicy> {
         let max_batch = self.function_spec.max_canvases().max(1);
         match self.policy {
-            PolicyKind::Tangram => {
-                let estimator = LatencyEstimator::profile(
-                    &self.latency_model,
-                    self.canvas_size,
-                    max_batch,
-                    1000,
-                    self.sigma_multiplier,
-                    self.seed ^ 0x51ac,
-                );
-                Box::new(TangramScheduler::new(
-                    SchedulerConfig {
-                        canvas_size: self.canvas_size,
-                        max_canvases: max_batch,
-                        admission_aware: self.scheduler_admission_aware,
-                    },
-                    estimator,
-                ))
-            }
+            PolicyKind::Tangram => Box::new(TangramScheduler::new(
+                SchedulerConfig {
+                    canvas_size: self.canvas_size,
+                    max_canvases: max_batch,
+                    admission_aware: self.scheduler_admission_aware,
+                },
+                estimator.unwrap_or_else(|| self.estimator()),
+            )),
             PolicyKind::Clipper => Box::new(ClipperPolicy::new(max_batch)),
             PolicyKind::Elf => Box::new(ElfPolicy),
             PolicyKind::Mark => Box::new(MarkPolicy::new(
@@ -163,7 +175,7 @@ impl EngineConfig {
     }
 
     /// Replays `traces` under `plan`: one [`TraceReplaySource`] per trace
-    /// on an [`OnlineEngine`].
+    /// on an [`OnlineEngine`], each reading its trace in place.
     ///
     /// # Panics
     ///
@@ -177,7 +189,7 @@ impl EngineConfig {
         for (cam, trace) in traces.iter().enumerate() {
             engine.add_camera_at(
                 SimTime::from_micros(cam as u64 * 1_000),
-                Box::new(TraceReplaySource::new(trace.clone())),
+                Box::new(TraceReplaySource::new(trace)),
             );
         }
         engine.run()

@@ -45,6 +45,7 @@ use crate::report::{Account, RunReport};
 use batch::Batch;
 use execute::Execute;
 use ingest::Ingest;
+use tangram_infer::estimator::LatencyEstimator;
 use tangram_sim::event::EventQueue;
 use tangram_trace::{TraceEvent, TraceLog, TraceSink};
 use tangram_types::time::SimTime;
@@ -68,6 +69,12 @@ pub struct Plan {
     /// Record the runtime event trace. Pure observation: the run itself
     /// is byte-identical with or without it.
     pub trace: bool,
+    /// The Tangram scheduler's latency profile, taken offline by the
+    /// caller; it must equal [`EngineConfig::estimator`] on this run's
+    /// configuration. `None` profiles it at construction. A sweep passes
+    /// one profile to every cell on the same engine seed and σ
+    /// multiplier; the other policies ignore it.
+    pub estimator: Option<LatencyEstimator>,
 }
 
 /// Where a stage's effects go: future events onto the queue, records
@@ -111,9 +118,10 @@ impl Outbox {
 
 /// The event-driven streaming engine: an [`EventQueue`] of
 /// [`StreamEvent`]s and the wiring between the six pipeline stages.
-pub struct OnlineEngine {
+/// `'a` is how long its cameras may borrow what they replay.
+pub struct OnlineEngine<'a> {
     out: Outbox,
-    ingest: Ingest,
+    ingest: Ingest<'a>,
     admit: Admit,
     fair: Option<DrrIngress>,
     batch: Batch,
@@ -123,7 +131,7 @@ pub struct OnlineEngine {
     seed: u64,
 }
 
-impl OnlineEngine {
+impl<'a> OnlineEngine<'a> {
     /// Builds an engine with no cameras; add sources with
     /// [`OnlineEngine::add_camera_at`], then call [`OnlineEngine::run`].
     #[must_use]
@@ -136,7 +144,7 @@ impl OnlineEngine {
                 ..Admit::default()
             },
             fair: plan.fair_ingress,
-            batch: Batch::new(config),
+            batch: Batch::new(config, plan.estimator),
             execute: Execute::new(config, plan.faults),
             account: Account::default(),
             policy: config.policy,
@@ -146,7 +154,7 @@ impl OnlineEngine {
 
     /// Registers a camera that joins the stream at `at`, returning its
     /// index (usable with [`OnlineEngine::remove_camera_at`]).
-    pub fn add_camera_at(&mut self, at: SimTime, source: Box<dyn CameraSource>) -> usize {
+    pub fn add_camera_at(&mut self, at: SimTime, source: Box<dyn CameraSource + 'a>) -> usize {
         let cam = self.ingest.cameras();
         let muted = mute_windows(self.seed, &self.execute.faults.faults, cam);
         self.ingest.add_camera(source, muted);
@@ -460,7 +468,7 @@ mod tests {
         let cfg = config(PolicyKind::Tangram);
         let batch = cfg.run(std::slice::from_ref(&t));
         let mut online = OnlineEngine::new(&cfg, Plan::default());
-        online.add_camera_at(SimTime::ZERO, Box::new(TraceReplaySource::new(t)));
+        online.add_camera_at(SimTime::ZERO, Box::new(TraceReplaySource::new(&t)));
         let streamed = online.run().0;
         assert_eq!(batch.summarize(), streamed.summarize());
     }

@@ -3,6 +3,7 @@
 
 use crate::engine::EngineConfig;
 use crate::policy::{Arrival, BatchingPolicy, PolicyOutput};
+use tangram_infer::estimator::LatencyEstimator;
 use tangram_types::time::SimTime;
 
 /// The boxed [`BatchingPolicy`] plus what the engine tracks on its
@@ -22,8 +23,14 @@ pub(crate) struct Batch {
 }
 
 impl Batch {
-    pub(crate) fn new(config: &EngineConfig) -> Self {
-        Self::with_policy(config.build_policy(), config.scheduler_admission_aware)
+    /// The stage around `config`'s policy; a Tangram scheduler takes
+    /// `estimator` (a [`Plan::estimator`](super::Plan::estimator)) or
+    /// profiles its own.
+    pub(crate) fn new(config: &EngineConfig, estimator: Option<LatencyEstimator>) -> Self {
+        Self::with_policy(
+            config.build_policy(estimator),
+            config.scheduler_admission_aware,
+        )
     }
 
     /// The stage around an already-built policy: the engine's by way of
@@ -109,7 +116,7 @@ mod tests {
 
     #[test]
     fn same_or_later_wakes_share_one_timer_and_an_earlier_one_re_arms() {
-        let mut batch = Batch::new(&EngineConfig::default());
+        let mut batch = Batch::new(&EngineConfig::default(), None);
         assert_eq!(batch.arm(at(0), None), None, "no request, no timer");
         assert_eq!(batch.arm(at(0), Some(at(50))), Some(at(50)));
         // N arrivals asking for the same or a later wake-up arm nothing.
@@ -125,7 +132,7 @@ mod tests {
 
     #[test]
     fn a_fired_timer_frees_its_slot_only_at_its_own_instant() {
-        let mut batch = Batch::new(&EngineConfig::default());
+        let mut batch = Batch::new(&EngineConfig::default(), None);
         assert_eq!(batch.arm(at(0), Some(at(30))), Some(at(30)));
         let _ = batch.on_timer(at(30));
         assert_eq!(batch.arm(at(30), Some(at(50))), Some(at(50)));

@@ -75,7 +75,8 @@ impl Execute {
         outcome
     }
 
-    /// Invocation `id` finished: acknowledged and recorded.
+    /// Invocation `id` finished: acknowledged and recorded. Every
+    /// completion event answers exactly one submit, so `id` is in flight.
     pub(crate) fn on_complete(
         &mut self,
         now: SimTime,
@@ -83,7 +84,12 @@ impl Execute {
         feedback: &CompletionFeedback,
         out: &mut Outbox,
     ) {
-        self.platform.complete(id);
+        let acknowledged = self.platform.complete(id);
+        debug_assert!(
+            acknowledged,
+            "completion of invocation {} which is not in flight",
+            id.raw()
+        );
         self.completions += 1;
         out.emit(
             now,
@@ -93,5 +99,36 @@ impl Execute {
                 violations: feedback.violations as u64,
             },
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A doubled `FunctionComplete` is an engine bug, not a second
+    /// completion to count and trace.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "which is not in flight")]
+    fn acknowledging_an_invocation_twice_is_caught() {
+        let mut execute = Execute::new(&EngineConfig::default(), Vec::new());
+        let mut out = Outbox::new(false);
+        let spec = BatchSpec {
+            patches: Vec::new(),
+            inputs: 1,
+            megapixels: 1.0,
+            canvas_efficiencies: Vec::new(),
+        };
+        let outcome = execute.on_dispatch(SimTime::ZERO, 0, &spec, &mut out);
+        let feedback = CompletionFeedback {
+            finished: outcome.finished,
+            execution: outcome.execution,
+            violations: 0,
+            inputs: 1,
+        };
+        execute.on_complete(outcome.finished, outcome.id, &feedback, &mut out);
+        assert_eq!(execute.completions, 1);
+        execute.on_complete(outcome.finished, outcome.id, &feedback, &mut out);
     }
 }

@@ -10,10 +10,9 @@ use tangram_trace::TraceEvent;
 use tangram_types::ids::CameraId;
 use tangram_types::patch::{Patch, PatchInfo};
 use tangram_types::time::{SimDuration, SimTime};
-use tangram_types::units::Bytes;
 
-struct CameraSlot {
-    source: Box<dyn CameraSource>,
+struct CameraSlot<'a> {
+    source: Box<dyn CameraSource + 'a>,
     /// The source's identity, read once at registration.
     camera: CameraId,
     active: bool,
@@ -22,11 +21,11 @@ struct CameraSlot {
     muted: Vec<(SimTime, SimTime)>,
 }
 
-/// Cameras in, patch arrivals out: every capture is materialised into
-/// wire items, serialised over the shared [`Link`] and scheduled as
-/// [`StreamEvent::PatchArrival`]s.
-pub(crate) struct Ingest {
-    cameras: Vec<CameraSlot>,
+/// Cameras in, patch arrivals out: every captured patch is serialised
+/// over the shared [`Link`] and scheduled as a
+/// [`StreamEvent::PatchArrival`].
+pub(crate) struct Ingest<'a> {
+    cameras: Vec<CameraSlot<'a>>,
     pub(super) link: Link,
     /// ELF re-encodes every patch on its own (its bytes are the trace's
     /// `elf_patch_bytes`); every other policy ships `encoded_size`.
@@ -43,7 +42,7 @@ pub(crate) struct Ingest {
     pub(super) transmission_busy: SimDuration,
 }
 
-impl Ingest {
+impl<'a> Ingest<'a> {
     /// An empty camera table on `config`'s uplink.
     pub(crate) fn new(config: &EngineConfig) -> Self {
         Self {
@@ -67,7 +66,7 @@ impl Ingest {
     /// Registers a camera, dark during `muted`.
     pub(crate) fn add_camera(
         &mut self,
-        source: Box<dyn CameraSource>,
+        source: Box<dyn CameraSource + 'a>,
         muted: Vec<(SimTime, SimTime)>,
     ) {
         self.cameras.push(CameraSlot {
@@ -94,8 +93,7 @@ impl Ingest {
     }
 
     /// Camera `cam` captures its next frame, if it is still online:
-    /// `next_frame` → [`materialize_frame`] → delivery onto the uplink →
-    /// `next_capture`.
+    /// `next_frame` → delivery onto the uplink → `next_capture`.
     pub(crate) fn on_capture(&mut self, now: SimTime, cam: usize, out: &mut Outbox) {
         let slot = &mut self.cameras[cam];
         if !slot.active {
@@ -106,8 +104,7 @@ impl Ingest {
             return;
         };
         let slo = slot.source.slo().unwrap_or(self.default_slo);
-        let arrivals = materialize_frame(&frame, slo, now, self.elf);
-        self.deliver(now, cam, arrivals, out);
+        self.deliver(now, cam, &frame, slo, out);
 
         let uplink_free = self.link.busy_until();
         let slot = &mut self.cameras[cam];
@@ -119,14 +116,17 @@ impl Ingest {
         }
     }
 
-    /// Feeds one captured frame's wire items to the shared uplink,
-    /// scheduling their cloud arrivals. A frame captured inside one of the
-    /// camera's mute windows is counted and lost at the edge.
+    /// Feeds one captured frame to the shared uplink in wire order, one
+    /// patch at a time: re-stamped with the capture instant and `slo`,
+    /// carrying ELF's or the shared encoder's bytes, and scheduled to
+    /// arrive once the link has carried it. A frame captured inside one of
+    /// the camera's mute windows is counted and lost at the edge.
     fn deliver(
         &mut self,
         now: SimTime,
         cam: usize,
-        arrivals: Vec<(Arrival, Bytes)>,
+        frame: &TraceFrame,
+        slo: SimDuration,
         out: &mut Outbox,
     ) {
         self.frames_injected += 1;
@@ -136,40 +136,21 @@ impl Ingest {
             return;
         }
         let ready = now + self.edge_delay;
-        for (arrival, bytes) in arrivals {
-            let delivered = self.link.enqueue(ready, bytes);
-            self.transmission_busy += self.link.config().bandwidth.transmission_time(bytes);
-            out.schedule(delivered, StreamEvent::PatchArrival { arrival });
-        }
-    }
-}
-
-/// Turns one captured frame into the `(Arrival, Bytes)` work items the
-/// engine feeds to the uplink, in wire order: one per patch, re-stamped
-/// with the capture instant and SLO, carrying ELF's or the shared
-/// encoder's bytes.
-fn materialize_frame(
-    frame: &TraceFrame,
-    slo: SimDuration,
-    generated_at: SimTime,
-    elf: bool,
-) -> Vec<(Arrival, Bytes)> {
-    frame
-        .patches
-        .iter()
-        .enumerate()
-        .map(|(i, patch)| {
-            let bytes = if elf {
+        for (i, patch) in frame.patches.iter().enumerate() {
+            let bytes = if self.elf {
                 frame.elf_patch_bytes[i]
             } else {
                 patch.encoded_size
             };
             let info = PatchInfo {
-                generated_at,
+                generated_at: now,
                 slo,
                 ..patch.info
             };
-            (Arrival::Patch(Patch::new(info, bytes)), bytes)
-        })
-        .collect()
+            let delivered = self.link.enqueue(ready, bytes);
+            self.transmission_busy += self.link.config().bandwidth.transmission_time(bytes);
+            let arrival = Arrival::Patch(Patch::new(info, bytes));
+            out.schedule(delivered, StreamEvent::PatchArrival { arrival });
+        }
+    }
 }

@@ -111,36 +111,42 @@ pub trait CameraSource {
     }
 }
 
-/// Replays a pre-built [`CameraTrace`] with the legacy closed-loop
-/// pacing: the next capture waits for both the frame interval and the
-/// shared uplink ("bandwidth simulates the arrival speed of patches").
+/// Replays a pre-built [`CameraTrace`] in place with the legacy
+/// closed-loop pacing: the next capture waits for both the frame interval
+/// and the shared uplink ("bandwidth simulates the arrival speed of
+/// patches").
 #[derive(Debug, Clone)]
-pub struct TraceReplaySource {
-    trace: CameraTrace,
+pub struct TraceReplaySource<'a> {
+    camera: CameraId,
+    frames: &'a [TraceFrame],
     cursor: usize,
 }
 
-impl TraceReplaySource {
-    /// Wraps a trace for replay.
+impl<'a> TraceReplaySource<'a> {
+    /// Replays `trace`, borrowed for the run.
     #[must_use]
-    pub fn new(trace: CameraTrace) -> Self {
-        Self { trace, cursor: 0 }
+    pub fn new(trace: &'a CameraTrace) -> Self {
+        Self {
+            camera: trace.camera,
+            frames: &trace.frames,
+            cursor: 0,
+        }
     }
 }
 
-impl CameraSource for TraceReplaySource {
+impl CameraSource for TraceReplaySource<'_> {
     fn camera(&self) -> CameraId {
-        self.trace.camera
+        self.camera
     }
 
     fn next_frame(&mut self) -> Option<TraceFrame> {
-        let frame = self.trace.frames.get(self.cursor).cloned()?;
+        let frame = self.frames.get(self.cursor).cloned()?;
         self.cursor += 1;
         Some(frame)
     }
 
     fn is_exhausted(&self) -> bool {
-        self.cursor >= self.trace.frames.len()
+        self.cursor >= self.frames.len()
     }
 
     fn next_capture(

@@ -5,10 +5,11 @@ use crate::pool::parallel_map;
 use crate::presets::build_workload;
 use crate::report::{grid_to_value, BenchReport, CellReport};
 use std::collections::BTreeMap;
-use tangram_core::engine::EngineConfig;
+use tangram_core::engine::{EngineConfig, PolicyKind};
 use tangram_core::online::{GeneratedSource, OnlineEngine, Plan, TenantClass};
 use tangram_core::report::RunReport;
 use tangram_core::workload::CameraTrace;
+use tangram_infer::estimator::LatencyEstimator;
 use tangram_sim::rng::DetRng;
 use tangram_trace::TraceLog;
 use tangram_types::time::{SimDuration, SimTime};
@@ -44,42 +45,28 @@ pub fn run_grid_full(grid: &SweepGrid, workers: usize) -> Vec<CellOutcome> {
 /// produced it, and what `keep` returns is collected in grid enumeration
 /// order. What `keep` lets go of is dropped before the worker pulls its
 /// next cell, so a digesting `keep` holds `workers` reports plus the
-/// shared traces at its peak, not one report per cell.
+/// shared inputs at its peak, not one report per cell.
 ///
-/// Two parallel phases: workload traces are built once per unique
-/// `(workload, trace_seed)` pair (cells on the same pair share the exact
-/// same traces — the paired comparison the paper's per-scene tables
-/// need), then cells run against the shared traces. Both phases are
-/// deterministic per item, so the outcome is bit-for-bit identical for
-/// any worker count — including `--workers 1`.
+/// Two parallel phases: [`prepare`] builds what cells share, then cells
+/// run against it, borrowing their traces and copying their latency
+/// profile. Both phases are deterministic per item, so the outcome is
+/// bit-for-bit identical for any worker count — including `--workers 1`.
 fn run_cells<T: Send>(
     grid: &SweepGrid,
     workers: usize,
     keep: impl Fn(CellOutcome) -> T + Sync,
 ) -> Vec<T> {
     let cells = grid.cells();
-
-    let mut trace_keys: Vec<(usize, u64)> = cells
-        .iter()
-        .map(|c| (c.workload_index, c.trace_seed))
-        .collect();
-    trace_keys.sort_unstable();
-    trace_keys.dedup();
-    let built: Vec<Vec<CameraTrace>> =
-        parallel_map(trace_keys.clone(), workers, |_, (workload_index, seed)| {
-            build_workload(&grid.workloads[workload_index], seed)
-        });
-    let traces: BTreeMap<(usize, u64), Vec<CameraTrace>> =
-        trace_keys.into_iter().zip(built).collect();
-
+    let shared = prepare(grid, &cells, workers);
     parallel_map(cells, workers, |_, cell| {
-        let traces = &traces[&(cell.workload_index, cell.trace_seed)];
+        let traces = &shared.traces[&(cell.workload_index, cell.trace_seed)];
         let admission = cell.admission_index.map(|i| &grid.admission[i]);
         let fairness = cell.fairness_index.map(|i| &grid.fairness[i]);
         let mut config = cell.engine_config();
         if let Some(spec) = fairness {
             spec.configure(&mut config);
         }
+        let estimator = shared.estimator(&config);
         let (report, trace) = match cell.scenario_index.map(|i| &grid.scenarios[i]) {
             // Trace replay, with the cell's ingress stages (if any)
             // installed. Replay cells carry no tenant mix, so the fair
@@ -90,16 +77,18 @@ fn run_cells<T: Send>(
                     admission: admission.map(|spec| spec.build(&[])),
                     fair_ingress: fairness.map(|spec| spec.build(&[], cell.slo_s)),
                     trace: grid.capture_traces,
+                    estimator,
                     ..Plan::default()
                 },
             ),
-            Some(scenario) => run_scenario(
+            Some(scenario) => stream_scenario(
                 &config,
                 traces,
                 scenario,
                 admission,
                 fairness,
                 grid.capture_traces,
+                estimator,
             ),
         };
         keep(CellOutcome {
@@ -108,6 +97,70 @@ fn run_cells<T: Send>(
             trace,
         })
     })
+}
+
+/// What a grid's cells share, built once before any of them runs.
+struct Shared {
+    /// The camera traces of each `(workload, trace_seed)` pair: cells on
+    /// the same pair replay the exact same traces — the paired comparison
+    /// the paper's per-scene tables need.
+    traces: BTreeMap<(usize, u64), Vec<CameraTrace>>,
+    /// The Tangram cells' latency profiles, by [`profile_key`].
+    estimators: BTreeMap<(u64, u64), LatencyEstimator>,
+}
+
+impl Shared {
+    /// The profile a cell running `config` receives: a copy of the shared
+    /// one for Tangram, `None` for the policies that read none.
+    fn estimator(&self, config: &EngineConfig) -> Option<LatencyEstimator> {
+        (config.policy == PolicyKind::Tangram)
+            .then(|| self.estimators[&profile_key(config)].clone())
+    }
+}
+
+/// What a grid cell's [`EngineConfig::estimator`] reads that the grid
+/// varies: the engine seed, derived from the `(workload, seed)` pair
+/// alone, and the σ multiplier. The latency model, canvas and function
+/// spec are the defaults in every cell.
+fn profile_key(config: &EngineConfig) -> (u64, u64) {
+    (config.seed, config.sigma_multiplier.to_bits())
+}
+
+/// Phase 1: one parallel job per `(workload, trace_seed)` pair builds the
+/// pair's traces and profiles one latency estimator for each σ multiplier
+/// its Tangram cells run with — none when the grid has no Tangram cell.
+fn prepare(grid: &SweepGrid, cells: &[SweepCell], workers: usize) -> Shared {
+    let mut jobs: BTreeMap<(usize, u64), BTreeMap<(u64, u64), EngineConfig>> = BTreeMap::new();
+    for cell in cells {
+        let profiles = jobs
+            .entry((cell.workload_index, cell.trace_seed))
+            .or_default();
+        if cell.policy == PolicyKind::Tangram {
+            let config = cell.engine_config();
+            profiles.entry(profile_key(&config)).or_insert(config);
+        }
+    }
+    let built = parallel_map(
+        jobs.into_iter().collect(),
+        workers,
+        |_, ((workload_index, seed), profiles)| {
+            let traces = build_workload(&grid.workloads[workload_index], seed);
+            let estimators: Vec<_> = profiles
+                .into_iter()
+                .map(|(key, config)| (key, config.estimator()))
+                .collect();
+            ((workload_index, seed), traces, estimators)
+        },
+    );
+    let mut shared = Shared {
+        traces: BTreeMap::new(),
+        estimators: BTreeMap::new(),
+    };
+    for (pair, traces, estimators) in built {
+        shared.traces.insert(pair, traces);
+        shared.estimators.extend(estimators);
+    }
+    shared
 }
 
 /// Runs one streaming-scenario cell: the cell's traces become per-camera
@@ -130,12 +183,27 @@ pub fn run_scenario(
     fairness: Option<&FairnessSpec>,
     capture: bool,
 ) -> (RunReport, Option<TraceLog>) {
+    stream_scenario(config, traces, scenario, admission, fairness, capture, None)
+}
+
+/// [`run_scenario`] with the Tangram latency profile taken by the caller
+/// (see [`Plan::estimator`]).
+fn stream_scenario(
+    config: &EngineConfig,
+    traces: &[CameraTrace],
+    scenario: &ScenarioSpec,
+    admission: Option<&AdmissionSpec>,
+    fairness: Option<&FairnessSpec>,
+    capture: bool,
+    estimator: Option<LatencyEstimator>,
+) -> (RunReport, Option<TraceLog>) {
     let plan = Plan {
         admission: admission.map(|spec| spec.build(&scenario.tenant_slos_s)),
         fair_ingress: fairness
             .map(|spec| spec.build(&scenario.tenant_slos_s, config.slo.as_secs_f64())),
         faults: scenario.faults.clone(),
         trace: capture,
+        estimator,
     };
     let mut engine = OnlineEngine::new(config, plan);
     let root = DetRng::new(config.seed);
@@ -229,7 +297,6 @@ pub fn run_grid(grid: &SweepGrid, workers: usize) -> BenchReport {
 mod tests {
     use super::*;
     use crate::grid::{TraceKind, WorkloadSpec};
-    use tangram_core::engine::PolicyKind;
     use tangram_types::ids::SceneId;
 
     fn micro_grid() -> SweepGrid {
@@ -352,6 +419,73 @@ mod tests {
         ];
         grid.fairness = vec![drr(false), drr(true)];
         grid
+    }
+
+    /// A sweep profiles one latency estimator per key and hands each
+    /// Tangram cell a copy, so the key must cover every input of the
+    /// profile a lone run would take. Over a grid that varies everything
+    /// the profile could read — seeds, SLOs, σ multipliers, and a fair
+    /// ingress that switches the scheduler's admission-aware mode on and
+    /// off — every Tangram cell receives exactly its own profile, and
+    /// every cell reports what a lone replay that profiles for itself
+    /// reports.
+    #[test]
+    fn every_cell_receives_the_profile_it_would_have_taken() {
+        let drr = |aware: bool| FairnessSpec {
+            weights: vec![1.0],
+            queue_capacity: 64,
+            tick_s: 0.02,
+            quantum: 1.0,
+            admission_aware: aware,
+        };
+        let mut grid = micro_grid();
+        grid.name = "micro_profiles".to_string();
+        grid.seeds = vec![7, 8];
+        grid.slos_s = vec![0.8, 1.5];
+        grid.sigma_multipliers = vec![1.0, 3.0];
+        grid.fairness = vec![drr(false), drr(true)];
+        let cells = grid.cells();
+        assert_eq!(cells.len(), 32);
+        let shared = prepare(&grid, &cells, 2);
+        assert_eq!(shared.estimators.len(), 4, "one profile per seed and σ");
+        let mut expected = Vec::new();
+        for cell in &cells {
+            let fairness = cell.fairness_index.map(|i| &grid.fairness[i]);
+            let mut config = cell.engine_config();
+            if let Some(spec) = fairness {
+                spec.configure(&mut config);
+            }
+            let own = LatencyEstimator::profile(
+                &config.latency_model,
+                config.canvas_size,
+                config.function_spec.max_canvases().max(1),
+                1000,
+                config.sigma_multiplier,
+                config.seed ^ 0x51ac,
+            );
+            assert_eq!(
+                shared.estimator(&config),
+                (cell.policy == PolicyKind::Tangram).then_some(own),
+                "cell {}",
+                cell.index
+            );
+            let traces = build_workload(&grid.workloads[cell.workload_index], cell.trace_seed);
+            let plan = Plan {
+                fair_ingress: fairness.map(|spec| spec.build(&[], cell.slo_s)),
+                ..Plan::default()
+            };
+            expected.push(config.replay(&traces, plan).0.summarize());
+        }
+        for workers in [1, 2] {
+            let report = run_grid(&grid, workers);
+            for (cell, expected) in report.cells.iter().zip(&expected) {
+                assert_eq!(
+                    &cell.metrics, expected,
+                    "cell {}, {workers} workers",
+                    cell.index
+                );
+            }
+        }
     }
 
     /// The benchmark's staged pass compares a run through the

@@ -7,7 +7,11 @@
 //! three times the standard deviation." — §III-C.
 //!
 //! Profiling happens offline, so the estimator is free at scheduling time:
-//! [`LatencyEstimator::slack_for`] is a table lookup.
+//! [`LatencyEstimator::slack_for`] is a table lookup. The profile is a
+//! pure function of its inputs: a single engine run takes it when it
+//! builds its Tangram scheduler, and a sweep takes it once per engine
+//! seed and σ multiplier before any cell runs, handing every cell on that
+//! key a copy.
 
 use crate::latency::InferenceLatencyModel;
 use tangram_sim::rng::DetRng;
@@ -16,7 +20,7 @@ use tangram_types::geometry::Size;
 use tangram_types::time::SimDuration;
 
 /// Offline-profiled conservative execution-time bounds per batch size.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyEstimator {
     canvas: Size,
     /// `(µ, σ)` in seconds and `T_slack = µ + k·σ` rounded once, indexed

@@ -3,7 +3,8 @@
 //! `ServerlessPlatform::submit` to `complete` (and the platform's own
 //! share of it at a warm pool), what one `EventQueue`
 //! push/pop pair costs at a steady population, what placing a tile onto
-//! warm canvases and profiling the latency estimator cost — and the high-water mark
+//! warm canvases and profiling the latency estimator cost, what replaying
+//! a trace costs (it reads the trace in place) — and the high-water mark
 //! of a sweep: `run_grid` holds one cell's records at a time, so its peak
 //! is flat in the cell count. And what a trace record costs: nothing per
 //! record in `emit`, `verify`, `to_jsonl` and `from_jsonl` beyond the
@@ -15,8 +16,10 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use tangram_core::engine::PolicyKind;
+use tangram_core::engine::{EngineConfig, PolicyKind};
+use tangram_core::online::Plan;
 use tangram_core::scheduler::{SchedulerConfig, TangramScheduler};
+use tangram_core::workload::TraceConfig;
 use tangram_harness::{run_grid, run_grid_full, SweepGrid, TraceKind, WorkloadSpec};
 use tangram_infer::estimator::LatencyEstimator;
 use tangram_infer::latency::InferenceLatencyModel;
@@ -26,7 +29,7 @@ use tangram_sim::event::EventQueue;
 use tangram_stitch::solver::Stitching;
 use tangram_trace::{TraceEvent, TraceLog, TraceSink};
 use tangram_types::geometry::{Rect, Size};
-use tangram_types::ids::{CameraId, FrameId, PatchId};
+use tangram_types::ids::{CameraId, FrameId, PatchId, SceneId};
 use tangram_types::patch::PatchInfo;
 use tangram_types::time::{SimDuration, SimTime};
 
@@ -242,6 +245,38 @@ fn profiling_the_estimator_is_one_allocation() {
         ));
     });
     assert_eq!(allocs, 1);
+}
+
+/// `EngineConfig::replay` reads each trace in place: its replay source
+/// borrows the frames and clones one frame per capture — the frame's
+/// patch list and ELF byte list, two allocator calls a frame with
+/// patches — and the uplink takes each patch straight from that frame.
+/// Deep-copying the trace up front and gathering each frame's wire items
+/// into a list made this run 742 calls: 1 + 2 × 40 for the copy's frame
+/// list and its two lists per frame, and 40 lists of wire items. ELF
+/// keeps the Tangram scheduler's debug oracle out of the count, so it is
+/// the same in debug and release.
+#[test]
+fn replaying_a_trace_reads_it_in_place() {
+    let trace = TraceConfig::proxy_extractor(SceneId::new(1), 40, 7).build();
+    let with_patches = trace
+        .frames
+        .iter()
+        .filter(|f| !f.patches.is_empty())
+        .count();
+    let config = EngineConfig {
+        policy: PolicyKind::Elf,
+        seed: 7,
+        ..EngineConfig::default()
+    };
+    let traces = [trace];
+    let mut patches = 0;
+    let allocs = allocations_in(|| {
+        let (report, _) = config.replay(&traces, Plan::default());
+        patches = report.patches.len();
+    });
+    assert_eq!((with_patches, patches), (40, 253));
+    assert_eq!(allocs, 621, "allocator calls replaying 40 frames");
 }
 
 /// Once the lane, the heap and the arena have grown to a population, a

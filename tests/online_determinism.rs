@@ -43,7 +43,7 @@ fn run_streamed(cfg: &EngineConfig, traces: &[CameraTrace]) -> tangram_core::Run
     for (cam, trace) in traces.iter().enumerate() {
         engine.add_camera_at(
             SimTime::ZERO + SimDuration::from_millis(cam as u64),
-            Box::new(TraceReplaySource::new(trace.clone())),
+            Box::new(TraceReplaySource::new(trace)),
         );
     }
     engine.run().0

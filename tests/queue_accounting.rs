@@ -68,11 +68,9 @@ fn queue_depth_signal_counts_tiles_not_arrivals() {
         admission: Some(AdmissionPolicy::QueueDepth { max_queued: 5 }),
         ..Plan::default()
     };
+    let trace = oversized_trace(3);
     let mut engine = OnlineEngine::new(&config, plan);
-    engine.add_camera_at(
-        SimTime::ZERO,
-        Box::new(TraceReplaySource::new(oversized_trace(3))),
-    );
+    engine.add_camera_at(SimTime::ZERO, Box::new(TraceReplaySource::new(&trace)));
     let (report, _) = engine.run();
 
     assert_eq!(
@@ -101,11 +99,9 @@ fn queue_depth_bound_is_exact_in_tile_units() {
         admission: Some(AdmissionPolicy::QueueDepth { max_queued: 9 }),
         ..Plan::default()
     };
+    let trace = oversized_trace(3);
     let mut engine = OnlineEngine::new(&config, plan);
-    engine.add_camera_at(
-        SimTime::ZERO,
-        Box::new(TraceReplaySource::new(oversized_trace(3))),
-    );
+    engine.add_camera_at(SimTime::ZERO, Box::new(TraceReplaySource::new(&trace)));
     let (report, _) = engine.run();
 
     assert_eq!(
