@@ -40,7 +40,7 @@ use crate::admission::{AdmissionPolicy, AdmissionSignals, Admit};
 use crate::engine::{EngineConfig, PolicyKind};
 use crate::fairness::DrrIngress;
 use crate::faults::{mute_windows, FaultKind, FaultSpec};
-use crate::policy::{BatchSpec, PolicyOutput};
+use crate::policy::{Arrival, BatchSpec, PolicyOutput};
 use crate::report::{Account, RunReport};
 use batch::Batch;
 use execute::Execute;
@@ -79,6 +79,12 @@ pub struct Plan {
 
 /// Where a stage's effects go: future events onto the queue, records
 /// into the runtime trace when one is being captured.
+///
+/// The uplink's deliveries are the one producer whose instants never
+/// decrease, so only [`Outbox::schedule_delivery`] may enter the queue's
+/// monotone lane; every other event (camera join / leave, captures,
+/// invoke timers, completions, DRR ticks, fault starts) goes to its heap
+/// through [`Outbox::schedule`] and never parks at the lane's back.
 pub(crate) struct Outbox {
     events: EventQueue<StreamEvent>,
     /// The instant of the last popped event.
@@ -99,7 +105,15 @@ impl Outbox {
     /// wake-up for a missed deadline fires at once, and time never runs
     /// backwards.
     pub(crate) fn schedule(&mut self, at: SimTime, event: StreamEvent) {
-        self.events.push(at.max(self.now), event);
+        self.events.push_unordered(at.max(self.now), event);
+    }
+
+    /// Schedules the uplink's delivery of `arrival` at `at`. The link is
+    /// FIFO store-and-forward, so successive deliveries never go back in
+    /// time and each joins the queue's lane in O(1).
+    pub(crate) fn schedule_delivery(&mut self, at: SimTime, arrival: Arrival) {
+        self.events
+            .push(at.max(self.now), StreamEvent::PatchArrival { arrival });
     }
 
     /// Pops the earliest event and moves "now" to its instant.

@@ -119,8 +119,11 @@ impl<'a> Ingest<'a> {
     /// Feeds one captured frame to the shared uplink in wire order, one
     /// patch at a time: re-stamped with the capture instant and `slo`,
     /// carrying ELF's or the shared encoder's bytes, and scheduled to
-    /// arrive once the link has carried it. A frame captured inside one of
-    /// the camera's mute windows is counted and lost at the edge.
+    /// arrive once the link has carried it. The link is FIFO, so each
+    /// delivery is no earlier than the last one and rides the event
+    /// queue's lane ([`Outbox::schedule_delivery`]). A frame captured
+    /// inside one of the camera's mute windows is counted and lost at the
+    /// edge.
     fn deliver(
         &mut self,
         now: SimTime,
@@ -149,8 +152,7 @@ impl<'a> Ingest<'a> {
             };
             let delivered = self.link.enqueue(ready, bytes);
             self.transmission_busy += self.link.config().bandwidth.transmission_time(bytes);
-            let arrival = Arrival::Patch(Patch::new(info, bytes));
-            out.schedule(delivered, StreamEvent::PatchArrival { arrival });
+            out.schedule_delivery(delivered, Arrival::Patch(Patch::new(info, bytes)));
         }
     }
 }

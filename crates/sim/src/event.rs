@@ -4,65 +4,54 @@
 //! FIFO tie-breaking), which keeps multi-camera simulations reproducible
 //! regardless of map iteration order or float rounding elsewhere.
 //!
-//! # Layout
-//!
-//! The heap itself stores only fixed-size, `Copy`-able *slots*
-//! (`at`, `seq`, and an arena index); payloads live in a side arena
-//! (`Vec<Option<T>>`) with a free list. Sift-up/sift-down during
-//! `push`/`pop` therefore moves 24-byte slots instead of full payloads —
-//! for enum payloads like the engine's `StreamEvent` (which embeds an
-//! `Arrival`), that cuts the bytes shuffled per heap operation by an
-//! order of magnitude. Ordering semantics are unchanged: min on
-//! `(at, seq)`, FIFO on ties.
-//!
 //! # The monotone lane
 //!
-//! A slot pushed at an instant no earlier than the last slot of the
-//! *lane* — a `VecDeque<Slot>` — is appended there instead of entering
-//! the heap. `seq` only grows, so the lane is sorted by `(at, seq)` by
-//! construction and its front is its minimum; `pop` takes whichever of
-//! the lane's front and the heap's top is smaller. A producer whose
-//! instants never decrease (a FIFO uplink's deliveries) therefore costs
-//! O(1) per event however many are pending, and the heap holds only what
-//! was scheduled ahead of it. It is still one queue: one `seq` counter
-//! stamps every slot, so the pop order is exactly the heap-only order.
-//! The worst case — a far-future event sitting at the lane's back, so
-//! everything after it goes to the heap — is the heap-only cost plus one
-//! comparison.
+//! The queue is a binary heap beside a *lane*, a `VecDeque` sorted by
+//! `(at, seq)` by construction. Which of the two an event enters is the
+//! producer's call. [`EventQueue::push`] is for a producer whose instants
+//! never decrease — a FIFO uplink's deliveries: an event no earlier than
+//! the lane's back is appended there in O(1), anything earlier goes to
+//! the heap. [`EventQueue::push_unordered`] is for everything else
+//! (captures, timers, completions) and always goes to the heap, so a
+//! far-future wake-up never parks at the lane's back and turns the
+//! ordered producer's later pushes into heap pushes. Either way it is
+//! one queue: one `seq` counter stamps every push, and `pop` takes the
+//! smaller `(at, seq)` of the lane's front and the heap's top, so the pop
+//! order is exactly the heap-only order. Both hold their payloads
+//! inline: the heap stays small once the ordered producer is in the lane.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use tangram_types::time::SimTime;
 
-#[derive(Clone, Copy)]
-struct Slot {
+struct Entry<T> {
     at: SimTime,
     seq: u64,
-    idx: u32,
+    payload: T,
 }
 
-impl Slot {
+impl<T> Entry<T> {
     /// What the queue orders by: firing time, then insertion order.
     fn key(&self) -> (SimTime, u64) {
         (self.at, self.seq)
     }
 }
 
-impl PartialEq for Slot {
+impl<T> PartialEq for Entry<T> {
     fn eq(&self, other: &Self) -> bool {
         self.key() == other.key()
     }
 }
 
-impl Eq for Slot {}
+impl<T> Eq for Entry<T> {}
 
-impl PartialOrd for Slot {
+impl<T> PartialOrd for Entry<T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Slot {
+impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (then
         // lowest-sequence) entry is the maximum.
@@ -72,12 +61,10 @@ impl Ord for Slot {
 
 /// A min-priority queue of `(SimTime, T)` events with FIFO tie-breaking.
 pub struct EventQueue<T> {
-    heap: BinaryHeap<Slot>,
-    /// Slots pushed in non-decreasing `at` order, hence sorted by
+    heap: BinaryHeap<Entry<T>>,
+    /// Entries pushed in non-decreasing `at` order, hence sorted by
     /// `(at, seq)`; everything else is in `heap`.
-    lane: VecDeque<Slot>,
-    arena: Vec<Option<T>>,
-    free: Vec<u32>,
+    lane: VecDeque<Entry<T>>,
     next_seq: u64,
 }
 
@@ -88,54 +75,43 @@ impl<T> EventQueue<T> {
         Self {
             heap: BinaryHeap::new(),
             lane: VecDeque::new(),
-            arena: Vec::new(),
-            free: Vec::new(),
             next_seq: 0,
         }
     }
 
-    /// Schedules `payload` to fire at `at`.
-    pub fn push(&mut self, at: SimTime, payload: T) {
+    fn entry(&mut self, at: SimTime, payload: T) -> Entry<T> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                self.arena[idx as usize] = Some(payload);
-                idx
-            }
-            None => {
-                let idx = u32::try_from(self.arena.len()).expect("event arena exceeds u32 slots");
-                self.arena.push(Some(payload));
-                idx
-            }
-        };
-        let slot = Slot { at, seq, idx };
+        Entry { at, seq, payload }
+    }
+
+    /// Schedules `payload` to fire at `at`, in O(1) when `at` is no
+    /// earlier than the last instant this producer pushed. Reserve it for
+    /// one producer whose instants never decrease.
+    pub fn push(&mut self, at: SimTime, payload: T) {
+        let entry = self.entry(at, payload);
         if self.lane.back().is_none_or(|back| back.at <= at) {
-            self.lane.push_back(slot);
+            self.lane.push_back(entry);
         } else {
-            self.heap.push(slot);
+            self.heap.push(entry);
         }
+    }
+
+    /// Schedules `payload` to fire at `at`, in any order relative to
+    /// earlier pushes, without occupying the lane.
+    pub fn push_unordered(&mut self, at: SimTime, payload: T) {
+        let entry = self.entry(at, payload);
+        self.heap.push(entry);
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        let slot = match (self.lane.front(), self.heap.peek()) {
+        let entry = match (self.lane.front(), self.heap.peek()) {
             (Some(lane), Some(heap)) if heap.key() < lane.key() => self.heap.pop(),
             (Some(_), _) => self.lane.pop_front(),
             (None, _) => self.heap.pop(),
         }?;
-        let payload = self.arena[slot.idx as usize]
-            .take()
-            .expect("event arena slot already vacated");
-        self.free.push(slot.idx);
-        Some((slot.at, payload))
-    }
-
-    /// The firing time of the earliest event without removing it.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let fronts = self.lane.front().into_iter().chain(self.heap.peek());
-        fronts.map(|slot| slot.at).min()
+        Some((entry.at, entry.payload))
     }
 
     /// Number of pending events.
@@ -149,14 +125,6 @@ impl<T> EventQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty() && self.lane.is_empty()
     }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.lane.clear();
-        self.arena.clear();
-        self.free.clear();
-    }
 }
 
 impl<T> Default for EventQueue<T> {
@@ -169,7 +137,6 @@ impl<T> std::fmt::Debug for EventQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("pending", &self.len())
-            .field("next_at", &self.peek_time())
             .finish()
     }
 }
@@ -196,7 +163,11 @@ mod tests {
     fn ties_pop_fifo() {
         let mut q = EventQueue::new();
         for i in 0..100u32 {
-            q.push(t(42), i);
+            if i % 3 == 0 {
+                q.push_unordered(t(42), i);
+            } else {
+                q.push(t(42), i);
+            }
         }
         let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
@@ -214,18 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.push(t(7), ());
-        assert_eq!(q.peek_time(), Some(t(7)));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
     fn debug_shows_pending() {
         let mut q = EventQueue::new();
         q.push(t(1), 0u8);
@@ -233,25 +192,20 @@ mod tests {
         assert!(s.contains("pending: 1"), "unexpected debug output: {s}");
     }
 
+    /// A far-future wake-up pushed first must not push an ordered
+    /// producer's events into the heap.
     #[test]
-    fn arena_slots_are_recycled() {
+    fn an_unordered_push_never_blocks_the_lane() {
         let mut q = EventQueue::new();
-        // Interleave pushes and pops so freed arena slots get reused;
-        // the arena must never grow beyond the peak live population.
-        for round in 0..10u64 {
-            for i in 0..8u64 {
-                q.push(t(round * 100 + i), round * 8 + i);
-            }
-            for _ in 0..8 {
-                q.pop();
-            }
+        q.push_unordered(t(u64::MAX / 2), u64::MAX);
+        for i in 0..1_000u64 {
+            q.push(t(i), i);
         }
-        assert!(q.is_empty());
-        assert!(
-            q.arena.len() <= 8,
-            "arena grew to {} slots for 8 live events",
-            q.arena.len()
-        );
+        assert_eq!((q.lane.len(), q.heap.len()), (1_000, 1));
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
+        assert_eq!(order.len(), 1_001);
+        assert!(order[..1_000].iter().copied().eq(0..1_000));
+        assert_eq!(order[1_000], u64::MAX);
     }
 
     /// The queue next to the reference it must be indistinguishable from:
@@ -261,13 +215,20 @@ mod tests {
         queue: EventQueue<u64>,
         reference: BinaryHeap<std::cmp::Reverse<(SimTime, u64)>>,
         pushed: u64,
-        /// Steps that found slots in the lane and in the heap at once.
+        /// Steps that found entries in the lane and in the heap at once.
         both_lanes_live: usize,
+        /// Steps whose lane front and heap top fired at the same instant
+        /// with the heap's pushed first: only `seq` orders them.
+        ties_heap_first: usize,
     }
 
     impl AgainstReference {
-        fn push(&mut self, at: SimTime) {
-            self.queue.push(at, self.pushed);
+        fn push(&mut self, at: SimTime, ordered: bool) {
+            if ordered {
+                self.queue.push(at, self.pushed);
+            } else {
+                self.queue.push_unordered(at, self.pushed);
+            }
             self.reference.push(std::cmp::Reverse((at, self.pushed)));
             self.pushed += 1;
             self.check();
@@ -280,19 +241,14 @@ mod tests {
             expected.is_some()
         }
 
-        fn clear(&mut self) {
-            self.queue.clear();
-            self.reference.clear();
-            self.check();
-        }
-
         fn check(&mut self) {
             assert_eq!(self.queue.len(), self.reference.len());
             assert_eq!(self.queue.is_empty(), self.reference.is_empty());
-            let next = self.reference.peek().map(|r| r.0 .0);
-            assert_eq!(self.queue.peek_time(), next);
-            let (lane, heap) = (&self.queue.lane, &self.queue.heap);
-            self.both_lanes_live += usize::from(!lane.is_empty() && !heap.is_empty());
+            let (lane, heap) = (self.queue.lane.front(), self.queue.heap.peek());
+            if let (Some(lane), Some(heap)) = (lane, heap) {
+                self.both_lanes_live += 1;
+                self.ties_heap_first += usize::from(heap.at == lane.at && heap.seq < lane.seq);
+            }
         }
     }
 
@@ -304,39 +260,43 @@ mod tests {
             reference: BinaryHeap::new(),
             pushed: 0,
             both_lanes_live: 0,
+            ties_heap_first: 0,
         };
         // A far-future sentinel pushed first parks at the lane's back:
-        // until it pops, every later push is a heap push.
-        pair.push(t(u64::MAX / 2));
+        // until it pops, every later ordered push is a heap push.
+        pair.push(t(u64::MAX / 2), true);
         let (mut now, mut link) = (0u64, 2_000_000u64);
         for step in 0..12_000 {
             if step == 4_000 {
-                pair.clear();
-                // Strictly decreasing instants: the first opens the lane,
-                // the rest can only go to the heap.
+                // Strictly decreasing instants: at most the first opens
+                // the lane, the rest can only go to the heap.
                 for k in 0..500 {
-                    pair.push(t(1_000_000 - k));
+                    pair.push(t(1_000_000 - k), true);
                 }
             }
             if step == 8_000 {
                 while pair.pop() {}
             }
-            match rng.index(6) {
+            match rng.index(8) {
                 0 | 1 => {
                     pair.pop();
                 }
                 // Equal-instant ties, in and out of the lane.
-                2 => pair.push(t(now)),
-                3 => pair.push(t(now + rng.index(4) as u64)),
+                2 => pair.push(t(now), true),
+                3 => pair.push(t(now + rng.index(4) as u64), false),
                 // A FIFO producer far ahead of everything else: its
-                // instants never decrease, so it owns the lane.
+                // instants never decrease, so it owns the lane — and
+                // unordered pushes at its instants tie with it.
                 4 => {
                     link += rng.index(3) as u64;
-                    pair.push(t(link));
+                    pair.push(t(link), true);
                 }
+                5 => pair.push(t(link + rng.index(2) as u64), false),
+                // Far-future wake-ups, which must not block the lane.
+                6 => pair.push(t(link + 1_000_000 + rng.index(1_000) as u64), false),
                 _ => {
                     now += rng.index(40) as u64;
-                    pair.push(t(now + 1_000));
+                    pair.push(t(now + 1_000), false);
                 }
             }
         }
@@ -347,6 +307,11 @@ mod tests {
             "the run must exercise the merge of both fronts, did so {} times",
             pair.both_lanes_live
         );
+        assert!(
+            pair.ties_heap_first > 100,
+            "the run must tie a lane entry with an earlier heap entry, did so {} times",
+            pair.ties_heap_first
+        );
     }
 
     #[test]
@@ -355,7 +320,8 @@ mod tests {
         q.push(t(10), "a");
         q.push(t(20), "b");
         assert_eq!(q.pop().unwrap().1, "a");
-        // Slot for "a" is free now; this push reuses it.
+        // Earlier than the lane's back: "c" goes to the heap and still
+        // pops first.
         q.push(t(5), "c");
         q.push(t(20), "d");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
