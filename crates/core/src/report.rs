@@ -243,28 +243,18 @@ impl RunReport {
     /// scenario is where the rows diverge.
     #[must_use]
     pub fn tenant_breakdown(&self) -> Vec<TenantSummary> {
-        fn row(rows: &mut Vec<TenantSummary>, slo: SimDuration) -> usize {
-            let slo_s = slo.as_secs_f64();
-            match rows.binary_search_by(|r| r.slo_s.partial_cmp(&slo_s).expect("finite SLO")) {
-                Ok(at) => at,
-                Err(at) => {
-                    let fresh = TenantSummary {
-                        slo_s,
-                        ..TenantSummary::default()
-                    };
-                    rows.insert(at, fresh);
-                    at
-                }
-            }
-        }
-        let mut rows: Vec<TenantSummary> = Vec::new();
+        let mut rows = Vec::new();
         for p in &self.patches {
             let at = row(&mut rows, p.slo);
             rows[at].patches += 1;
-            if p.violated() {
-                rows[at].violations += 1;
-            }
+            rows[at].violations += u64::from(p.violated());
         }
+        self.ingress_rows(rows)
+    }
+
+    /// Adds the ingress's per-class drops, peaks and admissions to the
+    /// completions tallied in `rows`.
+    fn ingress_rows(&self, mut rows: Vec<TenantSummary>) -> Vec<TenantSummary> {
         for &(slo, dropped) in &self.dropped_by_slo {
             let at = row(&mut rows, slo);
             rows[at].dropped += dropped;
@@ -291,9 +281,18 @@ impl RunReport {
         let mut violations = 0u64;
         let mut latency_sum = 0.0;
         let mut micros = Vec::with_capacity(n);
+        // `tenant_breakdown`'s rows, counted here; a run of patches of one
+        // class (the common case) reuses its row without a search.
+        let (mut tenants, mut last) = (Vec::new(), (None, 0));
         for p in &self.patches {
             let latency = p.latency();
-            violations += u64::from(p.violated());
+            let violated = u64::from(p.violated());
+            if last.0 != Some(p.slo) {
+                last = (Some(p.slo), row(&mut tenants, p.slo));
+            }
+            tenants[last.1].patches += 1;
+            tenants[last.1].violations += violated;
+            violations += violated;
             latency_sum += latency.as_secs_f64();
             micros.push(latency.as_micros());
         }
@@ -314,7 +313,7 @@ impl RunReport {
             batches: self.batches.len() as u64,
             violations,
             dropped_arrivals: self.dropped_arrivals,
-            tenants: self.tenant_breakdown(),
+            tenants: self.ingress_rows(tenants),
             slo_attainment: 1.0 - violations as f64 / per_patch,
             mean_latency_s: SimDuration::from_secs_f64(latency_sum / per_patch).as_secs_f64(),
             p50_latency_s: p50.as_secs_f64(),
@@ -333,6 +332,23 @@ impl RunReport {
             } else {
                 0.0
             },
+        }
+    }
+}
+
+/// The index of `slo`'s row in `rows` (ascending by SLO), inserting an
+/// empty row when the class is new.
+fn row(rows: &mut Vec<TenantSummary>, slo: SimDuration) -> usize {
+    let slo_s = slo.as_secs_f64();
+    match rows.binary_search_by(|r| r.slo_s.partial_cmp(&slo_s).expect("finite SLO")) {
+        Ok(at) => at,
+        Err(at) => {
+            let fresh = TenantSummary {
+                slo_s,
+                ..TenantSummary::default()
+            };
+            rows.insert(at, fresh);
+            at
         }
     }
 }

@@ -25,7 +25,6 @@
 
 use crate::policy::{Arrival, BatchSpec, BatchingPolicy, PolicyOutput};
 use tangram_infer::estimator::LatencyEstimator;
-use tangram_stitch::canvas::Canvas;
 use tangram_stitch::solver::{split_to_fit, PatchStitchingSolver, Stitching};
 use tangram_types::geometry::Size;
 use tangram_types::patch::PatchInfo;
@@ -260,9 +259,8 @@ impl TangramScheduler {
     fn take_batch(&mut self) -> BatchSpec {
         let next_queue = Vec::with_capacity(self.queue.len());
         let patches = std::mem::replace(&mut self.queue, next_queue);
-        let canvases = self.stitching.canvases();
-        let inputs = canvases.len();
-        let canvas_efficiencies = canvases.iter().map(Canvas::efficiency).collect();
+        let inputs = self.open_canvases();
+        let canvas_efficiencies = self.stitching.efficiencies().collect();
         self.stitching.close();
         self.invoke_by = None;
         self.deadlines = None;

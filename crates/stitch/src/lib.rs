@@ -33,4 +33,4 @@ pub mod solver;
 
 pub use canvas::{Canvas, PlacedPatch};
 pub use packer::{GuillotinePacker, Packer, ShelfPacker, SkylinePacker};
-pub use solver::{PatchStitchingSolver, StitchError, Stitching};
+pub use solver::{Fit, PatchStitchingSolver, StitchError, Stitching};

@@ -60,28 +60,35 @@ impl GuillotinePacker {
         }
     }
 
-    /// Read-only probe: would [`Packer::insert`] place a `size`-shaped
-    /// patch? An insert that answers `None` returns before it touches the
-    /// free list, so asking first and inserting later see the same packer.
+    /// Read-only probe: would [`Packer::insert`] place a `size`-shaped patch?
     #[must_use]
     pub fn fits(&self, size: Size) -> bool {
-        !size.is_empty() && self.bound.fits(size) && self.free.iter().any(|c| c.size().fits(size))
+        self.best_fit(size).is_some()
     }
-}
 
-impl Packer for GuillotinePacker {
-    fn insert(&mut self, size: Size) -> Option<Point> {
+    /// The free-list index [`Packer::insert`] places a `size`-shaped patch
+    /// at: the first free rectangle minimising `min(w_c − w_i, h_c − h_i)`
+    /// (best short side fit, line 30). One branch-free pass: a misfit's key
+    /// is `u64::MAX`, a fit's its leftover above its index.
+    #[must_use]
+    pub fn best_fit(&self, size: Size) -> Option<usize> {
         if size.is_empty() || !self.bound.fits(size) {
             return None;
         }
-        // Best short side fit: minimise min(wc - wi, hc - hi) (line 30).
-        let (idx, _) = self
-            .free
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.size().fits(size))
-            .min_by_key(|(_, c)| (c.width - size.width).min(c.height - size.height))?;
-        let cell = self.free.swap_remove(idx);
+        let key = self.free.iter().enumerate().fold(u64::MAX, |best, (i, c)| {
+            let w = c.width.wrapping_sub(size.width);
+            let h = c.height.wrapping_sub(size.height);
+            let key = (u64::from(w.min(h)) << 32) | i as u64;
+            best.min(if c.size().fits(size) { key } else { u64::MAX })
+        });
+        (key != u64::MAX).then_some(key as u32 as usize)
+    }
+
+    /// Places a `size`-shaped patch at free rectangle `slot`,
+    /// [`Self::best_fit`]'s answer, and returns its top-left corner.
+    pub(crate) fn place(&mut self, size: Size, slot: usize) -> Point {
+        let cell = self.free.swap_remove(slot);
+        assert!(cell.size().fits(size), "slot {slot} does not hold {size}");
         let origin = cell.origin();
         // Remaining space after placing at the corner: a right strip of
         // (W−w) × ? and a bottom strip of ? × (H−h). Splitting "on the
@@ -117,7 +124,14 @@ impl Packer for GuillotinePacker {
             });
         }
         self.used += size.area();
-        Some(origin)
+        origin
+    }
+}
+
+impl Packer for GuillotinePacker {
+    fn insert(&mut self, size: Size) -> Option<Point> {
+        let slot = self.best_fit(size)?;
+        Some(self.place(size, slot))
     }
 
     fn reset(&mut self) {

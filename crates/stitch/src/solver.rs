@@ -113,13 +113,20 @@ impl Stitching {
         &self.canvases[..self.open]
     }
 
-    /// Read-only probe: the open canvas a `size`-shaped patch lands on —
-    /// the oldest whose packer fits it — or `None` when it opens a new one.
+    /// The open canvases' [`Canvas::efficiency`], read off their packers.
+    pub fn efficiencies(&self) -> impl Iterator<Item = f64> + '_ {
+        self.packers[..self.open].iter().map(Packer::efficiency)
+    }
+
+    /// Read-only probe: where a `size`-shaped patch lands — the oldest
+    /// open canvas whose packer fits it, at its best short-side fit — or
+    /// `None` when it opens a new one.
     #[must_use]
-    pub fn fitting(&self, size: Size) -> Option<usize> {
+    pub fn fitting(&self, size: Size) -> Option<Fit> {
         self.packers[..self.open]
             .iter()
-            .position(|packer| packer.fits(size))
+            .enumerate()
+            .find_map(|(canvas, p)| p.best_fit(size).map(|slot| Fit { canvas, slot }))
     }
 
     /// Stitches one patch: onto the oldest open canvas whose packer
@@ -133,7 +140,7 @@ impl Stitching {
         self.push_at(patch, self.fitting(patch.rect.size()))
     }
 
-    /// [`Self::push`] onto `at`, [`Self::fitting`]'s answer for the patch.
+    /// [`Self::push`] at `at`, [`Self::fitting`]'s answer: no second search.
     ///
     /// # Errors
     ///
@@ -142,8 +149,8 @@ impl Stitching {
     ///
     /// # Panics
     ///
-    /// If `at` is not an open canvas with room for the patch.
-    pub fn push_at(&mut self, patch: PatchInfo, at: Option<usize>) -> Result<(), StitchError> {
+    /// If `at` is not an open canvas's free slot with room for the patch.
+    pub fn push_at(&mut self, patch: PatchInfo, at: Option<Fit>) -> Result<(), StitchError> {
         let size = patch.rect.size();
         if size.is_empty() {
             return Err(StitchError::EmptyPatch { patch: size });
@@ -155,18 +162,17 @@ impl Stitching {
             });
         }
         debug_assert_eq!(at, self.fitting(size), "not the probe's answer");
-        let index = at.unwrap_or(self.open);
-        if index == self.canvases.len() {
+        // A new canvas's one free rectangle, slot 0, is the whole canvas.
+        let (canvas, slot) = at.map_or((self.open, 0), |fit| (fit.canvas, fit.slot));
+        if canvas == self.canvases.len() {
             // No closed canvas left to reopen: make one.
             let id = CanvasId::new(self.open as u64);
             self.packers.push(GuillotinePacker::new(self.canvas_size));
             self.canvases.push(Canvas::new(id, self.canvas_size));
         }
         self.open += usize::from(at.is_none());
-        let pos = self.packers[..self.open][index]
-            .insert(size)
-            .expect("the probe found room, or the canvas is empty");
-        self.canvases[index].place(patch, pos);
+        let pos = self.packers[..self.open][canvas].place(size, slot);
+        self.canvases[canvas].place(patch, pos);
         Ok(())
     }
 
@@ -188,6 +194,15 @@ impl Stitching {
         self.canvases.truncate(self.open);
         self.canvases
     }
+}
+
+/// Where [`Stitching::fitting`] lands a patch on the open canvases.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fit {
+    /// The open canvas, counted from the oldest.
+    pub canvas: usize,
+    /// Its free-list index there, [`GuillotinePacker::best_fit`]'s answer.
+    pub slot: usize,
 }
 
 /// Multi-canvas stitching of a whole queue at once: a fresh [`Stitching`]
@@ -257,25 +272,6 @@ impl PatchStitchingSolver {
     }
 }
 
-/// Placement helper shared by tests: validates the canvases of a stitch.
-#[doc(hidden)]
-pub fn validate_canvases(canvases: &[Canvas]) {
-    for canvas in canvases {
-        let bounds = Rect::from_size(canvas.size);
-        let rects: Vec<Rect> = canvas
-            .placements
-            .iter()
-            .map(crate::canvas::PlacedPatch::canvas_rect)
-            .collect();
-        for (i, r) in rects.iter().enumerate() {
-            assert!(bounds.contains_rect(r), "placement {r} escapes canvas");
-            for o in &rects[..i] {
-                assert!(!r.intersects(o), "overlap {r} vs {o}");
-            }
-        }
-    }
-}
-
 /// Returns the canvas position of a patch, if present.
 #[must_use]
 pub fn find_placement(canvases: &[Canvas], patch: &PatchInfo) -> Option<(CanvasId, Point)> {
@@ -297,6 +293,24 @@ mod tests {
 
     fn solver() -> PatchStitchingSolver {
         PatchStitchingSolver::new(CANVAS)
+    }
+
+    /// Asserts every placement lies inside its canvas and overlaps no other.
+    fn validate_canvases(canvases: &[Canvas]) {
+        for canvas in canvases {
+            let bounds = Rect::from_size(canvas.size);
+            let rects: Vec<Rect> = canvas
+                .placements
+                .iter()
+                .map(crate::canvas::PlacedPatch::canvas_rect)
+                .collect();
+            for (i, r) in rects.iter().enumerate() {
+                assert!(bounds.contains_rect(r), "placement {r} escapes canvas");
+                for o in &rects[..i] {
+                    assert!(!r.intersects(o), "overlap {r} vs {o}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -401,10 +415,13 @@ mod tests {
             let p = patch(u64::from(i), 90 + (i * 131) % 800, 60 + (i * 71) % 900);
             let (before, fitting) = (open.canvases().to_vec(), open.fitting(p.rect.size()));
             open.push(p).unwrap();
-            let landed = fitting.unwrap_or(before.len());
+            let landed = fitting.map_or(before.len(), |fit| fit.canvas);
             assert_eq!(open.canvases().len(), before.len().max(landed + 1));
             let placements = open.canvases()[landed].placements.last();
             assert_eq!(placements.map(|placed| placed.patch), Some(p));
+            let efficiencies: Vec<u64> = open.efficiencies().map(f64::to_bits).collect();
+            let summed = open.canvases().iter().map(|c| c.efficiency().to_bits());
+            assert_eq!(efficiencies, summed.collect::<Vec<_>>(), "after patch {i}");
         }
         assert!(open.canvases().len() > 3);
         validate_canvases(open.canvases());

@@ -202,16 +202,22 @@ struct FreeListPacker {
 }
 
 impl FreeListPacker {
+    /// The short-side leftover of each free rectangle that holds `size`,
+    /// with its index.
+    fn leftovers(&self, size: Size) -> impl Iterator<Item = (usize, u32)> + Clone + '_ {
+        let fitting = self.free.iter().enumerate();
+        let fitting = fitting.filter(move |(_, c)| !size.is_empty() && c.size().fits(size));
+        fitting.map(move |(i, c)| (i, (c.width - size.width).min(c.height - size.height)))
+    }
+
+    /// The best short side fit: `min_by_key` keeps the first minimum.
+    fn best_fit(&self, size: Size) -> Option<usize> {
+        let (idx, _) = self.leftovers(size).min_by_key(|&(_, leftover)| leftover)?;
+        Some(idx)
+    }
+
     fn insert(&mut self, size: Size) -> Option<Point> {
-        if size.is_empty() {
-            return None;
-        }
-        let (idx, _) = self
-            .free
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.size().fits(size))
-            .min_by_key(|(_, c)| (c.width - size.width).min(c.height - size.height))?;
+        let idx = self.best_fit(size)?;
         let cell = self.free.swap_remove(idx);
         let (rem_w, rem_h) = (cell.width - size.width, cell.height - size.height);
         let (c1, c2) = if rem_w <= rem_h {
@@ -234,17 +240,21 @@ impl FreeListPacker {
 /// The scheduler places each tile where `Stitching::fitting` stopped, so
 /// that answer must be the canvas the loop `Stitching::push` used to run
 /// picks — `insert` on each open canvas in turn, a new canvas if none
-/// accepts — and a packer's fit bound must never refuse a tile its free
-/// list holds. Beside the stitching, the test keeps every canvas twice:
-/// a shipped packer and a bound-free copy of its free list. Streams mix
-/// exact fits, canvas-sized tiles, 1-px slivers and tiled oversized
-/// patches, and close the stitching at random to reopen its canvases.
+/// accepts — and the free slot `min_by_key` picks there, the first of
+/// the rectangles that tie on the short-side leftover. A packer's fit
+/// bound must never refuse a tile its free list holds. Beside the
+/// stitching, the test keeps every canvas twice: a shipped packer and a
+/// bound-free copy of its free list. Streams mix exact fits (128-aligned
+/// tiles, whose leftovers tie), canvas-sized tiles, 1-px slivers and tiled
+/// oversized patches, and close the stitching at random to reopen its
+/// canvases.
 #[test]
 fn the_stitching_probe_is_the_first_fit_of_the_free_lists() {
     const CANVAS: Size = Size::CANVAS_1024;
     let mut stitching = Stitching::new(CANVAS);
     let mut open: Vec<(GuillotinePacker, FreeListPacker)> = Vec::new();
     let (mut onto_open, mut opened, mut closes, mut bound_refusals) = (0usize, 0usize, 0, 0usize);
+    let mut ties = 0usize;
     for case in 0..CASES {
         let mut rng = case_rng("stitching_probe", case);
         for step in 0..(1 + rng.index(150)) {
@@ -280,12 +290,16 @@ fn the_stitching_probe_is_the_first_fit_of_the_free_lists() {
                 }
                 let first_fit = open
                     .iter()
-                    .position(|(_, free_list)| free_list.clone().insert(size).is_some());
-                assert_eq!(
-                    stitching.fitting(size),
-                    first_fit,
-                    "case {case} step {step}"
-                );
+                    .enumerate()
+                    .find_map(|(canvas, (_, free_list))| Some((canvas, free_list.best_fit(size)?)));
+                let fit = stitching.fitting(size).map(|fit| (fit.canvas, fit.slot));
+                assert_eq!(fit, first_fit, "case {case} step {step}");
+                if let Some((canvas, _)) = first_fit {
+                    let leftovers = open[canvas].1.leftovers(size).map(|(_, l)| l);
+                    let least = leftovers.clone().min();
+                    ties += usize::from(leftovers.filter(|&l| Some(l) == least).count() > 1);
+                }
+                let first_fit = first_fit.map(|(canvas, _)| canvas);
                 let patch = patch_info(step, tile);
                 stitching.push(patch).expect("tiles fit");
                 let at = first_fit.unwrap_or_else(|| {
@@ -315,9 +329,9 @@ fn the_stitching_probe_is_the_first_fit_of_the_free_lists() {
         }
     }
     assert!(
-        onto_open > 2_000 && opened > 1_000 && closes > 100 && bound_refusals > 20_000,
+        onto_open > 2_000 && opened > 1_000 && closes > 100 && bound_refusals > 20_000 && ties > 20,
         "{onto_open} onto open canvases, {opened} opened, {closes} closes, \
-         {bound_refusals} refused by the bound"
+         {bound_refusals} refused by the bound, {ties} probes with tied leftovers"
     );
 }
 
