@@ -22,6 +22,13 @@ use tangram_types::geometry::Size;
 use tangram_types::patch::PatchInfo;
 use tangram_types::time::{SimDuration, SimTime};
 
+/// The model input Clipper and MArk resize or pad every patch to.
+const INPUT_SIZE: Size = Size::CANVAS_1024;
+
+/// Clipper's estimated execution headroom per queued input when checking
+/// the safety valve (a coarse, Clipper-style latency budget).
+const CLIPPER_PER_INPUT_BUDGET: SimDuration = SimDuration::from_millis(60);
+
 /// ELF's minimum model input: tiny crops are letterboxed to 320×320, so
 /// every request pays a realistic minimum resolution.
 pub const ELF_MIN_INPUT_MEGAPIXELS: f64 = 0.1024;
@@ -58,13 +65,8 @@ impl BatchingPolicy for ElfPolicy {
 /// oldest queued patch.
 #[derive(Debug)]
 pub struct ClipperPolicy {
-    /// Model input resolution each patch is resized/padded to.
-    pub input_size: Size,
     /// Upper bound on the batch size (the platform's GPU limit).
-    pub max_batch: usize,
-    /// Estimated execution headroom required per input when checking the
-    /// safety valve (a coarse, Clipper-style latency budget).
-    pub per_input_budget: SimDuration,
+    max_batch: usize,
     batch_size: usize,
     queue: Vec<PatchInfo>,
 }
@@ -74,9 +76,7 @@ impl ClipperPolicy {
     #[must_use]
     pub fn new(max_batch: usize) -> Self {
         Self {
-            input_size: Size::CANVAS_1024,
             max_batch: max_batch.max(1),
-            per_input_budget: SimDuration::from_millis(60),
             batch_size: 1,
             queue: Vec::new(),
         }
@@ -93,7 +93,7 @@ impl ClipperPolicy {
         let patches: Vec<PatchInfo> = self.queue.drain(..n).collect();
         BatchSpec {
             inputs: patches.len(),
-            megapixels: padded_inputs_megapixels(patches.len(), self.input_size),
+            megapixels: padded_inputs_megapixels(patches.len(), INPUT_SIZE),
             patches,
             canvas_efficiencies: Vec::new(),
         }
@@ -101,7 +101,7 @@ impl ClipperPolicy {
 
     fn safety_deadline(&self, queued: usize) -> SimDuration {
         // Conservative execution estimate for the queue as one batch.
-        self.per_input_budget * queued.max(1) as u64
+        CLIPPER_PER_INPUT_BUDGET * queued.max(1) as u64
     }
 }
 
@@ -165,12 +165,10 @@ impl BatchingPolicy for ClipperPolicy {
 /// first patch in the queue.
 #[derive(Debug)]
 pub struct MarkPolicy {
-    /// Model input resolution each patch is padded to.
-    pub input_size: Size,
     /// Batch size cap.
-    pub max_batch: usize,
+    max_batch: usize,
     /// Timeout from the first queued patch.
-    pub timeout: SimDuration,
+    timeout: SimDuration,
     queue: Vec<PatchInfo>,
     first_arrival: Option<SimTime>,
 }
@@ -181,7 +179,6 @@ impl MarkPolicy {
     #[must_use]
     pub fn new(max_batch: usize, timeout: SimDuration) -> Self {
         Self {
-            input_size: Size::CANVAS_1024,
             max_batch: max_batch.max(1),
             timeout,
             queue: Vec::new(),
@@ -194,7 +191,7 @@ impl MarkPolicy {
         let patches = std::mem::take(&mut self.queue);
         BatchSpec {
             inputs: patches.len(),
-            megapixels: padded_inputs_megapixels(patches.len(), self.input_size),
+            megapixels: padded_inputs_megapixels(patches.len(), INPUT_SIZE),
             patches,
             canvas_efficiencies: Vec::new(),
         }

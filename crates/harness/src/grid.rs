@@ -321,13 +321,6 @@ pub struct SweepGrid {
     pub sigma_multipliers: Vec<f64>,
     /// Workload axis.
     pub workloads: Vec<WorkloadSpec>,
-    /// MArk's per-bandwidth timeout lookup `(bandwidth_mbps, timeout_s)`;
-    /// cells at unlisted bandwidths fall back to the engine default
-    /// (half the SLO).
-    pub mark_timeouts_s: Vec<(f64, f64)>,
-    /// Camera frame-rate override for every cell (`None` = engine
-    /// default).
-    pub max_fps: Option<f64>,
     /// Backend instance-cap override for every cell. The outer `None`
     /// keeps the engine default; `Some(None)` means unlimited scale-out.
     pub max_instances: Option<Option<usize>>,
@@ -363,8 +356,6 @@ impl SweepGrid {
             bandwidths_mbps: Vec::new(),
             sigma_multipliers: vec![3.0],
             workloads: Vec::new(),
-            mark_timeouts_s: Vec::new(),
-            max_fps: None,
             max_instances: None,
             scenarios: Vec::new(),
             admission: Vec::new(),
@@ -436,9 +427,6 @@ impl SweepGrid {
                                                     "harness-engine",
                                                     workload_index as u64,
                                                 ),
-                                                mark_timeout_s: self
-                                                    .mark_timeout_for(bandwidth_mbps),
-                                                max_fps: self.max_fps,
                                                 max_instances: self.max_instances,
                                             });
                                         }
@@ -452,16 +440,15 @@ impl SweepGrid {
         }
         cells
     }
-
-    /// The MArk timeout configured for `bandwidth_mbps`, if any.
-    #[must_use]
-    pub fn mark_timeout_for(&self, bandwidth_mbps: f64) -> Option<f64> {
-        self.mark_timeouts_s
-            .iter()
-            .find(|(bw, _)| (*bw - bandwidth_mbps).abs() < 1e-9)
-            .map(|(_, t)| *t)
-    }
 }
+
+/// MArk's per-bandwidth timeout `(bandwidth_mbps, timeout_s)` ("an
+/// appropriate timeout for each bandwidth setting", §V-A): fixed per
+/// bandwidth, unaware of the SLO, which is exactly the knob-tuning burden
+/// Tangram removes. A cell at an unlisted bandwidth leaves
+/// [`EngineConfig::mark_timeout`] `None`, so the engine falls back to
+/// half the SLO.
+const MARK_TIMEOUTS_S: [(f64, f64); 3] = [(20.0, 0.55), (40.0, 0.45), (80.0, 0.35)];
 
 /// One fully-resolved cell of a [`SweepGrid`].
 #[derive(Debug, Clone, PartialEq)]
@@ -491,10 +478,6 @@ pub struct SweepCell {
     pub trace_seed: u64,
     /// Derived seed for the engine's stochastic substrates.
     pub engine_seed: u64,
-    /// MArk timeout for this cell's bandwidth, seconds.
-    pub mark_timeout_s: Option<f64>,
-    /// Frame-rate override.
-    pub max_fps: Option<f64>,
     /// Instance-cap override.
     pub max_instances: Option<Option<usize>>,
 }
@@ -508,13 +491,13 @@ impl SweepCell {
             slo: SimDuration::from_secs_f64(self.slo_s),
             bandwidth_mbps: self.bandwidth_mbps,
             sigma_multiplier: self.sigma_multiplier,
-            mark_timeout: self.mark_timeout_s.map(SimDuration::from_secs_f64),
+            mark_timeout: MARK_TIMEOUTS_S
+                .iter()
+                .find(|(bw, _)| (bw - self.bandwidth_mbps).abs() < 1e-9)
+                .map(|&(_, t)| SimDuration::from_secs_f64(t)),
             seed: self.engine_seed,
             ..EngineConfig::default()
         };
-        if let Some(fps) = self.max_fps {
-            config.max_fps = fps;
-        }
         if let Some(cap) = self.max_instances {
             config.max_instances = cap;
         }
@@ -572,26 +555,26 @@ mod tests {
     #[test]
     fn mark_timeout_lookup() {
         let mut grid = tiny_grid();
-        grid.mark_timeouts_s = vec![(20.0, 0.55), (40.0, 0.45)];
-        assert_eq!(grid.mark_timeout_for(20.0), Some(0.55));
-        assert_eq!(grid.mark_timeout_for(80.0), None);
-        let cell = &grid.cells()[0];
-        assert_eq!(
-            cell.mark_timeout_s,
-            grid.mark_timeout_for(cell.bandwidth_mbps)
-        );
+        grid.policies = vec![PolicyKind::Mark];
+        grid.seeds = vec![7];
+        grid.bandwidths_mbps = vec![20.0, 40.0, 80.0, 200.0];
+        let timeouts: Vec<Option<SimDuration>> = grid
+            .cells()
+            .iter()
+            .map(|cell| cell.engine_config().mark_timeout)
+            .collect();
+        let secs = |t: f64| Some(SimDuration::from_secs_f64(t));
+        assert_eq!(timeouts, [secs(0.55), secs(0.45), secs(0.35), None]);
     }
 
     #[test]
     fn engine_config_reflects_cell() {
         let mut grid = tiny_grid();
-        grid.max_fps = Some(5.0);
         grid.max_instances = Some(None);
         let cell = &grid.cells()[0];
         let config = cell.engine_config();
         assert_eq!(config.policy, cell.policy);
         assert_eq!(config.seed, cell.engine_seed);
-        assert!((config.max_fps - 5.0).abs() < 1e-12);
         assert_eq!(config.max_instances, None);
         assert!((config.slo.as_secs_f64() - cell.slo_s).abs() < 1e-12);
     }

@@ -41,14 +41,6 @@ pub fn paper_slos_s(bandwidth_mbps: f64) -> [f64; 5] {
     }
 }
 
-/// MArk's per-bandwidth timeout ("an appropriate timeout for each
-/// bandwidth setting", §V-A) — fixed per bandwidth, unaware of the SLO,
-/// which is exactly the knob-tuning burden Tangram removes.
-#[must_use]
-pub fn paper_mark_timeouts_s() -> Vec<(f64, f64)> {
-    vec![(20.0, 0.55), (40.0, 0.45), (80.0, 0.35)]
-}
-
 /// The motivation-scene subset the end-to-end experiments replay: two
 /// scenes in quick mode, the paper's five otherwise.
 #[must_use]
@@ -102,7 +94,6 @@ pub fn e2e_grid(
     grid.slos_s = paper_slos_s(bandwidth_mbps).to_vec();
     grid.bandwidths_mbps = vec![bandwidth_mbps];
     grid.workloads = WorkloadSpec::per_scene(scenes, frames, kind);
-    grid.mark_timeouts_s = paper_mark_timeouts_s();
     grid
 }
 
@@ -117,7 +108,6 @@ pub fn smoke_grid(seed: u64) -> SweepGrid {
     grid.slos_s = vec![1.0];
     grid.bandwidths_mbps = vec![20.0, 40.0];
     grid.workloads = WorkloadSpec::per_scene(&motivation_scenes(true), 12, TraceKind::Proxy);
-    grid.mark_timeouts_s = paper_mark_timeouts_s();
     grid
 }
 
@@ -157,7 +147,6 @@ pub fn churn_grid(seed: u64, frames_per_camera: usize) -> SweepGrid {
         frames: 8, // content pool per camera; the generator cycles it
         trace: TraceKind::Proxy,
     }];
-    grid.mark_timeouts_s = paper_mark_timeouts_s();
     grid.scenarios = vec![ScenarioSpec {
         arrival: ArrivalSpec::Poisson { fps: 6.0 },
         frames_per_camera,
@@ -191,7 +180,6 @@ pub fn overload_grid(seed: u64, frames_per_camera: usize, smoke: bool) -> SweepG
         frames: 8, // content pool per camera; the generator cycles it
         trace: TraceKind::Proxy,
     }];
-    grid.mark_timeouts_s = paper_mark_timeouts_s();
     let ramp: &[f64] = if smoke {
         &[OVERLOAD_RAMP_FPS[1], OVERLOAD_RAMP_FPS[3]]
     } else {
@@ -294,7 +282,6 @@ pub fn fairness_grid(seed: u64, frames_per_camera: usize, smoke: bool) -> SweepG
         frames: 8, // content pool per camera; the generator cycles it
         trace: TraceKind::Proxy,
     }];
-    grid.mark_timeouts_s = paper_mark_timeouts_s();
     let ramp: &[f64] = if smoke {
         &[FAIRNESS_RAMP_FPS[1], FAIRNESS_RAMP_FPS[2]]
     } else {
@@ -491,7 +478,47 @@ mod tests {
         let scenes = motivation_scenes(false);
         let grid = e2e_grid("fig12_bw20", 20.0, &scenes, 40, TraceKind::Proxy, 1);
         assert_eq!(grid.cell_count(), 4 * 5 * 5);
-        assert_eq!(grid.mark_timeout_for(20.0), Some(0.55));
+    }
+
+    /// Every preset's BENCH grid echo has exactly the schema-6 keys, in
+    /// order: no preset sets a key the schema dropped.
+    #[test]
+    fn every_preset_grid_echoes_the_v6_keys() {
+        let scenes = motivation_scenes(true);
+        let grids = [
+            smoke_grid(1),
+            churn_grid(1, 8),
+            overload_grid(1, 8, true),
+            overload_grid(1, 8, false),
+            fairness_grid(1, 8, true),
+            fairness_grid(1, 8, false),
+            e2e_grid("e2e", 40.0, &scenes, 8, TraceKind::Proxy, 1),
+            trace_smoke_grid(),
+            trace_overload_grid(),
+        ];
+        for grid in &grids {
+            let crate::json::Json::Object(fields) = crate::report::grid_to_value(grid) else {
+                panic!("{}: the grid echo is not an object", grid.name);
+            };
+            let keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+            assert_eq!(
+                keys,
+                [
+                    "policies",
+                    "seeds",
+                    "slos_s",
+                    "bandwidths_mbps",
+                    "sigma_multipliers",
+                    "workloads",
+                    "max_instances",
+                    "scenarios",
+                    "admission",
+                    "fairness",
+                ],
+                "{}",
+                grid.name
+            );
+        }
     }
 
     #[test]

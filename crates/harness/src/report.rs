@@ -40,7 +40,11 @@ use tangram_core::report::{RunSummary, TenantSummary};
 /// form is gone), every scenario carries `faults`, the fairness echo
 /// drops its constant `kind`, and every cell names its `scenario`,
 /// `admission` and `fairness` coordinates as an axis index or `null`.
-pub const SCHEMA_VERSION: u64 = 5;
+/// v6 drops two grid keys no grid ever varied: `mark_timeouts_s` (MArk's
+/// per-bandwidth timeout is one fixed table, applied by
+/// [`crate::grid::SweepCell::engine_config`]) and `max_fps` (always
+/// `null`).
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// One cell's outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -188,16 +192,6 @@ pub fn grid_to_value(grid: &SweepGrid) -> Json {
             "workloads",
             Json::Array(grid.workloads.iter().map(workload_to_value).collect()),
         ),
-        (
-            "mark_timeouts_s",
-            Json::Array(
-                grid.mark_timeouts_s
-                    .iter()
-                    .map(|&(bw, t)| floats(&[bw, t]))
-                    .collect(),
-            ),
-        ),
-        ("max_fps", grid.max_fps.map_or(Json::Null, Json::F64)),
         ("max_instances", max_instances_to_value(grid.max_instances)),
         (
             "scenarios",
@@ -576,7 +570,6 @@ mod tests {
         grid.slos_s = vec![1.0];
         grid.bandwidths_mbps = vec![20.0, 40.0];
         grid.workloads = vec![WorkloadSpec::single(SceneId::new(1), 12, TraceKind::Proxy)];
-        grid.mark_timeouts_s = vec![(20.0, 0.55)];
         grid.max_instances = Some(Some(4));
         grid
     }

@@ -702,7 +702,9 @@ fn write_table(out: &mut String, header: Option<&str>, fields: &Json) {
 }
 
 /// A scalar or an array of scalars in TOML spelling: strings through
-/// [`toml_str`], floats through `{:?}` (shortest round-trip).
+/// [`toml_str`], booleans and numbers through [`Json::render`] (floats in
+/// their shortest round-trip form; a spec's floats are finite, as the
+/// TOML reader rejects `inf` and `nan`).
 fn toml_value(value: &Json) -> Option<String> {
     match value {
         Json::Null | Json::Object(_) => None,
@@ -711,9 +713,7 @@ fn toml_value(value: &Json) -> Option<String> {
             let items: Option<Vec<String>> = items.iter().map(toml_value).collect();
             items.map(|items| format!("[{}]", items.join(", ")))
         }
-        Json::Bool(b) => Some(b.to_string()),
-        Json::U64(n) => Some(n.to_string()),
-        Json::F64(v) => Some(format!("{v:?}")),
+        Json::Bool(_) | Json::U64(_) | Json::F64(_) => Some(value.render()),
         Json::Str(s) => Some(toml_str(s)),
     }
 }

@@ -288,7 +288,7 @@ mod tests {
     #[test]
     fn committed_allowlists_load_as_the_line_shape_reader_loaded_them() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        for (rel, count) in [("", 3), ("tests/fixtures/lint/bad_tree", 3)] {
+        for (rel, count) in [("", 2), ("tests/fixtures/lint/bad_tree", 3)] {
             let path = root.join(rel).join(ALLOW_FILE);
             let text = std::fs::read_to_string(&path).expect("allowlist readable");
             let (set, _) = WaiverSet::parse(&text);

@@ -24,23 +24,24 @@
 use tangram_types::time::{SimDuration, SimTime};
 use tangram_types::units::{Bandwidth, Bytes};
 
+/// One-way propagation delay added after serialisation: the testbed's
+/// ~2 ms Wi-Fi hop.
+const PROPAGATION: SimDuration = SimDuration::from_millis(2);
+
 /// Static configuration of a link.
 #[derive(Debug, Clone)]
 pub struct LinkConfig {
     /// Wire rate.
     pub bandwidth: Bandwidth,
-    /// One-way propagation delay added after serialisation.
-    pub propagation: SimDuration,
 }
 
 impl LinkConfig {
-    /// A link at the given Mbps with the testbed's ~2 ms Wi-Fi propagation
-    /// delay.
+    /// A link at the given Mbps (plus the testbed's ~2 ms propagation
+    /// delay).
     #[must_use]
     pub fn mbps(mbps: f64) -> Self {
         Self {
             bandwidth: Bandwidth::from_mbps(mbps),
-            propagation: SimDuration::from_millis(2),
         }
     }
 }
@@ -101,7 +102,7 @@ impl Link {
         self.busy_until = end;
         self.stats.bytes += size;
         self.stats.messages += 1;
-        end + self.config.propagation
+        end + PROPAGATION
     }
 
     /// Failure injection: the wire carries nothing until `until` (an

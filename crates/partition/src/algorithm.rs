@@ -24,12 +24,6 @@ impl PartitionConfig {
         Self { zones_x, zones_y }
     }
 
-    /// Total number of zones.
-    #[must_use]
-    pub fn zone_count(&self) -> u32 {
-        self.zones_x * self.zones_y
-    }
-
     /// The rectangle of zone `(ix, iy)` for a `frame`-sized image. Zones
     /// tile the frame exactly; the last row/column absorbs the remainder
     /// when the frame size is not divisible by the grid.
@@ -267,6 +261,5 @@ mod tests {
     fn default_is_paper_setting() {
         let d = PartitionConfig::default();
         assert_eq!((d.zones_x, d.zones_y), (4, 4));
-        assert_eq!(d.zone_count(), 16);
     }
 }

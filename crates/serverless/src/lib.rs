@@ -26,10 +26,13 @@
 //!     42,
 //! );
 //! let outcome = platform
-//!     .invoke(InvocationRequest { canvases: 2, megapixels: 2.1, submitted: SimTime::ZERO })
+//!     .submit(InvocationRequest { canvases: 2, megapixels: 2.1, submitted: SimTime::ZERO })
 //!     .expect("2 canvases fit the GPU");
 //! assert!(outcome.cold, "first invocation cold-starts");
 //! assert!(outcome.cost.get() > 0.0);
+//! // In flight until its completion event is acknowledged.
+//! assert!(platform.complete(outcome.id));
+//! assert_eq!(platform.in_flight(), 0);
 //! ```
 
 pub mod function;

@@ -331,32 +331,6 @@ impl ServerlessPlatform {
         before - self.instances.len()
     }
 
-    /// Number of instances currently provisioned (warm or busy).
-    #[must_use]
-    pub fn live_instances(&self, now: SimTime) -> usize {
-        self.instances
-            .iter()
-            .filter(|i| i.is_live(now, self.keep_alive))
-            .count()
-    }
-
-    /// Executes a batch and immediately acknowledges its completion — the
-    /// synchronous convenience wrapper around [`Self::submit`] /
-    /// [`Self::complete`] for callers that do not run an event loop.
-    ///
-    /// # Errors
-    ///
-    /// [`PlatformError::BatchTooLarge`] when the batch violates the GPU
-    /// memory bound (constraint (5)).
-    pub fn invoke(
-        &mut self,
-        request: InvocationRequest,
-    ) -> Result<InvocationOutcome, PlatformError> {
-        let outcome = self.submit(request)?;
-        self.complete(outcome.id);
-        Ok(outcome)
-    }
-
     /// Submits a batch for execution, leaving its completion *in flight*.
     ///
     /// The returned outcome carries the scheduled `finished` instant; an
@@ -614,6 +588,17 @@ mod tests {
         )
     }
 
+    /// Submits a batch and acknowledges its completion at once, the
+    /// engine's `submit` + `complete` pair with no event loop between.
+    fn submit_and_ack(
+        p: &mut ServerlessPlatform,
+        request: InvocationRequest,
+    ) -> Result<InvocationOutcome, PlatformError> {
+        let outcome = p.submit(request)?;
+        assert!(p.complete(outcome.id));
+        Ok(outcome)
+    }
+
     fn req(canvases: usize, at_us: u64) -> InvocationRequest {
         InvocationRequest {
             canvases,
@@ -625,7 +610,7 @@ mod tests {
     #[test]
     fn first_invocation_cold_starts() {
         let mut p = platform();
-        let o = p.invoke(req(1, 0)).unwrap();
+        let o = submit_and_ack(&mut p, req(1, 0)).unwrap();
         assert!(o.cold);
         assert!(o.started > SimTime::ZERO, "cold start delays execution");
         assert_eq!(p.stats().cold_starts, 1);
@@ -634,9 +619,9 @@ mod tests {
     #[test]
     fn warm_instance_reused() {
         let mut p = platform();
-        let first = p.invoke(req(1, 0)).unwrap();
+        let first = submit_and_ack(&mut p, req(1, 0)).unwrap();
         // Submit after the first finishes: instance is warm and idle.
-        let second = p.invoke(req(1, first.finished.as_micros() + 1000)).unwrap();
+        let second = submit_and_ack(&mut p, req(1, first.finished.as_micros() + 1000)).unwrap();
         assert!(!second.cold);
         assert_eq!(second.instance, first.instance);
         assert_eq!(second.started, second.finished - second.execution);
@@ -645,9 +630,9 @@ mod tests {
     #[test]
     fn concurrency_one_scales_out() {
         let mut p = platform();
-        let a = p.invoke(req(1, 0)).unwrap();
+        let a = submit_and_ack(&mut p, req(1, 0)).unwrap();
         // Same submission time: first instance is busy → second cold start.
-        let b = p.invoke(req(1, 0)).unwrap();
+        let b = submit_and_ack(&mut p, req(1, 0)).unwrap();
         assert!(b.cold);
         assert_ne!(a.instance, b.instance);
         assert_eq!(p.stats().peak_instances, 2);
@@ -656,9 +641,9 @@ mod tests {
     #[test]
     fn keep_alive_expiry_forces_cold_start() {
         let mut p = platform();
-        let first = p.invoke(req(1, 0)).unwrap();
+        let first = submit_and_ack(&mut p, req(1, 0)).unwrap();
         let after_expiry = first.finished + p.keep_alive() + SimDuration::from_secs(1);
-        let second = p.invoke(req(1, after_expiry.as_micros())).unwrap();
+        let second = submit_and_ack(&mut p, req(1, after_expiry.as_micros())).unwrap();
         assert!(second.cold, "keep-alive elapsed; must cold start");
     }
 
@@ -666,7 +651,7 @@ mod tests {
     fn batch_too_large_rejected() {
         let mut p = platform();
         let capacity = p.spec().max_canvases();
-        let err = p.invoke(req(capacity + 1, 0)).unwrap_err();
+        let err = submit_and_ack(&mut p, req(capacity + 1, 0)).unwrap_err();
         assert_eq!(
             err,
             PlatformError::BatchTooLarge {
@@ -680,7 +665,7 @@ mod tests {
     #[test]
     fn cost_accumulates_with_eqn1() {
         let mut p = platform();
-        let o = p.invoke(req(2, 0)).unwrap();
+        let o = submit_and_ack(&mut p, req(2, 0)).unwrap();
         let expected = ResourcePrices::alibaba_fc()
             .invocation_cost(o.execution, &FunctionSpec::paper_default());
         assert!((o.cost.get() - expected.get()).abs() < 1e-12);
@@ -690,8 +675,8 @@ mod tests {
     #[test]
     fn bigger_batches_run_longer_but_amortize() {
         let mut p = platform();
-        let small = p.invoke(req(1, 0)).unwrap();
-        let big = p.invoke(req(8, 10_000_000)).unwrap();
+        let small = submit_and_ack(&mut p, req(1, 0)).unwrap();
+        let big = submit_and_ack(&mut p, req(8, 10_000_000)).unwrap();
         assert!(big.execution > small.execution);
         let per_canvas_small = small.execution.as_secs_f64();
         let per_canvas_big = big.execution.as_secs_f64() / 8.0;
@@ -705,8 +690,8 @@ mod tests {
     fn deterministic_given_seed() {
         let mut a = platform();
         let mut b = platform();
-        let oa = a.invoke(req(3, 0)).unwrap();
-        let ob = b.invoke(req(3, 0)).unwrap();
+        let oa = submit_and_ack(&mut a, req(3, 0)).unwrap();
+        let ob = submit_and_ack(&mut b, req(3, 0)).unwrap();
         assert_eq!(oa, ob);
     }
 
@@ -786,8 +771,8 @@ mod tests {
         // is untouched by any number of reads.
         let mut fresh = platform();
         let _ = fresh.snapshot(SimTime::ZERO);
-        let via_snapshots = fresh.invoke(req(3, 0)).unwrap();
-        let direct = platform().invoke(req(3, 0)).unwrap();
+        let via_snapshots = submit_and_ack(&mut fresh, req(3, 0)).unwrap();
+        let direct = submit_and_ack(&mut platform(), req(3, 0)).unwrap();
         assert_eq!(via_snapshots, direct);
     }
 
@@ -912,7 +897,6 @@ mod tests {
                 }
                 assert_eq!(subject.stats(), reference.stats());
                 assert_eq!(subject.snapshot(now), reference.snapshot(now));
-                assert_eq!(subject.live_instances(now), reference.live_instances(now));
             }
             // The run reached every placement arm, the refusal and the
             // zero-length executions.
@@ -968,48 +952,31 @@ mod tests {
     }
 
     #[test]
-    fn invoke_is_submit_plus_ack() {
-        let mut p = platform();
-        let o = p.invoke(req(1, 0)).unwrap();
-        assert_eq!(p.in_flight(), 0, "invoke self-acknowledges");
-        assert!(!p.complete(o.id));
-    }
-
-    #[test]
-    fn submit_samples_identically_to_invoke() {
-        let mut via_invoke = platform();
-        let mut via_submit = platform();
-        let a = via_invoke.invoke(req(3, 0)).unwrap();
-        let b = via_submit.submit(req(3, 0)).unwrap();
-        assert_eq!(a, b, "the event-driven path must not perturb sampling");
-    }
-
-    #[test]
     fn compute_factor_scales_execution_without_perturbing_draws() {
         let mut plain = platform();
         let mut browned = platform();
         browned.set_compute_factor(3.0);
-        let a = plain.invoke(req(2, 0)).unwrap();
-        let b = browned.invoke(req(2, 0)).unwrap();
+        let a = submit_and_ack(&mut plain, req(2, 0)).unwrap();
+        let b = submit_and_ack(&mut browned, req(2, 0)).unwrap();
         assert!(
             (b.execution.as_secs_f64() - 3.0 * a.execution.as_secs_f64()).abs() < 2e-6,
             "brownout must scale the same sampled draw"
         );
         // Restoring 1.0 restores the exact no-fault sequence.
         browned.set_compute_factor(1.0);
-        let a2 = plain.invoke(req(2, 10_000_000)).unwrap();
-        let b2 = browned.invoke(req(2, 10_000_000)).unwrap();
+        let a2 = submit_and_ack(&mut plain, req(2, 10_000_000)).unwrap();
+        let b2 = submit_and_ack(&mut browned, req(2, 10_000_000)).unwrap();
         assert_eq!(a2.execution, b2.execution);
     }
 
     #[test]
     fn evict_idle_forces_cold_starts_but_spares_busy_instances() {
         let mut p = platform();
-        let first = p.invoke(req(1, 0)).unwrap();
+        let first = submit_and_ack(&mut p, req(1, 0)).unwrap();
         // Warm and idle after completion: eviction reclaims it.
         let idle_at = first.finished + SimDuration::from_millis(1);
         assert_eq!(p.evict_idle(idle_at), 1);
-        let second = p.invoke(req(1, idle_at.as_micros())).unwrap();
+        let second = submit_and_ack(&mut p, req(1, idle_at.as_micros())).unwrap();
         assert!(second.cold, "the warm pool was evicted");
         // A busy instance survives eviction mid-execution.
         let third = p.submit(req(1, second.finished.as_micros() + 1)).unwrap();
@@ -1020,9 +987,9 @@ mod tests {
     #[test]
     fn live_instance_count_reflects_expiry() {
         let mut p = platform();
-        let o = p.invoke(req(1, 0)).unwrap();
-        assert_eq!(p.live_instances(o.finished), 1);
+        let o = submit_and_ack(&mut p, req(1, 0)).unwrap();
+        assert_eq!(p.snapshot(o.finished).live_instances, 1);
         let far = o.finished + p.keep_alive() + SimDuration::from_secs(5);
-        assert_eq!(p.live_instances(far), 0);
+        assert_eq!(p.snapshot(far).live_instances, 0);
     }
 }

@@ -165,11 +165,6 @@ impl DetRng {
         }
         count
     }
-
-    /// Access to the raw `rand` generator for APIs that take `impl Rng`.
-    pub fn raw(&mut self) -> &mut SmallRng {
-        &mut self.rng
-    }
 }
 
 /// FNV-1a hash of a byte string (stable across platforms and runs).

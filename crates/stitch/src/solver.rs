@@ -15,7 +15,7 @@ use crate::canvas::Canvas;
 use crate::packer::{GuillotinePacker, Packer};
 use std::error::Error;
 use std::fmt;
-use tangram_types::geometry::{Point, Rect, Size};
+use tangram_types::geometry::{Rect, Size};
 use tangram_types::ids::CanvasId;
 use tangram_types::patch::PatchInfo;
 
@@ -272,19 +272,6 @@ impl PatchStitchingSolver {
     }
 }
 
-/// Returns the canvas position of a patch, if present.
-#[must_use]
-pub fn find_placement(canvases: &[Canvas], patch: &PatchInfo) -> Option<(CanvasId, Point)> {
-    for c in canvases {
-        for p in &c.placements {
-            if p.patch.id == patch.id {
-                return Some((c.id, p.position));
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,32 +432,5 @@ mod tests {
         let a = solver().stitch_sizes(&sizes).unwrap();
         let b = solver().stitch_sizes(&sizes).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn find_placement_locates_patches() {
-        use tangram_types::ids::{CameraId, FrameId, PatchId};
-        use tangram_types::time::{SimDuration, SimTime};
-        let patch = PatchInfo::new(
-            PatchId::new(42),
-            CameraId::new(1),
-            FrameId::new(2),
-            Rect::new(0, 0, 128, 256),
-            SimTime::ZERO,
-            SimDuration::from_secs(1),
-        );
-        let canvases = solver().stitch(&[patch]).unwrap();
-        let (cid, pos) = find_placement(&canvases, &patch).expect("patch placed");
-        assert_eq!(cid, CanvasId::new(0));
-        assert_eq!(pos, Point::new(0, 0));
-        let other = PatchInfo::new(
-            PatchId::new(43),
-            CameraId::new(1),
-            FrameId::new(2),
-            Rect::new(0, 0, 1, 1),
-            SimTime::ZERO,
-            SimDuration::from_secs(1),
-        );
-        assert_eq!(find_placement(&canvases, &other), None);
     }
 }

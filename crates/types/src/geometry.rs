@@ -195,25 +195,6 @@ impl Rect {
         self.size().is_empty()
     }
 
-    /// Centre of the rectangle (rounded down).
-    #[must_use]
-    pub const fn center(&self) -> Point {
-        Point::new(self.x + self.width / 2, self.y + self.height / 2)
-    }
-
-    /// Whether `p` lies inside the rectangle.
-    ///
-    /// ```
-    /// # use tangram_types::geometry::{Point, Rect};
-    /// let r = Rect::new(0, 0, 10, 10);
-    /// assert!(r.contains_point(Point::new(9, 9)));
-    /// assert!(!r.contains_point(Point::new(10, 0)));
-    /// ```
-    #[must_use]
-    pub const fn contains_point(&self, p: Point) -> bool {
-        p.x >= self.x && p.x < self.right() && p.y >= self.y && p.y < self.bottom()
-    }
-
     /// Whether `other` lies entirely inside `self`.
     #[must_use]
     pub const fn contains_rect(&self, other: &Rect) -> bool {
@@ -319,15 +300,6 @@ impl Rect {
         self.intersect(bounds)
     }
 
-    /// Translates the rectangle by `(dx, dy)` using saturating arithmetic on
-    /// the negative side.
-    #[must_use]
-    pub fn translated(&self, dx: i64, dy: i64) -> Rect {
-        let x = (i64::from(self.x) + dx).max(0) as u32;
-        let y = (i64::from(self.y) + dy).max(0) as u32;
-        Rect::new(x, y, self.width, self.height)
-    }
-
     /// Scales position and extent by `factor` (used to map RoIs detected on
     /// a downscaled raster back to logical 4K coordinates).
     #[must_use]
@@ -390,7 +362,6 @@ mod tests {
         let r = Rect::new(5, 6, 7, 8);
         assert_eq!(r.right(), 12);
         assert_eq!(r.bottom(), 14);
-        assert_eq!(r.center(), Point::new(8, 10));
         assert_eq!(r.area(), 56);
     }
 
@@ -442,12 +413,6 @@ mod tests {
         let outer = Rect::new(0, 0, 10, 10);
         assert!(outer.contains_rect(&Rect::new(0, 0, 10, 10)));
         assert!(!outer.contains_rect(&Rect::new(1, 1, 10, 9)));
-    }
-
-    #[test]
-    fn translated_saturates_at_zero() {
-        let r = Rect::new(2, 2, 4, 4);
-        assert_eq!(r.translated(-10, 3), Rect::new(0, 5, 4, 4));
     }
 
     #[test]

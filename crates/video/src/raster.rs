@@ -25,22 +25,6 @@ pub struct Raster {
 }
 
 impl Raster {
-    /// Creates a raster filled with `fill`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    #[must_use]
-    pub fn filled(width: u32, height: u32, scale: f64, fill: u8) -> Self {
-        assert!(width > 0 && height > 0, "raster must be non-empty");
-        Self {
-            width,
-            height,
-            scale,
-            data: vec![fill; width as usize * height as usize],
-        }
-    }
-
     /// Image width in raster pixels.
     #[must_use]
     pub fn width(&self) -> u32 {

@@ -81,19 +81,31 @@ for doc in README.md docs/*.md; do
   done
 done
 
-# The BENCH schema version docs/EXPERIMENTS.md states must be the one
-# crates/harness/src/report.rs stamps (a bump is when it goes stale).
+# The BENCH schema version each doc states must be the one
+# crates/harness/src/report.rs stamps (a bump is when it goes stale):
+# docs/EXPERIMENTS.md's `schema_version N`, README.md's sample
+# `"schema_version": N` and docs/ARCHITECTURE.md's `schema vN`.
 schema=$(sed -nE 's/^pub const SCHEMA_VERSION: u64 = ([0-9]+);$/\1/p' crates/harness/src/report.rs)
-documented=$(grep -oE 'schema_version [0-9]+' docs/EXPERIMENTS.md | awk '{print $2}' | sort -u)
-if [ -z "$schema" ] || [ -z "$documented" ]; then
-  echo "ERROR: no SCHEMA_VERSION in crates/harness/src/report.rs or no 'schema_version N' in docs/EXPERIMENTS.md"
+if [ -z "$schema" ]; then
+  echo "ERROR: no SCHEMA_VERSION in crates/harness/src/report.rs"
   status=1
 fi
-for version in $documented; do
-  if [ "$version" != "$schema" ]; then
-    echo "ERROR: docs/EXPERIMENTS.md says schema_version $version, report.rs stamps $schema"
+for spelling in 'docs/EXPERIMENTS.md:schema_version [0-9]+' \
+                'README.md:"schema_version": [0-9]+' \
+                'docs/ARCHITECTURE.md:schema v[0-9]+'; do
+  doc=${spelling%%:*}
+  pattern=${spelling#*:}
+  documented=$(grep -oE "$pattern" "$doc" | grep -oE '[0-9]+$' | sort -u)
+  if [ -z "$documented" ]; then
+    echo "ERROR: no '$pattern' in $doc"
     status=1
   fi
+  for version in $documented; do
+    if [ "$version" != "$schema" ]; then
+      echo "ERROR: $doc says schema version $version, report.rs stamps $schema"
+      status=1
+    fi
+  done
 done
 
 # Every row of docs/PERFORMANCE.md's "Claimed gains" table names, in its

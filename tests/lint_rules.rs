@@ -206,6 +206,21 @@ fn the_real_tree_reads_no_wall_clock() {
     );
 }
 
+/// One float writer: the only `det-float-format` waiver is the JSON
+/// writer's `write_f64`, through which BENCH reports and canonical
+/// scenario TOML both render their floats.
+#[test]
+fn the_only_float_format_waiver_is_the_json_writer() {
+    let (waivers, _) = WaiverSet::load(&repo_root()).expect("allowlist");
+    let files: Vec<&str> = waivers
+        .entries
+        .iter()
+        .filter(|w| w.rule == "det-float-format")
+        .map(|w| w.file.as_str())
+        .collect();
+    assert_eq!(files, ["crates/types/src/json.rs"]);
+}
+
 /// Adding an unused waiver to the real allowlist fails the run as
 /// `stale-waiver`.
 #[test]
