@@ -100,7 +100,7 @@ fn efficiency_at(outcomes: &[CellOutcome], bw: f64, slo: f64) -> (f64, f64, Empi
     let mut cdf = EmpiricalCdf::new();
     let at_point = |o: &&CellOutcome| same(o.cell.bandwidth_mbps, bw) && same(o.cell.slo_s, slo);
     for outcome in outcomes.iter().filter(at_point) {
-        cdf.extend(outcome.report.canvas_efficiencies());
+        cdf.extend(outcome.report.canvas_efficiencies().iter().copied());
     }
     let above = 1.0 - cdf.fraction_at_or_below(0.6);
     (cdf.mean(), above, cdf)

@@ -155,7 +155,7 @@ impl EngineConfig {
                 estimator.unwrap_or_else(|| self.estimator()),
             )),
             PolicyKind::Clipper => Box::new(ClipperPolicy::new(max_batch)),
-            PolicyKind::Elf => Box::new(ElfPolicy),
+            PolicyKind::Elf => Box::new(ElfPolicy::default()),
             PolicyKind::Mark => Box::new(MarkPolicy::new(
                 max_batch,
                 self.mark_timeout.unwrap_or(self.slo / 2),

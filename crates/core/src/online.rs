@@ -233,7 +233,7 @@ impl<'a> OnlineEngine<'a> {
         self.out.emit(
             end,
             TraceEvent::SessionEnd {
-                frames: self.ingest.frames_injected,
+                frames: self.ingest.uplink.frames_injected,
                 batches: self.account.batch_records.len() as u64,
                 completions: self.execute.completions,
                 dropped: self.admit.dropped_arrivals,
@@ -241,19 +241,23 @@ impl<'a> OnlineEngine<'a> {
             },
         );
         let fair = self.fair.as_ref();
+        let link = self.ingest.uplink.link.stats();
+        let mut efficiencies = self.account.efficiencies;
+        efficiencies.shrink_to_fit();
         let report = RunReport {
             policy: self.policy.name().to_string(),
             patches: self.account.patch_records,
             batches: self.account.batch_records,
-            link: self.ingest.link.stats(),
+            efficiencies,
+            link,
             platform: self.execute.platform.stats(),
-            frames: self.ingest.frames_injected,
-            frames_muted: self.ingest.frames_muted,
+            frames: self.ingest.uplink.frames_injected,
+            frames_muted: self.ingest.uplink.frames_muted,
             dropped_arrivals: self.admit.dropped_arrivals,
             dropped_by_slo: self.admit.dropped_by_slo,
             ingress_peak_depth: fair.map(DrrIngress::peak_depths).unwrap_or_default(),
             ingress_admitted: fair.map(DrrIngress::admitted_by_class).unwrap_or_default(),
-            transmission_busy: self.ingest.transmission_busy,
+            transmission_busy: link.busy,
             makespan,
             events_processed,
         };
@@ -336,7 +340,7 @@ impl<'a> OnlineEngine<'a> {
                 match spec.kind {
                     // Store-and-forward: everything in flight and
                     // everything enqueued later queues behind the end.
-                    FaultKind::LinkOutage => self.ingest.link.outage_until(spec.end()),
+                    FaultKind::LinkOutage => self.ingest.uplink.link.outage_until(spec.end()),
                     // Kill the warm pool at the window's start edge; the
                     // execute stage keeps it dead for the duration.
                     FaultKind::ColdStartStorm => {
@@ -372,23 +376,23 @@ impl<'a> OnlineEngine<'a> {
         }
     }
 
-    /// One batch leaves the batch stage: executed, booked, and its
-    /// completion scheduled.
+    /// One batch leaves the batch stage: executed, booked, its
+    /// completion scheduled, and the spec handed back to the policy.
     fn dispatch(&mut self, now: SimTime, spec: BatchSpec) {
-        if spec.patches.is_empty() {
-            return;
+        if !spec.patches.is_empty() {
+            self.batch.on_dispatch(spec.patches.len());
+            let batch = self.account.batch_records.len();
+            let outcome = self.execute.on_dispatch(now, batch, &spec, &mut self.out);
+            let feedback = self.account.on_dispatch(now, &spec, &outcome);
+            self.out.schedule(
+                outcome.finished,
+                StreamEvent::FunctionComplete {
+                    id: outcome.id,
+                    feedback,
+                },
+            );
         }
-        self.batch.on_dispatch(spec.patches.len());
-        let batch = self.account.batch_records.len();
-        let outcome = self.execute.on_dispatch(now, batch, &spec, &mut self.out);
-        let feedback = self.account.on_dispatch(now, spec, &outcome);
-        self.out.schedule(
-            outcome.finished,
-            StreamEvent::FunctionComplete {
-                id: outcome.id,
-                feedback,
-            },
-        );
+        self.batch.policy.recycle(spec);
     }
 }
 

@@ -36,10 +36,13 @@ impl Execute {
     }
 
     /// Submits `spec` at `now` as the run's `batch`-th dispatch, recorded
-    /// first. Faults actuate here: brownouts inflate the sampled
-    /// execution (factor 1.0 is the byte-identical no-op), a cold-start
-    /// storm keeps the warm pool dead, and latency tails delay result
-    /// delivery — folded into `finished` — without occupying the instance.
+    /// first. Every policy sizes its batches within the function's GPU
+    /// bound, so a batch beyond it is a policy bug and panics here rather
+    /// than being billed as a smaller one. Faults actuate here: brownouts
+    /// inflate the sampled execution (factor 1.0 is the byte-identical
+    /// no-op), a cold-start storm keeps the warm pool dead, and latency
+    /// tails delay result delivery — folded into `finished` — without
+    /// occupying the instance.
     pub(crate) fn on_dispatch(
         &mut self,
         now: SimTime,
@@ -56,9 +59,8 @@ impl Execute {
                 megapixels_e6: (spec.megapixels * 1e6).round() as u64,
             },
         );
-        let max = self.platform.spec().max_canvases().max(1);
         let request = InvocationRequest {
-            canvases: spec.inputs.min(max),
+            canvases: spec.inputs,
             megapixels: spec.megapixels,
             submitted: now,
         };
@@ -130,5 +132,22 @@ mod tests {
         execute.on_complete(outcome.finished, outcome.id, &feedback, &mut out);
         assert_eq!(execute.completions, 1);
         execute.on_complete(outcome.finished, outcome.id, &feedback, &mut out);
+    }
+
+    /// A batch over the GPU bound reaches the platform as it is and is
+    /// refused there, not clamped and billed as a smaller one.
+    #[test]
+    #[should_panic(expected = "batch sized within the GPU bound")]
+    fn a_batch_over_the_gpu_bound_is_refused() {
+        let config = EngineConfig::default();
+        let mut execute = Execute::new(&config, Vec::new());
+        let inputs = config.function_spec.max_canvases() + 1;
+        let spec = BatchSpec {
+            patches: Vec::new(),
+            inputs,
+            megapixels: inputs as f64,
+            canvas_efficiencies: Vec::new(),
+        };
+        let _ = execute.on_dispatch(SimTime::ZERO, 0, &spec, &mut Outbox::new(false));
     }
 }

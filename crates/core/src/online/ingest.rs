@@ -26,20 +26,26 @@ struct CameraSlot<'a> {
 /// [`StreamEvent::PatchArrival`].
 pub(crate) struct Ingest<'a> {
     cameras: Vec<CameraSlot<'a>>,
-    pub(super) link: Link,
-    /// ELF re-encodes every patch on its own (its bytes are the trace's
-    /// `elf_patch_bytes`); every other policy ships `encoded_size`.
-    elf: bool,
+    pub(super) uplink: Uplink,
     /// Engine default SLO for sources without a tenant override.
     default_slo: SimDuration,
     /// Engine capture period, handed to closed-loop sources.
     frame_interval: SimDuration,
+}
+
+/// The shared uplink and the frame counters of everything fed to it —
+/// apart from the camera table, so a frame a camera lends can be
+/// delivered while the camera is borrowed.
+pub(crate) struct Uplink {
+    pub(super) link: Link,
+    /// ELF re-encodes every patch on its own (its bytes are the trace's
+    /// `elf_patch_bytes`); every other policy ships `encoded_size`.
+    elf: bool,
     edge_delay: SimDuration,
     pub(super) frames_injected: u64,
     /// Frames captured inside a camera-flap mute window and lost at the
     /// edge (never materialised onto the uplink).
     pub(super) frames_muted: u64,
-    pub(super) transmission_busy: SimDuration,
 }
 
 impl<'a> Ingest<'a> {
@@ -47,14 +53,15 @@ impl<'a> Ingest<'a> {
     pub(crate) fn new(config: &EngineConfig) -> Self {
         Self {
             cameras: Vec::new(),
-            link: Link::new(LinkConfig::mbps(config.bandwidth_mbps)),
-            elf: config.policy == PolicyKind::Elf,
+            uplink: Uplink {
+                link: Link::new(LinkConfig::mbps(config.bandwidth_mbps)),
+                elf: config.policy == PolicyKind::Elf,
+                edge_delay: config.edge_delay,
+                frames_injected: 0,
+                frames_muted: 0,
+            },
             default_slo: config.slo,
             frame_interval: SimDuration::from_secs_f64(1.0 / config.max_fps),
-            edge_delay: config.edge_delay,
-            frames_injected: 0,
-            frames_muted: 0,
-            transmission_busy: SimDuration::ZERO,
         }
     }
 
@@ -93,21 +100,21 @@ impl<'a> Ingest<'a> {
     }
 
     /// Camera `cam` captures its next frame, if it is still online:
-    /// `next_frame` → delivery onto the uplink → `next_capture`.
+    /// `capture` → delivery onto the uplink → `next_capture`. The frame
+    /// is the source's, borrowed until it has been delivered.
     pub(crate) fn on_capture(&mut self, now: SimTime, cam: usize, out: &mut Outbox) {
         let slot = &mut self.cameras[cam];
         if !slot.active {
             return;
         }
-        let Some(frame) = slot.source.next_frame() else {
+        let slo = slot.source.slo().unwrap_or(self.default_slo);
+        let Some(frame) = slot.source.capture() else {
             slot.active = false;
             return;
         };
-        let slo = slot.source.slo().unwrap_or(self.default_slo);
-        self.deliver(now, cam, &frame, slo, out);
+        self.uplink.deliver(now, frame, &slot.muted, slo, out);
 
-        let uplink_free = self.link.busy_until();
-        let slot = &mut self.cameras[cam];
+        let uplink_free = self.uplink.link.busy_until();
         let next = slot
             .source
             .next_capture(now, self.frame_interval, uplink_free);
@@ -115,25 +122,25 @@ impl<'a> Ingest<'a> {
             out.schedule(next, StreamEvent::Capture { cam });
         }
     }
+}
 
-    /// Feeds one captured frame to the shared uplink in wire order, one
-    /// patch at a time: re-stamped with the capture instant and `slo`,
-    /// carrying ELF's or the shared encoder's bytes, and scheduled to
-    /// arrive once the link has carried it. The link is FIFO, so each
-    /// delivery is no earlier than the last one and rides the event
-    /// queue's lane ([`Outbox::schedule_delivery`]). A frame captured
-    /// inside one of the camera's mute windows is counted and lost at the
-    /// edge.
+impl Uplink {
+    /// Feeds one captured frame to the link in wire order, one patch at a
+    /// time: re-stamped with the capture instant and `slo`, carrying
+    /// ELF's or the shared encoder's bytes, and scheduled to arrive once
+    /// the link has carried it. The link is FIFO, so each delivery is no
+    /// earlier than the last one and rides the event queue's lane
+    /// ([`Outbox::schedule_delivery`]). A frame captured inside one of
+    /// the camera's `muted` windows is counted and lost at the edge.
     fn deliver(
         &mut self,
         now: SimTime,
-        cam: usize,
         frame: &TraceFrame,
+        muted: &[(SimTime, SimTime)],
         slo: SimDuration,
         out: &mut Outbox,
     ) {
         self.frames_injected += 1;
-        let muted = &self.cameras[cam].muted;
         if muted.iter().any(|&(s, e)| s <= now && now < e) {
             self.frames_muted += 1;
             return;
@@ -151,7 +158,6 @@ impl<'a> Ingest<'a> {
                 ..patch.info
             };
             let delivered = self.link.enqueue(ready, bytes);
-            self.transmission_busy += self.link.config().bandwidth.transmission_time(bytes);
             out.schedule_delivery(delivered, Arrival::Patch(Patch::new(info, bytes)));
         }
     }

@@ -84,11 +84,17 @@ pub trait CameraSource {
     /// The camera's identity (stamped on its patches).
     fn camera(&self) -> CameraId;
 
-    /// The next frame of edge output, or `None` when the stream ends.
-    fn next_frame(&mut self) -> Option<TraceFrame>;
+    /// The next frame of edge output, lent until the next call, or
+    /// `None` when the stream ends.
+    fn capture(&mut self) -> Option<&TraceFrame>;
+
+    /// The next frame as an owned copy, for a caller that keeps frames.
+    fn next_frame(&mut self) -> Option<TraceFrame> {
+        self.capture().cloned()
+    }
 
     /// Whether the stream has no further frames (consulted after
-    /// [`CameraSource::next_frame`] to decide if another capture is
+    /// [`CameraSource::capture`] to decide if another capture is
     /// scheduled).
     fn is_exhausted(&self) -> bool;
 
@@ -139,8 +145,8 @@ impl CameraSource for TraceReplaySource<'_> {
         self.camera
     }
 
-    fn next_frame(&mut self) -> Option<TraceFrame> {
-        let frame = self.frames.get(self.cursor).cloned()?;
+    fn capture(&mut self) -> Option<&TraceFrame> {
+        let frame = self.frames.get(self.cursor)?;
         self.cursor += 1;
         Some(frame)
     }
@@ -204,6 +210,9 @@ const MIN_RATE: f64 = 1e-6;
 pub struct GeneratedSource {
     camera: CameraId,
     pool: Vec<TraceFrame>,
+    /// The frame it lends: refilled from the pool on every capture, so
+    /// once it has held the pool's largest frame it never grows again.
+    current: TraceFrame,
     emitted: usize,
     budget: usize,
     process: ArrivalProcess,
@@ -229,6 +238,7 @@ impl GeneratedSource {
         Self {
             camera: trace.camera,
             pool: trace.frames.clone(),
+            current: trace.frames[0].clone(),
             emitted: 0,
             budget,
             process,
@@ -259,11 +269,12 @@ impl CameraSource for GeneratedSource {
         self.camera
     }
 
-    fn next_frame(&mut self) -> Option<TraceFrame> {
+    fn capture(&mut self) -> Option<&TraceFrame> {
         if self.emitted >= self.budget {
             return None;
         }
-        let mut frame = self.pool[self.emitted % self.pool.len()].clone();
+        let frame = &mut self.current;
+        frame.clone_from(&self.pool[self.emitted % self.pool.len()]);
         frame.frame = tangram_types::ids::FrameId::new(self.emitted as u64);
         for patch in &mut frame.patches {
             // Bit 38 marks generated ids, keeping them disjoint from the
@@ -275,7 +286,7 @@ impl CameraSource for GeneratedSource {
             self.next_patch += 1;
         }
         self.emitted += 1;
-        Some(frame)
+        Some(&self.current)
     }
 
     fn is_exhausted(&self) -> bool {
@@ -328,5 +339,82 @@ impl CameraSource for GeneratedSource {
 
     fn slo(&self) -> Option<SimDuration> {
         self.slo
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tangram_types::geometry::Rect;
+    use tangram_types::ids::{FrameId, SceneId};
+    use tangram_types::patch::{Patch, PatchInfo};
+    use tangram_types::units::Bytes;
+
+    /// A frame of `patches` patches stamped with a camera the sources do
+    /// not own, so a missed re-stamp shows.
+    fn frame(index: u64, patches: u64) -> TraceFrame {
+        let patch = |k: u64| {
+            let info = PatchInfo::new(
+                PatchId::new(100 * index + k),
+                CameraId::new(9),
+                FrameId::new(index),
+                Rect::new(0, 0, 10 + k as u32, 20),
+                SimTime::ZERO,
+                SimDuration::from_secs(1),
+            );
+            Patch::new(info, Bytes::new(1_000 * index + k))
+        };
+        TraceFrame {
+            frame: FrameId::new(index),
+            patches: (0..patches).map(patch).collect(),
+            elf_patch_bytes: (0..patches).map(|k| Bytes::new(7 * index + k)).collect(),
+            full_frame_bytes: Bytes::new(index),
+            masked_frame_bytes: Bytes::new(index + 1),
+            full_megapixels: index as f64 + 0.5,
+            masked_megapixels: index as f64 + 0.25,
+            roi_count: index as usize,
+        }
+    }
+
+    /// Every frame a source yields, as owned copies.
+    fn drain(source: &mut dyn CameraSource) -> Vec<String> {
+        std::iter::from_fn(|| source.next_frame())
+            .map(|f| format!("{f:?}"))
+            .collect()
+    }
+
+    /// Both sources over a pool of uneven frames (three patches, then
+    /// one, none and two) cycled twice: what each lends equals an
+    /// independent copy, so a lent frame never keeps patches or bytes of
+    /// the frame it held before.
+    #[test]
+    fn lent_frames_equal_independent_copies_of_the_pool() {
+        let trace = CameraTrace {
+            camera: CameraId::new(3),
+            scene: SceneId::new(1),
+            frames: vec![frame(0, 3), frame(1, 1), frame(2, 0), frame(3, 2)],
+        };
+        let replayed: Vec<String> = trace.frames.iter().map(|f| format!("{f:?}")).collect();
+        assert_eq!(drain(&mut TraceReplaySource::new(&trace)), replayed);
+
+        let budget = 2 * trace.frames.len();
+        let mut next_patch = 0;
+        let generated: Vec<String> = (0..budget)
+            .map(|k| {
+                let mut f = trace.frames[k % trace.frames.len()].clone();
+                f.frame = FrameId::new(k as u64);
+                for p in &mut f.patches {
+                    p.info.id = PatchId::new((3 << 40) | (1 << 38) | next_patch);
+                    p.info.camera = CameraId::new(3);
+                    p.info.frame = f.frame;
+                    next_patch += 1;
+                }
+                format!("{f:?}")
+            })
+            .collect();
+        let process = ArrivalProcess::Poisson { fps: 5.0 };
+        let mut source = GeneratedSource::new(&trace, budget, process, DetRng::new(1));
+        assert_eq!(drain(&mut source), generated);
+        assert!(source.is_exhausted());
     }
 }

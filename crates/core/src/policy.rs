@@ -54,11 +54,70 @@ impl BatchSpec {
     }
 }
 
+/// The batches one policy call dispatches, in order. Nearly every call
+/// dispatches none or one, so the first sits inline and only a second
+/// (Tangram's `C_old` followed by a late patch alone, Clipper's safety
+/// valve after a full batch) reaches the heap.
+#[derive(Debug, Default)]
+pub struct Dispatches {
+    first: Option<BatchSpec>,
+    rest: Vec<BatchSpec>,
+}
+
+impl Dispatches {
+    /// Appends `batch` after every batch already pushed.
+    pub fn push(&mut self, batch: BatchSpec) {
+        if self.first.is_none() {
+            self.first = Some(batch);
+        } else {
+            self.rest.push(batch);
+        }
+    }
+
+    /// Number of batches.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        usize::from(self.first.is_some()) + self.rest.len()
+    }
+
+    /// Whether no batch is dispatched.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+
+    /// The batches in push order.
+    pub fn iter(&self) -> impl Iterator<Item = &BatchSpec> {
+        self.first.iter().chain(&self.rest)
+    }
+}
+
+impl std::ops::Index<usize> for Dispatches {
+    type Output = BatchSpec;
+
+    fn index(&self, index: usize) -> &BatchSpec {
+        match index.checked_sub(1) {
+            None => self.first.as_ref().expect("no batch dispatched"),
+            Some(i) => &self.rest[i],
+        }
+    }
+}
+
+impl IntoIterator for Dispatches {
+    type Item = BatchSpec;
+    type IntoIter =
+        std::iter::Chain<std::option::IntoIter<BatchSpec>, std::vec::IntoIter<BatchSpec>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.first.into_iter().chain(self.rest)
+    }
+}
+
 /// What a policy returns from an event handler.
 #[derive(Debug, Default)]
 pub struct PolicyOutput {
     /// Batches to dispatch now, in order.
-    pub dispatches: Vec<BatchSpec>,
+    pub dispatches: Dispatches,
     /// When the policy wants `on_tick` called next (engine may coalesce).
     pub next_wake: Option<SimTime>,
     /// Work items the policy actually enqueued for this arrival, in the
@@ -78,10 +137,9 @@ impl PolicyOutput {
     /// Dispatch one batch immediately.
     #[must_use]
     pub fn dispatch(batch: BatchSpec) -> Self {
-        Self {
-            dispatches: vec![batch],
-            ..Self::default()
-        }
+        let mut out = Self::default();
+        out.dispatches.push(batch);
+        out
     }
 
     /// Just a wake-up request.
@@ -130,6 +188,10 @@ pub trait BatchingPolicy {
     /// A requested wake-up fired (possibly stale — policies must re-check
     /// their own state).
     fn on_tick(&mut self, now: SimTime) -> PolicyOutput;
+
+    /// The engine booked `spec` and hands it back: a policy may keep its
+    /// buffers for the next batch it builds. The default drops it.
+    fn recycle(&mut self, _spec: BatchSpec) {}
 
     /// A previously dispatched batch completed.
     fn on_completion(&mut self, _now: SimTime, _feedback: CompletionFeedback) -> PolicyOutput {
@@ -200,6 +262,44 @@ mod tests {
                 .accepted,
             1
         );
+    }
+
+    fn spec(inputs: usize) -> BatchSpec {
+        BatchSpec {
+            patches: vec![patch_info(inputs as u64, 1_000_000)],
+            inputs,
+            megapixels: 0.0,
+            canvas_efficiencies: vec![],
+        }
+    }
+
+    /// The first batch sits inline and the rest spill over; every view
+    /// of the list keeps push order across the seam.
+    #[test]
+    fn dispatches_keep_push_order_across_the_inline_first() {
+        let mut out = PolicyOutput::dispatch(spec(1));
+        out.dispatches.push(spec(2));
+        out.dispatches.push(spec(3));
+        let list = &out.dispatches;
+        assert_eq!((list.len(), list.is_empty()), (3, false));
+        assert_eq!([list[0].inputs, list[1].inputs, list[2].inputs], [1, 2, 3]);
+        let by_ref: Vec<usize> = list.iter().map(|b| b.inputs).collect();
+        let owned: Vec<usize> = out.dispatches.into_iter().map(|b| b.inputs).collect();
+        assert_eq!((by_ref, owned), (vec![1, 2, 3], vec![1, 2, 3]));
+
+        let mut pushed = Dispatches::default();
+        assert!(pushed.is_empty() && pushed.iter().next().is_none());
+        for inputs in [4, 5, 6] {
+            pushed.push(spec(inputs));
+        }
+        let ids: Vec<u64> = pushed.iter().map(|b| b.patches[0].id.raw()).collect();
+        assert_eq!((pushed.len(), ids), (3, vec![4, 5, 6]));
+    }
+
+    #[test]
+    #[should_panic(expected = "no batch dispatched")]
+    fn indexing_no_dispatches_panics() {
+        let _ = &PolicyOutput::idle().dispatches[0];
     }
 
     #[test]

@@ -35,15 +35,20 @@ pub const ELF_MIN_INPUT_MEGAPIXELS: f64 = 0.1024;
 
 /// ELF: one immediate request per patch, no batching, billed at the
 /// patch's area raised to [`ELF_MIN_INPUT_MEGAPIXELS`].
-#[derive(Debug)]
-pub struct ElfPolicy;
+#[derive(Debug, Default)]
+pub struct ElfPolicy {
+    /// The last recycled batch's patch list, cleared.
+    spare: Vec<PatchInfo>,
+}
 
 impl BatchingPolicy for ElfPolicy {
     fn on_arrival(&mut self, _now: SimTime, arrival: Arrival) -> PolicyOutput {
         let Arrival::Patch(p) = arrival;
         let area = p.info.rect.area() as f64 / 1.0e6;
+        let mut patches = std::mem::take(&mut self.spare);
+        patches.push(p.info);
         PolicyOutput::dispatch(BatchSpec {
-            patches: vec![p.info],
+            patches,
             inputs: 1,
             megapixels: area.max(ELF_MIN_INPUT_MEGAPIXELS),
             canvas_efficiencies: Vec::new(),
@@ -58,6 +63,17 @@ impl BatchingPolicy for ElfPolicy {
     fn flush(&mut self, _now: SimTime) -> PolicyOutput {
         PolicyOutput::idle()
     }
+
+    fn recycle(&mut self, spec: BatchSpec) {
+        self.spare = cleared(spec);
+    }
+}
+
+/// A booked batch's patch list, emptied for the next batch to fill.
+fn cleared(spec: BatchSpec) -> Vec<PatchInfo> {
+    let mut patches = spec.patches;
+    patches.clear();
+    patches
 }
 
 /// Clipper's adaptive batching: AIMD on the batch size, dispatch whenever
@@ -69,6 +85,8 @@ pub struct ClipperPolicy {
     max_batch: usize,
     batch_size: usize,
     queue: Vec<PatchInfo>,
+    /// The last recycled batch's patch list, cleared.
+    spare: Vec<PatchInfo>,
 }
 
 impl ClipperPolicy {
@@ -79,6 +97,7 @@ impl ClipperPolicy {
             max_batch: max_batch.max(1),
             batch_size: 1,
             queue: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -90,7 +109,8 @@ impl ClipperPolicy {
 
     fn take_batch(&mut self, n: usize) -> BatchSpec {
         let n = n.min(self.queue.len());
-        let patches: Vec<PatchInfo> = self.queue.drain(..n).collect();
+        let mut patches = std::mem::take(&mut self.spare);
+        patches.extend(self.queue.drain(..n));
         BatchSpec {
             inputs: patches.len(),
             megapixels: padded_inputs_megapixels(patches.len(), INPUT_SIZE),
@@ -159,6 +179,10 @@ impl BatchingPolicy for ClipperPolicy {
         let len = self.queue.len();
         PolicyOutput::dispatch(self.take_batch(len))
     }
+
+    fn recycle(&mut self, spec: BatchSpec) {
+        self.spare = cleared(spec);
+    }
 }
 
 /// MArk's batching: a maximum batch size plus a timeout measured from the
@@ -171,6 +195,8 @@ pub struct MarkPolicy {
     timeout: SimDuration,
     queue: Vec<PatchInfo>,
     first_arrival: Option<SimTime>,
+    /// The last recycled batch's patch list, cleared.
+    spare: Vec<PatchInfo>,
 }
 
 impl MarkPolicy {
@@ -183,12 +209,13 @@ impl MarkPolicy {
             timeout,
             queue: Vec::new(),
             first_arrival: None,
+            spare: Vec::new(),
         }
     }
 
     fn take_all(&mut self) -> BatchSpec {
         self.first_arrival = None;
-        let patches = std::mem::take(&mut self.queue);
+        let patches = std::mem::replace(&mut self.queue, std::mem::take(&mut self.spare));
         BatchSpec {
             inputs: patches.len(),
             megapixels: padded_inputs_megapixels(patches.len(), INPUT_SIZE),
@@ -232,6 +259,10 @@ impl BatchingPolicy for MarkPolicy {
         }
         PolicyOutput::dispatch(self.take_all())
     }
+
+    fn recycle(&mut self, spec: BatchSpec) {
+        self.spare = cleared(spec);
+    }
 }
 
 #[cfg(test)]
@@ -262,7 +293,7 @@ mod tests {
 
     #[test]
     fn elf_one_request_per_patch() {
-        let mut p = ElfPolicy;
+        let mut p = ElfPolicy::default();
         let a = p.on_arrival(t(0), Arrival::Patch(patch(1, 0, 1000)));
         let b = p.on_arrival(t(1), Arrival::Patch(patch(2, 1, 1000)));
         assert_eq!(a.dispatches.len() + b.dispatches.len(), 2);
@@ -272,7 +303,7 @@ mod tests {
 
     #[test]
     fn elf_pads_tiny_patches() {
-        let mut p = ElfPolicy;
+        let mut p = ElfPolicy::default();
         let tiny = Patch::new(
             PatchInfo::new(
                 PatchId::new(1),

@@ -56,17 +56,17 @@ pub struct BatchRecord {
     pub cold: bool,
     /// Eqn. (1) cost.
     pub cost: Dollars,
-    /// Canvas efficiencies (stitching policies only).
-    pub efficiencies: Vec<f64>,
 }
 
 /// The engine's account stage: every dispatched batch is booked here —
-/// one [`BatchRecord`], one [`PatchRecord`] per patch — and the records
-/// become the [`RunReport`] when the run ends.
+/// one [`BatchRecord`], one [`PatchRecord`] per patch, its canvas
+/// efficiencies onto one list — and the records become the [`RunReport`]
+/// when the run ends.
 #[derive(Default)]
 pub(crate) struct Account {
     pub(crate) patch_records: Vec<PatchRecord>,
     pub(crate) batch_records: Vec<BatchRecord>,
+    pub(crate) efficiencies: Vec<f64>,
 }
 
 impl Account {
@@ -75,7 +75,7 @@ impl Account {
     pub(crate) fn on_dispatch(
         &mut self,
         now: SimTime,
-        spec: BatchSpec,
+        spec: &BatchSpec,
         outcome: &InvocationOutcome,
     ) -> CompletionFeedback {
         let mut violations = 0usize;
@@ -99,8 +99,9 @@ impl Account {
             execution: outcome.execution,
             cold: outcome.cold,
             cost: outcome.cost,
-            efficiencies: spec.canvas_efficiencies,
         });
+        self.efficiencies
+            .extend_from_slice(&spec.canvas_efficiencies);
         CompletionFeedback {
             finished: outcome.finished,
             execution: outcome.execution,
@@ -119,6 +120,9 @@ pub struct RunReport {
     pub patches: Vec<PatchRecord>,
     /// Per-invocation outcomes.
     pub batches: Vec<BatchRecord>,
+    /// Every batch's canvas efficiencies (stitching policies only), in
+    /// dispatch order.
+    pub efficiencies: Vec<f64>,
     /// Uplink counters.
     pub link: LinkStats,
     /// Platform counters.
@@ -145,7 +149,8 @@ pub struct RunReport {
     /// by the class SLO, ascending — the admitted traffic mix the DRR
     /// weights shape. Empty when no fair ingress is installed.
     pub ingress_admitted: Vec<(SimDuration, u64)>,
-    /// Total wire time spent transmitting (Fig. 14c's breakdown).
+    /// Total wire time spent transmitting (Fig. 14c's breakdown): the
+    /// uplink's [`LinkStats::busy`].
     pub transmission_busy: SimDuration,
     /// Simulated makespan of the run.
     pub makespan: SimDuration,
@@ -208,14 +213,10 @@ impl RunReport {
     }
 
     /// All canvas efficiencies across batches (Fig. 10b / Fig. 13), for
-    /// the rows that plot their distribution. Allocates the list on every
-    /// call; [`Self::summarize`] folds its mean without going through it.
+    /// the rows that plot their distribution.
     #[must_use]
-    pub fn canvas_efficiencies(&self) -> Vec<f64> {
-        self.batches
-            .iter()
-            .flat_map(|b| b.efficiencies.iter().copied())
-            .collect()
+    pub fn canvas_efficiencies(&self) -> &[f64] {
+        &self.efficiencies
     }
 
     /// Mean patches per batch.
@@ -298,11 +299,8 @@ impl RunReport {
         }
         let (p99, at_most_p99) = select_quantile(&mut micros, 0.99, n);
         let (p50, _) = select_quantile(at_most_p99, 0.5, n);
-        let (eff_sum, eff_count) = self
-            .batches
-            .iter()
-            .flat_map(|b| &b.efficiencies)
-            .fold((0.0, 0usize), |(sum, count), e| (sum + e, count + 1));
+        let eff_sum = self.efficiencies.iter().fold(0.0, |sum, e| sum + e);
+        let eff_count = self.efficiencies.len();
         // An empty sum divides by one, not zero: 0 / 1 = 0.
         let per_patch = n.max(1) as f64;
         let makespan_s = self.makespan.as_secs_f64();
@@ -470,6 +468,7 @@ mod tests {
             policy: "test".into(),
             patches,
             batches: vec![],
+            efficiencies: vec![],
             link: LinkStats::default(),
             platform: PlatformStats::default(),
             frames: 1,
@@ -520,8 +519,8 @@ mod tests {
             execution: SimDuration::from_millis(100),
             cold: true,
             cost: Dollars::new(0.001),
-            efficiencies: vec![0.5, 0.9],
         }];
+        r.efficiencies = vec![0.5, 0.9];
         let s = r.summarize();
         assert_eq!(s.policy, "test");
         assert_eq!(s.patches, 2);
@@ -633,17 +632,22 @@ mod tests {
             })
             .collect();
         let mut r = report(patches);
+        let mut efficiencies = Vec::new();
         r.batches = (0..rng.index(40))
-            .map(|_| BatchRecord {
-                dispatched_at: SimTime::ZERO,
-                inputs: 1 + rng.index(4),
-                patch_count: rng.index(60),
-                execution: SimDuration::from_micros(rng.index(300_000) as u64),
-                cold: rng.chance(0.1),
-                cost: Dollars::new(rng.uniform() * 1e-3),
-                efficiencies: (0..rng.index(4)).map(|_| rng.uniform()).collect(),
+            .map(|_| {
+                let batch = BatchRecord {
+                    dispatched_at: SimTime::ZERO,
+                    inputs: 1 + rng.index(4),
+                    patch_count: rng.index(60),
+                    execution: SimDuration::from_micros(rng.index(300_000) as u64),
+                    cold: rng.chance(0.1),
+                    cost: Dollars::new(rng.uniform() * 1e-3),
+                };
+                efficiencies.extend((0..rng.index(4)).map(|_| rng.uniform()));
+                batch
             })
             .collect();
+        r.efficiencies = efficiencies;
         r.makespan = SimDuration::from_micros(rng.index(30_000_000) as u64);
         r.transmission_busy = SimDuration::from_micros(rng.index(9_000_000) as u64);
         if rng.chance(0.5) {
@@ -698,7 +702,6 @@ mod tests {
                 execution: SimDuration::from_millis(100),
                 cold: true,
                 cost: Dollars::new(0.001),
-                efficiencies: vec![0.7, 0.8],
             },
             BatchRecord {
                 dispatched_at: SimTime::ZERO,
@@ -707,10 +710,10 @@ mod tests {
                 execution: SimDuration::from_millis(50),
                 cold: false,
                 cost: Dollars::new(0.0005),
-                efficiencies: vec![0.6],
             },
         ];
-        assert_eq!(r.canvas_efficiencies(), vec![0.7, 0.8, 0.6]);
+        r.efficiencies = vec![0.7, 0.8, 0.6];
+        assert_eq!(r.canvas_efficiencies(), [0.7, 0.8, 0.6]);
         assert!((r.mean_patches_per_batch() - 7.5).abs() < 1e-12);
         assert_eq!(r.total_execution(), SimDuration::from_millis(150));
     }

@@ -77,6 +77,9 @@ pub struct TangramScheduler {
     /// Latest observed backend earliest-start (admission-aware mode only;
     /// `None` until the first signal arrives).
     backend_free_at: Option<SimTime>,
+    /// A batch the engine handed back ([`BatchingPolicy::recycle`]), its
+    /// lists cleared: the next batch's buffers.
+    spare: Option<BatchSpec>,
 }
 
 impl TangramScheduler {
@@ -106,6 +109,7 @@ impl TangramScheduler {
             deadlines: None,
             invoke_by: None,
             backend_free_at: None,
+            spare: None,
         }
     }
 
@@ -252,25 +256,29 @@ impl TangramScheduler {
 
     /// Builds the dispatch for the current canvases and clears the state.
     /// The canvases are read, then closed for the next queue to reopen.
-    /// That queue starts with room for as many patches as this one held,
-    /// so a steady batch size grows it once, not by doubling — sized by
-    /// length, not capacity, because whoever keeps the `BatchSpec` keeps
-    /// the room too, and a capacity would never shrink again.
+    /// The queue leaves as the batch's patch list; the next queue is the
+    /// spare batch's cleared list, so a queue and a batch trade buffers
+    /// and a warm run allocates none. Without a spare (the first batch,
+    /// or a host that keeps its batches) the next queue starts with room
+    /// for as many patches as this one held: a steady batch size grows it
+    /// once, not by doubling.
     fn take_batch(&mut self) -> BatchSpec {
-        let next_queue = Vec::with_capacity(self.queue.len());
-        let patches = std::mem::replace(&mut self.queue, next_queue);
         let inputs = self.open_canvases();
-        let canvas_efficiencies = self.stitching.efficiencies().collect();
+        let mut spec = self.spare.take().unwrap_or_else(|| BatchSpec {
+            patches: Vec::with_capacity(self.queue.len()),
+            inputs,
+            megapixels: 0.0,
+            canvas_efficiencies: Vec::with_capacity(inputs),
+        });
+        std::mem::swap(&mut spec.patches, &mut self.queue);
+        spec.canvas_efficiencies
+            .extend(self.stitching.efficiencies());
+        spec.inputs = inputs;
+        spec.megapixels = inputs as f64 * self.config.canvas_size.megapixels();
         self.stitching.close();
         self.invoke_by = None;
         self.deadlines = None;
-        let megapixels = inputs as f64 * self.config.canvas_size.megapixels();
-        BatchSpec {
-            patches,
-            inputs,
-            megapixels,
-            canvas_efficiencies,
-        }
+        spec
     }
 }
 
@@ -292,6 +300,12 @@ impl BatchingPolicy for TangramScheduler {
 
     fn flush(&mut self, _now: SimTime) -> PolicyOutput {
         self.drain()
+    }
+
+    fn recycle(&mut self, mut spec: BatchSpec) {
+        spec.patches.clear();
+        spec.canvas_efficiencies.clear();
+        self.spare = Some(spec);
     }
 }
 

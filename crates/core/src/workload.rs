@@ -22,7 +22,7 @@ use tangram_vision::detector::DetectorProxy;
 use tangram_vision::extractor::{GmmExtractor, ProxyExtractor, RoiExtractor};
 
 /// One frame's worth of edge output.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TraceFrame {
     /// Frame index.
     pub frame: FrameId,
@@ -42,6 +42,45 @@ pub struct TraceFrame {
     pub masked_megapixels: f64,
     /// Number of raw RoIs the extractor found (diagnostics).
     pub roi_count: usize,
+}
+
+impl Clone for TraceFrame {
+    fn clone(&self) -> Self {
+        Self {
+            frame: self.frame,
+            patches: self.patches.clone(),
+            elf_patch_bytes: self.elf_patch_bytes.clone(),
+            full_frame_bytes: self.full_frame_bytes,
+            masked_frame_bytes: self.masked_frame_bytes,
+            full_megapixels: self.full_megapixels,
+            masked_megapixels: self.masked_megapixels,
+            roi_count: self.roi_count,
+        }
+    }
+
+    /// Copies `source` into the lists `self` already holds, allocating
+    /// only when one of them must grow. The pattern names every field, so
+    /// a new one cannot be skipped.
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            frame,
+            patches,
+            elf_patch_bytes,
+            full_frame_bytes,
+            masked_frame_bytes,
+            full_megapixels,
+            masked_megapixels,
+            roi_count,
+        } = source;
+        self.frame = *frame;
+        self.patches.clone_from(patches);
+        self.elf_patch_bytes.clone_from(elf_patch_bytes);
+        self.full_frame_bytes = *full_frame_bytes;
+        self.masked_frame_bytes = *masked_frame_bytes;
+        self.full_megapixels = *full_megapixels;
+        self.masked_megapixels = *masked_megapixels;
+        self.roi_count = *roi_count;
+    }
 }
 
 /// The workload of one camera.

@@ -53,6 +53,8 @@ pub struct LinkStats {
     pub bytes: Bytes,
     /// Number of messages accepted.
     pub messages: u64,
+    /// Wire time spent transmitting them (outages and idle gaps excluded).
+    pub busy: SimDuration,
 }
 
 /// A FIFO store-and-forward uplink shared by all cameras of one site.
@@ -98,10 +100,12 @@ impl Link {
     /// sender is ready (`now`) and the wire is free.
     pub fn enqueue(&mut self, now: SimTime, size: Bytes) -> SimTime {
         let start = self.busy_until.max(now);
-        let end = start + self.config.bandwidth.transmission_time(size);
+        let transmission = self.config.bandwidth.transmission_time(size);
+        let end = start + transmission;
         self.busy_until = end;
         self.stats.bytes += size;
         self.stats.messages += 1;
+        self.stats.busy += transmission;
         end + PROPAGATION
     }
 
@@ -166,9 +170,27 @@ mod tests {
             link.stats(),
             LinkStats {
                 bytes: Bytes::new(3000),
-                messages: 2
+                messages: 2,
+                busy: Bandwidth::from_mbps(20.0).transmission_time(Bytes::new(3000)),
             }
         );
+    }
+
+    #[test]
+    fn busy_sums_the_transmission_times_and_an_outage_adds_nothing() {
+        let bandwidth = Bandwidth::from_mbps(40.0);
+        let mut link = Link::new(LinkConfig::mbps(40.0));
+        let sizes = [120_000, 7, 64_000, 1_000_000, 33_333];
+        let mut expected = SimDuration::ZERO;
+        for (i, &size) in sizes.iter().enumerate() {
+            if i == 2 {
+                link.outage_until(t(5_000_000));
+            }
+            let _ = link.enqueue(t(i as u64 * 1_000), Bytes::new(size));
+            expected += bandwidth.transmission_time(Bytes::new(size));
+        }
+        assert!(link.busy_until() > t(5_000_000), "the outage held the wire");
+        assert_eq!(link.stats().busy, expected);
     }
 
     #[test]

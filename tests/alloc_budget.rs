@@ -4,7 +4,8 @@
 //! share of it at a warm pool), what one `EventQueue`
 //! push/pop pair costs at a steady population, what placing a tile onto
 //! warm canvases and profiling the latency estimator cost, what replaying
-//! a trace costs (it reads the trace in place) — and the high-water mark
+//! a trace costs (it reads the trace in place) and what a generated
+//! camera's lent frame costs — and the high-water mark
 //! of a sweep: `run_grid` holds one cell's records at a time, so its peak
 //! is flat in the cell count. And what a trace record costs: nothing per
 //! record in `emit`, `verify`, `to_jsonl` and `from_jsonl` beyond the
@@ -17,7 +18,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use tangram_core::engine::{EngineConfig, PolicyKind};
-use tangram_core::online::Plan;
+use tangram_core::online::{ArrivalProcess, CameraSource, GeneratedSource, Plan};
+use tangram_core::policy::BatchingPolicy;
 use tangram_core::scheduler::{SchedulerConfig, TangramScheduler};
 use tangram_core::workload::TraceConfig;
 use tangram_harness::{run_grid, run_grid_full, SweepGrid, TraceKind, WorkloadSpec};
@@ -26,6 +28,7 @@ use tangram_infer::latency::InferenceLatencyModel;
 use tangram_serverless::function::FunctionSpec;
 use tangram_serverless::platform::{InvocationRequest, ServerlessPlatform};
 use tangram_sim::event::EventQueue;
+use tangram_sim::rng::DetRng;
 use tangram_stitch::solver::Stitching;
 use tangram_trace::{TraceEvent, TraceLog, TraceSink};
 use tangram_types::geometry::{Rect, Size};
@@ -113,16 +116,17 @@ fn high_water_in(work: impl FnOnce()) -> isize {
 
 /// A saturated uplink in miniature: every patch reaches the scheduler
 /// past its deadline, so each is its own batch, submitted 2 ms after the
-/// last onto a pool of a few dozen instances and acknowledged. What is
-/// left per patch is the `PolicyOutput`'s dispatch list, the batch's
-/// patch list and its efficiencies — the canvas, its packer and the
-/// platform's pick allocate nothing once warm.
+/// last onto a pool of a few dozen instances, acknowledged and handed
+/// back to the scheduler as the engine does. The dispatch list holds its
+/// one batch inline, the batch takes the queue's buffers and the queue
+/// the recycled batch's; the canvas, its packer and the platform's pick
+/// allocate nothing either once the pool has grown.
 #[test]
 #[cfg_attr(
     debug_assertions,
     ignore = "counts the release path; the debug oracle re-stitches"
 )]
-fn a_late_patch_costs_at_most_four_allocations_from_arrival_to_ack() {
+fn a_warm_late_patch_allocates_nothing_from_arrival_to_ack() {
     let model = InferenceLatencyModel::rtx4090_yolov8x();
     let estimator = LatencyEstimator::paper_default(&model, Size::CANVAS_1024, 9);
     let mut scheduler = TangramScheduler::new(SchedulerConfig::paper_default(), estimator);
@@ -148,19 +152,17 @@ fn a_late_patch_costs_at_most_four_allocations_from_arrival_to_ack() {
             };
             let outcome = platform.submit(request).expect("one canvas fits");
             assert!(platform.complete(outcome.id));
+            scheduler.recycle(spec);
         }
     };
-    (0..64).for_each(&mut late_patch);
-    let allocs = allocations_in(|| (64..1_064).for_each(&mut late_patch));
+    (0..256).for_each(&mut late_patch);
+    let allocs = allocations_in(|| (256..1_256).for_each(&mut late_patch));
     assert!(
         platform.stats().peak_instances > 20,
         "the pick must have a pool to walk: {:?}",
         platform.stats()
     );
-    assert!(
-        allocs <= 4 * 1_000,
-        "{allocs} allocator calls for 1,000 late patches"
-    );
+    assert_eq!(allocs, 0, "allocator calls for 1,000 late patches");
 }
 
 /// The platform alone, at the pool size a saturated uplink keeps warm:
@@ -248,14 +250,17 @@ fn profiling_the_estimator_is_one_allocation() {
 }
 
 /// `EngineConfig::replay` reads each trace in place: its replay source
-/// borrows the frames and clones one frame per capture — the frame's
-/// patch list and ELF byte list, two allocator calls a frame with
-/// patches — and the uplink takes each patch straight from that frame.
-/// Deep-copying the trace up front and gathering each frame's wire items
-/// into a list made this run 742 calls: 1 + 2 × 40 for the copy's frame
-/// list and its two lists per frame, and 40 lists of wire items; the
-/// event queue's side arena and free list, before it held its payloads
-/// inline, made 6 more growth calls. ELF
+/// lends each frame from the trace, and the uplink takes each patch
+/// straight from it. ELF's batch lists come back to it after booking, so
+/// only its first one is allocated.
+///
+/// Cloning each captured frame (its patch list and ELF byte list, 2 × 40
+/// calls) and giving every ELF dispatch a fresh patch list and dispatch
+/// list (2 × 253) made this run 615 calls; the first recycled list and the
+/// policy's box, no longer zero-sized now that it holds a spare list, are
+/// the two that took their place. Deep-copying the trace up front and
+/// gathering each frame's wire items into a list made it 742 before
+/// that, and the event queue's side arena and free list 6 more. ELF
 /// keeps the Tangram scheduler's debug oracle out of the count, so it is
 /// the same in debug and release.
 #[test]
@@ -278,7 +283,27 @@ fn replaying_a_trace_reads_it_in_place() {
         patches = report.patches.len();
     });
     assert_eq!((with_patches, patches), (40, 253));
-    assert_eq!(allocs, 615, "allocator calls replaying 40 frames");
+    assert_eq!(allocs, 31, "allocator calls replaying 40 frames");
+}
+
+/// A generated camera lends one frame it refills from its content pool
+/// on every capture: once it has held the pool's largest frame, cycling
+/// the pool allocates nothing.
+#[test]
+fn a_warm_generated_source_lends_its_frames_without_allocating() {
+    let trace = TraceConfig::proxy_extractor(SceneId::new(1), 24, 7).build();
+    let process = ArrivalProcess::Poisson { fps: 10.0 };
+    let mut source = GeneratedSource::new(&trace, 1_024, process, DetRng::new(7));
+    let mut patches = 0;
+    let mut capture = |frames: usize| {
+        for _ in 0..frames {
+            patches += source.capture().expect("within the budget").patches.len();
+        }
+    };
+    capture(24);
+    let allocs = allocations_in(|| capture(1_000));
+    assert!(patches > 1_000, "{patches} patches lent");
+    assert_eq!(allocs, 0, "allocator calls lending 1,000 frames");
 }
 
 /// Once the lane and the heap have grown to a population, a pop

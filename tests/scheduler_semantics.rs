@@ -404,11 +404,14 @@ fn one_tile_placement_matches_a_re_stitch_per_arrival_step_for_step() {
 /// oversized patch repeat its id), on how many canvases.
 type Dispatch = (SimTime, Vec<u64>, usize);
 
-fn dispatches(at: SimTime, batches: &[BatchSpec]) -> impl Iterator<Item = Dispatch> + '_ {
-    batches.iter().map(move |b| {
-        let ids = b.patches.iter().map(|p| p.id.raw()).collect();
-        (at, ids, b.inputs)
-    })
+fn dispatches<'a>(at: SimTime, batches: impl IntoIterator<Item = &'a BatchSpec>) -> Vec<Dispatch> {
+    batches
+        .into_iter()
+        .map(|b| {
+            let ids = b.patches.iter().map(|p| p.id.raw()).collect();
+            (at, ids, b.inputs)
+        })
+        .collect()
 }
 
 /// `LiveTangram` is one more driver of the same state machine: streamed
@@ -473,15 +476,15 @@ fn the_live_runtime_fires_what_the_scheduler_driven_by_hand_fires() {
     for &(arrival, info) in &arrivals {
         while let Some(due) = bare.invoke_by().filter(|&due| due <= arrival) {
             by_timer += 1;
-            by_hand.extend(dispatches(due, &bare.on_timer(due).dispatches));
+            by_hand.extend(dispatches(due, bare.on_timer(due).dispatches.iter()));
         }
         by_hand.extend(dispatches(
             arrival,
-            &bare.on_patch(arrival, info).dispatches,
+            bare.on_patch(arrival, info).dispatches.iter(),
         ));
     }
     let end = arrivals.last().expect("arrivals").0;
-    by_hand.extend(dispatches(end, &bare.drain().dispatches));
+    by_hand.extend(dispatches(end, bare.drain().dispatches.iter()));
 
     let clock = ManualClock::new();
     let live: Rc<RefCell<Vec<Dispatch>>> = Rc::default();
