@@ -8,12 +8,10 @@
 //! scheduler, fed an [`AdmissionSignals`] snapshot (scheduler queue depth
 //! plus the serverless backend's [`BackendSnapshot`]: in-flight
 //! invocations, backlog, earliest feasible start). The policies are a
-//! closed set, the same three `AdmissionSpec` declares:
+//! closed set, the same two `AdmissionSpec` declares:
 //!
 //! * [`AdmissionPolicy::Always`] — the open door (behaviourally identical
 //!   to running with no policy at all);
-//! * [`AdmissionPolicy::QueueDepth`] — the classic bound: shed when the
-//!   scheduler already holds too many undispatched work items;
 //! * [`AdmissionPolicy::SloShedder`] — the SLO-aware [`SloShedder`]:
 //!   estimates whether the arriving patch can still meet its tenant
 //!   deadline given current queue and in-flight state, sheds *doomed*
@@ -62,13 +60,6 @@ pub enum AdmissionPolicy {
     /// Admits everything — the open door. An engine running it behaves
     /// byte-identically to one with no policy, trace records aside.
     Always,
-    /// Sheds once the scheduler's standing queue reaches a fixed depth —
-    /// the textbook bound: indiscriminate, SLO-blind, but a useful
-    /// baseline for the overload sweeps.
-    QueueDepth {
-        /// Admit while fewer than this many work items are queued.
-        max_queued: usize,
-    },
     /// The SLO-aware shedder.
     SloShedder(SloShedder),
 }
@@ -83,10 +74,6 @@ impl AdmissionPolicy {
     ) -> Admission {
         match self {
             AdmissionPolicy::Always => Admission::Accept,
-            AdmissionPolicy::QueueDepth { max_queued } if signals.queued >= *max_queued => {
-                Admission::Drop
-            }
-            AdmissionPolicy::QueueDepth { .. } => Admission::Accept,
             AdmissionPolicy::SloShedder(shedder) => shedder.admit(now, arrival, signals),
         }
     }
@@ -308,20 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_threshold_sheds_at_the_bound() {
-        let mut policy = AdmissionPolicy::QueueDepth { max_queued: 4 };
-        let a = arrival(0, 1000);
-        assert_eq!(
-            policy.admit(SimTime::ZERO, &a, &signals(3, 0, Some(4))),
-            Admission::Accept
-        );
-        assert_eq!(
-            policy.admit(SimTime::ZERO, &a, &signals(4, 0, Some(4))),
-            Admission::Drop
-        );
-    }
-
-    #[test]
     fn shedder_drops_doomed_work_of_any_class() {
         let mut policy = SloShedder::new(SimDuration::from_millis(50))
             .with_classes(&[SimDuration::from_millis(800)]);
@@ -442,15 +415,18 @@ mod tests {
     #[test]
     fn drop_ledger_stays_sorted_and_sums_to_the_total() {
         let mut admit = Admit {
-            policy: Some(AdmissionPolicy::QueueDepth { max_queued: 1 }),
+            policy: Some(AdmissionPolicy::SloShedder(SloShedder::new(
+                SimDuration::from_millis(50),
+            ))),
             ..Admit::default()
         };
         let open = signals(0, 0, Some(1));
-        let full = signals(1, 0, Some(1));
+        // No start before 9 s: every class below is doomed.
+        let doomed = signals(0, 9_000_000, Some(1));
         let mut out = Outbox::new(true);
         // Verdict drops, fed out of SLO order…
         for slo_ms in [1500, 800, 3000, 800] {
-            assert!(!admit.on_arrival(SimTime::ZERO, &arrival(0, slo_ms), &full, &mut out));
+            assert!(!admit.on_arrival(SimTime::ZERO, &arrival(0, slo_ms), &doomed, &mut out));
         }
         // …an admitted arrival, which the ledger ignores…
         assert!(admit.on_arrival(SimTime::ZERO, &arrival(0, 800), &open, &mut out));

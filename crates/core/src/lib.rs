@@ -22,9 +22,8 @@
 //!   ([`online::ArrivalProcess`]: Poisson / bursty / diurnal, or trace
 //!   replay), join and leave mid-run, and carry per-tenant SLOs;
 //! * [`admission`] — the admit stage: ingress admission control, a closed
-//!   [`admission::AdmissionPolicy`] enum (open door, queue-depth bound,
-//!   the SLO-aware [`admission::SloShedder`]), and the per-tenant drop
-//!   ledger;
+//!   [`admission::AdmissionPolicy`] enum (open door or the SLO-aware
+//!   [`admission::SloShedder`]), and the per-tenant drop ledger;
 //! * [`fairness`] — the fair-queue stage: weighted deficit-round-robin
 //!   ([`fairness::DrrIngress`]) between admission and the scheduler, so
 //!   the admitted mix under overload tracks the configured weights;

@@ -14,8 +14,8 @@ pub(crate) struct Batch {
     /// scheduling): a fresh snapshot then precedes its arrivals even if
     /// no admission policy is installed.
     pub(super) reads_signals: bool,
-    /// Work items admitted but not yet dispatched (the queue-depth
-    /// admission signal), in the post-normalize unit batches drain in:
+    /// Work items admitted but not yet dispatched (the standing queue
+    /// admission reads), in the post-normalize unit batches drain in:
     /// an oversized patch tiled 4-ways contributes 4.
     pub(super) queued: usize,
     /// Earliest outstanding wake-up instant, if one is scheduled.
@@ -80,7 +80,7 @@ impl Batch {
     pub(crate) fn on_dispatch(&mut self, patches: usize) {
         debug_assert!(
             self.queued >= patches,
-            "queue-depth underflow: dispatching {patches} patches with {} queued",
+            "standing-queue underflow: dispatching {patches} patches with {} queued",
             self.queued
         );
         self.queued -= patches;

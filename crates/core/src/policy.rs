@@ -27,7 +27,7 @@ impl Arrival {
 }
 
 /// A batch the policy wants executed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BatchSpec {
     /// Patches whose results this invocation produces (SLO accounting).
     pub patches: Vec<PatchInfo>,
@@ -90,6 +90,35 @@ impl Dispatches {
     pub fn iter(&self) -> impl Iterator<Item = &BatchSpec> {
         self.first.iter().chain(&self.rest)
     }
+
+    /// Removes the last batch pushed.
+    pub(crate) fn pop(&mut self) -> Option<BatchSpec> {
+        self.rest.pop().or_else(|| self.first.take())
+    }
+}
+
+/// The batches the engine handed back ([`BatchingPolicy::recycle`]),
+/// their lists cleared: the buffers of the next batches a policy builds.
+/// A call that dispatches two batches gets both back, so the pool is a
+/// stack rather than one slot.
+#[derive(Debug, Default)]
+pub(crate) struct Spares(Dispatches);
+
+impl Spares {
+    /// The last spare, or a fresh spec with room for `patches`.
+    pub(crate) fn take(&mut self, patches: usize) -> BatchSpec {
+        self.0.pop().unwrap_or_else(|| BatchSpec {
+            patches: Vec::with_capacity(patches),
+            ..BatchSpec::default()
+        })
+    }
+
+    /// Clears `spec`'s lists and keeps it for a later [`Spares::take`].
+    pub(crate) fn put(&mut self, mut spec: BatchSpec) {
+        spec.patches.clear();
+        spec.canvas_efficiencies.clear();
+        self.0.push(spec);
+    }
 }
 
 impl std::ops::Index<usize> for Dispatches {
@@ -123,7 +152,7 @@ pub struct PolicyOutput {
     /// Work items the policy actually enqueued for this arrival, in the
     /// same unit `BatchSpec::patches` drains in (post-normalize: an
     /// oversized patch tiled 4-ways accepts 4). Only meaningful from
-    /// `on_arrival`; the engine's queue-depth signal counts it.
+    /// `on_arrival`; the engine's standing queue counts it.
     pub accepted: usize,
 }
 
@@ -294,6 +323,9 @@ mod tests {
         }
         let ids: Vec<u64> = pushed.iter().map(|b| b.patches[0].id.raw()).collect();
         assert_eq!((pushed.len(), ids), (3, vec![4, 5, 6]));
+        // Popping is last in, first out, across the seam too.
+        let popped: Vec<usize> = std::iter::from_fn(|| pushed.pop().map(|b| b.inputs)).collect();
+        assert_eq!((popped, pushed.is_empty()), (vec![6, 5, 4], true));
     }
 
     #[test]

@@ -17,6 +17,7 @@
 
 use crate::policy::{
     padded_inputs_megapixels, Arrival, BatchSpec, BatchingPolicy, CompletionFeedback, PolicyOutput,
+    Spares,
 };
 use tangram_types::geometry::Size;
 use tangram_types::patch::PatchInfo;
@@ -37,23 +38,18 @@ pub const ELF_MIN_INPUT_MEGAPIXELS: f64 = 0.1024;
 /// patch's area raised to [`ELF_MIN_INPUT_MEGAPIXELS`].
 #[derive(Debug, Default)]
 pub struct ElfPolicy {
-    /// The last recycled batch's patch list, cleared.
-    spare: Vec<PatchInfo>,
+    spares: Spares,
 }
 
 impl BatchingPolicy for ElfPolicy {
     fn on_arrival(&mut self, _now: SimTime, arrival: Arrival) -> PolicyOutput {
         let Arrival::Patch(p) = arrival;
         let area = p.info.rect.area() as f64 / 1.0e6;
-        let mut patches = std::mem::take(&mut self.spare);
-        patches.push(p.info);
-        PolicyOutput::dispatch(BatchSpec {
-            patches,
-            inputs: 1,
-            megapixels: area.max(ELF_MIN_INPUT_MEGAPIXELS),
-            canvas_efficiencies: Vec::new(),
-        })
-        .accepted(1)
+        let mut spec = self.spares.take(1);
+        spec.patches.push(p.info);
+        spec.inputs = 1;
+        spec.megapixels = area.max(ELF_MIN_INPUT_MEGAPIXELS);
+        PolicyOutput::dispatch(spec).accepted(1)
     }
 
     fn on_tick(&mut self, _now: SimTime) -> PolicyOutput {
@@ -65,15 +61,8 @@ impl BatchingPolicy for ElfPolicy {
     }
 
     fn recycle(&mut self, spec: BatchSpec) {
-        self.spare = cleared(spec);
+        self.spares.put(spec);
     }
-}
-
-/// A booked batch's patch list, emptied for the next batch to fill.
-fn cleared(spec: BatchSpec) -> Vec<PatchInfo> {
-    let mut patches = spec.patches;
-    patches.clear();
-    patches
 }
 
 /// Clipper's adaptive batching: AIMD on the batch size, dispatch whenever
@@ -85,8 +74,7 @@ pub struct ClipperPolicy {
     max_batch: usize,
     batch_size: usize,
     queue: Vec<PatchInfo>,
-    /// The last recycled batch's patch list, cleared.
-    spare: Vec<PatchInfo>,
+    spares: Spares,
 }
 
 impl ClipperPolicy {
@@ -97,7 +85,7 @@ impl ClipperPolicy {
             max_batch: max_batch.max(1),
             batch_size: 1,
             queue: Vec::new(),
-            spare: Vec::new(),
+            spares: Spares::default(),
         }
     }
 
@@ -109,14 +97,11 @@ impl ClipperPolicy {
 
     fn take_batch(&mut self, n: usize) -> BatchSpec {
         let n = n.min(self.queue.len());
-        let mut patches = std::mem::take(&mut self.spare);
-        patches.extend(self.queue.drain(..n));
-        BatchSpec {
-            inputs: patches.len(),
-            megapixels: padded_inputs_megapixels(patches.len(), INPUT_SIZE),
-            patches,
-            canvas_efficiencies: Vec::new(),
-        }
+        let mut spec = self.spares.take(n);
+        spec.patches.extend(self.queue.drain(..n));
+        spec.inputs = n;
+        spec.megapixels = padded_inputs_megapixels(n, INPUT_SIZE);
+        spec
     }
 
     fn safety_deadline(&self, queued: usize) -> SimDuration {
@@ -181,7 +166,7 @@ impl BatchingPolicy for ClipperPolicy {
     }
 
     fn recycle(&mut self, spec: BatchSpec) {
-        self.spare = cleared(spec);
+        self.spares.put(spec);
     }
 }
 
@@ -195,8 +180,7 @@ pub struct MarkPolicy {
     timeout: SimDuration,
     queue: Vec<PatchInfo>,
     first_arrival: Option<SimTime>,
-    /// The last recycled batch's patch list, cleared.
-    spare: Vec<PatchInfo>,
+    spares: Spares,
 }
 
 impl MarkPolicy {
@@ -209,19 +193,18 @@ impl MarkPolicy {
             timeout,
             queue: Vec::new(),
             first_arrival: None,
-            spare: Vec::new(),
+            spares: Spares::default(),
         }
     }
 
     fn take_all(&mut self) -> BatchSpec {
         self.first_arrival = None;
-        let patches = std::mem::replace(&mut self.queue, std::mem::take(&mut self.spare));
-        BatchSpec {
-            inputs: patches.len(),
-            megapixels: padded_inputs_megapixels(patches.len(), INPUT_SIZE),
-            patches,
-            canvas_efficiencies: Vec::new(),
-        }
+        let n = self.queue.len();
+        let mut spec = self.spares.take(0);
+        std::mem::swap(&mut spec.patches, &mut self.queue);
+        spec.inputs = n;
+        spec.megapixels = padded_inputs_megapixels(n, INPUT_SIZE);
+        spec
     }
 }
 
@@ -261,7 +244,7 @@ impl BatchingPolicy for MarkPolicy {
     }
 
     fn recycle(&mut self, spec: BatchSpec) {
-        self.spare = cleared(spec);
+        self.spares.put(spec);
     }
 }
 

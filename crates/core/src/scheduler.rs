@@ -23,7 +23,7 @@
 //! the discrete-event engine and the live runtime drive it with
 //! explicit times, which makes Algorithm 2 directly unit-testable.
 
-use crate::policy::{Arrival, BatchSpec, BatchingPolicy, PolicyOutput};
+use crate::policy::{Arrival, BatchSpec, BatchingPolicy, PolicyOutput, Spares};
 use tangram_infer::estimator::LatencyEstimator;
 use tangram_stitch::solver::{split_to_fit, PatchStitchingSolver, Stitching};
 use tangram_types::geometry::Size;
@@ -77,9 +77,8 @@ pub struct TangramScheduler {
     /// Latest observed backend earliest-start (admission-aware mode only;
     /// `None` until the first signal arrives).
     backend_free_at: Option<SimTime>,
-    /// A batch the engine handed back ([`BatchingPolicy::recycle`]), its
-    /// lists cleared: the next batch's buffers.
-    spare: Option<BatchSpec>,
+    /// Batches the engine handed back: the next batches' buffers.
+    spares: Spares,
 }
 
 impl TangramScheduler {
@@ -109,7 +108,7 @@ impl TangramScheduler {
             deadlines: None,
             invoke_by: None,
             backend_free_at: None,
-            spare: None,
+            spares: Spares::default(),
         }
     }
 
@@ -256,7 +255,7 @@ impl TangramScheduler {
 
     /// Builds the dispatch for the current canvases and clears the state.
     /// The canvases are read, then closed for the next queue to reopen.
-    /// The queue leaves as the batch's patch list; the next queue is the
+    /// The queue leaves as the batch's patch list; the next queue is a
     /// spare batch's cleared list, so a queue and a batch trade buffers
     /// and a warm run allocates none. Without a spare (the first batch,
     /// or a host that keeps its batches) the next queue starts with room
@@ -264,12 +263,7 @@ impl TangramScheduler {
     /// once, not by doubling.
     fn take_batch(&mut self) -> BatchSpec {
         let inputs = self.open_canvases();
-        let mut spec = self.spare.take().unwrap_or_else(|| BatchSpec {
-            patches: Vec::with_capacity(self.queue.len()),
-            inputs,
-            megapixels: 0.0,
-            canvas_efficiencies: Vec::with_capacity(inputs),
-        });
+        let mut spec = self.spares.take(self.queue.len());
         std::mem::swap(&mut spec.patches, &mut self.queue);
         spec.canvas_efficiencies
             .extend(self.stitching.efficiencies());
@@ -302,10 +296,8 @@ impl BatchingPolicy for TangramScheduler {
         self.drain()
     }
 
-    fn recycle(&mut self, mut spec: BatchSpec) {
-        spec.patches.clear();
-        spec.canvas_efficiencies.clear();
-        self.spare = Some(spec);
+    fn recycle(&mut self, spec: BatchSpec) {
+        self.spares.put(spec);
     }
 }
 

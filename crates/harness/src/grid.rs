@@ -192,11 +192,6 @@ pub struct ScenarioSpec {
 pub enum AdmissionSpec {
     /// Admit everything (identical to running with no policy).
     Always,
-    /// Shed once the scheduler queue reaches `max_queued` work items.
-    QueueDepth {
-        /// Admit while fewer than this many work items are queued.
-        max_queued: usize,
-    },
     /// The SLO-aware shedder: sheds doomed work and lower-class tenants
     /// first under overload.
     SloShedder {
@@ -214,7 +209,6 @@ impl AdmissionSpec {
     pub fn kind(&self) -> &'static str {
         match self {
             AdmissionSpec::Always => "always",
-            AdmissionSpec::QueueDepth { .. } => "queue-depth",
             AdmissionSpec::SloShedder { .. } => "slo-shedder",
         }
     }
@@ -226,7 +220,6 @@ impl AdmissionSpec {
     pub fn build(&self, tenant_slos_s: &[f64]) -> AdmissionPolicy {
         match *self {
             AdmissionSpec::Always => AdmissionPolicy::Always,
-            AdmissionSpec::QueueDepth { max_queued } => AdmissionPolicy::QueueDepth { max_queued },
             AdmissionSpec::SloShedder {
                 per_item_s,
                 pressure,
@@ -321,9 +314,9 @@ pub struct SweepGrid {
     pub sigma_multipliers: Vec<f64>,
     /// Workload axis.
     pub workloads: Vec<WorkloadSpec>,
-    /// Backend instance-cap override for every cell. The outer `None`
-    /// keeps the engine default; `Some(None)` means unlimited scale-out.
-    pub max_instances: Option<Option<usize>>,
+    /// Backend instance-cap override for every cell. `None` keeps the
+    /// engine default.
+    pub max_instances: Option<usize>,
     /// Streaming-scenario axis: empty (the default) replays traces
     /// through the legacy batch path; non-empty runs every cell on the
     /// event-driven engine with generated arrivals, churn and tenants,
@@ -479,7 +472,7 @@ pub struct SweepCell {
     /// Derived seed for the engine's stochastic substrates.
     pub engine_seed: u64,
     /// Instance-cap override.
-    pub max_instances: Option<Option<usize>>,
+    pub max_instances: Option<usize>,
 }
 
 impl SweepCell {
@@ -499,7 +492,7 @@ impl SweepCell {
             ..EngineConfig::default()
         };
         if let Some(cap) = self.max_instances {
-            config.max_instances = cap;
+            config.max_instances = Some(cap);
         }
         config
     }
@@ -570,12 +563,12 @@ mod tests {
     #[test]
     fn engine_config_reflects_cell() {
         let mut grid = tiny_grid();
-        grid.max_instances = Some(None);
+        grid.max_instances = Some(3);
         let cell = &grid.cells()[0];
         let config = cell.engine_config();
         assert_eq!(config.policy, cell.policy);
         assert_eq!(config.seed, cell.engine_seed);
-        assert_eq!(config.max_instances, None);
+        assert_eq!(config.max_instances, Some(3));
         assert!((config.slo.as_secs_f64() - cell.slo_s).abs() < 1e-12);
     }
 
@@ -690,10 +683,6 @@ mod tests {
     #[test]
     fn admission_specs_build_engine_policies() {
         assert_eq!(AdmissionSpec::Always.kind(), "always");
-        assert_eq!(
-            AdmissionSpec::QueueDepth { max_queued: 8 }.kind(),
-            "queue-depth"
-        );
         let spec = AdmissionSpec::SloShedder {
             per_item_s: 0.05,
             pressure: 0.5,

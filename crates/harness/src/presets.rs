@@ -276,7 +276,7 @@ pub fn fairness_grid(seed: u64, frames_per_camera: usize, smoke: bool) -> SweepG
     grid.seeds = vec![seed];
     grid.slos_s = vec![1.0];
     grid.bandwidths_mbps = vec![200.0];
-    grid.max_instances = Some(Some(8));
+    grid.max_instances = Some(8);
     grid.workloads = vec![WorkloadSpec {
         scenes: vec![1, 2, 3, 4],
         frames: 8, // content pool per camera; the generator cycles it

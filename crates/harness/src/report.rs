@@ -208,14 +208,10 @@ pub fn grid_to_value(grid: &SweepGrid) -> Json {
     ])
 }
 
-/// A backend-cap override: `null` keeps the engine default, `"unlimited"`
-/// is unlimited scale-out, a number is the cap.
-fn max_instances_to_value(cap: Option<Option<usize>>) -> Json {
-    match cap {
-        None => Json::Null,
-        Some(None) => Json::Str("unlimited".to_string()),
-        Some(Some(n)) => Json::U64(n as u64),
-    }
+/// A backend-cap override: `null` keeps the engine default, a number is
+/// the cap.
+fn max_instances_to_value(cap: Option<usize>) -> Json {
+    cap.map_or(Json::Null, |n| Json::U64(n as u64))
 }
 
 /// A scenario file's `[run]` table.
@@ -256,9 +252,6 @@ pub(crate) fn admission_to_value(spec: &AdmissionSpec) -> Json {
     let mut fields = vec![("kind", Json::Str(spec.kind().to_string()))];
     match *spec {
         AdmissionSpec::Always => {}
-        AdmissionSpec::QueueDepth { max_queued } => {
-            fields.push(("max_queued", Json::U64(max_queued as u64)));
-        }
         AdmissionSpec::SloShedder {
             per_item_s,
             pressure,
@@ -570,7 +563,7 @@ mod tests {
         grid.slos_s = vec![1.0];
         grid.bandwidths_mbps = vec![20.0, 40.0];
         grid.workloads = vec![WorkloadSpec::single(SceneId::new(1), 12, TraceKind::Proxy)];
-        grid.max_instances = Some(Some(4));
+        grid.max_instances = Some(4);
         grid
     }
 
@@ -788,7 +781,10 @@ mod tests {
         grid.scenarios = vec![scenario(4.0), scenario(16.0)];
         grid.admission = vec![
             AdmissionSpec::Always,
-            AdmissionSpec::QueueDepth { max_queued: 64 },
+            AdmissionSpec::SloShedder {
+                per_item_s: 0.02,
+                pressure: 1.0,
+            },
             AdmissionSpec::SloShedder {
                 per_item_s: 0.04,
                 pressure: 0.5,

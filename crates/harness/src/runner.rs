@@ -374,7 +374,11 @@ mod tests {
         let bare = run_grid(&grid, 2);
         grid.admission = vec![
             AdmissionSpec::Always,
-            AdmissionSpec::QueueDepth { max_queued: 0 },
+            // A 100 s service time per item dooms every arrival.
+            AdmissionSpec::SloShedder {
+                per_item_s: 100.0,
+                pressure: 1.0,
+            },
         ];
         let report = run_grid(&grid, 2);
         assert_eq!(report.cells.len(), 2 * bare.cells.len());
@@ -382,7 +386,7 @@ mod tests {
         let always = &report.cells[0];
         assert_eq!(always.admission, Some(0));
         assert_eq!(always.metrics, bare.cells[0].metrics);
-        // A zero-depth queue bound sheds everything.
+        // A shedder that finds every arrival doomed sheds everything.
         let starved = &report.cells[1];
         assert_eq!(starved.admission, Some(1));
         assert_eq!(starved.metrics.patches, 0);
@@ -415,7 +419,10 @@ mod tests {
         grid.scenarios = vec![scenario(8.0), scenario(12.0)];
         grid.admission = vec![
             AdmissionSpec::Always,
-            AdmissionSpec::QueueDepth { max_queued: 4 },
+            AdmissionSpec::SloShedder {
+                per_item_s: 0.04,
+                pressure: 0.5,
+            },
         ];
         grid.fairness = vec![drr(false), drr(true)];
         grid

@@ -23,7 +23,7 @@
 //! bandwidth_mbps = 80.0              # > 0
 //! slo_s = 1.0                        # >= 1e-6 (durations: the 1 µs clock)
 //! seed = 42
-//! max_instances = 8                  # optional; integer or "unlimited"
+//! max_instances = 8                  # optional, >= 1
 //!
 //! [scenario]                         # required: the streaming shape
 //! frames_per_camera = 40             # >= 1
@@ -69,7 +69,7 @@ use tangram_core::report::RunReport;
 use tangram_trace::TraceLog;
 use tangram_types::ids::SceneId;
 use tangram_types::time::SimDuration;
-use tangram_types::toml::{TomlDocument, TomlEntry, TomlError, TomlTable, TomlValue};
+use tangram_types::toml::{TomlDocument, TomlEntry, TomlError, TomlTable};
 
 /// Camera frame rates past this are rejected as out of range.
 pub const MAX_RATE_FPS: f64 = 240.0;
@@ -89,9 +89,8 @@ pub struct RunSpec {
     pub slo_s: f64,
     /// Engine seed (traces and all stochastic substrates fork from it).
     pub seed: u64,
-    /// Backend cap override: `None` keeps the engine default,
-    /// `Some(None)` is unlimited scale-out.
-    pub max_instances: Option<Option<usize>>,
+    /// Backend cap override: `None` keeps the engine default.
+    pub max_instances: Option<usize>,
 }
 
 /// One fully-parsed, validated scenario file.
@@ -246,7 +245,7 @@ impl ScenarioFile {
             ..EngineConfig::default()
         };
         if let Some(cap) = self.run.max_instances {
-            config.max_instances = cap;
+            config.max_instances = Some(cap);
         }
         if let Some(fairness) = &self.fairness {
             fairness.configure(&mut config);
@@ -429,22 +428,6 @@ fn parse_run(table: &TomlTable) -> Result<RunSpec, TomlError> {
                 .collect::<Result<Vec<_>, _>>()?
         }
     };
-    let max_instances = match table.get("max_instances") {
-        None => None,
-        Some(entry) => match &entry.value {
-            TomlValue::Str(s) if s == "unlimited" => Some(None),
-            TomlValue::Int(_) => Some(Some(count_of(entry)?)),
-            other => {
-                return fail(
-                    entry.line,
-                    format!(
-                        "key `max_instances`: expected integer or \"unlimited\", got {}",
-                        other.type_name()
-                    ),
-                )
-            }
-        },
-    };
     Ok(RunSpec {
         cameras: count_of(table.require("cameras")?)?,
         pool_frames: count_of(table.require("pool_frames")?)?,
@@ -452,7 +435,7 @@ fn parse_run(table: &TomlTable) -> Result<RunSpec, TomlError> {
         bandwidth_mbps: positive_f64(table.require("bandwidth_mbps")?)?,
         slo_s: duration_of(table.require("slo_s")?)?,
         seed: table.require("seed")?.u64()?,
-        max_instances,
+        max_instances: table.get("max_instances").map(count_of).transpose()?,
     })
 }
 
@@ -632,12 +615,6 @@ fn parse_admission(table: &TomlTable) -> Result<AdmissionSpec, TomlError> {
             table.check_keys(&["kind"])?;
             Ok(AdmissionSpec::Always)
         }
-        "queue-depth" => {
-            table.check_keys(&["kind", "max_queued"])?;
-            Ok(AdmissionSpec::QueueDepth {
-                max_queued: table.require("max_queued")?.u64()? as usize,
-            })
-        }
         "slo-shedder" => {
             table.check_keys(&["kind", "per_item_s", "pressure"])?;
             let pressure_entry = table.require("pressure")?;
@@ -655,7 +632,7 @@ fn parse_admission(table: &TomlTable) -> Result<AdmissionSpec, TomlError> {
         }
         other => fail(
             kind.line,
-            format!("unknown admission kind `{other}` (always | queue-depth | slo-shedder)"),
+            format!("unknown admission kind `{other}` (always | slo-shedder)"),
         ),
     }
 }
@@ -810,7 +787,7 @@ mod tests {
                 bandwidth_mbps: 80.0,
                 slo_s: 1.25,
                 seed: 9,
-                max_instances: Some(None),
+                max_instances: Some(8),
             },
             scenario: ScenarioSpec {
                 arrival: ArrivalSpec::Bursty {
@@ -862,7 +839,7 @@ scenes = [2, 5]
 bandwidth_mbps = 80.0
 slo_s = 1.25
 seed = 9
-max_instances = "unlimited"
+max_instances = 8
 
 [scenario]
 frames_per_camera = 12
@@ -953,7 +930,6 @@ admission_aware = true
         ];
         let admissions = [
             AdmissionSpec::Always,
-            AdmissionSpec::QueueDepth { max_queued: 7 },
             AdmissionSpec::SloShedder {
                 per_item_s: 0.015,
                 pressure: 0.75,
@@ -983,7 +959,7 @@ admission_aware = true
                 }
             }
         }
-        assert_eq!(cases, 3 * 5 * 3 * 2);
+        assert_eq!(cases, 3 * 5 * 2 * 2);
     }
 
     #[test]
@@ -1010,6 +986,29 @@ admission_aware = true
         }
         // Exactly one tick is representable (the golden's last fault).
         assert!(EVERY_TABLE.contains("duration_s = 1e-6"));
+    }
+
+    #[test]
+    fn values_outside_the_grammar_are_rejected_with_their_line() {
+        for (line, bad, needle) in [
+            (
+                "kind = \"slo-shedder\"",
+                "kind = \"queue-depth\"",
+                "(always | slo-shedder)",
+            ),
+            (
+                "max_instances = 8",
+                "max_instances = \"unlimited\"",
+                "max_instances",
+            ),
+            ("max_instances = 8", "max_instances = 0", "at least 1"),
+        ] {
+            let text = EVERY_TABLE.replacen(line, bad, 1);
+            let e = ScenarioFile::parse_str(&text).unwrap_err();
+            assert!(e.message.contains(needle), "{bad}: {e}");
+            let expected = text.lines().position(|l| l == bad).unwrap() + 1;
+            assert_eq!(e.line, expected, "{bad}: {e}");
+        }
     }
 
     #[test]

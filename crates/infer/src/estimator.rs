@@ -80,12 +80,6 @@ impl LatencyEstimator {
         self.canvas
     }
 
-    /// The σ multiplier in use.
-    #[must_use]
-    pub fn sigma_multiplier(&self) -> f64 {
-        self.sigma_multiplier
-    }
-
     /// `T_slack(b) = µ_b + k·σ_b` for a batch of `b` canvases. Batch sizes
     /// beyond the profiled range extrapolate linearly from the last two
     /// entries (conservative: the affine latency model makes this exact in

@@ -165,6 +165,52 @@ fn a_warm_late_patch_allocates_nothing_from_arrival_to_ack() {
     assert_eq!(allocs, 0, "allocator calls for 1,000 late patches");
 }
 
+/// A late patch behind a queued one: Algorithm 2 dispatches `C_old`, the
+/// queue so far, then the late patch alone — two batches from one
+/// arrival, both handed back to the scheduler as the engine does. Its
+/// spare pool returns both buffers to the next double dispatch, so the
+/// one allocator call left per step is the dispatch list's spill: its
+/// second batch leaves the inline slot for a list of its own.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "counts the release path; the debug oracle re-stitches"
+)]
+fn a_warm_double_dispatch_allocates_only_the_dispatch_list_spill() {
+    let model = InferenceLatencyModel::rtx4090_yolov8x();
+    let estimator = LatencyEstimator::paper_default(&model, Size::CANVAS_1024, 9);
+    let mut scheduler = TangramScheduler::new(SchedulerConfig::paper_default(), estimator);
+    let mut double_dispatch = |i: u64| {
+        let now = SimTime::from_micros(20_000_000 + i * 2_000);
+        let patch = |id: u64, generated: SimTime, slo: SimDuration| {
+            PatchInfo::new(
+                PatchId::new(id),
+                CameraId::new(0),
+                FrameId::new(i),
+                Rect::new(0, 0, 300, 200),
+                generated,
+                slo,
+            )
+        };
+        let lax = patch(2 * i, now, SimDuration::from_secs(10));
+        let queued = scheduler.on_patch(now, lax);
+        assert!(queued.dispatches.is_empty(), "a lax patch waits");
+        let late = patch(
+            2 * i + 1,
+            now - SimDuration::from_secs(10),
+            SimDuration::from_secs(1),
+        );
+        let out = scheduler.on_patch(now, late);
+        assert_eq!(out.dispatches.len(), 2, "C_old, then the late patch alone");
+        for spec in out.dispatches {
+            scheduler.recycle(spec);
+        }
+    };
+    (0..256).for_each(&mut double_dispatch);
+    let allocs = allocations_in(|| (256..1_256).for_each(&mut double_dispatch));
+    assert_eq!(allocs, 1_000, "allocator calls for 1,000 double dispatches");
+}
+
 /// The platform alone, at the pool size a saturated uplink keeps warm:
 /// placing a batch takes a bit from the idle set and pushes its finish
 /// time onto the busy heap, acknowledging it removes one in-flight entry.

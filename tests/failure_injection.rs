@@ -228,7 +228,7 @@ fn brownout_stretches_execution_not_correctness() {
 #[test]
 fn starved_capacity_queues_instead_of_dropping() {
     let mut file = scenario("");
-    file.run.max_instances = Some(Some(1));
+    file.run.max_instances = Some(1);
     file.admission = None; // nothing sheds: every patch must queue
     let (report, trace) = file.run(true);
     trace
