@@ -45,8 +45,10 @@ pub enum Admission {
 /// snapshot is taken per arrival; building it never mutates the engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionSignals {
-    /// Work items admitted to the batching policy but not yet dispatched
-    /// (the scheduler's standing queue).
+    /// Admitted work not yet dispatched, summed over two units: the
+    /// batching policy's [`queue_len`](crate::policy::BatchingPolicy::queue_len)
+    /// in tiles, plus the fair ingress's backlog in untiled arrivals (an
+    /// oversized patch waiting there counts 1, not its tiles).
     pub queued: usize,
     /// Backend pressure: in-flight invocations, remaining backlog, and
     /// when a batch submitted now would start executing.

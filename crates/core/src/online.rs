@@ -221,12 +221,11 @@ impl<'a> OnlineEngine<'a> {
                 self.execute.on_complete(now, id, &feedback, &mut self.out);
             }
         }
-        // Every accepted work item was dispatched: the standing queue
-        // must drain back to exactly zero.
+        // The flush dispatched every work item the policy held.
         debug_assert_eq!(
-            self.batch.queued, 0,
-            "standing-queue accounting leaked {} items past the flush",
-            self.batch.queued
+            self.batch.policy.queue_len(),
+            0,
+            "the policy holds work past the flush"
         );
         let end = self.out.now;
         let makespan = end.since(SimTime::ZERO);
@@ -290,7 +289,7 @@ impl<'a> OnlineEngine<'a> {
                     // No fair ingress: admitted arrivals reach the policy
                     // directly (the legacy path, byte-identical).
                     None => {
-                        let output = self.batch.on_arrival(now, arrival);
+                        let output = self.batch.policy.on_arrival(now, arrival);
                         self.apply(now, output);
                     }
                     Some(fair) => match fair.on_arrival(now, arrival) {
@@ -312,7 +311,7 @@ impl<'a> OnlineEngine<'a> {
                     self.batch.policy.on_signals(now, &signals);
                 }
                 for arrival in released {
-                    let output = self.batch.on_arrival(now, arrival);
+                    let output = self.batch.policy.on_arrival(now, arrival);
                     self.apply(now, output);
                 }
                 if let Some(at) = next_tick {
@@ -359,7 +358,8 @@ impl<'a> OnlineEngine<'a> {
     /// would admit arrivals already doomed by ingress queueing delay.
     fn signals(&self, now: SimTime) -> AdmissionSignals {
         AdmissionSignals {
-            queued: self.batch.queued + self.fair.as_ref().map_or(0, DrrIngress::backlog),
+            queued: self.batch.policy.queue_len()
+                + self.fair.as_ref().map_or(0, DrrIngress::backlog),
             backend: self.execute.platform.snapshot(now),
         }
     }
@@ -380,7 +380,6 @@ impl<'a> OnlineEngine<'a> {
     /// completion scheduled, and the spec handed back to the policy.
     fn dispatch(&mut self, now: SimTime, spec: BatchSpec) {
         if !spec.patches.is_empty() {
-            self.batch.on_dispatch(spec.patches.len());
             let batch = self.account.batch_records.len();
             let outcome = self.execute.on_dispatch(now, batch, &spec, &mut self.out);
             let feedback = self.account.on_dispatch(now, &spec, &outcome);

@@ -1,23 +1,18 @@
-//! The batch stage: the policy under test, the standing-work counter its
-//! admission signal reads, and the one live wake-up timer.
+//! The batch stage: the policy under test and the one live wake-up timer.
 
 use crate::engine::EngineConfig;
-use crate::policy::{Arrival, BatchingPolicy, PolicyOutput};
+use crate::policy::{BatchingPolicy, PolicyOutput};
 use tangram_infer::estimator::LatencyEstimator;
 use tangram_types::time::SimTime;
 
 /// The boxed [`BatchingPolicy`] plus what the engine tracks on its
 /// behalf.
 pub(crate) struct Batch {
-    pub(super) policy: Box<dyn BatchingPolicy>,
+    pub(crate) policy: Box<dyn BatchingPolicy>,
     /// Whether the policy reads ingress load signals (admission-aware
     /// scheduling): a fresh snapshot then precedes its arrivals even if
     /// no admission policy is installed.
     pub(super) reads_signals: bool,
-    /// Work items admitted but not yet dispatched (the standing queue
-    /// admission reads), in the post-normalize unit batches drain in:
-    /// an oversized patch tiled 4-ways contributes 4.
-    pub(super) queued: usize,
     /// Earliest outstanding wake-up instant, if one is scheduled.
     timer_armed: Option<SimTime>,
 }
@@ -39,18 +34,8 @@ impl Batch {
         Self {
             policy,
             reads_signals,
-            queued: 0,
             timer_armed: None,
         }
-    }
-
-    /// An admitted work item reaches the policy. What it actually
-    /// enqueued is counted *before* the engine applies the output, so
-    /// same-instant dispatches see a consistent counter.
-    pub(crate) fn on_arrival(&mut self, now: SimTime, arrival: Arrival) -> PolicyOutput {
-        let output = self.policy.on_arrival(now, arrival);
-        self.queued += output.accepted;
-        output
     }
 
     /// A wake-up fired: the armed one's slot is free again once `now`
@@ -71,19 +56,6 @@ impl Batch {
     pub(crate) fn flush(&mut self, now: SimTime) -> PolicyOutput {
         self.timer_armed = None;
         self.policy.flush(now)
-    }
-
-    /// A batch of `patches` items left for the platform. Arrivals were
-    /// counted post-normalize ([`PolicyOutput::accepted`]), the unit
-    /// batches drain in, so an underflow here is an accounting bug, not
-    /// a condition to mask.
-    pub(crate) fn on_dispatch(&mut self, patches: usize) {
-        debug_assert!(
-            self.queued >= patches,
-            "standing-queue underflow: dispatching {patches} patches with {} queued",
-            self.queued
-        );
-        self.queued -= patches;
     }
 
     /// The instant the engine must schedule a timer for, or `None` when

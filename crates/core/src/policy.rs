@@ -149,11 +149,6 @@ pub struct PolicyOutput {
     pub dispatches: Dispatches,
     /// When the policy wants `on_tick` called next (engine may coalesce).
     pub next_wake: Option<SimTime>,
-    /// Work items the policy actually enqueued for this arrival, in the
-    /// same unit `BatchSpec::patches` drains in (post-normalize: an
-    /// oversized patch tiled 4-ways accepts 4). Only meaningful from
-    /// `on_arrival`; the engine's standing queue counts it.
-    pub accepted: usize,
 }
 
 impl PolicyOutput {
@@ -178,13 +173,6 @@ impl PolicyOutput {
             next_wake: Some(at),
             ..Self::default()
         }
-    }
-
-    /// Stamps how many work items this arrival enqueued (builder style).
-    #[must_use]
-    pub fn accepted(mut self, items: usize) -> Self {
-        self.accepted = items;
-        self
     }
 }
 
@@ -213,6 +201,12 @@ pub trait BatchingPolicy {
 
     /// A work item arrived at the scheduler.
     fn on_arrival(&mut self, now: SimTime, arrival: Arrival) -> PolicyOutput;
+
+    /// The standing queue: work items held and not yet dispatched, in
+    /// the unit [`BatchSpec::patches`] drains in (an oversized patch
+    /// tiled 4-ways holds 4). Admission reads it through
+    /// [`crate::admission::AdmissionSignals::queued`].
+    fn queue_len(&self) -> usize;
 
     /// A requested wake-up fired (possibly stale — policies must re-check
     /// their own state).
@@ -283,14 +277,6 @@ mod tests {
             canvas_efficiencies: vec![],
         };
         assert_eq!(PolicyOutput::dispatch(spec).dispatches.len(), 1);
-        assert_eq!(PolicyOutput::idle().accepted, 0);
-        assert_eq!(PolicyOutput::idle().accepted(3).accepted, 3);
-        assert_eq!(
-            PolicyOutput::wake_at(SimTime::from_micros(5))
-                .accepted(1)
-                .accepted,
-            1
-        );
     }
 
     fn spec(inputs: usize) -> BatchSpec {

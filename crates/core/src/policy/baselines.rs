@@ -49,7 +49,12 @@ impl BatchingPolicy for ElfPolicy {
         spec.patches.push(p.info);
         spec.inputs = 1;
         spec.megapixels = area.max(ELF_MIN_INPUT_MEGAPIXELS);
-        PolicyOutput::dispatch(spec).accepted(1)
+        PolicyOutput::dispatch(spec)
+    }
+
+    /// Every patch dispatches as it arrives: nothing ever stands.
+    fn queue_len(&self) -> usize {
+        0
     }
 
     fn on_tick(&mut self, _now: SimTime) -> PolicyOutput {
@@ -114,7 +119,7 @@ impl BatchingPolicy for ClipperPolicy {
     fn on_arrival(&mut self, now: SimTime, arrival: Arrival) -> PolicyOutput {
         let Arrival::Patch(p) = arrival;
         self.queue.push(p.info);
-        let mut out = PolicyOutput::idle().accepted(1);
+        let mut out = PolicyOutput::idle();
         if self.queue.len() >= self.batch_size {
             let n = self.batch_size;
             out.dispatches.push(self.take_batch(n));
@@ -131,6 +136,10 @@ impl BatchingPolicy for ClipperPolicy {
             }
         }
         out
+    }
+
+    fn queue_len(&self) -> usize {
+        self.queue.len()
     }
 
     fn on_tick(&mut self, now: SimTime) -> PolicyOutput {
@@ -216,14 +225,18 @@ impl BatchingPolicy for MarkPolicy {
         }
         self.queue.push(p.info);
         if self.queue.len() >= self.max_batch {
-            return PolicyOutput::dispatch(self.take_all()).accepted(1);
+            return PolicyOutput::dispatch(self.take_all());
         }
         let deadline = self.first_arrival.expect("queue non-empty") + self.timeout;
         if now >= deadline {
-            PolicyOutput::dispatch(self.take_all()).accepted(1)
+            PolicyOutput::dispatch(self.take_all())
         } else {
-            PolicyOutput::wake_at(deadline).accepted(1)
+            PolicyOutput::wake_at(deadline)
         }
+    }
+
+    fn queue_len(&self) -> usize {
+        self.queue.len()
     }
 
     fn on_tick(&mut self, now: SimTime) -> PolicyOutput {

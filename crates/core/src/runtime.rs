@@ -64,7 +64,7 @@ impl<C: Clock> LiveTangram<C> {
     /// edge) on the runtime's clock; its SLO countdown is already running.
     pub fn receive_patch(&mut self, patch: PatchInfo) {
         let arrival = Arrival::Patch(Patch::new(patch, Bytes::ZERO));
-        self.step(|batch, now| batch.on_arrival(now, arrival));
+        self.step(|batch, now| batch.policy.on_arrival(now, arrival));
     }
 
     /// Invokes the pending batch if the clock has reached its invoke-by
@@ -91,7 +91,6 @@ impl<C: Clock> LiveTangram<C> {
         let output = event(&mut self.batch, now);
         for spec in output.dispatches {
             if !spec.patches.is_empty() {
-                self.batch.on_dispatch(spec.patches.len());
                 (self.invoke)(spec);
             }
         }

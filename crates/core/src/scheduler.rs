@@ -112,18 +112,6 @@ impl TangramScheduler {
         }
     }
 
-    /// The scheduler configuration.
-    #[must_use]
-    pub fn config(&self) -> &SchedulerConfig {
-        &self.config
-    }
-
-    /// Current queue length (pending patches).
-    #[must_use]
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Current number of open canvases.
     #[must_use]
     pub fn open_canvases(&self) -> usize {
@@ -142,12 +130,9 @@ impl TangramScheduler {
     pub fn on_patch(&mut self, now: SimTime, patch: PatchInfo) -> PolicyOutput {
         let mut out = PolicyOutput::idle();
         if self.config.canvas_size.fits(patch.rect.size()) {
-            out.accepted = 1;
             self.admit(now, patch, &mut out);
         } else {
-            let tiles = split_to_fit(patch.rect, self.config.canvas_size);
-            out.accepted = tiles.len();
-            for rect in tiles {
+            for rect in split_to_fit(patch.rect, self.config.canvas_size) {
                 self.admit(now, PatchInfo { rect, ..patch }, &mut out);
             }
         }
@@ -286,6 +271,11 @@ impl BatchingPolicy for TangramScheduler {
     fn on_arrival(&mut self, now: SimTime, arrival: Arrival) -> PolicyOutput {
         let Arrival::Patch(p) = arrival;
         self.on_patch(now, p.info)
+    }
+
+    /// The pending queue `Q`, in tiles.
+    fn queue_len(&self) -> usize {
+        self.queue.len()
     }
 
     fn on_tick(&mut self, now: SimTime) -> PolicyOutput {

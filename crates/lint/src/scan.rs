@@ -157,15 +157,15 @@ pub fn scan(text: &str) -> ScannedFile {
                 }
             }
             Mode::Str => match c {
-                '\\' => {
-                    if let Some(&esc) = chars.get(i + 1) {
+                '\\' => match chars.get(i + 1) {
+                    // A line continuation: its newline still ends the line.
+                    Some('\n') | None => i += 1,
+                    Some(&esc) => {
                         current.push('\\');
                         current.push(esc);
                         i += 2;
-                    } else {
-                        i += 1;
                     }
-                }
+                },
                 '"' => {
                     strings.push(std::mem::take(&mut current));
                     code.push('"');
@@ -231,8 +231,9 @@ fn closes_raw(chars: &[char], i: usize, hashes: u32) -> bool {
 /// Marks every line covered by a `#[cfg(test)]` item. The attribute
 /// guards the next item: the region runs to the matching close of the
 /// first `{` after it (brace-counted over code, so braces in strings
-/// and comments cannot confuse it), or to the first top-level `;` for
-/// brace-less items.
+/// and comments cannot confuse it), or to the first `;` outside every
+/// bracket for brace-less items (the `;` of an array type `[T; N]` in a
+/// signature does not end it).
 fn mark_test_items(file: &mut ScannedFile) {
     let mut i = 0usize;
     while i < file.lines.len() {
@@ -242,6 +243,7 @@ fn mark_test_items(file: &mut ScannedFile) {
         }
         let start = i;
         let mut depth = 0i64;
+        let mut nest = 0i64;
         let mut started = false;
         let mut end = file.lines.len() - 1;
         'outer: for (j, line) in file.lines.iter().enumerate().skip(start) {
@@ -265,7 +267,9 @@ fn mark_test_items(file: &mut ScannedFile) {
                             break 'outer;
                         }
                     }
-                    ';' if !started && depth == 0 => {
+                    '(' | '[' => nest += 1,
+                    ')' | ']' => nest -= 1,
+                    ';' if !started && depth == 0 && nest == 0 => {
                         end = j;
                         break 'outer;
                     }
@@ -358,6 +362,22 @@ mod tests {
         let f = scan(src);
         let flags: Vec<bool> = f.lines.iter().map(|l| l.in_test).collect();
         assert_eq!(flags, [false, true, true, true, true, false]);
+    }
+
+    #[test]
+    fn a_line_continuation_in_a_string_keeps_the_line_numbers() {
+        let f = scan("let s = \"a\\\n    b\";\nafter();\n");
+        assert_eq!(f.lines.len(), 3);
+        assert_eq!(f.lines[0].strings, vec!["a".to_string()]);
+        assert_eq!((f.lines[2].number, f.lines[2].code.trim()), (3, "after();"));
+    }
+
+    #[test]
+    fn an_array_type_does_not_end_a_cfg_test_item() {
+        let src = "#[cfg(test)]\nfn f() -> [u8; 2] {\n    [0; 2]\n}\nfn after() {}\n\
+                   #[cfg(test)]\nconst X: [u8; 2] = [0; 2];\nfn last() {}\n";
+        let flags: Vec<bool> = scan(src).lines.iter().map(|l| l.in_test).collect();
+        assert_eq!(flags, [true, true, true, true, false, true, true, false]);
     }
 
     #[test]

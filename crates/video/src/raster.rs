@@ -242,18 +242,6 @@ fn remainder_by(m: u64) -> impl Fn(u64) -> u64 {
     }
 }
 
-/// Per-texel reference for the tabulated background.
-#[cfg(test)]
-fn background_texel(seed: u64, x: u32, y: u32) -> u8 {
-    let fx = f64::from(x);
-    let fy = f64::from(y);
-    let phase = (seed % 628) as f64 / 100.0;
-    let smooth = 24.0 * ((fx * 0.011 + phase).sin() * (fy * 0.007 + phase * 0.5).cos())
-        + 10.0 * ((fx * 0.031).cos() + (fy * 0.023).sin());
-    let grain = (hash3(seed, u64::from(x), u64::from(y)) % 17) as f64 - 8.0;
-    (118.0 + smooth + grain).clamp(0.0, 255.0) as u8
-}
-
 /// A small counter-based mixing hash (xorshift-multiply), stable across
 /// platforms.
 fn hash3(a: u64, b: u64, c: u64) -> u64 {
@@ -268,6 +256,17 @@ fn hash3(a: u64, b: u64, c: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Per-texel reference for the tabulated background.
+    fn background_texel(seed: u64, x: u32, y: u32) -> u8 {
+        let fx = f64::from(x);
+        let fy = f64::from(y);
+        let phase = (seed % 628) as f64 / 100.0;
+        let smooth = 24.0 * ((fx * 0.011 + phase).sin() * (fy * 0.007 + phase * 0.5).cos())
+            + 10.0 * ((fx * 0.031).cos() + (fy * 0.023).sin());
+        let grain = (hash3(seed, u64::from(x), u64::from(y)) % 17) as f64 - 8.0;
+        (118.0 + smooth + grain).clamp(0.0, 255.0) as u8
+    }
 
     fn renderer() -> FrameRenderer {
         FrameRenderer::new(9, Size::UHD_4K, 0.1)

@@ -6,7 +6,7 @@
 
 use std::path::PathBuf;
 use tangram::lint::waiver::WaiverSet;
-use tangram::lint::{conc, dag, lint_workspace, rules, Violation};
+use tangram::lint::{conc, dag, lint_workspace, rules, scan, walk, Violation};
 
 /// The real workspace root (the umbrella package's manifest dir).
 fn repo_root() -> PathBuf {
@@ -240,4 +240,33 @@ fn unused_waiver_added_to_real_allowlist_goes_stale() {
     assert_eq!(stale.len(), 1, "{stale:?}");
     assert_eq!(stale[0].rule, "stale-waiver");
     assert!(stale[0].message.contains("crates/sim/src/no_such_file.rs"));
+}
+
+/// Test code comes last: in every `crates/*/src` file, no code line
+/// follows the first line of a `#[cfg(test)]` item, so the lines before
+/// it are exactly the file's non-test code (what
+/// `scripts/nontest_lines.sh` counts). Blank and comment-only lines
+/// carry no code and may sit anywhere.
+#[test]
+fn test_code_comes_last_in_every_source_file() {
+    let root = repo_root();
+    let mut stray = Vec::new();
+    for path in walk::rust_sources(&root).expect("sources") {
+        let text = std::fs::read_to_string(root.join(&path)).expect("read source");
+        let scanned = scan::scan(&text);
+        let Some(first) = scanned.lines.iter().position(|l| l.in_test) else {
+            continue;
+        };
+        stray.extend(
+            scanned.lines[first..]
+                .iter()
+                .filter(|l| !l.in_test && !l.code.trim().is_empty())
+                .map(|l| format!("{path}:{}: {}", l.number, l.code.trim())),
+        );
+    }
+    assert!(
+        stray.is_empty(),
+        "code after test code:\n{}",
+        stray.join("\n")
+    );
 }

@@ -183,9 +183,7 @@ impl Reference {
 
     fn on_patch(&mut self, now: SimTime, patch: PatchInfo) -> PolicyOutput {
         let mut out = PolicyOutput::idle();
-        let tiles = split_to_fit(patch.rect, self.config.canvas_size);
-        out.accepted = tiles.len();
-        for rect in tiles {
+        for rect in split_to_fit(patch.rect, self.config.canvas_size) {
             self.admit(now, PatchInfo { rect, ..patch }, &mut out);
         }
         out.next_wake = self.invoke_by;
@@ -287,8 +285,8 @@ fn observed(out: &PolicyOutput, queue: usize, canvases: usize) -> String {
         })
         .collect();
     format!(
-        "{batches:?} wake {:?} accepted {} queue {queue} canvases {canvases}",
-        out.next_wake, out.accepted
+        "{batches:?} wake {:?} queue {queue} canvases {canvases}",
+        out.next_wake
     )
 }
 
@@ -368,7 +366,7 @@ fn one_tile_placement_matches_a_re_stitch_per_arrival_step_for_step() {
                         SimDuration::from_millis(slo_ms),
                     );
                     let out = production.on_patch(now, info);
-                    tiled += usize::from(out.accepted > 1);
+                    tiled += usize::from(!Size::CANVAS_1024.fits(info.rect.size()));
                     match (out.dispatches.len(), production.queue_len()) {
                         (0, _) => {
                             waited +=
