@@ -28,8 +28,7 @@ const CANVAS: Size = Size::CANVAS_1024;
 fn tiles(frames: &[TraceFrame]) -> Vec<PatchInfo> {
     let patches = frames.iter().flat_map(|f| &f.patches);
     let tiles = patches.flat_map(|p| {
-        let rects = split_to_fit(p.info.rect, CANVAS).into_iter();
-        rects.map(move |rect| PatchInfo { rect, ..p.info })
+        split_to_fit(p.info.rect, CANVAS).map(move |rect| PatchInfo { rect, ..p.info })
     });
     tiles.collect()
 }

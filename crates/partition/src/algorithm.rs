@@ -70,8 +70,6 @@ pub struct ZonePatch {
     /// affiliated RoIs (may extend beyond the zone when RoIs straddle the
     /// boundary).
     pub rect: Rect,
-    /// Indices (into the input slice) of the RoIs affiliated to this zone.
-    pub roi_indices: Vec<usize>,
 }
 
 /// Runs Algorithm 1 and returns only the patch rectangles.
@@ -95,50 +93,129 @@ pub fn partition(frame: Size, config: PartitionConfig, rois: &[Rect]) -> Vec<Rec
 /// 3. resize each non-empty zone to the minimum enclosing rectangle of its
 ///    RoI list;
 /// 4. cut each resized zone as a patch.
+///
+/// The patches are the one allocation: a slot per zone, grown RoI by RoI
+/// and emptied slots dropped at the end. Only the zones an RoI's span
+/// touches can overlap it, so only those are scanned, in row-major order.
 #[must_use]
 pub fn partition_detailed(frame: Size, config: PartitionConfig, rois: &[Rect]) -> Vec<ZonePatch> {
-    let zone_rects: Vec<Rect> = config.zones(frame).collect();
-    let mut lists: Vec<Vec<usize>> = vec![Vec::new(); zone_rects.len()];
-
-    for (i, roi) in rois.iter().enumerate() {
+    let (nx, ny) = (config.zones_x, config.zones_y);
+    let mut patches: Vec<ZonePatch> = (0..nx * ny)
+        .map(|zone| ZonePatch {
+            zone,
+            rect: Rect::default(),
+        })
+        .collect();
+    for roi in rois {
         if roi.is_empty() {
             continue;
         }
+        let (ix0, ix1) = zone_span(roi.x, roi.right(), frame.width / nx, nx);
+        let (iy0, iy1) = zone_span(roi.y, roi.bottom(), frame.height / ny, ny);
         let mut best_zone = None;
         let mut best_overlap = 0u64;
-        for (z, zr) in zone_rects.iter().enumerate() {
-            let overlap = roi.overlap_area(zr);
-            if overlap > best_overlap {
-                best_overlap = overlap;
-                best_zone = Some(z);
+        for iy in iy0..=iy1 {
+            for ix in ix0..=ix1 {
+                let overlap = roi.overlap_area(&config.zone_rect(frame, ix, iy));
+                if overlap > best_overlap {
+                    best_overlap = overlap;
+                    best_zone = Some(iy * nx + ix);
+                }
             }
         }
         if let Some(z) = best_zone {
-            lists[z].push(i);
+            let slot = &mut patches[z as usize].rect;
+            *slot = slot.union(roi);
         }
     }
+    patches.retain(|p| !p.rect.is_empty());
+    patches
+}
 
-    lists
-        .into_iter()
-        .enumerate()
-        .filter(|(_, list)| !list.is_empty())
-        .map(|(z, list)| {
-            let rect = Rect::enclosing(list.iter().map(|&i| &rois[i]))
-                .expect("non-empty list has an enclosing rect");
-            ZonePatch {
-                zone: z as u32,
-                rect,
-                roi_indices: list,
-            }
-        })
-        .collect()
+/// The first and last of `zones` zone indices along one axis that the
+/// non-empty span `start..end` touches, for zones `size` wide whose last
+/// one takes the remainder (as [`PartitionConfig::zone_rect`] cuts them;
+/// with `size == 0` every zone but the last is empty).
+fn zone_span(start: u32, end: u32, size: u32, zones: u32) -> (u32, u32) {
+    let index = |at: u32| match at.checked_div(size) {
+        Some(i) => i.min(zones - 1),
+        None => zones - 1,
+    };
+    (index(start), index(end - 1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tangram_sim::rng::DetRng;
 
     const FRAME: Size = Size::UHD_4K;
+
+    /// Algorithm 1 as first written: every RoI scans all `X × Y` zones,
+    /// each zone keeps its list of RoIs, and a patch encloses its list.
+    fn partition_by_full_scan(
+        frame: Size,
+        config: PartitionConfig,
+        rois: &[Rect],
+    ) -> Vec<ZonePatch> {
+        let zone_rects: Vec<Rect> = config.zones(frame).collect();
+        let mut lists: Vec<Vec<&Rect>> = vec![Vec::new(); zone_rects.len()];
+        for roi in rois.iter().filter(|r| !r.is_empty()) {
+            let mut best_zone = None;
+            let mut best_overlap = 0u64;
+            for (z, zr) in zone_rects.iter().enumerate() {
+                let overlap = roi.overlap_area(zr);
+                if overlap > best_overlap {
+                    best_overlap = overlap;
+                    best_zone = Some(z);
+                }
+            }
+            if let Some(z) = best_zone {
+                lists[z].push(roi);
+            }
+        }
+        let patches = lists.into_iter().enumerate().filter_map(|(z, list)| {
+            let rect = Rect::enclosing(list)?;
+            Some(ZonePatch {
+                zone: z as u32,
+                rect,
+            })
+        });
+        patches.collect()
+    }
+
+    #[test]
+    fn scanning_the_spanned_zones_equals_the_full_scan() {
+        let mut rng = DetRng::new(2024);
+        let (mut narrow, mut patches) = (0, 0);
+        for case in 0..3_000 {
+            let config = PartitionConfig::new(1 + rng.index(7) as u32, 1 + rng.index(7) as u32);
+            // Frames down to 1x1, so some grids are wider or taller than
+            // the frame and all their zones but the last are empty.
+            let frame = Size::new(1 + rng.index(160) as u32, 1 + rng.index(90) as u32);
+            narrow += usize::from(frame.width < config.zones_x || frame.height < config.zones_y);
+            // RoIs inside the frame, straddling its far edges, past them,
+            // and empty.
+            let rois: Vec<Rect> = (0..rng.index(12))
+                .map(|_| {
+                    let x = rng.index(frame.width as usize + 20) as u32;
+                    let y = rng.index(frame.height as usize + 20) as u32;
+                    Rect::new(x, y, rng.index(60) as u32, rng.index(40) as u32)
+                })
+                .collect();
+            let expected = partition_by_full_scan(frame, config, &rois);
+            patches += expected.len();
+            assert_eq!(
+                partition_detailed(frame, config, &rois),
+                expected,
+                "case {case}: {config:?} on {frame}, {rois:?}"
+            );
+        }
+        assert!(
+            narrow > 100 && patches > 5_000,
+            "{narrow} narrow grids, {patches} patches"
+        );
+    }
 
     #[test]
     fn zone_rects_tile_the_frame() {
@@ -184,7 +261,6 @@ mod tests {
         assert_eq!(detailed.len(), 1);
         let expected = Rect::enclosing(rois.iter()).unwrap();
         assert_eq!(detailed[0].rect, expected);
-        assert_eq!(detailed[0].roi_indices, vec![0, 1, 2]);
     }
 
     #[test]

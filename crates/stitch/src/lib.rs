@@ -13,7 +13,9 @@
 //! * [`solver`] — the multi-canvas first-fit: [`solver::Stitching`] keeps
 //!   canvases open and places one patch per arrival (what Algorithm 2's
 //!   per-arrival re-stitch amounts to), and
-//!   [`solver::PatchStitchingSolver`] stitches a whole queue at once.
+//!   [`solver::PatchStitchingSolver`] stitches a whole queue at once;
+//!   [`solver::split_to_fit`] cuts an oversized patch into canvas-sized
+//!   [`solver::Tiles`].
 //!
 //! # Example
 //!

@@ -51,27 +51,65 @@ impl fmt::Display for StitchError {
 impl Error for StitchError {}
 
 /// Splits `rect` into tiles no larger than `canvas`, cutting along both
-/// axes as needed. Oversized patches occur when a zone's enclosing
-/// rectangle outgrows the canvas (dense scenes with spread-out RoIs);
-/// real deployments must make the same choice, trading one stitched
-/// boundary for uniform inputs.
+/// axes as needed, row by row from the top-left corner. Oversized patches
+/// occur when a zone's enclosing rectangle outgrows the canvas (dense
+/// scenes with spread-out RoIs); real deployments must make the same
+/// choice, trading one stitched boundary for uniform inputs.
+///
+/// # Panics
+///
+/// Panics if `canvas` is empty.
 #[must_use]
-pub fn split_to_fit(rect: Rect, canvas: Size) -> Vec<Rect> {
+pub fn split_to_fit(rect: Rect, canvas: Size) -> Tiles {
     assert!(!canvas.is_empty(), "canvas must be non-empty");
-    let mut tiles = Vec::new();
-    let mut y = rect.y;
-    while y < rect.bottom() {
-        let h = canvas.height.min(rect.bottom() - y);
-        let mut x = rect.x;
-        while x < rect.right() {
-            let w = canvas.width.min(rect.right() - x);
-            tiles.push(Rect::new(x, y, w, h));
-            x += w;
-        }
-        y += h;
+    let columns = rect.width.div_ceil(canvas.width);
+    let rows = rect.height.div_ceil(canvas.height);
+    Tiles {
+        rect,
+        canvas,
+        columns,
+        next: 0,
+        end: u64::from(columns) * u64::from(rows),
     }
-    tiles
 }
+
+/// The tiles of [`split_to_fit`], in row-major order: every tile is the
+/// canvas's size except in the last column and row, which take the
+/// remainder.
+#[derive(Debug, Clone)]
+pub struct Tiles {
+    rect: Rect,
+    canvas: Size,
+    columns: u32,
+    /// The row-major index of the next tile, and the tile count.
+    next: u64,
+    end: u64,
+}
+
+impl Iterator for Tiles {
+    type Item = Rect;
+
+    fn next(&mut self) -> Option<Rect> {
+        if self.next == self.end {
+            return None;
+        }
+        let columns = u64::from(self.columns);
+        let (row, column) = ((self.next / columns) as u32, (self.next % columns) as u32);
+        self.next += 1;
+        let x = self.rect.x + column * self.canvas.width;
+        let y = self.rect.y + row * self.canvas.height;
+        let w = self.canvas.width.min(self.rect.right() - x);
+        let h = self.canvas.height.min(self.rect.bottom() - y);
+        Some(Rect::new(x, y, w, h))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = (self.end - self.next) as usize;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Tiles {}
 
 /// An open stitching: the canvases of the patches pushed so far, each
 /// with the packer that still knows its free space.
@@ -362,7 +400,7 @@ mod tests {
     #[test]
     fn split_to_fit_tiles_cover_exactly() {
         let rect = Rect::new(100, 200, 2500, 1800);
-        let tiles = split_to_fit(rect, CANVAS);
+        let tiles: Vec<Rect> = split_to_fit(rect, CANVAS).collect();
         // Tiles are disjoint and cover the rect.
         let total: u64 = tiles.iter().map(Rect::area).sum();
         assert_eq!(total, rect.area());
@@ -380,7 +418,49 @@ mod tests {
     #[test]
     fn split_to_fit_noop_for_small() {
         let rect = Rect::new(5, 5, 100, 100);
-        assert_eq!(split_to_fit(rect, CANVAS), vec![rect]);
+        assert!(split_to_fit(rect, CANVAS).eq([rect]));
+    }
+
+    /// `split_to_fit` as two nested loops into a list: the row-major
+    /// order `Tiles` must follow.
+    fn tiles_by_nested_loops(rect: Rect, canvas: Size) -> Vec<Rect> {
+        let mut tiles = Vec::new();
+        let mut y = rect.y;
+        while y < rect.bottom() {
+            let h = canvas.height.min(rect.bottom() - y);
+            let mut x = rect.x;
+            while x < rect.right() {
+                let w = canvas.width.min(rect.right() - x);
+                tiles.push(Rect::new(x, y, w, h));
+                x += w;
+            }
+            y += h;
+        }
+        tiles
+    }
+
+    #[test]
+    fn tiles_follow_the_nested_loops_and_know_their_length() {
+        let mut multi_row = 0;
+        for (cw, ch) in [(1, 1), (1, 4), (3, 2), (4, 4), (5, 3), (16, 16)] {
+            let canvas = Size::new(cw, ch);
+            for (x, y) in [(0, 0), (2, 5), (7, 1)] {
+                for w in 0..=13 {
+                    for h in 0..=13 {
+                        let rect = Rect::new(x, y, w, h);
+                        let expected = tiles_by_nested_loops(rect, canvas);
+                        let mut tiles = split_to_fit(rect, canvas);
+                        for (i, want) in expected.iter().enumerate() {
+                            assert_eq!(tiles.len(), expected.len() - i, "{rect} on {canvas}");
+                            assert_eq!(tiles.next(), Some(*want), "{rect} on {canvas}");
+                        }
+                        assert_eq!((tiles.len(), tiles.next()), (0, None), "{rect} on {canvas}");
+                        multi_row += usize::from(expected.len() > w.div_ceil(cw) as usize);
+                    }
+                }
+            }
+        }
+        assert!(multi_row > 1_000, "{multi_row} splits of more than one row");
     }
 
     #[test]

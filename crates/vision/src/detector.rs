@@ -69,19 +69,28 @@ impl DetectorProxy {
     /// Probability of detecting an object with the given pixel area.
     #[must_use]
     pub fn recall_at_area(&self, area: f64) -> f64 {
+        self.recall(area, self.area_at_half_recall.ln())
+    }
+
+    /// The logistic recall curve at `area`, given `ln(area_at_half_recall)`
+    /// (which [`Self::detect`] takes once per frame).
+    fn recall(&self, area: f64, ln_half_recall: f64) -> f64 {
         if area <= 0.0 {
             return 0.0;
         }
-        let x = (area.ln() - self.area_at_half_recall.ln()) * self.steepness;
+        let x = (area.ln() - ln_half_recall) * self.steepness;
         self.max_recall / (1.0 + (-x).exp())
     }
 
     /// Runs the proxy on one frame, producing RoI boxes in 4K coordinates.
     pub fn detect(&self, frame: &FrameTruth, rng: &mut DetRng) -> Vec<Rect> {
         let bounds = Rect::from_size(frame.frame_size);
-        let mut rois = Vec::new();
+        let ln_half_recall = self.area_at_half_recall.ln();
+        // Room for every object and a few false positives (about one a
+        // 4K frame at the calibrated rates), so the list rarely grows.
+        let mut rois = Vec::with_capacity(frame.objects.len() + 4);
         for obj in &frame.objects {
-            let p = self.recall_at_area(obj.rect.area() as f64);
+            let p = self.recall(obj.rect.area() as f64, ln_half_recall);
             if !rng.chance(p) {
                 continue;
             }

@@ -39,28 +39,35 @@ impl<E: RoiExtractor + ?Sized> RoiExtractor for Box<E> {
 /// Iteratively merges boxes that overlap (or nearly touch, within `gap`
 /// pixels) until a fixed point — GMM blobs of one person often fragment,
 /// and overlapping RoIs would otherwise be stitched twice.
+///
+/// Each pass folds every box, in order, into the first kept box whose
+/// `gap`-inflated rectangle it intersects, or keeps it. The kept boxes
+/// are compacted into a prefix of `boxes` (a box is kept at or before
+/// the slot it was read from), so merging allocates nothing.
 #[must_use]
 pub fn merge_overlapping(mut boxes: Vec<Rect>, gap: u32) -> Vec<Rect> {
     loop {
         let mut merged_any = false;
-        let mut out: Vec<Rect> = Vec::with_capacity(boxes.len());
-        'outer: for b in boxes.iter() {
-            for o in out.iter_mut() {
+        let mut kept = 0;
+        'outer: for read in 0..boxes.len() {
+            let b = boxes[read];
+            for o in &mut boxes[..kept] {
                 let inflated = Rect::new(
                     o.x.saturating_sub(gap),
                     o.y.saturating_sub(gap),
                     o.width + 2 * gap,
                     o.height + 2 * gap,
                 );
-                if inflated.intersects(b) {
-                    *o = o.union(b);
+                if inflated.intersects(&b) {
+                    *o = o.union(&b);
                     merged_any = true;
                     continue 'outer;
                 }
             }
-            out.push(*b);
+            boxes[kept] = b;
+            kept += 1;
         }
-        boxes = out;
+        boxes.truncate(kept);
         if !merged_any {
             return boxes;
         }
@@ -226,6 +233,64 @@ mod tests {
             ..VideoConfig::default()
         };
         SceneSimulation::new(SceneId::new(scene), config, 2024)
+    }
+
+    /// `merge_overlapping` as it was written first: each pass folds the
+    /// boxes into a fresh list.
+    fn merge_into_fresh_lists(mut boxes: Vec<Rect>, gap: u32) -> Vec<Rect> {
+        loop {
+            let mut merged_any = false;
+            let mut out: Vec<Rect> = Vec::with_capacity(boxes.len());
+            'outer: for b in &boxes {
+                for o in &mut out {
+                    let inflated = Rect::new(
+                        o.x.saturating_sub(gap),
+                        o.y.saturating_sub(gap),
+                        o.width + 2 * gap,
+                        o.height + 2 * gap,
+                    );
+                    if inflated.intersects(b) {
+                        *o = o.union(b);
+                        merged_any = true;
+                        continue 'outer;
+                    }
+                }
+                out.push(*b);
+            }
+            boxes = out;
+            if !merged_any {
+                return boxes;
+            }
+        }
+    }
+
+    #[test]
+    fn merging_in_place_equals_merging_into_fresh_lists() {
+        let mut rng = DetRng::new(42);
+        let mut merged_some = 0;
+        for case in 0..400 {
+            let n = rng.index(40);
+            let mut boxes: Vec<Rect> = (0..n)
+                .map(|_| {
+                    let (x, y) = (rng.index(600) as u32, rng.index(400) as u32);
+                    Rect::new(x, y, 1 + rng.index(90) as u32, rng.index(90) as u32)
+                })
+                .collect();
+            let gap = rng.index(12) as u32;
+            // A chain, below the random boxes, whose links touch only
+            // their neighbours, fed even links first: a pass joins each
+            // odd link to the even one before it, and only a later pass
+            // joins the chain up.
+            let links = 2 + rng.index(6) as u32;
+            let link = |k: u32| Rect::new(10 + 30 * k, 700, 32, 20);
+            boxes.extend((0..links).step_by(2).chain((1..links).step_by(2)).map(link));
+            let expected = merge_into_fresh_lists(boxes.clone(), gap);
+            let chain = Rect::enclosing(&[link(0), link(links - 1)]).unwrap();
+            assert!(expected.contains(&chain), "case {case}");
+            merged_some += usize::from(expected.len() + links as usize <= boxes.len());
+            assert_eq!(merge_overlapping(boxes, gap), expected, "case {case}");
+        }
+        assert!(merged_some > 200, "{merged_some} cases merged a random box");
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! `ServerlessPlatform::submit` to `complete` (and the platform's own
 //! share of it at a warm pool), what one `EventQueue`
 //! push/pop pair costs at a steady population, what placing a tile onto
-//! warm canvases and profiling the latency estimator cost, what replaying
+//! warm canvases and profiling the latency estimator cost, what the edge
+//! half costs (tiling an oversized patch, the RoI merge, Algorithm 1 and
+//! a whole proxy trace build), what replaying
 //! a trace costs (it reads the trace in place) and what a generated
 //! camera's lent frame costs — and the high-water mark
 //! of a sweep: `run_grid` holds one cell's records at a time, so its peak
@@ -25,16 +27,18 @@ use tangram_core::workload::TraceConfig;
 use tangram_harness::{run_grid, run_grid_full, SweepGrid, TraceKind, WorkloadSpec};
 use tangram_infer::estimator::LatencyEstimator;
 use tangram_infer::latency::InferenceLatencyModel;
+use tangram_partition::algorithm::{partition_detailed, PartitionConfig};
 use tangram_serverless::function::FunctionSpec;
 use tangram_serverless::platform::{InvocationRequest, ServerlessPlatform};
 use tangram_sim::event::EventQueue;
 use tangram_sim::rng::DetRng;
-use tangram_stitch::solver::Stitching;
+use tangram_stitch::solver::{split_to_fit, Stitching};
 use tangram_trace::{TraceEvent, TraceLog, TraceSink};
 use tangram_types::geometry::{Rect, Size};
 use tangram_types::ids::{CameraId, FrameId, PatchId, SceneId};
 use tangram_types::patch::PatchInfo;
 use tangram_types::time::{SimDuration, SimTime};
+use tangram_vision::extractor::merge_overlapping;
 
 struct Counting;
 
@@ -276,6 +280,102 @@ fn placing_a_tile_onto_warm_canvases_allocates_nothing() {
     );
     assert!(canvases.len() > 20, "{} canvases", canvases.len());
     assert_eq!(allocs, 0, "allocator calls placing {} tiles", tiles.len());
+}
+
+/// An oversized patch is cut into canvas-sized tiles by an iterator, so
+/// tiling one onto warm canvases costs what placing its tiles costs:
+/// nothing.
+#[test]
+fn tiling_an_oversized_patch_onto_warm_canvases_allocates_nothing() {
+    let patch = PatchInfo::new(
+        PatchId::new(0),
+        CameraId::new(0),
+        FrameId::new(0),
+        Rect::new(40, 30, 2_000, 1_500),
+        SimTime::ZERO,
+        SimDuration::from_secs(1),
+    );
+    let tile_patch = |stitching: &mut Stitching| {
+        for rect in split_to_fit(patch.rect, Size::CANVAS_1024) {
+            let at = stitching.fitting(rect.size());
+            let tile = PatchInfo { rect, ..patch };
+            stitching.push_at(tile, at).expect("a tile fits the canvas");
+        }
+    };
+    let mut stitching = Stitching::new(Size::CANVAS_1024);
+    tile_patch(&mut stitching);
+    let canvases = stitching.canvases().to_vec();
+    stitching.close();
+    let allocs = allocations_in(|| tile_patch(&mut stitching));
+    assert_eq!(
+        stitching.canvases(),
+        canvases,
+        "the same tiles, the same stitching"
+    );
+    let placed: usize = canvases.iter().map(|c| c.patch_count()).sum();
+    assert_eq!(
+        placed, 4,
+        "2,000 x 1,500 is two columns by two rows of tiles"
+    );
+    assert_eq!(allocs, 0, "allocator calls tiling an oversized patch");
+}
+
+/// The RoI merge compacts the boxes it keeps into the list it was given,
+/// pass after pass.
+#[test]
+fn merging_rois_allocates_nothing() {
+    // Pairs that overlap, a chain whose links meet only in a second pass,
+    // and loners.
+    let mut boxes: Vec<Rect> = (0..40u32)
+        .map(|i| Rect::new(97 * (i / 2) % 3_000, 40 * (i / 2) + 9 * (i % 2), 60, 30))
+        .collect();
+    boxes.extend([0, 2, 4, 1, 3].map(|k| Rect::new(30 * k, 1_900, 32, 20)));
+    let given = boxes.len();
+    let mut merged = Vec::new();
+    let allocs = allocations_in(|| merged = merge_overlapping(boxes, 8));
+    assert!(
+        merged.len() < given / 2,
+        "{} of {given} boxes left",
+        merged.len()
+    );
+    assert!(
+        merged.contains(&Rect::new(0, 1_900, 152, 20)),
+        "the chain joins up"
+    );
+    assert_eq!(allocs, 0, "allocator calls merging {given} boxes");
+}
+
+/// Algorithm 1 grows one patch slot per zone in place and drops the
+/// empty ones: the patch list is its one allocation.
+#[test]
+fn partitioning_a_frame_is_one_allocation() {
+    let rois: Vec<Rect> = (0..60u32)
+        .map(|i| Rect::new(20 + 370 * (i % 10), 20 + 350 * (i / 10), 40 + i, 90))
+        .collect();
+    let config = PartitionConfig::new(7, 5);
+    let mut patches = Vec::new();
+    let allocs = allocations_in(|| patches = partition_detailed(Size::UHD_4K, config, &rois));
+    assert!(patches.len() > 20, "{} patches", patches.len());
+    assert_eq!(
+        allocs,
+        1,
+        "allocator calls partitioning {} RoIs",
+        rois.len()
+    );
+}
+
+/// A proxy trace build allocates what the trace keeps — each frame's
+/// patch list and ELF byte list, and the frame list — plus the scene
+/// simulation's own per-frame state and one RoI list and one patch-slot
+/// list a frame; the RoI merge, Algorithm 1's zone scan and the
+/// detector make no scratch of their own.
+#[test]
+fn a_proxy_trace_build_allocates_a_few_calls_a_frame() {
+    let config = TraceConfig::proxy_extractor(SceneId::new(3), 300, 11);
+    let mut patches = 0;
+    let allocs = allocations_in(|| patches = config.build().patch_count());
+    assert!(patches > 1_500, "{patches} patches");
+    assert_eq!(allocs, 1_510, "allocator calls building 300 frames");
 }
 
 /// Profiling is `max_batch` rows of `(µ, σ, T_slack)` in one `Vec`.
