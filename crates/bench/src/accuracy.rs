@@ -292,7 +292,6 @@ pub(crate) fn table4_extractors(opts: &ExpOpts, out: &mut dyn Write) -> Vec<bool
     heading(out, "Table IV: RoI extraction methods (ours vs paper)");
     let methods = TABLE4_METHODS.into_iter().enumerate().collect();
     let methods = parallel_map(methods, opts.workers(), |_, (mi, method)| {
-        let codec = CodecModel::default();
         let mut roi_evals: Vec<FrameEval> = Vec::new();
         let mut part_evals: Vec<FrameEval> = Vec::new();
         let (mut patch_bytes, mut full_bytes) = (0u64, 0u64);
@@ -309,8 +308,8 @@ pub(crate) fn table4_extractors(opts: &ExpOpts, out: &mut dyn Write) -> Vec<bool
                 // +Partition: align RoIs into patches first.
                 let patches = partition(frame.frame_size, PartitionConfig::default(), &rois);
                 part_evals.push(detector.eval_regions(&frame, &patches));
-                patch_bytes += codec.patches_bytes(patches.iter()).get();
-                full_bytes += codec.full_frame_bytes(frame.frame_size).get();
+                patch_bytes += CodecModel.patches_bytes(patches.iter()).get();
+                full_bytes += CodecModel.full_frame_bytes(frame.frame_size).get();
             }
         }
         let bandwidth_pct = patch_bytes as f64 / full_bytes as f64 * 100.0;

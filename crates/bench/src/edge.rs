@@ -91,18 +91,24 @@ const FIG9_PAPER: [[f64; 3]; 10] = [
     [0.407, 1.047, 2.457],
 ];
 
-/// Fig. 9.
+/// Fig. 9. The trace holds only Tangram's patches: Full and Masked Frame
+/// are priced per frame from the scene's frame size, ELF per patch from
+/// its rectangle.
 pub(crate) fn fig9_bandwidth(opts: &ExpOpts, out: &mut dyn Write) -> Vec<bool> {
     heading(out, "Fig. 9: bandwidth normalised to Full Frame (paper)");
     let scenes = per_scene(SceneId::all(), opts, |scene| {
-        let frames = opts.frame_budget(25, SceneProfile::panda(scene).eval_frames as usize);
+        let profile = SceneProfile::panda(scene);
+        let size = profile.frame_size;
+        let frames = opts.frame_budget(25, profile.eval_frames as usize);
         let trace = build_trace(scene, frames, opts.seed, trace_kind(opts.quick));
         let (mut tangram, mut masked, mut full, mut elf) = (0u64, 0u64, 0u64, 0u64);
         for f in &trace.frames {
-            tangram += f.patches.iter().map(|p| p.encoded_size.get()).sum::<u64>();
-            masked += f.masked_frame_bytes.get();
-            full += f.full_frame_bytes.get();
-            elf += f.elf_patch_bytes.iter().map(|b| b.get()).sum::<u64>();
+            masked += CodecModel.masked_frame_bytes(size, f.patches.len()).get();
+            full += CodecModel.full_frame_bytes(size).get();
+            for p in &f.patches {
+                tangram += p.encoded_size.get();
+                elf += CodecModel.elf_patch_bytes(p.info.rect).get();
+            }
         }
         // Tangram, Masked, ELF over Full Frame.
         let ratio = [tangram, masked, elf].map(|bytes| bytes as f64 / full as f64);
@@ -145,17 +151,16 @@ const TABLE2_PAPER: [[f64; 3]; 10] = [
 pub(crate) fn table2_partition_bandwidth(opts: &ExpOpts, out: &mut dyn Write) -> Vec<bool> {
     heading(out, "Table II: bandwidth vs Full Frame, % (ours vs paper)");
     let scenes = per_scene(SceneId::all(), opts, |scene| {
-        let codec = CodecModel::default();
         let frames = opts.frame_budget(25, SceneProfile::panda(scene).eval_frames as usize);
         let mut rig = SceneRig::new(scene, EdgeExtractor::for_mode(opts.quick), opts.seed, "t2");
         let (mut grid_bytes, mut full_bytes) = ([0u64; 3], 0u64);
         for _ in 0..frames {
             let frame = rig.sim.next_frame();
             let rois = rig.extractor.extract(&frame);
-            full_bytes += codec.full_frame_bytes(frame.frame_size).get();
+            full_bytes += CodecModel.full_frame_bytes(frame.frame_size).get();
             for (bytes, grid) in grid_bytes.iter_mut().zip(table_grids()) {
                 let patches = partition(frame.frame_size, grid, &rois);
-                *bytes += codec.patches_bytes(patches.iter()).get();
+                *bytes += CodecModel.patches_bytes(patches.iter()).get();
             }
         }
         let pct = grid_bytes.map(|bytes| bytes as f64 / full_bytes as f64 * 100.0);

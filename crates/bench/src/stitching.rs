@@ -79,8 +79,11 @@ pub(crate) fn fig8_cost(opts: &ExpOpts, out: &mut dyn Write) -> Vec<bool> {
         let prices = ResourcePrices::alibaba_fc();
         let spec = FunctionSpec::paper_default();
         let solver = PatchStitchingSolver::new(CANVAS);
-        let frames = opts.frame_budget(25, SceneProfile::panda(scene).eval_frames as usize);
+        let profile = SceneProfile::panda(scene);
+        let frames = opts.frame_budget(25, profile.eval_frames as usize);
         let trace = build_trace(scene, frames, opts.seed, trace_kind(opts.quick));
+        let full_mpx = profile.frame_size.megapixels();
+        let masked_mpx = full_mpx * (1.0 - profile.redundancy);
         let mut rng = DetRng::new(opts.seed).fork_indexed("fig8", u64::from(scene.index()));
 
         let mut cost = [Dollars::ZERO; 4]; // tangram, masked, full, elf
@@ -93,8 +96,8 @@ pub(crate) fn fig8_cost(opts: &ExpOpts, out: &mut dyn Write) -> Vec<bool> {
                 let canvases = solver.stitch(&infos).expect("tiles fit");
                 bill(0, canvases.len() as f64 * CANVAS.megapixels());
             }
-            bill(1, f.masked_megapixels);
-            bill(2, f.full_megapixels);
+            bill(1, masked_mpx);
+            bill(2, full_mpx);
             for p in &f.patches {
                 let area = p.info.rect.area() as f64 / 1.0e6;
                 bill(3, area.max(ELF_MIN_INPUT_MEGAPIXELS));

@@ -201,6 +201,8 @@ mod tests {
     use super::*;
     use crate::workload::TraceConfig;
     use tangram_types::ids::SceneId;
+    use tangram_video::codec::CodecModel;
+    use tangram_video::scene::SceneProfile;
 
     fn trace(frames: usize) -> CameraTrace {
         TraceConfig::proxy_extractor(SceneId::new(1), frames, 7).build()
@@ -275,10 +277,12 @@ mod tests {
 
     #[test]
     fn full_frame_uses_more_bandwidth_than_tangram() {
-        // Full Frame is priced per frame from the trace (Fig. 9's
-        // denominator); Tangram's bytes are what the engine uploaded.
+        // Full Frame is priced per frame from the scene's frame size
+        // (Fig. 9's denominator); Tangram's bytes are what the engine
+        // uploaded.
         let t = trace(10);
-        let full: u64 = t.frames.iter().map(|f| f.full_frame_bytes.get()).sum();
+        let frame_size = SceneProfile::panda(t.scene).frame_size;
+        let full = CodecModel.full_frame_bytes(frame_size).get() * t.frames.len() as u64;
         let tangram = config(PolicyKind::Tangram).run(&[t]);
         assert!(tangram.total_bytes().get() < full);
         assert_eq!(tangram.frames, 10);

@@ -10,6 +10,7 @@ use tangram_trace::TraceEvent;
 use tangram_types::ids::CameraId;
 use tangram_types::patch::{Patch, PatchInfo};
 use tangram_types::time::{SimDuration, SimTime};
+use tangram_video::codec::CodecModel;
 
 struct CameraSlot<'a> {
     source: Box<dyn CameraSource + 'a>,
@@ -38,8 +39,9 @@ pub(crate) struct Ingest<'a> {
 /// delivered while the camera is borrowed.
 pub(crate) struct Uplink {
     pub(super) link: Link,
-    /// ELF re-encodes every patch on its own (its bytes are the trace's
-    /// `elf_patch_bytes`); every other policy ships `encoded_size`.
+    /// ELF ships every patch as a raw crop
+    /// ([`CodecModel::elf_patch_bytes`]); every other policy ships
+    /// `encoded_size`.
     elf: bool,
     edge_delay: SimDuration,
     pub(super) frames_injected: u64,
@@ -146,9 +148,9 @@ impl Uplink {
             return;
         }
         let ready = now + self.edge_delay;
-        for (i, patch) in frame.patches.iter().enumerate() {
+        for patch in &frame.patches {
             let bytes = if self.elf {
-                frame.elf_patch_bytes[i]
+                CodecModel.elf_patch_bytes(patch.info.rect)
             } else {
                 patch.encoded_size
             };

@@ -367,11 +367,6 @@ mod tests {
         TraceFrame {
             frame: FrameId::new(index),
             patches: (0..patches).map(patch).collect(),
-            elf_patch_bytes: (0..patches).map(|k| Bytes::new(7 * index + k)).collect(),
-            full_frame_bytes: Bytes::new(index),
-            masked_frame_bytes: Bytes::new(index + 1),
-            full_megapixels: index as f64 + 0.5,
-            masked_megapixels: index as f64 + 0.25,
             roi_count: index as usize,
         }
     }

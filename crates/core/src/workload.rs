@@ -1,23 +1,22 @@
 //! Per-camera workload traces.
 //!
-//! A trace captures what the edge produces for each frame — patches (with
-//! crop byte sizes), ELF's raw-crop sizes, and full/masked frame sizes —
-//! *before* any timing: the engine re-stamps generation times and SLOs at
-//! replay. Building the trace once and replaying it across policies keeps
+//! A trace captures what the edge uploads for each frame — its patches,
+//! with crop byte sizes — *before* any timing: the engine re-stamps
+//! generation times and SLOs at replay. The rival uploads (ELF's raw
+//! crops, Full and Masked Frame) are priced from the patches and the
+//! scene's frame size, through [`CodecModel`], by the code that compares
+//! them. Building the trace once and replaying it across policies keeps
 //! the comparison controlled, exactly like running every system over the
 //! same PANDA clip.
 
 use tangram_partition::algorithm::PartitionConfig;
 use tangram_partition::pipeline::{EdgePipeline, EdgePipelineConfig};
 use tangram_sim::rng::DetRng;
-use tangram_types::geometry::Size;
 use tangram_types::ids::{CameraId, FrameId, SceneId};
 use tangram_types::patch::Patch;
 use tangram_types::time::SimDuration;
-use tangram_types::units::Bytes;
 use tangram_video::codec::CodecModel;
 use tangram_video::generator::{SceneSimulation, VideoConfig};
-use tangram_video::scene::SceneProfile;
 use tangram_vision::detector::DetectorProxy;
 use tangram_vision::extractor::{GmmExtractor, ProxyExtractor, RoiExtractor};
 
@@ -28,18 +27,6 @@ pub struct TraceFrame {
     pub frame: FrameId,
     /// Patches with crop-encoded sizes (Tangram / Clipper / MArk).
     pub patches: Vec<Patch>,
-    /// Per-patch sizes if shipped ELF-style (uncompressed crops), aligned
-    /// with `patches`.
-    pub elf_patch_bytes: Vec<Bytes>,
-    /// One full-frame upload.
-    pub full_frame_bytes: Bytes,
-    /// One masked-frame upload.
-    pub masked_frame_bytes: Bytes,
-    /// Megapixels a full-frame request must process.
-    pub full_megapixels: f64,
-    /// Megapixels a masked-frame request must process (background
-    /// skipped; Table I's redundancy column).
-    pub masked_megapixels: f64,
     /// Number of raw RoIs the extractor found (diagnostics).
     pub roi_count: usize,
 }
@@ -49,36 +36,21 @@ impl Clone for TraceFrame {
         Self {
             frame: self.frame,
             patches: self.patches.clone(),
-            elf_patch_bytes: self.elf_patch_bytes.clone(),
-            full_frame_bytes: self.full_frame_bytes,
-            masked_frame_bytes: self.masked_frame_bytes,
-            full_megapixels: self.full_megapixels,
-            masked_megapixels: self.masked_megapixels,
             roi_count: self.roi_count,
         }
     }
 
-    /// Copies `source` into the lists `self` already holds, allocating
-    /// only when one of them must grow. The pattern names every field, so
-    /// a new one cannot be skipped.
+    /// Copies `source` into the patch list `self` already holds,
+    /// allocating only when it must grow. The pattern names every field,
+    /// so a new one cannot be skipped.
     fn clone_from(&mut self, source: &Self) {
         let Self {
             frame,
             patches,
-            elf_patch_bytes,
-            full_frame_bytes,
-            masked_frame_bytes,
-            full_megapixels,
-            masked_megapixels,
             roi_count,
         } = source;
         self.frame = *frame;
         self.patches.clone_from(patches);
-        self.elf_patch_bytes.clone_from(elf_patch_bytes);
-        self.full_frame_bytes = *full_frame_bytes;
-        self.masked_frame_bytes = *masked_frame_bytes;
-        self.full_megapixels = *full_megapixels;
-        self.masked_megapixels = *masked_megapixels;
         self.roi_count = *roi_count;
     }
 }
@@ -133,7 +105,8 @@ pub struct TraceConfig {
     pub extractor: ExtractorKind,
     /// Zone grid for Algorithm 1.
     pub partition: PartitionConfig,
-    /// Byte-cost model.
+    /// Byte-cost model the edge encodes with (field-less: there is one
+    /// calibration).
     pub codec: CodecModel,
     /// Experiment seed.
     pub seed: u64,
@@ -150,7 +123,7 @@ impl TraceConfig {
             warmup_frames: 0,
             extractor: ExtractorKind::Proxy,
             partition: PartitionConfig::default(),
-            codec: CodecModel::default(),
+            codec: CodecModel,
             seed,
         }
     }
@@ -167,7 +140,7 @@ impl TraceConfig {
                 raster_scale_milli: 250,
             },
             partition: PartitionConfig::default(),
-            codec: CodecModel::default(),
+            codec: CodecModel,
             seed,
         }
     }
@@ -193,37 +166,23 @@ impl TraceConfig {
                 DetRng::new(self.seed).fork_indexed("edge-proxy", u64::from(self.camera.raw())),
             )),
         };
-        let profile = SceneProfile::panda(self.scene);
         let pipeline_config = EdgePipelineConfig {
             camera: self.camera,
             partition: self.partition,
             // Placeholder SLO; the engine re-stamps at replay.
             slo: SimDuration::from_secs(1),
-            codec: self.codec.clone(),
         };
         let mut pipeline = EdgePipeline::new(pipeline_config, extractor);
         for _ in 0..self.warmup_frames {
             let frame = sim.next_frame();
             let _ = pipeline.process(&frame);
         }
-        let frame_size: Size = profile.frame_size;
         let mut frames = Vec::with_capacity(self.frames);
         for i in 0..self.frames {
             let frame = sim.next_frame();
             let out = pipeline.process(&frame);
-            let elf_patch_bytes: Vec<Bytes> = out
-                .patches
-                .iter()
-                .map(|p| self.codec.elf_patch_bytes(p.info.rect))
-                .collect();
-            let regions = out.patches.len();
             frames.push(TraceFrame {
                 frame: FrameId::new(i as u64),
-                elf_patch_bytes,
-                full_frame_bytes: self.codec.full_frame_bytes(frame_size),
-                masked_frame_bytes: self.codec.masked_frame_bytes(frame_size, regions),
-                full_megapixels: frame_size.megapixels(),
-                masked_megapixels: frame_size.megapixels() * (1.0 - profile.redundancy),
                 roi_count: out.rois.len(),
                 patches: out.patches,
             });
@@ -246,10 +205,8 @@ mod tests {
         assert_eq!(trace.frames.len(), 10);
         assert!(trace.patch_count() > 10, "several patches per frame");
         for f in &trace.frames {
-            assert_eq!(f.patches.len(), f.elf_patch_bytes.len());
-            assert!(f.full_frame_bytes.get() > 2_000_000);
-            assert!(f.full_megapixels > 8.0);
-            assert!(f.masked_megapixels < f.full_megapixels);
+            // Each RoI joins one zone, and each zone with an RoI is a patch.
+            assert!(f.patches.len() <= f.roi_count, "frame {}", f.frame);
         }
     }
 
@@ -258,7 +215,8 @@ mod tests {
         let trace = TraceConfig::proxy_extractor(SceneId::new(1), 5, 3).build();
         for f in &trace.frames {
             let crop: u64 = f.patches.iter().map(|p| p.encoded_size.get()).sum();
-            let elf: u64 = f.elf_patch_bytes.iter().map(|b| b.get()).sum();
+            let rects = f.patches.iter().map(|p| p.info.rect);
+            let elf: u64 = rects.map(|r| CodecModel.elf_patch_bytes(r).get()).sum();
             assert!(elf > crop, "raw crops must outweigh compressed crops");
         }
     }

@@ -24,8 +24,6 @@ pub struct EdgePipelineConfig {
     /// SLO attached to every patch of a frame (same for all patches of one
     /// frame, per §III-A).
     pub slo: SimDuration,
-    /// Byte-cost model used to size the encoded crops.
-    pub codec: CodecModel,
 }
 
 impl EdgePipelineConfig {
@@ -36,7 +34,6 @@ impl EdgePipelineConfig {
             camera,
             partition: PartitionConfig::default(),
             slo,
-            codec: CodecModel::default(),
         }
     }
 }
@@ -72,18 +69,6 @@ impl<E: RoiExtractor> EdgePipeline<E> {
         }
     }
 
-    /// The pipeline configuration.
-    #[must_use]
-    pub fn config(&self) -> &EdgePipelineConfig {
-        &self.config
-    }
-
-    /// Access to the wrapped extractor.
-    #[must_use]
-    pub fn extractor(&self) -> &E {
-        &self.extractor
-    }
-
     /// Processes one captured frame: extraction, partitioning, stamping.
     ///
     /// Patch ids are globally unique: the camera id occupies the high bits.
@@ -103,7 +88,7 @@ impl<E: RoiExtractor> EdgePipeline<E> {
                 frame.timestamp,
                 self.config.slo,
             );
-            let encoded = self.config.codec.patch_bytes(zp.rect);
+            let encoded = CodecModel.patch_bytes(zp.rect);
             uploaded += encoded;
             patches.push(Patch::new(info, encoded));
         }

@@ -4,24 +4,23 @@
 //! by *how* the pixels are encoded, not only how many pixels are sent:
 //!
 //! * **Full Frame** — each 4K frame sent as an individually-encoded
-//!   detection-quality image ([`CodecModel::stream_bpp`] ≈ 2.4 bits/px,
-//!   JPEG-quality-90 territory; the paper triggers "each frame as a
-//!   single request", and its Fig. 14c transmission times imply megabytes
-//!   per frame rather than a temporally-compressed stream).
+//!   detection-quality image (`STREAM_BPP` ≈ 2.4 bits/px, JPEG-quality-90
+//!   territory; the paper triggers "each frame as a single request", and
+//!   its Fig. 14c transmission times imply megabytes per frame rather
+//!   than a temporally-compressed stream).
 //! * **Masked Frame** (AdaMask-style) — same resolution with non-RoIs
 //!   masked. The flat masked background compresses nearly for free but
 //!   mask boundaries add blocking artefacts, so Fig. 9 measures it at
 //!   0.96–1.17× Full Frame. We model the overhead as a function of mask
 //!   complexity.
 //! * **Tangram patches** — crops JPEG-encoded on the edge at matched
-//!   quality ([`CodecModel::crop_bpp`], slightly above the full-frame
-//!   rate because small images amortise coding tables worse), covering
-//!   only the partitioned regions — Table II's 19–95% of full-frame
-//!   bytes.
-//! * **ELF patches** — ELF ships *uncompressed* RGB crops
-//!   ([`CodecModel::raw_crop_bpp`] = 24 bits/px) to avoid re-encoding
-//!   latency on the mobile device; with per-patch container overhead this
-//!   lands at the 1.1–3.9× of Fig. 9.
+//!   quality (`CROP_BPP`, slightly above the full-frame rate because
+//!   small images amortise coding tables worse), covering only the
+//!   partitioned regions — Table II's 19–95% of full-frame bytes.
+//! * **ELF patches** — ELF ships *uncompressed* RGB crops (24 bits/px,
+//!   exactly `RAW_CROP_BYTES_PER_PX` bytes) to avoid re-encoding latency
+//!   on the mobile device; with per-patch container overhead this lands
+//!   at the 1.1–3.9× of Fig. 9.
 //!
 //! The absolute constants are calibrations (the paper does not publish its
 //! encoder settings); every comparison in the experiments is *relative* to
@@ -30,40 +29,28 @@
 use tangram_types::geometry::{Rect, Size};
 use tangram_types::units::Bytes;
 
-/// Byte-cost model for every transmission strategy.
-#[derive(Debug, Clone)]
-pub struct CodecModel {
-    /// Bits per pixel of one individually-encoded full frame
-    /// (detection-quality JPEG; a 4K frame ≈ 2.5 MB, which at 20 Mbps
-    /// takes ≈ 1 s — the magnitude Fig. 14c reports).
-    pub stream_bpp: f64,
-    /// Bits per pixel of an edge-encoded patch crop at matched visual
-    /// quality (small images amortise coding tables slightly worse).
-    pub crop_bpp: f64,
-    /// Bits per pixel of ELF's uncompressed RGB crops.
-    pub raw_crop_bpp: f64,
-    /// Fixed per-message container/metadata overhead for one patch upload
-    /// (HTTP headers + patch info record).
-    pub patch_header: Bytes,
-    /// Base factor of the masked-frame stream relative to full frame.
-    pub masked_base: f64,
-    /// Additional masked-frame overhead per masked region (boundary
-    /// blocking artefacts).
-    pub masked_per_region: f64,
-}
+/// Bits per pixel of one individually-encoded full frame
+/// (detection-quality JPEG; a 4K frame ≈ 2.5 MB, which at 20 Mbps
+/// takes ≈ 1 s — the magnitude Fig. 14c reports).
+const STREAM_BPP: f64 = 2.4;
+/// Bits per pixel of an edge-encoded patch crop at matched visual
+/// quality (small images amortise coding tables slightly worse).
+const CROP_BPP: f64 = 2.6;
+/// Bytes per pixel of ELF's uncompressed RGB crops (24 bits).
+const RAW_CROP_BYTES_PER_PX: u64 = 3;
+/// Fixed per-message container/metadata overhead for one patch upload
+/// (HTTP headers + patch info record).
+const PATCH_HEADER: Bytes = Bytes::new(300);
+/// Base factor of the masked-frame stream relative to full frame.
+const MASKED_BASE: f64 = 0.95;
+/// Additional masked-frame overhead per masked region (boundary
+/// blocking artefacts).
+const MASKED_PER_REGION: f64 = 0.013;
 
-impl Default for CodecModel {
-    fn default() -> Self {
-        Self {
-            stream_bpp: 2.4,
-            crop_bpp: 2.6,
-            raw_crop_bpp: 24.0,
-            patch_header: Bytes::new(300),
-            masked_base: 0.95,
-            masked_per_region: 0.013,
-        }
-    }
-}
+/// Byte-cost model for every transmission strategy: one fixed
+/// calibration, so every caller prices the same upload the same way.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CodecModel;
 
 impl CodecModel {
     /// Bytes for one full-resolution frame.
@@ -71,21 +58,21 @@ impl CodecModel {
     /// ```
     /// # use tangram_types::geometry::Size;
     /// # use tangram_video::codec::CodecModel;
-    /// let codec = CodecModel::default();
+    /// let codec = CodecModel;
     /// let frame = codec.full_frame_bytes(Size::UHD_4K);
     /// // ≈ 8.29 Mpx × 2.4 bpp / 8 ≈ 2.5 MB.
     /// assert!((2_300_000..2_700_000).contains(&frame.get()));
     /// ```
     #[must_use]
     pub fn full_frame_bytes(&self, frame: Size) -> Bytes {
-        Bytes::new((frame.area() as f64 * self.stream_bpp / 8.0).round() as u64)
+        Bytes::new((frame.area() as f64 * STREAM_BPP / 8.0).round() as u64)
     }
 
     /// Bytes for one masked frame (full resolution, non-RoIs masked),
     /// given the number of distinct masked regions.
     #[must_use]
     pub fn masked_frame_bytes(&self, frame: Size, regions: usize) -> Bytes {
-        let factor = self.masked_base + self.masked_per_region * regions as f64;
+        let factor = MASKED_BASE + MASKED_PER_REGION * regions as f64;
         Bytes::new((self.full_frame_bytes(frame).get() as f64 * factor).round() as u64)
     }
 
@@ -93,14 +80,14 @@ impl CodecModel {
     /// quality).
     #[must_use]
     pub fn patch_bytes(&self, patch: Rect) -> Bytes {
-        self.patch_header + Bytes::new((patch.area() as f64 * self.crop_bpp / 8.0).round() as u64)
+        PATCH_HEADER + Bytes::new((patch.area() as f64 * CROP_BPP / 8.0).round() as u64)
     }
 
-    /// Bytes for one ELF high-quality patch.
+    /// Bytes for one ELF high-quality patch: whole bytes per pixel, so
+    /// the count is exact in integers.
     #[must_use]
     pub fn elf_patch_bytes(&self, patch: Rect) -> Bytes {
-        self.patch_header
-            + Bytes::new((patch.area() as f64 * self.raw_crop_bpp / 8.0).round() as u64)
+        PATCH_HEADER + Bytes::new(RAW_CROP_BYTES_PER_PX * patch.area())
     }
 
     /// Total bytes for a set of Tangram patches.
@@ -127,7 +114,7 @@ mod tests {
     fn tangram_patches_cheaper_than_full_frame() {
         // Table II: with ~20% coverage the patch bytes land well below the
         // full-frame stream.
-        let codec = CodecModel::default();
+        let codec = CodecModel;
         let frame = Size::UHD_4K;
         let patches = coverage_patches(frame, 0.20, 10);
         let ratio =
@@ -138,7 +125,7 @@ mod tests {
     #[test]
     fn elf_patches_exceed_full_frame() {
         // Fig. 9: ELF's high-quality crops cost 1.1–3.9× the stream.
-        let codec = CodecModel::default();
+        let codec = CodecModel;
         let frame = Size::UHD_4K;
         let patches = coverage_patches(frame, 0.20, 10);
         let elf: Bytes = patches.iter().map(|p| codec.elf_patch_bytes(*p)).sum();
@@ -148,7 +135,7 @@ mod tests {
 
     #[test]
     fn masked_frame_close_to_full() {
-        let codec = CodecModel::default();
+        let codec = CodecModel;
         let frame = Size::UHD_4K;
         for regions in [4usize, 8, 12, 16] {
             let ratio = codec.masked_frame_bytes(frame, regions).get() as f64
@@ -165,7 +152,7 @@ mod tests {
         // Table II's trend is driven by coverage: 6×6 produces tighter
         // (smaller-area) patches than 2×2. More patches do add header
         // overhead, but coverage dominates.
-        let codec = CodecModel::default();
+        let codec = CodecModel;
         let frame = Size::UHD_4K;
         let coarse = codec.patches_bytes(&coverage_patches(frame, 0.33, 4));
         let fine = codec.patches_bytes(&coverage_patches(frame, 0.14, 24));
@@ -174,11 +161,38 @@ mod tests {
 
     #[test]
     fn header_dominates_tiny_patches() {
-        let codec = CodecModel::default();
+        let codec = CodecModel;
         let tiny = Rect::new(0, 0, 8, 8);
         let b = codec.patch_bytes(tiny);
-        assert!(b.get() >= codec.patch_header.get());
+        assert!(b.get() >= PATCH_HEADER.get());
         // 64 px at 2.6 bpp ≈ 21 bytes of payload vs 300 of header.
-        assert!(b.get() < codec.patch_header.get() + 30);
+        assert!(b.get() < PATCH_HEADER.get() + 30);
+    }
+
+    /// ELF's integer count against the float expression it replaced,
+    /// `header + round(area × 24 bits / 8)`, kept here as the oracle.
+    #[test]
+    fn elf_bytes_equal_the_float_expression() {
+        let oracle = |rect: Rect| {
+            Bytes::new(300) + Bytes::new((rect.area() as f64 * 24.0 / 8.0).round() as u64)
+        };
+        let mut rng = tangram_sim::rng::DetRng::new(43);
+        let mut side = || rng.index(65_536) as u32;
+        let seeded = (0..100_000).map(|_| Rect::new(0, 0, side(), side()));
+        let (w, h) = (Size::UHD_4K.width, Size::UHD_4K.height);
+        let edges = [
+            Rect::new(0, 0, 0, 0),
+            Rect::new(0, 0, 1, 1),
+            Rect::new(0, 0, w, h),
+            Rect::new(0, 0, w - 1, h - 1),
+            Rect::new(0, 0, w, 1),
+            Rect::new(0, 0, 1, h),
+            Rect::new(0, 0, 1024, 1024),
+            Rect::new(0, 0, 65_535, 65_535),
+        ];
+        let codec = CodecModel;
+        for rect in seeded.chain(edges) {
+            assert_eq!(codec.elf_patch_bytes(rect), oracle(rect), "{rect}");
+        }
     }
 }

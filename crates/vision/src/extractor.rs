@@ -8,7 +8,7 @@
 
 use crate::cc::connected_components;
 use crate::detector::DetectorProxy;
-use crate::flow::{BlockMatcher, FlowParams};
+use crate::flow::BlockMatcher;
 use crate::gmm::{GaussianMixtureModel, GmmParams};
 use tangram_sim::rng::DetRng;
 use tangram_types::geometry::Rect;
@@ -153,21 +153,13 @@ pub struct FlowExtractor {
     pub margin: u32,
 }
 
-impl FlowExtractor {
-    /// Creates an extractor with the given matcher parameters.
-    #[must_use]
-    pub fn new(params: FlowParams) -> Self {
+impl Default for FlowExtractor {
+    fn default() -> Self {
         Self {
-            matcher: BlockMatcher::new(params),
+            matcher: BlockMatcher::new(),
             min_component_fraction: 30.0e-6,
             margin: 28,
         }
-    }
-}
-
-impl Default for FlowExtractor {
-    fn default() -> Self {
-        Self::new(FlowParams::default())
     }
 }
 

@@ -10,73 +10,53 @@
 use crate::mask::BitMask;
 use tangram_video::raster::Raster;
 
-/// Parameters of the block matcher.
-#[derive(Debug, Clone)]
-pub struct FlowParams {
-    /// Block side length in raster pixels.
-    pub block: u32,
-    /// Search radius in pixels (displacements in `[-radius, radius]`).
-    pub radius: i32,
-    /// Minimum displacement magnitude (pixels) to count as motion.
-    pub min_magnitude: f64,
-    /// Mean-absolute-difference above which a block counts as changed even
-    /// with zero best displacement (appearance change).
-    pub residual_threshold: f64,
-}
-
-impl Default for FlowParams {
-    fn default() -> Self {
-        Self {
-            block: 8,
-            radius: 4,
-            min_magnitude: 1.0,
-            residual_threshold: 12.0,
-        }
-    }
-}
+/// Block side length in raster pixels.
+const BLOCK: u32 = 8;
+/// Search radius in pixels (displacements in `[-RADIUS, RADIUS]`).
+const RADIUS: i32 = 4;
+/// Minimum displacement magnitude (pixels) to count as motion.
+const MIN_MAGNITUDE: f64 = 1.0;
+/// Mean-absolute-difference above which a block counts as changed even
+/// with zero best displacement (appearance change).
+const RESIDUAL_THRESHOLD: f64 = 12.0;
 
 /// Block-matching motion estimator for one camera stream.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BlockMatcher {
-    params: FlowParams,
     previous: Option<Raster>,
 }
 
 impl BlockMatcher {
-    /// Creates an estimator with the given parameters.
+    /// Creates an estimator that has seen no frame yet.
     #[must_use]
-    pub fn new(params: FlowParams) -> Self {
-        Self {
-            params,
-            previous: None,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Absorbs a frame and returns the motion mask relative to the previous
     /// frame (all-clear for the first frame).
     pub fn apply(&mut self, raster: &Raster) -> BitMask {
         let mask = match &self.previous {
-            Some(prev) if prev.size() == raster.size() => self.motion_mask(prev, raster),
+            Some(prev) if prev.size() == raster.size() => Self::motion_mask(prev, raster),
             _ => BitMask::new(raster.width(), raster.height()),
         };
         self.previous = Some(raster.clone());
         mask
     }
 
-    fn motion_mask(&self, prev: &Raster, cur: &Raster) -> BitMask {
-        let p = &self.params;
+    fn motion_mask(prev: &Raster, cur: &Raster) -> BitMask {
         let (w, h) = (cur.width(), cur.height());
         let mut mask = BitMask::new(w, h);
         let mut by = 0;
         while by < h {
-            let bh = p.block.min(h - by);
+            let bh = BLOCK.min(h - by);
             let mut bx = 0;
             while bx < w {
-                let bw = p.block.min(w - bx);
-                let (dx, dy, best) = self.best_displacement(prev, cur, bx, by, bw, bh);
+                let bw = BLOCK.min(w - bx);
+                let (dx, dy, best) = Self::best_displacement(prev, cur, bx, by, bw, bh);
                 let magnitude = f64::from(dx * dx + dy * dy).sqrt();
-                let moving = magnitude >= p.min_magnitude
-                    || best / f64::from(bw * bh) > p.residual_threshold;
+                let moving =
+                    magnitude >= MIN_MAGNITUDE || best / f64::from(bw * bh) > RESIDUAL_THRESHOLD;
                 if moving {
                     for y in by..by + bh {
                         for x in bx..bx + bw {
@@ -84,9 +64,9 @@ impl BlockMatcher {
                         }
                     }
                 }
-                bx += p.block;
+                bx += BLOCK;
             }
-            by += p.block;
+            by += BLOCK;
         }
         mask
     }
@@ -94,7 +74,6 @@ impl BlockMatcher {
     /// Best (dx, dy) displacement of the block into the previous frame and
     /// the SAD at that displacement.
     fn best_displacement(
-        &self,
         prev: &Raster,
         cur: &Raster,
         bx: u32,
@@ -102,11 +81,10 @@ impl BlockMatcher {
         bw: u32,
         bh: u32,
     ) -> (i32, i32, f64) {
-        let r = self.params.radius;
         let mut best = f64::INFINITY;
         let mut best_d = (0i32, 0i32);
-        for dy in -r..=r {
-            for dx in -r..=r {
+        for dy in -RADIUS..=RADIUS {
+            for dx in -RADIUS..=RADIUS {
                 let mut sad = 0.0f64;
                 let mut valid = true;
                 for y in 0..bh {
@@ -164,7 +142,7 @@ mod tests {
     #[test]
     fn first_frame_reports_nothing() {
         let r = quiet_renderer();
-        let mut bm = BlockMatcher::new(FlowParams::default());
+        let mut bm = BlockMatcher::new();
         let mask = bm.apply(&r.render(0, &[]));
         assert_eq!(mask.count_set(), 0);
     }
@@ -172,7 +150,7 @@ mod tests {
     #[test]
     fn static_scene_stays_quiet() {
         let r = quiet_renderer();
-        let mut bm = BlockMatcher::new(FlowParams::default());
+        let mut bm = BlockMatcher::new();
         let _ = bm.apply(&r.render(0, &[]));
         let mask = bm.apply(&r.render(0, &[]));
         assert_eq!(
@@ -185,7 +163,7 @@ mod tests {
     #[test]
     fn moving_object_detected() {
         let r = quiet_renderer();
-        let mut bm = BlockMatcher::new(FlowParams::default());
+        let mut bm = BlockMatcher::new();
         let a = GtObject::new(1, Rect::new(30, 30, 16, 24));
         let b = GtObject::new(1, Rect::new(33, 30, 16, 24)); // moved 3 px
         let _ = bm.apply(&r.render(0, &[a]));
@@ -205,7 +183,7 @@ mod tests {
     #[test]
     fn appearing_object_detected_via_residual() {
         let r = quiet_renderer();
-        let mut bm = BlockMatcher::new(FlowParams::default());
+        let mut bm = BlockMatcher::new();
         let _ = bm.apply(&r.render(0, &[]));
         let obj = GtObject::new(2, Rect::new(60, 40, 20, 30));
         let mask = bm.apply(&r.render(0, &[obj]));
@@ -219,7 +197,7 @@ mod tests {
     fn resolution_change_resets_cleanly() {
         let r1 = quiet_renderer();
         let r2 = FrameRenderer::new(5, Size::new(64, 48), 1.0);
-        let mut bm = BlockMatcher::new(FlowParams::default());
+        let mut bm = BlockMatcher::new();
         let _ = bm.apply(&r1.render(0, &[]));
         // Different size: must not panic, returns empty mask.
         let mask = bm.apply(&r2.render(0, &[]));

@@ -39,7 +39,6 @@ fn main() {
     }
 
     let frames = 40;
-    let codec = CodecModel::default();
     let simulator = DetectionSimulator::new(ResolutionProfile::yolov8x_4k());
     let grids = [
         PartitionConfig::new(2, 2),
@@ -53,11 +52,11 @@ fn main() {
     for _ in 0..frames {
         let frame = sim.next_frame();
         let rois = extractor.extract(&frame);
-        full_bytes += codec.full_frame_bytes(frame.frame_size).get();
+        full_bytes += CodecModel.full_frame_bytes(frame.frame_size).get();
         let bounds = Rect::from_size(frame.frame_size);
         for (gi, grid) in grids.iter().enumerate() {
             let patches = partition(frame.frame_size, *grid, &rois);
-            stats[gi].0 += codec.patches_bytes(patches.iter()).get();
+            stats[gi].0 += CodecModel.patches_bytes(patches.iter()).get();
             stats[gi].1 += patches.len();
             let presented = present_through_regions(&frame, &patches);
             let mpx = patches.iter().map(|p| p.area() as f64).sum::<f64>() / 1.0e6;

@@ -6,9 +6,17 @@ use tangram_core::engine::{EngineConfig, PolicyKind};
 use tangram_core::workload::{CameraTrace, TraceConfig};
 use tangram_types::ids::SceneId;
 use tangram_types::time::SimDuration;
+use tangram_video::codec::CodecModel;
+use tangram_video::scene::SceneProfile;
 
 fn trace(scene: u8, frames: usize, seed: u64) -> CameraTrace {
     TraceConfig::proxy_extractor(SceneId::new(scene), frames, seed).build()
+}
+
+/// Full Frame's bytes for every frame of `trace`.
+fn full_frame_bytes(trace: &CameraTrace) -> u64 {
+    let size = SceneProfile::panda(trace.scene).frame_size;
+    CodecModel.full_frame_bytes(size).get() * trace.frames.len() as u64
 }
 
 fn run(policy: PolicyKind, trace: &CameraTrace, slo_s: f64, bw: f64) -> tangram_core::RunReport {
@@ -44,13 +52,13 @@ fn every_patch_is_accounted_exactly_once() {
         // compare against the per-policy batch totals instead).
         assert!(report.patches_completed() >= t.patch_count());
         // Byte conservation: one camera, no faults, so the uplink carries
-        // exactly the trace's bytes for this policy's wire format.
-        let shipped: u64 = t
-            .frames
-            .iter()
-            .map(|f| match policy {
-                PolicyKind::Elf => f.elf_patch_bytes.iter().map(|b| b.get()).sum::<u64>(),
-                _ => f.patches.iter().map(|p| p.encoded_size.get()).sum(),
+        // exactly the trace's bytes for this policy's wire format — ELF's
+        // raw crops priced from each patch's rectangle.
+        let patches = t.frames.iter().flat_map(|f| &f.patches);
+        let shipped: u64 = patches
+            .map(|p| match policy {
+                PolicyKind::Elf => CodecModel.elf_patch_bytes(p.info.rect).get(),
+                _ => p.encoded_size.get(),
             })
             .sum();
         assert_eq!(
@@ -105,8 +113,9 @@ fn looser_slo_never_costs_more_for_tangram() {
 fn bandwidth_reduction_vs_full_frame_matches_paper_band() {
     let t = trace(1, 25, 17);
     let tangram = run(PolicyKind::Tangram, &t, 1.0, 40.0);
-    // Full Frame is priced per frame from the trace: Fig. 9's denominator.
-    let full: u64 = t.frames.iter().map(|f| f.full_frame_bytes.get()).sum();
+    // Full Frame is priced per frame from the scene's frame size: Fig. 9's
+    // denominator.
+    let full = full_frame_bytes(&t);
     let ratio = tangram.total_bytes().get() as f64 / full as f64;
     // Paper Table II / Fig. 9: Tangram uploads 10–90% of Full Frame.
     assert!(
@@ -118,9 +127,13 @@ fn bandwidth_reduction_vs_full_frame_matches_paper_band() {
 #[test]
 fn masked_frame_close_to_full_frame_bytes() {
     let t = trace(4, 15, 19);
-    let masked: u64 = t.frames.iter().map(|f| f.masked_frame_bytes.get()).sum();
-    let full: u64 = t.frames.iter().map(|f| f.full_frame_bytes.get()).sum();
-    let ratio = masked as f64 / full as f64;
+    let size = SceneProfile::panda(t.scene).frame_size;
+    let masked: u64 = t
+        .frames
+        .iter()
+        .map(|f| CodecModel.masked_frame_bytes(size, f.patches.len()).get())
+        .sum();
+    let ratio = masked as f64 / full_frame_bytes(&t) as f64;
     assert!((0.9..1.25).contains(&ratio), "masked/full ratio {ratio}");
 }
 

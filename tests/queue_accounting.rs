@@ -48,11 +48,6 @@ fn oversized_trace(frames: usize) -> CameraTrace {
             TraceFrame {
                 frame: FrameId::new(i as u64),
                 patches: vec![Patch::new(info, Bytes(1_000))],
-                elf_patch_bytes: vec![Bytes(4_000)],
-                full_frame_bytes: Bytes(50_000),
-                masked_frame_bytes: Bytes(20_000),
-                full_megapixels: 8.3,
-                masked_megapixels: 3.0,
                 roi_count: 1,
             }
         })
